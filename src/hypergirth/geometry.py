@@ -10,7 +10,6 @@ ever returning a silently wrong geometry.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -265,22 +264,33 @@ def greedy_high_girth_bipartite(
     right_deg = [0] * n_right
     max_explore = target_girth - 2  # unreachable within this depth => dist >= target - 1
 
+    seen = [False] * (n_left + n_right)  # all False between probes
+
     def within_distance(src: int, dst: int) -> bool:
+        """Whether right vertex dst is at most max_explore steps from left vertex src."""
         if not adj[src]:
             return False
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if dist[x] == max_explore:
-                continue
-            for y in adj[x]:
-                if y == dst:
-                    return True
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return False
+        seen[src] = True
+        touched = [src]
+        frontier = [src]  # the vertices at distance depth - 1
+        found = False
+        for depth in range(1, max_explore + 1):
+            # a right vertex lies at an odd distance from a left one
+            if depth % 2 and any(dst in adj[x] for x in frontier):
+                found = True
+                break
+            if depth == max_explore:
+                break
+            start = len(touched)
+            for x in frontier:
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        touched.append(y)
+            frontier = touched[start:]
+        for x in touched:
+            seen[x] = False
+        return found
 
     accepted = 0
     for u, v in grid:

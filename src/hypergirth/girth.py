@@ -3,7 +3,12 @@
 Three routes are provided:
 
 * :func:`girth_bipartite`: breadth-first shortest-cycle search from every
-  vertex with cross-edge detection; exact on any bipartite graph.
+  vertex with cross-edge detection; exact on any bipartite graph.  The
+  BFS from root r only visits vertices above r.  This keeps the result
+  exact: let r* be the smallest vertex of some shortest cycle C; all of C
+  lies at or above r*, so the BFS from r* still finds C, and any cycle a
+  restricted BFS finds is a cycle of the whole graph, so the minimum over
+  all roots is still the girth.
 * :func:`girth_hypergraph`: halves the girth of the incidence graph.
   Right-vertex neighborhoods of an incidence graph are pairwise distinct
   because duplicate edges are forbidden, so cycles of length 2k in the
@@ -20,7 +25,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .core import BipartiteGraph, Hypergraph, incidence_graph
+from .core import BipartiteGraph, Hypergraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
 DEFAULT_ORACLE_INCIDENCE_BUDGET = 2000
@@ -124,115 +129,107 @@ class GirthReport:
         return "inf"
 
 
-def _bfs_best_cycle(adj: list[list[int]], root: int, cap: int | None) -> tuple[int, int, int] | None:
-    """Shortest cycle through cross edges seen from ``root``.
+def _shortest_cycle(adj: list[list[int]]) -> list[int] | None:
+    """A shortest cycle of the bipartite graph with adjacency lists ``adj``,
+    as its vertex sequence, or None on a forest.
 
-    Returns (length, u, w) for the best cross edge, or None.  ``cap``
-    prunes exploration deeper than cap//2 since such vertices cannot be
-    part of a cycle shorter than cap.
+    The BFS from root ``r`` only enters vertices above ``r`` (see the
+    module docstring) and keeps ``dist``/``parent`` in flat lists, reset
+    through the queue of touched vertices.  Scanning a vertex at depth d
+    can only close a walk of length 2d + 2: a same-depth edge would make
+    an odd cycle, and an edge to depth d - 1 was already seen from its
+    other end.  So each BFS stops at the first depth d with
+    2d + 2 >= the best length so far.
     """
-    dist = {root: 0}
-    parent = {root: -1}
-    best: tuple[int, int, int] | None = None
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if best is not None and 2 * du + 1 >= best[0]:
+    n = len(adj)
+    dist = [-1] * n
+    parent = [-1] * n
+    best = n + 1  # longer than any cycle
+    cycle: list[int] | None = None
+    for root in range(n):
+        if len(adj[root]) < 2:
+            continue
+        dist[root] = 0
+        queue = [root]
+        head = 0
+        cross: tuple[int, int] | None = None
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            du = dist[u]
+            if 2 * du + 2 >= best:
+                break
+            pu = parent[u]
+            for w in adj[u]:
+                if w < root:
+                    continue
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != pu and du + dw + 1 < best:
+                    best = du + dw + 1
+                    cross = (u, w)
+        if cross is not None:
+            # root..u, across to w, then w's tree path back to root's child
+            up = _tree_path(parent, cross[0], root)
+            down = _tree_path(parent, cross[1], root)
+            cycle = up[::-1] + down[:-1]
+            if len(cycle) != best:
+                raise VerificationError("internal error: reconstructed cycle has wrong length")
+        for x in queue:
+            dist[x] = -1
+        if best == 4:
             break
-        if cap is not None and 2 * du + 1 >= cap:
-            break
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                parent[w] = u
-                queue.append(w)
-            elif w != parent[u]:
-                length = du + dist[w] + 1
-                if best is None or length < best[0]:
-                    best = (length, u, w)
-    return best
+    return cycle
 
 
-def _bfs_tree(adj: list[list[int]], root: int) -> dict[int, int]:
-    parent = {root: -1}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    return parent
+def _tree_path(parent: list[int], x: int, root: int) -> list[int]:
+    """Tree path x .. root through ``parent``."""
+    path = [x]
+    while x != root:
+        x = parent[x]
+        path.append(x)
+    return path
 
 
 def girth_bipartite(g: BipartiteGraph) -> GirthReport:
-    """Exact girth of a bipartite graph with a witness shortest cycle.
-
-    Runs a shortest-cycle BFS from every vertex; the minimum over all
-    start vertices is the girth (always even), or infinite on a forest.
-    """
+    """Exact girth of a bipartite graph with a witness shortest cycle
+    (always even), or infinite on a forest."""
     n = g.n_left + g.n_right
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.incidences:
         adj[u].append(g.n_left + v)
         adj[g.n_left + v].append(u)
-
-    best_len: int | None = None
-    best_at: tuple[int, int, int] | None = None  # (root, u, w)
-    for root in range(n):
-        if len(adj[root]) < 2:
-            continue
-        found = _bfs_best_cycle(adj, root, best_len)
-        if found is not None and (best_len is None or found[0] < best_len):
-            best_len = found[0]
-            best_at = (root, found[1], found[2])
-            if best_len == 4:
-                break
-    if best_len is None:
+    cycle = _shortest_cycle(adj)
+    if cycle is None:
         return GirthReport(None)
-
-    root, u, w = best_at  # type: ignore[misc]
-    parent = _bfs_tree(adj, root)
-    path_u = []
-    x = u
-    while x != -1:
-        path_u.append(x)
-        x = parent[x]
-    path_u.reverse()  # root .. u
-    path_w = []
-    x = w
-    while x != -1:
-        path_w.append(x)
-        x = parent[x]  # w .. root
-    cycle = path_u + path_w[:-1]  # root..u, cross to w, back down to root's child
-    if len(cycle) != best_len:
-        raise VerificationError("internal error: reconstructed cycle has wrong length")
-    nodes = tuple(
-        ("l", x) if x < g.n_left else ("r", x - g.n_left) for x in cycle
-    )
+    nodes = tuple(("l", x) if x < g.n_left else ("r", x - g.n_left) for x in cycle)
     witness = BipartiteCycle(nodes)
     witness.check(g)
-    return GirthReport(best_len, witness)
+    return GirthReport(len(cycle), witness)
 
 
 def girth_hypergraph(h: Hypergraph) -> GirthReport:
-    """Exact hypergraph girth via the incidence graph (half its girth)."""
-    g = incidence_graph(h)
-    rep = girth_bipartite(g)
-    if rep.girth is None:
+    """Exact hypergraph girth via the incidence graph (half its girth).
+
+    Incidence-graph node i is vertex i and node num_vertices + j is edge j,
+    with neighbours in the order :func:`core.incidence_graph` would give them.
+    """
+    n = h.num_vertices
+    adj = [[n + j for j in js] for js in h.vertex_edges]
+    adj += [list(edge) for edge in h.edges]
+    cycle = _shortest_cycle(adj)
+    if cycle is None:
         return GirthReport(None)
-    if rep.girth % 2 != 0:
+    if len(cycle) % 2 != 0:
         raise VerificationError("internal error: odd cycle in an incidence graph")
-    assert rep.witness is not None and isinstance(rep.witness, BipartiteCycle)
-    nodes = list(rep.witness.nodes)
-    if nodes[0][0] != "l":
-        nodes = nodes[1:] + nodes[:1]
-    vertices = tuple(idx for side, idx in nodes if side == "l")
-    edge_indices = tuple(idx for side, idx in nodes if side == "r")
-    witness = BergeCycle(vertices, edge_indices)
+    if cycle[0] >= n:
+        cycle = cycle[1:] + cycle[:1]
+    witness = BergeCycle(tuple(cycle[0::2]), tuple(x - n for x in cycle[1::2]))
     witness.check(h)
-    return GirthReport(rep.girth // 2, witness)
+    return GirthReport(len(cycle) // 2, witness)
 
 
 def girth_oracle(

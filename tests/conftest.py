@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from hypergirth import (
@@ -6,6 +8,21 @@ from hypergirth import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a ``python -m hypergirth`` child process.
+
+    The absolute ``src`` path leads ``PYTHONPATH``, so the child imports
+    this checkout whatever its working directory; a relative entry such as
+    ``PYTHONPATH=src`` stops resolving once ``cwd`` moves.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+    return env
+
 
 # The classic difference-set labeling of the 7-point plane; used as an
 # independent reference wherever a known 3-uniform girth-3 structure is

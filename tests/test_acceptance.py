@@ -40,6 +40,8 @@ from hypergirth import (
 )
 from hypergirth.transforms import SubstitutionPlan
 
+from conftest import subprocess_env
+
 
 @contextmanager
 def criterion(num: int, description: str):
@@ -321,7 +323,7 @@ def test_criterion_8_end_to_end_pipelines(tmp_path):
 def _run_cli(args, cwd):
     proc = subprocess.run(
         [sys.executable, "-m", "hypergirth", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=subprocess_env(),
     )
     assert proc.returncode == 0, f"{args}: {proc.stderr}"
     return proc.stdout

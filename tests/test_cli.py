@@ -5,6 +5,8 @@ import pytest
 from hypergirth import parse_bipartite, parse_certificate, parse_hypergraph
 from hypergirth.cli import main
 
+from conftest import subprocess_env
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -297,7 +299,7 @@ class TestPipelineReportClaims:
             assert prog == "hypergirth"
             proc = subprocess.run(
                 [sys.executable, "-m", "hypergirth", *argv],
-                capture_output=True, text=True, cwd=tmp_path,
+                capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(),
             )
             assert proc.returncode == 0, proc.stderr
         after = {

@@ -13,6 +13,9 @@ from hypergirth import (
     girth_hypergraph,
     girth_oracle,
     incidence_graph,
+    projective_plane,
+    split_cayley_hexagon,
+    symplectic_quadrangle,
 )
 from hypergirth.girth import BipartiteCycle
 
@@ -31,6 +34,67 @@ def even_cycle(k: int) -> BipartiteGraph:
         pairs.append((i, i))
         pairs.append(((i + 1) % k, i))
     return BipartiteGraph.from_incidences(k, k, pairs)
+
+
+def reference_girth(g: BipartiteGraph) -> int | None:
+    """Plain all-roots BFS over the whole graph, no pruning: the minimum of
+    dist(u) + dist(w) + 1 over every non-tree edge seen from every root."""
+    n = g.n_left + g.n_right
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.incidences:
+        adj[u].append(g.n_left + v)
+        adj[g.n_left + v].append(u)
+    best = None
+    for root in range(n):
+        dist = {root: 0}
+        parent = {root: None}
+        order = [root]
+        for u in order:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    order.append(w)
+                elif w != parent[u]:
+                    length = dist[u] + dist[w] + 1
+                    if best is None or length < best:
+                        best = length
+    return best
+
+
+def random_sparse_bipartite(rng: random.Random) -> BipartiteGraph:
+    """Disjoint union of one to four blocks, each a random forest, a random
+    sparse graph or a set of isolated vertices."""
+    n_left = n_right = 0
+    pairs = set()
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.randint(1, 7), rng.randint(1, 7)
+        kind = rng.randrange(3)
+        if kind == 0:
+            # each vertex hangs off a random earlier vertex of the other side, if any
+            nodes = [("l", n_left + i) for i in range(a)] + [("r", n_right + j) for j in range(b)]
+            rng.shuffle(nodes)
+            for k, (side, x) in enumerate(nodes):
+                earlier = [y for s, y in nodes[:k] if s != side]
+                if earlier:
+                    y = rng.choice(earlier)
+                    pairs.add((x, y) if side == "l" else (y, x))
+        elif kind == 1:
+            for _ in range(rng.randint(0, a + b + 3)):
+                pairs.add((n_left + rng.randrange(a), n_right + rng.randrange(b)))
+        n_left += a
+        n_right += b
+    return BipartiteGraph(n_left, n_right, tuple(sorted(pairs)))
+
+
+def relabelled(g: BipartiteGraph, rng: random.Random, swap_sides: bool) -> BipartiteGraph:
+    left, right = list(range(g.n_left)), list(range(g.n_right))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    pairs = [(left[u], right[v]) for u, v in g.incidences]
+    if swap_sides:
+        return BipartiteGraph.from_incidences(g.n_right, g.n_left, [(v, u) for u, v in pairs])
+    return BipartiteGraph.from_incidences(g.n_left, g.n_right, pairs)
 
 
 HEAWOOD = BipartiteGraph.from_incidences(
@@ -88,6 +152,35 @@ class TestGirthBipartite:
             fast = girth_bipartite(g).girth
             slow = girth_oracle(bipartite_as_pairs(g), 16).girth
             assert fast == slow
+
+    def test_matches_unpruned_bfs_randomized(self):
+        rng = random.Random(41)
+        cyclic = 0
+        for _ in range(300):
+            g = random_sparse_bipartite(rng)
+            rep = girth_bipartite(g)
+            assert rep.girth == reference_girth(g)
+            if rep.girth is None:
+                assert rep.witness is None and rep.is_infinite
+            else:
+                cyclic += 1
+                rep.witness.check(g)
+                assert len(rep.witness) == rep.girth
+        assert 50 < cyclic < 250  # both forests and cyclic graphs were drawn
+
+    @pytest.mark.parametrize(
+        "build, q, girth",
+        [(projective_plane, 3, 6), (symplectic_quadrangle, 3, 8), (split_cayley_hexagon, 2, 12)],
+    )
+    def test_relabelled_geometries(self, build, q, girth):
+        g = build(q)
+        rng = random.Random(1000 * q + girth)
+        for trial in range(4):
+            h = relabelled(g, rng, swap_sides=trial % 2 == 1)
+            rep = girth_bipartite(h)
+            assert rep.girth == girth
+            rep.witness.check(h)
+            assert len(rep.witness) == girth
 
 
 class TestGirthHypergraph:
@@ -165,6 +258,25 @@ class TestGirthOracle:
             fast = girth_hypergraph(h).girth
             slow = girth_oracle(h, 16).girth
             assert fast == slow
+
+    def test_agrees_on_multi_component_hypergraphs(self):
+        rng = random.Random(53)
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            edges = set()
+            for _ in range(rng.randint(0, 3)):
+                # a block of edges on a random vertex window; windows may overlap or not
+                lo = rng.randrange(n)
+                hi = rng.randint(lo + 1, min(n, lo + 5))
+                for _ in range(rng.randint(1, 4)):
+                    size = rng.randint(1, min(3, hi - lo))
+                    edges.add(tuple(sorted(rng.sample(range(lo, hi), size))))
+            h = Hypergraph(n, tuple(sorted(edges)))
+            fast = girth_hypergraph(h)
+            assert fast.girth == girth_oracle(h, 16).girth
+            if fast.girth is not None:
+                fast.witness.check(h)
+                assert len(fast.witness) == fast.girth
 
     def test_incidence_budget(self, fano):
         with pytest.raises(ResourceBudgetError, match="exceed budget"):
