@@ -107,7 +107,8 @@ def checked_pow(base: int, exponent: int, digit_budget: int | None, what: str = 
 @dataclass(frozen=True)
 class PowerExpr:
     """Exact value base**exponent, exponent a rational with denominator
-    dividing 72.  Comparisons and arithmetic are exact."""
+    dividing 72.  Equality is equality of (base, exponent); order
+    comparisons are exact and need equal bases."""
 
     base: int
     exponent: Fraction
@@ -149,14 +150,6 @@ class PowerExpr:
     def digits10(self) -> float:
         return digits10(self.base, self.exponent)
 
-    def __mul__(self, other: "PowerExpr") -> "PowerExpr":
-        if not isinstance(other, PowerExpr) or other.base != self.base:
-            return NotImplemented
-        return PowerExpr(self.base, self.exponent + other.exponent)
-
-    def __pow__(self, k: int) -> "PowerExpr":
-        return PowerExpr(self.base, self.exponent * k)
-
     def _cmp_key_same_base(self, other: "PowerExpr") -> tuple[Fraction, Fraction]:
         if other.base != self.base:
             raise PreconditionError(
@@ -165,22 +158,6 @@ class PowerExpr:
             )
         return self.exponent, other.exponent
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PowerExpr):
-            if other.base == self.base:
-                return self.exponent == other.exponent
-            if self.exponent == 0 or other.exponent == 0:
-                return self.exponent == other.exponent
-            if (self.exponent < 0) != (other.exponent < 0):
-                return False
-            a = PowerExpr(self.base, abs(self.exponent))
-            b = PowerExpr(other.base, abs(other.exponent))
-            return a.compare_int_sides(b) == 0
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.exponent))
-
     def __lt__(self, other: "PowerExpr") -> bool:
         a, b = self._cmp_key_same_base(other)
         return a < b
@@ -188,18 +165,6 @@ class PowerExpr:
     def __le__(self, other: "PowerExpr") -> bool:
         a, b = self._cmp_key_same_base(other)
         return a <= b
-
-    def compare_int_sides(self, other: "PowerExpr", digit_budget: int | None = DEFAULT_DIGIT_BUDGET) -> int:
-        """Exact three-way comparison across bases: raise both sides to the
-        lcm of the exponent denominators and compare big integers."""
-        lcm = math.lcm(self.exponent.denominator, other.exponent.denominator)
-        ea = self.exponent * lcm
-        eb = other.exponent * lcm
-        if ea < 0 or eb < 0:
-            raise PreconditionError("cross-base comparison with negative exponents is not supported")
-        lhs = checked_pow(self.base, ea.numerator, digit_budget, self.describe())
-        rhs = checked_pow(other.base, eb.numerator, digit_budget, other.describe())
-        return (lhs > rhs) - (lhs < rhs)
 
     def compare_to_int(self, value: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET) -> int:
         """Exact three-way comparison with a nonnegative integer."""

@@ -6,7 +6,9 @@ arithmetic (fractional exponents are cleared by raising both sides to a
 power).  A certificate is VALID iff all checks pass; assumption failures
 produce an INVALID certificate listing the failure, never an exception.
 Serialized certificates re-verify independently: re-verification reruns
-the whole computation from the header parameters alone.
+the whole computation from the header parameters alone.  Both routes are
+built by one function driven by the route's record in
+:data:`hypergirth.planner.ROUTES`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DEFAULT_DIGIT_BUDGET, checked_pow, int_digits10, int_to_decimal, is_prime
-from .errors import FormatError, PreconditionError, ResourceBudgetError, VerificationError
-from .planner import (
-    EIGHTH,
-    NINTH,
-    edge_bound_hexagon,
-    edge_bound_octagon,
+from .arith import (
+    DEFAULT_DIGIT_BUDGET,
+    PowerExpr,
+    checked_pow,
+    int_digits10,
+    int_to_decimal,
+    is_prime,
+    parse_decimal_int,
 )
-from .arith import PowerExpr
+from .errors import FormatError, PreconditionError, ResourceBudgetError, VerificationError
+from .planner import route_for
 
 _BIGNUM = "bignum"
 _EXPONENT = "exponent-exact"
@@ -101,6 +105,12 @@ def _guard_mul(a: int, b: int, budget: int | None, check: str) -> None:
         )
 
 
+def _int_args(**kwargs: int) -> None:
+    for name, value in kwargs.items():
+        if not isinstance(value, int) or value < 1:
+            raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
+
+
 def certificate(
     girth: int,
     p: int | None,
@@ -119,91 +129,79 @@ def certificate(
     ``digit_budget`` (a ResourceBudgetError names the first check that
     would exceed it).
     """
-    if girth == 6:
-        if p is None:
-            raise PreconditionError("girth-6 certificate needs p")
-        return _certificate_hexagon(p, m, n, r, digit_budget)
-    if girth == 8:
-        if p not in (None, 2):
-            raise PreconditionError(f"girth-8 certificate has base 2, got p = {p}")
-        return _certificate_octagon(m, n, r, digit_budget)
-    raise PreconditionError(f"girth must be 6 or 8, got {girth}")
-
-
-def _int_args(**kwargs: int) -> None:
-    for name, value in kwargs.items():
-        if not isinstance(value, int) or value < 1:
-            raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _certificate_hexagon(p: int, m: int, n: int, r: int, budget: int | None) -> Certificate:
+    route = route_for(girth)
+    p = route.base_for(p, f"girth-{girth} certificate")
     _int_args(p=p, m=m, n=n, r=r)
+
+    g, den, sym = route.growth, route.den, route.sym
     checks: list[CertCheck] = []
     values: list[tuple[str, str]] = []
 
+    # Premises and the uniformity range; a non-prime p fails them all unexpanded.
     prime_ok = is_prime(p)
-    checks.append(CertCheck("p-prime", f"p = {p} is prime", _BIGNUM, prime_ok))
-    seed = _expand(p, m - 1, budget, "seed-size") if prime_ok else 0
-    seed_ok = prime_ok and seed >= 5
-    checks.append(CertCheck("seed-size", f"p^(m-1) >= 5 at m = {m}", _BIGNUM, seed_ok))
-    uni = _expand(p, m, budget, "r-range") if prime_ok else 0
+    for name, statement, ok in route.premises:
+        checks.append(CertCheck(name, statement.format(p=p, m=m), _BIGNUM, prime_ok and ok(p, m)))
+    uni = _expand(p, m, digit_budget, "r-range") if prime_ok else 0
     r_ok = prime_ok and 2 <= r <= 1 + uni
-    checks.append(CertCheck("r-range", f"2 <= r <= 1 + p^m at r = {r}", _BIGNUM, r_ok))
-    if not (prime_ok and seed_ok and r_ok):
-        return Certificate(6, p, m, n, r, tuple(checks), tuple(values))
+    checks.append(CertCheck("r-range", f"2 <= r <= 1 + {sym}^m at r = {r}", _BIGNUM, r_ok))
+    if not all(c.passed for c in checks):
+        return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
 
     # Orders: closed form cross-checked against the recursion, then expanded.
     exps: list[int] = []
     e = Fraction(m)
     for i in range(1, n + 1):
-        closed = 9 ** (i - 1) * (m + EIGHTH) - EIGHTH
+        closed = g ** (i - 1) * (m + Fraction(1, den)) - Fraction(1, den)
         checks.append(
             CertCheck(
                 f"order-closed-form-{i}",
-                f"recursion exponent equals 9^{i - 1}*(m+1/8)-1/8",
+                f"recursion exponent equals {g}^{i - 1}*(m+1/{den})-1/{den}",
                 _EXPONENT,
                 e == closed,
             )
         )
+        if route.odd_orders:
+            odd_ok = closed.denominator == 1 and int(closed) % 2 == 1
+            checks.append(
+                CertCheck(f"order-odd-{i}", f"order_{i} is an odd power of {sym}", _EXPONENT, odd_ok)
+            )
         exps.append(int(closed))
-        e = 9 * e + 1
+        e = g * e + 1
 
-    orders = [_expand(p, ei, budget, f"order_{i + 1}") for i, ei in enumerate(exps)]
+    orders = [_expand(p, ei, digit_budget, f"order_{i + 1}") for i, ei in enumerate(exps)]
     v_list: list[int] = []
     b_list: list[int] = []
     for i, q in enumerate(orders, start=1):
-        _guard_digits(q, 9, budget, f"vertex-growth-{i}")
-        q4 = q**4
-        q8 = q4 * q4
-        v_list.append((1 + q) * (1 + q4 + q8))
-        b_list.append((1 + q**3) * (1 + q4 + q8))
+        _guard_digits(q, g, digit_budget, f"vertex-growth-{i}")
+        v_list.append(route.v(q))
+        b_list.append(route.b(q))
 
+    # Each stage places p - 1 template copies per edge (one at base 2).
     for i in range(2, n + 1):
         ok = orders[i - 1] >= (p - 1) * v_list[i - 2]
         checks.append(
-            CertCheck(f"copy-count-{i}", f"order_{i} >= (p-1) * v_{i - 1}", _BIGNUM, ok)
+            CertCheck(f"copy-count-{i}", f"order_{i} >= ({sym}-1) * v_{i - 1}", _BIGNUM, ok)
         )
 
     for i in range(1, n + 1):
-        lhs = _guard_pow(v_list[i - 1], 8, budget, f"vertex-growth-{i}")
-        rhs = _expand(p, 9**i * (8 * m + 1), budget, f"vertex-growth-{i}")
-        checks.append(
-            CertCheck(f"vertex-growth-{i}", f"v_{i}^8 < p^(9^{i}*(8m+1))", _BIGNUM, lhs < rhs)
-        )
+        lhs = _guard_pow(v_list[i - 1], den, digit_budget, f"vertex-growth-{i}")
+        rhs = _expand(p, g**i * (den * m + 1), digit_budget, f"vertex-growth-{i}")
+        statement = f"v_{i}^{den} < {sym}^({g}^{i}*({den}m+1))"
+        checks.append(CertCheck(f"vertex-growth-{i}", statement, _BIGNUM, lhs < rhs))
 
     edges = b_list[0]
     for i in range(2, n + 1):
-        _guard_mul(edges, b_list[i - 1], budget, "edge-bound")
+        _guard_mul(edges, b_list[i - 1], digit_budget, "edge-bound")
         edges = (p - 1) * edges * b_list[i - 1]
-    bound = edge_bound_hexagon(p, m, n)
-    lhs = _guard_pow(edges, 64, budget, "edge-bound")
-    rhs = _expand(p, int(bound.exponent * 64), budget, "edge-bound")
-    checks.append(
-        CertCheck("edge-bound", f"edges^64 >= p^(64 * {bound.exponent})", _BIGNUM, lhs >= rhs)
-    )
+    # The exponent is an integer and x^k >= y^k iff x >= y for nonnegative
+    # integers, so the stated power inequality is decided unraised.
+    bound = route.edge_bound(p, m, n)
+    k = route.edge_power
+    ok = edges >= _expand(p, int(bound.exponent), digit_budget, "edge-bound")
+    checks.append(CertCheck("edge-bound", f"edges^{k} >= {sym}^({k} * {bound.exponent})", _BIGNUM, ok))
 
     split = (1 + uni) // r
-    checks.append(CertCheck("split-factor", "floor((1 + p^m) / r) >= 1", _BIGNUM, split >= 1))
+    checks.append(CertCheck("split-factor", f"floor((1 + {sym}^m) / r) >= 1", _BIGNUM, split >= 1))
 
     for i, exponent in enumerate(exps, start=1):
         values.append((f"order_{i}", str(PowerExpr(p, Fraction(exponent)))))
@@ -215,90 +213,9 @@ def _certificate_hexagon(p: int, m: int, n: int, r: int, budget: int | None) -> 
     values.append(("edge_bound", str(bound)))
     values.append(("split_factor", int_to_decimal(split)))
     values.append(("final_edges", int_to_decimal(split * edges)))
-    return Certificate(6, p, m, n, r, tuple(checks), tuple(values))
+    return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
 
 
-def _certificate_octagon(m: int, n: int, r: int, budget: int | None) -> Certificate:
-    _int_args(m=m, n=n, r=r)
-    checks: list[CertCheck] = []
-    values: list[tuple[str, str]] = []
-
-    odd_ok = m % 2 == 1
-    checks.append(CertCheck("m-odd", f"m = {m} is odd", _BIGNUM, odd_ok))
-    size_ok = m >= 5
-    checks.append(CertCheck("m-size", f"m = {m} >= 5", _BIGNUM, size_ok))
-    uni = _expand(2, m, budget, "r-range")
-    r_ok = 2 <= r <= 1 + uni
-    checks.append(CertCheck("r-range", f"2 <= r <= 1 + 2^m at r = {r}", _BIGNUM, r_ok))
-    if not (odd_ok and size_ok and r_ok):
-        return Certificate(8, 2, m, n, r, tuple(checks), tuple(values))
-
-    exps: list[int] = []
-    e = Fraction(m)
-    for i in range(1, n + 1):
-        closed = 10 ** (i - 1) * (m + NINTH) - NINTH
-        recur_ok = e == closed
-        odd_exp_ok = closed.denominator == 1 and int(closed) % 2 == 1
-        checks.append(
-            CertCheck(
-                f"order-closed-form-{i}",
-                f"recursion exponent equals 10^{i - 1}*(m+1/9)-1/9",
-                _EXPONENT,
-                recur_ok,
-            )
-        )
-        checks.append(
-            CertCheck(f"order-odd-{i}", f"order_{i} is an odd power of 2", _EXPONENT, odd_exp_ok)
-        )
-        exps.append(int(closed))
-        e = 10 * e + 1
-
-    orders = [_expand(2, ei, budget, f"order_{i + 1}") for i, ei in enumerate(exps)]
-    v_list: list[int] = []
-    b_list: list[int] = []
-    for i, q in enumerate(orders, start=1):
-        _guard_digits(q, 10, budget, f"vertex-growth-{i}")
-        q3 = q**3
-        tail = 1 + q3 + q3 * q3 + q3 * q3 * q3
-        v_list.append((1 + q) * tail)
-        b_list.append((1 + q * q) * tail)
-
-    for i in range(2, n + 1):
-        ok = orders[i - 1] >= v_list[i - 2]
-        checks.append(CertCheck(f"copy-count-{i}", f"order_{i} >= v_{i - 1}", _BIGNUM, ok))
-
-    for i in range(1, n + 1):
-        lhs = _guard_pow(v_list[i - 1], 9, budget, f"vertex-growth-{i}")
-        rhs = _expand(2, 10**i * (9 * m + 1), budget, f"vertex-growth-{i}")
-        checks.append(
-            CertCheck(f"vertex-growth-{i}", f"v_{i}^9 < 2^(10^{i}*(9m+1))", _BIGNUM, lhs < rhs)
-        )
-
-    edges = b_list[0]
-    for i in range(2, n + 1):
-        _guard_mul(edges, b_list[i - 1], budget, "edge-bound")
-        edges = edges * b_list[i - 1]  # one copy per edge at base 2
-    bound = edge_bound_octagon(m, n)
-    lhs = _guard_pow(edges, 72, budget, "edge-bound")
-    rhs = _expand(2, int(bound.exponent * 72), budget, "edge-bound")
-    checks.append(
-        CertCheck("edge-bound", f"edges^72 >= 2^(72 * {bound.exponent})", _BIGNUM, lhs >= rhs)
-    )
-
-    split = (1 + uni) // r
-    checks.append(CertCheck("split-factor", "floor((1 + 2^m) / r) >= 1", _BIGNUM, split >= 1))
-
-    for i, exponent in enumerate(exps, start=1):
-        values.append((f"order_{i}", str(PowerExpr(2, Fraction(exponent)))))
-    for i, (v, b) in enumerate(zip(v_list, b_list), start=1):
-        values.append((f"v_{i}", int_to_decimal(v)))
-        values.append((f"b_{i}", int_to_decimal(b)))
-    values.append(("vertices", int_to_decimal(v_list[-1])))
-    values.append(("edges", int_to_decimal(edges)))
-    values.append(("edge_bound", str(bound)))
-    values.append(("split_factor", int_to_decimal(split)))
-    values.append(("final_edges", int_to_decimal(split * edges)))
-    return Certificate(8, 2, m, n, r, tuple(checks), tuple(values))
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -315,7 +232,10 @@ def parse_certificate(text: str) -> Certificate:
         parts = lines[i].split(" ")
         if len(parts) != 2 or parts[0] != key:
             raise FormatError(f"line {i + 1}: expected `{key} <value>`")
-        header[key] = int(parts[1])
+        try:
+            header[key] = parse_decimal_int(parts[1])
+        except PreconditionError as exc:
+            raise FormatError(f"line {i + 1}: {key}: {exc}") from None
     status_parts = lines[6].split(" ")
     if len(status_parts) != 2 or status_parts[0] != "status" or status_parts[1] not in ("VALID", "INVALID"):
         raise FormatError("line 7: expected `status VALID|INVALID`")

@@ -43,17 +43,7 @@ from .formats import (
 from .geometry import GeometrySpec
 from .girth import BergeCycle, girth_bipartite, girth_hypergraph, girth_oracle
 from .pipeline import pad_vertices, parse_recipe, resolve_template, run_pipeline, write_text_file
-from .planner import (
-    hexagon_params,
-    octagon_params,
-    plan_parameters_hexagon,
-    plan_parameters_octagon,
-    q_prime_sequence,
-    q_sequence,
-    edge_bound_hexagon,
-    edge_bound_octagon,
-    theorem_bound,
-)
+from .planner import route_for, theorem_bound
 from .transforms import SubstitutionPlan, neighborhood_hypergraph, split_edges, substitute_edges
 
 EXIT_CODES = {
@@ -164,24 +154,14 @@ def _cmd_girth(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     n_value = parse_decimal_int(args.N)
-    if args.girth == 6:
-        if args.p is None:
-            raise PreconditionError("plan --girth 6 needs --p")
-        plan = plan_parameters_hexagon(args.p, args.r, n_value)
-        order = q_sequence(args.p, plan.m, plan.n)
-        vertices = hexagon_params(order.expand()).v
-        bound = edge_bound_hexagon(args.p, plan.m, plan.n)
-        theorem = theorem_bound(6, args.p, n_value)
-        cert = certificate(6, args.p, plan.m, plan.n, args.r)
-    else:
-        if args.p not in (None, 2):
-            raise PreconditionError("plan --girth 8 is based on 2; omit --p or pass 2")
-        plan = plan_parameters_octagon(args.r, n_value)
-        order = q_prime_sequence(plan.m, plan.n)
-        vertices = octagon_params(order.expand()).v
-        bound = edge_bound_octagon(plan.m, plan.n)
-        theorem = theorem_bound(8, None, n_value)
-        cert = certificate(8, None, plan.m, plan.n, args.r)
+    route = route_for(args.girth)
+    p = route.base_for(args.p, f"plan --girth {args.girth}")
+    plan = route.plan(p, args.r, n_value)
+    order = route.order(p, plan.m, plan.n)
+    vertices = route.v(order.expand())
+    bound = route.edge_bound(p, plan.m, plan.n)
+    theorem = theorem_bound(args.girth, p, n_value)
+    cert = certificate(args.girth, p, plan.m, plan.n, args.r)
     print(f"planned-m {plan.m}")
     print(f"planned-n {plan.n}")
     print(f"seed-m {plan.m_star}")

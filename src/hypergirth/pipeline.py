@@ -35,7 +35,7 @@ from .errors import FormatError, PreconditionError, VerificationError
 from .formats import load_hypergraph, serialize_bipartite, serialize_hypergraph
 from .geometry import GeometrySpec, GreedyReport
 from .girth import girth_bipartite, girth_hypergraph
-from .planner import plan_parameters_hexagon, plan_parameters_octagon
+from .planner import Route, route_for
 from .transforms import SubstitutionPlan, loose_path, neighborhood_hypergraph, split_edges, substitute_edges
 
 GEN_KEYS = {
@@ -44,6 +44,13 @@ GEN_KEYS = {
     "hexagon": {"q"},
     "greedy": {"left", "right", "deg", "girth", "seed"},
 }
+
+
+def _int_value(where: str, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise PreconditionError(f"{where}: {key} must be an integer, got {value!r}") from None
 
 
 def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
@@ -106,7 +113,12 @@ def parse_recipe(text: str) -> Recipe:
         elif tokens[0] == "target":
             if target is not None or len(tokens) != 2:
                 raise FormatError(f"line {lineno}: expected a single `target <girth>` line")
-            target = int(tokens[1])
+            try:
+                target = int(tokens[1])
+            except ValueError:
+                raise FormatError(
+                    f"line {lineno}: target girth must be an integer, got {tokens[1]!r}"
+                ) from None
             if target < 2:
                 raise FormatError(f"line {lineno}: target girth must be >= 2")
         elif tokens[0] == "stage":
@@ -198,7 +210,7 @@ def resolve_template(token: str) -> Hypergraph:
         parts = token.split(":")
         if len(parts) != 3:
             raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
-        return loose_path(int(parts[1]), int(parts[2]))
+        return loose_path(_int_value(token, "edges", parts[1]), _int_value(token, "r", parts[2]))
     return load_hypergraph(token)
 
 
@@ -226,9 +238,27 @@ def _hypergraph_summary(h: Hypergraph) -> tuple[tuple[str, str], ...]:
     )
 
 
+def _certify_args(pairs: tuple[tuple[str, str], ...]) -> tuple[Route, int, int, int]:
+    """Check the `certify` line against its route before any stage runs."""
+    cargs = dict(pairs)
+    missing = {"girth", "r", "N"} - set(cargs)
+    unknown = set(cargs) - {"girth", "r", "N", "p"}
+    if missing or unknown:
+        raise PreconditionError(
+            f"certify takes girth= r= N= and optional p=, missing {sorted(missing)}, "
+            f"unknown {sorted(unknown)}"
+        )
+    girth = _int_value("certify", "girth", cargs["girth"])
+    route = route_for(girth)
+    p = _int_value("certify", "p", cargs["p"]) if "p" in cargs else None
+    p = route.base_for(p, f"certify girth={girth}")
+    return route, p, _int_value("certify", "r", cargs["r"]), parse_decimal_int(cargs["N"])
+
+
 def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> tuple[PipelineReport, GreedyReport | None]:
     """Execute a recipe, writing one canonical artifact per stage plus a
     deterministic report; returns the report and the last greedy report."""
+    certify = None if recipe.certify is None else _certify_args(recipe.certify)
     os.makedirs(out_dir, exist_ok=True)
     state: BipartiteGraph | Hypergraph | None = None
     records: list[StageRecord] = []
@@ -238,6 +268,10 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
     for index, stage in enumerate(recipe.stages, start=1):
         t0 = time.monotonic()
         args = stage.arg_map()
+
+        def num(key: str) -> int:
+            return _int_value(f"stage {index}", key, args[key])
+
         predicted: int | None = None
         if stage.op == "gen":
             kind = args.pop("kind")
@@ -251,25 +285,25 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
             if kind == "greedy":
                 spec = GeometrySpec(
                     "greedy",
-                    n_left=int(args["left"]),
-                    n_right=int(args["right"]),
-                    right_degree=int(args["deg"]),
-                    target_girth=int(args["girth"]),
-                    seed=int(args["seed"]),
+                    n_left=num("left"),
+                    n_right=num("right"),
+                    right_degree=num("deg"),
+                    target_girth=num("girth"),
+                    seed=num("seed"),
                 )
                 flags = (
                     f"--left {args['left']} --right {args['right']} --deg {args['deg']} "
                     f"--girth {args['girth']} --seed {args['seed']}"
                 )
             else:
-                spec = GeometrySpec(kind, q=int(args["q"]))
+                spec = GeometrySpec(kind, q=num("q"))
                 flags = f"--q {args['q']}"
                 counts = {
                     "plane": lambda q: (q * q + q + 1) * (q + 1),
                     "quadrangle": lambda q: (q + 1) * (q * q + 1) * (q + 1),
                     "hexagon": lambda q: (q + 1) * (q**4 + q**2 + 1) * (q + 1),
                 }
-                predicted = counts[kind](int(args["q"]))
+                predicted = counts[kind](num("q"))
             state, greedy = spec.build()
             if greedy is not None:
                 last_greedy = greedy
@@ -288,7 +322,7 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
             if set(args) != {"template", "k"}:
                 raise PreconditionError(f"stage {index}: substitute takes template=<spec> k=<int>")
             template = resolve_template(args["template"])
-            k = int(args["k"])
+            k = num("k")
             predicted = k * template.num_edges * state.num_edges
             state = substitute_edges(SubstitutionPlan(state, template, k))
             command = f"{program} transform substitute --template {args['template']} --k {k} {prev_path} {{out}}"
@@ -297,9 +331,10 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
                 raise PreconditionError(f"stage {index}: split needs a hypergraph input")
             if set(args) != {"r"}:
                 raise PreconditionError(f"stage {index}: split takes r=<int>")
-            r = int(args["r"])
+            r = num("r")
+            out = split_edges(state, r)  # rejects r < 2 before the count divides by r
             predicted = sum(len(e) // r for e in state.edges)
-            state = split_edges(state, r)
+            state = out
             command = f"{program} transform split --r {r} {prev_path} {{out}}"
         elif stage.op == "pad":
             if not isinstance(state, Hypergraph):
@@ -307,7 +342,7 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
             if set(args) != {"to"}:
                 raise PreconditionError(f"stage {index}: pad takes to=<int>")
             predicted = state.num_edges
-            state = pad_vertices(state, int(args["to"]))
+            state = pad_vertices(state, num("to"))
             command = f"{program} transform pad --to {args['to']} {prev_path} {{out}}"
         else:  # pragma: no cover - parse_recipe rejects unknown ops
             raise PreconditionError(f"stage {index}: unknown op {stage.op}")
@@ -351,19 +386,10 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
 
     cert_file: str | None = None
     cert_status: str | None = None
-    if recipe.certify is not None:
-        cargs = dict(recipe.certify)
-        girth = int(cargs.pop("girth"))
-        r = int(cargs.pop("r"))
-        n_value = parse_decimal_int(cargs.pop("N"))
-        p = int(cargs.pop("p")) if "p" in cargs else None
-        if cargs:
-            raise PreconditionError(f"certify: unknown keys {sorted(cargs)}")
-        if girth == 6:
-            plan = plan_parameters_hexagon(p, r, n_value)
-        else:
-            plan = plan_parameters_octagon(r, n_value)
-        cert = certificate(girth, p, plan.m, plan.n, r)
+    if certify is not None:
+        route, p, r, n_value = certify
+        plan = route.plan(p, r, n_value)
+        cert = certificate(route.girth, p, plan.m, plan.n, r)
         cert_file = "certificate.txt"
         write_text_file(os.path.join(out_dir, cert_file), cert.serialize())
         cert_status = "VALID" if cert.valid else "INVALID"

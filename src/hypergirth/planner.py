@@ -7,7 +7,9 @@ floating point in the module is the high-precision (mpmath) evaluation of
 the asymptotic exponents in :func:`theorem_bound`, which certifies
 nothing.
 
-Two parameter families are covered:
+Both parameter families are one recursive substitution scheme with
+different constants, each recorded once as a :class:`Route` in
+:data:`ROUTES`:
 
 * girth-6 route: orders q_1 = p^m, q_n = p * q_{n-1}^9, substrate with
   v(q) = (1+q)(1+q^4+q^8) and b(q) = (1+q^3)(1+q^4+q^8);
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from mpmath import mp, mpf
 
@@ -33,175 +36,33 @@ from .arith import (
 )
 from .errors import PreconditionError
 
-EIGHTH = Fraction(1, 8)
-NINTH = Fraction(1, 9)
+
+def _seed_size_ok(p: int, m: int) -> bool:
+    """The standing assumption p^(m-1) >= 5, for p >= 2.  Exponents past 3
+    cannot change the answer (2^3 >= 5), so nothing large is expanded."""
+    return m >= 2 and p ** min(m - 1, 3) >= 5
 
 
-@dataclass(frozen=True)
-class HexagonParams:
-    """Color-class sizes of the girth-12 substrate of order (q^3, q)."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise PreconditionError(f"hexagon parameter q must be >= 2, got {self.q}")
-
-    @property
-    def v(self) -> int:
-        return (1 + self.q) * (1 + self.q**4 + self.q**8)
-
-    @property
-    def b(self) -> int:
-        return (1 + self.q**3) * (1 + self.q**4 + self.q**8)
-
-
-@dataclass(frozen=True)
-class OctagonParams:
-    """Color-class sizes of the girth-16 substrate of order (q^2, q);
-    exists only for q an odd power of 2."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        m = self.q.bit_length() - 1
-        if self.q < 2 or self.q != 1 << m or m % 2 == 0:
-            raise PreconditionError(f"octagon parameter q must be an odd power of 2, got {self.q}")
-
-    @property
-    def v(self) -> int:
-        return (1 + self.q) * (1 + self.q**3 + self.q**6 + self.q**9)
-
-    @property
-    def b(self) -> int:
-        return (1 + self.q**2) * (1 + self.q**3 + self.q**6 + self.q**9)
-
-
-def hexagon_params(q: int) -> HexagonParams:
-    return HexagonParams(q)
-
-
-def octagon_params(q: int) -> OctagonParams:
-    return OctagonParams(q)
-
-
-def _check_hexagon_assumptions(p: int, m: int, n: int) -> None:
+def _hexagon_assumptions(p: int, m: int, n: int) -> None:
     if not is_prime(p):
         raise PreconditionError(f"p must be prime, got {p}")
     if m < 2:
         raise PreconditionError(f"m must be >= 2, got {m}")
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
-    if p ** (m - 1) < 5:
+    if not _seed_size_ok(p, m):
         raise PreconditionError(f"p^(m-1) = {p ** (m - 1)} violates the standing assumption >= 5")
 
 
-def q_sequence(p: int, m: int, n: int) -> PowerExpr:
-    """n-th order of the girth-6 route: q_1 = p^m, q_n = p * q_{n-1}^9.
-
-    Returns the closed form p^(9^(n-1) * (m + 1/8) - 1/8), cross-checked
-    exactly against the recursion e_n = 9 * e_{n-1} + 1.
-    """
-    _check_hexagon_assumptions(p, m, n)
-    closed = 9 ** (n - 1) * (m + EIGHTH) - EIGHTH
-    e = Fraction(m)
-    for _ in range(n - 1):
-        e = 9 * e + 1
-    if e != closed:
-        raise PreconditionError(f"closed form {closed} disagrees with recursion {e}")
-    return PowerExpr(p, closed)
-
-
-def _check_octagon_assumptions(m: int, n: int) -> None:
+def _octagon_assumptions(p: int, m: int, n: int) -> None:
+    # Even m is accepted for n >= 2, where the order exponent is odd
+    # regardless; the planner's level-crossing identity needs it.
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     if m < 5:
         raise PreconditionError(f"m must be >= 5, got {m}")
     if m % 2 == 0 and n == 1:
         raise PreconditionError(f"m = {m} is even: 2^m is not an odd power of 2")
-
-
-def q_prime_sequence(m: int, n: int) -> PowerExpr:
-    """n-th order of the girth-8 route: q'_1 = 2^m, q'_n = 2 * q'_{n-1}^10.
-
-    Closed form 2^(10^(n-1) * (m + 1/9) - 1/9), cross-checked against the
-    recursion.  The resulting exponent is always odd, so every order in
-    the sequence is a valid octagon parameter; even m is accepted for
-    n >= 2 (where the exponent is odd regardless), which the planner's
-    level-crossing identity needs.
-    """
-    _check_octagon_assumptions(m, n)
-    closed = 10 ** (n - 1) * (m + NINTH) - NINTH
-    e = Fraction(m)
-    for _ in range(n - 1):
-        e = 10 * e + 1
-    if e != closed:
-        raise PreconditionError(f"closed form {closed} disagrees with recursion {e}")
-    if closed.denominator != 1 or closed.numerator % 2 == 0:
-        raise PreconditionError(f"order exponent {closed} is not an odd integer")
-    return PowerExpr(2, closed)
-
-
-def edge_bound_hexagon(p: int, m: int, n: int) -> PowerExpr:
-    """Edge-count lower bound p^((11/8) * (9^n (m + 1/8) - (n + m + 1/8)))
-    for the n-th girth-6 construction; the exponent is always an integer."""
-    _check_hexagon_assumptions(p, m, n)
-    inner = 9**n * (m + EIGHTH) - (n + m + EIGHTH)
-    exponent = Fraction(11, 8) * inner
-    if exponent.denominator != 1:
-        raise PreconditionError(f"edge bound exponent {exponent} is not integral")
-    return PowerExpr(p, exponent)
-
-
-def edge_bound_octagon(m: int, n: int) -> PowerExpr:
-    """Edge-count lower bound 2^((11/9) * (10^n (m + 1/9) - (n + m + 1/9)))
-    for the n-th girth-8 construction; the exponent is always an integer."""
-    _check_octagon_assumptions(m, n)
-    inner = 10**n * (m + NINTH) - (n + m + NINTH)
-    exponent = Fraction(11, 9) * inner
-    if exponent.denominator != 1:
-        raise PreconditionError(f"edge bound exponent {exponent} is not integral")
-    return PowerExpr(2, exponent)
-
-
-def epsilon(m: int, n: int) -> Fraction:
-    """Relative slack (n + m + 1/8) / (9^n (m + 1/8)) between the edge
-    bound and the 11/8 power of the vertex bound; always in (0, 1)."""
-    if m < 1 or n < 1:
-        raise PreconditionError("epsilon needs m >= 1 and n >= 1")
-    return (n + m + EIGHTH) / (9**n * (m + EIGHTH))
-
-
-def _hexagon_v_vs(p: int, m: int, n: int, value: int, digit_budget: int | None) -> int:
-    """Exact sign of v(q_{p,m,n}) - value, avoiding the big expansion
-    whenever a digit bound already decides the comparison."""
-    e = q_sequence(p, m, n).exponent
-    assert e.denominator == 1
-    low = 9 * int(e) * math.log10(p)  # v > q^9
-    high = (9 * int(e) + 3) * math.log10(p) + 1  # v < 6 q^9 < p^3 q^9
-    nd = int_digits10(value)
-    if low > nd + 2:
-        return 1
-    if high < nd - 2:
-        return -1
-    q = checked_pow(p, int(e), digit_budget, f"v({p}^{e})")
-    v = (1 + q) * (1 + q**4 + q**8)
-    return (v > value) - (v < value)
-
-
-def _octagon_v_vs(m: int, n: int, value: int, digit_budget: int | None) -> int:
-    """Exact sign of v'(q'_{2,m,n}) - value with the same digit shortcut."""
-    e = q_prime_sequence(m, n).exponent
-    low = 10 * int(e) * math.log10(2)
-    high = (10 * int(e) + 3) * math.log10(2) + 1
-    nd = int_digits10(value)
-    if low > nd + 2:
-        return 1
-    if high < nd - 2:
-        return -1
-    q = checked_pow(2, int(e), digit_budget, f"v'(2^{e})")
-    v = (1 + q) * (1 + q**3 + q**6 + q**9)
-    return (v > value) - (v < value)
 
 
 @dataclass(frozen=True)
@@ -227,107 +88,264 @@ class BelowSeedError(PreconditionError):
         )
 
 
+@dataclass(frozen=True)
+class Route:
+    """The constants of one recursive route; every method is written once.
+
+    Orders are q_1 = p^m and q_n = p * q_{n-1}^growth, i.e. the closed form
+    p^(growth^(n-1) * (m + 1/den) - 1/den).  Each substitution stage uses
+    p - 1 template copies per edge (one copy at base 2).
+    """
+
+    girth: int
+    substrate: str
+    base: int | None  # None: the caller supplies a prime p
+    growth: int
+    den: int
+    v: Callable[[int], int]  # substrate vertex count at order q
+    b: Callable[[int], int]  # substrate edge count at order q
+    m_step: int  # 2 keeps m odd, so that q_1 = 2^m is an odd power of 2
+    edge_power: int  # both sides of the stated edge bound are raised to it
+    assumptions: Callable[[int, int, int], None]  # raises PreconditionError on (p, m, n)
+    premises: tuple[tuple[str, str, Callable[[int, int], bool]], ...]  # named checks on (p, m)
+
+    @property
+    def sym(self) -> str:
+        """How statements name the base."""
+        return "p" if self.base is None else str(self.base)
+
+    @property
+    def odd_orders(self) -> bool:
+        """Every order must be an odd power of the base (octagon route)."""
+        return self.m_step == 2
+
+    def base_for(self, p: int | None, what: str) -> int:
+        """The base to use given an optional caller-supplied p."""
+        if self.base is None:
+            if p is None:
+                raise PreconditionError(f"{what} needs p")
+            return p
+        if p not in (None, self.base):
+            raise PreconditionError(f"{what} has base {self.base}, got p = {p}")
+        return self.base
+
+    def order(self, p: int, m: int, n: int) -> PowerExpr:
+        """n-th order in closed form, cross-checked exactly against the
+        recursion e_n = growth * e_{n-1} + 1."""
+        self.assumptions(p, m, n)
+        closed = self.growth ** (n - 1) * (m + Fraction(1, self.den)) - Fraction(1, self.den)
+        e = Fraction(m)
+        for _ in range(n - 1):
+            e = self.growth * e + 1
+        if e != closed:
+            raise PreconditionError(f"closed form {closed} disagrees with recursion {e}")
+        if self.odd_orders and (closed.denominator != 1 or closed.numerator % 2 == 0):
+            raise PreconditionError(f"order exponent {closed} is not an odd integer")
+        return PowerExpr(p, closed)
+
+    def edge_bound(self, p: int, m: int, n: int) -> PowerExpr:
+        """Edge-count lower bound
+        p^((11/den) * (growth^n (m + 1/den) - (n + m + 1/den))) for the n-th
+        construction; the exponent is always an integer."""
+        self.assumptions(p, m, n)
+        inner = self.growth**n * (m + Fraction(1, self.den)) - (n + m + Fraction(1, self.den))
+        exponent = Fraction(11, self.den) * inner
+        if exponent.denominator != 1:
+            raise PreconditionError(f"edge bound exponent {exponent} is not integral")
+        return PowerExpr(p, exponent)
+
+    def epsilon(self, m: int, n: int) -> Fraction:
+        """Relative slack (n + m + 1/den) / (growth^n (m + 1/den)) between the
+        edge bound and the 11/den power of the vertex bound; in (0, 1)."""
+        if m < 1 or n < 1:
+            raise PreconditionError("epsilon needs m >= 1 and n >= 1")
+        return (n + m + Fraction(1, self.den)) / (self.growth**n * (m + Fraction(1, self.den)))
+
+    def _v_vs(self, p: int, m: int, n: int, value: int, digit_budget: int | None) -> int:
+        """Exact sign of v(q_{p,m,n}) - value, avoiding the big expansion
+        whenever a digit bound already decides the comparison."""
+        e = int(self.order(p, m, n).exponent)
+        low = self.growth * e * math.log10(p)  # v > q^growth
+        high = (self.growth * e + 3) * math.log10(p) + 1  # v < 8 q^growth <= p^3 q^growth
+        nd = int_digits10(value)
+        if low > nd + 2:
+            return 1
+        if high < nd - 2:
+            return -1
+        v = self.v(checked_pow(p, e, digit_budget, f"v({p}^{e})"))
+        return (v > value) - (v < value)
+
+    def plan(
+        self, p: int, r: int, n_vertices: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
+    ) -> PlanResult:
+        """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by bounded
+        lattice search with exact comparisons.
+
+        The seed m* is the smallest m on the lattice 1 + step*k that
+        satisfies the premises and p^m >= r - 1; n* brackets it by
+        growth^(n*-1) - shift <= m* < growth^n*, where shift = step - 1
+        puts the bracket ends on the lattice (10^k - 1 is odd).  The
+        returned pair additionally satisfies m* <= m, n* <= n and
+        growth^(n-1) - shift <= m <= growth^(n+1) - shift; both sandwich
+        inequalities are re-checked exactly before returning.
+        """
+        if not is_prime(p):
+            raise PreconditionError(f"p must be prime, got {p}")
+        if r < 2:
+            raise PreconditionError(f"r must be >= 2, got {r}")
+        step, shift, g = self.m_step, self.m_step - 1, self.growth
+        m_star = 1
+        while not (all(ok(p, m_star) for _, _, ok in self.premises) and p**m_star >= r - 1):
+            m_star += step
+        n_star = 1
+        while not (g ** (n_star - 1) - shift <= m_star < g**n_star):
+            n_star += 1
+        seed_vertices = self.v(self.order(p, m_star, n_star).expand(digit_budget))
+        if n_vertices < seed_vertices:
+            raise BelowSeedError(n_vertices, seed_vertices)
+
+        def vs(m: int, n: int) -> int:
+            return self._v_vs(p, m, n, n_vertices, digit_budget)
+
+        n = n_star
+        while True:
+            m_lo = max(m_star, g ** (n - 1) - shift)
+            if vs(m_lo, n) > 0:
+                raise PreconditionError(
+                    f"no admissible (m, n) found for N = {short_decimal(n_vertices)}"
+                )  # unreachable for N >= N*
+            lo, hi = 0, (g ** (n + 1) - shift - m_lo) // step  # invariant: v(m_lo + step*lo) <= N
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if vs(m_lo + step * mid, n) <= 0:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            m = m_lo + step * lo
+            if vs(m + step, n) > 0:
+                break
+            # N >= v(q_{p, g^(n+1)+1, n}) = v(q_{p, g^n, n+1}): climb a level
+            n += 1
+
+        if not (vs(m, n) <= 0 and vs(m + step, n) > 0):
+            raise PreconditionError("sandwich re-check failed")  # unreachable
+        return PlanResult(m, n, m_star, n_star, seed_vertices)
+
+
+ROUTES = {
+    6: Route(
+        girth=6,
+        substrate="hexagon",
+        base=None,
+        growth=9,
+        den=8,
+        v=lambda q: (1 + q) * (1 + q**4 + q**8),
+        b=lambda q: (1 + q**3) * (1 + q**4 + q**8),
+        m_step=1,
+        edge_power=64,
+        assumptions=_hexagon_assumptions,
+        premises=(
+            ("p-prime", "p = {p} is prime", lambda p, m: is_prime(p)),
+            ("seed-size", "p^(m-1) >= 5 at m = {m}", _seed_size_ok),
+        ),
+    ),
+    8: Route(
+        girth=8,
+        substrate="octagon",
+        base=2,
+        growth=10,
+        den=9,
+        v=lambda q: (1 + q) * (1 + q**3 + q**6 + q**9),
+        b=lambda q: (1 + q**2) * (1 + q**3 + q**6 + q**9),
+        m_step=2,
+        edge_power=72,
+        assumptions=_octagon_assumptions,
+        premises=(
+            ("m-odd", "m = {m} is odd", lambda p, m: m % 2 == 1),
+            ("m-size", "m = {m} >= 5", lambda p, m: m >= 5),
+        ),
+    ),
+}
+
+
+def route_for(girth: int) -> Route:
+    if girth not in ROUTES:
+        raise PreconditionError(f"girth must be 6 or 8, got {girth}")
+    return ROUTES[girth]
+
+
+@dataclass(frozen=True)
+class Substrate:
+    """Color-class sizes of a route's substrate at order q: the girth-12
+    hexagon of order (q^3, q), or the girth-16 octagon of order (q^2, q),
+    which exists only for q an odd power of 2."""
+
+    route: Route
+    q: int
+
+    def __post_init__(self) -> None:
+        name = self.route.substrate
+        if self.route.odd_orders:
+            e = self.q.bit_length() - 1
+            if self.q < 2 or self.q != 1 << e or e % 2 == 0:
+                raise PreconditionError(f"{name} parameter q must be an odd power of 2, got {self.q}")
+        elif self.q < 2:
+            raise PreconditionError(f"{name} parameter q must be >= 2, got {self.q}")
+
+    @property
+    def v(self) -> int:
+        return self.route.v(self.q)
+
+    @property
+    def b(self) -> int:
+        return self.route.b(self.q)
+
+
+# The per-route names the package has always exported, each a call into
+# the route table.
+
+
+def hexagon_params(q: int) -> Substrate:
+    return Substrate(ROUTES[6], q)
+
+
+def octagon_params(q: int) -> Substrate:
+    return Substrate(ROUTES[8], q)
+
+
+def q_sequence(p: int, m: int, n: int) -> PowerExpr:
+    """n-th order of the girth-6 route: p^(9^(n-1) * (m + 1/8) - 1/8)."""
+    return ROUTES[6].order(p, m, n)
+
+
+def q_prime_sequence(m: int, n: int) -> PowerExpr:
+    """n-th order of the girth-8 route: 2^(10^(n-1) * (m + 1/9) - 1/9),
+    always an odd power of 2."""
+    return ROUTES[8].order(2, m, n)
+
+
+def edge_bound_hexagon(p: int, m: int, n: int) -> PowerExpr:
+    return ROUTES[6].edge_bound(p, m, n)
+
+
+def edge_bound_octagon(m: int, n: int) -> PowerExpr:
+    return ROUTES[8].edge_bound(2, m, n)
+
+
+def epsilon(m: int, n: int) -> Fraction:
+    return ROUTES[6].epsilon(m, n)
+
+
 def plan_parameters_hexagon(
     p: int, r: int, n_vertices: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
 ) -> PlanResult:
-    """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+1,n}) by bounded
-    lattice search with exact comparisons.
-
-    The seed (m*, n*) is the smallest m with p^(m-1) >= 5 and p^m >= r-1,
-    together with the n* bracketing it (9^(n*-1) <= m* < 9^n*).  The
-    returned pair additionally satisfies m* <= m, n* <= n and
-    9^(n-1) <= m <= 9^(n+1); both sandwich inequalities are re-checked
-    exactly before returning.
-    """
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    if r < 2:
-        raise PreconditionError(f"r must be >= 2, got {r}")
-    m_star = 2
-    while p ** (m_star - 1) < 5 or p**m_star < r - 1:
-        m_star += 1
-    n_star = 1
-    while not (9 ** (n_star - 1) <= m_star < 9**n_star):
-        n_star += 1
-    q = q_sequence(p, m_star, n_star).expand(digit_budget)
-    seed_vertices = (1 + q) * (1 + q**4 + q**8)
-    if n_vertices < seed_vertices:
-        raise BelowSeedError(n_vertices, seed_vertices)
-
-    n = n_star
-    while True:
-        m_lo = max(m_star, 9 ** (n - 1))
-        m_hi = 9 ** (n + 1)
-        if _hexagon_v_vs(p, m_lo, n, n_vertices, digit_budget) > 0:
-            raise PreconditionError(
-                f"no admissible (m, n) found for N = {short_decimal(n_vertices)}"
-            )  # unreachable for N >= N*
-        lo, hi = m_lo, m_hi  # invariant: v(q_{p,lo,n}) <= N
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _hexagon_v_vs(p, mid, n, n_vertices, digit_budget) <= 0:
-                lo = mid
-            else:
-                hi = mid - 1
-        if _hexagon_v_vs(p, lo + 1, n, n_vertices, digit_budget) > 0:
-            m = lo
-            break
-        n += 1  # N >= v(q_{p, 9^(n+1)+1, n}) = v(q_{p, 9^n, n+1}): climb a level
-
-    if not (_hexagon_v_vs(p, m, n, n_vertices, digit_budget) <= 0
-            and _hexagon_v_vs(p, m + 1, n, n_vertices, digit_budget) > 0):
-        raise PreconditionError("sandwich re-check failed")  # unreachable
-    return PlanResult(m, n, m_star, n_star, seed_vertices)
+    return ROUTES[6].plan(p, r, n_vertices, digit_budget)
 
 
 def plan_parameters_octagon(
     r: int, n_vertices: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
 ) -> PlanResult:
-    """Octagon analogue of :func:`plan_parameters_hexagon`: m steps over
-    odd values, the sandwich is v'(q'_{2,m,n}) <= N < v'(q'_{2,m+2,n}),
-    and 10^(n-1) - 1 <= m <= 10^(n+1) - 1."""
-    if r < 2:
-        raise PreconditionError(f"r must be >= 2, got {r}")
-    m_star = 5
-    while r > 1 + 2**m_star:
-        m_star += 2
-    n_star = 1
-    while not (10 ** (n_star - 1) - 1 <= m_star <= 10**n_star - 1):
-        n_star += 1
-    q = q_prime_sequence(m_star, n_star).expand(digit_budget)
-    seed_vertices = (1 + q) * (1 + q**3 + q**6 + q**9)
-    if n_vertices < seed_vertices:
-        raise BelowSeedError(n_vertices, seed_vertices)
-
-    n = n_star
-    while True:
-        lo_bound = max(m_star, 10 ** (n - 1) - 1)
-        m_lo = lo_bound if lo_bound % 2 == 1 else lo_bound + 1
-        m_hi = 10 ** (n + 1) - 1
-        if _octagon_v_vs(m_lo, n, n_vertices, digit_budget) > 0:
-            raise PreconditionError(
-                f"no admissible (m, n) found for N = {short_decimal(n_vertices)}"
-            )  # unreachable for N >= N*
-        lo, hi = m_lo, m_hi  # odd endpoints; invariant: v'(q'_{2,lo,n}) <= N
-        while lo < hi:
-            mid = (lo + hi + 2) // 2
-            if mid % 2 == 0:
-                mid += 1
-            if mid > hi:
-                mid = hi
-            if _octagon_v_vs(mid, n, n_vertices, digit_budget) <= 0:
-                lo = mid
-            else:
-                hi = mid - 2
-        if _octagon_v_vs(lo + 2, n, n_vertices, digit_budget) > 0:
-            m = lo
-            break
-        n += 1  # N >= v'(q'_{2, 10^(n+1)+1, n}) = v'(q'_{2, 10^n, n+1})
-
-    if not (_octagon_v_vs(m, n, n_vertices, digit_budget) <= 0
-            and _octagon_v_vs(m + 2, n, n_vertices, digit_budget) > 0):
-        raise PreconditionError("sandwich re-check failed")  # unreachable
-    return PlanResult(m, n, m_star, n_star, seed_vertices)
+    return ROUTES[8].plan(2, r, n_vertices, digit_budget)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,15 @@ class TestSerialization:
         with pytest.raises(FormatError):
             parse_certificate("cert 1\ngirth 6\np 5\nm 2\nn 2\nr 3\nstatus VALID\njunk\n")
 
+    @pytest.mark.parametrize(
+        "old,new,line",
+        [("girth 6", "girth x", 2), ("p 5", "p 05", 3), ("m 2", "m -2", 4), ("r 3", "r 3.0", 6)],
+    )
+    def test_parse_rejects_non_canonical_header_integer(self, hex_cert, old, new, line):
+        bad = hex_cert.serialize().replace(f"\n{old}\n", f"\n{new}\n")
+        with pytest.raises(FormatError, match=f"^line {line}: .*not a canonical decimal integer"):
+            parse_certificate(bad)
+
     def test_reverify_invalid_cert_roundtrips(self):
         cert = certificate(6, 5, 1, 1, 3)
         assert not reverify_certificate(cert.serialize()).valid
@@ -157,6 +166,13 @@ class TestDigitBudget:
 
     def test_large_n_exceeds_default_budget(self):
         with pytest.raises(ResourceBudgetError):
+            certificate(6, 5, 2, 6, 3)
+
+    def test_edge_bound_frontier(self):
+        # edges >= p^e replaces edges^64 >= p^(64e): n = 5 now fits the
+        # default budget, and n = 6 is still refused, at the vertex growth.
+        assert certificate(6, 5, 2, 5, 3).valid
+        with pytest.raises(ResourceBudgetError, match="vertex-growth-6"):
             certificate(6, 5, 2, 6, 3)
 
     def test_budget_is_not_a_validity_question(self):

@@ -272,6 +272,69 @@ class TestPipelineCommand:
             os.path.join(d2, "stage_02_nbhd.hgt"), "rb").read()
 
 
+def assert_one_error_line(stderr: str) -> None:
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    assert "Traceback" not in stderr
+
+
+class TestPipelineInputErrors:
+    """Malformed recipes end with one `error:` line and exit 2 or 3."""
+
+    STAGES = "rcp 1\ntarget 6\nstage gen plane q=2\nstage nbhd\n"
+
+    def run_recipe(self, tmp_path, capsys, text):
+        recipe = tmp_path / "r.rcp"
+        recipe.write_text(text)
+        out_dir = tmp_path / "out"
+        code, _, stderr = run(capsys, "pipeline", str(recipe), "--out-dir", str(out_dir))
+        assert_one_error_line(stderr)
+        return code, stderr, out_dir
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("certify girth=6 r=3 N=3967295312526", "certify girth=6 needs p"),
+            ("certify girth=7 r=3 N=3967295312526", "girth must be 6 or 8, got 7"),
+            ("certify girth=8 p=3 r=3 N=1161119713493025", "certify girth=8 has base 2, got p = 3"),
+        ],
+        ids=["girth6-without-p", "girth7", "girth8-p3"],
+    )
+    def test_certify_line_checked_before_any_stage(self, tmp_path, capsys, line, message):
+        code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + line + "\n")
+        assert code == 3 and message in stderr
+        assert not out_dir.exists()  # failed before any stage or planning ran
+
+    def test_certify_missing_and_non_integer_keys(self, tmp_path, capsys):
+        code, stderr, _ = self.run_recipe(tmp_path, capsys, self.STAGES + "certify p=5 N=7\n")
+        assert code == 3 and "missing ['girth', 'r']" in stderr
+        code, stderr, _ = self.run_recipe(tmp_path, capsys, self.STAGES + "certify girth=6 p=5 r=x N=7\n")
+        assert code == 3 and "certify: r must be an integer, got 'x'" in stderr
+
+    def test_target_not_an_integer_exit_2(self, tmp_path, capsys):
+        code, stderr, _ = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget x\nstage gen plane q=2\n")
+        assert code == 2 and "line 2" in stderr and "'x'" in stderr
+
+    @pytest.mark.parametrize(
+        "stages,message",
+        [
+            ("stage gen plane q=abc\n", "stage 1: q must be an integer, got 'abc'"),
+            ("stage gen greedy left=9 right=9 deg=2 girth=6 seed=s\n", "stage 1: seed must be an integer"),
+            ("stage gen plane q=2\nstage nbhd\nstage substitute template=path7 k=abc\n",
+             "stage 3: k must be an integer"),
+            ("stage gen plane q=2\nstage nbhd\nstage split r=two\n", "stage 3: r must be an integer"),
+            ("stage gen plane q=2\nstage nbhd\nstage pad to=1e3\n", "stage 3: to must be an integer"),
+            ("stage gen plane q=2\nstage nbhd\nstage substitute template=loose-path:x:3 k=1\n",
+             "loose-path:x:3: edges must be an integer"),
+            ("stage gen plane q=2\nstage nbhd\nstage split r=0\n", "split size must be >= 2, got 0"),
+        ],
+        ids=["gen-q", "gen-seed", "substitute-k", "split-r", "pad-to", "template-edges", "split-r-zero"],
+    )
+    def test_bad_stage_value_exit_3(self, tmp_path, capsys, stages, message):
+        code, stderr, _ = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)
+        assert code == 3 and message in stderr
+
+
 class TestPipelineReportClaims:
     def test_recorded_commands_reproduce_artifacts(self, tmp_path, capsys):
         import hashlib

@@ -19,6 +19,7 @@ from hypergirth import (
     theorem_bound,
 )
 from hypergirth.arith import parse_power_expr
+from hypergirth.planner import ROUTES, route_for
 
 
 def hexagon_v(q: int) -> int:
@@ -50,6 +51,25 @@ class TestSubstrateParams:
     def test_hexagon_rejects_small(self):
         with pytest.raises(PreconditionError):
             hexagon_params(1)
+
+
+class TestRoutes:
+    def test_table(self):
+        assert sorted(ROUTES) == [6, 8]
+        assert route_for(8) is ROUTES[8]
+        with pytest.raises(PreconditionError, match="girth must be 6 or 8, got 7"):
+            route_for(7)
+
+    def test_base_for(self):
+        assert ROUTES[6].base_for(5, "x") == 5
+        assert ROUTES[8].base_for(None, "x") == ROUTES[8].base_for(2, "x") == 2
+        with pytest.raises(PreconditionError, match="x needs p"):
+            ROUTES[6].base_for(None, "x")
+        with pytest.raises(PreconditionError, match="x has base 2, got p = 3"):
+            ROUTES[8].base_for(3, "x")
+
+    def test_epsilon_of_girth8_route(self):
+        assert ROUTES[8].epsilon(5, 1) == Fraction(5 + 1 + Fraction(1, 9), 10 * (5 + Fraction(1, 9)))
 
 
 class TestOrderSequences:
@@ -287,7 +307,8 @@ class TestPowerExpr:
 
     def test_comparisons(self):
         assert PowerExpr(5, Fraction(19)) < PowerExpr(5, Fraction(20))
-        assert PowerExpr(2, Fraction(10)) == PowerExpr(4, Fraction(5))
+        assert PowerExpr(2, 10) == PowerExpr(2, Fraction(10))
+        assert len({PowerExpr(2, 10), PowerExpr(2, Fraction(10))}) == 1
         assert PowerExpr(2, Fraction(10)).compare_to_int(1024) == 0
         assert PowerExpr(2, Fraction(10)).compare_to_int(1025) == -1
         assert PowerExpr(3, Fraction(1, 2)).compare_to_int(1) == 1  # sqrt(3) > 1
@@ -300,8 +321,3 @@ class TestPowerExpr:
             PowerExpr(2, Fraction(1, 2)).expand()
         with pytest.raises(ResourceBudgetError):
             PowerExpr(2, Fraction(10**9)).expand(digit_budget=100)
-
-    def test_arithmetic(self):
-        a = PowerExpr(5, Fraction(3))
-        assert (a * PowerExpr(5, Fraction(4))).exponent == 7
-        assert (a**3).exponent == 9
