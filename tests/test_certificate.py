@@ -165,15 +165,14 @@ class TestDigitBudget:
             certificate(6, 5, 2, 2, 3, digit_budget=50)
 
     def test_large_n_exceeds_default_budget(self):
-        with pytest.raises(ResourceBudgetError):
+        with pytest.raises(ResourceBudgetError, match="vertex-growth-6"):
             certificate(6, 5, 2, 6, 3)
 
     def test_edge_bound_frontier(self):
-        # edges >= p^e replaces edges^64 >= p^(64e): n = 5 now fits the
-        # default budget, and n = 6 is still refused, at the vertex growth.
+        # The edge bound is decided as edges >= p^e, never edges^64 or
+        # edges^72, so these fit the default budget.
         assert certificate(6, 5, 2, 5, 3).valid
-        with pytest.raises(ResourceBudgetError, match="vertex-growth-6"):
-            certificate(6, 5, 2, 6, 3)
+        assert certificate(8, None, 5, 4, 3).valid
 
     def test_budget_is_not_a_validity_question(self):
         # same parameters pass with the default budget
