@@ -5,14 +5,22 @@ check line, value line or status shows up as a digest mismatch.  The grid
 runs without a digit budget, so it pins what a certificate says, not
 whether the default budget admits it.  `plan` stdout is pinned with only
 the `certificate <path>` line normalised, together with the certificate
-file it writes.
+file it writes.  `theorem_bound` is pinned by the repr of its display
+exponent, its floored exponent and the repr of its derived constant, at N
+away from the exact ties where the floor sits on a multiple of 1/72.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from hypergirth import certificate, plan_parameters_hexagon, plan_parameters_octagon
+from hypergirth import (
+    certificate,
+    plan_parameters_hexagon,
+    plan_parameters_octagon,
+    theorem_bound,
+)
 from hypergirth.cli import main
 
 
@@ -90,6 +98,41 @@ PLANS = {
 }
 
 
+def _random_bits(label: str, bits: int) -> int:
+    return random.Random(label).getrandbits(bits) | 1 << (bits - 1)
+
+
+# name -> (girth, p, N built on demand, sha256 of "exponent floored constant")
+THEOREM_BOUNDS = {
+    "g6-random-1e6bits": (6, 3, lambda: _random_bits("theorem-golden-6", 10**6),
+                          "040da624f7a4aa95a07644be88c63afae842551a51ccb7dd4da1b617dc995659"),
+    "g8-random-1e6bits": (8, None, lambda: _random_bits("theorem-golden-8", 10**6),
+                          "cab992e5ba54cb7f9ed9ae0ea02ecd550e9fbf543c4b3e67434ad81cb6416286"),
+    "g6-random-3e4bits": (6, 11, lambda: _random_bits("theorem-golden-6s", 3 * 10**4),
+                          "ac33223175089bc206104b327c60c54df954f12ac3f096c24d392f84b121981a"),
+    "g6-2^1000000": (6, 2, lambda: 1 << 10**6,
+                     "a021b6340b4853e97d5b1a4677af49d78df099becc732e959fef50044e1014da"),
+    "g6-2^999863": (6, 2, lambda: 1 << (10**6 - 137),
+                    "de22cac37ca81ad400d4d9a7b43fdf15fafc49b8d86f1161b9dfac54610e52d5"),
+    "g8-2^999500": (8, None, lambda: 1 << (10**6 - 500),
+                    "0a6cbf30fbdfc034996d830b8a0fa69aebb0c640f246f20bd6e66d8f046da537"),
+    "g6-10^100000": (6, 3, lambda: 10**10**5,
+                     "8108998fbf20f46d08230513a03f9418fd56a20f3cc7aeaa5a34019c25f108fc"),
+    "g8-10^99997": (8, None, lambda: 10 ** (10**5 - 3),
+                    "f47328e9b30796c1c59b207e53cc626a60127825be3ac1c8bcc3161a7eb4d5d3"),
+    "g6-5^88210": (6, 5, lambda: 5**88210,
+                   "405d00a737c2740d5a75eefc098c160e0e184818a3fcc8b7fef4d91573636789"),
+    "g6-7^50000": (6, 7, lambda: 7**50000,
+                   "01c7e456c8b4b1e4553fe5f4c675aa3d32f904d29de06488b9ff007126554318"),
+    "g6-3^9800": (6, 3, lambda: 3**9800,
+                  "aaf9efdb86c00a0956df13919893668134ad6c11a768802b75c7286dee22cdad"),
+    "g8-2^77441": (8, None, lambda: 2**77441,
+                   "9ac2446b92755901466bb9d5f7e181cd31f8fa4dc16aa55f408f4536478036ac"),
+    "g8-2^77439": (8, None, lambda: 2**77439,
+                   "d645d882db7eada9ab74b6032ef8131b72e1d3d78058f0f12081094844ce9baf"),
+}
+
+
 @pytest.mark.parametrize("key", list(CERTIFICATES), ids=lambda k: "-".join(map(str, k)))
 def test_certificate_digest(key):
     assert sha(certificate(*key, digit_budget=None).serialize()) == CERTIFICATES[key]
@@ -112,3 +155,10 @@ def test_seed_brackets():
     assert (hexagon.m_star, hexagon.n_star) == (9, 2)
     octagon = plan_parameters_octagon(200, 10**300)
     assert (octagon.m_star, octagon.n_star) == (9, 1)
+
+
+@pytest.mark.parametrize("name", list(THEOREM_BOUNDS))
+def test_theorem_bound_digest(name):
+    girth, p, n_value, digest = THEOREM_BOUNDS[name]
+    tb = theorem_bound(girth, p, n_value())
+    assert sha(f"{tb.exponent!r} {tb.bound.exponent} {tb.derived_constant!r}") == digest
