@@ -206,9 +206,10 @@ def certificate(
     for i, exponent in enumerate(exps, start=1):
         values.append((f"order_{i}", str(PowerExpr(p, Fraction(exponent)))))
     for i, (v, b) in enumerate(zip(v_list, b_list), start=1):
-        values.append((f"v_{i}", int_to_decimal(v)))
+        v_text = int_to_decimal(v)
+        values.append((f"v_{i}", v_text))
         values.append((f"b_{i}", int_to_decimal(b)))
-    values.append(("vertices", int_to_decimal(v_list[-1])))
+    values.append(("vertices", v_text))
     values.append(("edges", int_to_decimal(edges)))
     values.append(("edge_bound", str(bound)))
     values.append(("split_factor", int_to_decimal(split)))

@@ -3,9 +3,10 @@
 Everything here is exact: orders are PowerExpr values with rational
 exponents, vertex/edge counts are big integers, and every inequality is
 decided by integer comparison after clearing denominators.  The only
-floating point in the module is the high-precision (mpmath) evaluation of
-the asymptotic exponents in :func:`theorem_bound`, which certifies
-nothing.
+floating point in the module is the high-precision (mpmath) display
+exponent of :func:`theorem_bound`.  It certifies nothing: the floor of
+that exponent to a multiple of 1/72 is decided exactly, by comparing
+integer powers of N and the base, and the float only proposes it.
 
 Both parameter families are one recursive substitution scheme with
 different constants, each recorded once as a :class:`Route` in
@@ -106,6 +107,7 @@ class Route:
     b: Callable[[int], int]  # substrate edge count at order q
     m_step: int  # 2 keeps m odd, so that q_1 = 2^m is an odd power of 2
     edge_power: int  # both sides of the stated edge bound are raised to it
+    c2: int  # display constant: the exponent is (11/den)(1 - sqrt(c2 / log_base N))
     assumptions: Callable[[int, int, int], None]  # raises PreconditionError on (p, m, n)
     premises: tuple[tuple[str, str, Callable[[int, int], bool]], ...]  # named checks on (p, m)
 
@@ -243,6 +245,7 @@ ROUTES = {
         b=lambda q: (1 + q**3) * (1 + q**4 + q**8),
         m_step=1,
         edge_power=64,
+        c2=33**2,
         assumptions=_hexagon_assumptions,
         premises=(
             ("p-prime", "p = {p} is prime", lambda p, m: is_prime(p)),
@@ -259,6 +262,7 @@ ROUTES = {
         b=lambda q: (1 + q**2) * (1 + q**3 + q**6 + q**9),
         m_step=2,
         edge_power=72,
+        c2=13**2 * 10,
         assumptions=_octagon_assumptions,
         premises=(
             ("m-odd", "m = {m} is odd", lambda p, m: m % 2 == 1),
@@ -354,10 +358,12 @@ class TheoremBound:
 
     ``exponent`` evaluates the display form exactly as printed
     (girth 6: (11/8)(1 - 33/sqrt(log_p N)); girth 8:
-    (11/9)(1 - 13 sqrt(10/log2 N))) in high precision.  ``bound`` is
-    N raised to that exponent rounded *down* to a multiple of 1/72, so it
-    is always a true lower bound.  ``derived_constant`` restates the
-    display in the c/sqrt(log2 N) shape; it is derived here, not quoted.
+    (11/9)(1 - 13 sqrt(10/log2 N))) in high precision; it is for display
+    only.  ``bound`` is N raised to that exponent rounded *down* to a
+    multiple of 1/72, decided exactly by integer arithmetic, so it is
+    always a true lower bound, also where the exponent is itself a
+    multiple of 1/72.  ``derived_constant`` restates the display in the
+    c/sqrt(log2 N) shape; it is derived here, not quoted.
     """
 
     girth: int
@@ -366,26 +372,126 @@ class TheoremBound:
     derived_constant: float
 
 
+_STEPS = 72  # the floored exponent is a multiple of 1/_STEPS
+
+
+def _mpf_of_int(n: int) -> mpf:
+    """``mpf(n)`` at the working precision, rounded exactly as ``mpf(n)``
+    rounds it, from the top ``mp.prec + 3`` bits of n and a sticky bit.
+
+    ``mpf(n)`` first stores n exactly, stripping its trailing zero bits
+    eight at a time, which is quadratic in their number on a round N.
+    Round-to-nearest-even needs only the bits down to the guard bit and
+    whether any bit below it is set.
+    """
+    shift = n.bit_length() - (mp.prec + 3)
+    if shift <= 0:
+        return mpf(n)
+    top = n >> shift
+    if n & ((1 << shift) - 1):
+        top |= 1
+    return mp.ldexp(mpf(top), shift)
+
+
+def _round(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    """m * 2^e cut to at most prec mantissa bits, rounded down or up."""
+    drop = m.bit_length() - prec
+    if drop <= 0:
+        return m, e
+    r = m >> drop
+    if up and r << drop != m:
+        r += 1
+    return r, e + drop
+
+
+def _pow_bound(m: int, k: int, prec: int, up: bool) -> tuple[int, int]:
+    """(r, e) with r * 2^e <= m^k (up=False) or >= m^k (up=True), for m >= 1.
+
+    Binary powering that rounds every product in one direction: all
+    factors are positive, so the result stays on that side of m^k.
+    """
+    r, e, sq, se = 1, 0, m, 0
+    while True:
+        if k & 1:
+            r, e = _round(r * sq, e + se, prec, up)
+        k >>= 1
+        if not k:
+            return r, e
+        sq, se = _round(sq * sq, 2 * se, prec, up)
+
+
+def _ge(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """Exact x >= y for positive values m * 2^e."""
+    (mx, ex), (my, ey) = x, y
+    bx, by = mx.bit_length() + ex, my.bit_length() + ey
+    if bx != by:
+        return bx > by
+    return mx << max(0, ex - ey) >= my << max(0, ey - ex)
+
+
+def _power_at_least(n: int, a: int, base: int, b: int) -> bool:
+    """Exact n^a >= base^b for n >= 2, a, b >= 1 and a prime base.
+
+    n^a and base^b are bracketed from n's top bits with directed rounding,
+    at a precision that grows until the brackets separate.  With a and b
+    coprime, equality needs a = 1 (base is prime), so that case falls back
+    to one exact comparison; otherwise the inequality is strict and the
+    brackets separate at the latest once the precision makes them exact.
+    """
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    prec = 128
+    while True:
+        shift = max(0, n.bit_length() - prec)
+        top = n >> shift
+        lo, e_lo = _pow_bound(top, a, prec, up=False)
+        hi, e_hi = _pow_bound(top + (top << shift != n), a, prec, up=True)
+        n_lo, n_hi = (lo, e_lo + shift * a), (hi, e_hi + shift * a)
+        if _ge(n_lo, _pow_bound(base, b, prec, up=True)):
+            return True
+        if not _ge(n_hi, _pow_bound(base, b, prec, up=False)):
+            return False
+        if a == 1:
+            return n >= base**b
+        prec *= 4
+
+
 def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
     """High-precision exponent of the edge-count lower bound at N vertices.
+
+    Both displays are (11/den)(1 - sqrt(c2 / log_base N)), with the route's
+    den and c2.  Squaring clears the root, so for k < 11*72/den
+
+        k/72 <= exponent  iff  N^((11*72 - k*den)^2) >= base^(c2 * (11*72)^2),
+
+    and every k >= 11*72/den fails.  The floored multiple of 1/72 is the
+    largest k that passes: the high-precision float only proposes it, and
+    the exact comparison settles it.
 
     Negative exponents are returned as-is (the bound is then vacuous).
     For girth 8 the base is fixed at 2 and ``p`` is ignored.
     """
     if n_vertices < 2:
         raise PreconditionError(f"N must be >= 2, got {n_vertices}")
+    route = route_for(girth)
+    base = route.base
+    if base is None:
+        if p is None or not is_prime(p):
+            raise PreconditionError(f"girth-{girth} bound needs a prime p, got {p}")
+        base = p
+    scale = 11 * _STEPS
+
+    def passes(k: int) -> bool:
+        gap = scale - k * route.den
+        return gap > 0 and _power_at_least(n_vertices, gap * gap, base, route.c2 * scale * scale)
+
     with mp.workdps(60):
-        if girth == 6:
-            if p is None or not is_prime(p):
-                raise PreconditionError(f"girth-6 bound needs a prime p, got {p}")
-            log_p_n = mp.log(mpf(n_vertices)) / mp.log(p)
-            expo = mpf(11) / 8 * (1 - 33 / mp.sqrt(log_p_n))
-            constant = float(mpf(11) / 8 * 33 * mp.sqrt(mp.log(p, 2)))
-        elif girth == 8:
-            log2_n = mp.log(mpf(n_vertices), 2)
-            expo = mpf(11) / 9 * (1 - 13 * mp.sqrt(mpf(10) / log2_n))
-            constant = float(mpf(11) / 9 * 13 * mp.sqrt(mpf(10)))
-        else:
-            raise PreconditionError(f"girth must be 6 or 8, got {girth}")
-        floored = Fraction(int(mp.floor(expo * 72)), 72)
-        return TheoremBound(girth, float(expo), PowerExpr(n_vertices, floored), constant)
+        log_n = mp.log(_mpf_of_int(n_vertices)) / mp.log(base)
+        expo = mpf(11) / route.den * (1 - mp.sqrt(route.c2 / log_n))
+        constant = float(mpf(11) / route.den * mp.sqrt(route.c2 * mp.log(base, 2)))
+        k = int(mp.floor(expo * _STEPS))
+    while not passes(k):
+        k -= 1
+    while passes(k + 1):
+        k += 1
+    return TheoremBound(girth, float(expo), PowerExpr(n_vertices, Fraction(k, _STEPS)), constant)

@@ -1,7 +1,9 @@
+import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 from hypergirth import (
     BelowSeedError,
@@ -19,7 +21,7 @@ from hypergirth import (
     theorem_bound,
 )
 from hypergirth.arith import parse_power_expr
-from hypergirth.planner import ROUTES, route_for
+from hypergirth.planner import ROUTES, _mpf_of_int, route_for
 
 
 def hexagon_v(q: int) -> int:
@@ -278,12 +280,65 @@ class TestTheoremBound:
         assert abs(got - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
 
     def test_validation(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^girth must be 6 or 8, got 7$"):
             theorem_bound(7, 2, 100)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^girth-6 bound needs a prime p, got None$"):
             theorem_bound(6, None, 100)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^girth-6 bound needs a prime p, got 4$"):
+            theorem_bound(6, 4, 100)
+        with pytest.raises(PreconditionError, match="^N must be >= 2, got 1$"):
             theorem_bound(6, 2, 1)
+        assert theorem_bound(8, 3, 2**500) == theorem_bound(8, None, 2**500)
+
+    # At N = p^a the girth-6 exponent is (99 - 3267/sqrt(a))/72, a multiple
+    # of 1/72 when sqrt(a) divides 3267 = 27 * 121.
+    @pytest.mark.parametrize("a", [1089, 9801, 14641, 88209, 131769])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_girth6_exact_ties(self, p, a):
+        k = 99 - 3267 // math.isqrt(a)
+        n_value = p**a
+        assert theorem_bound(6, p, n_value).bound.exponent == Fraction(k, 72)
+        assert theorem_bound(6, p, n_value - 1).bound.exponent == Fraction(k - 1, 72)
+        assert theorem_bound(6, p, n_value + 1).bound.exponent == Fraction(k, 72)
+
+    def test_girth6_tie_that_the_float_floored_low(self):
+        # the 60-digit float of the exponent lands just below 11/9 here
+        assert theorem_bound(6, 5, 5**88209).bound.exponent == Fraction(11, 9)
+
+    def test_girth8_exact_tie(self):
+        # (11/9)(1 - 13 sqrt(10/77440)) = (11/9)(1 - 13/88) = 75/72
+        assert theorem_bound(8, None, 2**77440).bound.exponent == Fraction(25, 24)
+        assert theorem_bound(8, None, 2**77440 - 1).bound.exponent == Fraction(74, 72)
+
+    def test_straddle_near_irrational_threshold(self):
+        # 87/72 <= exponent iff N^16 >= 2^1185921 on girth 6 at p = 2; the
+        # floored 16th root sits 2^-74000 below that threshold in log terms
+        n_value = 2**1185921
+        for _ in range(4):
+            n_value = math.isqrt(n_value)
+        assert n_value**16 < 2**1185921 < (n_value + 1) ** 16
+        assert theorem_bound(6, 2, n_value).bound.exponent == Fraction(86, 72)
+        assert theorem_bound(6, 2, n_value + 1).bound.exponent == Fraction(87, 72)
+
+
+class TestMpfOfInt:
+    """The top-bits conversion rounds exactly as mpf(N) does."""
+
+    @staticmethod
+    def cases(prec):
+        for mantissa in (1 << (prec - 1), (1 << prec) - 1, (1 << (prec - 1)) + 2, (1 << (prec - 1)) + 3):
+            for tail_bits in (1, 2, 3, 4, 64, 1000):
+                half = 1 << (tail_bits - 1)
+                for tail in (half, half + 1, half - 1, (1 << tail_bits) - 1, 0):
+                    yield (mantissa << tail_bits) + tail
+                    yield ((mantissa << tail_bits) + tail) << 77
+        yield from (2, 3, 12345, (1 << prec) - 1, 1 << prec, (1 << (prec + 3)) - 1, 1 << (prec + 3))
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    def test_matches_mpf(self, dps):
+        with mp.workdps(dps):
+            for n in self.cases(mp.prec):
+                assert _mpf_of_int(n)._mpf_ == mpf(n)._mpf_, n
 
 
 class TestPowerExpr:

@@ -1,13 +1,15 @@
-"""Property tests for the planner and certificates of both routes.
+"""Property tests for the planner, certificates and theorem bound of both routes.
 
 Hypothesis runs derandomized with a bounded number of examples, so the
-suite stays deterministic.  The substrate polynomials and the order
-recursion are restated here, independently of the route table.
+suite stays deterministic.  The substrate polynomials, the order
+recursion and the display exponents are restated here, independently of
+the route table.
 """
 
 from hypothesis import assume, given, settings, strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
-from hypergirth import BelowSeedError, certificate, reverify_certificate
+from hypergirth import BelowSeedError, certificate, reverify_certificate, theorem_bound
 from hypergirth.planner import ROUTES
 
 MAX_DIGITS = 400
@@ -59,3 +61,51 @@ def test_girth6_plan_sandwich_and_certificate(args):
 @given(plan_inputs(8))
 def test_girth8_plan_sandwich_and_certificate(args):
     check_plan_and_certificate(8, *args)
+
+
+# A private interval context: nothing the program sets can reach it.
+IV = MPIntervalContext()
+IV.prec = 160
+MAX_BITS = 10**5
+
+
+def exponent_enclosure_72(girth, p, n_value):
+    """Interval containing 72 times the display exponent at N, with log N
+    taken from N's top 64 bits: (11/8)(1 - 33/sqrt(log_p N)) or
+    (11/9)(1 - 13 sqrt(10/log2 N))."""
+    shift = max(0, n_value.bit_length() - 64)
+    top = n_value >> shift
+    log_n = IV.log(IV.mpf([top, top + (shift > 0)])) + shift * IV.log(2)
+    if girth == 6:
+        return 72 * IV.mpf(11) / 8 * (1 - 33 / IV.sqrt(log_n / IV.log(p)))
+    return 72 * IV.mpf(11) / 9 * (1 - 13 * IV.sqrt(10 * IV.log(2) / log_n))
+
+
+@st.composite
+def theorem_inputs(draw):
+    girth = draw(st.sampled_from((6, 8)))
+    p = draw(st.sampled_from((2, 3, 5, 7, 11))) if girth == 6 else 2
+    kind = draw(st.sampled_from(("random", "round", "power")))
+    if kind == "random":
+        bits = draw(st.integers(2, MAX_BITS))
+        n_value = draw(st.randoms(use_true_random=False)).getrandbits(bits) | 1 << (bits - 1)
+    elif kind == "round":
+        radix = draw(st.sampled_from((2, 10)))
+        n_value = radix ** draw(st.integers(1, int(MAX_BITS / radix.bit_length())))
+    else:
+        t = draw(st.integers(1, MAX_BITS // p.bit_length()))
+        n_value = p**t + draw(st.integers(-3, 3))
+    return girth, p, max(n_value, 2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(theorem_inputs())
+def test_theorem_floor_meets_interval_enclosure(args):
+    """k/72 <= exponent < (k+1)/72 forces the enclosure to meet [k, k+1);
+    when the enclosure holds no integer, that pins k to its floor."""
+    girth, p, n_value = args
+    k72 = theorem_bound(girth, p, n_value).bound.exponent * 72
+    assert k72.denominator == 1
+    k = int(k72)
+    enclosure = exponent_enclosure_72(girth, p, n_value)
+    assert enclosure.b >= k and enclosure.a < k + 1
