@@ -291,7 +291,8 @@ class TestTheoremBound:
         assert theorem_bound(8, 3, 2**500) == theorem_bound(8, None, 2**500)
 
     # At N = p^a the girth-6 exponent is (99 - 3267/sqrt(a))/72, a multiple
-    # of 1/72 when sqrt(a) divides 3267 = 27 * 121.
+    # of 1/72 when sqrt(a) divides 3267 = 27 * 121.  At a = 88209 the
+    # 60-digit float of the exponent lands just below 88/72 = 11/9.
     @pytest.mark.parametrize("a", [1089, 9801, 14641, 88209, 131769])
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_girth6_exact_ties(self, p, a):
@@ -301,10 +302,6 @@ class TestTheoremBound:
         assert theorem_bound(6, p, n_value - 1).bound.exponent == Fraction(k - 1, 72)
         assert theorem_bound(6, p, n_value + 1).bound.exponent == Fraction(k, 72)
 
-    def test_girth6_tie_that_the_float_floored_low(self):
-        # the 60-digit float of the exponent lands just below 11/9 here
-        assert theorem_bound(6, 5, 5**88209).bound.exponent == Fraction(11, 9)
-
     def test_girth8_exact_tie(self):
         # (11/9)(1 - 13 sqrt(10/77440)) = (11/9)(1 - 13/88) = 75/72
         assert theorem_bound(8, None, 2**77440).bound.exponent == Fraction(25, 24)
@@ -312,7 +309,7 @@ class TestTheoremBound:
 
     def test_straddle_near_irrational_threshold(self):
         # 87/72 <= exponent iff N^16 >= 2^1185921 on girth 6 at p = 2; the
-        # floored 16th root sits 2^-74000 below that threshold in log terms
+        # floored 16th root is within a factor 1 + 2^-74120 of that threshold
         n_value = 2**1185921
         for _ in range(4):
             n_value = math.isqrt(n_value)

@@ -91,7 +91,7 @@ def theorem_inputs(draw):
         n_value = draw(st.randoms(use_true_random=False)).getrandbits(bits) | 1 << (bits - 1)
     elif kind == "round":
         radix = draw(st.sampled_from((2, 10)))
-        n_value = radix ** draw(st.integers(1, int(MAX_BITS / radix.bit_length())))
+        n_value = radix ** draw(st.integers(1, MAX_BITS // radix.bit_length()))
     else:
         t = draw(st.integers(1, MAX_BITS // p.bit_length()))
         n_value = p**t + draw(st.integers(-3, 3))
