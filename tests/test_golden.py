@@ -8,9 +8,14 @@ the `certificate <path>` line normalised, together with the certificate
 file it writes.  `theorem_bound` is pinned by the repr of its display
 exponent, its floored exponent and the repr of its derived constant, at N
 away from the exact ties where the floor sits on a multiple of 1/72.
+Recipe pipelines are pinned by every file they write (report, stage
+artifacts, certificate), and the `gen`, `transform`, `report` and `girth`
+commands by their stdout and output files; the temporary directory is
+normalised to `<tmp>` in both.  No stage in the grid has zero edges.
 """
 
 import hashlib
+import os
 import random
 
 import pytest
@@ -162,3 +167,178 @@ def test_theorem_bound_digest(name):
     girth, p, n_value, digest = THEOREM_BOUNDS[name]
     tb = theorem_bound(girth, p, n_value())
     assert sha(f"{tb.exponent!r} {tb.bound.exponent} {tb.derived_constant!r}") == digest
+
+
+# Templates written next to the recipes; the first gives a non-uniform stage.
+TEMPLATE_FILES = {
+    "tpl.hgt": "hgt 1\nvertices 4\nedges 2\ne 0 1\ne 1 2 3\n",
+    "tpl3.hgt": "hgt 1\nvertices 3\nedges 2\ne 0 1\ne 1 2\n",
+}
+
+# name -> (recipe text, {file written to the output directory: sha256})
+RECIPES = {
+    "readme": (
+        "rcp 1\ntarget 6\nstage gen greedy left=630 right=30 deg=21 girth=12 seed=1\nstage nbhd\n"
+        "stage substitute template=path7 k=3\ncertify girth=6 p=5 r=3 N=3967295312526\n",
+        {
+            "certificate.txt": "2319db5013468035beb46db7bd6d552e295597d34679a5cda055982ba62dc504",
+            "report.txt": "5cf746b181996b45772873771b612af526417da802f59c64a4ff30aff5012036",
+            "stage_01_gen.bgt": "ea51bb52bfa7f838561d333ed6bcd10e91679f7dd891d2692337af867dd39259",
+            "stage_02_nbhd.hgt": "8b75829cfa01fc1cd4abbbe6710f97559f1d35a7bdcda9b2f3f9fe80b7d04607",
+            "stage_03_substitute.hgt": "78c641b214f6c5b53cd0ca0bd0171324a4a7ae2beae3f131ae12c4364a0be280",
+        },
+    ),
+    "greedy": (
+        "rcp 1\ntarget 5\nstage gen greedy left=500 right=100 deg=10 girth=10 seed=4242\nstage nbhd\n"
+        "stage split r=2\nstage pad to=600\n",
+        {
+            "report.txt": "31b31c69a6b66a76cbf7207faa8871615d3c4860ab5ccdde29eea24a1aa3104f",
+            "stage_01_gen.bgt": "1d5a889c6a97accc5a9755f434826fe7aa7527e4f8ab176a47719432277cdd26",
+            "stage_02_nbhd.hgt": "85ab449a061cc08be30e58fd661dbc95e878cd3bf269996030536c6ef40d6da4",
+            "stage_03_split.hgt": "3b6a4a974d0315d4991c1a202354addd3fc255e2cee23b192f1a2960925913c6",
+            "stage_04_pad.hgt": "9f09723e54ae41944b3b18b3025519f70155a367eb208bb7247d7a96a889ee3f",
+        },
+    ),
+    "plane": (
+        "rcp 1\ntarget 3\nstage gen plane q=13\nstage nbhd\nstage substitute template=path7 k=2\n"
+        "stage split r=2\nstage pad to=200\ncertify girth=6 p=3 r=4 N=" + "7" * 40 + "\n",
+        {
+            "certificate.txt": "26b4807aabaf0e623b3746a946ff178f646adcc0377c18773b424c601e6d38f6",
+            "report.txt": "f0a2fd6332d8f063e50556e5a5503ea5ba23e126da3fe898fe05768f214335bf",
+            "stage_01_gen.bgt": "0d98046e499326afb23f16d789c39bb69554358d30cbdd7726f7e92a005f0bdc",
+            "stage_02_nbhd.hgt": "123288632b19645c29620f87d872be82582466241f8cb138d728ee2a30e226a2",
+            "stage_03_substitute.hgt": "1028691610d06e3345d2bf184836db89f6949b6734d90d9384dad9d8e1761f76",
+            "stage_04_split.hgt": "fad8ea02747cd97305989dc33527660a9fe709442f78ad9440877a6ca9a8cde8",
+            "stage_05_pad.hgt": "d4a2b86c7e028f8a1693b136d191e53b4648034c9feb6ac3f67bfbf85edb3550",
+        },
+    ),
+    "quadrangle": (
+        "rcp 1\ntarget 4\nstage gen quadrangle q=7\nstage nbhd\nstage substitute template=path7 k=1\n"
+        "stage split r=2\ncertify girth=8 r=3 N=" + "5" * 45 + "\n",
+        {
+            "certificate.txt": "24055b15f7b5878935e78eb0e4e17295b804677c79514253a096df21d73bf404",
+            "report.txt": "ff8c35dc292185993d641cc214e5aa050bcacbb8ee3ceb664e440da78c5db0d5",
+            "stage_01_gen.bgt": "3fafc907ab20d45a1ef12fc6322c48bdc3852dfca62d85a791ae1f2be3269d02",
+            "stage_02_nbhd.hgt": "3f5c3ab12f7979320f9c983f8bc7bc9b67c38ab4258ffccede031bb3b8697592",
+            "stage_03_substitute.hgt": "9105912cc245938f23cd2c28070a94de8067ded49914e269335fa2baf25efa19",
+            "stage_04_split.hgt": "2519c0a03fd3c1edadd51b0966c5fd8264ba59da1d1fd1d1e6cdb29af40f2fff",
+        },
+    ),
+    "hexagon-split-pad": (
+        "rcp 1\ntarget 6\nstage gen hexagon q=2\nstage nbhd\nstage split r=2\nstage pad to=100\n",
+        {
+            "report.txt": "24ffa6ee829824173b70eefe299c26d5f34fc80eb43f24962ccb6533b8805382",
+            "stage_01_gen.bgt": "2980ea4fb064f64c7987b02c0eb256c6af705039267a6cdf3c1159abe0d6264b",
+            "stage_02_nbhd.hgt": "ee00883663547ad478069fc27c82b3381ae54062285586c639b8047ab8bdbe44",
+            "stage_03_split.hgt": "3d17103502aeaba5220a8ef55db3b9bfa789211815474fb3f9d27f069eeaff8e",
+            "stage_04_pad.hgt": "92a7412712381900844e8476c3c2086bb8a80a942ff5eceb74a010148501bb52",
+        },
+    ),
+    "loose-path": (
+        "rcp 1\ntarget 3\nstage gen plane q=5\nstage nbhd\nstage substitute template=loose-path:2:3 k=1\n",
+        {
+            "report.txt": "b34a500fe08d2a74ce7498872b870e9092eaeb1450704780f5c432ee3b739f53",
+            "stage_01_gen.bgt": "dc60fefe7df81e6d930323ac8f697bd6a6788203807edb672e1f2203f4450f53",
+            "stage_02_nbhd.hgt": "126de149858901505ec47b609f787ac9868926d2f5a6a7adc16b236177f0d51a",
+            "stage_03_substitute.hgt": "59cb70700b72550d21c89634432dfbca610c1200f68a2de03ea83edb50997d96",
+        },
+    ),
+    "template-file": (
+        "rcp 1\ntarget 3\nstage gen plane q=3\nstage nbhd\nstage substitute template=<tmp>/tpl.hgt k=1\n",
+        {
+            "report.txt": "c8871565c944860d1cf35b61264070cff535d9b0dafed0f98af0ee89a35ea376",
+            "stage_01_gen.bgt": "33a26ee46d0463e67f8269d7af83fe0b2bd17bedb8cb345468bda48840a2d330",
+            "stage_02_nbhd.hgt": "cad6cd505a349430f7a64e8b74da7b033fdebcd49eed789bc1b0697dc1d35afc",
+            "stage_03_substitute.hgt": "9ca5181af72e8ed51eb5923f7d5934756612acddef91f6e9c17fe001045ab739",
+        },
+    ),
+}
+
+# argv, run in order in one directory -> sha256 of its stdout
+COMMANDS = {
+    "gen plane --q 7 <tmp>/p7.bgt": "c3ecccc8b051d36b542f907810c2cb11ff59029e60339a727abfdd5e0cc8524d",
+    "gen quadrangle --q 3 <tmp>/w3.bgt": "3774ea1016715b2d2ad7f1e1ccdcc5744bd0242d8da43d419850a027f38a2fbc",
+    "gen hexagon --q 2 <tmp>/h2.bgt": "3db3bba9372879165a5b37f26b3f211e194b9c66529834424a87a77437d6cd7a",
+    "gen greedy --left 30 --right 30 --deg 3 --girth 12 --seed 1 <tmp>/g.bgt":
+        "4ca0f37c896d8ec062f2137fc244e5cd208edcb3ae331488297f2be3754f54a9",
+    "transform nbhd <tmp>/p7.bgt <tmp>/p7.hgt": "0b7cad4fa69ba8d80e7992c09d30d4901c40bfa776cefe60ec3e32ba699c91c6",
+    "transform substitute <tmp>/p7.hgt <tmp>/sub.hgt --template path7 --k 1":
+        "18f939eafe46e5ab83f2775021c61f8f489db7456417a78167161f7e37b120ae",
+    "transform split <tmp>/sub.hgt <tmp>/pairs.hgt --r 2":
+        "142108a3bc1e2f03a1a8c8b88a598eaf5a1edd34aa3e36352b94b253d1e5e627",
+    "transform pad <tmp>/pairs.hgt <tmp>/padded.hgt --to 100":
+        "7c7d63f42360a1022a0aba11134bf7a24f5f795097074999281be2d7fbffcf12",
+    "transform nbhd <tmp>/h2.bgt <tmp>/h2.hgt": "ad5593cb3253af92d0d71b40568802850647e98a16f4c4e972b45759596a54a1",
+    "transform substitute <tmp>/h2.hgt <tmp>/h2sub.hgt --template <tmp>/tpl3.hgt --k 1":
+        "a9441e560f30e8f6dc29630e52e01de6016901c07b953978bd895dea3f794b1e",
+    "report <tmp>/p7.bgt": "bb9cd59c7608ae37dda62f7f667637e376ebd31aa525b14c1b4998e05e77eb69",
+    "girth <tmp>/p7.bgt": "8e3024e32ad03f31cb760b8f0ff1916df9e1f613b6704033127c70d44bd50ad2",
+    "report <tmp>/w3.bgt": "f959a063026bea4f7cabb95dd824552a68da4f9e7c169a87dcfb58ea6f0ce669",
+    "girth <tmp>/w3.bgt": "cc0e8200ea7d2b5ba2cd006f59c7703b78904d5d98c8d866faeb64743185b3db",
+    "report <tmp>/h2.bgt": "0e1e4ac2f09a28007803c27c88a8ee0e556ecc134bf59883ce9c06b09a944974",
+    "girth <tmp>/h2.bgt": "956ee3421d89c2d799980c4d859c25b1bddd1472eaf7dcb477426cbcda645383",
+    "report <tmp>/g.bgt": "4c01fae76444233ca4cd3b93c7b4b23efefc5c8b654bc375e6b4e989cf55a1ce",
+    "girth <tmp>/g.bgt": "45ad6cc4d8ad5758171514e4336e1b88d99e17b05e8c76978e3608ac83c615c9",
+    "report <tmp>/p7.hgt": "f13a8392fdb30d52dde55884fcad3d097146e2274cf0829c0aa51f3c600cee5b",
+    "girth <tmp>/p7.hgt": "25ea3118b35c736022cc36c5ecf4bb14097508785bf5a407f4eb2042c656ccf5",
+    "report <tmp>/sub.hgt": "b9d938261db1cfe477c8c595b071092c5de8093aa864c4ff3bc5d2b2bb03b9c8",
+    "girth <tmp>/sub.hgt": "25ea3118b35c736022cc36c5ecf4bb14097508785bf5a407f4eb2042c656ccf5",
+    "report <tmp>/pairs.hgt": "74829abe6270804f6c784c96fbda518be8fc8f2550a54df298e3c6f552e2f85f",
+    "girth <tmp>/pairs.hgt": "25ea3118b35c736022cc36c5ecf4bb14097508785bf5a407f4eb2042c656ccf5",
+    "report <tmp>/padded.hgt": "72ae2e335765364bf1298abb4476b05f41f15412fca3ae476c67116abf165971",
+    "girth <tmp>/padded.hgt": "25ea3118b35c736022cc36c5ecf4bb14097508785bf5a407f4eb2042c656ccf5",
+    "report <tmp>/h2.hgt": "49f455cd30bd8011c6d35e2ecba961c01f37cdd4387f60aec281ee8cc38edd72",
+    "girth <tmp>/h2.hgt": "ff017e696c4c795fbd69b1a4a041f088e900e90db7e5dff9c299abccbe0e0b02",
+    "report <tmp>/h2sub.hgt": "57ecdb896457625d76a21e9333b9b4bf9e43d41de665d6b0b1019d43a630fee6",
+    "girth <tmp>/h2sub.hgt": "ff017e696c4c795fbd69b1a4a041f088e900e90db7e5dff9c299abccbe0e0b02",
+    "girth <tmp>/h2.hgt --oracle-max 6": "c28ac5db007de51b944bdbf27a4da5ab66027c3741830fe750a50de01163c525",
+}
+
+# files the commands above write -> sha256
+COMMAND_FILES = {
+    "g.bgt": "e9bdb0def5baf55275b776dd3b46f82c8dea2c5899f8168d01475dbdd691278c",
+    "h2.bgt": "2980ea4fb064f64c7987b02c0eb256c6af705039267a6cdf3c1159abe0d6264b",
+    "h2.hgt": "ee00883663547ad478069fc27c82b3381ae54062285586c639b8047ab8bdbe44",
+    "h2sub.hgt": "60aff30b5760d897d8ff10352e2b8243324f0723516eb951d499d33e2577637b",
+    "p7.bgt": "6e9b75df75ab030654910e735a88938fd959e0d111ce397ac872e78086a4b560",
+    "p7.hgt": "f1579b399c016df4a4a04fc1ac7c03e631f9c435fed1b2cc562eafca448e1582",
+    "padded.hgt": "30c18bafcdac7a01f50f90371468ce0c6e1cbb605a2f41e4534043e1b10b2270",
+    "pairs.hgt": "7a7a4f621a8407409d5716aa488c82e36783121ffaf6f503a6e54faa56747bf1",
+    "sub.hgt": "5714e4bee1ee0f4199fa9e2a8d33807e67e614e2017c52ce6bfed8aad02da90b",
+    "w3.bgt": "f9ed4032515ac749fa70ac4c07f0ec62d45071bbd5a297ff435ca4e0166625b4",
+}
+
+
+def _write_templates(tmp_path) -> None:
+    for name, text in TEMPLATE_FILES.items():
+        (tmp_path / name).write_text(text)
+
+
+def _digests(directory, tmp_path, names) -> dict[str, str]:
+    out = {}
+    for name in names:
+        with open(os.path.join(directory, name), encoding="ascii", newline="") as fh:
+            out[name] = sha(fh.read().replace(str(tmp_path), "<tmp>"))
+    return out
+
+
+@pytest.mark.parametrize("name", list(RECIPES))
+def test_pipeline_file_digests(name, tmp_path, capsys):
+    text, digests = RECIPES[name]
+    _write_templates(tmp_path)
+    recipe = tmp_path / "r.rcp"
+    recipe.write_text(text.replace("<tmp>", str(tmp_path)))
+    out_dir = tmp_path / "out"
+    assert main(["pipeline", str(recipe), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert _digests(out_dir, tmp_path, sorted(os.listdir(out_dir))) == digests
+
+
+def test_command_stdout_digests(tmp_path, capsys):
+    _write_templates(tmp_path)
+    got = {}
+    for command in COMMANDS:
+        assert main(command.replace("<tmp>", str(tmp_path)).split()) == 0, command
+        got[command] = sha(capsys.readouterr().out.replace(str(tmp_path), "<tmp>"))
+    assert got == COMMANDS
+    assert _digests(tmp_path, tmp_path, COMMAND_FILES) == COMMAND_FILES
