@@ -25,7 +25,7 @@ import sys
 
 from .arith import int_to_decimal, parse_decimal_int
 from .certificate import certificate
-from .core import BipartiteGraph, Hypergraph, validate
+from .core import BipartiteGraph, Hypergraph
 from .errors import (
     Error,
     FormatError,
@@ -34,17 +34,22 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .formats import (
-    parse_bipartite,
-    parse_hypergraph,
-    serialize_bipartite,
-    serialize_hypergraph,
-)
-from .geometry import GeometrySpec
+from .formats import load, read_ascii, serialize_bipartite, serialize_hypergraph
 from .girth import BergeCycle, girth_bipartite, girth_hypergraph, girth_oracle
-from .pipeline import pad_vertices, parse_recipe, resolve_template, run_pipeline, write_text_file
+from .pipeline import (
+    INT,
+    OPS,
+    check_input,
+    check_keys,
+    girth_of,
+    kind_of,
+    parse_recipe,
+    run_op,
+    run_pipeline,
+    summary,
+    write_text_file,
+)
 from .planner import route_for, theorem_bound
-from .transforms import SubstitutionPlan, neighborhood_hypergraph, split_edges, substitute_edges
 
 EXIT_CODES = {
     FormatError: 2,
@@ -54,38 +59,21 @@ EXIT_CODES = {
     VerificationError: 5,
 }
 
-
-def _load_any(path: str) -> BipartiteGraph | Hypergraph:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        text = fh.read()
-    first = text.split("\n", 1)[0]
-    if first == "hgt 1":
-        return parse_hypergraph(text)
-    if first == "bgt 1":
-        return parse_bipartite(text)
-    raise FormatError(f"line 1: unknown magic {first!r} (expected `hgt 1` or `bgt 1`)")
-
-
-def _load_hypergraph(path: str) -> Hypergraph:
-    obj = _load_any(path)
-    if not isinstance(obj, Hypergraph):
-        raise PreconditionError(f"{path} holds a bipartite graph, need a hypergraph")
-    return obj
+_HELP = {
+    "greedy": "seeded greedy high-girth bipartite graph",
+    "q": "prime order",
+    "deg": "right-degree cap",
+    "girth": "guaranteed girth floor",
+    "template": "substitute: path7, loose-path:<edges>:<r>, or a .hgt file",
+    "k": "substitute: copies per edge",
+    "r": "split: edge size",
+    "to": "pad: total vertex count",
+}
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "greedy":
-        spec = GeometrySpec(
-            "greedy",
-            n_left=args.left,
-            n_right=args.right,
-            right_degree=args.deg,
-            target_girth=args.girth,
-            seed=args.seed,
-        )
-    else:
-        spec = GeometrySpec(args.kind, q=args.q)
-    graph, greedy = spec.build()
+    values = {key: getattr(args, key) for key, _ in OPS[args.kind].args}
+    graph, _, greedy = run_op(args.kind, None, values)
     write_text_file(args.out, serialize_bipartite(graph))
     print(f"wrote {args.out} ({graph.n_left}+{graph.n_right} vertices, "
           f"{graph.num_incidences} incidences)")
@@ -96,24 +84,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    if args.op == "nbhd":
-        graph = _load_any(args.input)
-        if not isinstance(graph, BipartiteGraph):
-            raise PreconditionError("transform nbhd needs a bipartite (`bgt 1`) input")
-        out = neighborhood_hypergraph(graph)
-    elif args.op == "substitute":
-        if args.template is None or args.k is None:
-            raise PreconditionError("transform substitute needs --template and --k")
-        host = _load_hypergraph(args.input)
-        out = substitute_edges(SubstitutionPlan(host, resolve_template(args.template), args.k))
-    elif args.op == "split":
-        if args.r is None:
-            raise PreconditionError("transform split needs --r")
-        out = split_edges(_load_hypergraph(args.input), args.r)
-    else:  # pad
-        if args.to is None:
-            raise PreconditionError("transform pad needs --to")
-        out = pad_vertices(_load_hypergraph(args.input), args.to)
+    op = OPS[args.op]
+    given = [key for key in _transform_keys() if getattr(args, key) is not None]
+    check_keys(f"transform {args.op}", [f"--{key}" for key, _ in op.args], [f"--{key}" for key in given])
+    source = load(args.input)
+    check_input(f"transform {args.op}", op.needs, kind_of(source))
+    out, _, _ = run_op(args.op, source, {key: getattr(args, key) for key in given})
     write_text_file(args.out, serialize_hypergraph(out))
     print(f"wrote {args.out} ({out.num_vertices} vertices, {out.num_edges} edges)")
     return 0
@@ -126,7 +102,7 @@ def _as_pair_hypergraph(g: BipartiteGraph) -> Hypergraph:
 
 
 def _cmd_girth(args: argparse.Namespace) -> int:
-    obj = _load_any(args.input)
+    obj = load(args.input)
     if isinstance(obj, Hypergraph):
         rep = girth_hypergraph(obj)
         oracle_target = obj
@@ -179,8 +155,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    with open(args.recipe, "r", encoding="ascii", newline="") as fh:
-        recipe = parse_recipe(fh.read())
+    recipe = parse_recipe(read_ascii(args.recipe))
     report, greedy = run_pipeline(recipe, args.out_dir)
     for s in report.stages:
         print(f"stage {s.index} {s.op}: kind {s.kind} girth {s.girth} "
@@ -194,30 +169,16 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    obj = _load_any(args.input)
-    if isinstance(obj, Hypergraph):
-        rep = validate(obj)
-        print("kind hypergraph")
-        print(f"vertices {obj.num_vertices}")
-        print(f"edges {obj.num_edges}")
-        print(f"incidences {obj.incidence_count}")
-        uniformity = "-" if rep.uniformity is None else str(rep.uniformity)
-        if rep.uniformity_vacuous:
-            uniformity = "vacuous"
-        print(f"uniformity {uniformity}")
-        print(f"regularity {'-' if rep.regularity is None else rep.regularity}")
-        print(f"isolated {rep.isolated}")
-        print(f"girth {girth_hypergraph(obj).girth_str()}")
-    else:
-        print("kind bipartite")
-        print(f"left {obj.n_left}")
-        print(f"right {obj.n_right}")
-        print(f"incidences {obj.num_incidences}")
-        ld, rd = set(obj.left_degrees), set(obj.right_degrees)
-        print(f"left-degree {ld.pop() if len(ld) == 1 else '-'}")
-        print(f"right-degree {rd.pop() if len(rd) == 1 else '-'}")
-        print(f"girth {girth_bipartite(obj).girth_str()}")
+    obj = load(args.input)
+    for key, value in summary(obj):
+        print(f"{key} {value}")
+    print(f"girth {girth_of(obj).girth_str()}")
     return 0
+
+
+def _transform_keys() -> dict[str, str]:
+    """Every transform flag, with its type, in table order."""
+    return {key: kind for op in OPS.values() if op.needs for key, kind in op.args}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,26 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a bipartite incidence graph")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    for kind in ("plane", "quadrangle", "hexagon"):
-        g = gen_sub.add_parser(kind, help=f"{kind} incidence graph")
-        g.add_argument("--q", type=int, required=True, help="prime order")
-        g.add_argument("out", help="output .bgt path")
-    greedy = gen_sub.add_parser("greedy", help="seeded greedy high-girth bipartite graph")
-    greedy.add_argument("--left", type=int, required=True)
-    greedy.add_argument("--right", type=int, required=True)
-    greedy.add_argument("--deg", type=int, required=True, help="right-degree cap")
-    greedy.add_argument("--girth", type=int, required=True, help="guaranteed girth floor")
-    greedy.add_argument("--seed", type=int, required=True)
-    greedy.add_argument("out", help="output .bgt path")
+    for name, op in OPS.items():
+        if op.needs is None:
+            g = gen_sub.add_parser(name, help=_HELP.get(name, f"{name} incidence graph"))
+            for key, _ in op.args:
+                g.add_argument(f"--{key}", type=int, required=True, help=_HELP.get(key))
+            g.add_argument("out", help="output .bgt path")
 
     tr = sub.add_parser("transform", help="apply a hypergraph transform")
-    tr.add_argument("op", choices=("nbhd", "substitute", "split", "pad"))
+    tr.add_argument("op", choices=[name for name, op in OPS.items() if op.needs])
     tr.add_argument("input", help="input .hgt/.bgt path")
     tr.add_argument("out", help="output .hgt path")
-    tr.add_argument("--template", help="substitute: path7, loose-path:<edges>:<r>, or a .hgt file")
-    tr.add_argument("--k", type=int, help="substitute: copies per edge")
-    tr.add_argument("--r", type=int, help="split: edge size")
-    tr.add_argument("--to", type=int, help="pad: total vertex count")
+    for key, kind in _transform_keys().items():
+        tr.add_argument(f"--{key}", type=int if kind == INT else str, help=_HELP[key])
 
     gr = sub.add_parser("girth", help="compute exact girth (optionally oracle-checked)")
     gr.add_argument("input", help="input .hgt/.bgt path")

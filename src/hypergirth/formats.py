@@ -123,11 +123,23 @@ def parse_bipartite(text: str) -> BipartiteGraph:
         raise FormatError(f"line 4: non-canonical incidence data: {exc}") from exc
 
 
-def load_hypergraph(path: str) -> Hypergraph:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return parse_hypergraph(fh.read())
+def read_ascii(path: str) -> str:
+    """A text file's content; a byte outside ASCII is a FormatError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"line {lineno}: non-ASCII byte {data[exc.start]:#04x}") from None
 
 
-def load_bipartite(path: str) -> BipartiteGraph:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return parse_bipartite(fh.read())
+def load(path: str) -> BipartiteGraph | Hypergraph:
+    """Read an `hgt 1` or `bgt 1` file, whichever its magic line names."""
+    text = read_ascii(path)
+    first = text.split("\n", 1)[0]
+    if first == "hgt 1":
+        return parse_hypergraph(text)
+    if first == "bgt 1":
+        return parse_bipartite(text)
+    raise FormatError(f"line 1: unknown magic {first!r} (expected `hgt 1` or `bgt 1`)")

@@ -68,9 +68,17 @@ def projective_points(field: PrimeField, dim: int) -> list[tuple[int, ...]]:
     return points
 
 
-def _check_geometry(
-    g: BipartiteGraph, name: str, per_side: int, degree: int, girth: int
-) -> None:
+# Points, equally lines, of each geometry of prime order q; every point
+# is on q + 1 lines and every line holds q + 1 points.
+PER_SIDE = {
+    "plane": lambda q: q * q + q + 1,
+    "quadrangle": lambda q: (q + 1) * (q * q + 1),
+    "hexagon": lambda q: (q + 1) * (q**4 + q**2 + 1),
+}
+
+
+def _check_geometry(g: BipartiteGraph, kind: str, q: int, girth: int) -> None:
+    name, per_side, degree = f"{kind} q={q}", PER_SIDE[kind](q), q + 1
     if g.n_left != per_side or g.n_right != per_side:
         raise VerificationError(
             f"{name}: expected {per_side}+{per_side} vertices, got {g.n_left}+{g.n_right}"
@@ -99,7 +107,7 @@ def projective_plane(q: int) -> BipartiteGraph:
             if sum(a * b for a, b in zip(pt, ln)) % q == 0:
                 pairs.append((index[pt], j))
     g = BipartiteGraph.from_incidences(len(points), len(points), pairs)
-    _check_geometry(g, f"plane q={q}", q * q + q + 1, q + 1, 6)
+    _check_geometry(g, "plane", q, 6)
     return g
 
 
@@ -135,7 +143,7 @@ def symplectic_quadrangle(q: int) -> BipartiteGraph:
     line_list = sorted(lines)
     pairs = [(v, j) for j, ln in enumerate(line_list) for v in ln]
     g = BipartiteGraph.from_incidences(n, len(line_list), pairs)
-    _check_geometry(g, f"quadrangle q={q}", (q + 1) * (q * q + 1), q + 1, 8)
+    _check_geometry(g, "quadrangle", q, 8)
     return g
 
 
@@ -206,7 +214,7 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
     line_list = sorted(lines)
     pairs = [(v, j) for j, ln in enumerate(line_list) for v in ln]
     g = BipartiteGraph.from_incidences(n, len(line_list), pairs)
-    _check_geometry(g, f"hexagon q={q}", (q + 1) * (q**4 + q**2 + 1), q + 1, 12)
+    _check_geometry(g, "hexagon", q, 12)
     return g
 
 
@@ -321,40 +329,3 @@ def greedy_high_girth_bipartite(
     )
     return g, report
 
-
-@dataclass(frozen=True)
-class GeometrySpec:
-    """Parameters for one geometry generator invocation."""
-
-    kind: str  # plane | quadrangle | hexagon | greedy
-    q: int | None = None
-    n_left: int | None = None
-    n_right: int | None = None
-    right_degree: int | None = None
-    target_girth: int | None = None
-    seed: int | None = None
-
-    def build(self) -> tuple[BipartiteGraph, GreedyReport | None]:
-        if self.kind == "plane":
-            return projective_plane(self._q()), None
-        if self.kind == "quadrangle":
-            return symplectic_quadrangle(self._q()), None
-        if self.kind == "hexagon":
-            return split_cayley_hexagon(self._q()), None
-        if self.kind == "greedy":
-            missing = [
-                name
-                for name in ("n_left", "n_right", "right_degree", "target_girth", "seed")
-                if getattr(self, name) is None
-            ]
-            if missing:
-                raise PreconditionError(f"greedy spec missing {', '.join(missing)}")
-            return greedy_high_girth_bipartite(
-                self.n_left, self.n_right, self.right_degree, self.target_girth, self.seed
-            )
-        raise PreconditionError(f"unknown geometry kind {self.kind!r}")
-
-    def _q(self) -> int:
-        if self.q is None:
-            raise PreconditionError(f"{self.kind} spec requires q")
-        return self.q

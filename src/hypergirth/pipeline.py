@@ -18,6 +18,12 @@ naming the stage, on any regression below it.  Each stage artifact is
 written to the output directory in canonical form, and every claim in the
 report is backed by a re-runnable command line.
 
+Each generator and transform is one row of ``OPS``, which `gen`,
+`transform` and the recipe stages all read: its argument keys and types,
+the input kind it needs, the call, the predicted edge count and the
+re-runnable command.  Every stage is checked against its row before any
+stage runs.
+
 Wall-clock timings are collected in memory and shown on stdout but are
 left out of the serialized report so repeated runs stay bit-identical.
 """
@@ -27,29 +33,30 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .arith import parse_decimal_int
 from .certificate import certificate
 from .core import BipartiteGraph, Hypergraph, validate
-from .errors import FormatError, PreconditionError, VerificationError
-from .formats import load_hypergraph, serialize_bipartite, serialize_hypergraph
-from .geometry import GeometrySpec, GreedyReport
-from .girth import girth_bipartite, girth_hypergraph
+from .errors import Error, FormatError, PreconditionError, VerificationError
+from .formats import load, serialize_bipartite, serialize_hypergraph
+from .geometry import (
+    PER_SIDE,
+    GreedyReport,
+    greedy_high_girth_bipartite,
+    projective_plane,
+    split_cayley_hexagon,
+    symplectic_quadrangle,
+)
+from .girth import GirthReport, girth_bipartite, girth_hypergraph
 from .planner import Route, route_for
 from .transforms import SubstitutionPlan, loose_path, neighborhood_hypergraph, split_edges, substitute_edges
-
-GEN_KEYS = {
-    "plane": {"q"},
-    "quadrangle": {"q"},
-    "hexagon": {"q"},
-    "greedy": {"left", "right", "deg", "girth", "seed"},
-}
 
 
 def _int_value(where: str, key: str, value: str) -> int:
     try:
-        return int(value)
-    except ValueError:
+        return parse_decimal_int(value)
+    except PreconditionError:
         raise PreconditionError(f"{where}: {key} must be an integer, got {value!r}") from None
 
 
@@ -62,13 +69,143 @@ def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
     return Hypergraph(to, h.edges)
 
 
+def resolve_template(token: str) -> Hypergraph:
+    if token == "path7":
+        return loose_path(3, 3)
+    if token.startswith("loose-path:"):
+        parts = token.split(":")
+        if len(parts) != 3:
+            raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
+        return loose_path(_int_value(token, "edges", parts[1]), _int_value(token, "r", parts[2]))
+    template = load(token)
+    check_input(f"template {token}", "hypergraph", kind_of(template))
+    return template
+
+
+def kind_of(obj: BipartiteGraph | Hypergraph) -> str:
+    return "bipartite" if isinstance(obj, BipartiteGraph) else "hypergraph"
+
+
+def check_input(where: str, needs: str, kind: str) -> None:
+    if kind != needs:
+        raise PreconditionError(f"{where} needs a {needs} input, got a {kind}")
+
+
+INT, TEMPLATE = "int", "template"  # argument types: an integer, or a spec for resolve_template
+
+
+@dataclass(frozen=True)
+class Op:
+    """One row of ``OPS``: a generator (no input) or a transform.
+
+    ``run(input, args)`` does the work and ``predict(input, args)``
+    predicts the output's edge count (incidences for a bipartite output)
+    or gives None; ``args`` maps each key of ``args`` to its value, a
+    template spec already resolved to a hypergraph.  The lambdas look the
+    layer functions up as module globals at call time.
+    """
+
+    command: str  # the CLI words before the flags, e.g. `gen plane` or `transform split`
+    args: tuple[tuple[str, str], ...]  # (key, INT | TEMPLATE), in the command's flag order
+    needs: str | None  # input kind: None, "bipartite" or "hypergraph"
+    run: Callable
+    predict: Callable
+
+    def render(self, program: str, values: dict, source: str | None, out: str) -> str:
+        """The re-runnable command line that writes this op's output to ``out``."""
+        flags = [f"--{key} {values[key]}" for key, _ in self.args]
+        return " ".join([program, self.command, *flags, *([source] if self.needs else []), out])
+
+
+def _geometry_incidences(kind: str) -> Callable:
+    return lambda _, a: PER_SIDE[kind](a["q"]) * (a["q"] + 1)
+
+
+OPS: dict[str, Op] = {
+    "plane": Op("gen plane", (("q", INT),), None,
+                lambda _, a: projective_plane(a["q"]), _geometry_incidences("plane")),
+    "quadrangle": Op("gen quadrangle", (("q", INT),), None,
+                     lambda _, a: symplectic_quadrangle(a["q"]), _geometry_incidences("quadrangle")),
+    "hexagon": Op("gen hexagon", (("q", INT),), None,
+                  lambda _, a: split_cayley_hexagon(a["q"]), _geometry_incidences("hexagon")),
+    "greedy": Op("gen greedy", tuple((key, INT) for key in ("left", "right", "deg", "girth", "seed")), None,
+                 lambda _, a: greedy_high_girth_bipartite(a["left"], a["right"], a["deg"], a["girth"], a["seed"]),
+                 lambda _, a: None),
+    "nbhd": Op("transform nbhd", (), "bipartite",
+               lambda g, a: neighborhood_hypergraph(g),
+               lambda g, a: sum(1 for nb in g.right_neighbors if nb)),
+    "substitute": Op("transform substitute", (("template", TEMPLATE), ("k", INT)), "hypergraph",
+                     lambda h, a: substitute_edges(SubstitutionPlan(h, a["template"], a["k"])),
+                     lambda h, a: a["k"] * a["template"].num_edges * h.num_edges),
+    "split": Op("transform split", (("r", INT),), "hypergraph",
+                lambda h, a: split_edges(h, a["r"]),  # rejects r < 2 before predict divides by r
+                lambda h, a: sum(len(e) // a["r"] for e in h.edges)),
+    "pad": Op("transform pad", (("to", INT),), "hypergraph",
+              lambda h, a: pad_vertices(h, a["to"]),
+              lambda h, a: h.num_edges),
+}
+
+
+def check_keys(where: str, wanted: list[str], given: list[str]) -> None:
+    missing = sorted(set(wanted) - set(given))
+    unknown = sorted(set(given) - set(wanted))
+    if missing or unknown:
+        raise PreconditionError(f"{where} takes {wanted}, missing {missing}, unknown {unknown}")
+
+
+def run_op(
+    name: str, source: BipartiteGraph | Hypergraph | None, values: dict
+) -> tuple[BipartiteGraph | Hypergraph, int | None, GreedyReport | None]:
+    """Run ``OPS[name]`` on ``source`` (None for a generator) with checked
+    values; returns the output, its predicted edge count and, for
+    ``greedy``, its report."""
+    op = OPS[name]
+    args = {key: resolve_template(values[key]) if kind == TEMPLATE else values[key] for key, kind in op.args}
+    out = op.run(source, args)
+    greedy = None
+    if isinstance(out, tuple):  # the greedy generator also returns its report
+        out, greedy = out
+    return out, op.predict(source, args), greedy
+
+
+def summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
+    """The lines `report` prints before the girth, as (key, value) pairs,
+    starting with the kind; report.txt records the same lines per stage."""
+
+    def only(values) -> str:
+        distinct = set(values)
+        return str(distinct.pop()) if len(distinct) == 1 else "-"
+
+    if isinstance(obj, BipartiteGraph):
+        return (
+            ("kind", "bipartite"),
+            ("left", str(obj.n_left)),
+            ("right", str(obj.n_right)),
+            ("incidences", str(obj.num_incidences)),
+            ("left-degree", only(obj.left_degrees)),
+            ("right-degree", only(obj.right_degrees)),
+        )
+    rep = validate(obj)
+    uniformity = "-" if rep.uniformity is None else str(rep.uniformity)
+    return (
+        ("kind", "hypergraph"),
+        ("vertices", str(obj.num_vertices)),
+        ("edges", str(obj.num_edges)),
+        ("incidences", str(obj.incidence_count)),
+        ("uniformity", "vacuous" if rep.uniformity_vacuous else uniformity),
+        ("regularity", "-" if rep.regularity is None else str(rep.regularity)),
+        ("isolated", str(rep.isolated)),
+    )
+
+
+def girth_of(obj: BipartiteGraph | Hypergraph) -> GirthReport:
+    return girth_bipartite(obj) if isinstance(obj, BipartiteGraph) else girth_hypergraph(obj)
+
+
 @dataclass(frozen=True)
 class Stage:
     op: str
     args: tuple[tuple[str, str], ...]
-
-    def arg_map(self) -> dict[str, str]:
-        return dict(self.args)
 
     def render(self) -> str:
         parts = [self.op] + [f"{k}={v}" for k, v in self.args]
@@ -83,15 +220,15 @@ class Recipe:
 
 
 def _parse_kv(tokens: list[str], lineno: int) -> tuple[tuple[str, str], ...]:
-    pairs = []
+    pairs: dict[str, str] = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise FormatError(f"line {lineno}: expected key=value, got {tok!r}")
         key, _, value = tok.partition("=")
         if not key or not value:
             raise FormatError(f"line {lineno}: expected key=value, got {tok!r}")
-        pairs.append((key, value))
-    return tuple(pairs)
+        if key in pairs:
+            raise FormatError(f"line {lineno}: key {key!r} given twice")
+        pairs[key] = value
+    return tuple(pairs.items())
 
 
 def parse_recipe(text: str) -> Recipe:
@@ -114,8 +251,8 @@ def parse_recipe(text: str) -> Recipe:
             if target is not None or len(tokens) != 2:
                 raise FormatError(f"line {lineno}: expected a single `target <girth>` line")
             try:
-                target = int(tokens[1])
-            except ValueError:
+                target = parse_decimal_int(tokens[1])
+            except Error:
                 raise FormatError(
                     f"line {lineno}: target girth must be an integer, got {tokens[1]!r}"
                 ) from None
@@ -126,11 +263,12 @@ def parse_recipe(text: str) -> Recipe:
                 raise FormatError(f"line {lineno}: `stage` needs an operation")
             op = tokens[1]
             if op == "gen":
-                if len(tokens) < 3 or tokens[2] not in GEN_KEYS:
-                    raise FormatError(f"line {lineno}: `stage gen` needs a kind in {sorted(GEN_KEYS)}")
+                kinds = sorted(name for name, row in OPS.items() if row.needs is None)
+                if len(tokens) < 3 or tokens[2] not in kinds:
+                    raise FormatError(f"line {lineno}: `stage gen` needs a kind in {kinds}")
                 args = (("kind", tokens[2]),) + _parse_kv(tokens[3:], lineno)
                 stages.append(Stage("gen", args))
-            elif op in ("nbhd", "substitute", "split", "pad"):
+            elif op in OPS and OPS[op].needs is not None:
                 stages.append(Stage(op, _parse_kv(tokens[2:], lineno)))
             else:
                 raise FormatError(f"line {lineno}: unknown stage op {op!r}")
@@ -156,12 +294,15 @@ class StageRecord:
     command: str
     check_command: str
     output_file: str
-    kind: str
-    summary: tuple[tuple[str, str], ...]
+    summary: tuple[tuple[str, str], ...]  # kind first, as `report` prints it
     girth: str
     predicted_edges: int | None
     actual_edges: int
     wall_clock: float  # stdout only; omitted from the serialized report
+
+    @property
+    def kind(self) -> str:
+        return self.summary[0][1]
 
 
 @dataclass(frozen=True)
@@ -180,7 +321,6 @@ class PipelineReport:
                 f"stage {s.index} command {s.command}",
                 f"stage {s.index} check {s.check_command}",
                 f"stage {s.index} output {s.output_file}",
-                f"stage {s.index} kind {s.kind}",
             ]
             lines += [f"stage {s.index} {k} {v}" for k, v in s.summary]
             lines += [
@@ -203,39 +343,27 @@ def write_text_file(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def resolve_template(token: str) -> Hypergraph:
-    if token == "path7":
-        return loose_path(3, 3)
-    if token.startswith("loose-path:"):
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
-        return loose_path(_int_value(token, "edges", parts[1]), _int_value(token, "r", parts[2]))
-    return load_hypergraph(token)
-
-
-def _bipartite_summary(g: BipartiteGraph) -> tuple[tuple[str, str], ...]:
-    ld = set(g.left_degrees)
-    rd = set(g.right_degrees)
-    return (
-        ("left", str(g.n_left)),
-        ("right", str(g.n_right)),
-        ("incidences", str(g.num_incidences)),
-        ("left-degree", str(ld.pop()) if len(ld) == 1 else "-"),
-        ("right-degree", str(rd.pop()) if len(rd) == 1 else "-"),
-    )
-
-
-def _hypergraph_summary(h: Hypergraph) -> tuple[tuple[str, str], ...]:
-    rep = validate(h)
-    return (
-        ("vertices", str(h.num_vertices)),
-        ("edges", str(h.num_edges)),
-        ("incidences", str(h.incidence_count)),
-        ("uniformity", str(rep.uniformity) if rep.uniformity is not None else "-"),
-        ("regularity", str(rep.regularity) if rep.regularity is not None else "-"),
-        ("isolated", str(rep.isolated)),
-    )
+def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
+    """Check every stage against ``OPS`` before any stage runs: its keys,
+    its integer values and the kind of its input; returns each stage's op
+    name and values."""
+    checked = []
+    kind: str | None = None  # what the previous stage outputs
+    for index, stage in enumerate(stages, start=1):
+        where = f"stage {index}"
+        name, label, pairs = stage.op, stage.op, dict(stage.args)
+        if stage.op == "gen":
+            name = stage.args[0][1]
+            label, pairs = f"gen {name}", dict(stage.args[1:])
+        op = OPS[name]
+        check_keys(f"{where}: {label}", [key for key, _ in op.args], list(pairs))
+        if op.needs is not None:
+            if kind is None:
+                raise PreconditionError(f"{where}: {name} needs a previous stage output")
+            check_input(f"{where}: {name}", op.needs, kind)
+        checked.append((name, {k: _int_value(where, k, pairs[k]) if t == INT else pairs[k] for k, t in op.args}))
+        kind = "bipartite" if op.needs is None else "hypergraph"
+    return checked
 
 
 def _certify_args(pairs: tuple[tuple[str, str], ...]) -> tuple[Route, int, int, int]:
@@ -258,6 +386,7 @@ def _certify_args(pairs: tuple[tuple[str, str], ...]) -> tuple[Route, int, int, 
 def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> tuple[PipelineReport, GreedyReport | None]:
     """Execute a recipe, writing one canonical artifact per stage plus a
     deterministic report; returns the report and the last greedy report."""
+    checked = _check_stages(recipe.stages)
     certify = None if recipe.certify is None else _certify_args(recipe.certify)
     os.makedirs(out_dir, exist_ok=True)
     state: BipartiteGraph | Hypergraph | None = None
@@ -265,100 +394,16 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
     last_greedy: GreedyReport | None = None
     prev_path: str | None = None
 
-    for index, stage in enumerate(recipe.stages, start=1):
+    for index, (stage, (name, values)) in enumerate(zip(recipe.stages, checked), start=1):
         t0 = time.monotonic()
-        args = stage.arg_map()
-
-        def num(key: str) -> int:
-            return _int_value(f"stage {index}", key, args[key])
-
-        predicted: int | None = None
-        if stage.op == "gen":
-            kind = args.pop("kind")
-            missing = GEN_KEYS[kind] - set(args)
-            extra = set(args) - GEN_KEYS[kind]
-            if missing or extra:
-                raise PreconditionError(
-                    f"stage {index}: gen {kind} takes {sorted(GEN_KEYS[kind])}, "
-                    f"missing {sorted(missing)}, unknown {sorted(extra)}"
-                )
-            if kind == "greedy":
-                spec = GeometrySpec(
-                    "greedy",
-                    n_left=num("left"),
-                    n_right=num("right"),
-                    right_degree=num("deg"),
-                    target_girth=num("girth"),
-                    seed=num("seed"),
-                )
-                flags = (
-                    f"--left {args['left']} --right {args['right']} --deg {args['deg']} "
-                    f"--girth {args['girth']} --seed {args['seed']}"
-                )
-            else:
-                spec = GeometrySpec(kind, q=num("q"))
-                flags = f"--q {args['q']}"
-                counts = {
-                    "plane": lambda q: (q * q + q + 1) * (q + 1),
-                    "quadrangle": lambda q: (q + 1) * (q * q + 1) * (q + 1),
-                    "hexagon": lambda q: (q + 1) * (q**4 + q**2 + 1) * (q + 1),
-                }
-                predicted = counts[kind](num("q"))
-            state, greedy = spec.build()
-            if greedy is not None:
-                last_greedy = greedy
-            command = f"{program} gen {kind} {flags} {{out}}"
-        elif state is None:
-            raise PreconditionError(f"stage {index}: {stage.op} needs a previous stage output")
-        elif stage.op == "nbhd":
-            if not isinstance(state, BipartiteGraph):
-                raise PreconditionError(f"stage {index}: nbhd needs a bipartite input")
-            predicted = sum(1 for nb in state.right_neighbors if nb)
-            state = neighborhood_hypergraph(state)
-            command = f"{program} transform nbhd {prev_path} {{out}}"
-        elif stage.op == "substitute":
-            if not isinstance(state, Hypergraph):
-                raise PreconditionError(f"stage {index}: substitute needs a hypergraph input")
-            if set(args) != {"template", "k"}:
-                raise PreconditionError(f"stage {index}: substitute takes template=<spec> k=<int>")
-            template = resolve_template(args["template"])
-            k = num("k")
-            predicted = k * template.num_edges * state.num_edges
-            state = substitute_edges(SubstitutionPlan(state, template, k))
-            command = f"{program} transform substitute --template {args['template']} --k {k} {prev_path} {{out}}"
-        elif stage.op == "split":
-            if not isinstance(state, Hypergraph):
-                raise PreconditionError(f"stage {index}: split needs a hypergraph input")
-            if set(args) != {"r"}:
-                raise PreconditionError(f"stage {index}: split takes r=<int>")
-            r = num("r")
-            out = split_edges(state, r)  # rejects r < 2 before the count divides by r
-            predicted = sum(len(e) // r for e in state.edges)
-            state = out
-            command = f"{program} transform split --r {r} {prev_path} {{out}}"
-        elif stage.op == "pad":
-            if not isinstance(state, Hypergraph):
-                raise PreconditionError(f"stage {index}: pad needs a hypergraph input")
-            if set(args) != {"to"}:
-                raise PreconditionError(f"stage {index}: pad takes to=<int>")
-            predicted = state.num_edges
-            state = pad_vertices(state, num("to"))
-            command = f"{program} transform pad --to {args['to']} {prev_path} {{out}}"
-        else:  # pragma: no cover - parse_recipe rejects unknown ops
-            raise PreconditionError(f"stage {index}: unknown op {stage.op}")
-
+        state, predicted, greedy = run_op(name, state, values)
+        if greedy is not None:
+            last_greedy = greedy
         if isinstance(state, BipartiteGraph):
-            kind_name, ext, text = "bipartite", "bgt", serialize_bipartite(state)
-            girth_rep = girth_bipartite(state)
-            floor = 2 * recipe.target
-            summary = _bipartite_summary(state)
-            actual_edges = state.num_incidences
+            ext, text, floor, actual_edges = "bgt", serialize_bipartite(state), 2 * recipe.target, state.num_incidences
         else:
-            kind_name, ext, text = "hypergraph", "hgt", serialize_hypergraph(state)
-            girth_rep = girth_hypergraph(state)
-            floor = recipe.target
-            summary = _hypergraph_summary(state)
-            actual_edges = state.num_edges
+            ext, text, floor, actual_edges = "hgt", serialize_hypergraph(state), recipe.target, state.num_edges
+        girth_rep = girth_of(state)
         out_name = f"stage_{index:02d}_{stage.op}.{ext}"
         out_path = os.path.join(out_dir, out_name)
         write_text_file(out_path, text)
@@ -371,11 +416,10 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
             StageRecord(
                 index,
                 stage.render(),
-                command.format(out=out_path),
+                OPS[name].render(program, values, prev_path, out_path),
                 f"{program} report {out_path}",
                 out_name,
-                kind_name,
-                summary,
+                summary(state),
                 girth_rep.girth_str(),
                 predicted,
                 actual_edges,

@@ -99,6 +99,18 @@ class TestTransform:
         code, _, _ = run(capsys, "transform", "split", bgt, str(tmp_path / "x.hgt"), "--r", "2")
         assert code == 3
 
+    def test_flag_the_op_does_not_take_exit_3(self, hex_files, tmp_path, capsys):
+        bgt, _ = hex_files
+        code, _, stderr = run(capsys, "transform", "nbhd", bgt, str(tmp_path / "x.hgt"), "--r", "5")
+        assert code == 3 and "unknown ['--r']" in stderr
+
+    def test_bipartite_template_exit_3(self, hex_files, tmp_path, capsys):
+        bgt, hgt = hex_files
+        code, _, stderr = run(
+            capsys, "transform", "substitute", hgt, str(tmp_path / "x.hgt"), "--template", bgt, "--k", "1"
+        )
+        assert code == 3 and "needs a hypergraph input, got a bipartite" in stderr
+
 
 class TestGirthCommand:
     def test_hypergraph_with_witness_and_oracle(self, tmp_path, capsys):
@@ -327,15 +339,71 @@ class TestPipelineInputErrors:
             ("stage gen plane q=2\nstage nbhd\nstage substitute template=loose-path:x:3 k=1\n",
              "loose-path:x:3: edges must be an integer"),
             ("stage gen plane q=2\nstage nbhd\nstage split r=0\n", "split size must be >= 2, got 0"),
+            ("stage gen plane q=+2\n", "stage 1: q must be an integer, got '+2'"),
+            ("stage gen plane q=2\nstage nbhd\nstage split r=03\n", "stage 3: r must be an integer, got '03'"),
         ],
-        ids=["gen-q", "gen-seed", "substitute-k", "split-r", "pad-to", "template-edges", "split-r-zero"],
+        ids=["gen-q", "gen-seed", "substitute-k", "split-r", "pad-to", "template-edges", "split-r-zero",
+             "gen-q-plus-sign", "split-r-leading-zero"],
     )
     def test_bad_stage_value_exit_3(self, tmp_path, capsys, stages, message):
         code, stderr, _ = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)
         assert code == 3 and message in stderr
 
+    @pytest.mark.parametrize(
+        "stages,message",
+        [
+            ("stage gen plane q=2\nstage nbhd bogus=1\n", "stage 2: nbhd takes [], missing [], unknown ['bogus']"),
+            ("stage gen plane q=2 seed=1\n", "stage 1: gen plane takes ['q'], missing [], unknown ['seed']"),
+            ("stage gen plane q=2\nstage split r=2\n", "stage 2: split needs a hypergraph input, got a bipartite"),
+            ("stage gen plane q=2\nstage nbhd\nstage pad to=x\n", "stage 3: to must be an integer"),
+        ],
+        ids=["unknown-key", "unknown-gen-key", "input-kind", "late-value"],
+    )
+    def test_stages_checked_before_any_stage_runs(self, tmp_path, capsys, stages, message):
+        code, stderr, out_dir = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)
+        assert code == 3 and message in stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["+6", "06"])
+    def test_target_not_canonical_exit_2(self, tmp_path, capsys, value):
+        code, stderr, _ = self.run_recipe(tmp_path, capsys, f"rcp 1\ntarget {value}\nstage gen plane q=2\n")
+        assert code == 2 and f"line 2: target girth must be an integer, got '{value}'" in stderr
+
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        code, stderr, _ = self.run_recipe(tmp_path, capsys, self.STAGES + "stage split r=2 r=3\n")
+        assert code == 2 and "line 5: key 'r' given twice" in stderr
+
+
+class TestNonAsciiInput:
+    """A byte outside ASCII is a format error at its line, not a traceback."""
+
+    HGT = b"hgt 1\nvertices 2\nedges 0\n\xff"
+    BGT = b"bgt 1\nleft \xc3\xa9\nright 1\n"
+
+    @pytest.mark.parametrize(
+        "files,argv,line",
+        [
+            ({"bad.hgt": HGT}, ["girth", "bad.hgt"], 4),
+            ({"bad.hgt": HGT}, ["report", "bad.hgt"], 4),
+            ({"bad.bgt": BGT}, ["transform", "nbhd", "bad.bgt", "out.hgt"], 2),
+            ({"host.hgt": b"hgt 1\nvertices 2\nedges 1\ne 0 1\n", "bad.hgt": HGT},
+             ["transform", "substitute", "host.hgt", "out.hgt", "--template", "bad.hgt", "--k", "1"], 4),
+            ({"r.rcp": "rcp 1\ntarget 2\nstage gen plane q=\u0663\n".encode("utf-8")},
+             ["pipeline", "r.rcp", "--out-dir", "out"], 3),
+        ],
+        ids=["girth", "report", "transform-input", "template", "recipe"],
+    )
+    def test_exit_2_naming_the_line(self, tmp_path, capsys, files, argv, line):
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        names = set(files) | {"out.hgt", "out"}
+        code, _, stderr = run(capsys, *[str(tmp_path / a) if a in names else a for a in argv])
+        assert_one_error_line(stderr)
+        assert code == 2 and f"error: line {line}: non-ASCII byte" in stderr
+
 
 class TestPipelineReportClaims:
+    @pytest.mark.filterwarnings("ignore:every edge is smaller than r=5")
     def test_recorded_commands_reproduce_artifacts(self, tmp_path, capsys):
         import hashlib
         import subprocess
@@ -344,6 +412,7 @@ class TestPipelineReportClaims:
         recipe = tmp_path / "r.rcp"
         recipe.write_text(
             "rcp 1\ntarget 6\nstage gen hexagon q=2\nstage nbhd\nstage split r=2\n"
+            "stage split r=5\n"  # no edge survives
         )
         out_dir = tmp_path / "out"
         assert run(capsys, "pipeline", str(recipe), "--out-dir", str(out_dir))[0] == 0
@@ -353,7 +422,8 @@ class TestPipelineReportClaims:
             for line in report.splitlines()
             if line.split(" ")[2:3] == ["command"]
         ]
-        assert len(commands) == 3
+        assert len(commands) == 4
+        assert "stage 4 uniformity vacuous" in report
         before = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()
         }
@@ -371,6 +441,20 @@ class TestPipelineReportClaims:
         for name, digest in before.items():
             if name.endswith((".bgt", ".hgt")):
                 assert after[name] == digest
+        # each stage's `check` command prints the stage's summary and girth lines
+        stages: dict[str, list[str]] = {}
+        for line in report.splitlines()[3:-1]:
+            _, index, key, value = line.split(" ", 3)
+            stages.setdefault(index, []).append(f"{key} {value}")
+        for lines in stages.values():
+            prog, *argv = lines[2].split(" ", 1)[1].split(" ")
+            assert prog == "hypergirth" and argv[0] == "report"
+            proc = subprocess.run(
+                [sys.executable, "-m", "hypergirth", *argv],
+                capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines() == lines[4:-2]
 
 
 class TestReportCommand:

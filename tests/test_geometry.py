@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from hypergirth import (
-    GeometrySpec,
+    FormatError,
     PreconditionError,
     PrimeField,
     girth_bipartite,
@@ -13,6 +13,7 @@ from hypergirth import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
+from hypergirth.pipeline import parse_recipe, run_op, run_pipeline
 
 
 class TestPrimeField:
@@ -145,18 +146,18 @@ class TestGreedy:
 
 
 class TestGeometrySpec:
-    def test_dispatch(self):
-        g, rep = GeometrySpec("plane", q=2).build()
-        assert g.n_left == 7 and rep is None
-        g, rep = GeometrySpec(
-            "greedy", n_left=5, n_right=5, right_degree=2, target_girth=6, seed=0
-        ).build()
-        assert rep is not None
+    """The generator rows of the op table, as `gen` and recipe stages use them."""
 
-    def test_errors(self):
-        with pytest.raises(PreconditionError, match="unknown geometry kind"):
-            GeometrySpec("cube", q=2).build()
-        with pytest.raises(PreconditionError, match="requires q"):
-            GeometrySpec("plane").build()
+    def test_dispatch(self):
+        g, predicted, rep = run_op("plane", None, {"q": 2})
+        assert g.n_left == 7 and predicted == 21 and rep is None
+        g, predicted, rep = run_op("greedy", None, {"left": 5, "right": 5, "deg": 2, "girth": 6, "seed": 0})
+        assert rep is not None and predicted is None
+
+    def test_errors(self, tmp_path):
+        with pytest.raises(FormatError, match="needs a kind in"):
+            parse_recipe("rcp 1\ntarget 2\nstage gen cube q=2\n")
+        with pytest.raises(PreconditionError, match=r"missing \['q'\]"):
+            run_pipeline(parse_recipe("rcp 1\ntarget 2\nstage gen plane\n"), str(tmp_path / "a"))
         with pytest.raises(PreconditionError, match="missing"):
-            GeometrySpec("greedy", n_left=3).build()
+            run_pipeline(parse_recipe("rcp 1\ntarget 2\nstage gen greedy left=3\n"), str(tmp_path / "b"))
