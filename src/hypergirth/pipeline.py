@@ -361,7 +361,8 @@ def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
             if kind is None:
                 raise PreconditionError(f"{where}: {name} needs a previous stage output")
             check_input(f"{where}: {name}", op.needs, kind)
-        checked.append((name, {k: _int_value(where, k, pairs[k]) if t == INT else pairs[k] for k, t in op.args}))
+        values = {key: _int_value(where, key, pairs[key]) if t == INT else pairs[key] for key, t in op.args}
+        checked.append((name, values))
         kind = "bipartite" if op.needs is None else "hypergraph"
     return checked
 
@@ -400,9 +401,11 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
         if greedy is not None:
             last_greedy = greedy
         if isinstance(state, BipartiteGraph):
-            ext, text, floor, actual_edges = "bgt", serialize_bipartite(state), 2 * recipe.target, state.num_incidences
+            ext, text, floor = "bgt", serialize_bipartite(state), 2 * recipe.target
+            actual_edges = state.num_incidences
         else:
-            ext, text, floor, actual_edges = "hgt", serialize_hypergraph(state), recipe.target, state.num_edges
+            ext, text, floor = "hgt", serialize_hypergraph(state), recipe.target
+            actual_edges = state.num_edges
         girth_rep = girth_of(state)
         out_name = f"stage_{index:02d}_{stage.op}.{ext}"
         out_path = os.path.join(out_dir, out_name)
