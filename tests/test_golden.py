@@ -292,20 +292,30 @@ COMMANDS = {
     "report <tmp>/h2sub.hgt": "57ecdb896457625d76a21e9333b9b4bf9e43d41de665d6b0b1019d43a630fee6",
     "girth <tmp>/h2sub.hgt": "ff017e696c4c795fbd69b1a4a041f088e900e90db7e5dff9c299abccbe0e0b02",
     "girth <tmp>/h2.hgt --oracle-max 6": "c28ac5db007de51b944bdbf27a4da5ab66027c3741830fe750a50de01163c525",
+    "gen quadrangle --q 2 <tmp>/w2.bgt": "5c72ccb27bd7c3f491f014f580e9055a150c9abc2a4cd28b299850fb8cf43421",
+    "gen quadrangle --q 5 <tmp>/w5.bgt": "53d643732a24eb0ce8df74da151b961f50d4194d4aae064fef4923be80e46f2f",
+    "gen hexagon --q 3 <tmp>/h3.bgt": "b605b445fcc5d55678e13fb344cdc9f98ab4a5c12f93ce38775c4843152f7c19",
+    "gen plane --q 2 <tmp>/p2.bgt": "0e1c4aac8e22e82de83c7ccbd2205799b961aa3f5bd1876578914abc397f49cd",
+    "gen plane --q 11 <tmp>/p11.bgt": "bf9ae41648fe88c312139225f23036e514f68bed476d73a5392651628a8cd10c",
 }
 
 # files the commands above write -> sha256
 COMMAND_FILES = {
     "g.bgt": "e9bdb0def5baf55275b776dd3b46f82c8dea2c5899f8168d01475dbdd691278c",
+    "h3.bgt": "6769ba165cd328dc63e9dbaf47ff1ae5bb5e6ff143908444d9d2b42dc9e97d02",
     "h2.bgt": "2980ea4fb064f64c7987b02c0eb256c6af705039267a6cdf3c1159abe0d6264b",
     "h2.hgt": "ee00883663547ad478069fc27c82b3381ae54062285586c639b8047ab8bdbe44",
     "h2sub.hgt": "60aff30b5760d897d8ff10352e2b8243324f0723516eb951d499d33e2577637b",
+    "p2.bgt": "54b9c99833588b877247078154814bb8e0adbceae51af16211ac2d1d592fd15a",
     "p7.bgt": "6e9b75df75ab030654910e735a88938fd959e0d111ce397ac872e78086a4b560",
+    "p11.bgt": "5d700b66c1c475ecae444cb407fbe0e3695d6aba01bbfc1a41f4d0d73af5b84b",
     "p7.hgt": "f1579b399c016df4a4a04fc1ac7c03e631f9c435fed1b2cc562eafca448e1582",
     "padded.hgt": "30c18bafcdac7a01f50f90371468ce0c6e1cbb605a2f41e4534043e1b10b2270",
     "pairs.hgt": "7a7a4f621a8407409d5716aa488c82e36783121ffaf6f503a6e54faa56747bf1",
     "sub.hgt": "5714e4bee1ee0f4199fa9e2a8d33807e67e614e2017c52ce6bfed8aad02da90b",
+    "w2.bgt": "59b9ccdf76e204b85f8b7155c2e5ff5a507a9d4a1d5132827955d404e57db6b2",
     "w3.bgt": "f9ed4032515ac749fa70ac4c07f0ec62d45071bbd5a297ff435ca4e0166625b4",
+    "w5.bgt": "6939b7929256b7702219a11c23355d7cb8cdc55aea855f6842713cd201ee99b1",
 }
 
 
