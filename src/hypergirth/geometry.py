@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .arith import is_prime
 from .core import BipartiteGraph
@@ -19,53 +20,47 @@ from .errors import PreconditionError, VerificationError
 from .girth import girth_bipartite
 
 
-class PrimeField:
-    """Arithmetic modulo a prime p, elements the integers in [0, p)."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
-        self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise PreconditionError("0 has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
-
-
-def _normalize(vec: tuple[int, ...], field: PrimeField) -> tuple[int, ...]:
-    """Scale a nonzero vector so its first nonzero coordinate is 1."""
+def _normalize(vec: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """Scale a nonzero vector over F_q so its first nonzero coordinate is 1."""
     for c in vec:
         if c != 0:
-            inv = field.inv(c)
-            return tuple(field.mul(inv, x) for x in vec)
+            inv = pow(c, -1, q)
+            return tuple(inv * x % q for x in vec)
     raise PreconditionError("zero vector has no projective normalization")
 
 
-def projective_points(field: PrimeField, dim: int) -> list[tuple[int, ...]]:
-    """Sorted normalized representatives of the points of PG(dim-1, p)."""
-    p = field.p
+def projective_points(q: int, dim: int) -> list[tuple[int, ...]]:
+    """Sorted normalized representatives of the points of PG(dim-1, q)."""
     points: list[tuple[int, ...]] = []
     for lead in range(dim):
-        for tail in product(range(p), repeat=dim - lead - 1):
+        for tail in product(range(q), repeat=dim - lead - 1):
             points.append((0,) * lead + (1,) + tail)
     points.sort()
     return points
+
+
+def _kernel(rows: list[list[int]], q: int, dim: int) -> dict[int, tuple[int, ...]]:
+    """Basis of the y in F_q^dim that zero every row, by row reduction mod
+    the prime q: one vector per free column, keyed by that column, which
+    is 1 there and 0 at the other free columns."""
+    m = [[c % q for c in row] for row in rows]
+    pivots: dict[int, int] = {}  # pivot column -> its row of m
+    for col in range(dim):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], -1, q)
+        m[r] = [c * inv % q for c in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                m[i] = [(a - row[col] * b) % q for a, b in zip(row, m[r])]
+        pivots[col] = r
+    return {
+        free: tuple(-m[pivots[c]][free] % q if c in pivots else int(c == free) for c in range(dim))
+        for free in range(dim) if free not in pivots
+    }
 
 
 # Points, equally lines, of each geometry of prime order q; every point
@@ -98,8 +93,7 @@ def projective_plane(q: int) -> BipartiteGraph:
     """
     if not is_prime(q) or not (2 <= q <= 13):
         raise PreconditionError(f"plane order must be a prime in [2, 13], got {q}")
-    field = PrimeField(q)
-    points = projective_points(field, 3)
+    points = projective_points(q, 3)
     index = {pt: i for i, pt in enumerate(points)}
     pairs = []
     for j, ln in enumerate(points):  # lines are dual points
@@ -111,40 +105,48 @@ def projective_plane(q: int) -> BipartiteGraph:
     return g
 
 
+def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callable[[tuple[int, ...]], list[list[int]]],
+                           kind: str, girth: int) -> BipartiteGraph:
+    """Incidence graph whose lines through each point x fill the kernel of
+    ``forms(x)``, rows linear in y that x itself zeroes.
+
+    x is nonzero at some free column of that kernel; the other basis
+    vectors span a complement of x, and each projective point y of it
+    gives the line {x} + {mu*x + y : mu in F_q}.  Lines are numbered in
+    sorted order of their point tuples.
+    """
+    index = {pt: i for i, pt in enumerate(points)}
+    lines: set[tuple[int, ...]] = set()
+    for x in points:
+        basis = _kernel(forms(x), q, len(x))
+        drop = next(col for col in basis if x[col])
+        rest = [vec for col, vec in basis.items() if col != drop]
+        for coeffs in projective_points(q, len(rest)):
+            y = [sum(c * vec[i] for c, vec in zip(coeffs, rest)) for i in range(len(x))]
+            line = [x] + [_normalize(tuple((mu * a + b) % q for a, b in zip(x, y)), q) for mu in range(q)]
+            lines.add(tuple(sorted(index[pt] for pt in line)))
+    line_list = sorted(lines)
+    pairs = [(v, j) for j, ln in enumerate(line_list) for v in ln]
+    g = BipartiteGraph.from_incidences(len(points), len(line_list), pairs)
+    _check_geometry(g, kind, q, girth)
+    return g
+
+
 def symplectic_quadrangle(q: int) -> BipartiteGraph:
     """Incidence graph of the symplectic quadrangle W(q).
 
     Points are all points of PG(3, q); lines the ones totally isotropic
-    for the alternating form x0*y1 - x1*y0 + x2*y3 - x3*y2.
+    for the alternating form x0*y1 - x1*y0 + x2*y3 - x3*y2, so the lines
+    through x are those of its polar plane.
     (q+1, q+1)-biregular on (q+1)(q^2+1) vertices per side, girth 8.
     """
     if not is_prime(q) or not (2 <= q <= 7):
         raise PreconditionError(f"quadrangle order must be a prime in [2, 7], got {q}")
-    field = PrimeField(q)
-    points = projective_points(field, 4)
-    index = {pt: i for i, pt in enumerate(points)}
 
-    def form(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q
+    def forms(x: tuple[int, ...]) -> list[list[int]]:
+        return [[-x[1], x[0], -x[3], x[2]]]
 
-    lines: set[tuple[int, ...]] = set()
-    n = len(points)
-    for a in range(n):
-        x = points[a]
-        for b in range(a + 1, n):
-            y = points[b]
-            if form(x, y) != 0:
-                continue
-            ids = {index[x]}  # line points: x itself plus mu*x + y for mu in F_q
-            for mu in field.elements():
-                pt = _normalize(tuple(field.add(field.mul(mu, xc), yc) for xc, yc in zip(x, y)), field)
-                ids.add(index[pt])
-            lines.add(tuple(sorted(ids)))
-    line_list = sorted(lines)
-    pairs = [(v, j) for j, ln in enumerate(line_list) for v in ln]
-    g = BipartiteGraph.from_incidences(n, len(line_list), pairs)
-    _check_geometry(g, "quadrangle", q, 8)
-    return g
+    return _geometry_from_kernels(projective_points(q, 4), q, forms, "quadrangle", 8)
 
 
 # Plucker-coordinate conditions selecting the hexagon lines among the
@@ -166,56 +168,30 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
 
     Points are the points of the parabolic quadric in PG(6, q) with
     equation x0*x4 + x1*x5 + x2*x6 = x3^2; lines are the quadric lines
-    whose Plucker coordinates satisfy six linear conditions.
+    whose Plucker coordinates satisfy six linear conditions.  For a fixed
+    point x the polar form and those conditions are linear in y, and
+    their kernel is the plane of the lines through x.
     (q+1, q+1)-biregular on (q+1)(q^4+q^2+1) vertices per side, girth 12.
     """
     if not is_prime(q) or q < 2:
         raise PreconditionError(f"hexagon order must be a prime >= 2, got {q}")
-    field = PrimeField(q)
 
-    def quadric(x: tuple[int, ...]) -> int:
-        return (x[0] * x[4] + x[1] * x[5] + x[2] * x[6] - x[3] * x[3]) % q
+    def forms(x: tuple[int, ...]) -> list[list[int]]:
+        rows = [[x[4], x[5], x[6], -2 * x[3], x[0], x[1], x[2]]]  # polar form of the quadric
+        for (i, j), (k, l), sign in _HEXAGON_LINE_CONDITIONS:
+            row = [0] * 7  # p_ij - sign * p_kl, with p_ij = x_i*y_j - x_j*y_i
+            row[j] += x[i]
+            row[i] -= x[j]
+            row[l] -= sign * x[k]
+            row[k] += sign * x[l]
+            rows.append(row)
+        return rows
 
-    def bilinear(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        return (
-            x[0] * y[4] + x[4] * y[0] + x[1] * y[5] + x[5] * y[1]
-            + x[2] * y[6] + x[6] * y[2] - 2 * x[3] * y[3]
-        ) % q
-
-    points = [pt for pt in projective_points(field, 7) if quadric(pt) == 0]
-    index = {pt: i for i, pt in enumerate(points)}
-    n = len(points)
-
-    def on_hexagon(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-        pl = {}
-        for i in range(7):
-            for j in range(i + 1, 7):
-                pl[(i, j)] = (x[i] * y[j] - x[j] * y[i]) % q
-        return all(pl[a] == (sign * pl[b]) % q for a, b, sign in _HEXAGON_LINE_CONDITIONS)
-
-    lines: set[tuple[int, ...]] = set()
-    for a in range(n):
-        x = points[a]
-        for b in range(a + 1, n):
-            y = points[b]
-            if bilinear(x, y) != 0:
-                continue  # a line through two quadric points lies on it iff the polar form vanishes
-            ids = [a]  # line points: x itself plus mu*x + y for mu in F_q
-            contained = True
-            for mu in field.elements():
-                pt = _normalize(tuple(field.add(field.mul(mu, xc), yc) for xc, yc in zip(x, y)), field)
-                pid = index.get(pt)
-                if pid is None:
-                    contained = False
-                    break
-                ids.append(pid)
-            if contained and on_hexagon(x, y):
-                lines.add(tuple(sorted(ids)))
-    line_list = sorted(lines)
-    pairs = [(v, j) for j, ln in enumerate(line_list) for v in ln]
-    g = BipartiteGraph.from_incidences(n, len(line_list), pairs)
-    _check_geometry(g, "hexagon", q, 12)
-    return g
+    points = [
+        pt for pt in projective_points(q, 7)
+        if (pt[0] * pt[4] + pt[1] * pt[5] + pt[2] * pt[6] - pt[3] * pt[3]) % q == 0
+    ]
+    return _geometry_from_kernels(points, q, forms, "hexagon", 12)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypergirth import (
     FormatError,
     PreconditionError,
-    PrimeField,
     girth_bipartite,
     greedy_high_girth_bipartite,
     projective_plane,
@@ -13,30 +13,32 @@ from hypergirth import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
+from hypergirth.geometry import _kernel
 from hypergirth.pipeline import parse_recipe, run_op, run_pipeline
 
 
-class TestPrimeField:
-    def test_rejects_composite(self):
-        for bad in (0, 1, 4, 9, 15):
-            with pytest.raises(PreconditionError):
-                PrimeField(bad)
+@st.composite
+def kernel_inputs(draw):
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    dim = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3 * q, 3 * q), min_size=dim, max_size=dim)
+    return q, dim, draw(st.lists(row, max_size=6))
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_axioms_spot_check(self, p):
-        f = PrimeField(p)
-        elems = list(f.elements())
-        for a, b, c in itertools.product(elems, repeat=3):
-            assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        for a in elems:
-            assert f.add(a, f.neg(a)) == 0
-            if a != 0:
-                assert f.mul(a, f.inv(a)) == 1
 
-    def test_inverse_of_zero(self):
-        with pytest.raises(PreconditionError):
-            PrimeField(5).inv(0)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kernel_inputs())
+def test_kernel_is_the_solution_space(args):
+    q, dim, rows = args
+    basis = _kernel(rows, q, dim)
+    for col, vec in basis.items():
+        assert all(sum(a * b for a, b in zip(row, vec)) % q == 0 for row in rows)
+        assert all(vec[other] == (other == col) for other in basis)
+        assert all(0 <= c < q for c in vec)
+    solutions = sum(
+        all(sum(a * b for a, b in zip(row, y)) % q == 0 for row in rows)
+        for y in itertools.product(range(q), repeat=dim)
+    )
+    assert solutions == q ** len(basis)
 
 
 class TestProjectivePlane:

@@ -12,6 +12,8 @@ Recipe pipelines are pinned by every file they write (report, stage
 artifacts, certificate), and the `gen`, `transform`, `report` and `girth`
 commands by their stdout and output files; the temporary directory is
 normalised to `<tmp>` in both.  No stage in the grid has zero edges.
+H(5), too large for a `gen` run in the command grid, is pinned by its
+serialization.
 """
 
 import hashlib
@@ -22,6 +24,8 @@ import pytest
 
 from hypergirth import (
     certificate,
+    serialize_bipartite,
+    split_cayley_hexagon,
     plan_parameters_hexagon,
     plan_parameters_octagon,
     theorem_bound,
@@ -153,6 +157,11 @@ def test_plan_stdout_digest(argv, tmp_path, capsys):
     with open(cert, encoding="ascii", newline="") as fh:
         cert_text = fh.read()
     assert (sha("\n".join(lines) + "\n"), sha(cert_text)) == PLANS[argv]
+
+
+def test_hexagon_q5_digest():
+    digest = "278c189da1c51329bdae10ee0a7af80cb23650e947ab327e513da254fbc76d42"
+    assert sha(serialize_bipartite(split_cayley_hexagon(5))) == digest
 
 
 def test_seed_brackets():
