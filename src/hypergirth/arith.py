@@ -68,19 +68,43 @@ def parse_decimal_int(text: str, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
             sys.set_int_max_str_digits(limit)
 
 
+# The first 13 primes, and psi_13: the least n that passes Miller-Rabin to
+# every one of them without being prime (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017, arXiv:1509.00864).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; exact for any nonnegative integer."""
+    """Primality by Miller-Rabin on the first 13 prime bases.
+
+    A failing base proves n composite at any size.  Passing every base
+    proves n prime below psi_13; at or above it a pass is only probable,
+    so ResourceBudgetError is raised rather than an answer given.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _MR_EXACT_BELOW:
+        raise ResourceBudgetError(
+            f"cannot decide whether {short_decimal(n)} is prime: it passes Miller-Rabin on the "
+            f"first 13 prime bases, which is a proof only below {_MR_EXACT_BELOW}"
+        )
     return True
 
 

@@ -30,6 +30,7 @@ left out of the serialized report so repeated runs stay bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -338,9 +339,14 @@ class PipelineReport:
 def write_text_file(path: str, text: str) -> None:
     """Atomic write via a temp file: concurrent invocations never interleave."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
@@ -387,6 +393,8 @@ def _certify_args(pairs: tuple[tuple[str, str], ...]) -> tuple[Route, int, int, 
 def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> tuple[PipelineReport, GreedyReport | None]:
     """Execute a recipe, writing one canonical artifact per stage plus a
     deterministic report; returns the report and the last greedy report."""
+    if not out_dir.isascii():
+        raise PreconditionError(f"output directory must be ASCII, got {ascii(out_dir)}")
     checked = _check_stages(recipe.stages)
     certify = None if recipe.certify is None else _certify_args(recipe.certify)
     os.makedirs(out_dir, exist_ok=True)

@@ -4,6 +4,7 @@ import pytest
 
 from hypergirth import parse_bipartite, parse_certificate, parse_hypergraph
 from hypergirth.cli import main
+from hypergirth.pipeline import write_text_file
 
 from conftest import subprocess_env
 
@@ -36,6 +37,18 @@ class TestGen:
         code, _, stderr = run(capsys, "gen", "plane", "--q", "4", str(tmp_path / "x.bgt"))
         assert code == 3
         assert "prime" in stderr
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run(capsys, "gen", "plane", "--q", "2", "")
+        assert code == 3
+        assert_one_error_line(stderr)
+        assert os.listdir(tmp_path) == []
+
+    def test_unencodable_text_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_text_file(str(tmp_path / "report.txt"), "out\u00e9\n")
+        assert os.listdir(tmp_path) == []
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.bgt"), str(tmp_path / "b.bgt")
@@ -208,6 +221,28 @@ class TestPlanCommand:
         assert code == 3
         assert "3967295312526" in stderr
 
+    def test_p_at_the_primality_bound_exit_4(self, tmp_path, capsys):
+        p = "3317044064679887385961981"  # passes all 13 Miller-Rabin bases
+        code, _, stderr = run(
+            capsys, "plan", "--girth", "6", "--p", p, "--r", "3", "--N", "1" + "0" * 40,
+            "--cert", str(tmp_path / "c.txt"),
+        )
+        assert code == 4
+        assert_one_error_line(stderr)
+        assert p in stderr
+
+    def test_mersenne_61_p_is_decided_quickly(self, tmp_path):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypergirth", "plan", "--girth", "6", "--p", str(2**61 - 1),
+             "--r", "3", "--N", "1" + "0" * 40, "--cert", str(tmp_path / "c.txt")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=10,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "below the seed" in proc.stderr
+
     def test_bad_n_string(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "plan", "--girth", "6", "--p", "5", "--r", "3",
@@ -368,6 +403,14 @@ class TestPipelineInputErrors:
     def test_target_not_canonical_exit_2(self, tmp_path, capsys, value):
         code, stderr, _ = self.run_recipe(tmp_path, capsys, f"rcp 1\ntarget {value}\nstage gen plane q=2\n")
         assert code == 2 and f"line 2: target girth must be an integer, got '{value}'" in stderr
+
+    def test_non_ascii_out_dir_exit_3(self, tmp_path, capsys):
+        recipe = tmp_path / "r.rcp"
+        recipe.write_text(self.STAGES)
+        code, _, stderr = run(capsys, "pipeline", str(recipe), "--out-dir", str(tmp_path / "out\u00e9"))
+        assert code == 3 and "output directory must be ASCII" in stderr
+        assert_one_error_line(stderr)
+        assert os.listdir(tmp_path) == ["r.rcp"]
 
     def test_repeated_key_exit_2(self, tmp_path, capsys):
         code, stderr, _ = self.run_recipe(tmp_path, capsys, self.STAGES + "stage split r=2 r=3\n")

@@ -9,10 +9,12 @@ from hypergirth import (
     BelowSeedError,
     PowerExpr,
     PreconditionError,
+    ResourceBudgetError,
     edge_bound_hexagon,
     edge_bound_octagon,
     epsilon,
     hexagon_params,
+    is_prime,
     octagon_params,
     plan_parameters_hexagon,
     plan_parameters_octagon,
@@ -336,6 +338,39 @@ class TestMpfOfInt:
         with mp.workdps(dps):
             for n in self.cases(mp.prec):
                 assert _mpf_of_int(n)._mpf_ == mpf(n)._mpf_, n
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        limit = 10**5
+        sieve = [True] * limit
+        sieve[0] = sieve[1] = False
+        for d in range(2, math.isqrt(limit) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = [False] * len(range(d * d, limit, d))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                                   3215031751, 5394826801, 232250619601, 9746347772161])
+    def test_carmichael_numbers_are_composite(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [3825123056546413051, 318665857834031151167461])
+    def test_strong_pseudoprimes_to_the_first_primes_are_composite(self, n):
+        assert not is_prime(n)  # psi_9 = psi_10 = psi_11, and psi_12
+
+    @pytest.mark.parametrize("n", [10**12 + 39, 2**61 - 1, 2**79 - 67])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    def test_composites_at_any_size(self):
+        assert not is_prime(2**128 + 1)
+        assert not is_prime((2**127 - 1) * (2**89 - 1))
+
+    @pytest.mark.parametrize("n", [3317044064679887385961981, 2**89 - 1])
+    def test_pass_at_or_above_psi13_is_refused(self, n):
+        with pytest.raises(ResourceBudgetError, match=str(n)):
+            is_prime(n)
 
 
 class TestPowerExpr:
