@@ -2,8 +2,9 @@
 
 PowerExpr holds a value of the form base**e with e an exact rational whose
 denominator divides 72 (covering eighths, ninths and their products).
-Inequalities involving fractional exponents are decided by raising both
-sides to the denominator power, never by floating point.
+Inequalities between powers, n**a >= base**b, are decided by
+:func:`power_at_least` from directed-rounding brackets of both sides, with
+an exact fallback, never by floating point.
 """
 
 from __future__ import annotations
@@ -128,6 +129,69 @@ def checked_pow(base: int, exponent: int, digit_budget: int | None, what: str = 
     return base**exponent
 
 
+def _round(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    """m * 2^e cut to at most prec mantissa bits, rounded down or up."""
+    drop = m.bit_length() - prec
+    if drop <= 0:
+        return m, e
+    r = m >> drop
+    if up and r << drop != m:
+        r += 1
+    return r, e + drop
+
+
+def _pow_bound(m: int, k: int, prec: int, up: bool) -> tuple[int, int]:
+    """(r, e) with r * 2^e <= m^k (up=False) or >= m^k (up=True), for m >= 1.
+
+    Binary powering that rounds every product in one direction: all
+    factors are positive, so the result stays on that side of m^k.
+    """
+    r, e, sq, se = 1, 0, m, 0
+    while True:
+        if k & 1:
+            r, e = _round(r * sq, e + se, prec, up)
+        k >>= 1
+        if not k:
+            return r, e
+        sq, se = _round(sq * sq, 2 * se, prec, up)
+
+
+def _ge(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """Exact x >= y for positive values m * 2^e."""
+    (mx, ex), (my, ey) = x, y
+    bx, by = mx.bit_length() + ex, my.bit_length() + ey
+    if bx != by:
+        return bx > by
+    return mx << max(0, ex - ey) >= my << max(0, ey - ex)
+
+
+def power_at_least(n: int, a: int, base: int, b: int) -> bool:
+    """Exact n^a >= base^b for n >= 2, a, b >= 1 and a prime base.
+
+    n^a and base^b are bracketed from n's top bits with directed rounding,
+    at a precision that grows until the brackets separate.  With a and b
+    coprime, equality needs a = 1 (base is prime), so that case falls back
+    to one exact comparison; otherwise the inequality is strict and the
+    brackets separate at the latest once the precision makes them exact.
+    """
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    prec = 128
+    while True:
+        shift = max(0, n.bit_length() - prec)
+        top = n >> shift
+        lo, e_lo = _pow_bound(top, a, prec, up=False)
+        hi, e_hi = _pow_bound(top + (top << shift != n), a, prec, up=True)
+        n_lo, n_hi = (lo, e_lo + shift * a), (hi, e_hi + shift * a)
+        if _ge(n_lo, _pow_bound(base, b, prec, up=True)):
+            return True
+        if not _ge(n_hi, _pow_bound(base, b, prec, up=False)):
+            return False
+        if a == 1:
+            return n >= base**b
+        prec *= 4
+
+
 @dataclass(frozen=True)
 class PowerExpr:
     """Exact value base**exponent, exponent a rational with denominator
@@ -160,19 +224,12 @@ class PowerExpr:
         tail = f"^{e.numerator}" if e.denominator == 1 else f"^{e.numerator}/{e.denominator}"
         return short_decimal(self.base) + tail
 
-    @property
-    def is_integral(self) -> bool:
-        return self.exponent.denominator == 1 and self.exponent >= 0
-
     def expand(self, digit_budget: int | None = DEFAULT_DIGIT_BUDGET) -> int:
         """The exact integer value; only defined for nonnegative integer
         exponents."""
         if self.exponent.denominator != 1 or self.exponent < 0:
             raise PreconditionError(f"{self.describe()} has no integer expansion")
         return checked_pow(self.base, self.exponent.numerator, digit_budget, self.describe())
-
-    def digits10(self) -> float:
-        return digits10(self.base, self.exponent)
 
     def _cmp_key_same_base(self, other: "PowerExpr") -> tuple[Fraction, Fraction]:
         if other.base != self.base:
@@ -189,25 +246,6 @@ class PowerExpr:
     def __le__(self, other: "PowerExpr") -> bool:
         a, b = self._cmp_key_same_base(other)
         return a <= b
-
-    def compare_to_int(self, value: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET) -> int:
-        """Exact three-way comparison with a nonnegative integer."""
-        if value <= 0:
-            return 1
-        den = self.exponent.denominator
-        num = self.exponent.numerator
-        if num < 0:
-            return -1 if value >= 1 else 1
-        # Cheap digit bound first, exact power comparison only when close.
-        approx = self.digits10()
-        vdigits = int_digits10(value)
-        if approx > vdigits + 2:
-            return 1
-        if approx < vdigits - 2:
-            return -1
-        lhs = checked_pow(self.base, num, digit_budget, self.describe())
-        rhs = value**den if den != 1 else value
-        return (lhs > rhs) - (lhs < rhs)
 
 
 _POWER_RE = re.compile(r"^([1-9][0-9]*)\^(-?(0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")

@@ -1,9 +1,10 @@
 """Machine-checkable certificates for the constructions' inequality chains.
 
 A certificate fixes (girth, p, m, n, r) and records every inequality the
-corresponding existence argument needs, each verified with exact integer
-arithmetic (fractional exponents are cleared by raising both sides to a
-power).  A certificate is VALID iff all checks pass; assumption failures
+corresponding existence argument needs, each decided exactly: power
+inequalities by :func:`hypergirth.arith.power_at_least`, which brackets
+both sides from their top bits, the rest by big-integer comparison.  A
+certificate is VALID iff all checks pass; assumption failures
 produce an INVALID certificate listing the failure, never an exception.
 Serialized certificates re-verify independently: re-verification reruns
 the whole computation from the header parameters alone.  Both routes are
@@ -24,6 +25,7 @@ from .arith import (
     int_to_decimal,
     is_prime,
     parse_decimal_int,
+    power_at_least,
 )
 from .errors import FormatError, PreconditionError, ResourceBudgetError, VerificationError
 from .planner import route_for
@@ -76,15 +78,6 @@ def _expand(base: int, exponent: int, budget: int | None, check: str) -> int:
         return checked_pow(base, exponent, budget, check)
     except ResourceBudgetError as exc:
         raise ResourceBudgetError(f"check {check}: {exc}") from exc
-
-
-def _guard_pow(value: int, k: int, budget: int | None, check: str) -> int:
-    if budget is not None and int_digits10(value) * k > budget:
-        raise ResourceBudgetError(
-            f"check {check}: raising a {int_digits10(value)}-digit value to the {k}th "
-            f"power exceeds the digit budget {budget}"
-        )
-    return value**k
 
 
 def _guard_digits(value: int, k: int, budget: int | None, check: str) -> None:
@@ -184,10 +177,9 @@ def certificate(
         )
 
     for i in range(1, n + 1):
-        lhs = _guard_pow(v_list[i - 1], den, digit_budget, f"vertex-growth-{i}")
-        rhs = _expand(p, g**i * (den * m + 1), digit_budget, f"vertex-growth-{i}")
+        ok = not power_at_least(v_list[i - 1], den, p, g**i * (den * m + 1))
         statement = f"v_{i}^{den} < {sym}^({g}^{i}*({den}m+1))"
-        checks.append(CertCheck(f"vertex-growth-{i}", statement, _BIGNUM, lhs < rhs))
+        checks.append(CertCheck(f"vertex-growth-{i}", statement, _BIGNUM, ok))
 
     edges = b_list[0]
     for i in range(2, n + 1):
@@ -197,7 +189,7 @@ def certificate(
     # integers, so the stated power inequality is decided unraised.
     bound = route.edge_bound(p, m, n)
     k = route.edge_power
-    ok = edges >= _expand(p, int(bound.exponent), digit_budget, "edge-bound")
+    ok = power_at_least(edges, 1, p, int(bound.exponent))
     checks.append(CertCheck("edge-bound", f"edges^{k} >= {sym}^({k} * {bound.exponent})", _BIGNUM, ok))
 
     split = (1 + uni) // r
@@ -265,7 +257,12 @@ def reverify_certificate(
     """Recompute a serialized certificate from its header parameters alone
     and demand bit-identical agreement; returns the recomputed value."""
     parsed = parse_certificate(text)
-    rebuilt = certificate(parsed.girth, parsed.p, parsed.m, parsed.n, parsed.r, digit_budget)
+    try:
+        rebuilt = certificate(parsed.girth, parsed.p, parsed.m, parsed.n, parsed.r, digit_budget)
+    except PreconditionError as exc:
+        # No certificate has such a header: serialize() only writes what
+        # certificate() accepted.
+        raise VerificationError(f"certificate does not re-verify: {exc}") from None
     rebuilt_text = rebuilt.serialize()
     if rebuilt_text != text:
         for got, expected in zip(text.split("\n"), rebuilt_text.split("\n")):

@@ -33,6 +33,7 @@ from .arith import (
     checked_pow,
     int_digits10,
     is_prime,
+    power_at_least,
     short_decimal,
 )
 from .errors import PreconditionError
@@ -393,69 +394,6 @@ def _mpf_of_int(n: int) -> mpf:
     return mp.ldexp(mpf(top), shift)
 
 
-def _round(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
-    """m * 2^e cut to at most prec mantissa bits, rounded down or up."""
-    drop = m.bit_length() - prec
-    if drop <= 0:
-        return m, e
-    r = m >> drop
-    if up and r << drop != m:
-        r += 1
-    return r, e + drop
-
-
-def _pow_bound(m: int, k: int, prec: int, up: bool) -> tuple[int, int]:
-    """(r, e) with r * 2^e <= m^k (up=False) or >= m^k (up=True), for m >= 1.
-
-    Binary powering that rounds every product in one direction: all
-    factors are positive, so the result stays on that side of m^k.
-    """
-    r, e, sq, se = 1, 0, m, 0
-    while True:
-        if k & 1:
-            r, e = _round(r * sq, e + se, prec, up)
-        k >>= 1
-        if not k:
-            return r, e
-        sq, se = _round(sq * sq, 2 * se, prec, up)
-
-
-def _ge(x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """Exact x >= y for positive values m * 2^e."""
-    (mx, ex), (my, ey) = x, y
-    bx, by = mx.bit_length() + ex, my.bit_length() + ey
-    if bx != by:
-        return bx > by
-    return mx << max(0, ex - ey) >= my << max(0, ey - ex)
-
-
-def _power_at_least(n: int, a: int, base: int, b: int) -> bool:
-    """Exact n^a >= base^b for n >= 2, a, b >= 1 and a prime base.
-
-    n^a and base^b are bracketed from n's top bits with directed rounding,
-    at a precision that grows until the brackets separate.  With a and b
-    coprime, equality needs a = 1 (base is prime), so that case falls back
-    to one exact comparison; otherwise the inequality is strict and the
-    brackets separate at the latest once the precision makes them exact.
-    """
-    g = math.gcd(a, b)
-    a, b = a // g, b // g
-    prec = 128
-    while True:
-        shift = max(0, n.bit_length() - prec)
-        top = n >> shift
-        lo, e_lo = _pow_bound(top, a, prec, up=False)
-        hi, e_hi = _pow_bound(top + (top << shift != n), a, prec, up=True)
-        n_lo, n_hi = (lo, e_lo + shift * a), (hi, e_hi + shift * a)
-        if _ge(n_lo, _pow_bound(base, b, prec, up=True)):
-            return True
-        if not _ge(n_hi, _pow_bound(base, b, prec, up=False)):
-            return False
-        if a == 1:
-            return n >= base**b
-        prec *= 4
-
-
 def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
     """High-precision exponent of the edge-count lower bound at N vertices.
 
@@ -483,7 +421,7 @@ def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
 
     def passes(k: int) -> bool:
         gap = scale - k * route.den
-        return gap > 0 and _power_at_least(n_vertices, gap * gap, base, route.c2 * scale * scale)
+        return gap > 0 and power_at_least(n_vertices, gap * gap, base, route.c2 * scale * scale)
 
     with mp.workdps(60):
         log_n = mp.log(_mpf_of_int(n_vertices)) / mp.log(base)

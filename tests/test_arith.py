@@ -1,0 +1,108 @@
+"""Property tests for the exact power comparison ``arith.power_at_least``.
+
+Each answer is compared with ``n**a >= base**b`` expanded in full.  The
+explicit points sit right next to ties, where the top-bit brackets cannot
+separate: the exact fallback (a == 1 after dividing out gcd(a, b)) and the
+precision escalation (a > 1) both run there.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hypergirth import arith
+from hypergirth.arith import power_at_least
+
+BASES = (2, 3, 5, 7)
+
+
+def iroot(x: int, a: int) -> int:
+    """floor(x ** (1/a)) for x >= 1, by integer Newton steps from above."""
+    y = 1 << (x.bit_length() // a + 1)
+    while True:
+        z = ((a - 1) * y + x // y ** (a - 1)) // a
+        if z >= y:
+            return y
+        y = z
+
+
+@st.composite
+def near_ties(draw):
+    """(n, a, base, b) with n within 2 of the a-th root of base**b, which
+    has up to 200 bits per bit of base."""
+    base, a = draw(st.sampled_from(BASES)), draw(st.integers(1, 8))
+    b = draw(st.integers(1, 200 * a))
+    n = iroot(base**b, a) + draw(st.integers(-2, 2))
+    return max(n, 2), a, base, b
+
+
+@st.composite
+def small(draw):
+    base, a, b = draw(st.sampled_from(BASES)), draw(st.integers(1, 12)), draw(st.integers(1, 400))
+    return draw(st.integers(2, 2**200)), a, base, b
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.one_of(small(), near_ties()))
+def test_matches_full_expansion(case):
+    n, a, base, b = case
+    assert power_at_least(n, a, base, b) == (n**a >= base**b)
+
+
+# (base, k, a, b): n = base**k + d for d in (-1, 0, 1); b is a*k or next to it.
+TIES = [
+    (2, 300, 1, 300),  # a == 1, base 2: the brackets of base**b are exact
+    (3, 200, 1, 200),
+    (5, 150, 1, 149),
+    (7, 120, 1, 121),
+    (3, 100, 2, 200),  # gcd(a, b) = a: reduces to the a == 1 case
+    (5, 70, 3, 210),
+    (7, 60, 8, 480),
+    (3, 200, 2, 399),  # a does not divide b: a strict inequality
+    (5, 100, 2, 201),
+    (2, 150, 9, 1351),
+    (7, 80, 8, 639),
+]
+
+
+@pytest.mark.parametrize("base,k,a,b", TIES)
+@pytest.mark.parametrize("d", (-1, 0, 1))
+def test_next_to_ties(base, k, a, b, d):
+    n = base**k + d
+    assert power_at_least(n, a, base, b) == (n**a >= base**b)
+
+
+@pytest.mark.parametrize("a,b", [(3, 392), (3, 394), (8, 1047)])
+def test_next_to_a_root_of_a_power_of_two(a, b):
+    # The root has over 128 bits, so n is cut to its top bits, and base 2
+    # brackets exactly: n's brackets alone must keep n**a on the right side.
+    n = iroot(2**b, a)
+    assert not power_at_least(n, a, 2, b) and power_at_least(n + 1, a, 2, b)
+
+
+def precisions(monkeypatch, n: int, a: int, base: int, b: int) -> set[int]:
+    """The precisions the brackets were computed at, checking the answer."""
+    seen = set()
+    original = arith._pow_bound
+
+    def spy(m, k, prec, up):
+        seen.add(prec)
+        return original(m, k, prec, up)
+
+    monkeypatch.setattr(arith, "_pow_bound", spy)
+    assert power_at_least(n, a, base, b) == (n**a >= base**b)
+    return seen
+
+
+@pytest.mark.parametrize("d", (0, 1))
+def test_precision_escalates_near_an_irrational_tie(monkeypatch, d):
+    # sqrt(3**401) is irrational, and its floor agrees with it in every one
+    # of the ~318 bits, so the 128-bit brackets cannot decide.
+    n = iroot(3**401, 2) + d
+    assert max(precisions(monkeypatch, n, 2, 3, 401)) > 128
+
+
+@pytest.mark.parametrize("d", (-1, 0, 1))
+def test_fallback_decides_an_integer_tie(monkeypatch, d):
+    # a == 1 and n within 1 of 5**200: the brackets never separate, and one
+    # exact comparison settles it at the first precision.
+    assert precisions(monkeypatch, 5**200 + d, 1, 5, 200) == {128}

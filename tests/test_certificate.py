@@ -154,6 +154,17 @@ class TestSerialization:
         with pytest.raises(FormatError, match=f"^line {line}: .*not a canonical decimal integer"):
             parse_certificate(bad)
 
+    @pytest.mark.parametrize(
+        "old,new,name",
+        [("girth 6", "girth 7", "girth"), ("girth 6", "girth 8", "p"), ("m 2", "m 0", "m"),
+         ("n 2", "n 0", "n"), ("r 3", "r 0", "r")],
+    )
+    def test_reverify_refused_header_is_verification_error(self, hex_cert, old, new, name):
+        # These headers parse, but certificate() refuses them.
+        bad = hex_cert.serialize().replace(f"\n{old}\n", f"\n{new}\n")
+        with pytest.raises(VerificationError, match=f"^certificate does not re-verify: .*\\b{name}\\b"):
+            reverify_certificate(bad)
+
     def test_reverify_invalid_cert_roundtrips(self):
         cert = certificate(6, 5, 1, 1, 3)
         assert not reverify_certificate(cert.serialize()).valid
@@ -165,14 +176,17 @@ class TestDigitBudget:
             certificate(6, 5, 2, 2, 3, digit_budget=50)
 
     def test_large_n_exceeds_default_budget(self):
-        with pytest.raises(ResourceBudgetError, match="vertex-growth-6"):
+        # Vertex growth expands no power, so the first value too large to
+        # build is the ~1.09M-digit edge product.
+        with pytest.raises(ResourceBudgetError, match="edge-bound"):
             certificate(6, 5, 2, 6, 3)
 
     def test_edge_bound_frontier(self):
-        # The edge bound is decided as edges >= p^e, never edges^64 or
-        # edges^72, so these fit the default budget.
+        # Vertex growth and the edge bound are decided from brackets, never
+        # by expanding v^den, p^E or p^e, so these fit the default budget.
         assert certificate(6, 5, 2, 5, 3).valid
         assert certificate(8, None, 5, 4, 3).valid
+        assert certificate(8, None, 5, 5, 3).valid
 
     def test_budget_is_not_a_validity_question(self):
         # same parameters pass with the default budget

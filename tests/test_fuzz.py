@@ -1,11 +1,13 @@
-"""Mutation fuzzing of the text formats and the CLI.
+"""Mutation fuzzing of the text formats, certificates and the CLI.
 
 Each example makes a few small edits to a valid `hgt`, `bgt` or recipe
 text, or to a valid `gen` or `transform` argument list, and runs the CLI
 on it in-process, in a fresh directory.  Every run must end with an exit
 code in {0, 2, 3, 4, 5}; a failing run prints exactly one `error:` line
 and never a traceback.  An accepted hgt or bgt text must round-trip
-through its parser and serializer.
+through its parser and serializer.  A serialized certificate, edited the
+same way, must re-verify exactly when it is the canonical certificate of
+its own header, and otherwise fail with a package error.
 
 No inserted character is a digit, a replaced token comes from the text
 itself or from a fixed pool, and the only numbers an argument list can
@@ -23,10 +25,16 @@ from hypothesis import given, settings, strategies as st
 
 from hypergirth import (
     FormatError,
+    PreconditionError,
+    ResourceBudgetError,
+    VerificationError,
+    certificate,
     neighborhood_hypergraph,
+    parse_certificate,
     parse_bipartite,
     parse_hypergraph,
     projective_plane,
+    reverify_certificate,
     serialize_bipartite,
     serialize_hypergraph,
 )
@@ -51,6 +59,16 @@ POOLS = {
     "rcp": ["q=+2", "r=03", "r=5", "to=1", "k=x", "bogus=1", "kind=plane", "p=2", "girth=8",
             "template=path7", "template=IN.hgt", "template=IN.bgt", "template=loose-path:2", "gen", "nbhd"],
 }
+# A small VALID and a small INVALID certificate on each route.  Their own
+# decimal tokens are not reused, so an edit cannot raise a size parameter
+# above 2.
+CERTS = [
+    certificate(*key).serialize()
+    for key in ((6, 5, 2, 1, 3), (6, 5, 1, 1, 3), (8, None, 5, 1, 3), (8, None, 6, 1, 3))
+]
+CERT_TOKENS = sorted({t for text in CERTS for t in text.split() if not t.isdigit()} | {"-1", "01", "x", ""})
+CERT_LINES = {"header": ("cert", "girth", "p", "m", "n", "r"), "status": ("status",),
+              "check": ("check",), "value": ("value",)}
 
 ARGVS = [
     ["gen", "plane", "--q", "2", "OUT"],
@@ -70,29 +88,53 @@ TOKENS = [
 ]
 
 
+def edit_line(draw, lines: list[str], j: int, tokens: st.SearchStrategy[str]) -> None:
+    """Make one edit at line j: a token, a few characters or whole lines."""
+    edit = draw(st.sampled_from(["token", "token", "delete", "insert", "dup-line", "drop-line", "swap-lines"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[j]
+    i = draw(st.integers(0, len(line)))
+    if edit == "delete":
+        lines[j] = line[:i] + line[i + draw(st.integers(1, 3)):]
+    elif edit == "insert":
+        lines[j] = line[:i] + draw(st.sampled_from(CHARS)) + line[i:]
+    elif edit == "token":
+        words = line.split(" ")
+        words[i % len(words)] = draw(tokens)
+        lines[j] = " ".join(words)
+    elif edit == "dup-line":
+        lines.insert(j, line)
+    elif edit == "drop-line" and len(lines) > 1:
+        del lines[j]
+    else:
+        lines[j], lines[k] = lines[k], lines[j]
+
+
 @st.composite
 def mutated_text(draw, ext: str) -> str:
     lines = TEXTS[ext].split("\n")
-    tokens = sorted(set(TEXTS[ext].split()) | set(POOLS[ext]))
+    tokens = st.sampled_from(sorted(set(TEXTS[ext].split()) | set(POOLS[ext])))
     for _ in range(draw(st.integers(1, 2))):
-        edit = draw(st.sampled_from(["token", "token", "delete", "insert", "dup-line", "drop-line", "swap-lines"]))
-        j, k = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
-        line = lines[j]
-        i = draw(st.integers(0, len(line)))
-        if edit == "delete":
-            lines[j] = line[:i] + line[i + draw(st.integers(1, 3)):]
-        elif edit == "insert":
-            lines[j] = line[:i] + draw(st.sampled_from(CHARS)) + line[i:]
-        elif edit == "token":
-            words = line.split(" ")
-            words[i % len(words)] = draw(st.sampled_from(tokens))
-            lines[j] = " ".join(words)
-        elif edit == "dup-line":
-            lines.insert(j, line)
-        elif edit == "drop-line" and len(lines) > 1:
-            del lines[j]
+        edit_line(draw, lines, draw(st.integers(0, len(lines) - 1)), tokens)
+    return "\n".join(lines)
+
+
+@st.composite
+def mutated_certificate(draw) -> str:
+    """A certificate text with one or two edits, each on a header, status,
+    check or value line (a header line twice as likely as each other kind).
+    Half the edits on a header line replace its value, and half the
+    replacement tokens are 0, 1 or 2."""
+    lines = draw(st.sampled_from(CERTS)).split("\n")
+    tokens = st.sampled_from(["0", "1", "2"]) | st.sampled_from(CERT_TOKENS)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["header", "header", "status", "check", "value"]))
+        js = [j for j, line in enumerate(lines) if line.split(" ")[0] in CERT_LINES[kind]]
+        j = draw(st.sampled_from(js)) if js else 0
+        if kind == "header" and draw(st.booleans()):
+            lines[j] = lines[j].split(" ")[0] + " " + draw(tokens)
         else:
-            lines[j], lines[k] = lines[k], lines[j]
+            edit_line(draw, lines, j, tokens)
     return "\n".join(lines)
 
 
@@ -171,3 +213,24 @@ def test_mutated_argv(argv):
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(tmp)
         run_in(tmp, argv)
+
+
+def canonical_certificate(text: str) -> str | None:
+    """certificate(*header).serialize() for the header of ``text``, or None
+    when the text does not parse or its header is refused."""
+    try:
+        h = parse_certificate(text)
+        return certificate(h.girth, h.p, h.m, h.n, h.r).serialize()
+    except (FormatError, PreconditionError):
+        return None
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated_certificate())
+def test_mutated_certificates(text):
+    try:
+        rebuilt = reverify_certificate(text)
+    except (FormatError, VerificationError, ResourceBudgetError):
+        assert text != canonical_certificate(text)
+    else:
+        assert text == canonical_certificate(text) == rebuilt.serialize()

@@ -50,11 +50,12 @@ CERTIFICATES = {
     (6, 3, 3, 4, 5): "9699d905b2aa2866fae4ce6a353ae8ab49c47dcb00ef32464ab1207f97fec4da",
     (6, 2, 4, 1, 9): "fb30ae7fbfecb56fb2ea486c91900b9ef78614b8fd05035a9c858aeeac384913",
     (6, 2, 4, 4, 9): "3b1496a9b5bca7e2591ab57de37264d9f251e0428dff49b3d886da612b61ffbb",
-    # girth-8 route, VALID at n = 1..4
+    # girth-8 route, VALID at n = 1..5
     (8, None, 5, 1, 3): "d92eeed1eb3faf96d09dfe7dece0c54dd7853a350ffbdff43e54243b5854d05e",
     (8, None, 5, 2, 3): "9cb2e192718c3ddc692af1946e701f2b2b1244627e0c002435a183956e7fae6e",
     (8, None, 5, 3, 3): "1e422fa84e699fd5f17245ae48f648381f8ac54b3ad0f69370e3f8ee46c22f16",
     (8, None, 5, 4, 3): "3044633417455f743e0ee9380088bd5cb8163a76784573b43afb0de58f1d2aac",
+    (8, None, 5, 5, 3): "5343879bae284c606f59b907d67a19eb07b9faf192c8c8c484bea0a52473f7a4",
     (8, 2, 7, 1, 10): "d1ee809faecd1559b71b6d2f6994d196a20cac0c46909caf04190cb08b534285",
     (8, 2, 7, 4, 10): "e26c243675dfd7a4ac5a9148be01ddc7018152e9fb07a0b96b51b953486e8657",
     # INVALID: seed-size, r-range, non-prime p, even m, m < 5

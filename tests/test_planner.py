@@ -396,10 +396,6 @@ class TestPowerExpr:
         assert PowerExpr(5, Fraction(19)) < PowerExpr(5, Fraction(20))
         assert PowerExpr(2, 10) == PowerExpr(2, Fraction(10))
         assert len({PowerExpr(2, 10), PowerExpr(2, Fraction(10))}) == 1
-        assert PowerExpr(2, Fraction(10)).compare_to_int(1024) == 0
-        assert PowerExpr(2, Fraction(10)).compare_to_int(1025) == -1
-        assert PowerExpr(3, Fraction(1, 2)).compare_to_int(1) == 1  # sqrt(3) > 1
-        assert PowerExpr(3, Fraction(1, 2)).compare_to_int(2) == -1
 
     def test_expand_guards(self):
         from hypergirth import ResourceBudgetError
