@@ -30,8 +30,8 @@ from hypergirth import (
     VerificationError,
     certificate,
     neighborhood_hypergraph,
-    parse_certificate,
     parse_bipartite,
+    parse_certificate,
     parse_hypergraph,
     projective_plane,
     reverify_certificate,
@@ -88,10 +88,11 @@ TOKENS = [
 ]
 
 
-def edit_line(draw, lines: list[str], j: int, tokens: st.SearchStrategy[str]) -> None:
-    """Make one edit at line j: a token, a few characters or whole lines."""
+def edit_line(draw, lines: list[str], rows: st.SearchStrategy[int], tokens: st.SearchStrategy[str]) -> None:
+    """Make one edit at a line drawn from ``rows``: a token, a few
+    characters or whole lines."""
     edit = draw(st.sampled_from(["token", "token", "delete", "insert", "dup-line", "drop-line", "swap-lines"]))
-    k = draw(st.integers(0, len(lines) - 1))
+    j, k = draw(rows), draw(st.integers(0, len(lines) - 1))
     line = lines[j]
     i = draw(st.integers(0, len(line)))
     if edit == "delete":
@@ -115,7 +116,7 @@ def mutated_text(draw, ext: str) -> str:
     lines = TEXTS[ext].split("\n")
     tokens = st.sampled_from(sorted(set(TEXTS[ext].split()) | set(POOLS[ext])))
     for _ in range(draw(st.integers(1, 2))):
-        edit_line(draw, lines, draw(st.integers(0, len(lines) - 1)), tokens)
+        edit_line(draw, lines, st.integers(0, len(lines) - 1), tokens)
     return "\n".join(lines)
 
 
@@ -129,12 +130,12 @@ def mutated_certificate(draw) -> str:
     tokens = st.sampled_from(["0", "1", "2"]) | st.sampled_from(CERT_TOKENS)
     for _ in range(draw(st.integers(1, 2))):
         kind = draw(st.sampled_from(["header", "header", "status", "check", "value"]))
-        js = [j for j, line in enumerate(lines) if line.split(" ")[0] in CERT_LINES[kind]]
-        j = draw(st.sampled_from(js)) if js else 0
+        rows = st.sampled_from([j for j, line in enumerate(lines) if line.split(" ")[0] in CERT_LINES[kind]] or [0])
         if kind == "header" and draw(st.booleans()):
+            j = draw(rows)
             lines[j] = lines[j].split(" ")[0] + " " + draw(tokens)
         else:
-            edit_line(draw, lines, j, tokens)
+            edit_line(draw, lines, rows, tokens)
     return "\n".join(lines)
 
 
