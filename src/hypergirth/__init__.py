@@ -40,15 +40,7 @@ from .planner import (
     BelowSeedError,
     PlanResult,
     TheoremBound,
-    edge_bound_hexagon,
-    edge_bound_octagon,
-    epsilon,
-    hexagon_params,
-    octagon_params,
-    plan_parameters_hexagon,
-    plan_parameters_octagon,
-    q_prime_sequence,
-    q_sequence,
+    plan,
     theorem_bound,
 )
 from .transforms import (
@@ -88,31 +80,23 @@ __all__ = [
     "VerificationError",
     "build_recursive",
     "certificate",
-    "edge_bound_hexagon",
-    "edge_bound_octagon",
-    "epsilon",
     "girth_bipartite",
     "girth_hypergraph",
     "girth_oracle",
     "greedy_high_girth_bipartite",
-    "hexagon_params",
     "incidence_graph",
     "is_prime",
     "load",
     "loose_path",
     "neighborhood_hypergraph",
-    "octagon_params",
     "pad_vertices",
     "parse_bipartite",
     "parse_certificate",
     "parse_hypergraph",
     "parse_power_expr",
     "parse_recipe",
-    "plan_parameters_hexagon",
-    "plan_parameters_octagon",
+    "plan",
     "projective_plane",
-    "q_prime_sequence",
-    "q_sequence",
     "reverify_certificate",
     "run_pipeline",
     "serialize_bipartite",

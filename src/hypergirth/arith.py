@@ -195,8 +195,7 @@ def power_at_least(n: int, a: int, base: int, b: int) -> bool:
 @dataclass(frozen=True)
 class PowerExpr:
     """Exact value base**exponent, exponent a rational with denominator
-    dividing 72.  Equality is equality of (base, exponent); order
-    comparisons are exact and need equal bases."""
+    dividing 72.  Equality is equality of (base, exponent)."""
 
     base: int
     exponent: Fraction
@@ -230,22 +229,6 @@ class PowerExpr:
         if self.exponent.denominator != 1 or self.exponent < 0:
             raise PreconditionError(f"{self.describe()} has no integer expansion")
         return checked_pow(self.base, self.exponent.numerator, digit_budget, self.describe())
-
-    def _cmp_key_same_base(self, other: "PowerExpr") -> tuple[Fraction, Fraction]:
-        if other.base != self.base:
-            raise PreconditionError(
-                f"exact comparison of {self} and {other} requires equal bases; "
-                "expand to integers instead"
-            )
-        return self.exponent, other.exponent
-
-    def __lt__(self, other: "PowerExpr") -> bool:
-        a, b = self._cmp_key_same_base(other)
-        return a < b
-
-    def __le__(self, other: "PowerExpr") -> bool:
-        a, b = self._cmp_key_same_base(other)
-        return a <= b
 
 
 _POWER_RE = re.compile(r"^([1-9][0-9]*)\^(-?(0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")

@@ -73,13 +73,6 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _expand(base: int, exponent: int, budget: int | None, check: str) -> int:
-    try:
-        return checked_pow(base, exponent, budget, check)
-    except ResourceBudgetError as exc:
-        raise ResourceBudgetError(f"check {check}: {exc}") from exc
-
-
 def _guard_digits(value: int, k: int, budget: int | None, check: str) -> None:
     """Refuse before materializing ~value**k."""
     if budget is not None and int_digits10(value) * k > budget:
@@ -134,14 +127,17 @@ def certificate(
     prime_ok = is_prime(p)
     for name, statement, ok in route.premises:
         checks.append(CertCheck(name, statement.format(p=p, m=m), _BIGNUM, prime_ok and ok(p, m)))
-    uni = _expand(p, m, digit_budget, "r-range") if prime_ok else 0
+    uni = checked_pow(p, m, digit_budget, "check r-range") if prime_ok else 0
     r_ok = prime_ok and 2 <= r <= 1 + uni
     checks.append(CertCheck("r-range", f"2 <= r <= 1 + {sym}^m at r = {r}", _BIGNUM, r_ok))
     if not all(c.passed for c in checks):
         return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
 
-    # Orders: closed form cross-checked against the recursion, then expanded.
+    # Orders: closed form cross-checked against the recursion, each expanded
+    # as soon as its exponent is known, so an over-budget order is refused
+    # before the checks of the later ones are built.
     exps: list[int] = []
+    orders: list[int] = []
     e = Fraction(m)
     for i in range(1, n + 1):
         closed = g ** (i - 1) * (m + Fraction(1, den)) - Fraction(1, den)
@@ -159,9 +155,9 @@ def certificate(
                 CertCheck(f"order-odd-{i}", f"order_{i} is an odd power of {sym}", _EXPONENT, odd_ok)
             )
         exps.append(int(closed))
+        orders.append(checked_pow(p, exps[-1], digit_budget, f"check order_{i}"))
         e = g * e + 1
 
-    orders = [_expand(p, ei, digit_budget, f"order_{i + 1}") for i, ei in enumerate(exps)]
     v_list: list[int] = []
     b_list: list[int] = []
     for i, q in enumerate(orders, start=1):

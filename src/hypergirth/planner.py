@@ -100,7 +100,6 @@ class Route:
     """
 
     girth: int
-    substrate: str
     base: int | None  # None: the caller supplies a prime p
     growth: int
     den: int
@@ -238,7 +237,6 @@ class Route:
 ROUTES = {
     6: Route(
         girth=6,
-        substrate="hexagon",
         base=None,
         growth=9,
         den=8,
@@ -255,7 +253,6 @@ ROUTES = {
     ),
     8: Route(
         girth=8,
-        substrate="octagon",
         base=2,
         growth=10,
         den=9,
@@ -279,78 +276,33 @@ def route_for(girth: int) -> Route:
     return ROUTES[girth]
 
 
-@dataclass(frozen=True)
-class Substrate:
-    """Color-class sizes of a route's substrate at order q: the girth-12
-    hexagon of order (q^3, q), or the girth-16 octagon of order (q^2, q),
-    which exists only for q an odd power of 2."""
-
-    route: Route
-    q: int
-
-    def __post_init__(self) -> None:
-        name = self.route.substrate
-        if self.route.odd_orders:
-            e = self.q.bit_length() - 1
-            if self.q < 2 or self.q != 1 << e or e % 2 == 0:
-                raise PreconditionError(f"{name} parameter q must be an odd power of 2, got {self.q}")
-        elif self.q < 2:
-            raise PreconditionError(f"{name} parameter q must be >= 2, got {self.q}")
-
-    @property
-    def v(self) -> int:
-        return self.route.v(self.q)
-
-    @property
-    def b(self) -> int:
-        return self.route.b(self.q)
+def plan(
+    girth: int,
+    p: int | None,
+    r: int,
+    n_vertices: int,
+    digit_budget: int | None = DEFAULT_DIGIT_BUDGET,
+) -> PlanResult:
+    """:meth:`Route.plan` on the girth's route; ``p`` may be None on the
+    girth-8 route, whose base is fixed at 2."""
+    route = route_for(girth)
+    return route.plan(route.base_for(p, f"girth-{girth} plan"), r, n_vertices, digit_budget)
 
 
-# The per-route names the package has always exported, each a call into
-# the route table.
-
-
-def hexagon_params(q: int) -> Substrate:
-    return Substrate(ROUTES[6], q)
-
-
-def octagon_params(q: int) -> Substrate:
-    return Substrate(ROUTES[8], q)
-
-
-def q_sequence(p: int, m: int, n: int) -> PowerExpr:
-    """n-th order of the girth-6 route: p^(9^(n-1) * (m + 1/8) - 1/8)."""
-    return ROUTES[6].order(p, m, n)
-
-
-def q_prime_sequence(m: int, n: int) -> PowerExpr:
-    """n-th order of the girth-8 route: 2^(10^(n-1) * (m + 1/9) - 1/9),
-    always an odd power of 2."""
-    return ROUTES[8].order(2, m, n)
-
-
-def edge_bound_hexagon(p: int, m: int, n: int) -> PowerExpr:
-    return ROUTES[6].edge_bound(p, m, n)
-
-
-def edge_bound_octagon(m: int, n: int) -> PowerExpr:
-    return ROUTES[8].edge_bound(2, m, n)
-
-
-def epsilon(m: int, n: int) -> Fraction:
-    return ROUTES[6].epsilon(m, n)
+# The benchmark tracer (perfbench/tracing.py) wraps these two names to time
+# the plan search; delete them once it wraps Route.plan (ROADMAP item 4).
 
 
 def plan_parameters_hexagon(
     p: int, r: int, n_vertices: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
 ) -> PlanResult:
-    return ROUTES[6].plan(p, r, n_vertices, digit_budget)
+    return plan(6, p, r, n_vertices, digit_budget)
 
 
 def plan_parameters_octagon(
     r: int, n_vertices: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
 ) -> PlanResult:
-    return ROUTES[8].plan(2, r, n_vertices, digit_budget)
+    return plan(8, None, r, n_vertices, digit_budget)
 
 
 @dataclass(frozen=True)

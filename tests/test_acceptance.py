@@ -18,26 +18,20 @@ from fractions import Fraction
 from hypergirth import (
     Hypergraph,
     certificate,
-    edge_bound_hexagon,
-    edge_bound_octagon,
     girth_bipartite,
     girth_hypergraph,
     girth_oracle,
     greedy_high_girth_bipartite,
-    hexagon_params,
     loose_path,
     neighborhood_hypergraph,
-    octagon_params,
-    plan_parameters_hexagon,
-    plan_parameters_octagon,
+    plan,
     projective_plane,
-    q_prime_sequence,
-    q_sequence,
     split_cayley_hexagon,
     substitute_edges,
     symplectic_quadrangle,
     theorem_bound,
 )
+from hypergirth.planner import ROUTES
 from hypergirth.transforms import SubstitutionPlan
 
 from conftest import subprocess_env
@@ -152,12 +146,12 @@ def test_criterion_3_substitution_preserves_girth():
 
 def test_criterion_4_exact_formulas():
     with criterion(4, "substrate counts, order sequences and level-crossing identities exact"):
-        assert hexagon_params(2).v == 819
-        assert hexagon_params(2).b == 2457
-        assert octagon_params(2).v == 1755
-        assert octagon_params(2).b == 2925
+        assert ROUTES[6].v(2) == 819
+        assert ROUTES[6].b(2) == 2457
+        assert ROUTES[8].v(2) == 1755
+        assert ROUTES[8].b(2) == 2925
 
-        assert q_sequence(5, 2, 2).expand() == 5**19 == 19073486328125
+        assert ROUTES[6].order(5, 2, 2).expand() == 5**19 == 19073486328125
 
         # the standing assumption p^(m-1) >= 5 pins each base's smallest m;
         # the sweep covers every valid (p, m, n) in the box, and the invalid
@@ -170,7 +164,7 @@ def test_criterion_4_exact_formulas():
         for p, m_min in minimum_m.items():
             for m in range(2, m_min):
                 with pytest.raises(PreconditionError):
-                    q_sequence(p, m, 1)
+                    ROUTES[6].order(p, m, 1)
         combos = 0
         for p, m_min in minimum_m.items():
             for m in range(m_min, 13):
@@ -178,7 +172,7 @@ def test_criterion_4_exact_formulas():
                 for _ in range(3):
                     exps.append(9 * exps[-1] + 1)
                 for n in range(1, 5):
-                    assert q_sequence(p, m, n).exponent == exps[n - 1]
+                    assert ROUTES[6].order(p, m, n).exponent == exps[n - 1]
                     combos += 1
         assert combos > 100
 
@@ -187,14 +181,17 @@ def test_criterion_4_exact_formulas():
             for _ in range(3):
                 exps.append(10 * exps[-1] + 1)
             for n in range(1, 5):
-                assert q_prime_sequence(m, n).exponent == exps[n - 1]
+                assert ROUTES[8].order(2, m, n).exponent == exps[n - 1]
 
         for n in range(1, 4):
             for p in (2, 3, 5):
-                assert q_sequence(p, 9 ** (n + 1) + 1, n).exponent == q_sequence(p, 9**n, n + 1).exponent
+                assert (
+                    ROUTES[6].order(p, 9 ** (n + 1) + 1, n).exponent
+                    == ROUTES[6].order(p, 9**n, n + 1).exponent
+                )
             assert (
-                q_prime_sequence(10 ** (n + 1) + 1, n).exponent
-                == q_prime_sequence(10**n, n + 1).exponent
+                ROUTES[8].order(2, 10 ** (n + 1) + 1, n).exponent
+                == ROUTES[8].order(2, 10**n, n + 1).exponent
                 == 10 ** (2 * n) + Fraction(10**n - 1, 9)
             )
 
@@ -209,7 +206,7 @@ def test_criterion_5_certificates():
         vals = dict(hex_cert.values)
         assert vals["order_2"] == "5^19"
         assert vals["edge_bound"] == "5^231"
-        assert edge_bound_hexagon(5, 2, 2).exponent == 231
+        assert ROUTES[6].edge_bound(5, 2, 2).exponent == 231
         edge_check = [c for c in hex_cert.checks if c.name == "edge-bound"]
         assert edge_check and edge_check[0].passed and "64" in edge_check[0].statement
         assert int(vals["edges"]) ** 64 >= 5 ** (64 * 231)
@@ -222,7 +219,7 @@ def test_criterion_5_certificates():
         vals8 = dict(oct_cert.values)
         assert vals8["order_2"] == "2^51"
         assert vals8["edge_bound"] == "2^616"
-        assert edge_bound_octagon(5, 2).exponent == 616
+        assert ROUTES[8].edge_bound(2, 5, 2).exponent == 616
         edge_check8 = [c for c in oct_cert.checks if c.name == "edge-bound"]
         assert edge_check8 and edge_check8[0].passed and "72" in edge_check8[0].statement
 
@@ -242,12 +239,12 @@ def test_criterion_6_sandwich_planning():
             (hexagon_v(5**3), (3, 1)),
         ]
         for n_value, expected in cases:
-            res = plan_parameters_hexagon(5, 3, n_value)
+            res = plan(6, 5, 3, n_value)
             assert (res.m, res.n) == expected
             assert (res.m_star, res.n_star) == (2, 1)
             assert res.seed_vertices == n_star == 3967295312526
-            low = hexagon_v(q_sequence(5, res.m, res.n).expand())
-            high = hexagon_v(q_sequence(5, res.m + 1, res.n).expand())
+            low = hexagon_v(ROUTES[6].order(5, res.m, res.n).expand())
+            high = hexagon_v(ROUTES[6].order(5, res.m + 1, res.n).expand())
             assert low <= n_value < high
 
         oct_cases = [
@@ -256,11 +253,11 @@ def test_criterion_6_sandwich_planning():
             (octagon_v(2**7), (7, 1)),
         ]
         for n_value, expected in oct_cases:
-            res = plan_parameters_octagon(3, n_value)
+            res = plan(8, None, 3, n_value)
             assert (res.m, res.n) == expected
             assert (res.m_star, res.n_star) == (5, 1)
-            low = octagon_v(q_prime_sequence(res.m, res.n).expand())
-            high = octagon_v(q_prime_sequence(res.m + 2, res.n).expand())
+            low = octagon_v(ROUTES[8].order(2, res.m, res.n).expand())
+            high = octagon_v(ROUTES[8].order(2, res.m + 2, res.n).expand())
             assert low <= n_value < high
 
 

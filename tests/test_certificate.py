@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hypergirth import (
@@ -180,6 +182,23 @@ class TestDigitBudget:
         # build is the ~1.09M-digit edge product.
         with pytest.raises(ResourceBudgetError, match="edge-bound"):
             certificate(6, 5, 2, 6, 3)
+
+    # Each order is expanded as soon as its exponent is known, so a header
+    # with a huge n is refused at the first over-budget order, not after
+    # building the closed-form checks of all n orders.
+    @pytest.mark.parametrize("girth,p,m,name", [(6, 5, 2, "order_8"), (8, None, 5, "order_7")])
+    def test_huge_n_refused_at_first_order(self, girth, p, m, name):
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=f"^check {name}: "):
+            certificate(girth, p, m, 10**5, 3)
+        assert time.monotonic() - start < 5.0
+
+    def test_reverify_huge_n_refused_at_first_order(self):
+        text = "cert 1\ngirth 6\np 5\nm 2\nn 100000\nr 3\nstatus VALID\n"
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match="^check order_8: 5\\^10163809 needs "):
+            reverify_certificate(text)
+        assert time.monotonic() - start < 5.0
 
     def test_edge_bound_frontier(self):
         # Vertex growth and the edge bound are decided from brackets, never

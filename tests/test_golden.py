@@ -24,10 +24,9 @@ import pytest
 
 from hypergirth import (
     certificate,
+    plan,
     serialize_bipartite,
     split_cayley_hexagon,
-    plan_parameters_hexagon,
-    plan_parameters_octagon,
     theorem_bound,
 )
 from hypergirth.cli import main
@@ -166,9 +165,9 @@ def test_hexagon_q5_digest():
 
 
 def test_seed_brackets():
-    hexagon = plan_parameters_hexagon(2, 513, 10**300)
+    hexagon = plan(6, 2, 513, 10**300)
     assert (hexagon.m_star, hexagon.n_star) == (9, 2)
-    octagon = plan_parameters_octagon(200, 10**300)
+    octagon = plan(8, None, 200, 10**300)
     assert (octagon.m_star, octagon.n_star) == (9, 1)
 
 

