@@ -14,7 +14,9 @@ canonical, bit-exact artifacts.  Exit codes:
 ====  =========================================
 
 The oracle incidence budget can be overridden with the environment
-variable HYPERGIRTH_ORACLE_BUDGET.
+variable HYPERGIRTH_ORACLE_BUDGET.  ``gen greedy`` refuses a grid of more
+than geometry.GREEDY_PAIR_BUDGET (4*10^6) left x right pairs with exit 4;
+that budget has no override.
 """
 
 from __future__ import annotations

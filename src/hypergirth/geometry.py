@@ -16,7 +16,7 @@ from typing import Callable
 
 from .arith import is_prime
 from .core import BipartiteGraph
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError, ResourceBudgetError, VerificationError
 from .girth import girth_bipartite
 
 
@@ -194,6 +194,11 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
     return _geometry_from_kernels(points, q, forms, "hexagon", 12)
 
 
+# Largest left x right grid the greedy generator proposes: the shuffled
+# pair list costs about 36 bytes a pair, so this caps it near 150 MB.
+GREEDY_PAIR_BUDGET = 4_000_000
+
+
 @dataclass(frozen=True)
 class GreedyReport:
     """Outcome summary of the greedy generator: how full the right side
@@ -234,37 +239,45 @@ def greedy_high_girth_bipartite(
     degree cap and the current endpoint distance is >= target_girth - 1,
     so no accepted incidence ever closes a cycle shorter than the target.
     Under-filled right vertices are reported, not an error.
+
+    The grid is a shuffled list of pair indices k = u * n_right + v.  A
+    probe from u expands BFS layers only to depth target_girth - 3, the
+    last odd depth that can reject, and marks in ``near`` the pair of u
+    with every right vertex it reaches.  Edges are only ever added, so
+    distances only shrink: a pair once found that close stays too close,
+    and a proposal whose pair is marked is rejected without a search.
+    Grids above GREEDY_PAIR_BUDGET pairs raise ResourceBudgetError before
+    anything is allocated.
     """
     if n_left <= 0 or n_right <= 0 or right_degree <= 0:
         raise PreconditionError("greedy sizes and right_degree must be positive")
     if target_girth < 4 or target_girth % 2 != 0:
         raise PreconditionError(f"target_girth must be even and >= 4, got {target_girth}")
+    if n_left * n_right > GREEDY_PAIR_BUDGET:
+        raise ResourceBudgetError(
+            f"greedy grid has {n_left} x {n_right} = {n_left * n_right} pairs, "
+            f"budget is {GREEDY_PAIR_BUDGET}"
+        )
 
     rng = random.Random(seed)
-    grid = [(u, v) for u in range(n_left) for v in range(n_right)]
+    grid = list(range(n_left * n_right))  # pair k = u * n_right + v
     rng.shuffle(grid)
 
     adj: list[list[int]] = [[] for _ in range(n_left + n_right)]
     right_deg = [0] * n_right
-    max_explore = target_girth - 2  # unreachable within this depth => dist >= target - 1
-
+    max_depth = target_girth - 3  # unreachable within this depth => dist >= target - 1
+    near = bytearray(n_left * n_right)  # pairs once found within max_depth
     seen = [False] * (n_left + n_right)  # all False between probes
 
-    def within_distance(src: int, dst: int) -> bool:
-        """Whether right vertex dst is at most max_explore steps from left vertex src."""
+    def within_distance(src: int, k: int) -> bool:
+        """Whether pair k's right vertex is at most max_depth steps from left vertex src."""
         if not adj[src]:
             return False
+        base = src * n_right - n_left  # near index of right node y is base + y
         seen[src] = True
         touched = [src]
         frontier = [src]  # the vertices at distance depth - 1
-        found = False
-        for depth in range(1, max_explore + 1):
-            # a right vertex lies at an odd distance from a left one
-            if depth % 2 and any(dst in adj[x] for x in frontier):
-                found = True
-                break
-            if depth == max_explore:
-                break
+        for depth in range(1, max_depth + 1):
             start = len(touched)
             for x in frontier:
                 for y in adj[x]:
@@ -272,17 +285,22 @@ def greedy_high_girth_bipartite(
                         seen[y] = True
                         touched.append(y)
             frontier = touched[start:]
+            # a right vertex lies at an odd distance from a left one
+            if depth % 2:
+                for y in frontier:
+                    near[base + y] = 1
+                if near[k]:
+                    break
         for x in touched:
             seen[x] = False
-        return found
+        return bool(near[k])
 
     accepted = 0
-    for u, v in grid:
-        if right_deg[v] >= right_degree:
+    for k in grid:
+        u, v = divmod(k, n_right)
+        if right_deg[v] >= right_degree or near[k] or within_distance(u, k):
             continue
         node_v = n_left + v
-        if within_distance(u, node_v):
-            continue
         adj[u].append(node_v)
         adj[node_v].append(u)
         right_deg[v] += 1

@@ -33,6 +33,17 @@ class TestGen:
         assert code == 0
         assert "accepted" in stdout and "degree" in stdout
 
+    def test_greedy_grid_over_budget_exit_4(self, tmp_path, capsys):
+        out = str(tmp_path / "g.bgt")
+        code, _, stderr = run(
+            capsys, "gen", "greedy", "--left", "1000000", "--right", "1000000",
+            "--deg", "3", "--girth", "8", "--seed", "1", out,
+        )
+        assert code == 4
+        assert_one_error_line(stderr)
+        assert "pairs, budget is" in stderr
+        assert not os.path.exists(out)
+
     def test_bad_order_exit_3(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "gen", "plane", "--q", "4", str(tmp_path / "x.bgt"))
         assert code == 3

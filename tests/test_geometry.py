@@ -1,11 +1,17 @@
 import itertools
+import random
+import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergirth import (
+    BipartiteGraph,
     FormatError,
+    GreedyReport,
     PreconditionError,
+    ResourceBudgetError,
     girth_bipartite,
     greedy_high_girth_bipartite,
     projective_plane,
@@ -13,7 +19,7 @@ from hypergirth import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
-from hypergirth.geometry import _kernel
+from hypergirth.geometry import GREEDY_PAIR_BUDGET, _kernel
 from hypergirth.pipeline import parse_recipe, run_op, run_pipeline
 
 
@@ -145,6 +151,133 @@ class TestGreedy:
             greedy_high_girth_bipartite(0, 5, 2, 6, 1)
         with pytest.raises(PreconditionError, match="even"):
             greedy_high_girth_bipartite(5, 5, 2, 7, 1)
+
+
+def reference_greedy(n_left, n_right, right_degree, target_girth, seed):
+    """The greedy generator without the cross-probe cache: every proposal
+    below its cap runs a fresh BFS.  Sizes are assumed valid."""
+    rng = random.Random(seed)
+    grid = [(u, v) for u in range(n_left) for v in range(n_right)]
+    rng.shuffle(grid)
+
+    adj = [[] for _ in range(n_left + n_right)]
+    right_deg = [0] * n_right
+    max_explore = target_girth - 2
+    seen = [False] * (n_left + n_right)
+
+    def within_distance(src, dst):
+        if not adj[src]:
+            return False
+        seen[src] = True
+        touched = [src]
+        frontier = [src]
+        found = False
+        for depth in range(1, max_explore + 1):
+            if depth % 2 and any(dst in adj[x] for x in frontier):
+                found = True
+                break
+            if depth == max_explore:
+                break
+            start = len(touched)
+            for x in frontier:
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        touched.append(y)
+            frontier = touched[start:]
+        for x in touched:
+            seen[x] = False
+        return found
+
+    accepted = 0
+    for u, v in grid:
+        if right_deg[v] >= right_degree:
+            continue
+        node_v = n_left + v
+        if within_distance(u, node_v):
+            continue
+        adj[u].append(node_v)
+        adj[node_v].append(u)
+        right_deg[v] += 1
+        accepted += 1
+
+    pairs = [(u, w - n_left) for u in range(n_left) for w in adj[u]]
+    g = BipartiteGraph.from_incidences(n_left, n_right, pairs)
+    hist = {}
+    for d in right_deg:
+        hist[d] = hist.get(d, 0) + 1
+    report = GreedyReport(
+        n_left, n_right, right_degree, target_girth, seed, accepted,
+        tuple(sorted(hist.items())), sum(1 for d in right_deg if d < right_degree),
+    )
+    return g, report
+
+
+def left_right_distances(g, u):
+    """Distances from left vertex u to every right vertex by plain BFS
+    over the output graph (None where unreachable)."""
+    dist = {("L", u): 0}
+    queue = deque([("L", u)])
+    while queue:
+        side, x = queue.popleft()
+        nbrs = g.left_neighbors[x] if side == "L" else g.right_neighbors[x]
+        other = "R" if side == "L" else "L"
+        for y in nbrs:
+            if (other, y) not in dist:
+                dist[(other, y)] = dist[(side, x)] + 1
+                queue.append((other, y))
+    return [dist.get(("R", v)) for v in range(g.n_right)]
+
+
+# Edge shapes (girth 4, degree 1, degree >= n_left, one right vertex, girth
+# 16) plus a fixed-seed draw of small shapes: (left, right, deg, girth, seed).
+_rng = random.Random(20261018)
+GREEDY_SHAPES = [
+    (12, 9, 3, 4, 1),
+    (15, 15, 1, 8, 2),
+    (6, 8, 7, 6, 3),
+    (9, 1, 9, 10, 4),
+    (1, 9, 2, 6, 5),
+    (40, 30, 4, 16, 6),
+    (30, 30, 3, 12, 1),
+    (24, 18, 3, 8, 5),
+] + [
+    (_rng.randint(1, 40), _rng.randint(1, 40), _rng.randint(1, 8), 2 * _rng.randint(2, 8), _rng.randrange(1000))
+    for _ in range(24)
+]
+
+
+class TestGreedyCache:
+    """The near-pair cache changes no output and rejects no acceptable pair."""
+
+    @pytest.mark.parametrize("shape", GREEDY_SHAPES, ids=str)
+    def test_matches_uncached_reference(self, shape):
+        g, rep = greedy_high_girth_bipartite(*shape)
+        ref_g, ref_rep = reference_greedy(*shape)
+        assert serialize_bipartite(g) == serialize_bipartite(ref_g)
+        assert rep.lines() == ref_rep.lines()
+
+    @pytest.mark.parametrize("shape", GREEDY_SHAPES, ids=str)
+    def test_maximal(self, shape):
+        n_left, n_right, right_degree, target_girth, _ = shape
+        g, _ = greedy_high_girth_bipartite(*shape)
+        for u in range(n_left):
+            dist = left_right_distances(g, u)
+            for v in range(n_right):
+                if v in g.left_neighbors[u] or g.right_degrees[v] >= right_degree:
+                    continue
+                assert dist[v] is not None and dist[v] <= target_girth - 3, (u, v)
+
+    @pytest.mark.parametrize("n_left, n_right", [(10**6, 10**6), (GREEDY_PAIR_BUDGET + 1, 1), (1, 10**12)])
+    def test_pair_budget(self, n_left, n_right):
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match=f"budget is {GREEDY_PAIR_BUDGET}"):
+            greedy_high_girth_bipartite(n_left, n_right, 3, 8, 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_preconditions_before_budget(self):
+        with pytest.raises(PreconditionError, match="even"):
+            greedy_high_girth_bipartite(10**6, 10**6, 3, 7, 1)
 
 
 class TestGeometrySpec:
