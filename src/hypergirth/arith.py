@@ -54,7 +54,7 @@ def short_decimal(value: int, keep: int = 40) -> str:
 
 def parse_decimal_int(text: str, digit_budget: int | None = DEFAULT_DIGIT_BUDGET) -> int:
     """Parse a canonical decimal integer of any size within the budget."""
-    if not re.match(r"^(0|[1-9][0-9]*)$", text):
+    if not re.fullmatch(r"0|[1-9][0-9]*", text):
         raise PreconditionError(f"not a canonical decimal integer: {text[:40]!r}")
     if digit_budget is not None and len(text) > digit_budget:
         raise ResourceBudgetError(f"integer has {len(text)} digits, budget is {digit_budget}")
@@ -231,12 +231,12 @@ class PowerExpr:
         return checked_pow(self.base, self.exponent.numerator, digit_budget, self.describe())
 
 
-_POWER_RE = re.compile(r"^([1-9][0-9]*)\^(-?(0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
+_POWER_RE = re.compile(r"([1-9][0-9]*)\^(-?(0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def parse_power_expr(text: str) -> PowerExpr:
     """Parse the `b^a` / `b^a/d` rendering produced by str(PowerExpr)."""
-    m = _POWER_RE.match(text)
+    m = _POWER_RE.fullmatch(text)
     if m is None:
         raise PreconditionError(f"not a power expression: {text!r}")
     base = int(m.group(1))

@@ -73,21 +73,11 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _guard_digits(value: int, k: int, budget: int | None, check: str) -> None:
-    """Refuse before materializing ~value**k."""
-    if budget is not None and int_digits10(value) * k > budget:
+def _guard(digits: int, what: str, budget: int | None, check: str) -> None:
+    """Refuse before materializing a ~digits-digit expansion or product."""
+    if budget is not None and digits > budget:
         raise ResourceBudgetError(
-            f"check {check}: a ~{int_digits10(value) * k}-digit expansion exceeds "
-            f"the digit budget {budget}"
-        )
-
-
-def _guard_mul(a: int, b: int, budget: int | None, check: str) -> None:
-    """Refuse before materializing ~a*b."""
-    if budget is not None and int_digits10(a) + int_digits10(b) > budget:
-        raise ResourceBudgetError(
-            f"check {check}: a ~{int_digits10(a) + int_digits10(b)}-digit product "
-            f"exceeds the digit budget {budget}"
+            f"check {check}: a ~{digits}-digit {what} exceeds the digit budget {budget}"
         )
 
 
@@ -138,9 +128,7 @@ def certificate(
     # before the checks of the later ones are built.
     exps: list[int] = []
     orders: list[int] = []
-    e = Fraction(m)
-    for i in range(1, n + 1):
-        closed = g ** (i - 1) * (m + Fraction(1, den)) - Fraction(1, den)
+    for i, (closed, e) in zip(range(1, n + 1), route.exponents(m)):
         checks.append(
             CertCheck(
                 f"order-closed-form-{i}",
@@ -156,12 +144,11 @@ def certificate(
             )
         exps.append(int(closed))
         orders.append(checked_pow(p, exps[-1], digit_budget, f"check order_{i}"))
-        e = g * e + 1
 
     v_list: list[int] = []
     b_list: list[int] = []
     for i, q in enumerate(orders, start=1):
-        _guard_digits(q, g, digit_budget, f"vertex-growth-{i}")
+        _guard(int_digits10(q) * g, "expansion", digit_budget, f"vertex-growth-{i}")
         v_list.append(route.v(q))
         b_list.append(route.b(q))
 
@@ -179,7 +166,7 @@ def certificate(
 
     edges = b_list[0]
     for i in range(2, n + 1):
-        _guard_mul(edges, b_list[i - 1], digit_budget, "edge-bound")
+        _guard(int_digits10(edges) + int_digits10(b_list[i - 1]), "product", digit_budget, "edge-bound")
         edges = (p - 1) * edges * b_list[i - 1]
     # The exponent is an integer and x^k >= y^k iff x >= y for nonnegative
     # integers, so the stated power inequality is decided unraised.
@@ -203,8 +190,6 @@ def certificate(
     values.append(("split_factor", int_to_decimal(split)))
     values.append(("final_edges", int_to_decimal(split * edges)))
     return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
-
-
 
 
 def parse_certificate(text: str) -> Certificate:

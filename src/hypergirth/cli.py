@@ -15,8 +15,9 @@ canonical, bit-exact artifacts.  Exit codes:
 
 The oracle incidence budget can be overridden with the environment
 variable HYPERGIRTH_ORACLE_BUDGET.  ``gen greedy`` refuses a grid of more
-than geometry.GREEDY_PAIR_BUDGET (4*10^6) left x right pairs with exit 4;
-that budget has no override.
+than geometry.GREEDY_PAIR_BUDGET (4*10^6) left x right pairs, and every
+command a structure of more than core.VERTEX_BUDGET (5*10^6) vertices,
+with exit 4; neither budget has an override.
 """
 
 from __future__ import annotations
@@ -135,19 +136,17 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     route = route_for(args.girth)
     p = route.base_for(args.p, f"plan --girth {args.girth}")
     plan = route.plan(p, args.r, n_value)
-    order = route.order(p, plan.m, plan.n)
-    vertices = route.v(order.expand())
-    bound = route.edge_bound(p, plan.m, plan.n)
     theorem = theorem_bound(args.girth, p, n_value)
     cert = certificate(args.girth, p, plan.m, plan.n, args.r)
+    values = dict(cert.values)  # a planned (m, n) passes every premise, so all values are there
     print(f"planned-m {plan.m}")
     print(f"planned-n {plan.n}")
     print(f"seed-m {plan.m_star}")
     print(f"seed-n {plan.n_star}")
     print(f"seed-vertices {int_to_decimal(plan.seed_vertices)}")
-    print(f"order {order}")
-    print(f"vertices {int_to_decimal(vertices)}")
-    print(f"edge-bound {bound}")
+    print(f"order {values[f'order_{plan.n}']}")
+    print(f"vertices {values['vertices']}")
+    print(f"edge-bound {values['edge_bound']}")
     print(f"theorem-exponent {theorem.exponent!r}")
     print(f"derived-constant {theorem.derived_constant!r}")
     write_text_file(args.cert, cert.serialize())

@@ -7,7 +7,7 @@ of k distinct vertices v_0..v_{k-1} and k distinct edges e_0..e_{k-1} with
 
 Both value types are immutable, store their content in canonical order
 (edges and incidences sorted lexicographically) and are safe to share
-between threads.
+between threads.  Neither may have more than VERTEX_BUDGET vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +16,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import ValidationError
+from .arith import short_decimal
+from .errors import ResourceBudgetError, ValidationError
+
+# Most vertices a Hypergraph or BipartiteGraph may have, with no override;
+# it admits the largest greedy grid, 1 x geometry.GREEDY_PAIR_BUDGET.
+VERTEX_BUDGET = 5_000_000
+
+
+def check_vertex_budget(count: int, what: str) -> None:
+    """Refuse ``what`` with ``count`` vertices before anything that grows
+    with the count is allocated."""
+    if count > VERTEX_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} has {short_decimal(count)} vertices, budget is {VERTEX_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -34,6 +48,7 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if not isinstance(self.num_vertices, int) or self.num_vertices < 0:
             raise ValidationError(f"num_vertices must be a nonnegative integer, got {self.num_vertices!r}")
+        check_vertex_budget(self.num_vertices, "hypergraph")
         prev: tuple[int, ...] | None = None
         for idx, edge in enumerate(self.edges):
             if len(edge) == 0:
@@ -107,6 +122,7 @@ class BipartiteGraph:
     def __post_init__(self) -> None:
         if self.n_left < 0 or self.n_right < 0:
             raise ValidationError("class sizes must be nonnegative")
+        check_vertex_budget(self.n_left + self.n_right, "bipartite graph")
         prev: tuple[int, int] | None = None
         for idx, pair in enumerate(self.incidences):
             u, v = pair

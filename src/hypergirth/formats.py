@@ -4,17 +4,19 @@
 Both formats use LF line endings, single spaces, canonical decimal
 integers and canonically ordered content; the parsers reject any
 deviation with a line-numbered error, so parse(serialize(x)) == x and
-serialize(parse(s)) == s hold bit-exactly.
+serialize(parse(s)) == s hold bit-exactly.  An integer above
+core.VERTEX_BUDGET is refused before it is converted.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import BipartiteGraph, Hypergraph
-from .errors import FormatError, ValidationError
+from .core import VERTEX_BUDGET, BipartiteGraph, Hypergraph
+from .errors import FormatError, ResourceBudgetError, ValidationError
 
-_INT = re.compile(r"^(0|[1-9][0-9]*)$")
+_INT = re.compile(r"0|[1-9][0-9]*")
+_BUDGET_DIGITS = len(str(VERTEX_BUDGET))
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
@@ -41,9 +43,14 @@ def _split_lines(text: str) -> list[str]:
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    if not _INT.match(token):
+    if not _INT.fullmatch(token):
         raise FormatError(f"line {lineno}: {what} must be a canonical decimal integer, got {token!r}")
-    return int(token)
+    if len(token) <= _BUDGET_DIGITS:  # int() of a longer token can exceed CPython's digit limit
+        value = int(token)
+        if value <= VERTEX_BUDGET:
+            return value
+    shown = token if len(token) <= 20 else f"{token[:20]}...({len(token)} digits)"
+    raise ResourceBudgetError(f"line {lineno}: {what} {shown} is above the budget {VERTEX_BUDGET}")
 
 
 def _header_value(line: str, lineno: int, key: str) -> int:

@@ -16,14 +16,19 @@ different constants, each recorded once as a :class:`Route` in
   v(q) = (1+q)(1+q^4+q^8) and b(q) = (1+q^3)(1+q^4+q^8);
 * girth-8 route: orders q'_1 = 2^m, q'_n = 2 * q'_{n-1}^10, substrate
   with v'(q) = (1+q)(1+q^3+q^6+q^9) and b'(q) = (1+q^2)(1+q^3+q^6+q^9).
+
+A route states its standing assumptions once, as named ``premises`` that
+:meth:`Route.require` checks and the certificate records, and its order
+exponents once, in :meth:`Route.exponents`, which ``Route.order`` and the
+certificate's order checks both read.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from mpmath import mp, mpf
 
@@ -31,7 +36,6 @@ from .arith import (
     DEFAULT_DIGIT_BUDGET,
     PowerExpr,
     checked_pow,
-    int_digits10,
     is_prime,
     power_at_least,
     short_decimal,
@@ -43,28 +47,6 @@ def _seed_size_ok(p: int, m: int) -> bool:
     """The standing assumption p^(m-1) >= 5, for p >= 2.  Exponents past 3
     cannot change the answer (2^3 >= 5), so nothing large is expanded."""
     return m >= 2 and p ** min(m - 1, 3) >= 5
-
-
-def _hexagon_assumptions(p: int, m: int, n: int) -> None:
-    if not is_prime(p):
-        raise PreconditionError(f"p must be prime, got {p}")
-    if m < 2:
-        raise PreconditionError(f"m must be >= 2, got {m}")
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    if not _seed_size_ok(p, m):
-        raise PreconditionError(f"p^(m-1) = {p ** (m - 1)} violates the standing assumption >= 5")
-
-
-def _octagon_assumptions(p: int, m: int, n: int) -> None:
-    # Even m is accepted for n >= 2, where the order exponent is odd
-    # regardless; the planner's level-crossing identity needs it.
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    if m < 5:
-        raise PreconditionError(f"m must be >= 5, got {m}")
-    if m % 2 == 0 and n == 1:
-        raise PreconditionError(f"m = {m} is even: 2^m is not an odd power of 2")
 
 
 @dataclass(frozen=True)
@@ -108,8 +90,7 @@ class Route:
     m_step: int  # 2 keeps m odd, so that q_1 = 2^m is an odd power of 2
     edge_power: int  # both sides of the stated edge bound are raised to it
     c2: int  # display constant: the exponent is (11/den)(1 - sqrt(c2 / log_base N))
-    assumptions: Callable[[int, int, int], None]  # raises PreconditionError on (p, m, n)
-    premises: tuple[tuple[str, str, Callable[[int, int], bool]], ...]  # named checks on (p, m)
+    premises: tuple[tuple[str, str, Callable[[int, int], bool]], ...]  # (name, statement, check on (p, m))
 
     @property
     def sym(self) -> str:
@@ -131,14 +112,30 @@ class Route:
             raise PreconditionError(f"{what} has base {self.base}, got p = {p}")
         return self.base
 
+    def require(self, p: int, m: int, n: int) -> None:
+        """Raise PreconditionError unless n >= 1 and every premise holds on
+        (p, m); the error names the first premise that fails."""
+        if n < 1:
+            raise PreconditionError(f"n must be >= 1, got {n}")
+        for name, statement, ok in self.premises:
+            if not ok(p, m):
+                raise PreconditionError(f"premise {name} ({statement.format(p=p, m=m)}) does not hold")
+
+    def exponents(self, m: int) -> Iterator[tuple[Fraction, Fraction]]:
+        """(closed form, recursion) exponents of q_1, q_2, ...: growth^(i-1) *
+        (m + 1/den) - 1/den and e_1 = m, e_i = growth * e_{i-1} + 1.  Endless
+        and lazy, so a caller stops at the first order it refuses."""
+        shift = Fraction(1, self.den)
+        scale, e = 1, Fraction(m)
+        while True:
+            yield scale * (m + shift) - shift, e
+            scale, e = scale * self.growth, self.growth * e + 1
+
     def order(self, p: int, m: int, n: int) -> PowerExpr:
         """n-th order in closed form, cross-checked exactly against the
-        recursion e_n = growth * e_{n-1} + 1."""
-        self.assumptions(p, m, n)
-        closed = self.growth ** (n - 1) * (m + Fraction(1, self.den)) - Fraction(1, self.den)
-        e = Fraction(m)
-        for _ in range(n - 1):
-            e = self.growth * e + 1
+        recursion."""
+        self.require(p, m, n)
+        closed, e = next(islice(self.exponents(m), n - 1, None))
         if e != closed:
             raise PreconditionError(f"closed form {closed} disagrees with recursion {e}")
         if self.odd_orders and (closed.denominator != 1 or closed.numerator % 2 == 0):
@@ -149,30 +146,21 @@ class Route:
         """Edge-count lower bound
         p^((11/den) * (growth^n (m + 1/den) - (n + m + 1/den))) for the n-th
         construction; the exponent is always an integer."""
-        self.assumptions(p, m, n)
+        self.require(p, m, n)
         inner = self.growth**n * (m + Fraction(1, self.den)) - (n + m + Fraction(1, self.den))
         exponent = Fraction(11, self.den) * inner
         if exponent.denominator != 1:
             raise PreconditionError(f"edge bound exponent {exponent} is not integral")
         return PowerExpr(p, exponent)
 
-    def epsilon(self, m: int, n: int) -> Fraction:
-        """Relative slack (n + m + 1/den) / (growth^n (m + 1/den)) between the
-        edge bound and the 11/den power of the vertex bound; in (0, 1)."""
-        if m < 1 or n < 1:
-            raise PreconditionError("epsilon needs m >= 1 and n >= 1")
-        return (n + m + Fraction(1, self.den)) / (self.growth**n * (m + Fraction(1, self.den)))
-
     def _v_vs(self, p: int, m: int, n: int, value: int, digit_budget: int | None) -> int:
-        """Exact sign of v(q_{p,m,n}) - value, avoiding the big expansion
-        whenever a digit bound already decides the comparison."""
+        """Exact sign of v(q_{p,m,n}) - value for value >= 2.  As q^growth <
+        v(q) < 8 q^growth <= p^3 q^growth for q = p^e, q is expanded only
+        when p^(growth e) <= value < p^(growth e + 3)."""
         e = int(self.order(p, m, n).exponent)
-        low = self.growth * e * math.log10(p)  # v > q^growth
-        high = (self.growth * e + 3) * math.log10(p) + 1  # v < 8 q^growth <= p^3 q^growth
-        nd = int_digits10(value)
-        if low > nd + 2:
+        if not power_at_least(value, 1, p, self.growth * e):
             return 1
-        if high < nd - 2:
+        if power_at_least(value, 1, p, self.growth * e + 3):
             return -1
         v = self.v(checked_pow(p, e, digit_budget, f"v({p}^{e})"))
         return (v > value) - (v < value)
@@ -245,7 +233,6 @@ ROUTES = {
         m_step=1,
         edge_power=64,
         c2=33**2,
-        assumptions=_hexagon_assumptions,
         premises=(
             ("p-prime", "p = {p} is prime", lambda p, m: is_prime(p)),
             ("seed-size", "p^(m-1) >= 5 at m = {m}", _seed_size_ok),
@@ -261,7 +248,6 @@ ROUTES = {
         m_step=2,
         edge_power=72,
         c2=13**2 * 10,
-        assumptions=_octagon_assumptions,
         premises=(
             ("m-odd", "m = {m} is odd", lambda p, m: m % 2 == 1),
             ("m-size", "m = {m} >= 5", lambda p, m: m >= 5),

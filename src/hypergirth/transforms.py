@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import BipartiteGraph, Hypergraph
+from .core import BipartiteGraph, Hypergraph, check_vertex_budget
 from .errors import PreconditionError
 
 
@@ -147,5 +147,6 @@ def loose_path(num_edges: int, r: int = 3) -> Hypergraph:
     if num_edges < 1 or r < 2:
         raise PreconditionError("loose_path needs num_edges >= 1 and r >= 2")
     step = r - 1
+    check_vertex_budget(num_edges * step + 1, "loose path")
     edges = [tuple(range(i * step, i * step + r)) for i in range(num_edges)]
     return Hypergraph(num_edges * step + 1, tuple(edges))

@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import islice
 
 from hypergirth import (
     Hypergraph,
@@ -189,9 +190,13 @@ def test_criterion_4_exact_formulas():
                     ROUTES[6].order(p, 9 ** (n + 1) + 1, n).exponent
                     == ROUTES[6].order(p, 9**n, n + 1).exponent
                 )
+            # m = 10^n is even: the girth-8 premises refuse the order, so
+            # read its (n+1)-th exponent
+            closed, recursion = next(islice(ROUTES[8].exponents(10**n), n, None))
             assert (
                 ROUTES[8].order(2, 10 ** (n + 1) + 1, n).exponent
-                == ROUTES[8].order(2, 10**n, n + 1).exponent
+                == closed
+                == recursion
                 == 10 ** (2 * n) + Fraction(10**n - 1, 9)
             )
 

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -255,11 +256,27 @@ class TestPlanCommand:
         assert "below the seed" in proc.stderr
 
     def test_bad_n_string(self, tmp_path, capsys):
-        code, _, _ = run(
-            capsys, "plan", "--girth", "6", "--p", "5", "--r", "3",
-            "--N", "12x", "--cert", str(tmp_path / "c.txt"),
-        )
-        assert code == 3
+        for n_value in ("12x", "3967295312526\n"):
+            code, _, _ = run(
+                capsys, "plan", "--girth", "6", "--p", "5", "--r", "3",
+                "--N", n_value, "--cert", str(tmp_path / "c.txt"),
+            )
+            assert code == 3, n_value
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--girth", "6", "--p", "5", "--N", str(10**30)], ["--girth", "6", "--p", "2", "--N", str(10**300)],
+         ["--girth", "8", "--N", str(10**40)], ["--girth", "8", "--N", str(10**300 + 7)]],
+    )
+    def test_printed_values_are_the_certificates(self, tmp_path, capsys, argv):
+        cert = str(tmp_path / "c.txt")
+        code, stdout, _ = run(capsys, "plan", *argv, "--r", "3", "--cert", cert)
+        assert code == 0
+        printed = dict(line.split(" ", 1) for line in stdout.splitlines())
+        values = dict(parse_certificate(open(cert).read()).values)
+        assert printed["order"] == values[f"order_{printed['planned-n']}"]
+        assert printed["vertices"] == values["vertices"]
+        assert printed["edge-bound"] == values["edge_bound"]
 
 
 class TestPipelineCommand:
@@ -328,6 +345,49 @@ class TestPipelineCommand:
         assert r1 == open(os.path.join(d1, "report.txt"), "rb").read()
         assert open(os.path.join(d1, "stage_02_nbhd.hgt"), "rb").read() == open(
             os.path.join(d2, "stage_02_nbhd.hgt"), "rb").read()
+
+
+class TestVertexBudget:
+    """Sizes read from files, recipes and template specs are refused with
+    exit 4 before anything that grows with them is allocated."""
+
+    @pytest.mark.parametrize(
+        "name,text,fragment",
+        [
+            ("v.hgt", "hgt 1\nvertices " + "9" * 5000 + "\nedges 0\n", "line 2: vertices 9999"),
+            ("e.hgt", "hgt 1\nvertices 3\nedges " + "9" * 5000 + "\n", "line 3: edges 9999"),
+            ("id.bgt", "bgt 1\nleft 2\nright 2\na 0 " + "1" * 5000 + "\n", "line 4: right id 1111"),
+            ("lr.bgt", "bgt 1\nleft 4000000\nright 4000000\n", "bipartite graph has 8000000 vertices"),
+        ],
+        ids=["hgt-vertices", "hgt-edges", "bgt-id", "bgt-sides"],
+    )
+    def test_report_refuses_oversized_file(self, tmp_path, capsys, name, text, fragment):
+        path = tmp_path / name
+        path.write_text(text)
+        start = time.monotonic()
+        code, _, stderr = run(capsys, "report", str(path))
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert_one_error_line(stderr)
+        assert fragment in stderr
+
+    @pytest.mark.parametrize(
+        "stage,fragment",
+        [
+            ("pad to=" + "1" * 30, "hypergraph has " + "1" * 30 + " vertices"),
+            ("substitute template=loose-path:" + "1" * 30 + ":3 k=1", "loose path has 2222"),
+        ],
+        ids=["pad", "loose-path"],
+    )
+    def test_pipeline_refuses_oversized_stage(self, tmp_path, capsys, stage, fragment):
+        recipe = tmp_path / "r.rcp"
+        recipe.write_text(f"rcp 1\ntarget 3\nstage gen plane q=2\nstage nbhd\nstage {stage}\n")
+        start = time.monotonic()
+        code, _, stderr = run(capsys, "pipeline", str(recipe), "--out-dir", str(tmp_path / "o"))
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert_one_error_line(stderr)
+        assert fragment in stderr
 
 
 def assert_one_error_line(stderr: str) -> None:

@@ -1,12 +1,17 @@
+import time
+
 import pytest
 
 from hypergirth import (
     BipartiteGraph,
     Hypergraph,
+    ResourceBudgetError,
     ValidationError,
     incidence_graph,
     validate,
 )
+from hypergirth.core import VERTEX_BUDGET
+from hypergirth.geometry import GREEDY_PAIR_BUDGET
 
 
 class TestHypergraphInvariants:
@@ -72,6 +77,30 @@ class TestBipartiteInvariants:
             BipartiteGraph(2, 2, ((0, 0), (0, 0)))
         with pytest.raises(ValidationError, match="lexicographic"):
             BipartiteGraph(2, 2, ((1, 0), (0, 0)))
+
+
+class TestVertexBudget:
+    def test_admits_the_largest_greedy_grid(self):
+        assert VERTEX_BUDGET >= GREEDY_PAIR_BUDGET + 1
+
+    def test_at_the_budget(self):
+        assert Hypergraph(VERTEX_BUDGET, ((0, 1),)).num_vertices == VERTEX_BUDGET
+        assert BipartiteGraph(VERTEX_BUDGET - 1, 1, ((0, 0),)).n_right == 1
+
+    @pytest.mark.parametrize(
+        "build,count",
+        [
+            (lambda: Hypergraph(VERTEX_BUDGET + 1, ()), VERTEX_BUDGET + 1),
+            (lambda: Hypergraph(10**30, ((0, 1),)), 10**30),
+            (lambda: BipartiteGraph(VERTEX_BUDGET, 1, ()), VERTEX_BUDGET + 1),
+            (lambda: BipartiteGraph(1, 10**30, ()), 10**30 + 1),
+        ],
+    )
+    def test_refused_before_allocation(self, build, count):
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=f" has {count} vertices, budget is {VERTEX_BUDGET}$"):
+            build()
+        assert time.monotonic() - start < 1.0
 
 
 class TestValidate:

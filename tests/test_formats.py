@@ -6,11 +6,13 @@ from hypergirth import (
     BipartiteGraph,
     FormatError,
     Hypergraph,
+    ResourceBudgetError,
     parse_bipartite,
     parse_hypergraph,
     serialize_bipartite,
     serialize_hypergraph,
 )
+from hypergirth.core import VERTEX_BUDGET
 
 FANO_TEXT = (
     "hgt 1\n"
@@ -104,6 +106,30 @@ def test_bipartite_rejections(text, lineno, fragment):
     with pytest.raises(FormatError, match=rf"line {lineno}:") as err:
         parse_bipartite(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("hgt 1\nvertices " + "9" * 5000 + "\nedges 0\n", "line 2: vertices 9999"),
+        (f"hgt 1\nvertices {VERTEX_BUDGET + 1}\nedges 0\n", f"line 2: vertices {VERTEX_BUDGET + 1} is above"),
+        ("hgt 1\nvertices 3\nedges " + "9" * 5000 + "\n", "line 3: edges 9999"),
+        ("hgt 1\nvertices 3\nedges 1\ne 0 " + "1" * 5000 + "\n", "line 4: vertex id 1111"),
+        ("bgt 1\nleft " + "1" * 5000 + "\nright 1\n", "line 2: left 1111"),
+        ("bgt 1\nleft 2\nright 2\na 0 " + "1" * 5000 + "\n", "line 4: right id 1111"),
+        (f"bgt 1\nleft {VERTEX_BUDGET}\nright 1\n", f"has {VERTEX_BUDGET + 1} vertices"),
+    ],
+    ids=["hgt-vertices", "hgt-vertices-over", "hgt-edges", "hgt-id", "bgt-left", "bgt-id", "bgt-sides"],
+)
+def test_oversized_integers_refused(text, fragment):
+    parse = parse_hypergraph if text.startswith("hgt") else parse_bipartite
+    with pytest.raises(ResourceBudgetError) as err:
+        parse(text)
+    assert fragment in str(err.value)
+
+
+def test_vertex_budget_boundary():
+    assert parse_hypergraph(f"hgt 1\nvertices {VERTEX_BUDGET}\nedges 0\n").num_vertices == VERTEX_BUDGET
 
 
 def test_geometry_serialization_deterministic(hex2):

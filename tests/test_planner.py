@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from mpmath import mp, mpf
@@ -14,7 +15,8 @@ from hypergirth import (
     plan,
     theorem_bound,
 )
-from hypergirth.arith import parse_power_expr
+from hypergirth.arith import parse_decimal_int, parse_power_expr
+from hypergirth.certificate import certificate
 from hypergirth.planner import ROUTES, _mpf_of_int, route_for
 
 
@@ -53,9 +55,6 @@ class TestRoutes:
             ROUTES[6].base_for(None, "x")
         with pytest.raises(PreconditionError, match="x has base 2, got p = 3"):
             ROUTES[8].base_for(3, "x")
-
-    def test_epsilon_of_girth8_route(self):
-        assert ROUTES[8].epsilon(5, 1) == Fraction(5 + 1 + Fraction(1, 9), 10 * (5 + Fraction(1, 9)))
 
 
 class TestPlan:
@@ -96,9 +95,9 @@ class TestOrderSequences:
     def test_assumption_errors(self):
         with pytest.raises(PreconditionError, match="prime"):
             ROUTES[6].order(4, 2, 1)
-        with pytest.raises(PreconditionError, match="m must be"):
+        with pytest.raises(PreconditionError, match="seed-size"):
             ROUTES[6].order(5, 1, 1)
-        with pytest.raises(PreconditionError, match="standing assumption"):
+        with pytest.raises(PreconditionError, match="seed-size"):
             ROUTES[6].order(2, 2, 1)
         with pytest.raises(PreconditionError, match="n must be"):
             ROUTES[6].order(5, 2, 0)
@@ -125,15 +124,97 @@ class TestOrderSequences:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_prime_level_crossing_identity(self, n):
         a = ROUTES[8].order(2, 10 ** (n + 1) + 1, n)
-        b = ROUTES[8].order(2, 10**n, n + 1)
+        # m = 10^n is even, so only the exponents, not the order, exist there
+        b = next(islice(ROUTES[8].exponents(10**n), n, None))
         expected = 10 ** (2 * n) + Fraction(10**n - 1, 9)
-        assert a.exponent == b.exponent == expected
+        assert a.exponent == b[0] == b[1] == expected
 
     def test_prime_sequence_errors(self):
-        with pytest.raises(PreconditionError, match="even"):
+        with pytest.raises(PreconditionError, match="m-odd"):
             ROUTES[8].order(2, 6, 1)
         with pytest.raises(PreconditionError, match=">= 5"):
             ROUTES[8].order(2, 3, 1)
+
+
+class TestRequire:
+    """One statement of each route's premises: ``require`` names the first
+    that fails, and the certificate records the same checks."""
+
+    @pytest.mark.parametrize(
+        "girth,p,m,n,name",
+        [
+            (6, 4, 2, 1, "p-prime"),
+            (6, 1, 3, 2, "p-prime"),
+            (6, 5, 1, 1, "seed-size"),
+            (6, 2, 3, 1, "seed-size"),
+            (6, 3, 2, 4, "seed-size"),
+            (8, 2, 6, 1, "m-odd"),
+            (8, 2, 6, 2, "m-odd"),
+            (8, 2, 4, 3, "m-odd"),
+            (8, 2, 3, 1, "m-size"),
+            (8, 2, 1, 2, "m-size"),
+        ],
+    )
+    def test_names_the_failing_premise(self, girth, p, m, n, name):
+        route = ROUTES[girth]
+        for call in (route.require, route.order, route.edge_bound):
+            with pytest.raises(PreconditionError, match=rf"^premise {name} \("):
+                call(p, m, n)
+        failed = [c.name for c in certificate(girth, p, m, n, 2).checks if not c.passed]
+        assert failed[0] == name
+
+    @pytest.mark.parametrize("girth,p", [(6, 5), (8, 2)])
+    def test_n_checked_first(self, girth, p):
+        with pytest.raises(PreconditionError, match="^n must be >= 1, got 0$"):
+            ROUTES[girth].require(p, 1, 0)
+
+    def test_order_accepts_exactly_the_certificate_premises(self):
+        for girth, bases in ((6, (1, 2, 3, 4, 5, 6, 7)), (8, (2,))):
+            route = ROUTES[girth]
+            names = {name for name, _, _ in route.premises}
+            for p in bases:
+                for m in range(1, 10):
+                    for n in (1, 2, 3):
+                        cert = certificate(girth, p, m, n, 2)
+                        premises = all(c.passed for c in cert.checks if c.name in names)
+                        try:
+                            route.order(p, m, n)
+                        except PreconditionError:
+                            assert not premises, (girth, p, m, n)
+                        else:
+                            assert premises, (girth, p, m, n)
+
+
+class TestExponents:
+    def test_first_terms(self):
+        assert list(islice(ROUTES[6].exponents(2), 3)) == [(2, 2), (19, 19), (172, 172)]
+        assert list(islice(ROUTES[8].exponents(5), 3)) == [(5, 5), (51, 51), (511, 511)]
+
+    def test_order_reads_the_nth_pair(self):
+        for girth, p, m in ((6, 5, 2), (6, 2, 7), (8, 2, 9)):
+            pairs = list(islice(ROUTES[girth].exponents(m), 5))
+            for n, (closed, recursion) in enumerate(pairs, start=1):
+                assert ROUTES[girth].order(p, m, n).exponent == closed == recursion
+
+
+class TestVertexComparison:
+    """``Route._v_vs`` against the sign of v - N by full expansion."""
+
+    @pytest.mark.parametrize(
+        "girth,p,m,n",
+        [(6, 2, 4, 1), (6, 5, 2, 1), (6, 3, 3, 2), (6, 7, 2, 2), (6, 5, 2, 3),
+         (8, 2, 5, 1), (8, 2, 7, 1), (8, 2, 5, 2)],
+    )
+    def test_sign_matches_expansion(self, girth, p, m, n):
+        route = ROUTES[girth]
+        e = int(route.order(p, m, n).exponent)
+        v = route.v(p**e)
+        low, high = p ** (route.growth * e), p ** (route.growth * e + 3)
+        for value in (v - 1, v, v + 1, low - 1, low, low + 1, high - 1, high, high + 1):
+            assert route._v_vs(p, m, n, value, None) == (v > value) - (v < value), value
+        # outside [low, high) the brackets decide, so nothing is expanded
+        assert route._v_vs(p, m, n, low - 1, 1) == 1
+        assert route._v_vs(p, m, n, high, 1) == -1
 
 
 class TestEdgeBounds:
@@ -157,23 +238,6 @@ class TestEdgeBounds:
         for m in range(5, 14, 2):
             for n in range(1, 5):
                 assert ROUTES[8].edge_bound(2, m, n).exponent.denominator == 1
-
-
-class TestEpsilon:
-    def test_values(self):
-        assert ROUTES[6].epsilon(1, 1) == Fraction(17, 81)
-        assert ROUTES[6].epsilon(2, 1) == Fraction(25, 153) == Fraction(25, 9 * 17)
-
-    def test_in_unit_interval(self):
-        for m in range(1, 9):
-            for n in range(1, 9):
-                e = ROUTES[6].epsilon(m, n)
-                assert 0 < e < 1
-
-    def test_monotone_in_n(self):
-        for m in range(1, 7):
-            for n in range(1, 6):
-                assert ROUTES[6].epsilon(m, n + 1) < ROUTES[6].epsilon(m, n)
 
 
 class TestPlanHexagon:
@@ -388,6 +452,13 @@ class TestPowerExpr:
             parse_power_expr("2^2/4")
         with pytest.raises(PreconditionError):
             parse_power_expr("2^x")
+        with pytest.raises(PreconditionError):
+            parse_power_expr("5^3\n")
+
+    @pytest.mark.parametrize("text", ["12\n", "12x", "012", "", "-1", " 12"])
+    def test_parse_decimal_int_refuses(self, text):
+        with pytest.raises(PreconditionError, match="not a canonical decimal integer"):
+            parse_decimal_int(text)
 
     def test_denominator_cap(self):
         with pytest.raises(PreconditionError, match="divide 72"):

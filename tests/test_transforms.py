@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from hypergirth import (
     EmptySplitWarning,
     Hypergraph,
     PreconditionError,
+    ResourceBudgetError,
     SubstitutionPlan,
     build_recursive,
     girth_bipartite,
@@ -21,6 +23,7 @@ from hypergirth import (
     substitute_edges,
     validate,
 )
+from hypergirth.core import VERTEX_BUDGET
 
 
 class TestNeighborhoodHypergraph:
@@ -175,6 +178,15 @@ class TestLoosePath:
     def test_validation(self):
         with pytest.raises(PreconditionError):
             loose_path(0, 3)
+
+    @pytest.mark.parametrize(
+        "num_edges,r", [(10**30, 3), (VERTEX_BUDGET // 2 + 1, 3), (1, VERTEX_BUDGET + 2)]
+    )
+    def test_vertex_budget(self, num_edges, r):
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=f"^loose path has .* budget is {VERTEX_BUDGET}$"):
+            loose_path(num_edges, r)
+        assert time.monotonic() - start < 1.0
 
 
 class TestBuildRecursive:
