@@ -14,15 +14,26 @@ Three routes are provided:
   because duplicate edges are forbidden, so cycles of length 2k in the
   incidence graph correspond exactly to hypergraph cycles of length k.
 * :func:`girth_oracle`: exhaustive depth-first enumeration of hypergraph
-  cycles straight from the definition; slow, bounded by an incidence
-  budget, and used to validate the fast routes.
+  cycles straight from the definition, bounded by an incidence budget and
+  used to validate the fast routes.  Each cycle is searched from its
+  smallest vertex v0, so the search only enters vertices above v0.  It
+  prunes a branch only when the branch cannot close a cycle shorter than
+  the best so far, so the pruned search improves the best cycle in the
+  same steps as the unpruned one and reports the same witness.  The
+  bounds: no cycle is longer than the number of vertices in two or more
+  edges.  A path of p edges ending at w closes into a cycle of at least
+  p + d(w) edges, where d(w) is the edge distance from v0 to w through
+  vertices above v0.  Every vertex of a cycle of length L through v0 lies
+  within L // 2 of v0, so d is computed only to half the length sought
+  and farther vertices are cut.  Closing is tested before the path grows,
+  by membership of v0 in the edge: that cycle is shorter than any through
+  a longer path.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 from .core import BipartiteGraph, Hypergraph
@@ -240,10 +251,11 @@ def girth_oracle(
     """Brute-force girth by exhaustive cycle enumeration up to ``max_len``.
 
     Searches depth-first for vertex/edge sequences matching the cycle
-    definition directly, trying lengths 2..max_len.  Returns the minimum
-    cycle length found, or a report with ``searched_to = max_len`` when no
-    cycle that short exists.  Refuses instances above the incidence budget
-    rather than risk an unbounded search.
+    definition directly, each from its smallest vertex v0 (see the module
+    docstring for the pruning).  Returns the minimum cycle length found,
+    or a report with ``searched_to = max_len`` when no cycle that short
+    exists.  Refuses instances above the incidence budget rather than risk
+    an unbounded search.
     """
     if max_len < 2:
         raise PreconditionError(f"max_len must be >= 2, got {max_len}")
@@ -252,85 +264,76 @@ def girth_oracle(
         raise ResourceBudgetError(
             f"oracle refused: {h.incidence_count} incidences exceed budget {budget}"
         )
-    # the DFS recurses once per path vertex
-    if sys.getrecursionlimit() < max_len + 200:
-        sys.setrecursionlimit(max_len + 200)
-
     vertex_edges = h.vertex_edges
-
-    # Skeleton adjacency (u ~ w iff some edge contains both) for the
-    # return-distance lower bound used to prune dead branches.
-    skeleton: list[set[int]] = [set() for _ in range(h.num_vertices)]
-    for edge in h.edges:
-        for a in edge:
-            skeleton[a].update(edge)
-    for v in range(h.num_vertices):
-        skeleton[v].discard(v)
-
-    best: int | None = None
+    edges = h.edges
+    edge_sets = [frozenset(edge) for edge in edges]
+    # each cycle vertex lies in two of the cycle's edges, so no cycle is longer
+    limit = min(max_len, sum(1 for es in vertex_edges if len(es) >= 2))
     best_witness: BergeCycle | None = None
 
-    def dist_from(v0: int, limit: int) -> list[int]:
-        inf = limit + 1
-        dist = [inf] * h.num_vertices
-        dist[v0] = 0
-        queue = deque([v0])
-        while queue:
-            x = queue.popleft()
-            if dist[x] >= limit:
+    def dist_from(v0: int) -> list[int]:
+        """Edge-BFS distances from v0 through vertices above v0, to depth
+        limit // 2; every vertex farther away reads limit + 1."""
+        back = [limit + 1] * h.num_vertices
+        back[v0] = 0
+        edge_seen = bytearray(len(edges))
+        frontier = [v0]
+        for depth in range(1, limit // 2 + 1):
+            reached = []
+            for x in frontier:
+                for e_idx in vertex_edges[x]:
+                    if not edge_seen[e_idx]:
+                        edge_seen[e_idx] = 1
+                        for y in edges[e_idx]:
+                            if y > v0 and back[y] > depth:
+                                back[y] = depth
+                                reached.append(y)
+            if not reached:
+                break
+            frontier = reached
+        return back
+
+    def extend(v_cur: int) -> None:
+        # limit is the longest cycle still worth finding; it falls with each find
+        nonlocal limit, best_witness
+        for e_idx in vertex_edges[v_cur]:
+            if e_idx in used_e:
                 continue
-            for y in skeleton[x]:
-                if dist[y] > dist[x] + 1:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
-
-    for v0 in range(h.num_vertices):
-        if len(vertex_edges[v0]) < 2:
-            continue
-        limit = max_len if best is None else best - 1
-        if limit < 2:
-            break
-        back = dist_from(v0, limit)
-        path_v = [v0]
-        path_e: list[int] = []
-        on_path = {v0}
-        used_e: set[int] = set()
-
-        def extend(v_cur: int) -> None:
-            nonlocal best, best_witness
-            limit_now = max_len if best is None else best - 1
-            steps = len(path_e)
-            if steps + back[v_cur] > limit_now and steps > 0:
-                return
-            for e_idx in vertex_edges[v_cur]:
-                if e_idx in used_e:
-                    continue
+            path_e.append(e_idx)
+            if 1 < len(path_v) <= limit and v0 in edge_sets[e_idx]:
+                limit = len(path_v) - 1
+                best_witness = BergeCycle(tuple(path_v), tuple(path_e))
+            if len(path_v) < limit:
                 used_e.add(e_idx)
-                path_e.append(e_idx)
-                for w in h.edges[e_idx]:
-                    if w == v_cur:
-                        continue
-                    if w == v0 and len(path_v) >= 2:
-                        length = len(path_v)
-                        if best is None or length < best:
-                            best = length
-                            best_witness = BergeCycle(tuple(path_v), tuple(path_e))
-                    elif w > v0 and w not in on_path and len(path_v) < (max_len if best is None else best - 1):
+                for w in edges[e_idx]:
+                    if len(path_e) + back[w] <= limit and w not in on_path:
                         path_v.append(w)
                         on_path.add(w)
                         extend(w)
                         on_path.discard(w)
                         path_v.pop()
-                path_e.pop()
                 used_e.discard(e_idx)
+            path_e.pop()
 
-        extend(v0)
-        if best == 2:
-            break
+    # the DFS recurses once per path vertex, and a path has at most limit
+    old_recursion_limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(max(old_recursion_limit, limit + 200))
+        for v0 in range(h.num_vertices):
+            if limit < 2:
+                break
+            if len(vertex_edges[v0]) < 2:
+                continue
+            back = dist_from(v0)
+            path_v = [v0]
+            path_e: list[int] = []
+            on_path = {v0}
+            used_e: set[int] = set()
+            extend(v0)
+    finally:
+        sys.setrecursionlimit(old_recursion_limit)
 
-    if best is None:
+    if best_witness is None:
         return GirthReport(None, searched_to=max_len)
-    assert best_witness is not None
     best_witness.check(h)
-    return GirthReport(best, best_witness)
+    return GirthReport(len(best_witness), best_witness)

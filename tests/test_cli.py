@@ -1,4 +1,5 @@
 import os
+import sys
 import time
 
 import pytest
@@ -149,6 +150,18 @@ class TestGirthCommand:
         assert lines[1].startswith("witness-vertices ")
         assert lines[2].startswith("witness-edges ")
         assert "oracle-check ok max-len 6" in stdout
+
+    def test_oracle_max_far_above_the_vertex_count(self, tmp_path, capsys):
+        bgt, hgt = str(tmp_path / "h.bgt"), str(tmp_path / "h.hgt")
+        run(capsys, "gen", "hexagon", "--q", "2", bgt)
+        run(capsys, "transform", "nbhd", bgt, hgt)
+        before = sys.getrecursionlimit()
+        t0 = time.monotonic()
+        code, stdout, _ = run(capsys, "girth", hgt, "--oracle-max", "3000000000")
+        assert time.monotonic() - t0 < 1.0
+        assert code == 0
+        assert stdout.splitlines()[-1] == "oracle-check ok max-len 3000000000"
+        assert sys.getrecursionlimit() == before
 
     def test_bipartite_input(self, tmp_path, capsys):
         bgt = str(tmp_path / "p.bgt")

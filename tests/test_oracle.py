@@ -1,4 +1,5 @@
-"""The brute-force girth oracle: its results pinned on fixed inputs.
+"""The brute-force girth oracle: results pinned on fixed inputs, and
+agreement with the incidence-graph BFS on random hypergraphs.
 
 The pins are ``(girth, witness vertices, witness edge indices,
 searched_to)`` as the plain exhaustive search from the cycle definition
@@ -9,10 +10,14 @@ cycle is reported.
 
 import random
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypergirth import (
     Hypergraph,
+    girth_hypergraph,
     girth_oracle,
     neighborhood_hypergraph,
     split_cayley_hexagon,
@@ -104,3 +109,35 @@ def test_pinned_result(oracle_cases, name):
 
 def test_every_case_is_pinned(oracle_cases):
     assert sorted(oracle_cases) == sorted(PINS)
+
+
+def test_deep_search_restores_the_recursion_limit():
+    # a 900-cycle of 2-vertex edges: the search path reaches 900 vertices
+    n = 900
+    h = Hypergraph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    before = sys.getrecursionlimit()
+    rep = girth_oracle(h, 10**9)
+    assert (rep.girth, rep.searched_to) == (n, None)
+    assert rep.witness.vertices == tuple(range(n))
+    assert sys.getrecursionlimit() == before
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 9))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True)
+    edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=10, unique=True))
+    return Hypergraph(n, tuple(sorted(edges)))
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(hypergraphs(), st.integers(2, 8))
+def test_agrees_with_the_incidence_graph_bfs(h, max_len):
+    fast = girth_hypergraph(h)
+    rep = girth_oracle(h, max_len)
+    if fast.girth is not None and fast.girth <= max_len:
+        assert rep.girth == fast.girth
+        assert len(rep.witness) == rep.girth
+        rep.witness.check(h)
+    else:
+        assert (rep.girth, rep.witness, rep.searched_to) == (None, None, max_len)
