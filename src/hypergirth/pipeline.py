@@ -38,7 +38,7 @@ from typing import Callable
 
 from .arith import parse_decimal_int
 from .certificate import certificate
-from .core import BipartiteGraph, Hypergraph, validate
+from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
 from .formats import load, serialize_bipartite, serialize_hypergraph
 from .geometry import (
@@ -70,14 +70,19 @@ def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
     return Hypergraph(to, h.edges)
 
 
+def _loose_path_spec(token: str) -> tuple[int, int]:
+    """The edge count and edge size of a `loose-path:<edges>:<r>` spec."""
+    parts = token.split(":")
+    if len(parts) != 3:
+        raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
+    return _int_value(token, "edges", parts[1]), _int_value(token, "r", parts[2])
+
+
 def resolve_template(token: str) -> Hypergraph:
     if token == "path7":
         return loose_path(3, 3)
     if token.startswith("loose-path:"):
-        parts = token.split(":")
-        if len(parts) != 3:
-            raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
-        return loose_path(_int_value(token, "edges", parts[1]), _int_value(token, "r", parts[2]))
+        return loose_path(*_loose_path_spec(token))
     template = load(token)
     check_input(f"template {token}", "hypergraph", kind_of(template))
     return template
@@ -351,8 +356,9 @@ def write_text_file(path: str, text: str) -> None:
 
 def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
     """Check every stage against ``OPS`` before any stage runs: its keys,
-    its integer values and the kind of its input; returns each stage's op
-    name and values."""
+    its integer values, the kind of its input and the vertex count of a
+    pad target or loose-path template; returns each stage's op name and
+    values."""
     checked = []
     kind: str | None = None  # what the previous stage outputs
     for index, stage in enumerate(stages, start=1):
@@ -368,6 +374,11 @@ def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
                 raise PreconditionError(f"{where}: {name} needs a previous stage output")
             check_input(f"{where}: {name}", op.needs, kind)
         values = {key: _int_value(where, key, pairs[key]) if t == INT else pairs[key] for key, t in op.args}
+        if name == "pad":
+            check_vertex_budget(values["to"], f"{where}: pad output hypergraph")
+        if name == "substitute" and values["template"].startswith("loose-path:"):
+            edges, r = _loose_path_spec(values["template"])
+            check_vertex_budget(edges * (r - 1) + 1, f"{where}: template loose path")
         checked.append((name, values))
         kind = "bipartite" if op.needs is None else "hypergraph"
     return checked

@@ -401,6 +401,7 @@ class TestVertexBudget:
         assert code == 4
         assert_one_error_line(stderr)
         assert fragment in stderr
+        assert not (tmp_path / "o").exists()  # refused before any stage ran
 
 
 def assert_one_error_line(stderr: str) -> None:
