@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import PreconditionError, ResourceBudgetError
 
@@ -207,21 +208,22 @@ class PowerExpr:
             object.__setattr__(self, "exponent", Fraction(self.exponent))
         if 72 % self.exponent.denominator != 0:
             raise PreconditionError(
-                f"PowerExpr exponent denominator must divide 72, got {self.exponent}"
+                "PowerExpr exponent denominator must divide 72, "
+                f"got {short_decimal(self.exponent.denominator)}"
             )
 
-    def __str__(self) -> str:
+    def _render(self, decimal: Callable[[int], str]) -> str:
         e = self.exponent
-        base = int_to_decimal(self.base)
-        if e.denominator == 1:
-            return f"{base}^{e.numerator}"
-        return f"{base}^{e.numerator}/{e.denominator}"
+        tail = decimal(e.numerator) if e.denominator == 1 else f"{decimal(e.numerator)}/{e.denominator}"
+        return f"{decimal(self.base)}^{tail}"
+
+    def __str__(self) -> str:
+        return self._render(int_to_decimal)
 
     def describe(self) -> str:
-        """Short rendering safe for messages even with a huge base."""
-        e = self.exponent
-        tail = f"^{e.numerator}" if e.denominator == 1 else f"^{e.numerator}/{e.denominator}"
-        return short_decimal(self.base) + tail
+        """Short rendering safe for messages even with a huge base or
+        exponent."""
+        return self._render(short_decimal)
 
     def expand(self, digit_budget: int | None = DEFAULT_DIGIT_BUDGET) -> int:
         """The exact integer value; only defined for nonnegative integer
@@ -235,14 +237,17 @@ _POWER_RE = re.compile(r"([1-9][0-9]*)\^(-?(0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def parse_power_expr(text: str) -> PowerExpr:
-    """Parse the `b^a` / `b^a/d` rendering produced by str(PowerExpr)."""
+    """Parse the `b^a` / `b^a/d` rendering produced by str(PowerExpr);
+    each integer is read within the default digit budget."""
     m = _POWER_RE.fullmatch(text)
     if m is None:
-        raise PreconditionError(f"not a power expression: {text!r}")
-    base = int(m.group(1))
-    num = int(m.group(2))
-    den = int(m.group(4)) if m.group(4) else 1
+        raise PreconditionError(f"not a power expression: {text[:40]!r}")
+    base = parse_decimal_int(m.group(1))
+    num = parse_decimal_int(m.group(3))
+    if m.group(2).startswith("-"):
+        num = -num
+    den = parse_decimal_int(m.group(4)) if m.group(4) else 1
     frac = Fraction(num, den)
     if (m.group(4) and frac.denominator != den) or (num == 0 and m.group(4)):
-        raise PreconditionError(f"power expression exponent not in lowest terms: {text!r}")
+        raise PreconditionError(f"power expression exponent not in lowest terms: {text[:40]!r}")
     return PowerExpr(base, frac)

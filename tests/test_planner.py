@@ -455,6 +455,17 @@ class TestPowerExpr:
         with pytest.raises(PreconditionError):
             parse_power_expr("5^3\n")
 
+    def test_parse_long_integers(self):
+        base = "1" * 5000  # above CPython's default int-from-str digit limit
+        pe = parse_power_expr(base + "^2")
+        assert pe.base == parse_decimal_int(base) and pe.exponent == 2
+        assert str(pe) == base + "^2"
+        assert parse_power_expr("2^-" + base).exponent == -parse_decimal_int(base)
+        with pytest.raises(ResourceBudgetError, match="digits, budget is"):
+            parse_power_expr("1" * (10**6 + 1) + "^2")
+        with pytest.raises(PreconditionError, match="denominator must divide 72"):
+            parse_power_expr("2^1/" + base)
+
     @pytest.mark.parametrize("text", ["12\n", "12x", "012", "", "-1", " 12"])
     def test_parse_decimal_int_refuses(self, text):
         with pytest.raises(PreconditionError, match="not a canonical decimal integer"):
