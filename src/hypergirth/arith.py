@@ -214,7 +214,8 @@ class PowerExpr:
 
     def _render(self, decimal: Callable[[int], str]) -> str:
         e = self.exponent
-        tail = decimal(e.numerator) if e.denominator == 1 else f"{decimal(e.numerator)}/{e.denominator}"
+        num = decimal(e.numerator)
+        tail = num if e.denominator == 1 else f"{num}/{e.denominator}"
         return f"{decimal(self.base)}^{tail}"
 
     def __str__(self) -> str:

@@ -315,7 +315,7 @@ def girth_oracle(
                 used_e.discard(e_idx)
             path_e.pop()
 
-    # the DFS recurses once per path vertex, and a path has at most limit
+    # the DFS recurses once per path vertex, and a path has at most limit vertices
     old_recursion_limit = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(max(old_recursion_limit, limit + 200))
