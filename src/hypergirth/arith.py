@@ -18,7 +18,21 @@ from typing import Callable
 
 from .errors import PreconditionError, ResourceBudgetError
 
-DEFAULT_DIGIT_BUDGET = 10**6
+DIGIT_BUDGET = 10**6  # the most decimal digits any number is parsed or expanded to; no override
+
+
+def _lifting_str_limit(convert: Callable, arg):
+    """convert(arg), retried with CPython's int/str digit limit lifted (then
+    restored) when the limit refuses it."""
+    try:
+        return convert(arg)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            return convert(arg)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def int_digits10(value: int) -> int:
@@ -32,42 +46,34 @@ def int_digits10(value: int) -> int:
 
 def int_to_decimal(value: int) -> str:
     """str(value) regardless of the interpreter's int->str digit limit."""
-    try:
-        return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(0)
-            return str(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    return _lifting_str_limit(str, value)
 
 
-def short_decimal(value: int, keep: int = 40) -> str:
-    """Human-oriented rendering: exact when small, truncated with an
-    explicit digit count when huge.  Not for canonical serialization."""
+def short_decimal(value: int) -> str:
+    """Human-oriented rendering: exact up to 52 digits, else the first 40
+    and the digit count.  Not for canonical serialization."""
     digits = int_digits10(value)
-    if digits <= keep + 12:
-        return int_to_decimal(value)
     text = int_to_decimal(value)
-    return f"{text[:keep]}...({digits} digits)"
+    if digits <= 52:
+        return text
+    return f"{text[:40]}...({digits} digits)"
 
 
-def parse_decimal_int(text: str, digit_budget: int | None = DEFAULT_DIGIT_BUDGET) -> int:
-    """Parse a canonical decimal integer of any size within the budget."""
+def check_digits(digits: int, what: str, check: str) -> None:
+    """Refuse before materializing a ~digits-digit expansion or product."""
+    if digits > DIGIT_BUDGET:
+        raise ResourceBudgetError(
+            f"check {check}: a ~{digits}-digit {what} exceeds the digit budget {DIGIT_BUDGET}"
+        )
+
+
+def parse_decimal_int(text: str) -> int:
+    """Parse a canonical decimal integer of any size within the digit budget."""
     if not re.fullmatch(r"0|[1-9][0-9]*", text):
         raise PreconditionError(f"not a canonical decimal integer: {text[:40]!r}")
-    if digit_budget is not None and len(text) > digit_budget:
-        raise ResourceBudgetError(f"integer has {len(text)} digits, budget is {digit_budget}")
-    try:
-        return int(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(0)
-            return int(text)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    if len(text) > DIGIT_BUDGET:
+        raise ResourceBudgetError(f"integer has {len(text)} digits, budget is {DIGIT_BUDGET}")
+    return _lifting_str_limit(int, text)
 
 
 # The first 13 primes, and psi_13: the least n that passes Miller-Rabin to
@@ -117,15 +123,15 @@ def digits10(base: int, exponent: Fraction | int) -> float:
     return float(exponent) * math.log10(base) + 1.0
 
 
-def checked_pow(base: int, exponent: int, digit_budget: int | None, what: str = "expansion") -> int:
+def checked_pow(base: int, exponent: int, what: str) -> int:
     """base**exponent as an int, refused when the result would exceed the
     digit budget."""
     if exponent < 0:
         raise PreconditionError(f"{what}: negative exponent {exponent} has no integer expansion")
-    if digit_budget is not None and digits10(base, exponent) > digit_budget:
+    if digits10(base, exponent) > DIGIT_BUDGET:
         raise ResourceBudgetError(
             f"{what}: {base}^{exponent} needs ~{digits10(base, exponent):.3g} digits, "
-            f"budget is {digit_budget}"
+            f"budget is {DIGIT_BUDGET}"
         )
     return base**exponent
 
@@ -226,12 +232,12 @@ class PowerExpr:
         exponent."""
         return self._render(short_decimal)
 
-    def expand(self, digit_budget: int | None = DEFAULT_DIGIT_BUDGET) -> int:
+    def expand(self) -> int:
         """The exact integer value; only defined for nonnegative integer
         exponents."""
         if self.exponent.denominator != 1 or self.exponent < 0:
             raise PreconditionError(f"{self.describe()} has no integer expansion")
-        return checked_pow(self.base, self.exponent.numerator, digit_budget, self.describe())
+        return checked_pow(self.base, self.exponent.numerator, self.describe())
 
 
 _POWER_RE = re.compile(r"([1-9][0-9]*)\^(-?(0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
@@ -239,7 +245,7 @@ _POWER_RE = re.compile(r"([1-9][0-9]*)\^(-?(0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 def parse_power_expr(text: str) -> PowerExpr:
     """Parse the `b^a` / `b^a/d` rendering produced by str(PowerExpr);
-    each integer is read within the default digit budget."""
+    each integer is read within the digit budget."""
     m = _POWER_RE.fullmatch(text)
     if m is None:
         raise PreconditionError(f"not a power expression: {text[:40]!r}")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    DEFAULT_DIGIT_BUDGET,
     PowerExpr,
+    check_digits,
     checked_pow,
     int_digits10,
     int_to_decimal,
@@ -27,7 +27,7 @@ from .arith import (
     parse_decimal_int,
     power_at_least,
 )
-from .errors import FormatError, PreconditionError, ResourceBudgetError, VerificationError
+from .errors import FormatError, PreconditionError, VerificationError
 from .planner import route_for
 
 _BIGNUM = "bignum"
@@ -73,28 +73,13 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _guard(digits: int, what: str, budget: int | None, check: str) -> None:
-    """Refuse before materializing a ~digits-digit expansion or product."""
-    if budget is not None and digits > budget:
-        raise ResourceBudgetError(
-            f"check {check}: a ~{digits}-digit {what} exceeds the digit budget {budget}"
-        )
-
-
 def _int_args(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if not isinstance(value, int) or value < 1:
             raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
 
 
-def certificate(
-    girth: int,
-    p: int | None,
-    m: int,
-    n: int,
-    r: int,
-    digit_budget: int | None = DEFAULT_DIGIT_BUDGET,
-) -> Certificate:
+def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificate:
     """Verify the full inequality chain for (p, m, n, r) at the given girth.
 
     Checks cover, in order: the standing assumptions; closed form =
@@ -102,8 +87,8 @@ def certificate(
     substitution stage possible; the vertex-count growth bounds; the exact
     edge-count recurrence against the claimed lower-bound power; and the
     final edge-splitting factor.  Expansion sizes are capped by
-    ``digit_budget`` (a ResourceBudgetError names the first check that
-    would exceed it).
+    the digit budget of :mod:`hypergirth.arith` (a ResourceBudgetError
+    names the first check that would exceed it).
     """
     route = route_for(girth)
     p = route.base_for(p, f"girth-{girth} certificate")
@@ -117,7 +102,7 @@ def certificate(
     prime_ok = is_prime(p)
     for name, statement, ok in route.premises:
         checks.append(CertCheck(name, statement.format(p=p, m=m), _BIGNUM, prime_ok and ok(p, m)))
-    uni = checked_pow(p, m, digit_budget, "check r-range") if prime_ok else 0
+    uni = checked_pow(p, m, "check r-range") if prime_ok else 0
     r_ok = prime_ok and 2 <= r <= 1 + uni
     checks.append(CertCheck("r-range", f"2 <= r <= 1 + {sym}^m at r = {r}", _BIGNUM, r_ok))
     if not all(c.passed for c in checks):
@@ -143,12 +128,12 @@ def certificate(
                 CertCheck(f"order-odd-{i}", f"order_{i} is an odd power of {sym}", _EXPONENT, odd_ok)
             )
         exps.append(int(closed))
-        orders.append(checked_pow(p, exps[-1], digit_budget, f"check order_{i}"))
+        orders.append(checked_pow(p, exps[-1], f"check order_{i}"))
 
     v_list: list[int] = []
     b_list: list[int] = []
     for i, q in enumerate(orders, start=1):
-        _guard(int_digits10(q) * g, "expansion", digit_budget, f"vertex-growth-{i}")
+        check_digits(int_digits10(q) * g, "expansion", f"vertex-growth-{i}")
         v_list.append(route.v(q))
         b_list.append(route.b(q))
 
@@ -166,7 +151,7 @@ def certificate(
 
     edges = b_list[0]
     for i in range(2, n + 1):
-        _guard(int_digits10(edges) + int_digits10(b_list[i - 1]), "product", digit_budget, "edge-bound")
+        check_digits(int_digits10(edges) + int_digits10(b_list[i - 1]), "product", "edge-bound")
         edges = (p - 1) * edges * b_list[i - 1]
     # The exponent is an integer and x^k >= y^k iff x >= y for nonnegative
     # integers, so the stated power inequality is decided unraised.
@@ -232,14 +217,12 @@ def parse_certificate(text: str) -> Certificate:
     return cert
 
 
-def reverify_certificate(
-    text: str, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
-) -> Certificate:
+def reverify_certificate(text: str) -> Certificate:
     """Recompute a serialized certificate from its header parameters alone
     and demand bit-identical agreement; returns the recomputed value."""
     parsed = parse_certificate(text)
     try:
-        rebuilt = certificate(parsed.girth, parsed.p, parsed.m, parsed.n, parsed.r, digit_budget)
+        rebuilt = certificate(parsed.girth, parsed.p, parsed.m, parsed.n, parsed.r)
     except PreconditionError as exc:
         # No certificate has such a header: serialize() only writes what
         # certificate() accepted.

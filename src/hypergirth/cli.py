@@ -15,9 +15,12 @@ canonical, bit-exact artifacts.  Exit codes:
 
 The oracle incidence budget can be overridden with the environment
 variable HYPERGIRTH_ORACLE_BUDGET.  ``gen greedy`` refuses a grid of more
-than geometry.GREEDY_PAIR_BUDGET (4*10^6) left x right pairs, and every
+than geometry.GREEDY_PAIR_BUDGET (4*10^6) left x right pairs, every
 command a structure of more than core.VERTEX_BUDGET (5*10^6) vertices,
-with exit 4; neither budget has an override.
+and every command an integer of more than 10^6 digits (the digit budget
+of hypergirth.arith), with exit 4; none of these budgets has an override.
+Integer flags are read as recipes read integers: a flag that is not a
+canonical decimal (``1_1``, ``+3``, ``03``) exits 2.
 """
 
 from __future__ import annotations
@@ -112,13 +115,14 @@ def _cmd_girth(args: argparse.Namespace) -> int:
     else:
         rep = girth_bipartite(obj)
         oracle_target = _as_pair_hypergraph(obj)
-    print(f"girth {'inf' if rep.girth is None else rep.girth}")
+    # Printed only once the oracle agrees, so a failing command writes nothing.
+    lines = [f"girth {'inf' if rep.girth is None else rep.girth}"]
     if rep.witness is not None:
         if isinstance(rep.witness, BergeCycle):
-            print("witness-vertices " + " ".join(map(str, rep.witness.vertices)))
-            print("witness-edges " + " ".join(map(str, rep.witness.edge_indices)))
+            lines.append("witness-vertices " + " ".join(map(str, rep.witness.vertices)))
+            lines.append("witness-edges " + " ".join(map(str, rep.witness.edge_indices)))
         else:
-            print("witness " + " ".join(f"{s}{i}" for s, i in rep.witness.nodes))
+            lines.append("witness " + " ".join(f"{s}{i}" for s, i in rep.witness.nodes))
     if args.oracle_max is not None:
         orep = girth_oracle(oracle_target, args.oracle_max)
         expected = rep.girth if rep.girth is not None and rep.girth <= args.oracle_max else None
@@ -127,7 +131,8 @@ def _cmd_girth(args: argparse.Namespace) -> int:
                 f"oracle (max-len {args.oracle_max}) found girth "
                 f"{orep.girth_str()} but the fast path reported {rep.girth_str()}"
             )
-        print(f"oracle-check ok max-len {args.oracle_max}")
+        lines.append(f"oracle-check ok max-len {args.oracle_max}")
+    print("\n".join(lines))
     return 0
 
 
@@ -177,6 +182,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag, read by the rule recipes use; a value over the
+    digit budget raises ResourceBudgetError out of parse_args."""
+    try:
+        return parse_decimal_int(text)
+    except PreconditionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _transform_keys() -> dict[str, str]:
     """Every transform flag, with its type, in table order."""
     return {key: kind for op in OPS.values() if op.needs for key, kind in op.args}
@@ -195,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         if op.needs is None:
             g = gen_sub.add_parser(name, help=_HELP.get(name, f"{name} incidence graph"))
             for key, _ in op.args:
-                g.add_argument(f"--{key}", type=int, required=True, help=_HELP.get(key))
+                g.add_argument(f"--{key}", type=_int_flag, required=True, help=_HELP.get(key))
             g.add_argument("out", help="output .bgt path")
 
     tr = sub.add_parser("transform", help="apply a hypergraph transform")
@@ -203,17 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("input", help="input .hgt/.bgt path")
     tr.add_argument("out", help="output .hgt path")
     for key, kind in _transform_keys().items():
-        tr.add_argument(f"--{key}", type=int if kind == INT else str, help=_HELP[key])
+        tr.add_argument(f"--{key}", type=_int_flag if kind == INT else str, help=_HELP[key])
 
     gr = sub.add_parser("girth", help="compute exact girth (optionally oracle-checked)")
     gr.add_argument("input", help="input .hgt/.bgt path")
-    gr.add_argument("--oracle-max", type=int, default=None,
+    gr.add_argument("--oracle-max", type=_int_flag, default=None,
                     help="cross-check with the brute-force oracle up to this length")
 
     plan = sub.add_parser("plan", help="pick (m, n) for a vertex budget and certify")
-    plan.add_argument("--girth", type=int, choices=(6, 8), required=True)
-    plan.add_argument("--p", type=int, default=None, help="prime base (girth 6)")
-    plan.add_argument("--r", type=int, required=True, help="edge uniformity")
+    plan.add_argument("--girth", type=_int_flag, choices=(6, 8), required=True)
+    plan.add_argument("--p", type=_int_flag, default=None, help="prime base (girth 6)")
+    plan.add_argument("--r", type=_int_flag, required=True, help="edge uniformity")
     plan.add_argument("--N", required=True, help="vertex budget (decimal string)")
     plan.add_argument("--cert", default="certificate.txt", help="certificate output path")
 
@@ -238,8 +252,8 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
     except Error as exc:
         for cls, code in EXIT_CODES.items():

@@ -40,7 +40,6 @@ from .core import BipartiteGraph, Hypergraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
 DEFAULT_ORACLE_INCIDENCE_BUDGET = 2000
-DEFAULT_ORACLE_MAX_LEN = 16
 ORACLE_BUDGET_ENV = "HYPERGIRTH_ORACLE_BUDGET"
 
 
@@ -243,23 +242,19 @@ def girth_hypergraph(h: Hypergraph) -> GirthReport:
     return GirthReport(len(cycle) // 2, witness)
 
 
-def girth_oracle(
-    h: Hypergraph,
-    max_len: int = DEFAULT_ORACLE_MAX_LEN,
-    incidence_budget: int | None = None,
-) -> GirthReport:
+def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
     """Brute-force girth by exhaustive cycle enumeration up to ``max_len``.
 
     Searches depth-first for vertex/edge sequences matching the cycle
     definition directly, each from its smallest vertex v0 (see the module
     docstring for the pruning).  Returns the minimum cycle length found,
     or a report with ``searched_to = max_len`` when no cycle that short
-    exists.  Refuses instances above the incidence budget rather than risk
-    an unbounded search.
+    exists.  Refuses instances above :func:`oracle_incidence_budget`
+    rather than risk an unbounded search.
     """
     if max_len < 2:
         raise PreconditionError(f"max_len must be >= 2, got {max_len}")
-    budget = incidence_budget if incidence_budget is not None else oracle_incidence_budget()
+    budget = oracle_incidence_budget()
     if h.incidence_count > budget:
         raise ResourceBudgetError(
             f"oracle refused: {h.incidence_count} incidences exceed budget {budget}"

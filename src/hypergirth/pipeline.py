@@ -117,10 +117,10 @@ class Op:
     run: Callable
     predict: Callable
 
-    def render(self, program: str, values: dict, source: str | None, out: str) -> str:
+    def render(self, values: dict, source: str | None, out: str) -> str:
         """The re-runnable command line that writes this op's output to ``out``."""
         flags = [f"--{key} {values[key]}" for key, _ in self.args]
-        return " ".join([program, self.command, *flags, *([source] if self.needs else []), out])
+        return " ".join(["hypergirth", self.command, *flags, *([source] if self.needs else []), out])
 
 
 def _geometry_incidences(kind: str) -> Callable:
@@ -401,7 +401,7 @@ def _certify_args(pairs: tuple[tuple[str, str], ...]) -> tuple[Route, int, int, 
     return route, p, _int_value("certify", "r", cargs["r"]), parse_decimal_int(cargs["N"])
 
 
-def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> tuple[PipelineReport, GreedyReport | None]:
+def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyReport | None]:
     """Execute a recipe, writing one canonical artifact per stage plus a
     deterministic report; returns the report and the last greedy report."""
     if not out_dir.isascii():
@@ -438,8 +438,8 @@ def run_pipeline(recipe: Recipe, out_dir: str, program: str = "hypergirth") -> t
             StageRecord(
                 index,
                 stage.render(),
-                OPS[name].render(program, values, prev_path, out_path),
-                f"{program} report {out_path}",
+                OPS[name].render(values, prev_path, out_path),
+                f"hypergirth report {out_path}",
                 out_name,
                 summary(state),
                 girth_rep.girth_str(),

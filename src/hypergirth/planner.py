@@ -32,14 +32,7 @@ from typing import Callable, Iterator
 
 from mpmath import mp, mpf
 
-from .arith import (
-    DEFAULT_DIGIT_BUDGET,
-    PowerExpr,
-    checked_pow,
-    is_prime,
-    power_at_least,
-    short_decimal,
-)
+from .arith import PowerExpr, checked_pow, is_prime, power_at_least, short_decimal
 from .errors import PreconditionError
 
 
@@ -153,7 +146,7 @@ class Route:
             raise PreconditionError(f"edge bound exponent {exponent} is not integral")
         return PowerExpr(p, exponent)
 
-    def _v_vs(self, p: int, m: int, n: int, value: int, digit_budget: int | None) -> int:
+    def _v_vs(self, p: int, m: int, n: int, value: int) -> int:
         """Exact sign of v(q_{p,m,n}) - value for value >= 2.  As q^growth <
         v(q) < 8 q^growth <= p^3 q^growth for q = p^e, q is expanded only
         when p^(growth e) <= value < p^(growth e + 3)."""
@@ -162,12 +155,10 @@ class Route:
             return 1
         if power_at_least(value, 1, p, self.growth * e + 3):
             return -1
-        v = self.v(checked_pow(p, e, digit_budget, f"v({p}^{e})"))
+        v = self.v(checked_pow(p, e, f"v({p}^{e})"))
         return (v > value) - (v < value)
 
-    def plan(
-        self, p: int, r: int, n_vertices: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
-    ) -> PlanResult:
+    def plan(self, p: int, r: int, n_vertices: int) -> PlanResult:
         """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by bounded
         lattice search with exact comparisons.
 
@@ -190,12 +181,12 @@ class Route:
         n_star = 1
         while not (g ** (n_star - 1) - shift <= m_star < g**n_star):
             n_star += 1
-        seed_vertices = self.v(self.order(p, m_star, n_star).expand(digit_budget))
+        seed_vertices = self.v(self.order(p, m_star, n_star).expand())
         if n_vertices < seed_vertices:
             raise BelowSeedError(n_vertices, seed_vertices)
 
         def vs(m: int, n: int) -> int:
-            return self._v_vs(p, m, n, n_vertices, digit_budget)
+            return self._v_vs(p, m, n, n_vertices)
 
         n = n_star
         while True:
@@ -262,33 +253,23 @@ def route_for(girth: int) -> Route:
     return ROUTES[girth]
 
 
-def plan(
-    girth: int,
-    p: int | None,
-    r: int,
-    n_vertices: int,
-    digit_budget: int | None = DEFAULT_DIGIT_BUDGET,
-) -> PlanResult:
+def plan(girth: int, p: int | None, r: int, n_vertices: int) -> PlanResult:
     """:meth:`Route.plan` on the girth's route; ``p`` may be None on the
     girth-8 route, whose base is fixed at 2."""
     route = route_for(girth)
-    return route.plan(route.base_for(p, f"girth-{girth} plan"), r, n_vertices, digit_budget)
+    return route.plan(route.base_for(p, f"girth-{girth} plan"), r, n_vertices)
 
 
 # The benchmark tracer (perfbench/tracing.py) wraps these two names to time
-# the plan search; delete them once it wraps Route.plan (ROADMAP item 4).
+# the plan search; delete them once it wraps Route.plan (ROADMAP item 2).
 
 
-def plan_parameters_hexagon(
-    p: int, r: int, n_vertices: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
-) -> PlanResult:
-    return plan(6, p, r, n_vertices, digit_budget)
+def plan_parameters_hexagon(p: int, r: int, n_vertices: int) -> PlanResult:
+    return plan(6, p, r, n_vertices)
 
 
-def plan_parameters_octagon(
-    r: int, n_vertices: int, digit_budget: int | None = DEFAULT_DIGIT_BUDGET
-) -> PlanResult:
-    return plan(8, None, r, n_vertices, digit_budget)
+def plan_parameters_octagon(r: int, n_vertices: int) -> PlanResult:
+    return plan(8, None, r, n_vertices)
 
 
 @dataclass(frozen=True)

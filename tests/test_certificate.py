@@ -174,8 +174,9 @@ class TestSerialization:
 
 class TestDigitBudget:
     def test_budget_names_check(self):
-        with pytest.raises(ResourceBudgetError, match="vertex-growth-2"):
-            certificate(6, 5, 2, 2, 3, digit_budget=50)
+        # order_6 = 11^(9^5 * 2.125 - 0.125) has ~131k digits; v_6 would need ~9 times that
+        with pytest.raises(ResourceBudgetError, match="^check vertex-growth-6: "):
+            certificate(6, 11, 2, 6, 3)
 
     def test_large_n_exceeds_default_budget(self):
         # Vertex growth expands no power, so the first value too large to

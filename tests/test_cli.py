@@ -187,17 +187,26 @@ class TestGirthCommand:
         from hypergirth.girth import GirthReport
 
         monkeypatch.setattr(cli_mod, "girth_hypergraph", lambda h: GirthReport(4))
-        code, _, stderr = run(capsys, "girth", path, "--oracle-max", "8")
+        code, stdout, stderr = run(capsys, "girth", path, "--oracle-max", "8")
         assert code == 5
         assert "oracle" in stderr
+        assert stdout == ""  # the oracle runs before anything is printed
+
+    def test_oracle_max_too_small_exit_3_prints_nothing(self, tmp_path, capsys):
+        bgt = str(tmp_path / "p.bgt")
+        run(capsys, "gen", "plane", "--q", "2", bgt)
+        code, stdout, stderr = run(capsys, "girth", bgt, "--oracle-max", "0")
+        assert (code, stdout) == (3, "")
+        assert_one_error_line(stderr)
 
     def test_oracle_budget_env_exit_4(self, tmp_path, capsys, monkeypatch):
         bgt, hgt = str(tmp_path / "h.bgt"), str(tmp_path / "h.hgt")
         run(capsys, "gen", "hexagon", "--q", "2", bgt)
         run(capsys, "transform", "nbhd", bgt, hgt)
         monkeypatch.setenv("HYPERGIRTH_ORACLE_BUDGET", "10")
-        code, _, stderr = run(capsys, "girth", hgt, "--oracle-max", "4")
+        code, stdout, stderr = run(capsys, "girth", hgt, "--oracle-max", "4")
         assert code == 4 and "budget" in stderr
+        assert stdout == ""
 
     def test_format_error_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "bad.hgt")
@@ -290,6 +299,46 @@ class TestPlanCommand:
         assert printed["order"] == values[f"order_{printed['planned-n']}"]
         assert printed["vertices"] == values["vertices"]
         assert printed["edge-bound"] == values["edge_bound"]
+
+
+class TestIntegerFlags:
+    """Integer flags accept exactly the decimals that recipes and --N accept."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "plane", "--q", "1_1", "OUT"],
+            ["gen", "plane", "--q", "+3", "OUT"],
+            ["gen", "plane", "--q", "03", "OUT"],
+            ["gen", "greedy", "--left", "10", "--right", "10", "--deg", "2", "--girth", "6", "--seed", "-1", "OUT"],
+            ["transform", "split", "IN", "OUT", "--r", "02"],
+            ["plan", "--girth", "6", "--p", "05", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
+            ["plan", "--girth", "06", "--p", "5", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
+            ["girth", "IN", "--oracle-max", " 6"],
+        ],
+        ids=["underscore", "plus", "leading-zero", "negative", "transform", "plan-p", "plan-girth", "girth"],
+    )
+    def test_non_canonical_exit_2(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a in ("IN", "OUT") else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not a canonical decimal integer" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "plane", "--q", "HUGE", "OUT"],
+         ["plan", "--girth", "6", "--p", "HUGE", "--r", "3", "--N", "1000", "--cert", "OUT"]],
+        ids=["gen", "plan"],
+    )
+    def test_over_digit_budget_exit_4(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a == "OUT" else "1" * (10**6 + 1) if a == "HUGE" else a for a in argv]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 4
+        assert_one_error_line(stderr)
+        assert "integer has 1000001 digits, budget is 1000000" in stderr
+        assert os.listdir(tmp_path) == []
 
 
 class TestPipelineCommand:

@@ -278,9 +278,10 @@ class TestGirthOracle:
                 fast.witness.check(h)
                 assert len(fast.witness) == fast.girth
 
-    def test_incidence_budget(self, fano):
-        with pytest.raises(ResourceBudgetError, match="exceed budget"):
-            girth_oracle(fano, 6, incidence_budget=20)
+    def test_incidence_budget(self):
+        path = Hypergraph(1002, tuple((i, i + 1) for i in range(1001)))
+        with pytest.raises(ResourceBudgetError, match="^oracle refused: 2002 incidences exceed budget 2000$"):
+            girth_oracle(path, 6)
 
     def test_env_budget_override(self, fano, monkeypatch):
         monkeypatch.setenv("HYPERGIRTH_ORACLE_BUDGET", "20")

@@ -1,9 +1,8 @@
 """Golden digests: certificates and `plan` output pinned byte for byte.
 
 Every certificate in the grid is serialized and hashed; a change to any
-check line, value line or status shows up as a digest mismatch.  The grid
-runs without a digit budget, so it pins what a certificate says, not
-whether the default budget admits it.  `plan` stdout is pinned with only
+check line, value line or status shows up as a digest mismatch.  Every
+certificate in the grid fits the digit budget.  `plan` stdout is pinned with only
 the `certificate <path>` line normalised, together with the certificate
 file it writes.  `theorem_bound` is pinned by the repr of its display
 exponent, its floored exponent and the repr of its derived constant, at N
@@ -144,7 +143,7 @@ THEOREM_BOUNDS = {
 
 @pytest.mark.parametrize("key", list(CERTIFICATES), ids=lambda k: "-".join(map(str, k)))
 def test_certificate_digest(key):
-    assert sha(certificate(*key, digit_budget=None).serialize()) == CERTIFICATES[key]
+    assert sha(certificate(*key).serialize()) == CERTIFICATES[key]
 
 
 @pytest.mark.parametrize("argv", list(PLANS), ids=lambda a: f"g{a[1]}-{len(a[-1])}digits")

@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Source rules checked on the syntax tree of each module of the package.
 
 No linter ships with the toolchain, so this parses each module with
-``ast``.  ``__init__.py`` is left out: its imports are the package's
-exports.
+``ast``:
+
+* every name a module imports is used in that module (``__init__.py`` is
+  left out: its imports are the package's exports);
+* budgets are constants: no parameter of any function has ``budget`` in
+  its name, and only ``arith`` names the digit budget.
 """
 
 import ast
@@ -58,3 +62,35 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def budget_names(source: str) -> list[str]:
+    """Parameters named ``*budget*`` and identifiers naming ``DIGIT_BUDGET``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.arg) and "budget" in node.arg.lower():
+            found.append(f"parameter {node.arg}")
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if isinstance(name, str) and "DIGIT_BUDGET" in name:
+            found.append(f"name {name}")
+    return found
+
+
+def test_budget_checker_finds_names():
+    source = (
+        "from .arith import DEFAULT_DIGIT_BUDGET\nimport hypergirth.arith as a\n"
+        "def f(x, digit_budget=None, *, incidence_budget=1):\n    return a.DIGIT_BUDGET\n"
+        "g = lambda budget: budget\n"
+    )
+    assert budget_names(source) == [
+        "name DEFAULT_DIGIT_BUDGET", "parameter digit_budget", "parameter incidence_budget",
+        "name DIGIT_BUDGET", "parameter budget",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_budgets_are_constants(module):
+    found = budget_names((PACKAGE / module).read_text())
+    if module == "arith.py":
+        found = [f for f in found if not f.startswith("name ")]
+    assert found == []

@@ -65,15 +65,17 @@ class TestPlan:
     def test_equals_route_plan(self, girth, p, base, r, n_value):
         assert plan(girth, p, r, n_value) == ROUTES[girth].plan(base, r, n_value)
 
-    def test_refusals(self):
+    def test_refusals(self, monkeypatch):
         with pytest.raises(PreconditionError, match="^girth-6 plan needs p$"):
             plan(6, None, 3, 10**30)
         with pytest.raises(PreconditionError, match="^girth-8 plan has base 2, got p = 3$"):
             plan(8, 3, 3, 10**30)
         with pytest.raises(PreconditionError, match="^girth must be 6 or 8, got 7$"):
             plan(7, 5, 3, 10**30)
+        # no N within the parse budget makes plan expand past the digit budget
+        monkeypatch.setattr("hypergirth.arith.DIGIT_BUDGET", 1)
         with pytest.raises(ResourceBudgetError):
-            plan(6, 5, 3, 10**30, digit_budget=1)
+            plan(6, 5, 3, 10**30)
 
 
 class TestOrderSequences:
@@ -205,16 +207,17 @@ class TestVertexComparison:
         [(6, 2, 4, 1), (6, 5, 2, 1), (6, 3, 3, 2), (6, 7, 2, 2), (6, 5, 2, 3),
          (8, 2, 5, 1), (8, 2, 7, 1), (8, 2, 5, 2)],
     )
-    def test_sign_matches_expansion(self, girth, p, m, n):
+    def test_sign_matches_expansion(self, girth, p, m, n, monkeypatch):
         route = ROUTES[girth]
         e = int(route.order(p, m, n).exponent)
         v = route.v(p**e)
         low, high = p ** (route.growth * e), p ** (route.growth * e + 3)
         for value in (v - 1, v, v + 1, low - 1, low, low + 1, high - 1, high, high + 1):
-            assert route._v_vs(p, m, n, value, None) == (v > value) - (v < value), value
+            assert route._v_vs(p, m, n, value) == (v > value) - (v < value), value
         # outside [low, high) the brackets decide, so nothing is expanded
-        assert route._v_vs(p, m, n, low - 1, 1) == 1
-        assert route._v_vs(p, m, n, high, 1) == -1
+        monkeypatch.setattr("hypergirth.arith.DIGIT_BUDGET", 1)
+        assert route._v_vs(p, m, n, low - 1) == 1
+        assert route._v_vs(p, m, n, high) == -1
 
 
 class TestEdgeBounds:
@@ -485,4 +488,4 @@ class TestPowerExpr:
         with pytest.raises(PreconditionError):
             PowerExpr(2, Fraction(1, 2)).expand()
         with pytest.raises(ResourceBudgetError):
-            PowerExpr(2, Fraction(10**9)).expand(digit_budget=100)
+            PowerExpr(2, Fraction(10**9)).expand()
