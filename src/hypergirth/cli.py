@@ -13,19 +13,23 @@ canonical, bit-exact artifacts.  Exit codes:
       pipeline fail-fast, INVALID certificate)
 ====  =========================================
 
-The oracle incidence budget can be overridden with the environment
-variable HYPERGIRTH_ORACLE_BUDGET.  ``gen greedy`` refuses a grid of more
-than geometry.GREEDY_PAIR_BUDGET (4*10^6) left x right pairs, every
-command a structure of more than core.VERTEX_BUDGET (5*10^6) vertices,
-and every command an integer of more than 10^6 digits (the digit budget
-of hypergirth.arith), with exit 4; none of these budgets has an override.
-Integer flags are read as recipes read integers: a flag that is not a
-canonical decimal (``1_1``, ``+3``, ``03``) exits 2.
+Each row of pipeline.OPS is one subcommand, ``gen <kind>`` or
+``transform <op>``, that takes exactly the row's flags, all required, and
+runs through one handler; a missing or unknown flag exits 2.  The oracle
+refuses more than girth.ORACLE_INCIDENCE_BUDGET (2000) incidences, ``gen
+greedy`` a grid of more than geometry.GREEDY_PAIR_BUDGET (4*10^6) left x
+right pairs, every command a structure of more than core.VERTEX_BUDGET
+(5*10^6) vertices, and every command an integer of more than 10^6 digits
+(the digit budget of hypergirth.arith), with exit 4; none of these
+budgets has an override.  Integer flags, ``--N`` included, are read as
+recipes read integers: a flag that is not a canonical decimal (``1_1``,
+``+3``, ``03``) exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -45,11 +49,9 @@ from .girth import BergeCycle, girth_bipartite, girth_hypergraph, girth_oracle
 from .pipeline import (
     INT,
     OPS,
-    check_input,
-    check_keys,
     girth_of,
-    kind_of,
     parse_recipe,
+    resolve_template,
     run_op,
     run_pipeline,
     summary,
@@ -67,37 +69,36 @@ EXIT_CODES = {
 
 _HELP = {
     "greedy": "seeded greedy high-girth bipartite graph",
+    "nbhd": "hypergraph of the right-vertex neighbourhoods",
+    "substitute": "replace each edge by copies of a template",
+    "split": "split each edge into r-element edges",
+    "pad": "add isolated vertices",
     "q": "prime order",
     "deg": "right-degree cap",
     "girth": "guaranteed girth floor",
-    "template": "substitute: path7, loose-path:<edges>:<r>, or a .hgt file",
-    "k": "substitute: copies per edge",
-    "r": "split: edge size",
-    "to": "pad: total vertex count",
+    "template": "path7, loose-path:<edges>:<r>, or a .hgt file",
+    "k": "copies per edge",
+    "r": "edge size",
+    "to": "total vertex count",
 }
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    values = {key: getattr(args, key) for key, _ in OPS[args.kind].args}
-    graph, _, greedy = run_op(args.kind, None, values)
-    write_text_file(args.out, serialize_bipartite(graph))
-    print(f"wrote {args.out} ({graph.n_left}+{graph.n_right} vertices, "
-          f"{graph.num_incidences} incidences)")
+def _cmd_op(args: argparse.Namespace) -> int:
+    """Run one ``gen`` or ``transform`` row of OPS and write its output."""
+    op = OPS[args.op]
+    source = load(args.input) if op.needs else None
+    values = {key: getattr(args, key) if kind == INT else resolve_template(getattr(args, key))
+              for key, kind in op.args}
+    out, _, greedy = run_op(args.op, source, values)
+    if isinstance(out, BipartiteGraph):
+        write_text_file(args.out, serialize_bipartite(out))
+        print(f"wrote {args.out} ({out.n_left}+{out.n_right} vertices, {out.num_incidences} incidences)")
+    else:
+        write_text_file(args.out, serialize_hypergraph(out))
+        print(f"wrote {args.out} ({out.num_vertices} vertices, {out.num_edges} edges)")
     if greedy is not None:
         for line in greedy.lines():
             print(line)
-    return 0
-
-
-def _cmd_transform(args: argparse.Namespace) -> int:
-    op = OPS[args.op]
-    given = [key for key in _transform_keys() if getattr(args, key) is not None]
-    check_keys(f"transform {args.op}", [f"--{key}" for key, _ in op.args], [f"--{key}" for key in given])
-    source = load(args.input)
-    check_input(f"transform {args.op}", op.needs, kind_of(source))
-    out, _, _ = run_op(args.op, source, {key: getattr(args, key) for key in given})
-    write_text_file(args.out, serialize_hypergraph(out))
-    print(f"wrote {args.out} ({out.num_vertices} vertices, {out.num_edges} edges)")
     return 0
 
 
@@ -137,11 +138,10 @@ def _cmd_girth(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    n_value = parse_decimal_int(args.N)
     route = route_for(args.girth)
     p = route.base_for(args.p, f"plan --girth {args.girth}")
-    plan = route.plan(p, args.r, n_value)
-    theorem = theorem_bound(args.girth, p, n_value)
+    plan = route.plan(p, args.r, args.N)
+    theorem = theorem_bound(args.girth, p, args.N)
     cert = certificate(args.girth, p, plan.m, plan.n, args.r)
     values = dict(cert.values)  # a planned (m, n) passes every premise, so all values are there
     print(f"planned-m {plan.m}")
@@ -191,33 +191,25 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _transform_keys() -> dict[str, str]:
-    """Every transform flag, with its type, in table order."""
-    return {key: kind for op in OPS.values() if op.needs for key, kind in op.args}
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call, so callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="hypergirth",
         description="Construct, transform, verify and certify high-girth uniform hypergraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a bipartite incidence graph")
-    gen_sub = gen.add_subparsers(dest="kind", required=True)
+    gen = sub.add_parser("gen", help="generate a bipartite incidence graph").add_subparsers(dest="op", required=True)
+    tr = sub.add_parser("transform", help="apply a hypergraph transform").add_subparsers(dest="op", required=True)
     for name, op in OPS.items():
-        if op.needs is None:
-            g = gen_sub.add_parser(name, help=_HELP.get(name, f"{name} incidence graph"))
-            for key, _ in op.args:
-                g.add_argument(f"--{key}", type=_int_flag, required=True, help=_HELP.get(key))
-            g.add_argument("out", help="output .bgt path")
-
-    tr = sub.add_parser("transform", help="apply a hypergraph transform")
-    tr.add_argument("op", choices=[name for name, op in OPS.items() if op.needs])
-    tr.add_argument("input", help="input .hgt/.bgt path")
-    tr.add_argument("out", help="output .hgt path")
-    for key, kind in _transform_keys().items():
-        tr.add_argument(f"--{key}", type=_int_flag if kind == INT else str, help=_HELP[key])
+        o = (tr if op.needs else gen).add_parser(name, help=_HELP.get(name, f"{name} incidence graph"))
+        for key, kind in op.args:
+            o.add_argument(f"--{key}", type=_int_flag if kind == INT else str, required=True, help=_HELP.get(key))
+        if op.needs:
+            o.add_argument("input", help="input .hgt/.bgt path")
+        o.add_argument("out", help="output .hgt path" if op.needs else "output .bgt path")
 
     gr = sub.add_parser("girth", help="compute exact girth (optionally oracle-checked)")
     gr.add_argument("input", help="input .hgt/.bgt path")
@@ -228,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--girth", type=_int_flag, choices=(6, 8), required=True)
     plan.add_argument("--p", type=_int_flag, default=None, help="prime base (girth 6)")
     plan.add_argument("--r", type=_int_flag, required=True, help="edge uniformity")
-    plan.add_argument("--N", required=True, help="vertex budget (decimal string)")
+    plan.add_argument("--N", type=_int_flag, required=True, help="vertex budget")
     plan.add_argument("--cert", default="certificate.txt", help="certificate output path")
 
     pipe = sub.add_parser("pipeline", help="run a recipe file")
@@ -241,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DISPATCH = {
-    "gen": _cmd_gen,
-    "transform": _cmd_transform,
+    "gen": _cmd_op,
+    "transform": _cmd_op,
     "girth": _cmd_girth,
     "plan": _cmd_plan,
     "pipeline": _cmd_pipeline,

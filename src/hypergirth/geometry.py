@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable
 
 from .arith import is_prime
-from .core import BipartiteGraph
+from .core import BipartiteGraph, check_vertex_budget
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 from .girth import girth_bipartite
 
@@ -172,6 +172,8 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
     point x the polar form and those conditions are linear in y, and
     their kernel is the plane of the lines through x.
     (q+1, q+1)-biregular on (q+1)(q^4+q^2+1) vertices per side, girth 12.
+    The (q^7-1)/(q-1) points of PG(6,q) are listed first, so their count
+    is checked against core.VERTEX_BUDGET before the list is made.
     """
     if not is_prime(q) or q < 2:
         raise PreconditionError(f"hexagon order must be a prime >= 2, got {q}")
@@ -187,6 +189,7 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
             rows.append(row)
         return rows
 
+    check_vertex_budget((q**7 - 1) // (q - 1), f"the point list of PG(6,{q}) for H({q})")
     points = [
         pt for pt in projective_points(q, 7)
         if (pt[0] * pt[4] + pt[1] * pt[5] + pt[2] * pt[6] - pt[3] * pt[3]) % q == 0

@@ -32,29 +32,14 @@ Three routes are provided:
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
 
 from .core import BipartiteGraph, Hypergraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
-DEFAULT_ORACLE_INCIDENCE_BUDGET = 2000
-ORACLE_BUDGET_ENV = "HYPERGIRTH_ORACLE_BUDGET"
-
-
-def oracle_incidence_budget() -> int:
-    """Oracle incidence budget, overridable via HYPERGIRTH_ORACLE_BUDGET."""
-    raw = os.environ.get(ORACLE_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_INCIDENCE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise PreconditionError(f"{ORACLE_BUDGET_ENV} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise PreconditionError(f"{ORACLE_BUDGET_ENV} must be positive, got {value}")
-    return value
+# Most incidences girth_oracle searches, with no override.
+ORACLE_INCIDENCE_BUDGET = 2000
 
 
 @dataclass(frozen=True)
@@ -249,15 +234,14 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
     definition directly, each from its smallest vertex v0 (see the module
     docstring for the pruning).  Returns the minimum cycle length found,
     or a report with ``searched_to = max_len`` when no cycle that short
-    exists.  Refuses instances above :func:`oracle_incidence_budget`
+    exists.  Refuses instances above ORACLE_INCIDENCE_BUDGET incidences
     rather than risk an unbounded search.
     """
     if max_len < 2:
         raise PreconditionError(f"max_len must be >= 2, got {max_len}")
-    budget = oracle_incidence_budget()
-    if h.incidence_count > budget:
+    if h.incidence_count > ORACLE_INCIDENCE_BUDGET:
         raise ResourceBudgetError(
-            f"oracle refused: {h.incidence_count} incidences exceed budget {budget}"
+            f"oracle refused: {h.incidence_count} incidences exceed budget {ORACLE_INCIDENCE_BUDGET}"
         )
     vertex_edges = h.vertex_edges
     edges = h.edges

@@ -21,8 +21,9 @@ report is backed by a re-runnable command line.
 Each generator and transform is one row of ``OPS``, which `gen`,
 `transform` and the recipe stages all read: its argument keys and types,
 the input kind it needs, the call, the predicted edge count and the
-re-runnable command.  Every stage is checked against its row before any
-stage runs.
+re-runnable command.  Every stage is checked against its row, and its
+templates are resolved, before any stage runs, so a bad stage writes
+nothing.
 
 Wall-clock timings are collected in memory and shown on stdout but are
 left out of the serialized report so repeated runs stay bit-identical.
@@ -70,19 +71,14 @@ def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
     return Hypergraph(to, h.edges)
 
 
-def _loose_path_spec(token: str) -> tuple[int, int]:
-    """The edge count and edge size of a `loose-path:<edges>:<r>` spec."""
-    parts = token.split(":")
-    if len(parts) != 3:
-        raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
-    return _int_value(token, "edges", parts[1]), _int_value(token, "r", parts[2])
-
-
 def resolve_template(token: str) -> Hypergraph:
     if token == "path7":
         return loose_path(3, 3)
     if token.startswith("loose-path:"):
-        return loose_path(*_loose_path_spec(token))
+        parts = token.split(":")
+        if len(parts) != 3:
+            raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
+        return loose_path(_int_value(token, "edges", parts[1]), _int_value(token, "r", parts[2]))
     template = load(token)
     check_input(f"template {token}", "hypergraph", kind_of(template))
     return template
@@ -152,21 +148,15 @@ OPS: dict[str, Op] = {
 }
 
 
-def check_keys(where: str, wanted: list[str], given: list[str]) -> None:
-    missing = sorted(set(wanted) - set(given))
-    unknown = sorted(set(given) - set(wanted))
-    if missing or unknown:
-        raise PreconditionError(f"{where} takes {wanted}, missing {missing}, unknown {unknown}")
-
-
 def run_op(
-    name: str, source: BipartiteGraph | Hypergraph | None, values: dict
+    name: str, source: BipartiteGraph | Hypergraph | None, args: dict
 ) -> tuple[BipartiteGraph | Hypergraph, int | None, GreedyReport | None]:
-    """Run ``OPS[name]`` on ``source`` (None for a generator) with checked
-    values; returns the output, its predicted edge count and, for
-    ``greedy``, its report."""
+    """Run ``OPS[name]`` on ``source`` (None for a generator) with
+    ``args`` as ``Op.run`` takes them; returns the output, its predicted
+    edge count and, for ``greedy``, its report."""
     op = OPS[name]
-    args = {key: resolve_template(values[key]) if kind == TEMPLATE else values[key] for key, kind in op.args}
+    if op.needs is not None:
+        check_input(op.command, op.needs, kind_of(source))
     out = op.run(source, args)
     greedy = None
     if isinstance(out, tuple):  # the greedy generator also returns its report
@@ -354,11 +344,19 @@ def write_text_file(path: str, text: str) -> None:
         raise
 
 
+def _stage_template(where: str, spec: str) -> Hypergraph:
+    """``resolve_template(spec)``, with any error naming the stage."""
+    try:
+        return resolve_template(spec)
+    except (Error, OSError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
     """Check every stage against ``OPS`` before any stage runs: its keys,
     its integer values, the kind of its input and the vertex count of a
-    pad target or loose-path template; returns each stage's op name and
-    values."""
+    pad target, and resolve its templates; returns each stage's op name
+    and ``Op.run`` arguments."""
     checked = []
     kind: str | None = None  # what the previous stage outputs
     for index, stage in enumerate(stages, start=1):
@@ -368,18 +366,21 @@ def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
             name = stage.args[0][1]
             label, pairs = f"gen {name}", dict(stage.args[1:])
         op = OPS[name]
-        check_keys(f"{where}: {label}", [key for key, _ in op.args], list(pairs))
+        wanted = [key for key, _ in op.args]
+        missing, unknown = sorted(set(wanted) - set(pairs)), sorted(set(pairs) - set(wanted))
+        if missing or unknown:
+            raise PreconditionError(f"{where}: {label} takes {wanted}, missing {missing}, unknown {unknown}")
         if op.needs is not None:
             if kind is None:
                 raise PreconditionError(f"{where}: {name} needs a previous stage output")
             check_input(f"{where}: {name}", op.needs, kind)
-        values = {key: _int_value(where, key, pairs[key]) if t == INT else pairs[key] for key, t in op.args}
+        args = {
+            key: _int_value(where, key, pairs[key]) if t == INT else _stage_template(where, pairs[key])
+            for key, t in op.args
+        }
         if name == "pad":
-            check_vertex_budget(values["to"], f"{where}: pad output hypergraph")
-        if name == "substitute" and values["template"].startswith("loose-path:"):
-            edges, r = _loose_path_spec(values["template"])
-            check_vertex_budget(edges * (r - 1) + 1, f"{where}: template loose path")
-        checked.append((name, values))
+            check_vertex_budget(args["to"], f"{where}: pad output hypergraph")
+        checked.append((name, args))
         kind = "bipartite" if op.needs is None else "hypergraph"
     return checked
 
@@ -414,9 +415,9 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
     last_greedy: GreedyReport | None = None
     prev_path: str | None = None
 
-    for index, (stage, (name, values)) in enumerate(zip(recipe.stages, checked), start=1):
+    for index, (stage, (name, args)) in enumerate(zip(recipe.stages, checked), start=1):
         t0 = time.monotonic()
-        state, predicted, greedy = run_op(name, state, values)
+        state, predicted, greedy = run_op(name, state, args)
         if greedy is not None:
             last_greedy = greedy
         if isinstance(state, BipartiteGraph):
@@ -438,7 +439,7 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
             StageRecord(
                 index,
                 stage.render(),
-                OPS[name].render(values, prev_path, out_path),
+                OPS[name].render(dict(stage.args), prev_path, out_path),  # its integers are canonical
                 f"hypergirth report {out_path}",
                 out_name,
                 summary(state),

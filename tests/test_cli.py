@@ -5,8 +5,8 @@ import time
 import pytest
 
 from hypergirth import parse_bipartite, parse_certificate, parse_hypergraph
-from hypergirth.cli import main
-from hypergirth.pipeline import write_text_file
+from hypergirth.cli import build_parser, main
+from hypergirth.pipeline import INT, OPS, write_text_file
 
 from conftest import subprocess_env
 
@@ -50,6 +50,16 @@ class TestGen:
         code, _, stderr = run(capsys, "gen", "plane", "--q", "4", str(tmp_path / "x.bgt"))
         assert code == 3
         assert "prime" in stderr
+
+    @pytest.mark.parametrize("q", ["13", "17"])
+    def test_hexagon_point_list_over_budget_exit_4(self, tmp_path, capsys, q):
+        start = time.monotonic()
+        code, _, stderr = run(capsys, "gen", "hexagon", "--q", q, str(tmp_path / "h.bgt"))
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert_one_error_line(stderr)
+        assert f"the point list of PG(6,{q}) for H({q}) has" in stderr
+        assert os.listdir(tmp_path) == []
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -110,10 +120,13 @@ class TestTransform:
         out = str(tmp_path / "out.hgt")
         assert run(capsys, "transform", "substitute", hgt, out, "--template", tpl, "--k", "1")[0] == 0
 
-    def test_missing_flag_exit_3(self, hex_files, tmp_path, capsys):
+    def test_missing_flag_exit_2(self, hex_files, tmp_path, capsys):
         _, hgt = hex_files
-        code, _, stderr = run(capsys, "transform", "split", hgt, str(tmp_path / "x.hgt"))
-        assert code == 3 and "--r" in stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "split", hgt, str(tmp_path / "x.hgt")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --r" in capsys.readouterr().err
+        assert not (tmp_path / "x.hgt").exists()
 
     def test_pad_down_exit_3(self, hex_files, tmp_path, capsys):
         _, hgt = hex_files
@@ -125,10 +138,13 @@ class TestTransform:
         code, _, _ = run(capsys, "transform", "split", bgt, str(tmp_path / "x.hgt"), "--r", "2")
         assert code == 3
 
-    def test_flag_the_op_does_not_take_exit_3(self, hex_files, tmp_path, capsys):
+    def test_flag_the_op_does_not_take_exit_2(self, hex_files, tmp_path, capsys):
         bgt, _ = hex_files
-        code, _, stderr = run(capsys, "transform", "nbhd", bgt, str(tmp_path / "x.hgt"), "--r", "5")
-        assert code == 3 and "unknown ['--r']" in stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "nbhd", bgt, str(tmp_path / "x.hgt"), "--r", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --r 5" in capsys.readouterr().err
+        assert not (tmp_path / "x.hgt").exists()
 
     def test_bipartite_template_exit_3(self, hex_files, tmp_path, capsys):
         bgt, hgt = hex_files
@@ -136,6 +152,21 @@ class TestTransform:
             capsys, "transform", "substitute", hgt, str(tmp_path / "x.hgt"), "--template", bgt, "--k", "1"
         )
         assert code == 3 and "needs a hypergraph input, got a bipartite" in stderr
+
+
+class TestOpCommands:
+    """Each row of OPS is one subcommand that takes exactly its flags."""
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_rendered_command_parses_back(self, name):
+        op = OPS[name]
+        values = {key: 2 + i if kind == INT else "path7" for i, (key, kind) in enumerate(op.args)}
+        source = "IN.hgt" if op.needs else None
+        _, *argv = op.render(values, source, "OUT").split(" ")
+        expected = {"command": op.command.split(" ")[0], "op": name, **values, "out": "OUT"}
+        if source is not None:
+            expected["input"] = source
+        assert vars(build_parser().parse_args(argv)) == expected
 
 
 class TestGirthCommand:
@@ -203,9 +234,9 @@ class TestGirthCommand:
         bgt, hgt = str(tmp_path / "h.bgt"), str(tmp_path / "h.hgt")
         run(capsys, "gen", "hexagon", "--q", "2", bgt)
         run(capsys, "transform", "nbhd", bgt, hgt)
-        monkeypatch.setenv("HYPERGIRTH_ORACLE_BUDGET", "10")
+        monkeypatch.setattr("hypergirth.girth.ORACLE_INCIDENCE_BUDGET", 10)
         code, stdout, stderr = run(capsys, "girth", hgt, "--oracle-max", "4")
-        assert code == 4 and "budget" in stderr
+        assert code == 4 and "189 incidences exceed budget 10" in stderr
         assert stdout == ""
 
     def test_format_error_exit_2(self, tmp_path, capsys):
@@ -279,11 +310,12 @@ class TestPlanCommand:
 
     def test_bad_n_string(self, tmp_path, capsys):
         for n_value in ("12x", "3967295312526\n"):
-            code, _, _ = run(
-                capsys, "plan", "--girth", "6", "--p", "5", "--r", "3",
-                "--N", n_value, "--cert", str(tmp_path / "c.txt"),
-            )
-            assert code == 3, n_value
+            with pytest.raises(SystemExit) as exc:
+                main(["plan", "--girth", "6", "--p", "5", "--r", "3", "--N", n_value,
+                      "--cert", str(tmp_path / "c.txt")])
+            assert exc.value.code == 2, n_value
+            assert "argument --N: not a canonical decimal integer" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -314,9 +346,11 @@ class TestIntegerFlags:
             ["transform", "split", "IN", "OUT", "--r", "02"],
             ["plan", "--girth", "6", "--p", "05", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
             ["plan", "--girth", "06", "--p", "5", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
+            ["plan", "--girth", "6", "--p", "5", "--r", "3", "--N", "03967295312526", "--cert", "OUT"],
             ["girth", "IN", "--oracle-max", " 6"],
         ],
-        ids=["underscore", "plus", "leading-zero", "negative", "transform", "plan-p", "plan-girth", "girth"],
+        ids=["underscore", "plus", "leading-zero", "negative", "transform", "plan-p", "plan-girth", "plan-N",
+             "girth"],
     )
     def test_non_canonical_exit_2(self, tmp_path, capsys, argv):
         argv = [str(tmp_path / a) if a in ("IN", "OUT") else a for a in argv]
@@ -329,8 +363,9 @@ class TestIntegerFlags:
     @pytest.mark.parametrize(
         "argv",
         [["gen", "plane", "--q", "HUGE", "OUT"],
-         ["plan", "--girth", "6", "--p", "HUGE", "--r", "3", "--N", "1000", "--cert", "OUT"]],
-        ids=["gen", "plan"],
+         ["plan", "--girth", "6", "--p", "HUGE", "--r", "3", "--N", "1000", "--cert", "OUT"],
+         ["plan", "--girth", "6", "--p", "5", "--r", "3", "--N", "HUGE", "--cert", "OUT"]],
+        ids=["gen", "plan", "plan-N"],
     )
     def test_over_digit_budget_exit_4(self, tmp_path, capsys, argv):
         argv = [str(tmp_path / a) if a == "OUT" else "1" * (10**6 + 1) if a == "HUGE" else a for a in argv]
@@ -531,6 +566,20 @@ class TestPipelineInputErrors:
     def test_stages_checked_before_any_stage_runs(self, tmp_path, capsys, stages, message):
         code, stderr, out_dir = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)
         assert code == 3 and message in stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "template,message",
+        [("missing.hgt", "stage 3: [Errno 2] No such file or directory"),
+         ("h.bgt", "stage 3: template {tmp}/h.bgt needs a hypergraph input, got a bipartite")],
+        ids=["missing-file", "bipartite-file"],
+    )
+    def test_template_resolved_before_any_stage_runs(self, tmp_path, capsys, template, message):
+        assert run(capsys, "gen", "plane", "--q", "2", str(tmp_path / "h.bgt"))[0] == 0
+        code, stderr, out_dir = self.run_recipe(
+            tmp_path, capsys, self.STAGES + f"stage substitute template={tmp_path / template} k=1\n"
+        )
+        assert code == 3 and message.format(tmp=tmp_path) in stderr
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("value", ["+6", "06"])

@@ -109,6 +109,16 @@ class TestSplitCayleyHexagon:
         with pytest.raises(PreconditionError):
             split_cayley_hexagon(4)
 
+    def test_point_list_checked_against_the_vertex_budget(self, monkeypatch):
+        # PG(6,3) has (3^7 - 1) / 2 = 1093 points; H(3) has 364 per side
+        monkeypatch.setattr("hypergirth.core.VERTEX_BUDGET", 1093)
+        assert split_cayley_hexagon(3).n_left == 364
+        monkeypatch.setattr("hypergirth.core.VERTEX_BUDGET", 1092)
+        with pytest.raises(
+            ResourceBudgetError, match=r"^the point list of PG\(6,3\) for H\(3\) has 1093 vertices, budget is 1092$"
+        ):
+            split_cayley_hexagon(3)
+
 
 class TestGreedy:
     def test_spec_example(self):

@@ -284,11 +284,11 @@ class TestGirthOracle:
             girth_oracle(path, 6)
 
     def test_env_budget_override(self, fano, monkeypatch):
+        # the budget is a constant: the environment no longer sets it
         monkeypatch.setenv("HYPERGIRTH_ORACLE_BUDGET", "20")
-        with pytest.raises(ResourceBudgetError):
-            girth_oracle(fano, 6)
-        monkeypatch.setenv("HYPERGIRTH_ORACLE_BUDGET", "junk")
-        with pytest.raises(PreconditionError):
+        assert girth_oracle(fano, 6).girth == 3
+        monkeypatch.setattr("hypergirth.girth.ORACLE_INCIDENCE_BUDGET", 20)
+        with pytest.raises(ResourceBudgetError, match="^oracle refused: 21 incidences exceed budget 20$"):
             girth_oracle(fano, 6)
 
     def test_max_len_validation(self, fano):

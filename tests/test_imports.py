@@ -6,7 +6,8 @@ No linter ships with the toolchain, so this parses each module with
 * every name a module imports is used in that module (``__init__.py`` is
   left out: its imports are the package's exports);
 * budgets are constants: no parameter of any function has ``budget`` in
-  its name, and only ``arith`` names the digit budget.
+  its name, and only ``arith`` names the digit budget;
+* no module reads the process environment.
 """
 
 import ast
@@ -94,3 +95,25 @@ def test_budgets_are_constants(module):
     if module == "arith.py":
         found = [f for f in found if not f.startswith("name ")]
     assert found == []
+
+
+def environment_reads(source: str) -> list[str]:
+    """Uses of ``os.environ`` or ``os.getenv``, as attributes or imported names."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [alias.name for alias in node.names if alias.name in names]
+    return found
+
+
+def test_environment_checker_finds_reads():
+    source = "import os\nfrom os import getenv\nx = os.environ.get('A')\ny = os.path.join('a')\n"
+    assert environment_reads(source) == ["getenv", "environ"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_no_environment_reads(module):
+    assert environment_reads((PACKAGE / module).read_text()) == []
