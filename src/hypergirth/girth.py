@@ -2,13 +2,39 @@
 
 Three routes are provided:
 
-* :func:`girth_bipartite`: breadth-first shortest-cycle search from every
-  vertex with cross-edge detection; exact on any bipartite graph.  The
-  BFS from root r only visits vertices above r.  This keeps the result
-  exact: let r* be the smallest vertex of some shortest cycle C; all of C
-  lies at or above r*, so the BFS from r* still finds C, and any cycle a
-  restricted BFS finds is a cycle of the whole graph, so the minimum over
-  all roots is still the girth.
+* :func:`girth_bipartite`: exact on any bipartite graph, by a
+  bit-parallel level sweep and one breadth-first search.  Vertices of
+  degree < 2 lie on no cycle and are peeled off first, so a forest peels to
+  nothing and is answered without a sweep.  The sweep takes the left
+  vertices of the remaining 2-core as roots, SWEEP_CHUNK at a time, and
+  keeps one int per vertex: the set of chunk roots at distance exactly d
+  from it.  Level d ORs the neighbours' sets into the vertices of one
+  side, alternating with the parity of d.  A root that reaches v through
+  two neighbours, and was not at distance d - 2, closes a cycle of length
+  2d.  The first level with such a hit gives the girth g, and its smallest
+  hit root r*.  A BFS from r* through the vertices above r* then rebuilds
+  the witness from its first cross edge.  Why this is exact:
+
+  - Left roots suffice.  A cycle alternates sides and the left side is
+    numbered first, so the smallest vertex of any cycle is a left vertex.
+  - Overwriting a set in place is exact.  At level d, v has a neighbour at
+    distance d - 1 from each root it hears of, and the graph is bipartite,
+    so v is at distance d - 2 or d from that root.  The roots at distance
+    d - 2 are exactly v's old set, which is masked out as it is replaced.
+  - The hit roots at level g/2 are exactly the left vertices on a shortest
+    cycle.  Two shortest paths of length d from a root to v close a walk
+    of length 2d that contains a cycle, so no level below g/2 hits, and a
+    hit at g/2 is a cycle of length g through its root.  Conversely a
+    shortest cycle is isometric, so the vertex opposite a root on it hears
+    of that root from both its cycle neighbours at level g/2.  Chunks run
+    in root order, so a later chunk only looks below the level found.
+
+  So r* is the smallest vertex of a shortest cycle, and every vertex of
+  that cycle lies above r*.  A BFS meets its cross edges in order of
+  length, so the first cross edge of the BFS from r* closes a cycle of
+  length g: the one a BFS from every root r through the vertices above r
+  reports, which took the first root that reaches g.  Memory beyond the
+  adjacency lists is one list of n ints of at most SWEEP_CHUNK bits.
 * :func:`girth_hypergraph`: halves the girth of the incidence graph.
   Right-vertex neighborhoods of an incidence graph are pairwise distinct
   because duplicate edges are forbidden, so cycles of length 2k in the
@@ -40,6 +66,8 @@ from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
 # Most incidences girth_oracle searches, with no override.
 ORACLE_INCIDENCE_BUDGET = 2000
+# Roots per pass of the girth sweep: the bits of each vertex's reach set.
+SWEEP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -124,60 +152,89 @@ class GirthReport:
         return "inf"
 
 
-def _shortest_cycle(adj: list[list[int]]) -> list[int] | None:
+def _shortest_cycle(adj: list[list[int]], n_left: int) -> list[int] | None:
     """A shortest cycle of the bipartite graph with adjacency lists ``adj``,
-    as its vertex sequence, or None on a forest.
+    whose vertices below ``n_left`` form one side, as its vertex sequence,
+    or None on a forest.
 
-    The BFS from root ``r`` only enters vertices above ``r`` (see the
-    module docstring) and keeps ``dist``/``parent`` in flat lists, reset
-    through the queue of touched vertices.  Scanning a vertex at depth d
-    can only close a walk of length 2d + 2: a same-depth edge would make
-    an odd cycle, and an edge to depth d - 1 was already seen from its
-    other end.  So each BFS stops at the first depth d with
-    2d + 2 >= the best length so far.
+    After the 2-core is peeled, ``reach[v]`` holds after level d the chunk
+    roots at distance exactly d from v, for each v on the side that level
+    updates; the module docstring gives the sweep and why it is exact.
     """
     n = len(adj)
-    dist = [-1] * n
-    parent = [-1] * n
-    best = n + 1  # longer than any cycle
-    cycle: list[int] | None = None
-    for root in range(n):
-        if len(adj[root]) < 2:
-            continue
-        dist[root] = 0
-        queue = [root]
-        head = 0
-        cross: tuple[int, int] | None = None
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            du = dist[u]
-            if 2 * du + 2 >= best:
+    degree = [len(a) for a in adj]
+    peel = [v for v in range(n) if degree[v] < 2]
+    while peel:
+        for u in adj[peel.pop()]:
+            degree[u] -= 1
+            if degree[u] == 1:
+                peel.append(u)
+    sides = (
+        [v for v in range(n_left) if degree[v] >= 2],
+        [v for v in range(n_left, n) if degree[v] >= 2],
+    )
+    roots = sides[0]
+    if not roots:
+        return None
+    level = n  # deeper than any hit: a cycle of length 2d has 2d vertices
+    best_root = -1  # set by the first hit: a nonempty 2-core holds a cycle
+    for start in range(0, len(roots), SWEEP_CHUNK):
+        chunk = roots[start:start + SWEEP_CHUNK]
+        reach = [0] * n
+        for bit, r in enumerate(chunk):
+            reach[r] = 1 << bit
+        d = 0
+        live = True
+        while live and d + 1 < level:
+            d += 1
+            live = False
+            hits = 0
+            for v in sides[d % 2]:
+                acc = dup = 0
+                for u in adj[v]:
+                    x = reach[u]
+                    if x:
+                        dup |= acc & x
+                        acc |= x
+                old = reach[v]
+                if dup:
+                    hits |= dup & ~old
+                if old:
+                    acc &= ~old
+                if acc:
+                    live = True
+                reach[v] = acc
+            if hits:
+                level = d
+                best_root = chunk[(hits & -hits).bit_length() - 1]
                 break
-            pu = parent[u]
-            for w in adj[u]:
-                if w < root:
-                    continue
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != pu and du + dw + 1 < best:
-                    best = du + dw + 1
-                    cross = (u, w)
-        if cross is not None:
-            # root..u, across to w, then w's tree path back to root's child
-            up = _tree_path(parent, cross[0], root)
-            down = _tree_path(parent, cross[1], root)
-            cycle = up[::-1] + down[:-1]
-            if len(cycle) != best:
-                raise VerificationError("internal error: reconstructed cycle has wrong length")
-        for x in queue:
-            dist[x] = -1
-        if best == 4:
-            break
-    return cycle
+    return _witness(adj, best_root, 2 * level)
+
+
+def _witness(adj: list[list[int]], root: int, length: int) -> list[int]:
+    """The cycle closed by the first cross edge of the BFS from ``root``
+    through vertices above ``root``, checked to have ``length`` vertices."""
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
+    dist[root] = 0
+    queue = [root]
+    for u in queue:
+        du = dist[u]
+        pu = parent[u]
+        for w in adj[u]:
+            if w < root:
+                continue
+            if dist[w] < 0:
+                dist[w] = du + 1
+                parent[w] = u
+                queue.append(w)
+            elif w != pu:
+                # root..u, across to w, then w's tree path back to root's child
+                cycle = _tree_path(parent, u, root)[::-1] + _tree_path(parent, w, root)[:-1]
+                if len(cycle) != length:
+                    raise VerificationError("internal error: reconstructed cycle has wrong length")
+                return cycle
+    raise VerificationError("internal error: no cycle through the sweep's root")
 
 
 def _tree_path(parent: list[int], x: int, root: int) -> list[int]:
@@ -197,7 +254,7 @@ def girth_bipartite(g: BipartiteGraph) -> GirthReport:
     for u, v in g.incidences:
         adj[u].append(g.n_left + v)
         adj[g.n_left + v].append(u)
-    cycle = _shortest_cycle(adj)
+    cycle = _shortest_cycle(adj, g.n_left)
     if cycle is None:
         return GirthReport(None)
     nodes = tuple(("l", x) if x < g.n_left else ("r", x - g.n_left) for x in cycle)
@@ -215,7 +272,7 @@ def girth_hypergraph(h: Hypergraph) -> GirthReport:
     n = h.num_vertices
     adj = [[n + j for j in js] for js in h.vertex_edges]
     adj += [list(edge) for edge in h.edges]
-    cycle = _shortest_cycle(adj)
+    cycle = _shortest_cycle(adj, n)
     if cycle is None:
         return GirthReport(None)
     if len(cycle) % 2 != 0:

@@ -399,7 +399,7 @@ def _certify_args(pairs: tuple[tuple[str, str], ...]) -> tuple[Route, int, int, 
     route = route_for(girth)
     p = _int_value("certify", "p", cargs["p"]) if "p" in cargs else None
     p = route.base_for(p, f"certify girth={girth}")
-    return route, p, _int_value("certify", "r", cargs["r"]), parse_decimal_int(cargs["N"])
+    return route, p, _int_value("certify", "r", cargs["r"]), _int_value("certify", "N", cargs["N"])
 
 
 def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyReport | None]:

@@ -527,6 +527,18 @@ class TestPipelineInputErrors:
         code, stderr, _ = self.run_recipe(tmp_path, capsys, self.STAGES + "certify girth=6 p=5 r=x N=7\n")
         assert code == 3 and "certify: r must be an integer, got 'x'" in stderr
 
+    def test_certify_n_not_canonical_exit_3(self, tmp_path, capsys):
+        line = "certify girth=6 p=5 r=3 N=03967295312526\n"
+        code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + line)
+        assert code == 3 and "certify: N must be an integer, got '03967295312526'" in stderr
+        assert not out_dir.exists()
+
+    def test_certify_n_over_digit_budget_exit_4(self, tmp_path, capsys):
+        line = "certify girth=6 p=5 r=3 N=" + "1" * (10**6 + 1) + "\n"
+        code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + line)
+        assert code == 4 and "integer has 1000001 digits, budget is 1000000" in stderr
+        assert not out_dir.exists()
+
     def test_target_not_an_integer_exit_2(self, tmp_path, capsys):
         code, stderr, _ = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget x\nstage gen plane q=2\n")
         assert code == 2 and "line 2" in stderr and "'x'" in stderr

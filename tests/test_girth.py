@@ -1,7 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hypergirth.girth as girth_mod
 from hypergirth import (
     BergeCycle,
     BipartiteGraph,
@@ -17,7 +20,7 @@ from hypergirth import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
-from hypergirth.girth import BipartiteCycle
+from hypergirth.girth import BipartiteCycle, GirthReport
 
 
 def bipartite_as_pairs(g: BipartiteGraph) -> Hypergraph:
@@ -181,6 +184,140 @@ class TestGirthBipartite:
             assert rep.girth == girth
             rep.witness.check(h)
             assert len(rep.witness) == girth
+
+
+# The every-root queue engine that the level sweep replaced, kept verbatim
+# as the reference for (girth, witness): a BFS from every root through the
+# vertices above it, stopped once it cannot beat the best cycle so far.
+def queue_shortest_cycle(adj: list[list[int]]) -> list[int] | None:
+    """A shortest cycle of the bipartite graph with adjacency lists ``adj``,
+    as its vertex sequence, or None on a forest.
+
+    The BFS from root ``r`` only enters vertices above ``r`` (see the
+    module docstring) and keeps ``dist``/``parent`` in flat lists, reset
+    through the queue of touched vertices.  Scanning a vertex at depth d
+    can only close a walk of length 2d + 2: a same-depth edge would make
+    an odd cycle, and an edge to depth d - 1 was already seen from its
+    other end.  So each BFS stops at the first depth d with
+    2d + 2 >= the best length so far.
+    """
+    n = len(adj)
+    dist = [-1] * n
+    parent = [-1] * n
+    best = n + 1  # longer than any cycle
+    cycle: list[int] | None = None
+    for root in range(n):
+        if len(adj[root]) < 2:
+            continue
+        dist[root] = 0
+        queue = [root]
+        head = 0
+        cross: tuple[int, int] | None = None
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            du = dist[u]
+            if 2 * du + 2 >= best:
+                break
+            pu = parent[u]
+            for w in adj[u]:
+                if w < root:
+                    continue
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != pu and du + dw + 1 < best:
+                    best = du + dw + 1
+                    cross = (u, w)
+        if cross is not None:
+            # root..u, across to w, then w's tree path back to root's child
+            up = queue_tree_path(parent, cross[0], root)
+            down = queue_tree_path(parent, cross[1], root)
+            cycle = up[::-1] + down[:-1]
+            if len(cycle) != best:
+                raise VerificationError("internal error: reconstructed cycle has wrong length")
+        for x in queue:
+            dist[x] = -1
+        if best == 4:
+            break
+    return cycle
+
+
+def queue_tree_path(parent: list[int], x: int, root: int) -> list[int]:
+    """Tree path x .. root through ``parent``."""
+    path = [x]
+    while x != root:
+        x = parent[x]
+        path.append(x)
+    return path
+
+
+def reference_report(fn, obj) -> GirthReport:
+    """``fn(obj)`` with the queue engine in place of the sweep."""
+    with mock.patch.object(girth_mod, "_shortest_cycle", lambda adj, n_left: queue_shortest_cycle(adj)):
+        return fn(obj)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Disjoint unions of up to four blocks, with both sides shuffled.  A
+    block is a tree, a cycle with pendant trees, a sparse random graph or
+    isolated vertices."""
+    n_left = n_right = 0
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(("tree", "cycle", "sparse", "isolated")), min_size=1, max_size=4)):
+        if kind in ("tree", "cycle"):
+            k = 1 if kind == "tree" else draw(st.integers(2, 6))
+            a = b = k
+            block = [(i, i) for i in range(k)] + [((i + 1) % k, i) for i in range(k) if k > 1]
+            # each pendant vertex hangs off a vertex already in the block
+            for left_side in draw(st.lists(st.booleans(), max_size=8)):
+                if left_side:
+                    block.append((a, draw(st.integers(0, b - 1))))
+                    a += 1
+                else:
+                    block.append((draw(st.integers(0, a - 1)), b))
+                    b += 1
+        elif kind == "sparse":
+            a, b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+            block = draw(st.lists(st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)), max_size=a + b + 4))
+        else:
+            a, b, block = draw(st.integers(0, 3)), draw(st.integers(0, 3)), []
+        pairs += [(n_left + u, n_right + v) for u, v in block]
+        n_left, n_right = n_left + a, n_right + b
+    left = draw(st.permutations(range(n_left)))
+    right = draw(st.permutations(range(n_right)))
+    return BipartiteGraph.from_incidences(n_left, n_right, [(left[u], right[v]) for u, v in pairs])
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 10))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True)
+    return Hypergraph.from_edges(n, draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=10, unique=True)))
+
+
+@pytest.mark.parametrize("chunk", [girth_mod.SWEEP_CHUNK, 1, 2, 7])
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(g=bipartite_graphs(), h=hypergraphs())
+def test_sweep_matches_queue_engine(chunk, g, h):
+    with mock.patch.object(girth_mod, "SWEEP_CHUNK", chunk):
+        assert girth_bipartite(g) == reference_report(girth_bipartite, g)
+        assert girth_hypergraph(h) == reference_report(girth_hypergraph, h)
+        hg = incidence_graph(h)
+        assert girth_bipartite(hg) == reference_report(girth_bipartite, hg)
+
+
+@pytest.mark.parametrize("chunk", [girth_mod.SWEEP_CHUNK, 64])
+@pytest.mark.parametrize("build, q", [(symplectic_quadrangle, 7), (split_cayley_hexagon, 3)], ids=["W7", "H3"])
+def test_sweep_matches_queue_engine_on_relabelled_geometries(monkeypatch, chunk, build, q):
+    monkeypatch.setattr(girth_mod, "SWEEP_CHUNK", chunk)
+    g = relabelled(build(q), random.Random(q), swap_sides=False)
+    rep = girth_bipartite(g)
+    assert rep == reference_report(girth_bipartite, g)
+    assert rep.girth == (8 if build is symplectic_quadrangle else 12)
 
 
 class TestGirthHypergraph:

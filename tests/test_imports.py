@@ -7,6 +7,8 @@ No linter ships with the toolchain, so this parses each module with
   left out: its imports are the package's exports);
 * budgets are constants: no parameter of any function has ``budget`` in
   its name, and only ``arith`` names the digit budget;
+* the girth sweep's chunk width is the constant ``girth.SWEEP_CHUNK``: no
+  function in ``girth`` takes a parameter with ``chunk`` in its name;
 * no module reads the process environment.
 """
 
@@ -95,6 +97,23 @@ def test_budgets_are_constants(module):
     if module == "arith.py":
         found = [f for f in found if not f.startswith("name ")]
     assert found == []
+
+
+def parameters_named(source: str, word: str) -> list[str]:
+    """Parameters of any function or lambda with ``word`` in their name."""
+    return [node.arg for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.arg) and word in node.arg.lower()]
+
+
+def test_parameter_checker_finds_names():
+    source = "def f(adj, chunk=64, *, sweep_chunk=1):\n    return adj\ng = lambda Chunk_bits: 0\n"
+    assert parameters_named(source, "chunk") == ["chunk", "sweep_chunk", "Chunk_bits"]
+
+
+def test_sweep_chunk_is_a_constant():
+    source = (PACKAGE / "girth.py").read_text()
+    assert parameters_named(source, "chunk") == []
+    assert "\nSWEEP_CHUNK = " in source
 
 
 def environment_reads(source: str) -> list[str]:
