@@ -50,13 +50,14 @@ def int_to_decimal(value: int) -> str:
 
 
 def short_decimal(value: int) -> str:
-    """Human-oriented rendering: exact up to 52 digits, else the first 40
-    and the digit count.  Not for canonical serialization."""
+    """Human-oriented rendering of a nonnegative integer: exact up to 52
+    digits, else the first 40 and the digit count.  Not for canonical
+    serialization.  A longer value is never converted whole: its leading
+    40 digits are the quotient by 10^(digits - 40)."""
     digits = int_digits10(value)
-    text = int_to_decimal(value)
     if digits <= 52:
-        return text
-    return f"{text[:40]}...({digits} digits)"
+        return int_to_decimal(value)
+    return f"{value // 10 ** (digits - 40)}...({digits} digits)"
 
 
 def check_digits(digits: int, what: str, check: str) -> None:

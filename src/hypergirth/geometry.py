@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Sequence
 
 from .arith import is_prime
 from .core import BipartiteGraph, check_vertex_budget
@@ -20,13 +20,27 @@ from .errors import PreconditionError, ResourceBudgetError, VerificationError
 from .girth import girth_bipartite
 
 
-def _normalize(vec: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """Scale a nonzero vector over F_q so its first nonzero coordinate is 1."""
-    for c in vec:
-        if c != 0:
-            inv = pow(c, -1, q)
-            return tuple(inv * x % q for x in vec)
-    raise PreconditionError("zero vector has no projective normalization")
+def _point_index(q: int, dim: int) -> Callable[[Sequence[int]], int]:
+    """Map a nonzero vector over F_q to the position of its projective
+    point in ``projective_points(q, dim)``, by arithmetic on the vector.
+
+    The points whose first nonzero coordinate sits at ``lead`` follow the
+    (q^(dim-1-lead) - 1)/(q - 1) points with a later lead, in base-q order
+    of their tails once the vector is scaled to a leading 1.
+    """
+    inv = [0] + [pow(c, -1, q) for c in range(1, q)]
+    offset = [(q ** (dim - 1 - lead) - 1) // (q - 1) for lead in range(dim)]
+
+    def index(vec: Sequence[int]) -> int:
+        for lead, c in enumerate(vec):
+            if c % q:
+                scale, pos = inv[c % q], 0
+                for t in vec[lead + 1:]:
+                    pos = pos * q + scale * t % q
+                return offset[lead] + pos
+        raise PreconditionError("zero vector has no projective point")
+
+    return index
 
 
 def projective_points(q: int, dim: int) -> list[tuple[int, ...]]:
@@ -94,40 +108,62 @@ def projective_plane(q: int) -> BipartiteGraph:
     if not is_prime(q) or not (2 <= q <= 13):
         raise PreconditionError(f"plane order must be a prime in [2, 13], got {q}")
     points = projective_points(q, 3)
-    index = {pt: i for i, pt in enumerate(points)}
+    index = _point_index(q, 3)
+    directions = projective_points(q, 2)
     pairs = []
-    for j, ln in enumerate(points):  # lines are dual points
-        for pt in points:
-            if sum(a * b for a, b in zip(pt, ln)) % q == 0:
-                pairs.append((index[pt], j))
+    for j, ln in enumerate(points):  # line j is the plane of vectors orthogonal to dual point j
+        a, b = _kernel([list(ln)], q, 3).values()
+        for c, d in directions:
+            pairs.append((index([(c * u + d * v) % q for u, v in zip(a, b)]), j))
     g = BipartiteGraph.from_incidences(len(points), len(points), pairs)
     _check_geometry(g, "plane", q, 6)
     return g
 
 
 def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callable[[tuple[int, ...]], list[list[int]]],
-                           kind: str, girth: int) -> BipartiteGraph:
+                           index: Callable[[Sequence[int]], int], kind: str, girth: int) -> BipartiteGraph:
     """Incidence graph whose lines through each point x fill the kernel of
-    ``forms(x)``, rows linear in y that x itself zeroes.
+    ``forms(x)``, rows linear in y that x itself zeroes; ``index`` maps a
+    nonzero vector to the position of its point in ``points``.
 
     x is nonzero at some free column of that kernel; the other basis
     vectors span a complement of x, and each projective point y of it
     gives the line {x} + {mu*x + y : mu in F_q}.  Lines are numbered in
     sorted order of their point tuples.
+
+    Each line is emitted once.  The points are visited in order, and each
+    keeps the ids of the emitted lines through it.  A point already on
+    q + 1 of them is skipped, and so is a direction y whose point already
+    shares an emitted line with x.  This is exact because two points lie
+    on at most one line: the line {x, y} is the one line through x and y,
+    so it is skipped exactly when it was emitted before, and it is
+    emitted from the first of its points that the loop reaches.  Any slip
+    fails the self-check, which still verifies the counts, biregularity
+    and exact girth.
     """
-    index = {pt: i for i, pt in enumerate(points)}
-    lines: set[tuple[int, ...]] = set()
-    for x in points:
+    through: list[list[int]] = [[] for _ in points]  # ids of the emitted lines on each point
+    lines: list[tuple[int, ...]] = []
+    for i, x in enumerate(points):
+        mine = through[i]
+        if len(mine) == q + 1:
+            continue
         basis = _kernel(forms(x), q, len(x))
         drop = next(col for col in basis if x[col])
         rest = [vec for col, vec in basis.items() if col != drop]
         for coeffs in projective_points(q, len(rest)):
-            y = [sum(c * vec[i] for c, vec in zip(coeffs, rest)) for i in range(len(x))]
-            line = [x] + [_normalize(tuple((mu * a + b) % q for a, b in zip(x, y)), q) for mu in range(q)]
-            lines.add(tuple(sorted(index[pt] for pt in line)))
-    line_list = sorted(lines)
-    pairs = [(v, j) for j, ln in enumerate(line_list) for v in ln]
-    g = BipartiteGraph.from_incidences(len(points), len(line_list), pairs)
+            y = [sum(c * vec[k] for c, vec in zip(coeffs, rest)) % q for k in range(len(x))]
+            j = index(y)
+            if any(ln in mine for ln in through[j]):
+                continue
+            line = sorted([i, j] + [index([(mu * a + b) % q for a, b in zip(x, y)]) for mu in range(1, q)])
+            ident = len(lines)
+            for v in line:
+                through[v].append(ident)
+            lines.append(tuple(line))
+    del through  # the girth self-check below sets the peak memory
+    lines.sort()
+    pairs = [(v, j) for j, ln in enumerate(lines) for v in ln]
+    g = BipartiteGraph.from_incidences(len(points), len(lines), pairs)
     _check_geometry(g, kind, q, girth)
     return g
 
@@ -146,7 +182,7 @@ def symplectic_quadrangle(q: int) -> BipartiteGraph:
     def forms(x: tuple[int, ...]) -> list[list[int]]:
         return [[-x[1], x[0], -x[3], x[2]]]
 
-    return _geometry_from_kernels(projective_points(q, 4), q, forms, "quadrangle", 8)
+    return _geometry_from_kernels(projective_points(q, 4), q, forms, _point_index(q, 4), "quadrangle", 8)
 
 
 # Plucker-coordinate conditions selecting the hexagon lines among the
@@ -190,11 +226,15 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
         return rows
 
     check_vertex_budget((q**7 - 1) // (q - 1), f"the point list of PG(6,{q}) for H({q})")
-    points = [
-        pt for pt in projective_points(q, 7)
-        if (pt[0] * pt[4] + pt[1] * pt[5] + pt[2] * pt[6] - pt[3] * pt[3]) % q == 0
-    ]
-    return _geometry_from_kernels(points, q, forms, "hexagon", 12)
+    points: list[tuple[int, ...]] = []
+    quadric: list[int] = []  # PG(6,q) position -> position in points, or -1 off the quadric
+    for pt in projective_points(q, 7):
+        on = (pt[0] * pt[4] + pt[1] * pt[5] + pt[2] * pt[6] - pt[3] * pt[3]) % q == 0
+        quadric.append(len(points) if on else -1)
+        if on:
+            points.append(pt)
+    pg_index = _point_index(q, 7)
+    return _geometry_from_kernels(points, q, forms, lambda vec: quadric[pg_index(vec)], "hexagon", 12)
 
 
 # Largest left x right grid the greedy generator proposes: the shuffled

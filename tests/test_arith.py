@@ -1,10 +1,16 @@
-"""Property tests for the exact power comparison ``arith.power_at_least``.
+"""Property tests for the exact power comparison ``arith.power_at_least``,
+and the rendering of ``arith.short_decimal``.
 
 Each answer is compared with ``n**a >= base**b`` expanded in full.  The
 explicit points sit right next to ties, where the top-bit brackets cannot
 separate: the exact fallback (a == 1 after dividing out gcd(a, b)) and the
 precision escalation (a > 1) both run there.
+
+``short_decimal`` is compared with a rendering from the full ``str``
+conversion, and must never convert a value of more than 52 digits whole.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,3 +112,39 @@ def test_fallback_decides_an_integer_tie(monkeypatch, d):
     # a == 1 and n within 1 of 5**200: the brackets never separate, and one
     # exact comparison settles it at the first precision.
     assert precisions(monkeypatch, 5**200 + d, 1, 5, 200) == {128}
+
+
+def str_short_decimal(value: int) -> str:
+    """short_decimal as rendered from the full conversion."""
+    text = arith.int_to_decimal(value)
+    return text if len(text) <= 52 else f"{text[:40]}...({len(text)} digits)"
+
+
+_rng = random.Random(20261018)
+SHORT_VALUES = (
+    [0, 1, 9, 10**51, 10**52 - 1, 10**52, 10**53 - 1, 10**53, 2**4000, 3**5000]
+    + [10**k - d for k in (1, 40, 41, 52, 53, 54, 100, 1000, 5000) for d in (0, 1)]
+    + [_rng.randrange(10**51, 10**52) for _ in range(5)]
+    + [_rng.randrange(10**52, 10**53) for _ in range(5)]
+    + [_rng.getrandbits(_rng.randint(1, 20000)) for _ in range(40)]
+)
+
+
+@pytest.mark.parametrize("value", SHORT_VALUES, ids=lambda v: f"{arith.int_digits10(v)}digits-{v % 1000}")
+def test_short_decimal_matches_the_full_conversion(value):
+    assert arith.short_decimal(value) == str_short_decimal(value)
+
+
+def test_short_decimal_converts_only_short_values(monkeypatch):
+    original = arith.int_to_decimal
+
+    def guarded(value):
+        assert value < 10**52, "short_decimal converted a value of more than 52 digits"
+        return original(value)
+
+    monkeypatch.setattr(arith, "int_to_decimal", guarded)
+    assert arith.short_decimal(10**52 - 1) == "9" * 52
+    assert arith.short_decimal(10**52) == "1" + "0" * 39 + "...(53 digits)"
+    assert arith.short_decimal(10**200000 - 1) == "9" * 40 + "...(200000 digits)"
+    value = _rng.getrandbits(300000)
+    assert arith.short_decimal(value).endswith(f"...({arith.int_digits10(value)} digits)")

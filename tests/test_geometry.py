@@ -19,7 +19,14 @@ from hypergirth import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
-from hypergirth.geometry import GREEDY_PAIR_BUDGET, _kernel
+from hypergirth.geometry import (
+    _HEXAGON_LINE_CONDITIONS,
+    GREEDY_PAIR_BUDGET,
+    _check_geometry,
+    _kernel,
+    _point_index,
+    projective_points,
+)
 from hypergirth.pipeline import parse_recipe, run_op, run_pipeline
 
 
@@ -45,6 +52,99 @@ def test_kernel_is_the_solution_space(args):
         for y in itertools.product(range(q), repeat=dim)
     )
     assert solutions == q ** len(basis)
+
+
+# The builders that point-index arithmetic replaced, kept verbatim as the
+# reference: each point is normalised and looked up in a tuple -> index
+# dict, every line of W(q) and H(q) is built once from each of its points,
+# and every point of PG(2,q) is tested against every line.
+def _normalize(vec: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """Scale a nonzero vector over F_q so its first nonzero coordinate is 1."""
+    for c in vec:
+        if c != 0:
+            inv = pow(c, -1, q)
+            return tuple(inv * x % q for x in vec)
+    raise PreconditionError("zero vector has no projective normalization")
+
+
+def _geometry_from_kernels(points, q, forms, kind, girth):
+    index = {pt: i for i, pt in enumerate(points)}
+    lines: set[tuple[int, ...]] = set()
+    for x in points:
+        basis = _kernel(forms(x), q, len(x))
+        drop = next(col for col in basis if x[col])
+        rest = [vec for col, vec in basis.items() if col != drop]
+        for coeffs in projective_points(q, len(rest)):
+            y = [sum(c * vec[i] for c, vec in zip(coeffs, rest)) for i in range(len(x))]
+            line = [x] + [_normalize(tuple((mu * a + b) % q for a, b in zip(x, y)), q) for mu in range(q)]
+            lines.add(tuple(sorted(index[pt] for pt in line)))
+    line_list = sorted(lines)
+    pairs = [(v, j) for j, ln in enumerate(line_list) for v in ln]
+    g = BipartiteGraph.from_incidences(len(points), len(line_list), pairs)
+    _check_geometry(g, kind, q, girth)
+    return g
+
+
+def reference_plane(q):
+    points = projective_points(q, 3)
+    index = {pt: i for i, pt in enumerate(points)}
+    pairs = []
+    for j, ln in enumerate(points):  # lines are dual points
+        for pt in points:
+            if sum(a * b for a, b in zip(pt, ln)) % q == 0:
+                pairs.append((index[pt], j))
+    g = BipartiteGraph.from_incidences(len(points), len(points), pairs)
+    _check_geometry(g, "plane", q, 6)
+    return g
+
+
+def reference_quadrangle(q):
+    def forms(x: tuple[int, ...]) -> list[list[int]]:
+        return [[-x[1], x[0], -x[3], x[2]]]
+
+    return _geometry_from_kernels(projective_points(q, 4), q, forms, "quadrangle", 8)
+
+
+def reference_hexagon(q):
+    def forms(x: tuple[int, ...]) -> list[list[int]]:
+        rows = [[x[4], x[5], x[6], -2 * x[3], x[0], x[1], x[2]]]  # polar form of the quadric
+        for (i, j), (k, l), sign in _HEXAGON_LINE_CONDITIONS:
+            row = [0] * 7  # p_ij - sign * p_kl, with p_ij = x_i*y_j - x_j*y_i
+            row[j] += x[i]
+            row[i] -= x[j]
+            row[l] -= sign * x[k]
+            row[k] += sign * x[l]
+            rows.append(row)
+        return rows
+
+    points = [
+        pt for pt in projective_points(q, 7)
+        if (pt[0] * pt[4] + pt[1] * pt[5] + pt[2] * pt[6] - pt[3] * pt[3]) % q == 0
+    ]
+    return _geometry_from_kernels(points, q, forms, "hexagon", 12)
+
+
+@pytest.mark.parametrize(
+    "build, reference, q",
+    [(projective_plane, reference_plane, q) for q in (2, 3, 5, 7, 11, 13)]
+    + [(symplectic_quadrangle, reference_quadrangle, q) for q in (2, 3, 5, 7)]
+    + [(split_cayley_hexagon, reference_hexagon, q) for q in (2, 3)],
+)
+def test_builder_matches_reference(build, reference, q):
+    assert build(q) == reference(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_point_index_is_the_position_in_projective_points(q, dim):
+    points = projective_points(q, dim)
+    index = _point_index(q, dim)
+    vectors = [vec for vec in itertools.product(range(q), repeat=dim) if any(vec)]
+    assert len(vectors) == (q - 1) * len(points)
+    for vec in vectors:
+        assert index(vec) == points.index(_normalize(vec, q))
+    with pytest.raises(PreconditionError, match="zero vector"):
+        index((0,) * dim)
 
 
 class TestProjectivePlane:

@@ -305,6 +305,8 @@ COMMANDS = {
     "gen hexagon --q 3 <tmp>/h3.bgt": "b605b445fcc5d55678e13fb344cdc9f98ab4a5c12f93ce38775c4843152f7c19",
     "gen plane --q 2 <tmp>/p2.bgt": "0e1c4aac8e22e82de83c7ccbd2205799b961aa3f5bd1876578914abc397f49cd",
     "gen plane --q 11 <tmp>/p11.bgt": "bf9ae41648fe88c312139225f23036e514f68bed476d73a5392651628a8cd10c",
+    "gen plane --q 13 <tmp>/p13.bgt": "279d1b7b1ba68c45ec53eca2332a4ecedbf83c818a32e065e5bdbdbd3c705c73",
+    "gen quadrangle --q 7 <tmp>/w7.bgt": "fd965e975421b7651ebf2025715c5f83bd25e51b041bfbea27c578ed51d61e00",
 }
 
 # files the commands above write -> sha256
@@ -317,6 +319,7 @@ COMMAND_FILES = {
     "p2.bgt": "54b9c99833588b877247078154814bb8e0adbceae51af16211ac2d1d592fd15a",
     "p7.bgt": "6e9b75df75ab030654910e735a88938fd959e0d111ce397ac872e78086a4b560",
     "p11.bgt": "5d700b66c1c475ecae444cb407fbe0e3695d6aba01bbfc1a41f4d0d73af5b84b",
+    "p13.bgt": "0d98046e499326afb23f16d789c39bb69554358d30cbdd7726f7e92a005f0bdc",
     "p7.hgt": "f1579b399c016df4a4a04fc1ac7c03e631f9c435fed1b2cc562eafca448e1582",
     "padded.hgt": "30c18bafcdac7a01f50f90371468ce0c6e1cbb605a2f41e4534043e1b10b2270",
     "pairs.hgt": "7a7a4f621a8407409d5716aa488c82e36783121ffaf6f503a6e54faa56747bf1",
@@ -324,6 +327,7 @@ COMMAND_FILES = {
     "w2.bgt": "59b9ccdf76e204b85f8b7155c2e5ff5a507a9d4a1d5132827955d404e57db6b2",
     "w3.bgt": "f9ed4032515ac749fa70ac4c07f0ec62d45071bbd5a297ff435ca4e0166625b4",
     "w5.bgt": "6939b7929256b7702219a11c23355d7cb8cdc55aea855f6842713cd201ee99b1",
+    "w7.bgt": "3fafc907ab20d45a1ef12fc6322c48bdc3852dfca62d85a791ae1f2be3269d02",
 }
 
 

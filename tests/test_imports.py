@@ -9,11 +9,14 @@ No linter ships with the toolchain, so this parses each module with
   its name, and only ``arith`` names the digit budget;
 * the girth sweep's chunk width is the constant ``girth.SWEEP_CHUNK``: no
   function in ``girth`` takes a parameter with ``chunk`` in its name;
-* no module reads the process environment.
+* no module reads the process environment;
+* every module-level private function or class is named somewhere in the
+  package outside its own body.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -136,3 +139,53 @@ def test_environment_checker_finds_reads():
 @pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
 def test_no_environment_reads(module):
     assert environment_reads((PACKAGE / module).read_text()) == []
+
+
+def _referenced_names(node: ast.AST) -> Counter:
+    """How often each name is loaded, read as an attribute or imported under ``node``."""
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name] += 1
+    return names
+
+
+def dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions and classes that no module of
+    ``sources`` names outside the definition's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and everywhere[node.name] == _referenced_names(node)[node.name]):
+                found.append(f"{module}:{node.name}")
+    return found
+
+
+def test_dead_code_checker_finds_unreferenced_definitions():
+    sources = {
+        "a.py": (
+            "def _called():\n    return 1\n"
+            "def _dead():\n    return _called()\n"
+            "class _DeadClass:\n    pass\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def _imported():\n    return 0\n"
+            "def _by_attribute():\n    return 0\n"
+            "def __dunder__():\n    return 0\n"
+            "def public():\n    def _nested():\n        return 0\n    return 0\n"
+        ),
+        "b.py": "from .a import _imported\nimport a\nx = a._by_attribute\n",
+    }
+    assert dead_private_definitions(sources) == ["a.py:_dead", "a.py:_DeadClass", "a.py:_recursive"]
+
+
+def test_no_dead_private_definitions():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_definitions(sources) == []
