@@ -2,7 +2,7 @@
 and exact-arithmetic certification of the parameter sequences and
 edge-count lower bounds behind them."""
 
-from .arith import PowerExpr, is_prime, parse_power_expr
+from .arith import PowerExpr, is_prime
 from .certificate import Certificate, certificate, parse_certificate, reverify_certificate
 from .core import BipartiteGraph, Hypergraph, StructureReport, incidence_graph, validate
 from .errors import (
@@ -93,7 +93,6 @@ __all__ = [
     "parse_bipartite",
     "parse_certificate",
     "parse_hypergraph",
-    "parse_power_expr",
     "parse_recipe",
     "plan",
     "projective_plane",

@@ -19,6 +19,7 @@ from typing import Callable
 from .errors import PreconditionError, ResourceBudgetError
 
 DIGIT_BUDGET = 10**6  # the most decimal digits any number is parsed or expanded to; no override
+DECIMAL = re.compile(r"0|[1-9][0-9]*")  # a canonical decimal integer
 
 
 def _lifting_str_limit(convert: Callable, arg):
@@ -49,11 +50,14 @@ def int_to_decimal(value: int) -> str:
     return _lifting_str_limit(str, value)
 
 
-def short_decimal(value: int) -> str:
-    """Human-oriented rendering of a nonnegative integer: exact up to 52
-    digits, else the first 40 and the digit count.  Not for canonical
-    serialization.  A longer value is never converted whole: its leading
-    40 digits are the quotient by 10^(digits - 40)."""
+def short_decimal(value: int | str) -> str:
+    """Human-oriented rendering of a nonnegative integer, or of a canonical
+    decimal string without converting it: exact up to 52 digits, else the
+    first 40 and the digit count.  Not for canonical serialization.  A
+    longer int is never converted whole: its leading 40 digits are the
+    quotient by 10^(digits - 40)."""
+    if isinstance(value, str):
+        return value if len(value) <= 52 else f"{value[:40]}...({len(value)} digits)"
     digits = int_digits10(value)
     if digits <= 52:
         return int_to_decimal(value)
@@ -70,7 +74,7 @@ def check_digits(digits: int, what: str, check: str) -> None:
 
 def parse_decimal_int(text: str) -> int:
     """Parse a canonical decimal integer of any size within the digit budget."""
-    if not re.fullmatch(r"0|[1-9][0-9]*", text):
+    if not DECIMAL.fullmatch(text):
         raise PreconditionError(f"not a canonical decimal integer: {text[:40]!r}")
     if len(text) > DIGIT_BUDGET:
         raise ResourceBudgetError(f"integer has {len(text)} digits, budget is {DIGIT_BUDGET}")
@@ -239,23 +243,3 @@ class PowerExpr:
         if self.exponent.denominator != 1 or self.exponent < 0:
             raise PreconditionError(f"{self.describe()} has no integer expansion")
         return checked_pow(self.base, self.exponent.numerator, self.describe())
-
-
-_POWER_RE = re.compile(r"([1-9][0-9]*)\^(-?(0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
-
-
-def parse_power_expr(text: str) -> PowerExpr:
-    """Parse the `b^a` / `b^a/d` rendering produced by str(PowerExpr);
-    each integer is read within the digit budget."""
-    m = _POWER_RE.fullmatch(text)
-    if m is None:
-        raise PreconditionError(f"not a power expression: {text[:40]!r}")
-    base = parse_decimal_int(m.group(1))
-    num = parse_decimal_int(m.group(3))
-    if m.group(2).startswith("-"):
-        num = -num
-    den = parse_decimal_int(m.group(4)) if m.group(4) else 1
-    frac = Fraction(num, den)
-    if (m.group(4) and frac.denominator != den) or (num == 0 and m.group(4)):
-        raise PreconditionError(f"power expression exponent not in lowest terms: {text[:40]!r}")
-    return PowerExpr(base, frac)

@@ -24,13 +24,22 @@ from .errors import ResourceBudgetError, ValidationError
 VERTEX_BUDGET = 5_000_000
 
 
-def check_vertex_budget(count: int, what: str) -> None:
+def budget_int(token: str) -> int | None:
+    """The canonical decimal ``token`` as an int if it is at most
+    VERTEX_BUDGET, else None.  A token with more digits than VERTEX_BUDGET
+    is never converted: int() takes time quadratic in its length."""
+    if len(token) > len(str(VERTEX_BUDGET)):
+        return None
+    value = int(token)
+    return value if value <= VERTEX_BUDGET else None
+
+
+def check_vertex_budget(count: int | str, what: str) -> None:
     """Refuse ``what`` with ``count`` vertices before anything that grows
-    with the count is allocated."""
-    if count > VERTEX_BUDGET:
-        raise ResourceBudgetError(
-            f"{what} has {short_decimal(count)} vertices, budget is {VERTEX_BUDGET}"
-        )
+    with the count is allocated.  A canonical decimal ``count`` is read by
+    budget_int, so a long one is refused unconverted."""
+    if budget_int(count) is None if isinstance(count, str) else count > VERTEX_BUDGET:
+        raise ResourceBudgetError(f"{what} has {short_decimal(count)} vertices, budget is {VERTEX_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -49,28 +58,24 @@ class Hypergraph:
         if not isinstance(self.num_vertices, int) or self.num_vertices < 0:
             raise ValidationError(f"num_vertices must be a nonnegative integer, got {self.num_vertices!r}")
         check_vertex_budget(self.num_vertices, "hypergraph")
-        prev: tuple[int, ...] | None = None
+        prev: tuple[int, ...] = ()
         for idx, edge in enumerate(self.edges):
-            if len(edge) == 0:
-                raise ValidationError(f"edge {idx} is empty")
+            if not edge:
+                raise ValidationError(f"edge {idx} is empty", idx)
             for a, b in zip(edge, edge[1:]):
                 if a >= b:
-                    raise ValidationError(f"edge {idx} {edge} is not strictly increasing")
+                    raise ValidationError(f"edge {idx} {edge}: vertex ids not strictly increasing", idx)
             if edge[0] < 0 or edge[-1] >= self.num_vertices:
-                raise ValidationError(
-                    f"edge {idx} {edge} has a vertex id outside [0, {self.num_vertices})"
-                )
-            if prev is not None:
-                if prev == edge:
-                    raise ValidationError(f"duplicate edge {edge} at position {idx}")
-                if prev > edge:
-                    raise ValidationError(f"edge {idx} {edge} breaks lexicographic edge order")
+                raise ValidationError(f"edge {idx} {edge}: vertex ids out of [0, {self.num_vertices})", idx)
+            if prev >= edge:
+                kind = "duplicate edge" if prev == edge else "edge order not lexicographic"
+                raise ValidationError(f"edge {idx} {edge}: {kind}", idx)
             prev = edge
 
     @classmethod
     def from_edges(cls, num_vertices: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        """Canonicalize arbitrary edge iterables: sort within edges, sort the
-        edge list, and reject duplicate vertices or duplicate edges."""
+        """Canonicalize arbitrary edge iterables (sort within edges, sort the
+        edge list) and reject a repeated vertex."""
         canon: list[tuple[int, ...]] = []
         for edge in edges:
             raw = tuple(edge)
@@ -79,9 +84,6 @@ class Hypergraph:
                 raise ValidationError(f"edge {raw} repeats a vertex")
             canon.append(tup)
         canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise ValidationError(f"duplicate edge {a}")
         return cls(num_vertices, tuple(canon))
 
     @property
@@ -122,20 +124,19 @@ class BipartiteGraph:
     def __post_init__(self) -> None:
         if self.n_left < 0 or self.n_right < 0:
             raise ValidationError("class sizes must be nonnegative")
-        check_vertex_budget(self.n_left + self.n_right, "bipartite graph")
-        prev: tuple[int, int] | None = None
+        prev = (-1, -1)
         for idx, pair in enumerate(self.incidences):
             u, v = pair
-            if not (0 <= u < self.n_left):
-                raise ValidationError(f"incidence {idx} {pair}: left id out of [0, {self.n_left})")
-            if not (0 <= v < self.n_right):
-                raise ValidationError(f"incidence {idx} {pair}: right id out of [0, {self.n_right})")
-            if prev is not None:
-                if prev == pair:
-                    raise ValidationError(f"duplicate incidence {pair} at position {idx}")
-                if prev > pair:
-                    raise ValidationError(f"incidence {idx} {pair} breaks lexicographic order")
+            if not 0 <= u < self.n_left:
+                raise ValidationError(f"incidence {idx} {pair}: left id {u} out of [0, {self.n_left})", idx)
+            if not 0 <= v < self.n_right:
+                raise ValidationError(f"incidence {idx} {pair}: right id {v} out of [0, {self.n_right})", idx)
+            if prev >= pair:
+                kind = "duplicate incidence" if prev == pair else "incidence order not lexicographic"
+                raise ValidationError(f"incidence {idx} {pair}: {kind}", idx)
             prev = pair
+        # After the incidences, so a file's bad line is named before its class sizes are refused.
+        check_vertex_budget(self.n_left + self.n_right, "bipartite graph")
 
     @classmethod
     def from_incidences(

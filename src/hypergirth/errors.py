@@ -16,7 +16,12 @@ class FormatError(Error):
 
 
 class ValidationError(Error):
-    """A structure value violates its invariants (names the offending part)."""
+    """A structure value violates its invariants (names the offending part);
+    ``index`` is the position of the offending edge or incidence, if any."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class PreconditionError(Error):

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .arith import parse_decimal_int
+from .arith import DECIMAL, parse_decimal_int
 from .certificate import certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
@@ -374,12 +374,12 @@ def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
             if kind is None:
                 raise PreconditionError(f"{where}: {name} needs a previous stage output")
             check_input(f"{where}: {name}", op.needs, kind)
+        if name == "pad" and DECIMAL.fullmatch(pairs["to"]):  # refused before the target is converted
+            check_vertex_budget(pairs["to"], f"{where}: pad output hypergraph")
         args = {
             key: _int_value(where, key, pairs[key]) if t == INT else _stage_template(where, pairs[key])
             for key, t in op.args
         }
-        if name == "pad":
-            check_vertex_budget(args["to"], f"{where}: pad output hypergraph")
         checked.append((name, args))
         kind = "bipartite" if op.needs is None else "hypergraph"
     return checked

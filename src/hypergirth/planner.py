@@ -30,8 +30,6 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from mpmath import mp, mpf
-
 from .arith import PowerExpr, checked_pow, is_prime, power_at_least, short_decimal
 from .errors import PreconditionError
 
@@ -304,6 +302,7 @@ def _mpf_of_int(n: int) -> mpf:
     Round-to-nearest-even needs only the bits down to the guard bit and
     whether any bit below it is set.
     """
+    from mpmath import mp, mpf  # imported on use, so importing the package does not load mpmath
     shift = n.bit_length() - (mp.prec + 3)
     if shift <= 0:
         return mpf(n)
@@ -337,6 +336,7 @@ def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
             raise PreconditionError(f"girth-{girth} bound needs a prime p, got {p}")
         base = p
     scale = 11 * _STEPS
+    from mpmath import mp, mpf
 
     def passes(k: int) -> bool:
         gap = scale - k * route.den

@@ -472,9 +472,10 @@ class TestVertexBudget:
         "stage,fragment",
         [
             ("pad to=" + "1" * 30, "hypergraph has " + "1" * 30 + " vertices"),
+            ("pad to=" + "9" * 999_999, "hypergraph has " + "9" * 40 + "...(999999 digits) vertices"),
             ("substitute template=loose-path:" + "1" * 30 + ":3 k=1", "loose path has 2222"),
         ],
-        ids=["pad", "loose-path"],
+        ids=["pad", "pad-long", "loose-path"],
     )
     def test_pipeline_refuses_oversized_stage(self, tmp_path, capsys, stage, fragment):
         recipe = tmp_path / "r.rcp"

@@ -11,14 +11,21 @@ No linter ships with the toolchain, so this parses each module with
   function in ``girth`` takes a parameter with ``chunk`` in its name;
 * no module reads the process environment;
 * every module-level private function or class is named somewhere in the
-  package outside its own body.
+  package outside its own body;
+* every name in ``__all__`` is named by a module of the package outside its
+  own definition, or is listed with its reason in ``UNREFERENCED_EXPORTS``;
+* importing the CLI does not import mpmath, which only ``theorem_bound``
+  needs.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
+from conftest import subprocess_env
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hypergirth"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -189,3 +196,51 @@ def test_dead_code_checker_finds_unreferenced_definitions():
 def test_no_dead_private_definitions():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_definitions(sources) == []
+
+
+# Exported names that no module of the package calls, each with the reason it is exported.
+UNREFERENCED_EXPORTS = {
+    "build_recursive": "the recursive tower whose edges the certificate counts; only the library builds it",
+    "incidence_graph": "the bipartite incidence graph of a hypergraph, which the girth code builds "
+                       "implicitly; the library's way to get it as a value",
+    "reverify_certificate": "the library's entry point for re-verifying a certificate",
+}
+
+
+def dead_exports(sources: dict[str, str], exported: list[str]) -> list[str]:
+    """Names of ``exported`` that no module of ``sources`` other than
+    ``__init__.py`` names outside the name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items() if module != "__init__.py"}
+    everywhere = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    own = Counter()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in exported:
+                own[node.name] += _referenced_names(node)[node.name]
+    return [name for name in exported if everywhere[name] == own[name]]
+
+
+def test_dead_export_checker_finds_unreferenced_names():
+    sources = {
+        "__init__.py": "from .a import used, dead, Recursive\n__all__ = ['used', 'dead', 'Recursive']\n",
+        "a.py": (
+            "def used():\n    return 1\n"
+            "def dead():\n    return used()\n"
+            "class Recursive:\n    def again(self):\n        return Recursive()\n"
+        ),
+    }
+    assert dead_exports(sources, ["used", "dead", "Recursive"]) == ["dead", "Recursive"]
+
+
+def test_every_export_is_used_or_allowed():
+    import hypergirth
+
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(dead_exports(sources, hypergirth.__all__)) == sorted(UNREFERENCED_EXPORTS)
+
+
+def test_cli_import_does_not_load_mpmath():
+    code = "import sys, hypergirth.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -15,7 +15,7 @@ from hypergirth import (
     plan,
     theorem_bound,
 )
-from hypergirth.arith import parse_decimal_int, parse_power_expr
+from hypergirth.arith import parse_decimal_int
 from hypergirth.certificate import certificate
 from hypergirth.planner import ROUTES, _mpf_of_int, route_for
 
@@ -442,32 +442,11 @@ class TestIsPrime:
 
 
 class TestPowerExpr:
-    def test_str_and_parse(self):
-        pe = PowerExpr(5, Fraction(231))
-        assert str(pe) == "5^231"
-        assert parse_power_expr("5^231") == pe
-        frac = PowerExpr(2, Fraction(-3, 8))
-        assert str(frac) == "2^-3/8"
-        assert parse_power_expr("2^-3/8") == frac
-
-    def test_parse_rejects_unreduced(self):
-        with pytest.raises(PreconditionError):
-            parse_power_expr("2^2/4")
-        with pytest.raises(PreconditionError):
-            parse_power_expr("2^x")
-        with pytest.raises(PreconditionError):
-            parse_power_expr("5^3\n")
-
-    def test_parse_long_integers(self):
-        base = "1" * 5000  # above CPython's default int-from-str digit limit
-        pe = parse_power_expr(base + "^2")
-        assert pe.base == parse_decimal_int(base) and pe.exponent == 2
-        assert str(pe) == base + "^2"
-        assert parse_power_expr("2^-" + base).exponent == -parse_decimal_int(base)
-        with pytest.raises(ResourceBudgetError, match="digits, budget is"):
-            parse_power_expr("1" * (10**6 + 1) + "^2")
-        with pytest.raises(PreconditionError, match="denominator must divide 72"):
-            parse_power_expr("2^1/" + base)
+    def test_str_renders_base_and_exponent(self):
+        assert str(PowerExpr(5, Fraction(231))) == "5^231"
+        assert str(PowerExpr(2, Fraction(-3, 8))) == "2^-3/8"
+        base = "1" * 5000  # above CPython's default int-to-str digit limit
+        assert str(PowerExpr(parse_decimal_int(base), Fraction(2))) == base + "^2"
 
     @pytest.mark.parametrize("text", ["12\n", "12x", "012", "", "-1", " 12"])
     def test_parse_decimal_int_refuses(self, text):
