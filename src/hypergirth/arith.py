@@ -38,11 +38,11 @@ def _lifting_str_limit(convert: Callable, arg):
 
 def int_digits10(value: int) -> int:
     """Exact decimal digit count of a nonnegative integer."""
-    if value == 0:
+    if value < 10:
         return 1
     approx = int(value.bit_length() * 0.30102999566398114)
-    # approx is within 1 of the truth; settle it with one power comparison.
-    return approx + 1 if value >= 10**approx else approx
+    # approx is within 1 of the truth; settle it without expanding 10^approx.
+    return approx + 1 if power_at_least(value, 1, 10, approx) else approx
 
 
 def int_to_decimal(value: int) -> str:
@@ -121,23 +121,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def digits10(base: int, exponent: Fraction | int) -> float:
-    """Approximate decimal digit count of base**exponent (guards only)."""
-    if exponent <= 0:
-        return 1.0
-    return float(exponent) * math.log10(base) + 1.0
-
-
 def checked_pow(base: int, exponent: int, what: str) -> int:
     """base**exponent as an int, refused when the result would exceed the
     digit budget."""
     if exponent < 0:
         raise PreconditionError(f"{what}: negative exponent {exponent} has no integer expansion")
-    if digits10(base, exponent) > DIGIT_BUDGET:
-        raise ResourceBudgetError(
-            f"{what}: {base}^{exponent} needs ~{digits10(base, exponent):.3g} digits, "
-            f"budget is {DIGIT_BUDGET}"
-        )
+    digits = exponent * math.log10(base) + 1  # approximate: a guard only
+    if digits > DIGIT_BUDGET:
+        raise ResourceBudgetError(f"{what}: {base}^{exponent} needs ~{digits:.3g} digits, budget is {DIGIT_BUDGET}")
     return base**exponent
 
 
@@ -182,9 +173,10 @@ def power_at_least(n: int, a: int, base: int, b: int) -> bool:
 
     n^a and base^b are bracketed from n's top bits with directed rounding,
     at a precision that grows until the brackets separate.  With a and b
-    coprime, equality needs a = 1 (base is prime), so that case falls back
-    to one exact comparison; otherwise the inequality is strict and the
-    brackets separate at the latest once the precision makes them exact.
+    coprime, equality needs a = 1 (base is prime), so a = 1 falls back to
+    one exact comparison, which holds for any base >= 2; otherwise the
+    inequality is strict and the brackets separate at the latest once the
+    precision makes them exact.
     """
     g = math.gcd(a, b)
     a, b = a // g, b // g

@@ -19,8 +19,9 @@ runs through one handler; a missing or unknown flag exits 2.  The oracle
 refuses more than girth.ORACLE_INCIDENCE_BUDGET (2000) incidences, ``gen
 greedy`` a grid of more than geometry.GREEDY_PAIR_BUDGET (4*10^6) left x
 right pairs, every command a structure of more than core.VERTEX_BUDGET
-(5*10^6) vertices, and every command an integer of more than 10^6 digits
-(the digit budget of hypergirth.arith), with exit 4; none of these
+(5*10^6) vertices, ``gen plane|quadrangle|hexagon`` a geometry of more
+incidences than that, and every command an integer of more than 10^6
+digits (the digit budget of hypergirth.arith), with exit 4; none of these
 budgets has an override.  Integer flags, ``--N`` included, are read as
 recipes read integers: a flag that is not a canonical decimal (``1_1``,
 ``+3``, ``03``) exits 2.
@@ -49,6 +50,7 @@ from .girth import BergeCycle, girth_bipartite, girth_hypergraph, girth_oracle
 from .pipeline import (
     INT,
     OPS,
+    check_pad_target,
     girth_of,
     parse_recipe,
     resolve_template,
@@ -65,6 +67,7 @@ EXIT_CODES = {
     ValidationError: 3,
     ResourceBudgetError: 4,
     VerificationError: 5,
+    OSError: 3,  # a file that cannot be read or written
 }
 
 _HELP = {
@@ -191,6 +194,12 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _pad_target_flag(text: str) -> int:
+    """``transform pad --to``, refused over the vertex budget before it is converted."""
+    check_pad_target(text)
+    return _int_flag(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
@@ -206,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, op in OPS.items():
         o = (tr if op.needs else gen).add_parser(name, help=_HELP.get(name, f"{name} incidence graph"))
         for key, kind in op.args:
-            o.add_argument(f"--{key}", type=_int_flag if kind == INT else str, required=True, help=_HELP.get(key))
+            read = str if kind != INT else _pad_target_flag if name == "pad" else _int_flag
+            o.add_argument(f"--{key}", type=read, required=True, help=_HELP.get(key))
         if op.needs:
             o.add_argument("input", help="input .hgt/.bgt path")
         o.add_argument("out", help="output .hgt path" if op.needs else "output .bgt path")
@@ -247,16 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except Error as exc:
-        for cls, code in EXIT_CODES.items():
-            if isinstance(exc, cls):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
-from .arith import is_prime
-from .core import BipartiteGraph, check_vertex_budget
+from . import core
+from .arith import is_prime, short_decimal
+from .core import BipartiteGraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 from .girth import girth_bipartite
 
@@ -44,13 +45,10 @@ def _point_index(q: int, dim: int) -> Callable[[Sequence[int]], int]:
 
 
 def projective_points(q: int, dim: int) -> list[tuple[int, ...]]:
-    """Sorted normalized representatives of the points of PG(dim-1, q)."""
-    points: list[tuple[int, ...]] = []
-    for lead in range(dim):
-        for tail in product(range(q), repeat=dim - lead - 1):
-            points.append((0,) * lead + (1,) + tail)
-    points.sort()
-    return points
+    """Sorted normalized representatives of the points of PG(dim-1, q):
+    a later leading 1 sorts first, and the tails follow in product order."""
+    return [(0,) * lead + (1,) + tail
+            for lead in reversed(range(dim)) for tail in product(range(q), repeat=dim - lead - 1)]
 
 
 def _kernel(rows: list[list[int]], q: int, dim: int) -> dict[int, tuple[int, ...]]:
@@ -86,6 +84,21 @@ PER_SIDE = {
 }
 
 
+def geometry_incidences(kind: str, q: int) -> int:
+    """Incidences PER_SIDE[kind](q) * (q + 1), checked by each builder first:
+    more than core.VERTEX_BUDGET raise ResourceBudgetError (a larger q is not
+    raised to any power), then a q that is not prime PreconditionError.  H(q)
+    has more incidences than the PG(6,q) points it lists, so those are bounded."""
+    budget = core.VERTEX_BUDGET
+    count = PER_SIDE[kind](q) * (q + 1) if q <= budget else None
+    if count is None or count > budget:
+        shown = f"more than {budget}" if count is None else count
+        raise ResourceBudgetError(f"{kind} q={short_decimal(q)} has {shown} incidences, budget is {budget}")
+    if not is_prime(q):
+        raise PreconditionError(f"{kind} order must be a prime, got {q}")
+    return count
+
+
 def _check_geometry(g: BipartiteGraph, kind: str, q: int, girth: int) -> None:
     name, per_side, degree = f"{kind} q={q}", PER_SIDE[kind](q), q + 1
     if g.n_left != per_side or g.n_right != per_side:
@@ -105,8 +118,7 @@ def projective_plane(q: int) -> BipartiteGraph:
     Points and lines are the 1- and 2-dimensional subspaces of F_q^3;
     (q+1, q+1)-biregular on q^2+q+1 vertices per side, girth 6.
     """
-    if not is_prime(q) or not (2 <= q <= 13):
-        raise PreconditionError(f"plane order must be a prime in [2, 13], got {q}")
+    geometry_incidences("plane", q)
     points = projective_points(q, 3)
     index = _point_index(q, 3)
     directions = projective_points(q, 2)
@@ -176,8 +188,7 @@ def symplectic_quadrangle(q: int) -> BipartiteGraph:
     through x are those of its polar plane.
     (q+1, q+1)-biregular on (q+1)(q^2+1) vertices per side, girth 8.
     """
-    if not is_prime(q) or not (2 <= q <= 7):
-        raise PreconditionError(f"quadrangle order must be a prime in [2, 7], got {q}")
+    geometry_incidences("quadrangle", q)
 
     def forms(x: tuple[int, ...]) -> list[list[int]]:
         return [[-x[1], x[0], -x[3], x[2]]]
@@ -208,11 +219,8 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
     point x the polar form and those conditions are linear in y, and
     their kernel is the plane of the lines through x.
     (q+1, q+1)-biregular on (q+1)(q^4+q^2+1) vertices per side, girth 12.
-    The (q^7-1)/(q-1) points of PG(6,q) are listed first, so their count
-    is checked against core.VERTEX_BUDGET before the list is made.
     """
-    if not is_prime(q) or q < 2:
-        raise PreconditionError(f"hexagon order must be a prime >= 2, got {q}")
+    geometry_incidences("hexagon", q)
 
     def forms(x: tuple[int, ...]) -> list[list[int]]:
         rows = [[x[4], x[5], x[6], -2 * x[3], x[0], x[1], x[2]]]  # polar form of the quadric
@@ -225,7 +233,6 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
             rows.append(row)
         return rows
 
-    check_vertex_budget((q**7 - 1) // (q - 1), f"the point list of PG(6,{q}) for H({q})")
     points: list[tuple[int, ...]] = []
     quadric: list[int] = []  # PG(6,q) position -> position in points, or -1 off the quadric
     for pt in projective_points(q, 7):

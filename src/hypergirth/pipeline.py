@@ -43,8 +43,8 @@ from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
 from .formats import load, serialize_bipartite, serialize_hypergraph
 from .geometry import (
-    PER_SIDE,
     GreedyReport,
+    geometry_incidences,
     greedy_high_girth_bipartite,
     projective_plane,
     split_cayley_hexagon,
@@ -69,6 +69,12 @@ def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
     if to < h.num_vertices:
         raise PreconditionError(f"cannot pad down: {h.num_vertices} vertices > target {to}")
     return Hypergraph(to, h.edges)
+
+
+def check_pad_target(token: str, prefix: str = "") -> None:
+    """Refuse a canonical pad target over core.VERTEX_BUDGET unconverted (recipes and `transform pad --to`)."""
+    if DECIMAL.fullmatch(token):
+        check_vertex_budget(token, f"{prefix}pad output hypergraph")
 
 
 def resolve_template(token: str) -> Hypergraph:
@@ -119,17 +125,16 @@ class Op:
         return " ".join(["hypergirth", self.command, *flags, *([source] if self.needs else []), out])
 
 
-def _geometry_incidences(kind: str) -> Callable:
-    return lambda _, a: PER_SIDE[kind](a["q"]) * (a["q"] + 1)
-
-
 OPS: dict[str, Op] = {
     "plane": Op("gen plane", (("q", INT),), None,
-                lambda _, a: projective_plane(a["q"]), _geometry_incidences("plane")),
+                lambda _, a: projective_plane(a["q"]),
+                lambda _, a: geometry_incidences("plane", a["q"])),
     "quadrangle": Op("gen quadrangle", (("q", INT),), None,
-                     lambda _, a: symplectic_quadrangle(a["q"]), _geometry_incidences("quadrangle")),
+                     lambda _, a: symplectic_quadrangle(a["q"]),
+                     lambda _, a: geometry_incidences("quadrangle", a["q"])),
     "hexagon": Op("gen hexagon", (("q", INT),), None,
-                  lambda _, a: split_cayley_hexagon(a["q"]), _geometry_incidences("hexagon")),
+                  lambda _, a: split_cayley_hexagon(a["q"]),
+                  lambda _, a: geometry_incidences("hexagon", a["q"])),
     "greedy": Op("gen greedy", tuple((key, INT) for key in ("left", "right", "deg", "girth", "seed")), None,
                  lambda _, a: greedy_high_girth_bipartite(a["left"], a["right"], a["deg"], a["girth"], a["seed"]),
                  lambda _, a: None),
@@ -374,8 +379,8 @@ def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
             if kind is None:
                 raise PreconditionError(f"{where}: {name} needs a previous stage output")
             check_input(f"{where}: {name}", op.needs, kind)
-        if name == "pad" and DECIMAL.fullmatch(pairs["to"]):  # refused before the target is converted
-            check_vertex_budget(pairs["to"], f"{where}: pad output hypergraph")
+        if name == "pad":
+            check_pad_target(pairs["to"], f"{where}: ")
         args = {
             key: _int_value(where, key, pairs[key]) if t == INT else _stage_template(where, pairs[key])
             for key, t in op.args

@@ -3,10 +3,11 @@
 Everything here is exact: orders are PowerExpr values with rational
 exponents, vertex/edge counts are big integers, and every inequality is
 decided by integer comparison after clearing denominators.  The only
-floating point in the module is the high-precision (mpmath) display
-exponent of :func:`theorem_bound`.  It certifies nothing: the floor of
-that exponent to a multiple of 1/72 is decided exactly, by comparing
-integer powers of N and the base, and the float only proposes it.
+inexact values in the module are the two display floats of
+:func:`theorem_bound`, computed with the standard library's ``decimal``
+at 60 digits.  They certify nothing: the floor of the exponent to a
+multiple of 1/72 is decided exactly, by comparing integer powers of N
+and the base, and the float only proposes it.
 
 Both parameter families are one recursive substitution scheme with
 different constants, each recorded once as a :class:`Route` in
@@ -25,7 +26,9 @@ certificate's order checks both read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
@@ -259,7 +262,7 @@ def plan(girth: int, p: int | None, r: int, n_vertices: int) -> PlanResult:
 
 
 # The benchmark tracer (perfbench/tracing.py) wraps these two names to time
-# the plan search; delete them once it wraps Route.plan (ROADMAP item 2).
+# the plan search; delete them once it wraps Route.plan (ROADMAP item 1).
 
 
 def plan_parameters_hexagon(p: int, r: int, n_vertices: int) -> PlanResult:
@@ -291,25 +294,13 @@ class TheoremBound:
 
 
 _STEPS = 72  # the floored exponent is a multiple of 1/_STEPS
+_PREC = 60  # decimal digits of the display floats' working precision
 
 
-def _mpf_of_int(n: int) -> mpf:
-    """``mpf(n)`` at the working precision, rounded exactly as ``mpf(n)``
-    rounds it, from the top ``mp.prec + 3`` bits of n and a sticky bit.
-
-    ``mpf(n)`` first stores n exactly, stripping its trailing zero bits
-    eight at a time, which is quadratic in their number on a round N.
-    Round-to-nearest-even needs only the bits down to the guard bit and
-    whether any bit below it is set.
-    """
-    from mpmath import mp, mpf  # imported on use, so importing the package does not load mpmath
-    shift = n.bit_length() - (mp.prec + 3)
-    if shift <= 0:
-        return mpf(n)
-    top = n >> shift
-    if n & ((1 << shift) - 1):
-        top |= 1
-    return mp.ldexp(mpf(top), shift)
+@functools.cache
+def _ln_base(base: int) -> Decimal:
+    """ln base at the working precision, computed once per process."""
+    return Decimal(base).ln(Context(prec=_PREC))
 
 
 def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
@@ -336,17 +327,18 @@ def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
             raise PreconditionError(f"girth-{girth} bound needs a prime p, got {p}")
         base = p
     scale = 11 * _STEPS
-    from mpmath import mp, mpf
 
     def passes(k: int) -> bool:
         gap = scale - k * route.den
         return gap > 0 and power_at_least(n_vertices, gap * gap, base, route.c2 * scale * scale)
 
-    with mp.workdps(60):
-        log_n = mp.log(_mpf_of_int(n_vertices)) / mp.log(base)
-        expo = mpf(11) / route.den * (1 - mp.sqrt(route.c2 / log_n))
-        constant = float(mpf(11) / route.den * mp.sqrt(route.c2 * mp.log(base, 2)))
-        k = int(mp.floor(expo * _STEPS))
+    with localcontext(Context(prec=_PREC)):  # not the caller's context, whatever it is
+        shift = max(0, n_vertices.bit_length() - 216)  # ln N from its top 216 bits is off by < 2^-215
+        ln_n = Decimal(n_vertices >> shift).ln() + shift * _ln_base(2)
+        share = Decimal(11) / route.den
+        expo = share * (1 - (route.c2 * _ln_base(base) / ln_n).sqrt())
+        constant = float(share * (route.c2 * _ln_base(base) / _ln_base(2)).sqrt())
+        k = int((expo * _STEPS).to_integral_value(ROUND_FLOOR))
     while not passes(k):
         k -= 1
     while passes(k + 1):

@@ -8,6 +8,8 @@ precision escalation (a > 1) both run there.
 
 ``short_decimal`` is compared with a rendering from the full ``str``
 conversion, and must never convert a value of more than 52 digits whole.
+``int_digits10``, which settles its count with ``power_at_least`` at base
+10, is compared with ``len(str(value))``.
 """
 
 import random
@@ -148,3 +150,18 @@ def test_short_decimal_converts_only_short_values(monkeypatch):
     assert arith.short_decimal(10**200000 - 1) == "9" * 40 + "...(200000 digits)"
     value = _rng.getrandbits(300000)
     assert arith.short_decimal(value).endswith(f"...({arith.int_digits10(value)} digits)")
+
+
+_rng_digits = random.Random(17)
+DIGIT_COUNT_VALUES = (
+    list(range(0, 10))
+    + [10**k + d for k in range(1, 400) for d in (-1, 0, 1)]
+    + [2**k + d for k in range(1, 3000) for d in (-1, 0)]
+    + [10**k + d for k in (5000, 30103, 100000) for d in (-1, 0, 1)]
+    + [_rng_digits.getrandbits(_rng_digits.randint(1, 40000)) for _ in range(300)]
+)
+
+
+def test_int_digits10_matches_str():
+    for value in DIGIT_COUNT_VALUES:
+        assert arith.int_digits10(value) == len(arith.int_to_decimal(value)), value

@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 import time
@@ -9,6 +10,12 @@ from hypergirth.cli import build_parser, main
 from hypergirth.pipeline import INT, OPS, write_text_file
 
 from conftest import subprocess_env
+
+
+# A 4000-digit order with no prime factor up to 41: Miller-Rabin would test it at length.
+ROUGH_Q = str(next(
+    q for q in itertools.count(10**3999) if all(q % p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+))
 
 
 def run(capsys, *argv):
@@ -53,12 +60,35 @@ class TestGen:
 
     @pytest.mark.parametrize("q", ["13", "17"])
     def test_hexagon_point_list_over_budget_exit_4(self, tmp_path, capsys, q):
+        # the incidence budget also bounds the PG(6,q) point list H(q) builds from
         start = time.monotonic()
         code, _, stderr = run(capsys, "gen", "hexagon", "--q", q, str(tmp_path / "h.bgt"))
         assert time.monotonic() - start < 1.0
         assert code == 4
         assert_one_error_line(stderr)
-        assert f"the point list of PG(6,{q}) for H({q}) has" in stderr
+        assert f"hexagon q={q} has " in stderr and " incidences, budget is " in stderr
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "kind,q",
+        [("plane", "173"), ("quadrangle", "47"), ("plane", ROUGH_Q), ("quadrangle", ROUGH_Q), ("hexagon", ROUGH_Q)],
+        ids=["plane-173", "quadrangle-47", "plane-rough", "quadrangle-rough", "hexagon-rough"],
+    )
+    def test_geometry_over_budget_exit_4(self, tmp_path, capsys, kind, q):
+        start = time.monotonic()
+        code, _, stderr = run(capsys, "gen", kind, "--q", q, str(tmp_path / "g.bgt"))
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert_one_error_line(stderr)
+        assert f"error: {kind} q={q[:40]}" in stderr and " incidences, budget is " in stderr
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("q", ["0", "1", "4", "6"])
+    @pytest.mark.parametrize("kind", ["plane", "quadrangle", "hexagon"])
+    def test_non_prime_order_exit_3(self, tmp_path, capsys, kind, q):
+        code, _, stderr = run(capsys, "gen", kind, "--q", q, str(tmp_path / "g.bgt"))
+        assert code == 3
+        assert stderr == f"error: {kind} order must be a prime, got {q}\n"
         assert os.listdir(tmp_path) == []
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
@@ -127,6 +157,17 @@ class TestTransform:
         assert exc.value.code == 2
         assert "the following arguments are required: --r" in capsys.readouterr().err
         assert not (tmp_path / "x.hgt").exists()
+
+    def test_pad_target_over_budget_exit_4(self, hex_files, tmp_path, capsys):
+        _, hgt = hex_files
+        out = str(tmp_path / "x.hgt")
+        start = time.monotonic()
+        code, _, stderr = run(capsys, "transform", "pad", hgt, out, "--to", "9" * 999_999)
+        assert time.monotonic() - start < 1.0
+        assert code == 4
+        assert_one_error_line(stderr)
+        assert "pad output hypergraph has " + "9" * 40 + "...(999999 digits) vertices, budget is" in stderr
+        assert not os.path.exists(out)
 
     def test_pad_down_exit_3(self, hex_files, tmp_path, capsys):
         _, hgt = hex_files

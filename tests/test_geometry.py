@@ -14,17 +14,21 @@ from hypergirth import (
     ResourceBudgetError,
     girth_bipartite,
     greedy_high_girth_bipartite,
+    is_prime,
     projective_plane,
     serialize_bipartite,
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
+from hypergirth.core import VERTEX_BUDGET
 from hypergirth.geometry import (
     _HEXAGON_LINE_CONDITIONS,
     GREEDY_PAIR_BUDGET,
+    PER_SIDE,
     _check_geometry,
     _kernel,
     _point_index,
+    geometry_incidences,
     projective_points,
 )
 from hypergirth.pipeline import parse_recipe, run_op, run_pipeline
@@ -161,7 +165,13 @@ class TestProjectivePlane:
         assert g.num_incidences == side * (q + 1)
         assert girth_bipartite(g).girth == 6
 
-    @pytest.mark.parametrize("q", [0, 1, 4, 6, 17])
+    def test_q17_past_the_old_cap(self):
+        g = projective_plane(17)
+        assert (g.n_left, g.n_right, g.num_incidences) == (307, 307, 307 * 18)
+        assert set(g.left_degrees) == set(g.right_degrees) == {18}
+        assert girth_bipartite(g).girth == 6
+
+    @pytest.mark.parametrize("q", [0, 1, 4, 6])
     def test_bad_orders(self, q):
         with pytest.raises(PreconditionError):
             projective_plane(q)
@@ -184,7 +194,13 @@ class TestSymplecticQuadrangle:
 
         assert girth_hypergraph(neighborhood_hypergraph(quad2)).girth == 4
 
-    @pytest.mark.parametrize("q", [1, 4, 11])
+    def test_q11_past_the_old_cap(self):
+        g = symplectic_quadrangle(11)
+        assert (g.n_left, g.n_right, g.num_incidences) == (1464, 1464, 1464 * 12)
+        assert set(g.left_degrees) == set(g.right_degrees) == {12}
+        assert girth_bipartite(g).girth == 8
+
+    @pytest.mark.parametrize("q", [1, 4])
     def test_bad_orders(self, q):
         with pytest.raises(PreconditionError):
             symplectic_quadrangle(q)
@@ -210,14 +226,57 @@ class TestSplitCayleyHexagon:
             split_cayley_hexagon(4)
 
     def test_point_list_checked_against_the_vertex_budget(self, monkeypatch):
-        # PG(6,3) has (3^7 - 1) / 2 = 1093 points; H(3) has 364 per side
-        monkeypatch.setattr("hypergirth.core.VERTEX_BUDGET", 1093)
+        # H(3) has 364 * 4 = 1456 incidences, more than the (3^7 - 1) / 2 =
+        # 1093 points of PG(6,3) it lists, so the incidence budget bounds both
+        monkeypatch.setattr("hypergirth.core.VERTEX_BUDGET", 1456)
         assert split_cayley_hexagon(3).n_left == 364
-        monkeypatch.setattr("hypergirth.core.VERTEX_BUDGET", 1092)
-        with pytest.raises(
-            ResourceBudgetError, match=r"^the point list of PG\(6,3\) for H\(3\) has 1093 vertices, budget is 1092$"
-        ):
+        monkeypatch.setattr("hypergirth.core.VERTEX_BUDGET", 1455)
+        with pytest.raises(ResourceBudgetError, match=r"^hexagon q=3 has 1456 incidences, budget is 1455$"):
             split_cayley_hexagon(3)
+
+
+# A 4000-digit q with no prime factor up to 41, so Miller-Rabin would
+# spend its full time on it.
+ROUGH_Q = next(
+    q for q in itertools.count(10**3999) if all(q % p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+)
+BUILDERS = {"plane": projective_plane, "quadrangle": symplectic_quadrangle, "hexagon": split_cayley_hexagon}
+
+
+class TestGeometryBudget:
+    """One size rule for the three geometries: the incidence count against
+    core.VERTEX_BUDGET, checked before primality and before any allocation."""
+
+    @pytest.mark.parametrize("kind,last,first", [("plane", 167, 173), ("quadrangle", 43, 47), ("hexagon", 11, 13)])
+    def test_largest_order_within_the_budget(self, kind, last, first):
+        assert [q for q in range(last, first + 1) if is_prime(q)] == [last, first]
+        assert geometry_incidences(kind, last) == PER_SIDE[kind](last) * (last + 1) <= VERTEX_BUDGET
+        count = PER_SIDE[kind](first) * (first + 1)
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=f"^{kind} q={first} has {count} incidences, budget is"):
+            BUILDERS[kind](first)
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_huge_order_refused_before_primality(self, kind, monkeypatch):
+        def no_primality(n):
+            raise AssertionError("is_prime called")
+
+        monkeypatch.setattr("hypergirth.geometry.is_prime", no_primality)
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=rf"\(4000 digits\) has more than {VERTEX_BUDGET} incidences"):
+            BUILDERS[kind](ROUGH_Q)
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("q", [0, 1, 4, 6])
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_non_prime_orders(self, kind, q):
+        with pytest.raises(PreconditionError, match=f"^{kind} order must be a prime, got {q}$"):
+            BUILDERS[kind](q)
+
+    def test_hexagon_incidences_exceed_its_point_list(self):
+        for q in range(2, 1000):
+            assert PER_SIDE["hexagon"](q) * (q + 1) > (q**7 - 1) // (q - 1)
 
 
 class TestGreedy:

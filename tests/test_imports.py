@@ -14,12 +14,15 @@ No linter ships with the toolchain, so this parses each module with
   package outside its own body;
 * every name in ``__all__`` is named by a module of the package outside its
   own definition, or is listed with its reason in ``UNREFERENCED_EXPORTS``;
-* importing the CLI does not import mpmath, which only ``theorem_bound``
-  needs.
+* the package has no runtime dependency: every module imports only the
+  standard library and the package, and ``pyproject.toml`` lists no
+  dependency; ``plan``, the one command with display floats, loads no
+  mpmath.
 """
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -239,8 +242,49 @@ def test_every_export_is_used_or_allowed():
     assert sorted(dead_exports(sources, hypergirth.__all__)) == sorted(UNREFERENCED_EXPORTS)
 
 
-def test_cli_import_does_not_load_mpmath():
-    code = "import sys, hypergirth.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env())
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of the modules ``source`` imports from outside the
+    standard library and the package (relative imports are the package)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [top for top in (name.split(".")[0] for name in names)
+                  if top not in sys.stdlib_module_names and top != "hypergirth"]
+    return found
+
+
+def test_foreign_import_checker_finds_names():
+    source = (
+        "from __future__ import annotations\nimport os.path, mpmath\nfrom decimal import Decimal\n"
+        "from . import core\nfrom .arith import DECIMAL\nfrom hypergirth.core import VERTEX_BUDGET\n"
+        "def f():\n    from numpy.linalg import norm\n"
+    )
+    assert foreign_imports(source) == ["mpmath", "numpy"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_imports_only_the_standard_library(module):
+    assert foreign_imports((PACKAGE / module).read_text()) == []
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    assert re.findall(r"^dependencies\s*=\s*(.*)$", text, re.M) == ["[]"]
+
+
+def test_plan_does_not_load_mpmath(tmp_path):
+    code = (
+        "import sys, hypergirth.cli\n"
+        "assert hypergirth.cli.main(['plan', '--girth', '6', '--p', '5', '--r', '3', '--N', '3967295312526',"
+        " '--cert', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cert.txt")],
+                          capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,9 +1,11 @@
 import math
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from hypergirth import (
@@ -17,7 +19,7 @@ from hypergirth import (
 )
 from hypergirth.arith import parse_decimal_int
 from hypergirth.certificate import certificate
-from hypergirth.planner import ROUTES, _mpf_of_int, route_for
+from hypergirth.planner import ROUTES, route_for
 
 
 def hexagon_v(q: int) -> int:
@@ -388,24 +390,48 @@ class TestTheoremBound:
         assert theorem_bound(6, 2, n_value + 1).bound.exponent == Fraction(87, 72)
 
 
-class TestMpfOfInt:
-    """The top-bits conversion rounds exactly as mpf(N) does."""
+def mpmath_display(girth: int, base: int, n_value: int) -> tuple[float, float]:
+    """theorem_bound's (exponent, derived_constant) as mpmath computed them
+    at 60 dps, N rounded to the working precision from its top bits."""
+    route = route_for(girth)
+    with mp.workdps(60):
+        shift = n_value.bit_length() - (mp.prec + 3)
+        if shift <= 0:
+            n_mpf = mpf(n_value)
+        else:
+            top = n_value >> shift
+            if n_value & ((1 << shift) - 1):
+                top |= 1
+            n_mpf = mp.ldexp(mpf(top), shift)
+        log_n = mp.log(n_mpf) / mp.log(base)
+        expo = mpf(11) / route.den * (1 - mp.sqrt(route.c2 / log_n))
+        constant = mpf(11) / route.den * mp.sqrt(route.c2 * mp.log(base, 2))
+        return float(expo), float(constant)
 
-    @staticmethod
-    def cases(prec):
-        for mantissa in (1 << (prec - 1), (1 << prec) - 1, (1 << (prec - 1)) + 2, (1 << (prec - 1)) + 3):
-            for tail_bits in (1, 2, 3, 4, 64, 1000):
-                half = 1 << (tail_bits - 1)
-                for tail in (half, half + 1, half - 1, (1 << tail_bits) - 1, 0):
-                    yield (mantissa << tail_bits) + tail
-                    yield ((mantissa << tail_bits) + tail) << 77
-        yield from (2, 3, 12345, (1 << prec) - 1, 1 << prec, (1 << (prec + 3)) - 1, 1 << (prec + 3))
 
-    @pytest.mark.parametrize("dps", [15, 60])
-    def test_matches_mpf(self, dps):
-        with mp.workdps(dps):
-            for n in self.cases(mp.prec):
-                assert _mpf_of_int(n)._mpf_ == mpf(n)._mpf_, n
+@st.composite
+def display_inputs(draw):
+    girth = draw(st.sampled_from([6, 8]))
+    base = draw(st.sampled_from([2, 3, 5, 7, 11, 13])) if girth == 6 else 2
+    bits = draw(st.one_of(st.integers(2, 300), st.integers(2, 10**6)))
+    shape = draw(st.sampled_from(["random", "2^k", "2^k-1", "p^e"]))
+    if shape == "random":
+        n_value = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 << (bits - 1)
+    elif shape == "2^k":
+        n_value = 1 << (bits - 1)
+    elif shape == "2^k-1":
+        n_value = (1 << bits) - 1
+    else:
+        n_value = base ** max(1, bits // base.bit_length())
+    return girth, base, n_value
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(display_inputs())
+def test_display_floats_match_mpmath(args):
+    girth, base, n_value = args
+    tb = theorem_bound(girth, base, n_value)
+    assert (tb.exponent, tb.derived_constant) == mpmath_display(girth, base, n_value)
 
 
 class TestIsPrime:
