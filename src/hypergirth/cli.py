@@ -22,9 +22,9 @@ right pairs, every command a structure of more than core.VERTEX_BUDGET
 (5*10^6) vertices, ``gen plane|quadrangle|hexagon`` a geometry of more
 incidences than that, and every command an integer of more than 10^6
 digits (the digit budget of hypergirth.arith), with exit 4; none of these
-budgets has an override.  Integer flags, ``--N`` included, are read as
-recipes read integers: a flag that is not a canonical decimal (``1_1``,
-``+3``, ``03``) exits 2.
+budgets has an override.  Flags are read by pipeline's readers of recipe
+lines, before any file is loaded, so every integer follows one rule: one
+that is not a canonical decimal (``1_1``, ``+3``, ``03``) exits 2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import functools
 import os
 import sys
 
-from .arith import int_to_decimal, parse_decimal_int
+from .arith import int_to_decimal
 from .certificate import certificate
 from .core import BipartiteGraph, Hypergraph
 from .errors import (
@@ -48,18 +48,18 @@ from .errors import (
 from .formats import load, read_ascii, serialize_bipartite, serialize_hypergraph
 from .girth import BergeCycle, girth_bipartite, girth_hypergraph, girth_oracle
 from .pipeline import (
-    INT,
     OPS,
-    check_pad_target,
     girth_of,
+    op_args,
     parse_recipe,
-    resolve_template,
+    plan_args,
+    read_int,
     run_op,
     run_pipeline,
     summary,
     write_text_file,
 )
-from .planner import route_for, theorem_bound
+from .planner import theorem_bound
 
 EXIT_CODES = {
     FormatError: 2,
@@ -89,9 +89,8 @@ _HELP = {
 def _cmd_op(args: argparse.Namespace) -> int:
     """Run one ``gen`` or ``transform`` row of OPS and write its output."""
     op = OPS[args.op]
+    values = op_args(args.op, {key: getattr(args, key) for key, _ in op.args}, op.command)
     source = load(args.input) if op.needs else None
-    values = {key: getattr(args, key) if kind == INT else resolve_template(getattr(args, key))
-              for key, kind in op.args}
     out, _, greedy = run_op(args.op, source, values)
     if isinstance(out, BipartiteGraph):
         write_text_file(args.out, serialize_bipartite(out))
@@ -112,6 +111,7 @@ def _as_pair_hypergraph(g: BipartiteGraph) -> Hypergraph:
 
 
 def _cmd_girth(args: argparse.Namespace) -> int:
+    oracle_max = None if args.oracle_max is None else read_int("girth", "oracle-max", args.oracle_max)
     obj = load(args.input)
     if isinstance(obj, Hypergraph):
         rep = girth_hypergraph(obj)
@@ -127,25 +127,25 @@ def _cmd_girth(args: argparse.Namespace) -> int:
             lines.append("witness-edges " + " ".join(map(str, rep.witness.edge_indices)))
         else:
             lines.append("witness " + " ".join(f"{s}{i}" for s, i in rep.witness.nodes))
-    if args.oracle_max is not None:
-        orep = girth_oracle(oracle_target, args.oracle_max)
-        expected = rep.girth if rep.girth is not None and rep.girth <= args.oracle_max else None
+    if oracle_max is not None:
+        orep = girth_oracle(oracle_target, oracle_max)
+        expected = rep.girth if rep.girth is not None and rep.girth <= oracle_max else None
         if orep.girth != expected:
             raise VerificationError(
-                f"oracle (max-len {args.oracle_max}) found girth "
+                f"oracle (max-len {oracle_max}) found girth "
                 f"{orep.girth_str()} but the fast path reported {rep.girth_str()}"
             )
-        lines.append(f"oracle-check ok max-len {args.oracle_max}")
+        lines.append(f"oracle-check ok max-len {oracle_max}")
     print("\n".join(lines))
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    route = route_for(args.girth)
-    p = route.base_for(args.p, f"plan --girth {args.girth}")
-    plan = route.plan(p, args.r, args.N)
-    theorem = theorem_bound(args.girth, p, args.N)
-    cert = certificate(args.girth, p, plan.m, plan.n, args.r)
+    given = [(key, getattr(args, key)) for key in ("girth", "p", "r", "N") if getattr(args, key) is not None]
+    route, p, r, n_value = plan_args(given, "plan")
+    plan = route.plan(p, r, n_value)
+    theorem = theorem_bound(route.girth, p, n_value)
+    cert = certificate(route.girth, p, plan.m, plan.n, r)
     values = dict(cert.values)  # a planned (m, n) passes every premise, so all values are there
     print(f"planned-m {plan.m}")
     print(f"planned-n {plan.n}")
@@ -185,21 +185,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_flag(text: str) -> int:
-    """An integer flag, read by the rule recipes use; a value over the
-    digit budget raises ResourceBudgetError out of parse_args."""
-    try:
-        return parse_decimal_int(text)
-    except PreconditionError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _pad_target_flag(text: str) -> int:
-    """``transform pad --to``, refused over the vertex budget before it is converted."""
-    check_pad_target(text)
-    return _int_flag(text)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
@@ -214,23 +199,21 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("transform", help="apply a hypergraph transform").add_subparsers(dest="op", required=True)
     for name, op in OPS.items():
         o = (tr if op.needs else gen).add_parser(name, help=_HELP.get(name, f"{name} incidence graph"))
-        for key, kind in op.args:
-            read = str if kind != INT else _pad_target_flag if name == "pad" else _int_flag
-            o.add_argument(f"--{key}", type=read, required=True, help=_HELP.get(key))
+        for key, _ in op.args:
+            o.add_argument(f"--{key}", required=True, help=_HELP.get(key))
         if op.needs:
             o.add_argument("input", help="input .hgt/.bgt path")
         o.add_argument("out", help="output .hgt path" if op.needs else "output .bgt path")
 
     gr = sub.add_parser("girth", help="compute exact girth (optionally oracle-checked)")
     gr.add_argument("input", help="input .hgt/.bgt path")
-    gr.add_argument("--oracle-max", type=_int_flag, default=None,
-                    help="cross-check with the brute-force oracle up to this length")
+    gr.add_argument("--oracle-max", help="cross-check with the brute-force oracle up to this length")
 
     plan = sub.add_parser("plan", help="pick (m, n) for a vertex budget and certify")
-    plan.add_argument("--girth", type=_int_flag, choices=(6, 8), required=True)
-    plan.add_argument("--p", type=_int_flag, default=None, help="prime base (girth 6)")
-    plan.add_argument("--r", type=_int_flag, required=True, help="edge uniformity")
-    plan.add_argument("--N", type=_int_flag, required=True, help="vertex budget")
+    plan.add_argument("--girth", choices=("6", "8"), required=True)
+    plan.add_argument("--p", help="prime base (girth 6)")
+    plan.add_argument("--r", required=True, help="edge uniformity")
+    plan.add_argument("--N", required=True, help="vertex budget")
     plan.add_argument("--cert", default="certificate.txt", help="certificate output path")
 
     pipe = sub.add_parser("pipeline", help="run a recipe file")

@@ -292,7 +292,8 @@ def greedy_high_girth_bipartite(
 
     The grid is a shuffled list of pair indices k = u * n_right + v.  A
     probe from u expands BFS layers only to depth target_girth - 3, the
-    last odd depth that can reject, and marks in ``near`` the pair of u
+    last odd depth that can reject, or until a layer is empty, so its cost
+    does not grow with the target; it marks in ``near`` the pair of u
     with every right vertex it reaches.  Edges are only ever added, so
     distances only shrink: a pair once found that close stays too close,
     and a proposal whose pair is marked is rejected without a search.
@@ -335,6 +336,8 @@ def greedy_high_girth_bipartite(
                         seen[y] = True
                         touched.append(y)
             frontier = touched[start:]
+            if not frontier:  # nothing further is reachable, so nothing more can be marked
+                break
             # a right vertex lies at an odd distance from a left one
             if depth % 2:
                 for y in frontier:

@@ -23,7 +23,9 @@ Each generator and transform is one row of ``OPS``, which `gen`,
 the input kind it needs, the call, the predicted edge count and the
 re-runnable command.  Every stage is checked against its row, and its
 templates are resolved, before any stage runs, so a bad stage writes
-nothing.
+nothing.  ``op_args``, ``plan_args`` and ``read_int`` read the stages,
+the ``certify`` line and the CLI flags alike, so a fault reads the same
+wherever it is written.
 
 Wall-clock timings are collected in memory and shown on stdout but are
 left out of the serialized report so repeated runs stay bit-identical.
@@ -35,7 +37,7 @@ import contextlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .arith import DECIMAL, parse_decimal_int
 from .certificate import certificate
@@ -55,11 +57,13 @@ from .planner import Route, route_for
 from .transforms import SubstitutionPlan, loose_path, neighborhood_hypergraph, split_edges, substitute_edges
 
 
-def _int_value(where: str, key: str, value: str) -> int:
+def read_int(where: str, key: str, text: str) -> int:
+    """A canonical decimal as every front end reads it; anything else is a
+    FormatError naming ``where`` and ``key``."""
     try:
-        return parse_decimal_int(value)
+        return parse_decimal_int(text)
     except PreconditionError:
-        raise PreconditionError(f"{where}: {key} must be an integer, got {value!r}") from None
+        raise FormatError(f"{where}: {key} must be an integer, got {text!r}") from None
 
 
 def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
@@ -71,12 +75,6 @@ def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
     return Hypergraph(to, h.edges)
 
 
-def check_pad_target(token: str, prefix: str = "") -> None:
-    """Refuse a canonical pad target over core.VERTEX_BUDGET unconverted (recipes and `transform pad --to`)."""
-    if DECIMAL.fullmatch(token):
-        check_vertex_budget(token, f"{prefix}pad output hypergraph")
-
-
 def resolve_template(token: str) -> Hypergraph:
     if token == "path7":
         return loose_path(3, 3)
@@ -84,7 +82,7 @@ def resolve_template(token: str) -> Hypergraph:
         parts = token.split(":")
         if len(parts) != 3:
             raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
-        return loose_path(_int_value(token, "edges", parts[1]), _int_value(token, "r", parts[2]))
+        return loose_path(read_int(token, "edges", parts[1]), read_int(token, "r", parts[2]))
     template = load(token)
     check_input(f"template {token}", "hypergraph", kind_of(template))
     return template
@@ -251,12 +249,7 @@ def parse_recipe(text: str) -> Recipe:
         elif tokens[0] == "target":
             if target is not None or len(tokens) != 2:
                 raise FormatError(f"line {lineno}: expected a single `target <girth>` line")
-            try:
-                target = parse_decimal_int(tokens[1])
-            except Error:
-                raise FormatError(
-                    f"line {lineno}: target girth must be an integer, got {tokens[1]!r}"
-                ) from None
+            target = read_int(f"line {lineno}", "target girth", tokens[1])
             if target < 2:
                 raise FormatError(f"line {lineno}: target girth must be >= 2")
         elif tokens[0] == "stage":
@@ -350,18 +343,29 @@ def write_text_file(path: str, text: str) -> None:
 
 
 def _stage_template(where: str, spec: str) -> Hypergraph:
-    """``resolve_template(spec)``, with any error naming the stage."""
+    """``resolve_template(spec)``, with any error naming ``where``."""
     try:
         return resolve_template(spec)
     except (Error, OSError) as exc:
         raise type(exc)(f"{where}: {exc}") from None
 
 
+def op_args(name: str, raw: dict[str, str], where: str) -> dict:
+    """``OPS[name]``'s ``Op.run`` arguments from their strings: a pad target
+    over core.VERTEX_BUDGET is refused unconverted, then the integers are
+    read and the templates resolved; every error names ``where``."""
+    args = OPS[name].args
+    if name == "pad" and DECIMAL.fullmatch(raw["to"]):
+        check_vertex_budget(raw["to"], f"{where}: pad output hypergraph")
+    values = {key: read_int(where, key, raw[key]) for key, kind in args if kind == INT}
+    values.update((key, _stage_template(where, raw[key])) for key, kind in args if kind == TEMPLATE)
+    return values
+
+
 def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
-    """Check every stage against ``OPS`` before any stage runs: its keys,
-    its integer values, the kind of its input and the vertex count of a
-    pad target, and resolve its templates; returns each stage's op name
-    and ``Op.run`` arguments."""
+    """Check every stage against ``OPS`` before any stage runs: its keys
+    and the kind of its input, then its values by ``op_args``; returns
+    each stage's op name and ``Op.run`` arguments."""
     checked = []
     kind: str | None = None  # what the previous stage outputs
     for index, stage in enumerate(stages, start=1):
@@ -379,32 +383,27 @@ def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
             if kind is None:
                 raise PreconditionError(f"{where}: {name} needs a previous stage output")
             check_input(f"{where}: {name}", op.needs, kind)
-        if name == "pad":
-            check_pad_target(pairs["to"], f"{where}: ")
-        args = {
-            key: _int_value(where, key, pairs[key]) if t == INT else _stage_template(where, pairs[key])
-            for key, t in op.args
-        }
-        checked.append((name, args))
+        checked.append((name, op_args(name, pairs, where)))
         kind = "bipartite" if op.needs is None else "hypergraph"
     return checked
 
 
-def _certify_args(pairs: tuple[tuple[str, str], ...]) -> tuple[Route, int, int, int]:
-    """Check the `certify` line against its route before any stage runs."""
-    cargs = dict(pairs)
-    missing = {"girth", "r", "N"} - set(cargs)
-    unknown = set(cargs) - {"girth", "r", "N", "p"}
+def plan_args(pairs: Iterable[tuple[str, str]], where: str) -> tuple[Route, int, int, int]:
+    """The route, p, r and N of a plan request (the recipe `certify` line or
+    the `plan` flags) from their strings; every error names ``where``."""
+    values = dict(pairs)
+    missing = {"girth", "r", "N"} - set(values)
+    unknown = set(values) - {"girth", "r", "N", "p"}
     if missing or unknown:
         raise PreconditionError(
-            f"certify takes girth= r= N= and optional p=, missing {sorted(missing)}, "
+            f"{where} takes girth= r= N= and optional p=, missing {sorted(missing)}, "
             f"unknown {sorted(unknown)}"
         )
-    girth = _int_value("certify", "girth", cargs["girth"])
+    girth = read_int(where, "girth", values["girth"])
     route = route_for(girth)
-    p = _int_value("certify", "p", cargs["p"]) if "p" in cargs else None
-    p = route.base_for(p, f"certify girth={girth}")
-    return route, p, _int_value("certify", "r", cargs["r"]), _int_value("certify", "N", cargs["N"])
+    p = read_int(where, "p", values["p"]) if "p" in values else None
+    p = route.base_for(p, f"{where} girth={girth}")
+    return route, p, read_int(where, "r", values["r"]), read_int(where, "N", values["N"])
 
 
 def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyReport | None]:
@@ -413,7 +412,7 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
     if not out_dir.isascii():
         raise PreconditionError(f"output directory must be ASCII, got {ascii(out_dir)}")
     checked = _check_stages(recipe.stages)
-    certify = None if recipe.certify is None else _certify_args(recipe.certify)
+    certify = None if recipe.certify is None else plan_args(recipe.certify, "certify")
     os.makedirs(out_dir, exist_ok=True)
     state: BipartiteGraph | Hypergraph | None = None
     records: list[StageRecord] = []

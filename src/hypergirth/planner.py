@@ -27,6 +27,7 @@ certificate's order checks both read.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
@@ -159,29 +160,39 @@ class Route:
         v = self.v(checked_pow(p, e, f"v({p}^{e})"))
         return (v > value) - (v < value)
 
-    def plan(self, p: int, r: int, n_vertices: int) -> PlanResult:
-        """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by bounded
-        lattice search with exact comparisons.
-
-        The seed m* is the smallest m on the lattice 1 + step*k that
-        satisfies the premises and p^m >= r - 1; n* brackets it by
-        growth^(n*-1) - shift <= m* < growth^n*, where shift = step - 1
-        puts the bracket ends on the lattice (10^k - 1 is odd).  The
-        returned pair additionally satisfies m* <= m, n* <= n and
-        growth^(n-1) - shift <= m <= growth^(n+1) - shift; both sandwich
-        inequalities are re-checked exactly before returning.
-        """
+    def seed(self, p: int, r: int) -> tuple[int, int]:
+        """The seed (m*, n*) that :meth:`plan` grows from: m* is the least m
+        on the lattice 1 + step*k that satisfies the premises and
+        p^m >= r - 1, and n* brackets it by growth^(n*-1) - shift <= m* <
+        growth^n*, where shift = step - 1 puts the bracket ends on the
+        lattice (10^k - 1 is odd)."""
         if not is_prime(p):
             raise PreconditionError(f"p must be prime, got {p}")
         if r < 2:
             raise PreconditionError(f"r must be >= 2, got {r}")
         step, shift, g = self.m_step, self.m_step - 1, self.growth
-        m_star = 1
-        while not (all(ok(p, m_star) for _, _, ok in self.premises) and p**m_star >= r - 1):
-            m_star += step
+        # p^m > r - 2 >= 2^(bits - 1) needs m > (bits - 1) / log2 p, so the search
+        # starts at or below m*; the float's error is far below 1 within the digit budget.
+        m_star = 1 + step * (max(0, int((r - 2).bit_length() / math.log2(p)) - 2) // step)
+        power = p**m_star
+        while power < r - 1 or not all(ok(p, m_star) for _, _, ok in self.premises):
+            m_star, power = m_star + step, power * p**step
         n_star = 1
         while not (g ** (n_star - 1) - shift <= m_star < g**n_star):
             n_star += 1
+        return m_star, n_star
+
+    def plan(self, p: int, r: int, n_vertices: int) -> PlanResult:
+        """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by bounded
+        lattice search with exact comparisons.
+
+        The search starts at the seed (m*, n*) of :meth:`seed`.  The
+        returned pair additionally satisfies m* <= m, n* <= n and
+        growth^(n-1) - shift <= m <= growth^(n+1) - shift; both sandwich
+        inequalities are re-checked exactly before returning.
+        """
+        m_star, n_star = self.seed(p, r)
+        step, shift, g = self.m_step, self.m_step - 1, self.growth
         seed_vertices = self.v(self.order(p, m_star, n_star).expand())
         if n_vertices < seed_vertices:
             raise BelowSeedError(n_vertices, seed_vertices)

@@ -166,8 +166,23 @@ class TestTransform:
         assert time.monotonic() - start < 1.0
         assert code == 4
         assert_one_error_line(stderr)
-        assert "pad output hypergraph has " + "9" * 40 + "...(999999 digits) vertices, budget is" in stderr
+        assert "transform pad: pad output hypergraph has " + "9" * 40 + "...(999999 digits) vertices, budget is" in stderr
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [(["pad", "--to", "9" * 999_999], 4, "error: transform pad: pad output hypergraph has 9999"),
+         (["substitute", "--template", "loose-path:x:3", "--k", "1"], 2,
+          "error: transform substitute: loose-path:x:3: edges must be an integer, got 'x'")],
+        ids=["pad-to", "template"],
+    )
+    def test_flags_read_before_the_input_is_loaded(self, tmp_path, capsys, argv, code, message):
+        missing, out = str(tmp_path / "missing.hgt"), str(tmp_path / "x.hgt")
+        got, stdout, stderr = run(capsys, "transform", argv[0], missing, out, *argv[1:])
+        assert (got, stdout) == (code, "")
+        assert_one_error_line(stderr)
+        assert stderr.startswith(message)
+        assert os.listdir(tmp_path) == []
 
     def test_pad_down_exit_3(self, hex_files, tmp_path, capsys):
         _, hgt = hex_files
@@ -201,7 +216,7 @@ class TestOpCommands:
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_rendered_command_parses_back(self, name):
         op = OPS[name]
-        values = {key: 2 + i if kind == INT else "path7" for i, (key, kind) in enumerate(op.args)}
+        values = {key: str(2 + i) if kind == INT else "path7" for i, (key, kind) in enumerate(op.args)}
         source = "IN.hgt" if op.needs else None
         _, *argv = op.render(values, source, "OUT").split(" ")
         expected = {"command": op.command.split(" ")[0], "op": name, **values, "out": "OUT"}
@@ -349,13 +364,25 @@ class TestPlanCommand:
         assert proc.returncode == 3, proc.stderr
         assert "below the seed" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["--girth", "8", "--p", "3"], "error: plan girth=8 has base 2, got p = 3"),
+         (["--girth", "6"], "error: plan girth=6 needs p")],
+        ids=["girth8-p3", "girth6-without-p"],
+    )
+    def test_base_refused_exit_3(self, tmp_path, capsys, argv, message):
+        code, stdout, stderr = run(capsys, "plan", *argv, "--r", "3", "--N", "3967295312526",
+                                   "--cert", str(tmp_path / "c.txt"))
+        assert (code, stdout, stderr) == (3, "", message + "\n")
+        assert os.listdir(tmp_path) == []
+
     def test_bad_n_string(self, tmp_path, capsys):
         for n_value in ("12x", "3967295312526\n"):
-            with pytest.raises(SystemExit) as exc:
-                main(["plan", "--girth", "6", "--p", "5", "--r", "3", "--N", n_value,
-                      "--cert", str(tmp_path / "c.txt")])
-            assert exc.value.code == 2, n_value
-            assert "argument --N: not a canonical decimal integer" in capsys.readouterr().err
+            code, stdout, stderr = run(capsys, "plan", "--girth", "6", "--p", "5", "--r", "3", "--N", n_value,
+                                       "--cert", str(tmp_path / "c.txt"))
+            assert (code, stdout) == (2, ""), n_value
+            assert_one_error_line(stderr)
+            assert f"error: plan: N must be an integer, got {n_value!r}" in stderr
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
@@ -375,31 +402,42 @@ class TestPlanCommand:
 
 
 class TestIntegerFlags:
-    """Integer flags accept exactly the decimals that recipes and --N accept."""
+    """Integer flags accept exactly the decimals that recipes and --N accept,
+    and refuse the rest as recipes do: one `error:` line and exit 2."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["gen", "plane", "--q", "1_1", "OUT"],
-            ["gen", "plane", "--q", "+3", "OUT"],
-            ["gen", "plane", "--q", "03", "OUT"],
-            ["gen", "greedy", "--left", "10", "--right", "10", "--deg", "2", "--girth", "6", "--seed", "-1", "OUT"],
-            ["transform", "split", "IN", "OUT", "--r", "02"],
-            ["plan", "--girth", "6", "--p", "05", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
-            ["plan", "--girth", "06", "--p", "5", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
-            ["plan", "--girth", "6", "--p", "5", "--r", "3", "--N", "03967295312526", "--cert", "OUT"],
-            ["girth", "IN", "--oracle-max", " 6"],
+            (["gen", "plane", "--q", "1_1", "OUT"], "error: gen plane: q must be an integer, got '1_1'"),
+            (["gen", "plane", "--q", "+3", "OUT"], "error: gen plane: q must be an integer, got '+3'"),
+            (["gen", "plane", "--q", "03", "OUT"], "error: gen plane: q must be an integer, got '03'"),
+            (["gen", "greedy", "--left", "10", "--right", "10", "--deg", "2", "--girth", "6", "--seed", "-1", "OUT"],
+             "error: gen greedy: seed must be an integer, got '-1'"),
+            (["transform", "split", "IN", "OUT", "--r", "02"],
+             "error: transform split: r must be an integer, got '02'"),
+            (["plan", "--girth", "6", "--p", "05", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
+             "error: plan: p must be an integer, got '05'"),
+            (["plan", "--girth", "06", "--p", "5", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
+             "hypergirth plan: error: argument --girth: invalid choice: '06' (choose from '6', '8')"),
+            (["plan", "--girth", "6", "--p", "5", "--r", "3", "--N", "03967295312526", "--cert", "OUT"],
+             "error: plan: N must be an integer, got '03967295312526'"),
+            (["girth", "IN", "--oracle-max", " 6"], "error: girth: oracle-max must be an integer, got ' 6'"),
         ],
         ids=["underscore", "plus", "leading-zero", "negative", "transform", "plan-p", "plan-girth", "plan-N",
              "girth"],
     )
-    def test_non_canonical_exit_2(self, tmp_path, capsys, argv):
+    def test_non_canonical_exit_2(self, tmp_path, capsys, argv, message):
         argv = [str(tmp_path / a) if a in ("IN", "OUT") else a for a in argv]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "not a canonical decimal integer" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a --girth outside its choices, after a usage line
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        if message.startswith("error: "):
+            assert_one_error_line(captured.err)
+        assert captured.err.splitlines()[-1] == message
+        assert os.listdir(tmp_path) == []  # refused before IN is loaded or OUT written
 
     @pytest.mark.parametrize(
         "argv",
@@ -564,15 +602,16 @@ class TestPipelineInputErrors:
         assert not out_dir.exists()  # failed before any stage or planning ran
 
     def test_certify_missing_and_non_integer_keys(self, tmp_path, capsys):
-        code, stderr, _ = self.run_recipe(tmp_path, capsys, self.STAGES + "certify p=5 N=7\n")
+        code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + "certify p=5 N=7\n")
         assert code == 3 and "missing ['girth', 'r']" in stderr
-        code, stderr, _ = self.run_recipe(tmp_path, capsys, self.STAGES + "certify girth=6 p=5 r=x N=7\n")
-        assert code == 3 and "certify: r must be an integer, got 'x'" in stderr
+        code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + "certify girth=6 p=5 r=x N=7\n")
+        assert code == 2 and "certify: r must be an integer, got 'x'" in stderr
+        assert not out_dir.exists()
 
-    def test_certify_n_not_canonical_exit_3(self, tmp_path, capsys):
+    def test_certify_n_not_canonical_exit_2(self, tmp_path, capsys):
         line = "certify girth=6 p=5 r=3 N=03967295312526\n"
         code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + line)
-        assert code == 3 and "certify: N must be an integer, got '03967295312526'" in stderr
+        assert code == 2 and "certify: N must be an integer, got '03967295312526'" in stderr
         assert not out_dir.exists()
 
     def test_certify_n_over_digit_budget_exit_4(self, tmp_path, capsys):
@@ -585,41 +624,48 @@ class TestPipelineInputErrors:
         code, stderr, _ = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget x\nstage gen plane q=2\n")
         assert code == 2 and "line 2" in stderr and "'x'" in stderr
 
+    # A value that is not a canonical decimal is a format error (exit 2); a
+    # value the op refuses is a precondition failure (exit 3).
     @pytest.mark.parametrize(
-        "stages,message",
+        "stages,code,message",
         [
-            ("stage gen plane q=abc\n", "stage 1: q must be an integer, got 'abc'"),
-            ("stage gen greedy left=9 right=9 deg=2 girth=6 seed=s\n", "stage 1: seed must be an integer"),
-            ("stage gen plane q=2\nstage nbhd\nstage substitute template=path7 k=abc\n",
+            ("stage gen plane q=abc\n", 2, "stage 1: q must be an integer, got 'abc'"),
+            ("stage gen greedy left=9 right=9 deg=2 girth=6 seed=s\n", 2, "stage 1: seed must be an integer"),
+            ("stage gen plane q=2\nstage nbhd\nstage substitute template=path7 k=abc\n", 2,
              "stage 3: k must be an integer"),
-            ("stage gen plane q=2\nstage nbhd\nstage split r=two\n", "stage 3: r must be an integer"),
-            ("stage gen plane q=2\nstage nbhd\nstage pad to=1e3\n", "stage 3: to must be an integer"),
-            ("stage gen plane q=2\nstage nbhd\nstage substitute template=loose-path:x:3 k=1\n",
-             "loose-path:x:3: edges must be an integer"),
-            ("stage gen plane q=2\nstage nbhd\nstage split r=0\n", "split size must be >= 2, got 0"),
-            ("stage gen plane q=+2\n", "stage 1: q must be an integer, got '+2'"),
-            ("stage gen plane q=2\nstage nbhd\nstage split r=03\n", "stage 3: r must be an integer, got '03'"),
+            ("stage gen plane q=2\nstage nbhd\nstage split r=two\n", 2, "stage 3: r must be an integer"),
+            ("stage gen plane q=2\nstage nbhd\nstage pad to=1e3\n", 2, "stage 3: to must be an integer"),
+            ("stage gen plane q=2\nstage nbhd\nstage substitute template=loose-path:x:3 k=1\n", 2,
+             "stage 3: loose-path:x:3: edges must be an integer, got 'x'"),
+            ("stage gen plane q=2\nstage nbhd\nstage split r=0\n", 3, "split size must be >= 2, got 0"),
+            ("stage gen plane q=+2\n", 2, "stage 1: q must be an integer, got '+2'"),
+            ("stage gen plane q=03\n", 2, "stage 1: q must be an integer, got '03'"),
+            ("stage gen plane q=2\nstage nbhd\nstage split r=03\n", 2, "stage 3: r must be an integer, got '03'"),
         ],
         ids=["gen-q", "gen-seed", "substitute-k", "split-r", "pad-to", "template-edges", "split-r-zero",
-             "gen-q-plus-sign", "split-r-leading-zero"],
+             "gen-q-plus-sign", "gen-q-leading-zero", "split-r-leading-zero"],
     )
-    def test_bad_stage_value_exit_3(self, tmp_path, capsys, stages, message):
-        code, stderr, _ = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)
-        assert code == 3 and message in stderr
+    def test_bad_stage_value_exit_3(self, tmp_path, capsys, stages, code, message):
+        got, stderr, out_dir = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)
+        assert got == code and message in stderr
+        if code == 2:
+            assert not out_dir.exists()  # read before any stage runs
 
     @pytest.mark.parametrize(
-        "stages,message",
+        "stages,code,message",
         [
-            ("stage gen plane q=2\nstage nbhd bogus=1\n", "stage 2: nbhd takes [], missing [], unknown ['bogus']"),
-            ("stage gen plane q=2 seed=1\n", "stage 1: gen plane takes ['q'], missing [], unknown ['seed']"),
-            ("stage gen plane q=2\nstage split r=2\n", "stage 2: split needs a hypergraph input, got a bipartite"),
-            ("stage gen plane q=2\nstage nbhd\nstage pad to=x\n", "stage 3: to must be an integer"),
+            ("stage gen plane q=2\nstage nbhd bogus=1\n", 3,
+             "stage 2: nbhd takes [], missing [], unknown ['bogus']"),
+            ("stage gen plane q=2 seed=1\n", 3, "stage 1: gen plane takes ['q'], missing [], unknown ['seed']"),
+            ("stage gen plane q=2\nstage split r=2\n", 3,
+             "stage 2: split needs a hypergraph input, got a bipartite"),
+            ("stage gen plane q=2\nstage nbhd\nstage pad to=x\n", 2, "stage 3: to must be an integer, got 'x'"),
         ],
         ids=["unknown-key", "unknown-gen-key", "input-kind", "late-value"],
     )
-    def test_stages_checked_before_any_stage_runs(self, tmp_path, capsys, stages, message):
-        code, stderr, out_dir = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)
-        assert code == 3 and message in stderr
+    def test_stages_checked_before_any_stage_runs(self, tmp_path, capsys, stages, code, message):
+        got, stderr, out_dir = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)
+        assert got == code and message in stderr
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -661,25 +707,26 @@ class TestNonAsciiInput:
     BGT = b"bgt 1\nleft \xc3\xa9\nright 1\n"
 
     @pytest.mark.parametrize(
-        "files,argv,line",
+        "files,argv,where",
         [
-            ({"bad.hgt": HGT}, ["girth", "bad.hgt"], 4),
-            ({"bad.hgt": HGT}, ["report", "bad.hgt"], 4),
-            ({"bad.bgt": BGT}, ["transform", "nbhd", "bad.bgt", "out.hgt"], 2),
+            ({"bad.hgt": HGT}, ["girth", "bad.hgt"], "line 4"),
+            ({"bad.hgt": HGT}, ["report", "bad.hgt"], "line 4"),
+            ({"bad.bgt": BGT}, ["transform", "nbhd", "bad.bgt", "out.hgt"], "line 2"),
             ({"host.hgt": b"hgt 1\nvertices 2\nedges 1\ne 0 1\n", "bad.hgt": HGT},
-             ["transform", "substitute", "host.hgt", "out.hgt", "--template", "bad.hgt", "--k", "1"], 4),
+             ["transform", "substitute", "host.hgt", "out.hgt", "--template", "bad.hgt", "--k", "1"],
+             "transform substitute: line 4"),
             ({"r.rcp": "rcp 1\ntarget 2\nstage gen plane q=\u0663\n".encode("utf-8")},
-             ["pipeline", "r.rcp", "--out-dir", "out"], 3),
+             ["pipeline", "r.rcp", "--out-dir", "out"], "line 3"),
         ],
         ids=["girth", "report", "transform-input", "template", "recipe"],
     )
-    def test_exit_2_naming_the_line(self, tmp_path, capsys, files, argv, line):
+    def test_exit_2_naming_the_line(self, tmp_path, capsys, files, argv, where):
         for name, data in files.items():
             (tmp_path / name).write_bytes(data)
         names = set(files) | {"out.hgt", "out"}
         code, _, stderr = run(capsys, *[str(tmp_path / a) if a in names else a for a in argv])
         assert_one_error_line(stderr)
-        assert code == 2 and f"error: line {line}: non-ASCII byte" in stderr
+        assert code == 2 and f"error: {where}: non-ASCII byte" in stderr
 
 
 class TestPipelineReportClaims:

@@ -315,6 +315,14 @@ class TestGreedy:
         assert girth is None or girth >= target
         assert max(g.right_degrees, default=0) <= 3
 
+    def test_target_far_above_every_cycle_stops_probing(self):
+        start = time.monotonic()
+        g, rep = greedy_high_girth_bipartite(4, 4, 3, 10**12, 1)
+        assert time.monotonic() - start < 1.0
+        g18, rep18 = greedy_high_girth_bipartite(4, 4, 3, 18, 1)  # above every cycle length of K_{4,4}
+        assert serialize_bipartite(g) == serialize_bipartite(g18)
+        assert rep.accepted == rep18.accepted
+
     def test_validation(self):
         with pytest.raises(PreconditionError):
             greedy_high_girth_bipartite(0, 5, 2, 6, 1)

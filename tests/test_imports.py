@@ -14,6 +14,9 @@ No linter ships with the toolchain, so this parses each module with
   package outside its own body;
 * every name in ``__all__`` is named by a module of the package outside its
   own definition, or is listed with its reason in ``UNREFERENCED_EXPORTS``;
+* the CLI leaves reading its input to ``pipeline``: no ``add_argument``
+  call in ``cli.py`` passes ``type=``, and ``cli.py`` imports none of the
+  names that convert or type a value (``CLI_READER_NAMES``);
 * the package has no runtime dependency: every module imports only the
   standard library and the package, and ``pyproject.toml`` lists no
   dependency; ``plan``, the one command with display floats, loads no
@@ -240,6 +243,36 @@ def test_every_export_is_used_or_allowed():
 
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert sorted(dead_exports(sources, hypergirth.__all__)) == sorted(UNREFERENCED_EXPORTS)
+
+
+# What only pipeline's readers (op_args, plan_args, read_int) may use to read an argument.
+CLI_READER_NAMES = {"parse_decimal_int", "INT", "TEMPLATE", "resolve_template", "check_pad_target", "route_for"}
+
+
+def cli_input_readers(source: str) -> list[str]:
+    """``add_argument`` calls that pass ``type=``, and imported names of
+    ``CLI_READER_NAMES``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument" and any(kw.arg == "type" for kw in node.keywords)):
+            found.append(f"line {node.lineno}: add_argument type=")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[-1] in CLI_READER_NAMES]
+    return found
+
+
+def test_cli_reader_checker_finds_types_and_imports():
+    source = (
+        "import argparse\nfrom .pipeline import OPS, INT, read_int\nfrom .planner import route_for as rf\n"
+        "p = argparse.ArgumentParser()\np.add_argument('--q', type=int)\np.add_argument('--r', default=None)\n"
+    )
+    assert cli_input_readers(source) == ["line 2: import INT", "line 3: import route_for", "line 5: add_argument type="]
+
+
+def test_cli_leaves_reading_to_pipeline():
+    assert cli_input_readers((PACKAGE / "cli.py").read_text()) == []
 
 
 def foreign_imports(source: str) -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import islice
@@ -243,6 +244,43 @@ class TestEdgeBounds:
         for m in range(5, 14, 2):
             for n in range(1, 5):
                 assert ROUTES[8].edge_bound(2, m, n).exponent.denominator == 1
+
+
+def reference_seed(route, p: int, r: int) -> tuple[int, int]:
+    """The seed search as first written: every lattice step expands p^m."""
+    step, shift, g = route.m_step, route.m_step - 1, route.growth
+    m_star = 1
+    while not (all(ok(p, m_star) for _, _, ok in route.premises) and p**m_star >= r - 1):
+        m_star += step
+    n_star = 1
+    while not (g ** (n_star - 1) - shift <= m_star < g**n_star):
+        n_star += 1
+    return m_star, n_star
+
+
+class TestSeed:
+    SEEDS = [(6, p) for p in (2, 3, 5, 7, 11)] + [(8, 2)]
+
+    @pytest.mark.parametrize("girth,p", SEEDS)
+    def test_small_r_match_the_reference(self, girth, p):
+        route = ROUTES[girth]
+        for r in range(2, 2001):
+            assert route.seed(p, r) == reference_seed(route, p, r), r
+
+    @pytest.mark.parametrize("girth,p", SEEDS + [(6, 2**61 - 1)])
+    def test_r_next_to_powers_match_the_reference(self, girth, p):
+        route = ROUTES[girth]
+        rs = [10**k + d for k in range(1, 120) for d in (-1, 0, 1, 2)]
+        rs += [p**k + d for k in range(1, 120 if p < 100 else 10) for d in (-1, 0, 1, 2)]
+        for r in rs:
+            if r >= 2:
+                assert route.seed(p, r) == reference_seed(route, p, r), r
+
+    def test_long_r_is_refused_quickly(self):
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=r"^5\^187737274: 5\^187737274 needs ~1.31e\+08 digits"):
+            plan(6, 5, 10**20_000 - 1, 10**60)
+        assert time.monotonic() - start < 1.0
 
 
 class TestPlanHexagon:
