@@ -28,6 +28,7 @@ from .arith import (
     power_at_least,
 )
 from .errors import FormatError, PreconditionError, VerificationError
+from .formats import read_header
 from .planner import route_for
 
 _BIGNUM = "bignum"
@@ -177,30 +178,25 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
 
 
+def _header_value(token: str, lineno: int, key: str) -> int | str:
+    if key == "status":
+        if token not in ("VALID", "INVALID"):
+            raise FormatError(f"line {lineno}: status must be VALID or INVALID, got {token[:40]!r}")
+        return token
+    try:
+        return parse_decimal_int(token)
+    except PreconditionError as exc:
+        raise FormatError(f"line {lineno}: {key}: {exc}") from None
+
+
 def parse_certificate(text: str) -> Certificate:
     """Parse a serialized certificate without re-verifying it."""
-    if "\r" in text:
-        raise FormatError("line 1: carriage return not allowed")
-    if not text.endswith("\n"):
-        raise FormatError("missing final newline")
-    lines = text[:-1].split("\n")
-    if len(lines) < 7 or lines[0] != "cert 1":
-        raise FormatError("line 1: expected `cert 1` header")
-    header: dict[str, int] = {}
-    for i, key in enumerate(("girth", "p", "m", "n", "r"), start=1):
-        parts = lines[i].split(" ")
-        if len(parts) != 2 or parts[0] != key:
-            raise FormatError(f"line {i + 1}: expected `{key} <value>`")
-        try:
-            header[key] = parse_decimal_int(parts[1])
-        except PreconditionError as exc:
-            raise FormatError(f"line {i + 1}: {key}: {exc}") from None
-    status_parts = lines[6].split(" ")
-    if len(status_parts) != 2 or status_parts[0] != "status" or status_parts[1] not in ("VALID", "INVALID"):
-        raise FormatError("line 7: expected `status VALID|INVALID`")
+    body, (girth, p, m, n, r, status) = read_header(
+        text, "cert 1", ("girth <N>", "p <N>", "m <N>", "n <N>", "r <N>", "status VALID|INVALID"), _header_value
+    )
     checks: list[CertCheck] = []
     values: list[tuple[str, str]] = []
-    for lineno, line in enumerate(lines[7:], start=8):
+    for lineno, line in enumerate(body, start=8):
         parts = line.split(" ")
         if parts[0] == "check" and len(parts) == 4 and parts[2] in ("PASS", "FAIL"):
             checks.append(CertCheck(parts[1], "", parts[3], parts[2] == "PASS"))
@@ -208,11 +204,8 @@ def parse_certificate(text: str) -> Certificate:
             values.append((parts[1], parts[2]))
         else:
             raise FormatError(f"line {lineno}: expected a check or value line, got {line!r}")
-    cert = Certificate(
-        header["girth"], header["p"], header["m"], header["n"], header["r"],
-        tuple(checks), tuple(values),
-    )
-    if (status_parts[1] == "VALID") != cert.valid:
+    cert = Certificate(girth, p, m, n, r, tuple(checks), tuple(values))
+    if (status == "VALID") != cert.valid:
         raise FormatError("line 7: status does not match the recorded checks")
     return cert
 

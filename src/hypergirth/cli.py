@@ -46,7 +46,7 @@ from .errors import (
     VerificationError,
 )
 from .formats import load, read_ascii, serialize_bipartite, serialize_hypergraph
-from .girth import BergeCycle, girth_bipartite, girth_hypergraph, girth_oracle
+from .girth import BergeCycle, girth_oracle
 from .pipeline import (
     OPS,
     girth_of,
@@ -113,12 +113,8 @@ def _as_pair_hypergraph(g: BipartiteGraph) -> Hypergraph:
 def _cmd_girth(args: argparse.Namespace) -> int:
     oracle_max = None if args.oracle_max is None else read_int("girth", "oracle-max", args.oracle_max)
     obj = load(args.input)
-    if isinstance(obj, Hypergraph):
-        rep = girth_hypergraph(obj)
-        oracle_target = obj
-    else:
-        rep = girth_bipartite(obj)
-        oracle_target = _as_pair_hypergraph(obj)
+    rep = girth_of(obj)
+    oracle_target = obj if isinstance(obj, Hypergraph) else _as_pair_hypergraph(obj)
     # Printed only once the oracle agrees, so a failing command writes nothing.
     lines = [f"girth {'inf' if rep.girth is None else rep.girth}"]
     if rep.witness is not None:

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by the library and the CLI.
 
-Each family maps to a distinct CLI exit code (see cli.EXIT_CODES).
+Each family maps to one CLI exit code (see cli.EXIT_CODES), not always
+its own: ValidationError, PreconditionError and OSError all exit 3.
 """
 
 

@@ -11,6 +11,9 @@ matched against a pattern whose integers have at most VERTEX_BUDGET's
 digit count, and the values go to the Hypergraph or BipartiteGraph
 constructor; the edge or incidence index its ValidationError carries
 names the line.
+
+``split_lines`` and ``read_header`` frame certificates and recipes too: a
+framing fault is a FormatError naming the line where it is.
 """
 
 from __future__ import annotations
@@ -51,92 +54,96 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
     return value
 
 
-def _header_value(line: str, lineno: int, key: str) -> int:
-    parts = line.split(" ")
-    if len(parts) != 2 or parts[0] != key or line != f"{key} {parts[1]}":
-        raise FormatError(f"line {lineno}: expected `{key} <N>`, got {line!r}")
-    return _parse_int(parts[1], lineno, key)
-
-
-def _header(text: str, magic: str, keys: tuple[str, str]) -> tuple[list[str], int, int]:
-    """The lines of ``text`` and the values of its two header lines."""
+def split_lines(text: str) -> list[str]:
+    """``text`` split at LF; a carriage return is a FormatError at its line."""
     if "\r" in text:
         lineno = text[: text.index("\r")].count("\n") + 1
         raise FormatError(f"line {lineno}: carriage return not allowed (LF line endings only)")
+    return text.split("\n")
+
+
+def read_header(text: str, magic: str, fields: tuple[str, ...],
+                read: Callable[[str, int, str], Any]) -> tuple[list[str], list]:
+    """The body lines of the LF-terminated ``text`` and its header values:
+    the line ``magic``, then one line per field of ``fields``, shaped as the
+    field shows (e.g. `edges <N>`), whose value is read(value, lineno, key)."""
+    lines = split_lines(text)
     if not text.endswith("\n"):
-        raise FormatError(f"line {text.count(chr(10)) + 1}: missing final newline")
-    lines = text[:-1].split("\n")
-    if len(lines) < 3:
-        raise FormatError(f"line {len(lines) + 1}: truncated header (need magic, {keys[0]}, {keys[1]})")
+        raise FormatError(f"line {len(lines)}: missing final newline")
+    del lines[-1]
+    keys = [field.split(" ")[0] for field in fields]
+    if len(lines) <= len(keys):
+        raise FormatError(f"line {len(lines) + 1}: truncated header (need magic, {', '.join(keys)})")
     if lines[0] != magic:
         raise FormatError(f"line 1: expected `{magic}`, got {lines[0]!r}")
-    return lines, _header_value(lines[1], 2, keys[0]), _header_value(lines[2], 3, keys[1])
+    values = []
+    for lineno, (line, key, field) in enumerate(zip(lines[1:], keys, fields), start=2):
+        parts = line.split(" ")
+        if len(parts) != 2 or parts[0] != key:
+            raise FormatError(f"line {lineno}: expected `{field}`, got {line!r}")
+        values.append(read(parts[1], lineno, key))
+    return lines[len(keys) + 1:], values
 
 
-def _refuse_edge(line: str, lineno: int, exc: ValidationError | None) -> NoReturn:
-    parts = line.split(" ")
-    if parts[0] != "e" or len(parts) < 2 or "" in parts:
-        raise FormatError(f"line {lineno}: expected `e <v1> <v2> ...`, got {line!r}")
-    for token in parts[1:]:
-        _parse_int(token, lineno, "vertex id")
+def _refuse(line: str, lineno: int, exc: ValidationError | None, shape: str, names: tuple[str, ...]) -> NoReturn:
+    """Raise the FormatError of a bad body line: ``shape`` when the line has
+    the wrong tag or token count, else its first bad integer, else ``exc``.
+    ``names`` names the tokens after the tag; when ``shape`` ends in `...`,
+    names[0] names each of one or more tokens, none of them empty."""
+    tag, *tokens = line.split(" ")
+    if shape.endswith("..."):
+        names = names * len(tokens) if "" not in tokens else ()
+    if tag != shape.split(" ")[0] or not tokens or len(tokens) != len(names):
+        raise FormatError(f"line {lineno}: expected `{shape}`, got {line!r}")
+    for token, name in zip(tokens, names):
+        _parse_int(token, lineno, name)
     raise FormatError(f"line {lineno}: {exc}")
 
 
-def _refuse_incidence(line: str, lineno: int, exc: ValidationError | None) -> NoReturn:
-    parts = line.split(" ")
-    if len(parts) != 3 or parts[0] != "a":
-        raise FormatError(f"line {lineno}: expected `a <u> <v>`, got {line!r}")
-    _parse_int(parts[1], lineno, "left id")
-    _parse_int(parts[2], lineno, "right id")
-    raise FormatError(f"line {lineno}: {exc}")
-
-
-def _build(lines: list[str], line_re: re.Pattern, make: Callable[[list[str]], Any],
-           refuse: Callable[[str, int, ValidationError | None], NoReturn]) -> Any:
-    """make(body lines), or refuse(line, lineno, structural fault or None)
-    of the first bad body line; the lines before a syntax error are built
-    first, so an earlier structural fault wins.  Lines are matched one by
-    one: one match over the body keeps regex backtracking state per line
-    (8 MB on H(5)); the possessive `*+` that avoids it needs Python 3.11."""
-    body = lines[3:]
+def _build(body: list[str], line_re: re.Pattern, make: Callable[[list[str]], Any],
+           shape: str, names: tuple[str, ...]) -> Any:
+    """make(body lines), or the _refuse of the first bad body line (line 4
+    on); the lines before a syntax error are built first, so an earlier
+    structural fault wins.  Lines are matched one by one: one match over
+    the body keeps regex backtracking state per line (8 MB on H(5)); the
+    possessive `*+` that avoids it needs Python 3.11."""
     good = len(body)
     if not all(map(line_re.fullmatch, body)):
         good = next(i for i, line in enumerate(body) if not line_re.fullmatch(line))
     try:
         value = make(body[:good])
     except ValidationError as exc:
-        refuse(body[exc.index], 4 + exc.index, exc)
+        _refuse(body[exc.index], 4 + exc.index, exc, shape, names)
     except ResourceBudgetError:  # class sizes over the budget: a bad line is named first
         if good == len(body):
             raise
     if good < len(body):
-        refuse(body[good], 4 + good, None)
+        _refuse(body[good], 4 + good, None, shape, names)
     return value
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the `hgt 1` format; rejects any deviation (line-numbered)."""
-    lines, n, m = _header(text, "hgt 1", ("vertices", "edges"))
-    if len(lines) != 3 + m:
+    body, (n, m) = read_header(text, "hgt 1", ("vertices <N>", "edges <N>"), _parse_int)
+    if len(body) != m:
         raise FormatError(
-            f"line {min(len(lines), 3 + m) + 1}: expected exactly {m} edge lines after the header, "
-            f"found {len(lines) - 3}"
+            f"line {min(len(body), m) + 4}: expected exactly {m} edge lines after the header, found {len(body)}"
         )
 
     def make(body: list[str]) -> Hypergraph:
         return Hypergraph(n, tuple(tuple(map(int, line[2:].split(" "))) for line in body))
 
-    return _build(lines, _EDGE_LINE, make, _refuse_edge)
+    return _build(body, _EDGE_LINE, make, "e <v1> <v2> ...", ("vertex id",))
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse the `bgt 1` format; rejects any deviation (line-numbered)."""
-    lines, n_left, n_right = _header(text, "bgt 1", ("left", "right"))
+    body, (n_left, n_right) = read_header(text, "bgt 1", ("left <N>", "right <N>"), _parse_int)
 
     def make(body: list[str]) -> BipartiteGraph:
         return BipartiteGraph(n_left, n_right, tuple((int(u), int(v)) for _, u, v in map(str.split, body)))
 
-    return _build(lines, _INCIDENCE_LINE, make, _refuse_incidence)
+    return _build(body, _INCIDENCE_LINE, make, "a <u> <v>", ("left id", "right id"))
 
 
 def read_ascii(path: str) -> str:

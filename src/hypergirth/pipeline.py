@@ -43,7 +43,7 @@ from .arith import DECIMAL, parse_decimal_int
 from .certificate import certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
-from .formats import load, serialize_bipartite, serialize_hypergraph
+from .formats import load, serialize_bipartite, serialize_hypergraph, split_lines
 from .geometry import (
     GreedyReport,
     geometry_incidences,
@@ -63,7 +63,7 @@ def read_int(where: str, key: str, text: str) -> int:
     try:
         return parse_decimal_int(text)
     except PreconditionError:
-        raise FormatError(f"{where}: {key} must be an integer, got {text!r}") from None
+        raise FormatError(f"{where}: {key} must be an integer, got {text[:40]!r}") from None
 
 
 def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
@@ -79,10 +79,10 @@ def resolve_template(token: str) -> Hypergraph:
     if token == "path7":
         return loose_path(3, 3)
     if token.startswith("loose-path:"):
-        parts = token.split(":")
+        parts, where = token.split(":"), token[:40]
         if len(parts) != 3:
-            raise PreconditionError(f"template spec {token!r} is not loose-path:<edges>:<r>")
-        return loose_path(read_int(token, "edges", parts[1]), read_int(token, "r", parts[2]))
+            raise FormatError(f"template spec {where!r} is not loose-path:<edges>:<r>")
+        return loose_path(read_int(where, "edges", parts[1]), read_int(where, "r", parts[2]))
     template = load(token)
     check_input(f"template {token}", "hypergraph", kind_of(template))
     return template
@@ -231,13 +231,11 @@ def _parse_kv(tokens: list[str], lineno: int) -> tuple[tuple[str, str], ...]:
 
 
 def parse_recipe(text: str) -> Recipe:
-    if "\r" in text:
-        raise FormatError("line 1: carriage return not allowed (LF line endings only)")
     target: int | None = None
     magic_seen = False
     stages: list[Stage] = []
     certify: tuple[tuple[str, str], ...] | None = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -173,8 +173,10 @@ class TestTransform:
         "argv,code,message",
         [(["pad", "--to", "9" * 999_999], 4, "error: transform pad: pad output hypergraph has 9999"),
          (["substitute", "--template", "loose-path:x:3", "--k", "1"], 2,
-          "error: transform substitute: loose-path:x:3: edges must be an integer, got 'x'")],
-        ids=["pad-to", "template"],
+          "error: transform substitute: loose-path:x:3: edges must be an integer, got 'x'"),
+         (["substitute", "--template", "loose-path:1", "--k", "1"], 2,
+          "error: transform substitute: template spec 'loose-path:1' is not loose-path:<edges>:<r>")],
+        ids=["pad-to", "template", "template-spec"],
     )
     def test_flags_read_before_the_input_is_loaded(self, tmp_path, capsys, argv, code, message):
         missing, out = str(tmp_path / "missing.hgt"), str(tmp_path / "x.hgt")
@@ -270,10 +272,11 @@ class TestGirthCommand:
         path = str(tmp_path / "m.hgt")
         with open(path, "w") as fh:
             fh.write("hgt 1\nvertices 4\nedges 2\ne 0 1 2\ne 1 2 3\n")
-        import hypergirth.cli as cli_mod
+        import hypergirth.pipeline as pipeline_mod
         from hypergirth.girth import GirthReport
 
-        monkeypatch.setattr(cli_mod, "girth_hypergraph", lambda h: GirthReport(4))
+        # `girth` reads the fast path through pipeline.girth_of
+        monkeypatch.setattr(pipeline_mod, "girth_hypergraph", lambda h: GirthReport(4))
         code, stdout, stderr = run(capsys, "girth", path, "--oracle-max", "8")
         assert code == 5
         assert "oracle" in stderr
@@ -438,6 +441,27 @@ class TestIntegerFlags:
             assert_one_error_line(captured.err)
         assert captured.err.splitlines()[-1] == message
         assert os.listdir(tmp_path) == []  # refused before IN is loaded or OUT written
+
+    # A refused token is shown by its first 40 characters, wherever it is read.
+    @pytest.mark.parametrize(
+        "recipe,message",
+        [(None, "error: gen plane: q must be an integer"),
+         ("stage gen plane q=LONG\n", "error: stage 1: q must be an integer"),
+         ("stage gen plane q=2\ncertify girth=6 p=5 r=3 N=LONG\n", "error: certify: N must be an integer")],
+        ids=["flag", "stage", "certify"],
+    )
+    def test_long_token_is_cut_in_the_message(self, tmp_path, capsys, recipe, message):
+        long = "1" * 10**6 + "x"
+        if recipe is None:
+            argv = ["gen", "plane", "--q", long, str(tmp_path / "OUT")]
+        else:
+            (tmp_path / "r.rcp").write_text("rcp 1\ntarget 3\n" + recipe.replace("LONG", long))
+            argv = ["pipeline", str(tmp_path / "r.rcp"), "--out-dir", str(tmp_path / "out")]
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"{message}, got '{'1' * 40}'\n"
+        assert len(stderr.encode()) < 200
+        assert os.listdir(tmp_path) == ([] if recipe is None else ["r.rcp"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -660,8 +684,10 @@ class TestPipelineInputErrors:
             ("stage gen plane q=2\nstage split r=2\n", 3,
              "stage 2: split needs a hypergraph input, got a bipartite"),
             ("stage gen plane q=2\nstage nbhd\nstage pad to=x\n", 2, "stage 3: to must be an integer, got 'x'"),
+            ("stage gen plane q=2\nstage nbhd\nstage substitute template=loose-path:1:2:3 k=1\n", 2,
+             "stage 3: template spec 'loose-path:1:2:3' is not loose-path:<edges>:<r>"),
         ],
-        ids=["unknown-key", "unknown-gen-key", "input-kind", "late-value"],
+        ids=["unknown-key", "unknown-gen-key", "input-kind", "late-value", "template-spec"],
     )
     def test_stages_checked_before_any_stage_runs(self, tmp_path, capsys, stages, code, message):
         got, stderr, out_dir = self.run_recipe(tmp_path, capsys, "rcp 1\ntarget 2\n" + stages)

@@ -17,6 +17,9 @@ No linter ships with the toolchain, so this parses each module with
 * the CLI leaves reading its input to ``pipeline``: no ``add_argument``
   call in ``cli.py`` passes ``type=``, and ``cli.py`` imports none of the
   names that convert or type a value (``CLI_READER_NAMES``);
+* only ``formats`` frames text: no other module has a string constant
+  that contains a carriage return, so no parser checks line endings
+  itself;
 * the package has no runtime dependency: every module imports only the
   standard library and the package, and ``pyproject.toml`` lists no
   dependency; ``plan``, the one command with display floats, loads no
@@ -273,6 +276,27 @@ def test_cli_reader_checker_finds_types_and_imports():
 
 def test_cli_leaves_reading_to_pipeline():
     assert cli_input_readers((PACKAGE / "cli.py").read_text()) == []
+
+
+def carriage_return_constants(source: str) -> list[int]:
+    """Lines, in order, of the string or bytes constants of ``source`` that
+    contain a carriage return."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes))
+                  and ("\r" if isinstance(node.value, str) else b"\r") in node.value)
+
+
+def test_carriage_return_checker_finds_constants():
+    source = (
+        'x = "a\\rb"\ny = "\\r\\n".join([])\nz = b"\\r"\nw = "\\\\r"\n'
+        'v = f"line {x}: \\r"\nu = "\\n"\n'
+    )
+    assert carriage_return_constants(source) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module != "formats.py"])
+def test_only_formats_frames_text(module):
+    assert carriage_return_constants((PACKAGE / module).read_text()) == []
 
 
 def foreign_imports(source: str) -> list[str]:
