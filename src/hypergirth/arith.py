@@ -64,6 +64,12 @@ def short_decimal(value: int | str) -> str:
     return f"{value // 10 ** (digits - 40)}...({digits} digits)"
 
 
+def short_repr(text: str) -> str:
+    """A line or token as messages quote it: the repr of its first 40
+    characters."""
+    return repr(text[:40])
+
+
 def check_digits(digits: int, what: str, check: str) -> None:
     """Refuse before materializing a ~digits-digit expansion or product."""
     if digits > DIGIT_BUDGET:
@@ -75,7 +81,7 @@ def check_digits(digits: int, what: str, check: str) -> None:
 def parse_decimal_int(text: str) -> int:
     """Parse a canonical decimal integer of any size within the digit budget."""
     if not DECIMAL.fullmatch(text):
-        raise PreconditionError(f"not a canonical decimal integer: {text[:40]!r}")
+        raise PreconditionError(f"not a canonical decimal integer: {short_repr(text)}")
     if len(text) > DIGIT_BUDGET:
         raise ResourceBudgetError(f"integer has {len(text)} digits, budget is {DIGIT_BUDGET}")
     return _lifting_str_limit(int, text)

@@ -14,6 +14,7 @@ built by one function driven by the route's record in
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ from .arith import (
     is_prime,
     parse_decimal_int,
     power_at_least,
+    short_decimal,
+    short_repr,
 )
 from .errors import FormatError, PreconditionError, VerificationError
 from .formats import read_header
@@ -105,7 +108,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
         checks.append(CertCheck(name, statement.format(p=p, m=m), _BIGNUM, prime_ok and ok(p, m)))
     uni = checked_pow(p, m, "check r-range") if prime_ok else 0
     r_ok = prime_ok and 2 <= r <= 1 + uni
-    checks.append(CertCheck("r-range", f"2 <= r <= 1 + {sym}^m at r = {r}", _BIGNUM, r_ok))
+    checks.append(CertCheck("r-range", f"2 <= r <= 1 + {sym}^m at r = {short_decimal(r)}", _BIGNUM, r_ok))
     if not all(c.passed for c in checks):
         return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
 
@@ -115,19 +118,8 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     exps: list[int] = []
     orders: list[int] = []
     for i, (closed, e) in zip(range(1, n + 1), route.exponents(m)):
-        checks.append(
-            CertCheck(
-                f"order-closed-form-{i}",
-                f"recursion exponent equals {g}^{i - 1}*(m+1/{den})-1/{den}",
-                _EXPONENT,
-                e == closed,
-            )
-        )
-        if route.odd_orders:
-            odd_ok = closed.denominator == 1 and int(closed) % 2 == 1
-            checks.append(
-                CertCheck(f"order-odd-{i}", f"order_{i} is an odd power of {sym}", _EXPONENT, odd_ok)
-            )
+        rows = route.order_checks(i, closed, e)
+        checks += (CertCheck(name, statement, _EXPONENT, ok) for name, statement, ok in rows)
         exps.append(int(closed))
         orders.append(checked_pow(p, exps[-1], f"check order_{i}"))
 
@@ -181,7 +173,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
 def _header_value(token: str, lineno: int, key: str) -> int | str:
     if key == "status":
         if token not in ("VALID", "INVALID"):
-            raise FormatError(f"line {lineno}: status must be VALID or INVALID, got {token[:40]!r}")
+            raise FormatError(f"line {lineno}: status must be VALID or INVALID, got {short_repr(token)}")
         return token
     try:
         return parse_decimal_int(token)
@@ -203,7 +195,7 @@ def parse_certificate(text: str) -> Certificate:
         elif parts[0] == "value" and len(parts) == 3:
             values.append((parts[1], parts[2]))
         else:
-            raise FormatError(f"line {lineno}: expected a check or value line, got {line!r}")
+            raise FormatError(f"line {lineno}: expected a check or value line, got {short_repr(line)}")
     cert = Certificate(girth, p, m, n, r, tuple(checks), tuple(values))
     if (status == "VALID") != cert.valid:
         raise FormatError("line 7: status does not match the recorded checks")
@@ -220,12 +212,13 @@ def reverify_certificate(text: str) -> Certificate:
         # No certificate has such a header: serialize() only writes what
         # certificate() accepted.
         raise VerificationError(f"certificate does not re-verify: {exc}") from None
-    rebuilt_text = rebuilt.serialize()
-    if rebuilt_text != text:
-        for got, expected in zip(text.split("\n"), rebuilt_text.split("\n")):
-            if got != expected:
-                raise VerificationError(
-                    f"certificate does not re-verify: got {got!r}, recomputed {expected!r}"
-                )
-        raise VerificationError("certificate does not re-verify: length mismatch")
+    # The last line of each text is its only empty one, so two texts that
+    # differ differ within the shorter one.
+    for lineno, (got, expected) in enumerate(zip(text.split("\n"), rebuilt.serialize().split("\n")), start=1):
+        if got != expected:
+            column = len(os.path.commonprefix((got, expected))) + 1
+            raise VerificationError(
+                f"certificate does not re-verify: line {lineno} column {column}: "
+                f"got {short_repr(got)}, recomputed {short_repr(expected)}"
+            )
     return rebuilt

@@ -33,8 +33,9 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 
-from .arith import int_to_decimal
+from .arith import int_to_decimal, short_decimal
 from .certificate import certificate
 from .core import BipartiteGraph, Hypergraph
 from .errors import (
@@ -60,6 +61,7 @@ from .pipeline import (
     write_text_file,
 )
 from .planner import theorem_bound
+from .transforms import EmptySplitWarning
 
 EXIT_CODES = {
     FormatError: 2,
@@ -128,10 +130,10 @@ def _cmd_girth(args: argparse.Namespace) -> int:
         expected = rep.girth if rep.girth is not None and rep.girth <= oracle_max else None
         if orep.girth != expected:
             raise VerificationError(
-                f"oracle (max-len {oracle_max}) found girth "
+                f"oracle (max-len {short_decimal(oracle_max)}) found girth "
                 f"{orep.girth_str()} but the fast path reported {rep.girth_str()}"
             )
-        lines.append(f"oracle-check ok max-len {oracle_max}")
+        lines.append(f"oracle-check ok max-len {int_to_decimal(oracle_max)}")
     print("\n".join(lines))
     return 0
 
@@ -233,12 +235,15 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
-    except (Error, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", EmptySplitWarning)  # one line per empty split, whatever -W says
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return _DISPATCH[args.command](args)
+        except (Error, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

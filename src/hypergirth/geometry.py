@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from . import core
-from .arith import is_prime, short_decimal
+from .arith import int_to_decimal, is_prime, short_decimal
 from .core import BipartiteGraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 from .girth import girth_bipartite
@@ -269,8 +269,8 @@ class GreedyReport:
 
     def lines(self) -> list[str]:
         out = [
-            f"greedy left {self.n_left} right {self.n_right} "
-            f"deg {self.right_degree} girth {self.target_girth} seed {self.seed}",
+            f"greedy left {self.n_left} right {self.n_right} deg {int_to_decimal(self.right_degree)} "
+            f"girth {int_to_decimal(self.target_girth)} seed {int_to_decimal(self.seed)}",
             f"accepted {self.accepted}",
             f"rights-below-target {self.rights_below_target}",
         ]
@@ -303,11 +303,11 @@ def greedy_high_girth_bipartite(
     if n_left <= 0 or n_right <= 0 or right_degree <= 0:
         raise PreconditionError("greedy sizes and right_degree must be positive")
     if target_girth < 4 or target_girth % 2 != 0:
-        raise PreconditionError(f"target_girth must be even and >= 4, got {target_girth}")
+        raise PreconditionError(f"target_girth must be even and >= 4, got {short_decimal(target_girth)}")
     if n_left * n_right > GREEDY_PAIR_BUDGET:
         raise ResourceBudgetError(
-            f"greedy grid has {n_left} x {n_right} = {n_left * n_right} pairs, "
-            f"budget is {GREEDY_PAIR_BUDGET}"
+            f"greedy grid has {short_decimal(n_left)} x {short_decimal(n_right)} = "
+            f"{short_decimal(n_left * n_right)} pairs, budget is {GREEDY_PAIR_BUDGET}"
         )
 
     rng = random.Random(seed)

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .arith import DECIMAL, parse_decimal_int
+from .arith import DECIMAL, int_to_decimal, parse_decimal_int, short_decimal, short_repr
 from .certificate import certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
@@ -63,7 +63,7 @@ def read_int(where: str, key: str, text: str) -> int:
     try:
         return parse_decimal_int(text)
     except PreconditionError:
-        raise FormatError(f"{where}: {key} must be an integer, got {text[:40]!r}") from None
+        raise FormatError(f"{where}: {key} must be an integer, got {short_repr(text)}") from None
 
 
 def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
@@ -81,7 +81,7 @@ def resolve_template(token: str) -> Hypergraph:
     if token.startswith("loose-path:"):
         parts, where = token.split(":"), token[:40]
         if len(parts) != 3:
-            raise FormatError(f"template spec {where!r} is not loose-path:<edges>:<r>")
+            raise FormatError(f"template spec {short_repr(token)} is not loose-path:<edges>:<r>")
         return loose_path(read_int(where, "edges", parts[1]), read_int(where, "r", parts[2]))
     template = load(token)
     check_input(f"template {token}", "hypergraph", kind_of(template))
@@ -223,9 +223,9 @@ def _parse_kv(tokens: list[str], lineno: int) -> tuple[tuple[str, str], ...]:
     for tok in tokens:
         key, _, value = tok.partition("=")
         if not key or not value:
-            raise FormatError(f"line {lineno}: expected key=value, got {tok!r}")
+            raise FormatError(f"line {lineno}: expected key=value, got {short_repr(tok)}")
         if key in pairs:
-            raise FormatError(f"line {lineno}: key {key!r} given twice")
+            raise FormatError(f"line {lineno}: key {short_repr(key)} given twice")
         pairs[key] = value
     return tuple(pairs.items())
 
@@ -242,7 +242,7 @@ def parse_recipe(text: str) -> Recipe:
         tokens = line.split()
         if not magic_seen:
             if line != "rcp 1":
-                raise FormatError(f"line {lineno}: expected `rcp 1` header, got {line!r}")
+                raise FormatError(f"line {lineno}: expected `rcp 1` header, got {short_repr(line)}")
             magic_seen = True
         elif tokens[0] == "target":
             if target is not None or len(tokens) != 2:
@@ -263,13 +263,13 @@ def parse_recipe(text: str) -> Recipe:
             elif op in OPS and OPS[op].needs is not None:
                 stages.append(Stage(op, _parse_kv(tokens[2:], lineno)))
             else:
-                raise FormatError(f"line {lineno}: unknown stage op {op!r}")
+                raise FormatError(f"line {lineno}: unknown stage op {short_repr(op)}")
         elif tokens[0] == "certify":
             if certify is not None:
                 raise FormatError(f"line {lineno}: only one `certify` line allowed")
             certify = _parse_kv(tokens[1:], lineno)
         else:
-            raise FormatError(f"line {lineno}: unknown directive {tokens[0]!r}")
+            raise FormatError(f"line {lineno}: unknown directive {short_repr(tokens[0])}")
     if not magic_seen:
         raise FormatError("line 1: empty recipe")
     if target is None:
@@ -305,7 +305,7 @@ class PipelineReport:
     certificate_status: str | None
 
     def serialize(self) -> str:
-        lines = ["pipeline-report 1", f"target {self.target}", f"stages {len(self.stages)}"]
+        lines = ["pipeline-report 1", f"target {int_to_decimal(self.target)}", f"stages {len(self.stages)}"]
         for s in self.stages:
             pe = "-" if s.predicted_edges is None else str(s.predicted_edges)
             lines += [
@@ -435,7 +435,7 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
         if girth_rep.girth is not None and girth_rep.girth < floor:
             raise VerificationError(
                 f"stage {index} ({stage.render()}): girth {girth_rep.girth} fell below "
-                f"the declared floor {floor}"
+                f"the declared floor {short_decimal(floor)}"
             )
         records.append(
             StageRecord(

@@ -18,10 +18,10 @@ different constants, each recorded once as a :class:`Route` in
 * girth-8 route: orders q'_1 = 2^m, q'_n = 2 * q'_{n-1}^10, substrate
   with v'(q) = (1+q)(1+q^3+q^6+q^9) and b'(q) = (1+q^2)(1+q^3+q^6+q^9).
 
-A route states its standing assumptions once, as named ``premises`` that
-:meth:`Route.require` checks and the certificate records, and its order
-exponents once, in :meth:`Route.exponents`, which ``Route.order`` and the
-certificate's order checks both read.
+A route states each rule once, for the certificate to record and the
+planner to enforce: its standing assumptions as named ``premises`` that
+:meth:`Route.require` checks, its order exponents in :meth:`Route.exponents`,
+and the checks on each order in :meth:`Route.order_checks`.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ class Route:
         """How statements name the base."""
         return "p" if self.base is None else str(self.base)
 
-    @property
-    def odd_orders(self) -> bool:
-        """Every order must be an odd power of the base (octagon route)."""
-        return self.m_step == 2
-
     def base_for(self, p: int | None, what: str) -> int:
         """The base to use given an optional caller-supplied p."""
         if self.base is None:
@@ -104,7 +99,7 @@ class Route:
                 raise PreconditionError(f"{what} needs p")
             return p
         if p not in (None, self.base):
-            raise PreconditionError(f"{what} has base {self.base}, got p = {p}")
+            raise PreconditionError(f"{what} has base {self.base}, got p = {short_decimal(p)}")
         return self.base
 
     def require(self, p: int, m: int, n: int) -> None:
@@ -126,15 +121,24 @@ class Route:
             yield scale * (m + shift) - shift, e
             scale, e = scale * self.growth, self.growth * e + 1
 
+    def order_checks(self, i: int, closed: Fraction, e: Fraction) -> list[tuple[str, str, bool]]:
+        """(name, statement, passed) rows on the i-th order's exponents: they
+        agree, and where m_step keeps m odd, the order is an odd power."""
+        g, den = self.growth, self.den
+        rows = [(f"order-closed-form-{i}", f"recursion exponent equals {g}^{i - 1}*(m+1/{den})-1/{den}", e == closed)]
+        if self.m_step == 2:
+            odd = closed.denominator == 1 and closed.numerator % 2 == 1
+            rows.append((f"order-odd-{i}", f"order_{i} is an odd power of {self.sym}", odd))
+        return rows
+
     def order(self, p: int, m: int, n: int) -> PowerExpr:
-        """n-th order in closed form, cross-checked exactly against the
-        recursion."""
+        """n-th order in closed form, refused at the first of its
+        :meth:`order_checks` that fails (none can once the premises hold)."""
         self.require(p, m, n)
         closed, e = next(islice(self.exponents(m), n - 1, None))
-        if e != closed:
-            raise PreconditionError(f"closed form {closed} disagrees with recursion {e}")
-        if self.odd_orders and (closed.denominator != 1 or closed.numerator % 2 == 0):
-            raise PreconditionError(f"order exponent {closed} is not an odd integer")
+        for name, statement, passed in self.order_checks(n, closed, e):
+            if not passed:
+                raise PreconditionError(f"check {name} ({statement}) does not hold")
         return PowerExpr(p, closed)
 
     def edge_bound(self, p: int, m: int, n: int) -> PowerExpr:
@@ -167,7 +171,7 @@ class Route:
         growth^n*, where shift = step - 1 puts the bracket ends on the
         lattice (10^k - 1 is odd)."""
         if not is_prime(p):
-            raise PreconditionError(f"p must be prime, got {p}")
+            raise PreconditionError(f"p must be prime, got {short_decimal(p)}")
         if r < 2:
             raise PreconditionError(f"r must be >= 2, got {r}")
         step, shift, g = self.m_step, self.m_step - 1, self.growth
@@ -261,7 +265,7 @@ ROUTES = {
 
 def route_for(girth: int) -> Route:
     if girth not in ROUTES:
-        raise PreconditionError(f"girth must be 6 or 8, got {girth}")
+        raise PreconditionError(f"girth must be 6 or 8, got {short_decimal(girth)}")
     return ROUTES[girth]
 
 

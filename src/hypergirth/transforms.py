@@ -19,12 +19,27 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .arith import short_decimal
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget
 from .errors import PreconditionError
 
 
 class EmptySplitWarning(UserWarning):
     """Splitting left no edges (every host edge was smaller than r)."""
+
+
+def _collect(num_vertices: int, pairs: list[tuple[tuple[int, ...], int]], clash: str) -> Hypergraph:
+    """The hypergraph of the (edge, source) ``pairs``, edges sorted.  An edge
+    produced twice raises PreconditionError(clash.format(first source,
+    second source, edge)) at its first repeat; only then are pairs walked."""
+    edges = dict(pairs)
+    if len(edges) < len(pairs):
+        first: dict[tuple[int, ...], int] = {}
+        for edge, source in pairs:
+            if edge in first:
+                raise PreconditionError(clash.format(first[edge], source, edge))
+            first[edge] = source
+    return Hypergraph(num_vertices, tuple(sorted(edges)))
 
 
 def neighborhood_hypergraph(g: BipartiteGraph) -> Hypergraph:
@@ -34,16 +49,8 @@ def neighborhood_hypergraph(g: BipartiteGraph) -> Hypergraph:
     Empty neighborhoods are dropped; two right vertices with the same
     nonempty neighborhood violate the precondition and raise, naming both.
     """
-    seen: dict[tuple[int, ...], int] = {}
-    for v, nbhd in enumerate(g.right_neighbors):
-        if not nbhd:
-            continue
-        if nbhd in seen:
-            raise PreconditionError(
-                f"right vertices {seen[nbhd]} and {v} have the same neighborhood {nbhd}"
-            )
-        seen[nbhd] = v
-    return Hypergraph(g.n_left, tuple(sorted(seen)))
+    pairs = [(nbhd, v) for v, nbhd in enumerate(g.right_neighbors) if nbhd]
+    return _collect(g.n_left, pairs, "right vertices {} and {} have the same neighborhood {}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +63,13 @@ class SubstitutionPlan:
 
     def __post_init__(self) -> None:
         if self.copies_per_edge < 1:
-            raise PreconditionError(f"copies_per_edge must be >= 1, got {self.copies_per_edge}")
+            raise PreconditionError(f"copies_per_edge must be >= 1, got {short_decimal(self.copies_per_edge)}")
         need = self.copies_per_edge * self.template.num_vertices
         for idx, edge in enumerate(self.host.edges):
             if len(edge) < need:
                 raise PreconditionError(
                     f"host edge {idx} has {len(edge)} vertices but "
-                    f"{self.copies_per_edge} template copies need {need}"
+                    f"{short_decimal(self.copies_per_edge)} template copies need {short_decimal(need)}"
                 )
 
 
@@ -73,20 +80,14 @@ def substitute_edges(plan: SubstitutionPlan) -> Hypergraph:
     (possible only when two host edges overlap in >= 2 vertices, i.e. host
     girth 2) is a hard error rather than a silent merge.
     """
-    t_nv = plan.template.num_vertices
-    out: dict[tuple[int, ...], int] = {}
-    for idx, edge in enumerate(plan.host.edges):
-        for j in range(plan.copies_per_edge):
-            base = j * t_nv
-            for t_edge in plan.template.edges:
-                mapped = tuple(edge[base + t] for t in t_edge)
-                if mapped in out:
-                    raise PreconditionError(
-                        f"host edges {out[mapped]} and {idx} both produce edge {mapped}; "
-                        "substitution requires host girth >= 3"
-                    )
-                out[mapped] = idx
-    return Hypergraph(plan.host.num_vertices, tuple(sorted(out)))
+    t_nv, t_edges = plan.template.num_vertices, plan.template.edges
+    # each template edge's positions in a host edge, copy by copy; SubstitutionPlan
+    # bounds the copy count unless one side has no edges
+    copies = range(plan.copies_per_edge if t_edges and plan.host.edges else 0)
+    places = [[j * t_nv + t for t in t_edge] for j in copies for t_edge in t_edges]
+    pairs = [(tuple([edge[i] for i in place]), idx) for idx, edge in enumerate(plan.host.edges) for place in places]
+    clash = "host edges {} and {} both produce edge {}; substitution requires host girth >= 3"
+    return _collect(plan.host.num_vertices, pairs, clash)
 
 
 def split_edges(h: Hypergraph, r: int) -> Hypergraph:
@@ -98,19 +99,11 @@ def split_edges(h: Hypergraph, r: int) -> Hypergraph:
     """
     if r < 2:
         raise PreconditionError(f"split size must be >= 2, got {r}")
-    out: dict[tuple[int, ...], int] = {}
-    for idx, edge in enumerate(h.edges):
-        for j in range(len(edge) // r):
-            sub = edge[j * r : (j + 1) * r]
-            if sub in out:
-                raise PreconditionError(
-                    f"host edges {out[sub]} and {idx} both produce edge {sub}; "
-                    "splitting requires host girth >= 3"
-                )
-            out[sub] = idx
-    if h.num_edges > 0 and not out:
-        warnings.warn(f"every edge is smaller than r={r}; output has no edges", EmptySplitWarning)
-    return Hypergraph(h.num_vertices, tuple(sorted(out)))
+    pairs = [(edge[j : j + r], idx) for idx, edge in enumerate(h.edges) for j in range(0, len(edge) - r + 1, r)]
+    if h.num_edges > 0 and not pairs:
+        warnings.warn(f"every edge is smaller than r={short_decimal(r)}; output has no edges", EmptySplitWarning)
+    clash = "host edges {} and {} both produce edge {}; splitting requires host girth >= 3"
+    return _collect(h.num_vertices, pairs, clash)
 
 
 def build_recursive(bases: list[BipartiteGraph], copy_counts: list[int]) -> Hypergraph:
@@ -130,14 +123,10 @@ def build_recursive(bases: list[BipartiteGraph], copy_counts: list[int]) -> Hype
     current = neighborhood_hypergraph(bases[0])
     for stage, (base, k) in enumerate(zip(bases[1:], copy_counts), start=2):
         host = neighborhood_hypergraph(base)
-        need = k * current.num_vertices
-        smallest = min((len(e) for e in host.edges), default=0)
-        if smallest < need:
-            raise PreconditionError(
-                f"stage {stage}: host edges of size {smallest} cannot hold "
-                f"{k} copies of a {current.num_vertices}-vertex hypergraph (need {need})"
-            )
-        current = substitute_edges(SubstitutionPlan(host, current, k))
+        try:
+            current = substitute_edges(SubstitutionPlan(host, current, k))
+        except PreconditionError as exc:
+            raise PreconditionError(f"stage {stage}: {exc}") from None
     return current
 
 

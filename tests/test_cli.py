@@ -849,3 +849,75 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(out)
+
+
+# An integer past CPython's 4300-digit str() limit, and an odd one.
+BIG = "1" + "0" * 4999
+BIG_ODD = "1" * 5001
+
+
+class TestIntegersPastTheStrLimit:
+    """Messages show such an integer through short_decimal; stdout records
+    it exactly.  No command ends in a traceback."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, capsys):
+        bgt, hgt = str(tmp_path / "p3.bgt"), str(tmp_path / "p3.hgt")
+        assert run(capsys, "gen", "plane", "--q", "3", bgt)[0] == 0
+        assert run(capsys, "transform", "nbhd", bgt, hgt)[0] == 0
+        return {"IN": hgt, "OUT": str(tmp_path / "out"), "CERT": str(tmp_path / "c.txt")}
+
+    @pytest.mark.parametrize(
+        "argv,recipe,code,stdout_has",
+        [
+            (["plan", "--girth", "6", "--p", BIG, "--r", "3", "--N", "100", "--cert", "CERT"], None, 3, None),
+            (None, f"certify girth=6 p={BIG} r=3 N=100", 3, None),
+            (None, f"certify girth={BIG} r=3 N=100", 3, None),
+            (["plan", "--girth", "8", "--p", BIG, "--r", "3", "--N", "100", "--cert", "CERT"], None, 3, None),
+            (["gen", "greedy", "--left", BIG, "--right", "1", "--deg", "1", "--girth", "4", "--seed", "1", "OUT"],
+             None, 4, None),
+            (["gen", "greedy", "--left", "1", "--right", "1", "--deg", "1", "--girth", BIG_ODD, "--seed", "1",
+              "OUT"], None, 3, None),
+            (["gen", "greedy", "--left", "3", "--right", "3", "--deg", BIG, "--girth", "4", "--seed", BIG, "OUT"],
+             None, 0, f"greedy left 3 right 3 deg {BIG} girth 4 seed {BIG}\n"),
+            (["transform", "substitute", "--template", "path7", "--k", BIG, "IN", "OUT"], None, 3, None),
+            (["transform", "split", "--r", BIG, "IN", "OUT"], None, 0, "wrote "),
+            (None, f"stage split r={BIG}", 0, "report "),
+            (["girth", "IN", "--oracle-max", BIG], None, 0, f"oracle-check ok max-len {BIG}\n"),
+            (None, f"target {BIG}", 5, None),
+        ],
+        ids=["plan-p", "certify-p", "certify-girth", "plan-8-p", "greedy-left", "greedy-girth", "greedy-deg-seed",
+             "substitute-k", "split-r", "stage-split-r", "oracle-max", "target"],
+    )
+    def test_no_traceback(self, tmp_path, capsys, files, argv, recipe, code, stdout_has):
+        if recipe is not None:
+            path = tmp_path / "r.rcp"
+            head = "rcp 1\n" if recipe.startswith("target") else "rcp 1\ntarget 3\n"
+            path.write_text(head + "stage gen plane q=3\nstage nbhd\n" + recipe + "\n")
+            argv = ["pipeline", str(path), "--out-dir", str(tmp_path / "run")]
+        got, stdout, stderr = run(capsys, *[files.get(a, a) for a in argv])
+        assert got == code
+        assert len(stderr.splitlines()) <= 1 and len(stderr.encode()) < 200, stderr[:200]
+        assert "Traceback" not in stderr
+        assert stderr.startswith("error: ") if code else not stderr or stderr.startswith("warning: ")
+        if stdout_has is not None:
+            assert stdout_has in stdout
+
+
+class TestEmptySplitWarning:
+    WARNING = "warning: every edge is smaller than r=9; output has no edges\n"
+
+    def test_transform_split(self, tmp_path, capsys):
+        bgt, hgt, out = (str(tmp_path / name) for name in ("p3.bgt", "p3.hgt", "s.hgt"))
+        assert run(capsys, "gen", "plane", "--q", "3", bgt)[0] == 0
+        assert run(capsys, "transform", "nbhd", bgt, hgt)[0] == 0
+        assert run(capsys, "transform", "split", "--r", "9", hgt, out) == (
+            0, f"wrote {out} (13 vertices, 0 edges)\n", self.WARNING
+        )
+
+    def test_recipe_stage(self, tmp_path, capsys):
+        recipe = tmp_path / "r.rcp"
+        recipe.write_text("rcp 1\ntarget 3\nstage gen plane q=3\nstage nbhd\nstage split r=9\n")
+        code, stdout, stderr = run(capsys, "pipeline", str(recipe), "--out-dir", str(tmp_path / "out"))
+        assert (code, stderr) == (0, self.WARNING)
+        assert "stage 3 split r=9: kind hypergraph girth inf edges 0" in stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -200,6 +201,37 @@ class TestExponents:
             pairs = list(islice(ROUTES[girth].exponents(m), 5))
             for n, (closed, recursion) in enumerate(pairs, start=1):
                 assert ROUTES[girth].order(p, m, n).exponent == closed == recursion
+
+
+class TestOrderChecks:
+    @pytest.mark.parametrize("girth,p,m", [(6, 2, 4), (8, 2, 5)])
+    def test_rows_are_the_certificate_rows(self, girth, p, m):
+        route = ROUTES[girth]
+        for n in range(1, 6):
+            cert = certificate(girth, p, m, n, 3)
+            recorded = [(c.name, c.statement, c.passed) for c in cert.checks if c.name.startswith("order-")]
+            rows = [row for i, (closed, e) in zip(range(1, n + 1), route.exponents(m))
+                    for row in route.order_checks(i, closed, e)]
+            assert recorded == rows and len(rows) == n * (2 if girth == 8 else 1)
+            assert {c.method for c in cert.checks if c.name.startswith("order-")} == {"exponent-exact"}
+
+    def test_rows(self):
+        assert ROUTES[6].order_checks(2, Fraction(19), Fraction(19)) == [
+            ("order-closed-form-2", "recursion exponent equals 9^1*(m+1/8)-1/8", True),
+        ]
+        assert ROUTES[8].order_checks(3, Fraction(511), Fraction(510)) == [
+            ("order-closed-form-3", "recursion exponent equals 10^2*(m+1/9)-1/9", False),
+            ("order-odd-3", "order_3 is an odd power of 2", True),
+        ]
+
+    def test_order_raises_on_the_first_failing_row(self):
+        # Without its premises the octagon route accepts an even m, whose
+        # first order is an even power of 2.
+        route = dataclasses.replace(ROUTES[8], premises=())
+        with pytest.raises(PreconditionError) as exc:
+            route.order(2, 4, 1)
+        assert str(exc.value) == "check order-odd-1 (order_1 is an odd power of 2) does not hold"
+        assert route.order(2, 5, 1) == PowerExpr(2, Fraction(5))
 
 
 class TestVertexComparison:

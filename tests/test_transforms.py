@@ -40,8 +40,9 @@ class TestNeighborhoodHypergraph:
 
     def test_duplicate_neighborhoods_error_names_vertices(self):
         g = BipartiteGraph.from_incidences(2, 3, [(0, 0), (1, 0), (0, 2), (1, 2)])
-        with pytest.raises(PreconditionError, match="0 and 2"):
+        with pytest.raises(PreconditionError) as exc:
             neighborhood_hypergraph(g)
+        assert str(exc.value) == "right vertices 0 and 2 have the same neighborhood (0, 1)"
 
     def test_heawood_gives_fano(self, plane2):
         h = neighborhood_hypergraph(plane2)
@@ -114,8 +115,25 @@ class TestSubstituteEdges:
 
     def test_duplicate_output_is_hard_error(self):
         host = Hypergraph(4, ((0, 1, 2), (0, 1, 3)))  # girth 2
-        with pytest.raises(PreconditionError, match="both produce edge"):
+        with pytest.raises(PreconditionError) as exc:
             substitute_edges(SubstitutionPlan(host, Hypergraph(2, ((0, 1),)), 1))
+        assert str(exc.value) == (
+            "host edges 0 and 1 both produce edge (0, 1); substitution requires host girth >= 3"
+        )
+
+    @pytest.mark.parametrize("host,template", [(Hypergraph(3, ()), loose_path(1, 2)),
+                                               (Hypergraph(3, ((0, 1, 2),)), Hypergraph(0, ()))])
+    def test_nothing_to_place_ignores_the_copy_count(self, host, template):
+        start = time.monotonic()
+        assert substitute_edges(SubstitutionPlan(host, template, 10**30)) == Hypergraph(3, ())
+        assert time.monotonic() - start < 1.0
+
+    def test_first_clash_names_its_first_source(self):
+        # edge (4, 5) comes from host edges 0, 1 and 2; (2, 3) from 1 and 2
+        host = Hypergraph(8, ((0, 1, 4, 5), (2, 3, 4, 5), (2, 3, 4, 5, 6, 7)))
+        with pytest.raises(PreconditionError) as exc:
+            substitute_edges(SubstitutionPlan(host, Hypergraph(4, ((0, 1), (2, 3))), 1))
+        assert str(exc.value).startswith("host edges 0 and 1 both produce edge (4, 5);")
 
 
 class TestSplitEdges:
@@ -132,6 +150,14 @@ class TestSplitEdges:
         with pytest.warns(EmptySplitWarning):
             out = split_edges(Hypergraph(3, ((0, 1), (1, 2))), 3)
         assert out.num_edges == 0
+
+    def test_duplicate_output_is_hard_error(self):
+        host = Hypergraph(5, ((0, 1, 2, 3), (0, 1, 2, 4)))  # girth 2
+        with pytest.raises(PreconditionError) as exc:
+            split_edges(host, 2)
+        assert str(exc.value) == (
+            "host edges 0 and 1 both produce edge (0, 1); splitting requires host girth >= 3"
+        )
 
     def test_r_validation(self):
         with pytest.raises(PreconditionError):
@@ -203,8 +229,9 @@ class TestBuildRecursive:
 
     def test_stage_error_reports_sizes(self, hex2):
         g, _ = greedy_high_girth_bipartite(50, 8, 10, 12, 1)
-        with pytest.raises(PreconditionError, match="stage 2"):
+        with pytest.raises(PreconditionError) as exc:
             build_recursive([hex2, g], [1])
+        assert str(exc.value) == "stage 2: host edge 0 has 7 vertices but 1 template copies need 63"
 
     def test_arity_validation(self, hex2):
         with pytest.raises(PreconditionError, match="copy counts"):
