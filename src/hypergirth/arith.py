@@ -51,17 +51,25 @@ def int_to_decimal(value: int) -> str:
 
 
 def short_decimal(value: int | str) -> str:
-    """Human-oriented rendering of a nonnegative integer, or of a canonical
-    decimal string without converting it: exact up to 52 digits, else the
-    first 40 and the digit count.  Not for canonical serialization.  A
-    longer int is never converted whole: its leading 40 digits are the
+    """Human-oriented rendering of an integer, or of a canonical decimal
+    string without converting it: exact up to 52 digits, else the first 40
+    and the digit count, after the sign.  Not for canonical serialization.
+    A longer int is never converted whole: its leading 40 digits are the
     quotient by 10^(digits - 40)."""
     if isinstance(value, str):
         return value if len(value) <= 52 else f"{value[:40]}...({len(value)} digits)"
+    if value < 0:
+        return "-" + short_decimal(-value)
     digits = int_digits10(value)
     if digits <= 52:
         return int_to_decimal(value)
     return f"{value // 10 ** (digits - 40)}...({digits} digits)"
+
+
+def short_value(value: object) -> str:
+    """A value as messages show it: an int through short_decimal, anything
+    else by its repr."""
+    return short_decimal(value) if isinstance(value, int) else repr(value)
 
 
 def short_repr(text: str) -> str:
@@ -131,10 +139,12 @@ def checked_pow(base: int, exponent: int, what: str) -> int:
     """base**exponent as an int, refused when the result would exceed the
     digit budget."""
     if exponent < 0:
-        raise PreconditionError(f"{what}: negative exponent {exponent} has no integer expansion")
-    digits = exponent * math.log10(base) + 1  # approximate: a guard only
+        raise PreconditionError(f"{what}: negative exponent {short_decimal(exponent)} has no integer expansion")
+    # approximate: a guard only; an exponent past a float's range reads inf
+    digits = exponent * math.log10(base) + 1 if exponent.bit_length() < 1000 else math.inf
     if digits > DIGIT_BUDGET:
-        raise ResourceBudgetError(f"{what}: {base}^{exponent} needs ~{digits:.3g} digits, budget is {DIGIT_BUDGET}")
+        shown = f"{short_decimal(base)}^{short_decimal(exponent)}"
+        raise ResourceBudgetError(f"{what}: {shown} needs ~{digits:.3g} digits, budget is {DIGIT_BUDGET}")
     return base**exponent
 
 
@@ -212,7 +222,7 @@ class PowerExpr:
 
     def __post_init__(self) -> None:
         if not isinstance(self.base, int) or self.base < 2:
-            raise PreconditionError(f"PowerExpr base must be an integer >= 2, got {self.base!r}")
+            raise PreconditionError(f"PowerExpr base must be an integer >= 2, got {short_value(self.base)}")
         if not isinstance(self.exponent, Fraction):
             object.__setattr__(self, "exponent", Fraction(self.exponent))
         if 72 % self.exponent.denominator != 0:

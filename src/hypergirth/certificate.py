@@ -29,6 +29,7 @@ from .arith import (
     power_at_least,
     short_decimal,
     short_repr,
+    short_value,
 )
 from .errors import FormatError, PreconditionError, VerificationError
 from .formats import read_header
@@ -64,10 +65,10 @@ class Certificate:
         lines = [
             "cert 1",
             f"girth {self.girth}",
-            f"p {self.p}",
-            f"m {self.m}",
-            f"n {self.n}",
-            f"r {self.r}",
+            f"p {int_to_decimal(self.p)}",
+            f"m {int_to_decimal(self.m)}",
+            f"n {int_to_decimal(self.n)}",
+            f"r {int_to_decimal(self.r)}",
             f"status {'VALID' if self.valid else 'INVALID'}",
         ]
         for c in self.checks:
@@ -80,7 +81,7 @@ class Certificate:
 def _int_args(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if not isinstance(value, int) or value < 1:
-            raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
+            raise PreconditionError(f"{name} must be a positive integer, got {short_value(value)}")
 
 
 def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificate:
@@ -105,7 +106,8 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     # Premises and the uniformity range; a non-prime p fails them all unexpanded.
     prime_ok = is_prime(p)
     for name, statement, ok in route.premises:
-        checks.append(CertCheck(name, statement.format(p=p, m=m), _BIGNUM, prime_ok and ok(p, m)))
+        shown = statement.format(p=short_decimal(p), m=short_decimal(m))
+        checks.append(CertCheck(name, shown, _BIGNUM, prime_ok and ok(p, m)))
     uni = checked_pow(p, m, "check r-range") if prime_ok else 0
     r_ok = prime_ok and 2 <= r <= 1 + uni
     checks.append(CertCheck("r-range", f"2 <= r <= 1 + {sym}^m at r = {short_decimal(r)}", _BIGNUM, r_ok))

@@ -50,7 +50,6 @@ from .formats import load, read_ascii, serialize_bipartite, serialize_hypergraph
 from .girth import BergeCycle, girth_oracle
 from .pipeline import (
     OPS,
-    girth_of,
     op_args,
     parse_recipe,
     plan_args,
@@ -115,10 +114,10 @@ def _as_pair_hypergraph(g: BipartiteGraph) -> Hypergraph:
 def _cmd_girth(args: argparse.Namespace) -> int:
     oracle_max = None if args.oracle_max is None else read_int("girth", "oracle-max", args.oracle_max)
     obj = load(args.input)
-    rep = girth_of(obj)
+    rep = obj.girth_report
     oracle_target = obj if isinstance(obj, Hypergraph) else _as_pair_hypergraph(obj)
     # Printed only once the oracle agrees, so a failing command writes nothing.
-    lines = [f"girth {'inf' if rep.girth is None else rep.girth}"]
+    lines = [f"girth {rep.girth_str()}"]
     if rep.witness is not None:
         if isinstance(rep.witness, BergeCycle):
             lines.append("witness-vertices " + " ".join(map(str, rep.witness.vertices)))
@@ -145,6 +144,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     theorem = theorem_bound(route.girth, p, n_value)
     cert = certificate(route.girth, p, plan.m, plan.n, r)
     values = dict(cert.values)  # a planned (m, n) passes every premise, so all values are there
+    write_text_file(args.cert, cert.serialize())  # before any output, so a failing write prints nothing
     print(f"planned-m {plan.m}")
     print(f"planned-n {plan.n}")
     print(f"seed-m {plan.m_star}")
@@ -155,9 +155,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(f"edge-bound {values['edge_bound']}")
     print(f"theorem-exponent {theorem.exponent!r}")
     print(f"derived-constant {theorem.derived_constant!r}")
-    write_text_file(args.cert, cert.serialize())
-    status = "VALID" if cert.valid else "INVALID"
-    print(f"certificate {args.cert} {status}")
+    print(f"certificate {args.cert} {'VALID' if cert.valid else 'INVALID'}")
     return 0 if cert.valid else EXIT_CODES[VerificationError]
 
 
@@ -179,7 +177,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     obj = load(args.input)
     for key, value in summary(obj):
         print(f"{key} {value}")
-    print(f"girth {girth_of(obj).girth_str()}")
     return 0
 
 

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .arith import short_decimal
+from .arith import short_decimal, short_value
 from .errors import ResourceBudgetError, ValidationError
+
+if TYPE_CHECKING:
+    from .girth import GirthReport
 
 # Most vertices a Hypergraph or BipartiteGraph may have, with no override;
 # it admits the largest greedy grid, 1 x geometry.GREEDY_PAIR_BUDGET.
@@ -56,7 +59,7 @@ class Hypergraph:
 
     def __post_init__(self) -> None:
         if not isinstance(self.num_vertices, int) or self.num_vertices < 0:
-            raise ValidationError(f"num_vertices must be a nonnegative integer, got {self.num_vertices!r}")
+            raise ValidationError(f"num_vertices must be a nonnegative integer, got {short_value(self.num_vertices)}")
         check_vertex_budget(self.num_vertices, "hypergraph")
         prev: tuple[int, ...] = ()
         for idx, edge in enumerate(self.edges):
@@ -110,6 +113,12 @@ class Hypergraph:
             for v in edge:
                 inc[v].append(j)
         return tuple(tuple(js) for js in inc)
+
+    @cached_property
+    def girth_report(self) -> GirthReport:
+        """The exact girth and its witness, computed on first use."""
+        from .girth import girth_hypergraph  # here, not at the top: girth imports core
+        return girth_hypergraph(self)
 
 
 @dataclass(frozen=True)
@@ -170,6 +179,12 @@ class BipartiteGraph:
     @cached_property
     def right_degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.right_neighbors)
+
+    @cached_property
+    def girth_report(self) -> GirthReport:
+        """The exact girth and its witness, computed on first use."""
+        from .girth import girth_bipartite  # here, not at the top: girth imports core
+        return girth_bipartite(self)
 
 
 @dataclass(frozen=True)

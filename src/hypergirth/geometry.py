@@ -18,7 +18,6 @@ from . import core
 from .arith import int_to_decimal, is_prime, short_decimal
 from .core import BipartiteGraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
-from .girth import girth_bipartite
 
 
 def _point_index(q: int, dim: int) -> Callable[[Sequence[int]], int]:
@@ -107,7 +106,7 @@ def _check_geometry(g: BipartiteGraph, kind: str, q: int, girth: int) -> None:
         )
     if set(g.left_degrees) != {degree} or set(g.right_degrees) != {degree}:
         raise VerificationError(f"{name}: not ({degree},{degree})-biregular")
-    found = girth_bipartite(g).girth
+    found = g.girth_report.girth
     if found != girth:
         raise VerificationError(f"{name}: girth {found} != required {girth}")
 

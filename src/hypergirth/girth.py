@@ -61,6 +61,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+from .arith import short_decimal
 from .core import BipartiteGraph, Hypergraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
@@ -295,7 +296,7 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
     rather than risk an unbounded search.
     """
     if max_len < 2:
-        raise PreconditionError(f"max_len must be >= 2, got {max_len}")
+        raise PreconditionError(f"max_len must be >= 2, got {short_decimal(max_len)}")
     if h.incidence_count > ORACLE_INCIDENCE_BUDGET:
         raise ResourceBudgetError(
             f"oracle refused: {h.incidence_count} incidences exceed budget {ORACLE_INCIDENCE_BUDGET}"

@@ -52,7 +52,6 @@ from .geometry import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
-from .girth import GirthReport, girth_bipartite, girth_hypergraph
 from .planner import Route, route_for
 from .transforms import SubstitutionPlan, loose_path, neighborhood_hypergraph, split_edges, substitute_edges
 
@@ -168,13 +167,14 @@ def run_op(
 
 
 def summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
-    """The lines `report` prints before the girth, as (key, value) pairs,
-    starting with the kind; report.txt records the same lines per stage."""
+    """The lines `report` prints, as (key, value) pairs, from the kind to
+    the girth; report.txt records the same lines per stage."""
 
     def only(values) -> str:
         distinct = set(values)
         return str(distinct.pop()) if len(distinct) == 1 else "-"
 
+    girth = (("girth", obj.girth_report.girth_str()),)
     if isinstance(obj, BipartiteGraph):
         return (
             ("kind", "bipartite"),
@@ -183,7 +183,7 @@ def summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
             ("incidences", str(obj.num_incidences)),
             ("left-degree", only(obj.left_degrees)),
             ("right-degree", only(obj.right_degrees)),
-        )
+        ) + girth
     rep = validate(obj)
     uniformity = "-" if rep.uniformity is None else str(rep.uniformity)
     return (
@@ -194,11 +194,7 @@ def summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
         ("uniformity", "vacuous" if rep.uniformity_vacuous else uniformity),
         ("regularity", "-" if rep.regularity is None else str(rep.regularity)),
         ("isolated", str(rep.isolated)),
-    )
-
-
-def girth_of(obj: BipartiteGraph | Hypergraph) -> GirthReport:
-    return girth_bipartite(obj) if isinstance(obj, BipartiteGraph) else girth_hypergraph(obj)
+    ) + girth
 
 
 @dataclass(frozen=True)
@@ -286,8 +282,7 @@ class StageRecord:
     command: str
     check_command: str
     output_file: str
-    summary: tuple[tuple[str, str], ...]  # kind first, as `report` prints it
-    girth: str
+    summary: tuple[tuple[str, str], ...]  # kind first and girth last, as `report` prints it
     predicted_edges: int | None
     actual_edges: int
     wall_clock: float  # stdout only; omitted from the serialized report
@@ -295,6 +290,10 @@ class StageRecord:
     @property
     def kind(self) -> str:
         return self.summary[0][1]
+
+    @property
+    def girth(self) -> str:
+        return self.summary[-1][1]
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,6 @@ class PipelineReport:
             ]
             lines += [f"stage {s.index} {k} {v}" for k, v in s.summary]
             lines += [
-                f"stage {s.index} girth {s.girth}",
                 f"stage {s.index} predicted-edges {pe}",
                 f"stage {s.index} actual-edges {s.actual_edges}",
             ]
@@ -328,15 +326,18 @@ class PipelineReport:
 
 
 def write_text_file(path: str, text: str) -> None:
-    """Atomic write via a temp file: concurrent invocations never interleave."""
+    """Atomic write via a temp file: concurrent invocations never interleave.
+    A failure is reported against ``path``, never the temp file."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -428,13 +429,13 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
         else:
             ext, text, floor = "hgt", serialize_hypergraph(state), recipe.target
             actual_edges = state.num_edges
-        girth_rep = girth_of(state)
+        girth = state.girth_report.girth
         out_name = f"stage_{index:02d}_{stage.op}.{ext}"
         out_path = os.path.join(out_dir, out_name)
         write_text_file(out_path, text)
-        if girth_rep.girth is not None and girth_rep.girth < floor:
+        if girth is not None and girth < floor:
             raise VerificationError(
-                f"stage {index} ({stage.render()}): girth {girth_rep.girth} fell below "
+                f"stage {index} ({stage.render()}): girth {girth} fell below "
                 f"the declared floor {short_decimal(floor)}"
             )
         records.append(
@@ -445,7 +446,6 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
                 f"hypergirth report {out_path}",
                 out_name,
                 summary(state),
-                girth_rep.girth_str(),
                 predicted,
                 actual_edges,
                 time.monotonic() - t0,

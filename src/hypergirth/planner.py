@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from .arith import PowerExpr, checked_pow, is_prime, power_at_least, short_decimal
+from .arith import PowerExpr, checked_pow, is_prime, power_at_least, short_decimal, short_value
 from .errors import PreconditionError
 
 
@@ -106,10 +106,11 @@ class Route:
         """Raise PreconditionError unless n >= 1 and every premise holds on
         (p, m); the error names the first premise that fails."""
         if n < 1:
-            raise PreconditionError(f"n must be >= 1, got {n}")
+            raise PreconditionError(f"n must be >= 1, got {short_decimal(n)}")
         for name, statement, ok in self.premises:
             if not ok(p, m):
-                raise PreconditionError(f"premise {name} ({statement.format(p=p, m=m)}) does not hold")
+                shown = statement.format(p=short_decimal(p), m=short_decimal(m))
+                raise PreconditionError(f"premise {name} ({shown}) does not hold")
 
     def exponents(self, m: int) -> Iterator[tuple[Fraction, Fraction]]:
         """(closed form, recursion) exponents of q_1, q_2, ...: growth^(i-1) *
@@ -334,12 +335,12 @@ def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
     For girth 8 the base is fixed at 2 and ``p`` is ignored.
     """
     if n_vertices < 2:
-        raise PreconditionError(f"N must be >= 2, got {n_vertices}")
+        raise PreconditionError(f"N must be >= 2, got {short_decimal(n_vertices)}")
     route = route_for(girth)
     base = route.base
     if base is None:
         if p is None or not is_prime(p):
-            raise PreconditionError(f"girth-{girth} bound needs a prime p, got {p}")
+            raise PreconditionError(f"girth-{girth} bound needs a prime p, got {short_value(p)}")
         base = p
     scale = 11 * _STEPS
 

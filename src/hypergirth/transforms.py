@@ -98,7 +98,7 @@ def split_edges(h: Hypergraph, r: int) -> Hypergraph:
     result is flagged with EmptySplitWarning.  Girth never decreases.
     """
     if r < 2:
-        raise PreconditionError(f"split size must be >= 2, got {r}")
+        raise PreconditionError(f"split size must be >= 2, got {short_decimal(r)}")
     pairs = [(edge[j : j + r], idx) for idx, edge in enumerate(h.edges) for j in range(0, len(edge) - r + 1, r)]
     if h.num_edges > 0 and not pairs:
         warnings.warn(f"every edge is smaller than r={short_decimal(r)}; output has no edges", EmptySplitWarning)

@@ -9,7 +9,9 @@ precision escalation (a > 1) both run there.
 ``short_decimal`` is compared with a rendering from the full ``str``
 conversion, and must never convert a value of more than 52 digits whole.
 ``int_digits10``, which settles its count with ``power_at_least`` at base
-10, is compared with ``len(str(value))``.
+10, is compared with ``len(str(value))``.  A library call given an integer
+past CPython's 4300-digit ``str()`` limit fails as it does on one below it,
+with a short message.
 """
 
 import random
@@ -17,8 +19,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypergirth import arith
+from hypergirth import (
+    Error,
+    Hypergraph,
+    arith,
+    certificate,
+    girth_oracle,
+    reverify_certificate,
+    split_edges,
+    theorem_bound,
+)
 from hypergirth.arith import power_at_least
+from hypergirth.planner import ROUTES
 
 BASES = (2, 3, 5, 7)
 
@@ -150,6 +162,50 @@ def test_short_decimal_converts_only_short_values(monkeypatch):
     assert arith.short_decimal(10**200000 - 1) == "9" * 40 + "...(200000 digits)"
     value = _rng.getrandbits(300000)
     assert arith.short_decimal(value).endswith(f"...({arith.int_digits10(value)} digits)")
+
+
+@pytest.mark.parametrize("value", SHORT_VALUES, ids=lambda v: f"{arith.int_digits10(v)}digits-{v % 1000}")
+def test_short_decimal_shortens_a_negative_int_like_a_positive_one(value):
+    expected = arith.short_decimal(value) if value == 0 else "-" + arith.short_decimal(value)
+    assert arith.short_decimal(-value) == expected
+
+
+# Each call with an integer of `size` in a bad place; below the str() limit
+# every one of them already failed with a package error and a short message.
+BAD_INTEGER_CALLS = {
+    "certificate-p": lambda size: certificate(6, size, 2, 1, 3),
+    "certificate-m": lambda size: certificate(8, 2, size, 1, 3),
+    "certificate-negative-m": lambda size: certificate(6, 5, -size, 1, 3),
+    "route-require-n": lambda size: ROUTES[6].require(5, 3, -size),
+    "route-order-m": lambda size: ROUTES[8].order(2, size, 1),
+    "theorem-bound-p": lambda size: theorem_bound(6, size, 10**6),
+    "theorem-bound-N": lambda size: theorem_bound(6, 5, -size),
+    "hypergraph-vertices": lambda size: Hypergraph(-size, ()),
+    "power-base": lambda size: arith.PowerExpr(-size, 1),
+    "oracle-max-len": lambda size: girth_oracle(Hypergraph(3, ((0, 1, 2),)), -size),
+    "split-r": lambda size: split_edges(Hypergraph(3, ((0, 1, 2),)), -size),
+}
+
+
+def outcome(call, size: int) -> tuple[type, list[str]]:
+    """The error class and message of call(size), or the certificate type
+    and its check statements when it returns an INVALID certificate, which
+    re-verifies from its serialized text."""
+    try:
+        cert = call(size)
+    except Error as exc:
+        return type(exc), [str(exc)]
+    assert not cert.valid and reverify_certificate(cert.serialize()) == cert
+    return type(cert), [check.statement for check in cert.checks]
+
+
+@pytest.mark.parametrize("name", BAD_INTEGER_CALLS)
+def test_an_integer_past_the_str_limit_fails_as_below_it(name):
+    call = BAD_INTEGER_CALLS[name]
+    below, _ = outcome(call, 10**60)
+    past, past_texts = outcome(call, 10**5000)
+    assert past is below
+    assert max(map(len, past_texts)) < 200, past_texts
 
 
 _rng_digits = random.Random(17)

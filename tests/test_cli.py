@@ -272,11 +272,11 @@ class TestGirthCommand:
         path = str(tmp_path / "m.hgt")
         with open(path, "w") as fh:
             fh.write("hgt 1\nvertices 4\nedges 2\ne 0 1 2\ne 1 2 3\n")
-        import hypergirth.pipeline as pipeline_mod
+        import hypergirth.girth as girth_mod
         from hypergirth.girth import GirthReport
 
-        # `girth` reads the fast path through pipeline.girth_of
-        monkeypatch.setattr(pipeline_mod, "girth_hypergraph", lambda h: GirthReport(4))
+        # `girth` reads the loaded value's girth_report, whose import reads the engine at call time
+        monkeypatch.setattr(girth_mod, "girth_hypergraph", lambda h: GirthReport(4))
         code, stdout, stderr = run(capsys, "girth", path, "--oracle-max", "8")
         assert code == 5
         assert "oracle" in stderr
@@ -921,3 +921,24 @@ class TestEmptySplitWarning:
         code, stdout, stderr = run(capsys, "pipeline", str(recipe), "--out-dir", str(tmp_path / "out"))
         assert (code, stderr) == (0, self.WARNING)
         assert "stage 3 split r=9: kind hypergraph girth inf edges 0" in stdout
+
+
+class TestFailedWrite:
+    """A write into a missing directory exits 3 with one line naming the
+    target, not its temp file, and prints nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "plane", "--q", "3", "OUT"],
+            ["plan", "--girth", "6", "--p", "5", "--r", "3", "--N", "3967295312526", "--cert", "OUT"],
+        ],
+        ids=["gen", "plan"],
+    )
+    def test_names_the_target(self, tmp_path, capsys, argv):
+        target = str(tmp_path / "nodir" / "out.txt")
+        code, stdout, stderr = run(capsys, *[target if a == "OUT" else a for a in argv])
+        assert (code, stdout) == (3, "")
+        assert_one_error_line(stderr)
+        assert stderr.rstrip().endswith(f"No such file or directory: {target!r}") and ".tmp" not in stderr
+        assert os.listdir(tmp_path) == []

@@ -472,3 +472,59 @@ class TestWitnessValidation:
             rep = fn(obj)
             rep.witness.check(obj)
             assert len(rep.witness) == rep.girth
+
+
+class TestGirthReportComputedOnce:
+    """Each value sweeps once: ``girth_report`` caches the engine's report,
+    and the generator self-checks, the pipeline, `report` and `girth` read it.
+    Fresh values throughout, since the session fixtures cache their reports."""
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        calls = []
+        original = girth_mod._shortest_cycle
+
+        def counted(adj, n_left):
+            calls.append(len(adj))
+            return original(adj, n_left)
+
+        monkeypatch.setattr(girth_mod, "_shortest_cycle", counted)
+        return calls
+
+    def test_report_is_cached_and_equals_the_engine(self, sweeps):
+        g = symplectic_quadrangle(2)
+        assert len(sweeps) == 1  # the generator's self-check fills the report
+        assert g.girth_report is g.girth_report
+        assert g.girth_report == girth_bipartite(g)
+        assert len(sweeps) == 2
+        h = Hypergraph(7, ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5), (5, 6)))
+        assert h.girth_report is h.girth_report
+        assert len(sweeps) == 3
+        assert h.girth_report == girth_hypergraph(h)
+
+    def test_caching_keeps_equality_and_hash(self):
+        square = ((0, 1), (1, 2), (2, 3), (0, 3))
+        plane = projective_plane(2)  # its self-check has computed the report
+        pairs = (
+            (plane, BipartiteGraph(plane.n_left, plane.n_right, plane.incidences)),
+            (Hypergraph.from_edges(4, square), Hypergraph.from_edges(4, square)),
+            (incidence_graph(Hypergraph.from_edges(4, square)), incidence_graph(Hypergraph.from_edges(4, square))),
+        )
+        for computed, fresh in pairs:
+            assert computed.girth_report.girth is not None
+            assert "girth_report" in vars(computed) and "girth_report" not in vars(fresh)
+            assert computed == fresh and hash(computed) == hash(fresh)
+
+    def test_one_sweep_per_value_in_cli_commands(self, sweeps, tmp_path, capsys):
+        from hypergirth.cli import main
+
+        bgt, rcp = str(tmp_path / "p.bgt"), tmp_path / "r.rcp"
+        assert main(["gen", "plane", "--q", "3", bgt]) == 0
+        assert len(sweeps) == 1  # the generator's self-check
+        assert main(["report", bgt]) == 0
+        assert len(sweeps) == 2  # the loaded value, once
+        assert capsys.readouterr().out.endswith("\ngirth 6\n")
+        rcp.write_text("rcp 1\ntarget 3\nstage gen plane q=3\nstage nbhd\n")
+        assert main(["pipeline", str(rcp), "--out-dir", str(tmp_path / "run")]) == 0
+        # the plane's self-check and stage check share one sweep; the nbhd output has its own
+        assert sweeps[2:] == [26, 26]
