@@ -107,7 +107,7 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 def _as_pair_hypergraph(g: BipartiteGraph) -> Hypergraph:
     """A bipartite graph as its own 2-uniform hypergraph (right ids offset)."""
-    edges = tuple(sorted((u, g.n_left + v) for u, v in g.incidences))
+    edges = tuple((u, g.n_left + v) for u, vs in enumerate(g.left_neighbors) for v in vs)
     return Hypergraph(g.n_left + g.n_right, edges)
 
 

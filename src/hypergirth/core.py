@@ -6,21 +6,22 @@ of k distinct vertices v_0..v_{k-1} and k distinct edges e_0..e_{k-1} with
 {v_i, v_{i+1 mod k}} contained in e_i; girth is the minimum cycle length.
 
 Both value types are immutable, store their content in canonical order
-(edges and incidences sorted lexicographically) and are safe to share
-between threads.  Neither may have more than VERTEX_BUDGET vertices.
+(edges and incidences sorted lexicographically, every id an int) and are
+safe to share between threads.  Neither may have more than VERTEX_BUDGET
+vertices.  Each value derives its adjacency (neighbour lists, vertex
+edges, degrees) once, on first use, and the other modules read those:
+only this module and ``formats`` read a value's raw incidences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
+from . import girth
 from .arith import short_decimal, short_value
 from .errors import ResourceBudgetError, ValidationError
-
-if TYPE_CHECKING:
-    from .girth import GirthReport
 
 # Most vertices a Hypergraph or BipartiteGraph may have, with no override;
 # it admits the largest greedy grid, 1 x geometry.GREEDY_PAIR_BUDGET.
@@ -45,6 +46,14 @@ def check_vertex_budget(count: int | str, what: str) -> None:
         raise ResourceBudgetError(f"{what} has {short_decimal(count)} vertices, budget is {VERTEX_BUDGET}")
 
 
+def _id_error(what: str, idx: int, ids: tuple) -> ValidationError:
+    """The refusal of edge or incidence ``idx`` for its first id that is
+    not an int.  A bool or float compares as a number but does not
+    serialize as one."""
+    bad = next(x for x in ids if type(x) is not int)
+    return ValidationError(f"{what} {idx} {ids}: id {short_value(bad)} is not an int", idx)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable hypergraph in canonical form.
@@ -58,16 +67,22 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_vertices, int) or self.num_vertices < 0:
+        if type(self.num_vertices) is not int or self.num_vertices < 0:
             raise ValidationError(f"num_vertices must be a nonnegative integer, got {short_value(self.num_vertices)}")
         check_vertex_budget(self.num_vertices, "hypergraph")
         prev: tuple[int, ...] = ()
         for idx, edge in enumerate(self.edges):
             if not edge:
                 raise ValidationError(f"edge {idx} is empty", idx)
-            for a, b in zip(edge, edge[1:]):
+            a = edge[0]
+            if type(a) is not int:
+                raise _id_error("edge", idx, edge)
+            for b in edge[1:]:
+                if type(b) is not int:
+                    raise _id_error("edge", idx, edge)
                 if a >= b:
                     raise ValidationError(f"edge {idx} {edge}: vertex ids not strictly increasing", idx)
+                a = b
             if edge[0] < 0 or edge[-1] >= self.num_vertices:
                 raise ValidationError(f"edge {idx} {edge}: vertex ids out of [0, {self.num_vertices})", idx)
             if prev >= edge:
@@ -99,11 +114,7 @@ class Hypergraph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.num_vertices
-        for edge in self.edges:
-            for v in edge:
-                deg[v] += 1
-        return tuple(deg)
+        return tuple(map(len, self.vertex_edges))
 
     @cached_property
     def vertex_edges(self) -> tuple[tuple[int, ...], ...]:
@@ -115,10 +126,9 @@ class Hypergraph:
         return tuple(tuple(js) for js in inc)
 
     @cached_property
-    def girth_report(self) -> GirthReport:
+    def girth_report(self) -> girth.GirthReport:
         """The exact girth and its witness, computed on first use."""
-        from .girth import girth_hypergraph  # here, not at the top: girth imports core
-        return girth_hypergraph(self)
+        return girth.girth_hypergraph(self)
 
 
 @dataclass(frozen=True)
@@ -131,11 +141,14 @@ class BipartiteGraph:
     incidences: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n_left < 0 or self.n_right < 0:
-            raise ValidationError("class sizes must be nonnegative")
+        for size in (self.n_left, self.n_right):
+            if type(size) is not int or size < 0:
+                raise ValidationError(f"class sizes must be nonnegative integers, got {short_value(size)}")
         prev = (-1, -1)
         for idx, pair in enumerate(self.incidences):
             u, v = pair
+            if type(u) is not int or type(v) is not int:
+                raise _id_error("incidence", idx, pair)
             if not 0 <= u < self.n_left:
                 raise ValidationError(f"incidence {idx} {pair}: left id {u} out of [0, {self.n_left})", idx)
             if not 0 <= v < self.n_right:
@@ -151,8 +164,7 @@ class BipartiteGraph:
     def from_incidences(
         cls, n_left: int, n_right: int, incidences: Iterable[tuple[int, int]]
     ) -> "BipartiteGraph":
-        pairs = sorted(set((int(u), int(v)) for u, v in incidences))
-        return cls(n_left, n_right, tuple(pairs))
+        return cls(n_left, n_right, tuple(sorted(set((u, v) for u, v in incidences))))
 
     @property
     def num_incidences(self) -> int:
@@ -163,14 +175,14 @@ class BipartiteGraph:
         adj: list[list[int]] = [[] for _ in range(self.n_left)]
         for u, v in self.incidences:
             adj[u].append(v)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def right_neighbors(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n_right)]
         for u, v in self.incidences:
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def left_degrees(self) -> tuple[int, ...]:
@@ -181,10 +193,9 @@ class BipartiteGraph:
         return tuple(len(a) for a in self.right_neighbors)
 
     @cached_property
-    def girth_report(self) -> GirthReport:
+    def girth_report(self) -> girth.GirthReport:
         """The exact girth and its witness, computed on first use."""
-        from .girth import girth_bipartite  # here, not at the top: girth imports core
-        return girth_bipartite(self)
+        return girth.girth_bipartite(self)
 
 
 @dataclass(frozen=True)
@@ -224,6 +235,5 @@ def validate(h: Hypergraph) -> StructureReport:
 def incidence_graph(h: Hypergraph) -> BipartiteGraph:
     """Bipartite incidence graph: left class = vertices of ``h``, right
     class = edges of ``h`` in canonical order, adjacency = containment."""
-    pairs = [(u, j) for j, edge in enumerate(h.edges) for u in edge]
-    pairs.sort()
-    return BipartiteGraph(h.num_vertices, h.num_edges, tuple(pairs))
+    pairs = tuple((u, j) for u, js in enumerate(h.vertex_edges) for j in js)
+    return BipartiteGraph(h.num_vertices, h.num_edges, pairs)

@@ -60,15 +60,24 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from .arith import short_decimal
-from .core import BipartiteGraph, Hypergraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
+
+if TYPE_CHECKING:
+    from .core import BipartiteGraph, Hypergraph
 
 # Most incidences girth_oracle searches, with no override.
 ORACLE_INCIDENCE_BUDGET = 2000
 # Roots per pass of the girth sweep: the bits of each vertex's reach set.
 SWEEP_CHUNK = 4096
+
+
+def _is_index(x: object, bound: int) -> bool:
+    """Whether a witness's ``x`` is an int id in [0, bound); a bool, float
+    or string is not, though some compare or hash like one."""
+    return type(x) is int and 0 <= x < bound
 
 
 @dataclass(frozen=True)
@@ -87,13 +96,12 @@ class BipartiteCycle:
             raise VerificationError(f"bipartite cycle length {n} is not an even number >= 4")
         if len(set(self.nodes)) != n:
             raise VerificationError("bipartite cycle repeats a vertex")
-        incident = set(g.incidences)
         for k, (side, idx) in enumerate(self.nodes):
             nside, nidx = self.nodes[(k + 1) % n]
             if side == nside:
                 raise VerificationError("bipartite cycle does not alternate sides")
-            pair = (idx, nidx) if side == "l" else (nidx, idx)
-            if pair not in incident:
+            u, v = pair = (idx, nidx) if side == "l" else (nidx, idx)
+            if not (_is_index(u, g.n_left) and _is_index(v, g.n_right) and v in g.left_neighbors[u]):
                 raise VerificationError(f"cycle step {k}: {pair} is not an incidence")
 
 
@@ -118,14 +126,13 @@ class BergeCycle:
         if len(set(self.edge_indices)) != k:
             raise VerificationError("cycle repeats an edge")
         for i in range(k):
-            if not (0 <= self.edge_indices[i] < h.num_edges):
-                raise VerificationError(f"edge index {self.edge_indices[i]} out of range")
-            edge = set(h.edges[self.edge_indices[i]])
-            if self.vertices[i] not in edge or self.vertices[(i + 1) % k] not in edge:
-                raise VerificationError(
-                    f"cycle step {i}: edge {self.edge_indices[i]} does not contain "
-                    f"both {self.vertices[i]} and {self.vertices[(i + 1) % k]}"
-                )
+            e, a, b = self.edge_indices[i], self.vertices[i], self.vertices[(i + 1) % k]
+            if not _is_index(e, h.num_edges):
+                raise VerificationError(f"edge index {e} out of range")
+            edge = set(h.edges[e])
+            # every vertex is the a of its own step, so each is checked to be an int
+            if not (type(a) is int and a in edge and b in edge):
+                raise VerificationError(f"cycle step {i}: edge {e} does not contain both {a} and {b}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,7 @@ class GirthReport:
         return "inf"
 
 
-def _shortest_cycle(adj: list[list[int]], n_left: int) -> list[int] | None:
+def _shortest_cycle(adj: Sequence[Sequence[int]], n_left: int) -> list[int] | None:
     """A shortest cycle of the bipartite graph with adjacency lists ``adj``,
     whose vertices below ``n_left`` form one side, as its vertex sequence,
     or None on a forest.
@@ -212,7 +219,7 @@ def _shortest_cycle(adj: list[list[int]], n_left: int) -> list[int] | None:
     return _witness(adj, best_root, 2 * level)
 
 
-def _witness(adj: list[list[int]], root: int, length: int) -> list[int]:
+def _witness(adj: Sequence[Sequence[int]], root: int, length: int) -> list[int]:
     """The cycle closed by the first cross edge of the BFS from ``root``
     through vertices above ``root``, checked to have ``length`` vertices."""
     dist = [-1] * len(adj)
@@ -250,12 +257,8 @@ def _tree_path(parent: list[int], x: int, root: int) -> list[int]:
 def girth_bipartite(g: BipartiteGraph) -> GirthReport:
     """Exact girth of a bipartite graph with a witness shortest cycle
     (always even), or infinite on a forest."""
-    n = g.n_left + g.n_right
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.incidences:
-        adj[u].append(g.n_left + v)
-        adj[g.n_left + v].append(u)
-    cycle = _shortest_cycle(adj, g.n_left)
+    adj = [[g.n_left + v for v in vs] for vs in g.left_neighbors]
+    cycle = _shortest_cycle(adj + list(g.right_neighbors), g.n_left)
     if cycle is None:
         return GirthReport(None)
     nodes = tuple(("l", x) if x < g.n_left else ("r", x - g.n_left) for x in cycle)
@@ -272,8 +275,7 @@ def girth_hypergraph(h: Hypergraph) -> GirthReport:
     """
     n = h.num_vertices
     adj = [[n + j for j in js] for js in h.vertex_edges]
-    adj += [list(edge) for edge in h.edges]
-    cycle = _shortest_cycle(adj, n)
+    cycle = _shortest_cycle(adj + list(h.edges), n)
     if cycle is None:
         return GirthReport(None)
     if len(cycle) % 2 != 0:

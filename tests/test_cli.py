@@ -845,7 +845,7 @@ def test_module_entry_point(tmp_path):
     out = str(tmp_path / "p.bgt")
     proc = subprocess.run(
         [sys.executable, "-m", "hypergirth", "gen", "plane", "--q", "2", out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(out)

@@ -79,6 +79,40 @@ class TestBipartiteInvariants:
             BipartiteGraph(2, 2, ((1, 0), (0, 0)))
 
 
+class TestIdsAreInts:
+    """A bool or float id compares as a number but serializes as `False` or
+    `0.5`, which no parser reads back, so the value types refuse it."""
+
+    @pytest.mark.parametrize("edge, bad", [((0.5, 1), "0.5"), ((False, True), "False"), ((0, 1.0), "1.0"),
+                                           (("0", "1"), "'0'"), ((0, "1"), "'1'")])
+    def test_hypergraph_edge_ids(self, edge, bad):
+        with pytest.raises(ValidationError, match=rf"edge 0 .*: id {bad} is not an int"):
+            Hypergraph(3, (edge,))
+        with pytest.raises(ValidationError, match=rf"edge 1 .*: id {bad} is not an int"):
+            Hypergraph(3, ((0,), edge))
+
+    @pytest.mark.parametrize("pair, bad", [((0.5, 1), "0.5"), ((0, True), "True"), (("0", 1), "'0'")])
+    def test_bipartite_incidence_ids(self, pair, bad):
+        with pytest.raises(ValidationError, match=rf"incidence 0 .*: id {bad} is not an int"):
+            BipartiteGraph(2, 2, (pair,))
+
+    def test_from_incidences_does_not_truncate(self):
+        with pytest.raises(ValidationError, match=r"incidence 0 \(0.7, 1\): id 0.7 is not an int"):
+            BipartiteGraph.from_incidences(2, 2, [(0.7, 1)])
+        with pytest.raises(ValidationError, match=r"edge 0 \(0.5, 1\): id 0.5 is not an int"):
+            Hypergraph.from_edges(3, [(1, 0.5)])
+
+    @pytest.mark.parametrize("sizes", [(2.5, 1), (2, True), (-1, 1), (1, "2")])
+    def test_bipartite_class_sizes(self, sizes):
+        with pytest.raises(ValidationError, match="class sizes must be nonnegative integers"):
+            BipartiteGraph(*sizes, ())
+
+    @pytest.mark.parametrize("count", [True, 2.0, -1])
+    def test_hypergraph_vertex_count(self, count):
+        with pytest.raises(ValidationError, match="num_vertices must be a nonnegative integer"):
+            Hypergraph(count, ())
+
+
 class TestVertexBudget:
     def test_admits_the_largest_greedy_grid(self):
         assert VERTEX_BUDGET >= GREEDY_PAIR_BUDGET + 1

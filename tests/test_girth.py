@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -466,6 +467,31 @@ class TestWitnessValidation:
         g = BipartiteGraph.from_incidences(2, 2, [(0, 0), (1, 1)])
         with pytest.raises(VerificationError, match="not an incidence"):
             BipartiteCycle((("l", 0), ("r", 0), ("l", 1), ("r", 1))).check(g)
+
+    @pytest.mark.parametrize("bad", [-1, 7, 0.5, "0", True])
+    def test_berge_refuses_forged_edge_index(self, fano, bad):
+        with pytest.raises(VerificationError, match=f"edge index {bad} out of range"):
+            BergeCycle((0, 1, 2), (bad, 2, 3)).check(fano)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_berge_refuses_a_vertex_that_only_compares_as_an_id(self, fano, bad):
+        """(0, 1, 2) through edges 0, 3, 1 is a Fano triangle; True and 1.0 compare equal to 1."""
+        BergeCycle((0, 1, 2), (0, 3, 1)).check(fano)
+        with pytest.raises(VerificationError, match=f"cycle step 1: edge 3 does not contain both {bad} and 2"):
+            BergeCycle((0, bad, 2), (0, 3, 1)).check(fano)
+
+    # K_{2,3} has n_left = 2 and n_right = 3: a right id 2 is real, a left id 2 is not.
+    # False hashes and compares as 0 but is no vertex id.
+    @pytest.mark.parametrize("position, bad", [(0, -1), (0, 2), (0, 3), (0, 0.5), (0, "0"), (0, False),
+                                               (1, -1), (1, 3), (1, 0.5), (1, "0")])
+    def test_bipartite_refuses_forged_index(self, position, bad):
+        g = BipartiteGraph.from_incidences(2, 3, [(u, v) for u in range(2) for v in range(3)])
+        nodes = [("l", 0), ("r", 0), ("l", 1), ("r", 1)]
+        BipartiteCycle(tuple(nodes)).check(g)
+        nodes[position] = (nodes[position][0], bad)
+        pair = (bad, 0) if position == 0 else (0, bad)
+        with pytest.raises(VerificationError, match=re.escape(f"cycle step 0: {pair} is not an incidence")):
+            BipartiteCycle(tuple(nodes)).check(g)
 
     def test_all_reports_validate(self, fano, plane2, quad2):
         for obj, fn in ((fano, girth_hypergraph), (plane2, girth_bipartite), (quad2, girth_bipartite)):

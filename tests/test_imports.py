@@ -20,6 +20,9 @@ No linter ships with the toolchain, so this parses each module with
 * only ``formats`` frames text: no other module has a string constant
   that contains a carriage return, so no parser checks line endings
   itself;
+* only ``core`` and ``formats`` read a value's raw incidences: no other
+  module reads an ``incidences`` attribute, so the others go through the
+  adjacency ``core`` derives once;
 * the package has no runtime dependency: every module imports only the
   standard library and the package, and ``pyproject.toml`` lists no
   dependency; ``plan``, the one command with display floats, loads no
@@ -297,6 +300,25 @@ def test_carriage_return_checker_finds_constants():
 @pytest.mark.parametrize("module", [module for module in MODULES if module != "formats.py"])
 def test_only_formats_frames_text(module):
     assert carriage_return_constants((PACKAGE / module).read_text()) == []
+
+
+def incidence_reads(source: str) -> list[int]:
+    """Lines, in order, of the reads of an ``incidences`` attribute in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "incidences")
+
+
+def test_incidence_read_checker_finds_attributes():
+    source = (
+        "x = g.incidences\nfor u, v in load(p).incidences:\n    pass\ny = g.num_incidences\n"
+        "incidences = 'incidences'\nz = getattr(g, 'left_neighbors')\nw = [a.incidences for a in gs]\n"
+    )
+    assert incidence_reads(source) == [1, 2, 7]
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module not in ("core.py", "formats.py")])
+def test_only_core_and_formats_read_incidences(module):
+    assert incidence_reads((PACKAGE / module).read_text()) == []
 
 
 def foreign_imports(source: str) -> list[str]:

@@ -1,15 +1,25 @@
-"""Property tests for the planner, certificates and theorem bound of both routes.
+"""Property tests for the planner, certificates and theorem bound of both
+routes, and for the adjacency ``core`` derives from a value.
 
 Hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic.  The substrate polynomials, the order
 recursion and the display exponents are restated here, independently of
-the route table.
+the route table; the neighbour lists, degrees and incidence graph are
+rebuilt by sorting and counting, independently of ``core``.
 """
 
 from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
-from hypergirth import BelowSeedError, certificate, reverify_certificate, theorem_bound
+from hypergirth import (
+    BelowSeedError,
+    BipartiteGraph,
+    Hypergraph,
+    certificate,
+    incidence_graph,
+    reverify_certificate,
+    theorem_bound,
+)
 from hypergirth.planner import ROUTES
 
 MAX_DIGITS = 400
@@ -109,3 +119,45 @@ def test_theorem_floor_meets_interval_enclosure(args):
     k = int(k72)
     enclosure = exponent_enclosure_72(girth, p, n_value)
     assert enclosure.b >= k and enclosure.a < k + 1
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return Hypergraph(0, ())
+    edges = draw(st.sets(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n), max_size=20))
+    return Hypergraph.from_edges(n, edges)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    n_left, n_right = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    pairs = st.tuples(st.integers(0, max(n_left - 1, 0)), st.integers(0, max(n_right - 1, 0)))
+    incidences = draw(st.sets(pairs, max_size=n_left * n_right))
+    return BipartiteGraph.from_incidences(n_left, n_right, incidences)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(bipartite_graphs())
+def test_neighbour_lists_match_a_sorted_build(g):
+    """The canonical incidences list each vertex's neighbours in order."""
+    left = [[] for _ in range(g.n_left)]
+    right = [[] for _ in range(g.n_right)]
+    for u, v in g.incidences:
+        left[u].append(v)
+        right[v].append(u)
+    assert g.left_neighbors == tuple(tuple(sorted(a)) for a in left)
+    assert g.right_neighbors == tuple(tuple(sorted(a)) for a in right)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hypergraphs())
+def test_degrees_and_incidence_graph_match_a_counting_build(h):
+    deg = [0] * h.num_vertices
+    for edge in h.edges:
+        for v in edge:
+            deg[v] += 1
+    assert h.degrees == tuple(deg)
+    pairs = sorted((u, j) for j, edge in enumerate(h.edges) for u in edge)
+    assert incidence_graph(h) == BipartiteGraph(h.num_vertices, h.num_edges, tuple(pairs))
