@@ -61,6 +61,11 @@ class Certificate:
     def valid(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def status(self) -> str:
+        """``VALID`` or ``INVALID``, as the certificate, `plan` and report.txt state it."""
+        return "VALID" if self.valid else "INVALID"
+
     def serialize(self) -> str:
         lines = [
             "cert 1",
@@ -69,7 +74,7 @@ class Certificate:
             f"m {int_to_decimal(self.m)}",
             f"n {int_to_decimal(self.n)}",
             f"r {int_to_decimal(self.r)}",
-            f"status {'VALID' if self.valid else 'INVALID'}",
+            f"status {self.status}",
         ]
         for c in self.checks:
             lines.append(f"check {c.name} {'PASS' if c.passed else 'FAIL'} {c.method}")
@@ -199,7 +204,7 @@ def parse_certificate(text: str) -> Certificate:
         else:
             raise FormatError(f"line {lineno}: expected a check or value line, got {short_repr(line)}")
     cert = Certificate(girth, p, m, n, r, tuple(checks), tuple(values))
-    if (status == "VALID") != cert.valid:
+    if status != cert.status:
         raise FormatError("line 7: status does not match the recorded checks")
     return cert
 

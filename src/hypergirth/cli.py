@@ -2,7 +2,10 @@
 
 Subcommands: gen, transform, girth, plan, pipeline, report.  Every
 command is deterministic given its arguments (seeds included) and writes
-canonical, bit-exact artifacts.  Exit codes:
+canonical, bit-exact artifacts, but this module neither reads nor writes
+them: it reads its flags through pipeline, calls one pipeline or formats
+function per command (``pipeline.run_stage`` writes every stage file,
+``pipeline.certify`` every certificate) and prints.  Exit codes:
 
 ====  =========================================
 0     success
@@ -36,29 +39,11 @@ import sys
 import warnings
 
 from .arith import int_to_decimal, short_decimal
-from .certificate import certificate
 from .core import BipartiteGraph, Hypergraph
-from .errors import (
-    Error,
-    FormatError,
-    PreconditionError,
-    ResourceBudgetError,
-    ValidationError,
-    VerificationError,
-)
-from .formats import load, read_ascii, serialize_bipartite, serialize_hypergraph
+from .errors import Error, FormatError, PreconditionError, ResourceBudgetError, ValidationError, VerificationError
+from .formats import load, read_ascii
 from .girth import BergeCycle, girth_oracle
-from .pipeline import (
-    OPS,
-    op_args,
-    parse_recipe,
-    plan_args,
-    read_int,
-    run_op,
-    run_pipeline,
-    summary,
-    write_text_file,
-)
+from .pipeline import OPS, certify, op_args, parse_recipe, plan_args, read_int, run_pipeline, run_stage, summary
 from .planner import theorem_bound
 from .transforms import EmptySplitWarning
 
@@ -92,12 +77,10 @@ def _cmd_op(args: argparse.Namespace) -> int:
     op = OPS[args.op]
     values = op_args(args.op, {key: getattr(args, key) for key, _ in op.args}, op.command)
     source = load(args.input) if op.needs else None
-    out, _, greedy = run_op(args.op, source, values)
-    if isinstance(out, BipartiteGraph):
-        write_text_file(args.out, serialize_bipartite(out))
+    out, _, greedy = run_stage(args.op, source, values, args.out)
+    if op.needs is None:
         print(f"wrote {args.out} ({out.n_left}+{out.n_right} vertices, {out.num_incidences} incidences)")
     else:
-        write_text_file(args.out, serialize_hypergraph(out))
         print(f"wrote {args.out} ({out.num_vertices} vertices, {out.num_edges} edges)")
     if greedy is not None:
         for line in greedy.lines():
@@ -115,7 +98,6 @@ def _cmd_girth(args: argparse.Namespace) -> int:
     oracle_max = None if args.oracle_max is None else read_int("girth", "oracle-max", args.oracle_max)
     obj = load(args.input)
     rep = obj.girth_report
-    oracle_target = obj if isinstance(obj, Hypergraph) else _as_pair_hypergraph(obj)
     # Printed only once the oracle agrees, so a failing command writes nothing.
     lines = [f"girth {rep.girth_str()}"]
     if rep.witness is not None:
@@ -125,7 +107,7 @@ def _cmd_girth(args: argparse.Namespace) -> int:
         else:
             lines.append("witness " + " ".join(f"{s}{i}" for s, i in rep.witness.nodes))
     if oracle_max is not None:
-        orep = girth_oracle(oracle_target, oracle_max)
+        orep = girth_oracle(obj if isinstance(obj, Hypergraph) else _as_pair_hypergraph(obj), oracle_max)
         expected = rep.girth if rep.girth is not None and rep.girth <= oracle_max else None
         if orep.girth != expected:
             raise VerificationError(
@@ -140,11 +122,9 @@ def _cmd_girth(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     given = [(key, getattr(args, key)) for key in ("girth", "p", "r", "N") if getattr(args, key) is not None]
     route, p, r, n_value = plan_args(given, "plan")
-    plan = route.plan(p, r, n_value)
+    plan, cert = certify(route, p, r, n_value, args.cert)  # before any output, so a failing write prints nothing
     theorem = theorem_bound(route.girth, p, n_value)
-    cert = certificate(route.girth, p, plan.m, plan.n, r)
     values = dict(cert.values)  # a planned (m, n) passes every premise, so all values are there
-    write_text_file(args.cert, cert.serialize())  # before any output, so a failing write prints nothing
     print(f"planned-m {plan.m}")
     print(f"planned-n {plan.n}")
     print(f"seed-m {plan.m_star}")
@@ -155,22 +135,20 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print(f"edge-bound {values['edge_bound']}")
     print(f"theorem-exponent {theorem.exponent!r}")
     print(f"derived-constant {theorem.derived_constant!r}")
-    print(f"certificate {args.cert} {'VALID' if cert.valid else 'INVALID'}")
+    print(f"certificate {args.cert} {cert.status}")
     return 0 if cert.valid else EXIT_CODES[VerificationError]
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     recipe = parse_recipe(read_ascii(args.recipe))
-    report, greedy = run_pipeline(recipe, args.out_dir)
+    report, _ = run_pipeline(recipe, args.out_dir)
     for s in report.stages:
         print(f"stage {s.index} {s.op}: kind {s.kind} girth {s.girth} "
               f"edges {s.actual_edges} [{s.wall_clock:.3f}s]")
     if report.certificate_file is not None:
         print(f"certificate {report.certificate_file} {report.certificate_status}")
     print(f"report {os.path.join(args.out_dir, 'report.txt')}")
-    if report.certificate_status == "INVALID":
-        return EXIT_CODES[VerificationError]
-    return 0
+    return EXIT_CODES[VerificationError] if report.certificate_status == "INVALID" else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -46,10 +46,11 @@ def check_vertex_budget(count: int | str, what: str) -> None:
         raise ResourceBudgetError(f"{what} has {short_decimal(count)} vertices, budget is {VERTEX_BUDGET}")
 
 
-def _id_error(what: str, idx: int, ids: tuple) -> ValidationError:
-    """The refusal of edge or incidence ``idx`` for its first id that is
-    not an int.  A bool or float compares as a number but does not
-    serialize as one."""
+def _id_error(what: str, items: Iterable[tuple]) -> ValidationError:
+    """The refusal of the first edge or incidence of ``items`` with an id
+    that is not an int.  A bool or float compares as a number but does not
+    serialize as one; a str does not even compare with an int."""
+    idx, ids = next((i, ids) for i, ids in enumerate(items) if any(type(x) is not int for x in ids))
     bad = next(x for x in ids if type(x) is not int)
     return ValidationError(f"{what} {idx} {ids}: id {short_value(bad)} is not an int", idx)
 
@@ -72,14 +73,16 @@ class Hypergraph:
         check_vertex_budget(self.num_vertices, "hypergraph")
         prev: tuple[int, ...] = ()
         for idx, edge in enumerate(self.edges):
+            if type(edge) is not tuple:
+                raise ValidationError(f"edge {idx} {edge}: not a tuple", idx)
             if not edge:
                 raise ValidationError(f"edge {idx} is empty", idx)
             a = edge[0]
             if type(a) is not int:
-                raise _id_error("edge", idx, edge)
+                raise _id_error("edge", self.edges)
             for b in edge[1:]:
                 if type(b) is not int:
-                    raise _id_error("edge", idx, edge)
+                    raise _id_error("edge", self.edges)
                 if a >= b:
                     raise ValidationError(f"edge {idx} {edge}: vertex ids not strictly increasing", idx)
                 a = b
@@ -94,14 +97,17 @@ class Hypergraph:
     def from_edges(cls, num_vertices: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
         """Canonicalize arbitrary edge iterables (sort within edges, sort the
         edge list) and reject a repeated vertex."""
+        raws = [tuple(edge) for edge in edges]
         canon: list[tuple[int, ...]] = []
-        for edge in edges:
-            raw = tuple(edge)
-            tup = tuple(sorted(raw))
-            if len(set(tup)) != len(tup):
-                raise ValidationError(f"edge {raw} repeats a vertex")
-            canon.append(tup)
-        canon.sort()
+        try:
+            for raw in raws:
+                tup = tuple(sorted(raw))
+                if len(set(tup)) != len(tup):
+                    raise ValidationError(f"edge {raw} repeats a vertex")
+                canon.append(tup)
+            canon.sort()
+        except TypeError:  # ids that do not compare, such as a str among ints
+            raise _id_error("edge", raws) from None
         return cls(num_vertices, tuple(canon))
 
     @property
@@ -146,9 +152,11 @@ class BipartiteGraph:
                 raise ValidationError(f"class sizes must be nonnegative integers, got {short_value(size)}")
         prev = (-1, -1)
         for idx, pair in enumerate(self.incidences):
+            if type(pair) is not tuple:
+                raise ValidationError(f"incidence {idx} {pair}: not a tuple", idx)
             u, v = pair
             if type(u) is not int or type(v) is not int:
-                raise _id_error("incidence", idx, pair)
+                raise _id_error("incidence", self.incidences)
             if not 0 <= u < self.n_left:
                 raise ValidationError(f"incidence {idx} {pair}: left id {u} out of [0, {self.n_left})", idx)
             if not 0 <= v < self.n_right:
@@ -164,7 +172,12 @@ class BipartiteGraph:
     def from_incidences(
         cls, n_left: int, n_right: int, incidences: Iterable[tuple[int, int]]
     ) -> "BipartiteGraph":
-        return cls(n_left, n_right, tuple(sorted(set((u, v) for u, v in incidences))))
+        pairs = [(u, v) for u, v in incidences]
+        try:
+            canon = sorted(set(pairs))
+        except TypeError:  # ids that do not compare, such as a str among ints
+            raise _id_error("incidence", pairs) from None
+        return cls(n_left, n_right, tuple(canon))
 
     @property
     def num_incidences(self) -> int:

@@ -280,8 +280,7 @@ def girth_hypergraph(h: Hypergraph) -> GirthReport:
         return GirthReport(None)
     if len(cycle) % 2 != 0:
         raise VerificationError("internal error: odd cycle in an incidence graph")
-    if cycle[0] >= n:
-        cycle = cycle[1:] + cycle[:1]
+    # The cycle starts at the sweep's root, a vertex, so vertices and edges alternate from it.
     witness = BergeCycle(tuple(cycle[0::2]), tuple(x - n for x in cycle[1::2]))
     witness.check(h)
     return GirthReport(len(cycle) // 2, witness)

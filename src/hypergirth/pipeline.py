@@ -25,7 +25,10 @@ re-runnable command.  Every stage is checked against its row, and its
 templates are resolved, before any stage runs, so a bad stage writes
 nothing.  ``op_args``, ``plan_args`` and ``read_int`` read the stages,
 the ``certify`` line and the CLI flags alike, so a fault reads the same
-wherever it is written.
+wherever it is written.  ``run_stage`` is the only writer of a stage
+file (of `gen`, `transform` or a recipe) and ``certify`` of a certificate
+(of `plan` or a ``certify`` line), so a recorded command reruns the code
+that wrote its file.
 
 Wall-clock timings are collected in memory and shown on stdout but are
 left out of the serialized report so repeated runs stay bit-identical.
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .arith import DECIMAL, int_to_decimal, parse_decimal_int, short_decimal, short_repr
-from .certificate import certificate
+from .certificate import Certificate, certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
 from .formats import load, serialize_bipartite, serialize_hypergraph, split_lines
@@ -52,7 +55,7 @@ from .geometry import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
-from .planner import Route, route_for
+from .planner import PlanResult, Route, route_for
 from .transforms import SubstitutionPlan, loose_path, neighborhood_hypergraph, split_edges, substitute_edges
 
 
@@ -150,20 +153,22 @@ OPS: dict[str, Op] = {
 }
 
 
-def run_op(
-    name: str, source: BipartiteGraph | Hypergraph | None, args: dict
+def run_stage(
+    name: str, source: BipartiteGraph | Hypergraph | None, args: dict, out: str
 ) -> tuple[BipartiteGraph | Hypergraph, int | None, GreedyReport | None]:
     """Run ``OPS[name]`` on ``source`` (None for a generator) with
-    ``args`` as ``Op.run`` takes them; returns the output, its predicted
-    edge count and, for ``greedy``, its report."""
+    ``args`` as ``Op.run`` takes them and write the output to ``out``, a
+    generator's as ``.bgt`` and a transform's as ``.hgt``; returns the
+    output, its predicted edge count and, for ``greedy``, its report."""
     op = OPS[name]
     if op.needs is not None:
         check_input(op.command, op.needs, kind_of(source))
-    out = op.run(source, args)
+    value = op.run(source, args)
     greedy = None
-    if isinstance(out, tuple):  # the greedy generator also returns its report
-        out, greedy = out
-    return out, op.predict(source, args), greedy
+    if isinstance(value, tuple):  # the greedy generator also returns its report
+        value, greedy = value
+    write_text_file(out, serialize_hypergraph(value) if op.needs else serialize_bipartite(value))
+    return value, op.predict(source, args), greedy
 
 
 def summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
@@ -405,13 +410,22 @@ def plan_args(pairs: Iterable[tuple[str, str]], where: str) -> tuple[Route, int,
     return route, p, read_int(where, "r", values["r"]), read_int(where, "N", values["N"])
 
 
+def certify(route: Route, p: int, r: int, n_value: int, path: str) -> tuple[PlanResult, Certificate]:
+    """Plan (m, n) for the vertex budget ``n_value``, build the certificate
+    of the planned parameters and write it to ``path``; returns both."""
+    plan = route.plan(p, r, n_value)
+    cert = certificate(route.girth, p, plan.m, plan.n, r)
+    write_text_file(path, cert.serialize())
+    return plan, cert
+
+
 def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyReport | None]:
     """Execute a recipe, writing one canonical artifact per stage plus a
     deterministic report; returns the report and the last greedy report."""
     if not out_dir.isascii():
         raise PreconditionError(f"output directory must be ASCII, got {ascii(out_dir)}")
     checked = _check_stages(recipe.stages)
-    certify = None if recipe.certify is None else plan_args(recipe.certify, "certify")
+    certify_args = None if recipe.certify is None else plan_args(recipe.certify, "certify")
     os.makedirs(out_dir, exist_ok=True)
     state: BipartiteGraph | Hypergraph | None = None
     records: list[StageRecord] = []
@@ -420,19 +434,13 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
 
     for index, (stage, (name, args)) in enumerate(zip(recipe.stages, checked), start=1):
         t0 = time.monotonic()
-        state, predicted, greedy = run_op(name, state, args)
+        generator = OPS[name].needs is None
+        out_name = f"stage_{index:02d}_{stage.op}.{'bgt' if generator else 'hgt'}"
+        out_path = os.path.join(out_dir, out_name)
+        state, predicted, greedy = run_stage(name, state, args, out_path)
         if greedy is not None:
             last_greedy = greedy
-        if isinstance(state, BipartiteGraph):
-            ext, text, floor = "bgt", serialize_bipartite(state), 2 * recipe.target
-            actual_edges = state.num_incidences
-        else:
-            ext, text, floor = "hgt", serialize_hypergraph(state), recipe.target
-            actual_edges = state.num_edges
-        girth = state.girth_report.girth
-        out_name = f"stage_{index:02d}_{stage.op}.{ext}"
-        out_path = os.path.join(out_dir, out_name)
-        write_text_file(out_path, text)
+        girth, floor = state.girth_report.girth, (2 if generator else 1) * recipe.target
         if girth is not None and girth < floor:
             raise VerificationError(
                 f"stage {index} ({stage.render()}): girth {girth} fell below "
@@ -447,21 +455,16 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
                 out_name,
                 summary(state),
                 predicted,
-                actual_edges,
+                state.num_incidences if generator else state.num_edges,
                 time.monotonic() - t0,
             )
         )
         prev_path = out_path
 
-    cert_file: str | None = None
-    cert_status: str | None = None
-    if certify is not None:
-        route, p, r, n_value = certify
-        plan = route.plan(p, r, n_value)
-        cert = certificate(route.girth, p, plan.m, plan.n, r)
+    cert_file = cert_status = None
+    if certify_args is not None:
         cert_file = "certificate.txt"
-        write_text_file(os.path.join(out_dir, cert_file), cert.serialize())
-        cert_status = "VALID" if cert.valid else "INVALID"
+        cert_status = certify(*certify_args, os.path.join(out_dir, cert_file))[1].status
 
     report = PipelineReport(recipe.target, tuple(records), cert_file, cert_status)
     write_text_file(os.path.join(out_dir, "report.txt"), report.serialize())

@@ -119,6 +119,12 @@ class TestSerialization:
         assert parsed.valid
         assert dict(parsed.values)["edge_bound"] == "5^231"
 
+    def test_status_line_is_status(self, hex_cert):
+        invalid = certificate(6, 5, 1, 1, 3)
+        assert (hex_cert.status, invalid.status) == ("VALID", "INVALID")
+        assert invalid.serialize().split("\n")[6] == "status INVALID"
+        assert parse_certificate(invalid.serialize()).status == "INVALID"
+
     def test_reverify_ok(self, hex_cert, oct_cert):
         assert reverify_certificate(hex_cert.serialize()).valid
         assert reverify_certificate(oct_cert.serialize()).valid

@@ -260,6 +260,18 @@ class TestGirthCommand:
         assert stdout.splitlines()[0] == "girth 6"
         assert "witness l" in stdout or "witness " in stdout
 
+    def test_oracle_input_built_only_for_the_oracle(self, tmp_path, capsys, monkeypatch):
+        bgt = str(tmp_path / "p.bgt")
+        run(capsys, "gen", "plane", "--q", "2", bgt)
+        _, expected, _ = run(capsys, "girth", bgt, "--oracle-max", "6")
+        assert expected.splitlines()[-1] == "oracle-check ok max-len 6"
+
+        def refuse(g):
+            raise AssertionError("the oracle input was built without --oracle-max")
+
+        monkeypatch.setattr("hypergirth.cli._as_pair_hypergraph", refuse)
+        assert run(capsys, "girth", bgt) == (0, "\n".join(expected.splitlines()[:-1]) + "\n", "")
+
     def test_matching_inf(self, tmp_path, capsys):
         path = str(tmp_path / "m.hgt")
         with open(path, "w") as fh:
@@ -724,6 +736,29 @@ class TestPipelineInputErrors:
     def test_repeated_key_exit_2(self, tmp_path, capsys):
         code, stderr, _ = self.run_recipe(tmp_path, capsys, self.STAGES + "stage split r=2 r=3\n")
         assert code == 2 and "line 5: key 'r' given twice" in stderr
+
+    @pytest.mark.parametrize(
+        "text,code,message",
+        [
+            ("rcp 1\ntarget 6\ntarget 6\nstage gen plane q=2\n", 2, "line 3: expected a single `target <girth>` line"),
+            ("rcp 1\ntarget 6 7\nstage gen plane q=2\n", 2, "line 2: expected a single `target <girth>` line"),
+            ("rcp 1\ntarget 1\nstage gen plane q=2\n", 2, "line 2: target girth must be >= 2"),
+            ("rcp 1\ntarget 6\nstage\n", 2, "line 3: `stage` needs an operation"),
+            (STAGES + "certify girth=6 p=5 r=3 N=7\ncertify girth=6 p=5 r=3 N=7\n", 2,
+             "line 6: only one `certify` line allowed"),
+            ("", 2, "line 1: empty recipe"),
+            ("# only a comment\n\n", 2, "line 1: empty recipe"),
+            ("rcp 1\nstage gen plane q=2\n", 2, "line 1: recipe declares no target girth"),
+            ("rcp 1\ntarget 6\n", 2, "line 1: recipe has no stages"),
+            ("rcp 1\ntarget 6\nstage nbhd\n", 3, "stage 1: nbhd needs a previous stage output"),
+        ],
+        ids=["target-twice", "target-two-values", "target-below-2", "stage-without-op", "certify-twice",
+             "empty", "comment-only", "no-target", "no-stages", "transform-first"],
+    )
+    def test_recipe_error_exact_message(self, tmp_path, capsys, text, code, message):
+        got, stderr, out_dir = self.run_recipe(tmp_path, capsys, text)
+        assert (got, stderr) == (code, f"error: {message}\n")
+        assert not out_dir.exists()
 
 
 class TestNonAsciiInput:

@@ -102,6 +102,28 @@ class TestIdsAreInts:
         with pytest.raises(ValidationError, match=r"edge 0 \(0.5, 1\): id 0.5 is not an int"):
             Hypergraph.from_edges(3, [(1, 0.5)])
 
+    # A str id among ints, or a list where a tuple belongs, does not compare:
+    # each is refused as a ValidationError naming it, never a TypeError.
+    def test_from_incidences_str_among_int_ids(self):
+        with pytest.raises(ValidationError, match=r"^incidence 0 \('0', 1\): id '0' is not an int$"):
+            BipartiteGraph.from_incidences(2, 2, [("0", 1), (0, 1)])
+
+    def test_from_edges_str_among_int_ids(self):
+        with pytest.raises(ValidationError, match=r"^edge 0 \(0, '1'\): id '1' is not an int$"):
+            Hypergraph.from_edges(3, [(0, "1")])
+        with pytest.raises(ValidationError, match=r"^edge 1 \('0', '1'\): id '0' is not an int$"):
+            Hypergraph.from_edges(3, [(0, 1), ("0", "1")])
+
+    def test_list_edge(self):
+        with pytest.raises(ValidationError, match=r"^edge 0 \[0, 1\]: not a tuple$") as exc:
+            Hypergraph(3, ([0, 1],))
+        assert exc.value.index == 0
+
+    def test_list_incidence(self):
+        with pytest.raises(ValidationError, match=r"^incidence 1 \[1, 1\]: not a tuple$") as exc:
+            BipartiteGraph(2, 2, ((0, 1), [1, 1]))
+        assert exc.value.index == 1
+
     @pytest.mark.parametrize("sizes", [(2.5, 1), (2, True), (-1, 1), (1, "2")])
     def test_bipartite_class_sizes(self, sizes):
         with pytest.raises(ValidationError, match="class sizes must be nonnegative integers"):

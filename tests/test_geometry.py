@@ -31,7 +31,7 @@ from hypergirth.geometry import (
     geometry_incidences,
     projective_points,
 )
-from hypergirth.pipeline import parse_recipe, run_op, run_pipeline
+from hypergirth.pipeline import parse_recipe, run_pipeline, run_stage
 
 
 @st.composite
@@ -460,10 +460,12 @@ class TestGreedyCache:
 class TestGeometrySpec:
     """The generator rows of the op table, as `gen` and recipe stages use them."""
 
-    def test_dispatch(self):
-        g, predicted, rep = run_op("plane", None, {"q": 2})
+    def test_dispatch(self, tmp_path):
+        g, predicted, rep = run_stage("plane", None, {"q": 2}, str(tmp_path / "p.bgt"))
         assert g.n_left == 7 and predicted == 21 and rep is None
-        g, predicted, rep = run_op("greedy", None, {"left": 5, "right": 5, "deg": 2, "girth": 6, "seed": 0})
+        g, predicted, rep = run_stage(
+            "greedy", None, {"left": 5, "right": 5, "deg": 2, "girth": 6, "seed": 0}, str(tmp_path / "g.bgt")
+        )
         assert rep is not None and predicted is None
 
     def test_errors(self, tmp_path):

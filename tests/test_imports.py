@@ -17,6 +17,9 @@ No linter ships with the toolchain, so this parses each module with
 * the CLI leaves reading its input to ``pipeline``: no ``add_argument``
   call in ``cli.py`` passes ``type=``, and ``cli.py`` imports none of the
   names that convert or type a value (``CLI_READER_NAMES``);
+* the CLI leaves writing its artifacts to ``pipeline``: ``cli.py``
+  imports no serializer, no ``write_text_file`` and nothing of
+  ``certificate`` (``CLI_WRITER_NAMES``);
 * only ``formats`` frames text: no other module has a string constant
   that contains a carriage return, so no parser checks line endings
   itself;
@@ -279,6 +282,42 @@ def test_cli_reader_checker_finds_types_and_imports():
 
 def test_cli_leaves_reading_to_pipeline():
     assert cli_input_readers((PACKAGE / "cli.py").read_text()) == []
+
+
+# What only pipeline's writers (run_stage, certify, run_pipeline) may use to write an artifact.
+CLI_WRITER_NAMES = {"serialize_bipartite", "serialize_hypergraph", "write_text_file", "certificate"}
+
+
+def cli_writers(source: str) -> list[str]:
+    """Imported names of ``CLI_WRITER_NAMES``, and imports of a module of
+    that name, with their lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names] + [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: import {name}" for name in names
+                  if name.split(".")[-1] in CLI_WRITER_NAMES]
+    return found
+
+
+def test_cli_writer_checker_finds_imports():
+    source = (
+        "from .formats import load, serialize_hypergraph\nfrom .pipeline import run_stage, write_text_file as w\n"
+        "from .certificate import Certificate\nfrom . import certificate\nimport hypergirth.certificate\n"
+        "from .pipeline import certify\n"
+    )
+    assert cli_writers(source) == [
+        "line 1: import serialize_hypergraph", "line 2: import write_text_file", "line 3: import certificate",
+        "line 4: import certificate", "line 5: import hypergirth.certificate",
+    ]
+
+
+def test_cli_leaves_writing_to_pipeline():
+    assert cli_writers((PACKAGE / "cli.py").read_text()) == []
 
 
 def carriage_return_constants(source: str) -> list[int]:
