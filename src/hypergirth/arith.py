@@ -5,35 +5,32 @@ denominator divides 72 (covering eighths, ninths and their products).
 Inequalities between powers, n**a >= base**b, are decided by
 :func:`power_at_least` from directed-rounding brackets of both sides, with
 an exact fallback, never by floating point.
+
+CPython converts between int and decimal text in time quadratic in the
+length.  Long decimals are therefore written from ``decimal.Decimal``
+values, whose str() is linear, computed under :data:`EXACT`, and read by
+halving (:func:`parse_decimal_int`).
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .errors import PreconditionError, ResourceBudgetError
 
 DIGIT_BUDGET = 10**6  # the most decimal digits any number is parsed or expanded to; no override
 DECIMAL = re.compile(r"0|[1-9][0-9]*")  # a canonical decimal integer
 
-
-def _lifting_str_limit(convert: Callable, arg):
-    """convert(arg), retried with CPython's int/str digit limit lifted (then
-    restored) when the limit refuses it."""
-    try:
-        return convert(arg)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(0)
-            return convert(arg)
-        finally:
-            sys.set_int_max_str_digits(limit)
+# Integer +, -, * and ** (by an int >= 0) on Decimals under this context are
+# exact: a step that would round or fail raises instead of giving a wrong
+# digit.  Not for division: 1/3 would be worked to MAX_PREC digits.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation])
+Number = TypeVar("Number", int, Decimal)  # an exact integer: an int, or a Decimal under EXACT
 
 
 def int_digits10(value: int) -> int:
@@ -46,8 +43,10 @@ def int_digits10(value: int) -> int:
 
 
 def int_to_decimal(value: int) -> str:
-    """str(value) regardless of the interpreter's int->str digit limit."""
-    return _lifting_str_limit(str, value)
+    """str(value) regardless of the interpreter's int->str digit limit,
+    which does not bound Decimal.  The conversion is still quadratic in the
+    length: a long value is better computed as a Decimal under EXACT."""
+    return str(Decimal(value))
 
 
 def short_decimal(value: int | str) -> str:
@@ -68,8 +67,8 @@ def short_decimal(value: int | str) -> str:
 
 def short_value(value: object) -> str:
     """A value as messages show it: an int through short_decimal, anything
-    else by its repr."""
-    return short_decimal(value) if isinstance(value, int) else repr(value)
+    else, a bool too, by its repr."""
+    return short_decimal(value) if type(value) is int else repr(value)
 
 
 def short_repr(text: str) -> str:
@@ -92,7 +91,27 @@ def parse_decimal_int(text: str) -> int:
         raise PreconditionError(f"not a canonical decimal integer: {short_repr(text)}")
     if len(text) > DIGIT_BUDGET:
         raise ResourceBudgetError(f"integer has {len(text)} digits, budget is {DIGIT_BUDGET}")
-    return _lifting_str_limit(int, text)
+    return _parse_digits(text)
+
+
+_PARSE_LEAF = 640  # int() reads this many digits under any int/str digit limit, which is 0 or >= 640
+
+
+def _parse_digits(digits: str) -> int:
+    """int(digits) by halving: hi * 10^k + lo, with 10^k = 5^k << k and
+    each 5^k computed once per call, so the cost follows int multiplication
+    instead of int()'s quadratic one."""
+    pow5: dict[int, int] = {}
+
+    def parse(start: int, stop: int) -> int:
+        if stop - start <= _PARSE_LEAF:
+            return int(digits[start:stop])
+        k = (stop - start) // 2
+        if k not in pow5:
+            pow5[k] = 5**k
+        return (parse(start, stop - k) * pow5[k] << k) + parse(stop - k, stop)
+
+    return parse(0, len(digits))
 
 
 # The first 13 primes, and psi_13: the least n that passes Miller-Rabin to

@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Callable
 
 from .arith import (
+    EXACT,
+    Number,
     PowerExpr,
     check_digits,
     checked_pow,
@@ -134,8 +138,9 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     b_list: list[int] = []
     for i, q in enumerate(orders, start=1):
         check_digits(int_digits10(q) * g, "expansion", f"vertex-growth-{i}")
-        v_list.append(route.v(q))
-        b_list.append(route.b(q))
+        v, b = route.substrate(q)
+        v_list.append(v)
+        b_list.append(b)
 
     # Each stage places p - 1 template copies per edge (one at base 2).
     for i in range(2, n + 1):
@@ -149,10 +154,10 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
         statement = f"v_{i}^{den} < {sym}^({g}^{i}*({den}m+1))"
         checks.append(CertCheck(f"vertex-growth-{i}", statement, _BIGNUM, ok))
 
-    edges = b_list[0]
-    for i in range(2, n + 1):
-        check_digits(int_digits10(edges) + int_digits10(b_list[i - 1]), "product", "edge-bound")
-        edges = (p - 1) * edges * b_list[i - 1]
+    def product_fits(edges: int, b: int) -> None:
+        check_digits(int_digits10(edges) + int_digits10(b), "product", "edge-bound")
+
+    edges = _edge_count(p, b_list, product_fits)
     # The exponent is an integer and x^k >= y^k iff x >= y for nonnegative
     # integers, so the stated power inequality is decided unraised.
     bound = route.edge_bound(p, m, n)
@@ -163,18 +168,39 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     split = (1 + uni) // r
     checks.append(CertCheck("split-factor", f"floor((1 + {sym}^m) / r) >= 1", _BIGNUM, split >= 1))
 
+    # The value lines repeat the int computations above on Decimals, whose
+    # str() is linear where str(int) is quadratic; EXACT makes any rounding
+    # raise.  Only p and split are converted from ints.
+    with localcontext(EXACT):
+        substrates = [route.substrate(Decimal(p) ** e) for e in exps]
+        edges_d = _edge_count(p, [b for _, b in substrates])
+        split_d = Decimal(split)
+        final_d = split_d * edges_d
     for i, exponent in enumerate(exps, start=1):
         values.append((f"order_{i}", str(PowerExpr(p, Fraction(exponent)))))
-    for i, (v, b) in enumerate(zip(v_list, b_list), start=1):
-        v_text = int_to_decimal(v)
+    for i, (v, b) in enumerate(substrates, start=1):
+        v_text = str(v)
         values.append((f"v_{i}", v_text))
-        values.append((f"b_{i}", int_to_decimal(b)))
+        values.append((f"b_{i}", str(b)))
     values.append(("vertices", v_text))
-    values.append(("edges", int_to_decimal(edges)))
+    values.append(("edges", str(edges_d)))
     values.append(("edge_bound", str(bound)))
-    values.append(("split_factor", int_to_decimal(split)))
-    values.append(("final_edges", int_to_decimal(split * edges)))
+    values.append(("split_factor", str(split_d)))
+    values.append(("final_edges", str(final_d)))
     return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
+
+
+def _edge_count(
+    p: int, b_values: list[Number], guard: Callable[[Number, Number], None] = lambda edges, b: None
+) -> Number:
+    """Edges of the last construction: b_1, then (p - 1) * edges * b_i per
+    stage, for ints or Decimals alike; guard(edges, b_i) runs before each
+    product."""
+    edges = b_values[0]
+    for b in b_values[1:]:
+        guard(edges, b)
+        edges = (p - 1) * edges * b
+    return edges
 
 
 def _header_value(token: str, lineno: int, key: str) -> int | str:

@@ -55,6 +55,18 @@ def _id_error(what: str, items: Iterable[tuple]) -> ValidationError:
     return ValidationError(f"{what} {idx} {ids}: id {short_value(bad)} is not an int", idx)
 
 
+def _pair_error(items: Iterable, exc: Exception) -> Exception:
+    """The refusal of the first incidence of ``items`` that does not unpack
+    into two ids, or ``exc`` if every one does: then ``exc`` came from
+    elsewhere."""
+    for idx, pair in enumerate(items):
+        try:
+            _, _ = pair
+        except (TypeError, ValueError):
+            return ValidationError(f"incidence {idx} {pair}: not a pair", idx)
+    return exc
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable hypergraph in canonical form.
@@ -151,20 +163,23 @@ class BipartiteGraph:
             if type(size) is not int or size < 0:
                 raise ValidationError(f"class sizes must be nonnegative integers, got {short_value(size)}")
         prev = (-1, -1)
-        for idx, pair in enumerate(self.incidences):
-            if type(pair) is not tuple:
-                raise ValidationError(f"incidence {idx} {pair}: not a tuple", idx)
-            u, v = pair
-            if type(u) is not int or type(v) is not int:
-                raise _id_error("incidence", self.incidences)
-            if not 0 <= u < self.n_left:
-                raise ValidationError(f"incidence {idx} {pair}: left id {u} out of [0, {self.n_left})", idx)
-            if not 0 <= v < self.n_right:
-                raise ValidationError(f"incidence {idx} {pair}: right id {v} out of [0, {self.n_right})", idx)
-            if prev >= pair:
-                kind = "duplicate incidence" if prev == pair else "incidence order not lexicographic"
-                raise ValidationError(f"incidence {idx} {pair}: {kind}", idx)
-            prev = pair
+        try:
+            for idx, pair in enumerate(self.incidences):
+                if type(pair) is not tuple:
+                    raise ValidationError(f"incidence {idx} {pair}: not a tuple", idx)
+                u, v = pair
+                if type(u) is not int or type(v) is not int:
+                    raise _id_error("incidence", self.incidences)
+                if not 0 <= u < self.n_left:
+                    raise ValidationError(f"incidence {idx} {pair}: left id {u} out of [0, {self.n_left})", idx)
+                if not 0 <= v < self.n_right:
+                    raise ValidationError(f"incidence {idx} {pair}: right id {v} out of [0, {self.n_right})", idx)
+                if prev >= pair:
+                    kind = "duplicate incidence" if prev == pair else "incidence order not lexicographic"
+                    raise ValidationError(f"incidence {idx} {pair}: {kind}", idx)
+                prev = pair
+        except ValueError as exc:  # a tuple that does not unpack into two ids
+            raise _pair_error(self.incidences, exc) from None
         # After the incidences, so a file's bad line is named before its class sizes are refused.
         check_vertex_budget(self.n_left + self.n_right, "bipartite graph")
 
@@ -172,7 +187,11 @@ class BipartiteGraph:
     def from_incidences(
         cls, n_left: int, n_right: int, incidences: Iterable[tuple[int, int]]
     ) -> "BipartiteGraph":
-        pairs = [(u, v) for u, v in incidences]
+        items = list(incidences)  # read twice when an incidence is not a pair
+        try:
+            pairs = [(u, v) for u, v in items]
+        except (TypeError, ValueError) as exc:
+            raise _pair_error(items, exc) from None
         try:
             canon = sorted(set(pairs))
         except TypeError:  # ids that do not compare, such as a str among ints

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from .arith import PowerExpr, checked_pow, is_prime, power_at_least, short_decimal, short_value
+from .arith import Number, PowerExpr, checked_pow, is_prime, power_at_least, short_decimal, short_value
 from .errors import PreconditionError
 
 
@@ -73,15 +73,18 @@ class Route:
 
     Orders are q_1 = p^m and q_n = p * q_{n-1}^growth, i.e. the closed form
     p^(growth^(n-1) * (m + 1/den) - 1/den).  Each substitution stage uses
-    p - 1 template copies per edge (one copy at base 2).
+    p - 1 template copies per edge (one copy at base 2).  The substrate at
+    order q has v(q) = (1 + q) F(q) vertices and b(q) = (1 + q^b_power) F(q)
+    edges, where F(q) = 1 + q^s + q^(2s) + ... + q^(growth-1) with s =
+    factor_step, so v has degree growth.
     """
 
     girth: int
     base: int | None  # None: the caller supplies a prime p
     growth: int
     den: int
-    v: Callable[[int], int]  # substrate vertex count at order q
-    b: Callable[[int], int]  # substrate edge count at order q
+    factor_step: int  # s in F(q)
+    b_power: int
     m_step: int  # 2 keeps m odd, so that q_1 = 2^m is an odd power of 2
     edge_power: int  # both sides of the stated edge bound are raised to it
     c2: int  # display constant: the exponent is (11/den)(1 - sqrt(c2 / log_base N))
@@ -91,6 +94,23 @@ class Route:
     def sym(self) -> str:
         """How statements name the base."""
         return "p" if self.base is None else str(self.base)
+
+    def substrate(self, q: Number) -> tuple[Number, Number]:
+        """(v(q), b(q)) from one evaluation of F(q), by Horner's rule in
+        q^factor_step; on ints, or on Decimals under arith.EXACT."""
+        step = q**self.factor_step
+        factor = 1
+        for _ in range((self.growth - 1) // self.factor_step):
+            factor = factor * step + 1
+        return (1 + q) * factor, (1 + q**self.b_power) * factor
+
+    def v(self, q: int) -> int:
+        """Substrate vertex count at order q."""
+        return self.substrate(q)[0]
+
+    def b(self, q: int) -> int:
+        """Substrate edge count at order q."""
+        return self.substrate(q)[1]
 
     def base_for(self, p: int | None, what: str) -> int:
         """The base to use given an optional caller-supplied p."""
@@ -236,8 +256,8 @@ ROUTES = {
         base=None,
         growth=9,
         den=8,
-        v=lambda q: (1 + q) * (1 + q**4 + q**8),
-        b=lambda q: (1 + q**3) * (1 + q**4 + q**8),
+        factor_step=4,
+        b_power=3,
         m_step=1,
         edge_power=64,
         c2=33**2,
@@ -251,8 +271,8 @@ ROUTES = {
         base=2,
         growth=10,
         den=9,
-        v=lambda q: (1 + q) * (1 + q**3 + q**6 + q**9),
-        b=lambda q: (1 + q**2) * (1 + q**3 + q**6 + q**9),
+        factor_step=3,
+        b_power=2,
         m_step=2,
         edge_power=72,
         c2=13**2 * 10,

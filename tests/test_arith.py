@@ -9,12 +9,17 @@ precision escalation (a > 1) both run there.
 ``short_decimal`` is compared with a rendering from the full ``str``
 conversion, and must never convert a value of more than 52 digits whole.
 ``int_digits10``, which settles its count with ``power_at_least`` at base
-10, is compared with ``len(str(value))``.  A library call given an integer
+10, is compared with ``len(str(value))``, and ``int_to_decimal`` and
+``parse_decimal_int`` with ``str`` and ``int``, on both sides of every
+length where their method or CPython's changes.  A library call given an integer
 past CPython's 4300-digit ``str()`` limit fails as it does on one below it,
 with a short message.
 """
 
 import random
+import sys
+from contextlib import contextmanager
+from decimal import Decimal, Inexact, InvalidOperation, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,3 +226,68 @@ DIGIT_COUNT_VALUES = (
 def test_int_digits10_matches_str():
     for value in DIGIT_COUNT_VALUES:
         assert arith.int_digits10(value) == len(arith.int_to_decimal(value)), value
+
+
+@contextmanager
+def unlimited_str():
+    """CPython's int/str digit limit lifted for the duration, so that the
+    tests' own str() and int() can produce the expected texts."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_rng_conv = random.Random(25)
+# Lengths on either side of the 640-digit halving leaf, of 2048 digits and
+# of the 4300-digit str() limit, then long values.
+CONVERSION_VALUES = (
+    [0, 1, 9]
+    + [10**k - d for k in (1, 639, 640, 641, 1280, 1281, 2047, 2048, 2049, 4299, 4300, 4301, 10**4, 10**5)
+       for d in (0, 1)]
+    + [2**k for k in (1, 64, 2126, 2127, 6803, 14284, 14287, 33220)]
+    + [_rng_conv.getrandbits(_rng_conv.randint(1, 70000)) for _ in range(30)]
+)
+
+
+@pytest.mark.parametrize("value", CONVERSION_VALUES, ids=lambda v: f"{arith.int_digits10(v)}digits-{v % 1000}")
+def test_conversions_match_str_and_int(value):
+    with unlimited_str():
+        text = str(value)
+        assert int(text) == value
+    assert arith.int_to_decimal(value) == text
+    assert arith.int_to_decimal(-value) == ("-" + text if value else text)
+    assert arith.parse_decimal_int(text) == value
+    assert arith.parse_decimal_int(arith.int_to_decimal(value)) == value
+
+
+def test_conversions_leave_the_digit_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the process-wide int/str digit limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    value = 7**20000  # 16 902 digits, past the default 4300-digit limit
+    text = arith.int_to_decimal(value)
+    assert len(text) == 16902 and arith.parse_decimal_int(text) == value
+
+
+def test_conversions_under_the_lowest_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        value = 3**20000
+        assert arith.parse_decimal_int(arith.int_to_decimal(value)) == value
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_context_refuses_to_round():
+    with localcontext(arith.EXACT):
+        assert Decimal(7) ** 20000 + 1 == Decimal(7**20000 + 1)
+        with pytest.raises(Inexact):
+            Decimal("2.5").to_integral_exact()
+        with pytest.raises(InvalidOperation):
+            Decimal("Infinity") - Decimal("Infinity")

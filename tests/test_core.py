@@ -124,6 +124,24 @@ class TestIdsAreInts:
             BipartiteGraph(2, 2, ((0, 1), [1, 1]))
         assert exc.value.index == 1
 
+    # An incidence that does not unpack into two ids is refused by name,
+    # never as the ValueError or TypeError of the unpacking.
+    def test_incidence_of_three_ids(self):
+        with pytest.raises(ValidationError, match=r"^incidence 0 \(0, 1, 1\): not a pair$") as exc:
+            BipartiteGraph(2, 2, ((0, 1, 1),))
+        assert exc.value.index == 0
+        with pytest.raises(ValidationError, match=r"^incidence 1 \(1,\): not a pair$") as exc:
+            BipartiteGraph(2, 2, ((0, 0), (1,)))
+        assert exc.value.index == 1
+
+    def test_from_incidences_not_a_pair(self):
+        with pytest.raises(ValidationError, match=r"^incidence 0 5: not a pair$") as exc:
+            BipartiteGraph.from_incidences(2, 2, [5])
+        assert exc.value.index == 0
+        with pytest.raises(ValidationError, match=r"^incidence 1 \(0, 1, 1\): not a pair$") as exc:
+            BipartiteGraph.from_incidences(2, 2, iter([(0, 0), (0, 1, 1)]))
+        assert exc.value.index == 1
+
     @pytest.mark.parametrize("sizes", [(2.5, 1), (2, True), (-1, 1), (1, "2")])
     def test_bipartite_class_sizes(self, sizes):
         with pytest.raises(ValidationError, match="class sizes must be nonnegative integers"):

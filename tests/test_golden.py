@@ -37,11 +37,12 @@ def sha(text: str) -> str:
 
 # (girth, p, m, n, r) -> sha256 of certificate(...).serialize()
 CERTIFICATES = {
-    # girth-6 route, VALID at n = 1..4
+    # girth-6 route, VALID at n = 1..5
     (6, 5, 2, 1, 3): "2319db5013468035beb46db7bd6d552e295597d34679a5cda055982ba62dc504",
     (6, 5, 2, 2, 3): "827ad0d74d79c99e217834b4c86b9b8a9ad9754d89afdd6bbd72838f04c5a2a3",
     (6, 5, 2, 3, 3): "22be5c04bf47807111a8664c79d0ee2f298e58f18afa537edbcbd8fbb3554996",
     (6, 5, 2, 4, 3): "a0f267542274a49472e2ea45cec5bb3f93c88a09d8490d87793951f4ebd5565e",
+    (6, 5, 2, 5, 3): "fa8823fc84322e5385998db2134684777039ff879a56abdd0ae625a2f616aba7",  # v_5 has 120 593 digits
     (6, 3, 3, 1, 5): "5c2a55ca6e18f632d1f674306aae2761fc3bea4b3aeadc7c0853d0e3f0c5da80",
     (6, 3, 3, 2, 5): "2a52142931183188df40792b081b8a85b0c736b6eea27623e68720f6652c2ffa",
     (6, 3, 3, 3, 5): "a28a09f1c8d22e9933e3fedda8349683c888d9dff35e04c1d3403394947e784f",

@@ -2,7 +2,7 @@ import dataclasses
 import math
 import random
 import time
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -19,7 +19,7 @@ from hypergirth import (
     plan,
     theorem_bound,
 )
-from hypergirth.arith import parse_decimal_int
+from hypergirth.arith import EXACT, int_to_decimal, parse_decimal_int
 from hypergirth.certificate import certificate
 from hypergirth.planner import ROUTES, route_for
 
@@ -43,6 +43,22 @@ class TestSubstrateParams:
     def test_octagon_values(self):
         assert (ROUTES[8].v(2), ROUTES[8].b(2)) == (1755, 2925)
         assert ROUTES[8].v(8) == 9 * (1 + 512 + 262144 + 134217728) == 1210323465
+
+    @pytest.mark.parametrize("girth", [6, 8])
+    def test_substrate_is_v_and_b(self, girth):
+        # b has the factor of v with 1 + q^3 (girth 6) or 1 + q^2 (girth 8) in place of 1 + q
+        v_of, low = (hexagon_v, 3) if girth == 6 else (octagon_v, 2)
+        for q in [*range(2, 60), 5**19, 2**51, 3**1720]:
+            v, b = ROUTES[girth].substrate(q)
+            assert v == ROUTES[girth].v(q) == v_of(q)
+            assert b == ROUTES[girth].b(q) == v_of(q) // (1 + q) * (1 + q**low)
+
+    @pytest.mark.parametrize("girth", [6, 8])
+    def test_substrate_on_decimals_is_exact(self, girth):
+        for q in (2, 25, 5**19, 7**3000):
+            with localcontext(EXACT):
+                got = ROUTES[girth].substrate(Decimal(q))
+            assert tuple(map(str, got)) == tuple(map(int_to_decimal, ROUTES[girth].substrate(q)))
 
 
 class TestRoutes:
