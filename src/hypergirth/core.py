@@ -46,13 +46,27 @@ def check_vertex_budget(count: int | str, what: str) -> None:
         raise ResourceBudgetError(f"{what} has {short_decimal(count)} vertices, budget is {VERTEX_BUDGET}")
 
 
+def _show(ids: object) -> str:
+    """An edge or incidence as messages show it: str(ids), but with every
+    int of a tuple or list through short_value, so a huge id is shortened
+    instead of stopping the message at the int-to-str digit limit."""
+    if type(ids) is int:
+        return short_value(ids)
+    if type(ids) is not tuple and type(ids) is not list:
+        return str(ids)
+    inner = ", ".join(map(short_value, ids))
+    if type(ids) is list:
+        return f"[{inner}]"
+    return f"({inner},)" if len(ids) == 1 else f"({inner})"
+
+
 def _id_error(what: str, items: Iterable[tuple]) -> ValidationError:
     """The refusal of the first edge or incidence of ``items`` with an id
     that is not an int.  A bool or float compares as a number but does not
     serialize as one; a str does not even compare with an int."""
     idx, ids = next((i, ids) for i, ids in enumerate(items) if any(type(x) is not int for x in ids))
     bad = next(x for x in ids if type(x) is not int)
-    return ValidationError(f"{what} {idx} {ids}: id {short_value(bad)} is not an int", idx)
+    return ValidationError(f"{what} {idx} {_show(ids)}: id {short_value(bad)} is not an int", idx)
 
 
 def _pair_error(items: Iterable, exc: Exception) -> Exception:
@@ -63,7 +77,7 @@ def _pair_error(items: Iterable, exc: Exception) -> Exception:
         try:
             _, _ = pair
         except (TypeError, ValueError):
-            return ValidationError(f"incidence {idx} {pair}: not a pair", idx)
+            return ValidationError(f"incidence {idx} {_show(pair)}: not a pair", idx)
     return exc
 
 
@@ -86,7 +100,7 @@ class Hypergraph:
         prev: tuple[int, ...] = ()
         for idx, edge in enumerate(self.edges):
             if type(edge) is not tuple:
-                raise ValidationError(f"edge {idx} {edge}: not a tuple", idx)
+                raise ValidationError(f"edge {idx} {_show(edge)}: not a tuple", idx)
             if not edge:
                 raise ValidationError(f"edge {idx} is empty", idx)
             a = edge[0]
@@ -96,13 +110,13 @@ class Hypergraph:
                 if type(b) is not int:
                     raise _id_error("edge", self.edges)
                 if a >= b:
-                    raise ValidationError(f"edge {idx} {edge}: vertex ids not strictly increasing", idx)
+                    raise ValidationError(f"edge {idx} {_show(edge)}: vertex ids not strictly increasing", idx)
                 a = b
             if edge[0] < 0 or edge[-1] >= self.num_vertices:
-                raise ValidationError(f"edge {idx} {edge}: vertex ids out of [0, {self.num_vertices})", idx)
+                raise ValidationError(f"edge {idx} {_show(edge)}: vertex ids out of [0, {self.num_vertices})", idx)
             if prev >= edge:
                 kind = "duplicate edge" if prev == edge else "edge order not lexicographic"
-                raise ValidationError(f"edge {idx} {edge}: {kind}", idx)
+                raise ValidationError(f"edge {idx} {_show(edge)}: {kind}", idx)
             prev = edge
 
     @classmethod
@@ -115,7 +129,7 @@ class Hypergraph:
             for raw in raws:
                 tup = tuple(sorted(raw))
                 if len(set(tup)) != len(tup):
-                    raise ValidationError(f"edge {raw} repeats a vertex")
+                    raise ValidationError(f"edge {_show(raw)} repeats a vertex")
                 canon.append(tup)
             canon.sort()
         except TypeError:  # ids that do not compare, such as a str among ints
@@ -166,17 +180,25 @@ class BipartiteGraph:
         try:
             for idx, pair in enumerate(self.incidences):
                 if type(pair) is not tuple:
-                    raise ValidationError(f"incidence {idx} {pair}: not a tuple", idx)
+                    raise ValidationError(f"incidence {idx} {_show(pair)}: not a tuple", idx)
                 u, v = pair
                 if type(u) is not int or type(v) is not int:
                     raise _id_error("incidence", self.incidences)
                 if not 0 <= u < self.n_left:
-                    raise ValidationError(f"incidence {idx} {pair}: left id {u} out of [0, {self.n_left})", idx)
+                    raise ValidationError(
+                        f"incidence {idx} {_show(pair)}: left id {short_value(u)} "
+                        f"out of [0, {short_value(self.n_left)})",
+                        idx,
+                    )
                 if not 0 <= v < self.n_right:
-                    raise ValidationError(f"incidence {idx} {pair}: right id {v} out of [0, {self.n_right})", idx)
+                    raise ValidationError(
+                        f"incidence {idx} {_show(pair)}: right id {short_value(v)} "
+                        f"out of [0, {short_value(self.n_right)})",
+                        idx,
+                    )
                 if prev >= pair:
                     kind = "duplicate incidence" if prev == pair else "incidence order not lexicographic"
-                    raise ValidationError(f"incidence {idx} {pair}: {kind}", idx)
+                    raise ValidationError(f"incidence {idx} {_show(pair)}: {kind}", idx)
                 prev = pair
         except ValueError as exc:  # a tuple that does not unpack into two ids
             raise _pair_error(self.incidences, exc) from None

@@ -244,7 +244,10 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
 
 
 # Largest left x right grid the greedy generator proposes: the shuffled
-# pair list costs about 36 bytes a pair, so this caps it near 150 MB.
+# pair list costs about 36 bytes a pair, so this caps it near 150 MB.  Its
+# bit masks add at most left x right bits each for the neighbour and near
+# masks, and min(left, right)^2 bits for the shared-neighbour masks: at
+# most 0.5 MB each at the cap, besides one list slot per vertex.
 GREEDY_PAIR_BUDGET = 4_000_000
 
 
@@ -289,13 +292,21 @@ def greedy_high_girth_bipartite(
     so no accepted incidence ever closes a cycle shorter than the target.
     Under-filled right vertices are reported, not an error.
 
-    The grid is a shuffled list of pair indices k = u * n_right + v.  A
-    probe from u expands BFS layers only to depth target_girth - 3, the
-    last odd depth that can reject, or until a layer is empty, so its cost
-    does not grow with the target; it marks in ``near`` the pair of u
-    with every right vertex it reaches.  Edges are only ever added, so
-    distances only shrink: a pair once found that close stays too close,
-    and a proposal whose pair is marked is rejected without a search.
+    The grid is a shuffled list of pair indices k = u * n_right + v.
+    Distances are decided on bit masks over the smaller side B; each
+    proposal is read as (a, b) with b in B and a on the other side A.
+    ``nmask[a]`` holds the B-neighbours of a, and ``nbr[b]`` the B vertices
+    that share an A-neighbour with b, b included.  A path from a to b has
+    odd length, and it has length at most 2h + 1 exactly when b lies
+    within h B-B hops of a neighbour of a.  So a probe starts from
+    ``nmask[a]`` and ORs ``nbr`` over the newly reached bits for at most
+    (target_girth - 4) // 2 hops, stopping once b is reached or nothing
+    new is; its cost does not grow with the target.  What it reached is
+    within target_girth - 3 of a, and goes into ``near[a]``.  Edges are
+    only ever added, so distances only shrink: a vertex once found that
+    close stays too close, and a proposal whose bit is in ``near[a]`` is
+    rejected without a search.  The masks never index the larger side:
+    its square could be far larger than the grid.
     Grids above GREEDY_PAIR_BUDGET pairs raise ResourceBudgetError before
     anything is allocated.
     """
@@ -313,52 +324,52 @@ def greedy_high_girth_bipartite(
     grid = list(range(n_left * n_right))  # pair k = u * n_right + v
     rng.shuffle(grid)
 
-    adj: list[list[int]] = [[] for _ in range(n_left + n_right)]
+    swap = n_left < n_right  # B is the left side, so (u, v) is read as (a, b) = (v, u)
+    n_a, n_b = (n_right, n_left) if swap else (n_left, n_right)
+    nmask = [0] * n_a
+    near = [0] * n_a
+    nbr = [1 << b for b in range(n_b)]
+    hops = (target_girth - 4) // 2
     right_deg = [0] * n_right
-    max_depth = target_girth - 3  # unreachable within this depth => dist >= target - 1
-    near = bytearray(n_left * n_right)  # pairs once found within max_depth
-    seen = [False] * (n_left + n_right)  # all False between probes
 
-    def within_distance(src: int, k: int) -> bool:
-        """Whether pair k's right vertex is at most max_depth steps from left vertex src."""
-        if not adj[src]:
-            return False
-        base = src * n_right - n_left  # near index of right node y is base + y
-        seen[src] = True
-        touched = [src]
-        frontier = [src]  # the vertices at distance depth - 1
-        for depth in range(1, max_depth + 1):
-            start = len(touched)
-            for x in frontier:
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        touched.append(y)
-            frontier = touched[start:]
-            if not frontier:  # nothing further is reachable, so nothing more can be marked
-                break
-            # a right vertex lies at an odd distance from a left one
-            if depth % 2:
-                for y in frontier:
-                    near[base + y] = 1
-                if near[k]:
+    def within_distance(a: int, bit: int) -> bool:
+        """Whether the B vertex ``bit`` is within target_girth - 3 of a."""
+        reach = frontier = nmask[a]
+        if not reach & bit:
+            for _ in range(hops):
+                new = 0
+                while frontier:
+                    low = frontier & -frontier
+                    new |= nbr[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = new & ~reach
+                if not frontier:
                     break
-        for x in touched:
-            seen[x] = False
-        return bool(near[k])
+                reach |= frontier
+                if reach & bit:
+                    break
+        near[a] |= reach
+        return bool(reach & bit)
 
-    accepted = 0
+    pairs: list[tuple[int, int]] = []
     for k in grid:
         u, v = divmod(k, n_right)
-        if right_deg[v] >= right_degree or near[k] or within_distance(u, k):
+        if right_deg[v] >= right_degree:
             continue
-        node_v = n_left + v
-        adj[u].append(node_v)
-        adj[node_v].append(u)
+        a, b = (v, u) if swap else (u, v)
+        bit = 1 << b
+        if near[a] & bit or within_distance(a, bit):
+            continue
+        old = nmask[a]
+        nmask[a] = old | bit
+        nbr[b] |= old
+        while old:
+            low = old & -old
+            nbr[low.bit_length() - 1] |= bit
+            old ^= low
         right_deg[v] += 1
-        accepted += 1
+        pairs.append((u, v))
 
-    pairs = [(u, w - n_left) for u in range(n_left) for w in adj[u]]
     g = BipartiteGraph.from_incidences(n_left, n_right, pairs)
     hist: dict[int, int] = {}
     for d in right_deg:
@@ -369,7 +380,7 @@ def greedy_high_girth_bipartite(
         right_degree,
         target_girth,
         seed,
-        accepted,
+        len(pairs),
         tuple(sorted(hist.items())),
         sum(1 for d in right_deg if d < right_degree),
     )

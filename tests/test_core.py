@@ -153,6 +153,53 @@ class TestIdsAreInts:
             Hypergraph(count, ())
 
 
+HUGE = 10**5000  # past the 4300-digit limit of int-to-str conversion
+SHORT = r"1000000000000000000000000000000000000000\.\.\.\(5001 digits\)"
+
+
+class TestHugeIds:
+    """An id too long for str() is shown shortened, so each refusal is a
+    ValidationError, never the ValueError of the conversion; an id of up to
+    52 digits is shown in full, as str() shows it."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Hypergraph(2, ((0, HUGE),)), rf"^edge 0 \(0, {SHORT}\): vertex ids out of \[0, 2\)$"),
+        (lambda: Hypergraph(2, ((HUGE, 1),)), rf"^edge 0 \({SHORT}, 1\): vertex ids not strictly increasing$"),
+        (lambda: Hypergraph(2, ((HUGE, 0.5),)), rf"^edge 0 \({SHORT}, 0.5\): id 0.5 is not an int$"),
+        (lambda: Hypergraph(2, ([HUGE],)), rf"^edge 0 \[{SHORT}\]: not a tuple$"),
+        (lambda: Hypergraph.from_edges(2, [(HUGE, HUGE)]), rf"^edge \({SHORT}, {SHORT}\) repeats a vertex$"),
+    ], ids=["range", "increasing", "not-int", "not-tuple", "repeat"])
+    def test_hypergraph(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BipartiteGraph(2, 2, ((HUGE, 1),)),
+         rf"^incidence 0 \({SHORT}, 1\): left id {SHORT} out of \[0, 2\)$"),
+        (lambda: BipartiteGraph(2, 2, ((1, HUGE),)),
+         rf"^incidence 0 \(1, {SHORT}\): right id {SHORT} out of \[0, 2\)$"),
+        (lambda: BipartiteGraph(HUGE + 1, 2, ((HUGE, 0), (HUGE - 1, 0))),
+         r"^incidence 1 \(9{40}\.\.\.\(5000 digits\), 0\): incidence order not lexicographic$"),
+        (lambda: BipartiteGraph(HUGE + 1, 2, ((HUGE, 0), (HUGE, 0))),
+         rf"^incidence 1 \({SHORT}, 0\): duplicate incidence$"),
+        (lambda: BipartiteGraph(2, 2, ((HUGE, True),)), rf"^incidence 0 \({SHORT}, True\): id True is not an int$"),
+        (lambda: BipartiteGraph(2, 2, ([HUGE, 0],)), rf"^incidence 0 \[{SHORT}, 0\]: not a tuple$"),
+        (lambda: BipartiteGraph(2, 2, ((HUGE, 0, 1),)), rf"^incidence 0 \({SHORT}, 0, 1\): not a pair$"),
+    ], ids=["left-range", "right-range", "order", "duplicate", "not-int", "not-tuple", "not-pair"])
+    def test_bipartite(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+    def test_long_ids_shown_in_full(self):
+        big = 10**51 + 7  # 52 digits
+        with pytest.raises(ValidationError) as exc:
+            BipartiteGraph(2, 2, ((big, 1),))
+        assert str(exc.value) == f"incidence 0 {(big, 1)}: left id {big} out of [0, 2)"
+        with pytest.raises(ValidationError) as exc:
+            Hypergraph(2, ((0, big),))
+        assert str(exc.value) == f"edge 0 {(0, big)}: vertex ids out of [0, 2)"
+
+
 class TestVertexBudget:
     def test_admits_the_largest_greedy_grid(self):
         assert VERTEX_BUDGET >= GREEDY_PAIR_BUDGET + 1

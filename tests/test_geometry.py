@@ -1,11 +1,17 @@
+import inspect
 import itertools
+import os
 import random
+import re
+import subprocess
 import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypergirth
 from hypergirth import (
     BipartiteGraph,
     FormatError,
@@ -407,7 +413,9 @@ def left_right_distances(g, u):
 
 
 # Edge shapes (girth 4, degree 1, degree >= n_left, one right vertex, girth
-# 16) plus a fixed-seed draw of small shapes: (left, right, deg, girth, seed).
+# 16), the benchmark's recipe shape at three seeds, shapes with either side
+# the smaller one by far, a square one, plus a fixed-seed draw of small
+# shapes: (left, right, deg, girth, seed).
 _rng = random.Random(20261018)
 GREEDY_SHAPES = [
     (12, 9, 3, 4, 1),
@@ -418,6 +426,14 @@ GREEDY_SHAPES = [
     (40, 30, 4, 16, 6),
     (30, 30, 3, 12, 1),
     (24, 18, 3, 8, 5),
+    (500, 100, 10, 10, 1),
+    (500, 100, 10, 10, 2),
+    (500, 100, 10, 10, 4242),
+    (1, 300, 3, 6, 1),
+    (300, 1, 3, 6, 1),
+    (20, 200, 3, 10, 1),
+    (200, 20, 3, 10, 1),
+    (60, 60, 4, 8, 3),
 ] + [
     (_rng.randint(1, 40), _rng.randint(1, 40), _rng.randint(1, 8), 2 * _rng.randint(2, 8), _rng.randrange(1000))
     for _ in range(24)
@@ -425,7 +441,8 @@ GREEDY_SHAPES = [
 
 
 class TestGreedyCache:
-    """The near-pair cache changes no output and rejects no acceptable pair."""
+    """The mask search and its near cache change no output and reject no
+    acceptable pair."""
 
     @pytest.mark.parametrize("shape", GREEDY_SHAPES, ids=str)
     def test_matches_uncached_reference(self, shape):
@@ -445,6 +462,13 @@ class TestGreedyCache:
                     continue
                 assert dist[v] is not None and dist[v] <= target_girth - 3, (u, v)
 
+    def test_wide_grid_is_fast(self):
+        # One left vertex: every probe reads a one-bit mask, never a BFS over the 5000 right vertices.
+        start = time.perf_counter()
+        g, rep = greedy_high_girth_bipartite(1, 5000, 3, 6, 1)
+        assert time.perf_counter() - start < 1.0
+        assert rep.accepted == 5000 and g.left_degrees == (5000,)
+
     @pytest.mark.parametrize("n_left, n_right", [(10**6, 10**6), (GREEDY_PAIR_BUDGET + 1, 1), (1, 10**12)])
     def test_pair_budget(self, n_left, n_right):
         start = time.perf_counter()
@@ -455,6 +479,60 @@ class TestGreedyCache:
     def test_preconditions_before_budget(self):
         with pytest.raises(PreconditionError, match="even"):
             greedy_high_girth_bipartite(10**6, 10**6, 3, 7, 1)
+
+
+def _greedy_digests() -> list[str]:
+    """sha256 of the greedy graph and report lines on the benchmark's recipe
+    shape and on a wide one.  Stdlib only: it also runs as a script."""
+    import hashlib
+
+    from hypergirth import greedy_high_girth_bipartite, serialize_bipartite
+
+    out = []
+    for shape in (500, 100, 10, 10, 1), (1, 5000, 3, 6, 1):
+        g, rep = greedy_high_girth_bipartite(*shape)
+        text = serialize_bipartite(g) + "\n".join(rep.lines())
+        out.append(hashlib.sha256(text.encode("ascii")).hexdigest())
+    return out
+
+
+_DIGEST_SCRIPT = "import sys\nsys.path.insert(0, sys.argv[1])\n" + inspect.getsource(_greedy_digests) + (
+    "print(*_greedy_digests())\n"
+)
+
+
+def _pyenv_python(minor: int) -> Path | None:
+    """The newest pyenv-installed CPython 3.minor, or None."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    found = []
+    for exe in root.glob(f"3.{minor}.*/bin/python"):
+        patch = re.fullmatch(rf"3\.{minor}\.(\d+)", exe.parent.parent.name)
+        if patch:
+            found.append((int(patch[1]), exe))
+    return max(found)[1] if found else None
+
+
+def test_greedy_same_on_other_interpreters():
+    """The greedy outputs do not depend on the interpreter: random.shuffle
+    and int bit operations are specified, not implementation details."""
+    expected = _greedy_digests()
+    src = str(Path(hypergirth.__file__).resolve().parents[1])
+    ran, absent, differ = [], [], []
+    for minor in (10, 12, 13):
+        exe = _pyenv_python(minor)
+        if exe is None:
+            absent.append(f"3.{minor}")
+            continue
+        proc = subprocess.run([str(exe), "-I", "-B", "-c", _DIGEST_SCRIPT, src],
+                              capture_output=True, text=True, timeout=120)
+        ran.append(f"{exe.parent.parent.name} ({exe})")
+        if proc.returncode != 0 or proc.stdout.split() != expected:
+            differ.append(f"{exe.parent.parent.name}: {proc.stdout.strip() or proc.stderr.strip()[-300:]}")
+    summary = f"ran {', '.join(ran) or 'none'}; absent {', '.join(absent) or 'none'}"
+    print(summary)
+    if not ran:
+        pytest.skip(f"no pyenv CPython 3.10, 3.12 or 3.13: {summary}")
+    assert not differ, f"{summary}; differ: {differ}"
 
 
 class TestGeometrySpec:

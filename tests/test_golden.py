@@ -308,11 +308,15 @@ COMMANDS = {
     "gen plane --q 11 <tmp>/p11.bgt": "bf9ae41648fe88c312139225f23036e514f68bed476d73a5392651628a8cd10c",
     "gen plane --q 13 <tmp>/p13.bgt": "279d1b7b1ba68c45ec53eca2332a4ecedbf83c818a32e065e5bdbdbd3c705c73",
     "gen quadrangle --q 7 <tmp>/w7.bgt": "fd965e975421b7651ebf2025715c5f83bd25e51b041bfbea27c578ed51d61e00",
+    # greedy with the left side the smaller one
+    "gen greedy --left 30 --right 200 --deg 3 --girth 10 --seed 7 <tmp>/gw.bgt":
+        "64bc992c146da485c4f04c330fedd13abf3095431763bba7ae27285518bb9546",
 }
 
 # files the commands above write -> sha256
 COMMAND_FILES = {
     "g.bgt": "e9bdb0def5baf55275b776dd3b46f82c8dea2c5899f8168d01475dbdd691278c",
+    "gw.bgt": "65b2b54213ae8536a8623437c5b5bb4ab1cb26193fdd32ced868f48e7a1a2285",
     "h3.bgt": "6769ba165cd328dc63e9dbaf47ff1ae5bb5e6ff143908444d9d2b42dc9e97d02",
     "h2.bgt": "2980ea4fb064f64c7987b02c0eb256c6af705039267a6cdf3c1159abe0d6264b",
     "h2.hgt": "ee00883663547ad478069fc27c82b3381ae54062285586c639b8047ab8bdbe44",
