@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import girth
 from .arith import short_decimal, short_value
@@ -46,18 +46,31 @@ def check_vertex_budget(count: int | str, what: str) -> None:
         raise ResourceBudgetError(f"{what} has {short_decimal(count)} vertices, budget is {VERTEX_BUDGET}")
 
 
-def _show(ids: object) -> str:
-    """An edge or incidence as messages show it: str(ids), but with every
-    int of a tuple or list through short_value, so a huge id is shortened
-    instead of stopping the message at the int-to-str digit limit."""
-    if type(ids) is int:
-        return short_value(ids)
-    if type(ids) is not tuple and type(ids) is not list:
-        return str(ids)
-    inner = ", ".join(map(short_value, ids))
-    if type(ids) is list:
-        return f"[{inner}]"
-    return f"({inner},)" if len(ids) == 1 else f"({inner})"
+def _show(ids: object, show: Callable[[object], str] = str, within: tuple[int, ...] = ()) -> str:
+    """An edge or incidence as messages show it: ``show(ids)``, str() at the
+    top and repr() within, except that every int goes through short_decimal,
+    the elements of a tuple, list, set or frozenset are shown the same way,
+    and a value too long for the int-to-str digit limit is named by its
+    type, so a huge id never stops the message.  ``within`` holds the ids of
+    the enclosing containers; a list that holds itself shows as repr does."""
+    kind = type(ids)
+    if kind is int:
+        return short_decimal(ids)
+    if kind in (tuple, list, set, frozenset):
+        if id(ids) in within:
+            return "[...]" if kind is list else "(...)"
+        inner = ", ".join(_show(x, repr, within + (id(ids),)) for x in ids)
+        if kind is tuple:
+            return f"({inner},)" if len(ids) == 1 else f"({inner})"
+        if kind is list:
+            return f"[{inner}]"
+        if not ids:
+            return f"{kind.__name__}()"
+        return f"{{{inner}}}" if kind is set else f"frozenset({{{inner}}})"
+    try:
+        return show(ids)
+    except ValueError:
+        return f"<{kind.__name__}>"
 
 
 def _id_error(what: str, items: Iterable[tuple]) -> ValidationError:
@@ -66,7 +79,7 @@ def _id_error(what: str, items: Iterable[tuple]) -> ValidationError:
     serialize as one; a str does not even compare with an int."""
     idx, ids = next((i, ids) for i, ids in enumerate(items) if any(type(x) is not int for x in ids))
     bad = next(x for x in ids if type(x) is not int)
-    return ValidationError(f"{what} {idx} {_show(ids)}: id {short_value(bad)} is not an int", idx)
+    return ValidationError(f"{what} {idx} {_show(ids)}: id {_show(bad, repr)} is not an int", idx)
 
 
 def _pair_error(items: Iterable, exc: Exception) -> Exception:
@@ -95,7 +108,7 @@ class Hypergraph:
 
     def __post_init__(self) -> None:
         if type(self.num_vertices) is not int or self.num_vertices < 0:
-            raise ValidationError(f"num_vertices must be a nonnegative integer, got {short_value(self.num_vertices)}")
+            raise ValidationError(f"num_vertices must be a nonnegative integer, got {_show(self.num_vertices, repr)}")
         check_vertex_budget(self.num_vertices, "hypergraph")
         prev: tuple[int, ...] = ()
         for idx, edge in enumerate(self.edges):
@@ -175,7 +188,7 @@ class BipartiteGraph:
     def __post_init__(self) -> None:
         for size in (self.n_left, self.n_right):
             if type(size) is not int or size < 0:
-                raise ValidationError(f"class sizes must be nonnegative integers, got {short_value(size)}")
+                raise ValidationError(f"class sizes must be nonnegative integers, got {_show(size, repr)}")
         prev = (-1, -1)
         try:
             for idx, pair in enumerate(self.incidences):

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from . import core
-from .arith import int_to_decimal, is_prime, short_decimal
+from .arith import Number, int_to_decimal, is_prime, short_decimal
 from .core import BipartiteGraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
@@ -74,22 +74,28 @@ def _kernel(rows: list[list[int]], q: int, dim: int) -> dict[int, tuple[int, ...
     }
 
 
-# Points, equally lines, of each geometry of prime order q; every point
-# is on q + 1 lines and every line holds q + 1 points.
-PER_SIDE = {
-    "plane": lambda q: q * q + q + 1,
-    "quadrangle": lambda q: (q + 1) * (q * q + 1),
-    "hexagon": lambda q: (q + 1) * (q**4 + q**2 + 1),
-}
+POLYGON = {"plane": 3, "quadrangle": 4, "hexagon": 6}  # kind -> n of its generalized n-gon, of order (q, q)
+
+
+def polygon_counts(n: int, s: Number, t: Number) -> tuple[Number, Number]:
+    """(points, lines) of a generalized n-gon of order (s, t), on ints or on
+    Decimals under arith.EXACT: (1+s)F and (1+t)F, F = 1 + st + ... +
+    (st)^(n/2-1) by Horner's rule; n = 3 is PG(2, s), s = t: 1+s+s^2 each."""
+    if n == 3:
+        return (1 + s + s * s,) * 2
+    step, factor = s * t, 1
+    for _ in range(n // 2 - 1):
+        factor = factor * step + 1
+    return (1 + s) * factor, (1 + t) * factor
 
 
 def geometry_incidences(kind: str, q: int) -> int:
-    """Incidences PER_SIDE[kind](q) * (q + 1), checked by each builder first:
-    more than core.VERTEX_BUDGET raise ResourceBudgetError (a larger q is not
+    """Incidences, points times q + 1, checked by each builder first: more
+    than core.VERTEX_BUDGET raise ResourceBudgetError (a larger q is not
     raised to any power), then a q that is not prime PreconditionError.  H(q)
     has more incidences than the PG(6,q) points it lists, so those are bounded."""
     budget = core.VERTEX_BUDGET
-    count = PER_SIDE[kind](q) * (q + 1) if q <= budget else None
+    count = polygon_counts(POLYGON[kind], q, q)[0] * (q + 1) if q <= budget else None
     if count is None or count > budget:
         shown = f"more than {budget}" if count is None else count
         raise ResourceBudgetError(f"{kind} q={short_decimal(q)} has {shown} incidences, budget is {budget}")
@@ -98,17 +104,16 @@ def geometry_incidences(kind: str, q: int) -> int:
     return count
 
 
-def _check_geometry(g: BipartiteGraph, kind: str, q: int, girth: int) -> None:
-    name, per_side, degree = f"{kind} q={q}", PER_SIDE[kind](q), q + 1
-    if g.n_left != per_side or g.n_right != per_side:
-        raise VerificationError(
-            f"{name}: expected {per_side}+{per_side} vertices, got {g.n_left}+{g.n_right}"
-        )
-    if set(g.left_degrees) != {degree} or set(g.right_degrees) != {degree}:
-        raise VerificationError(f"{name}: not ({degree},{degree})-biregular")
+def _check_geometry(g: BipartiteGraph, kind: str, q: int) -> None:
+    n, s, t = POLYGON[kind], q, q
+    name, (points, lines) = f"{kind} q={q}", polygon_counts(n, s, t)
+    if g.n_left != points or g.n_right != lines:
+        raise VerificationError(f"{name}: expected {points}+{lines} vertices, got {g.n_left}+{g.n_right}")
+    if set(g.left_degrees) != {t + 1} or set(g.right_degrees) != {s + 1}:
+        raise VerificationError(f"{name}: not ({t + 1},{s + 1})-biregular")
     found = g.girth_report.girth
-    if found != girth:
-        raise VerificationError(f"{name}: girth {found} != required {girth}")
+    if found != 2 * n:
+        raise VerificationError(f"{name}: girth {found} != required {2 * n}")
 
 
 def projective_plane(q: int) -> BipartiteGraph:
@@ -127,12 +132,12 @@ def projective_plane(q: int) -> BipartiteGraph:
         for c, d in directions:
             pairs.append((index([(c * u + d * v) % q for u, v in zip(a, b)]), j))
     g = BipartiteGraph.from_incidences(len(points), len(points), pairs)
-    _check_geometry(g, "plane", q, 6)
+    _check_geometry(g, "plane", q)
     return g
 
 
 def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callable[[tuple[int, ...]], list[list[int]]],
-                           index: Callable[[Sequence[int]], int], kind: str, girth: int) -> BipartiteGraph:
+                           index: Callable[[Sequence[int]], int], kind: str) -> BipartiteGraph:
     """Incidence graph whose lines through each point x fill the kernel of
     ``forms(x)``, rows linear in y that x itself zeroes; ``index`` maps a
     nonzero vector to the position of its point in ``points``.
@@ -175,7 +180,7 @@ def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callabl
     lines.sort()
     pairs = [(v, j) for j, ln in enumerate(lines) for v in ln]
     g = BipartiteGraph.from_incidences(len(points), len(lines), pairs)
-    _check_geometry(g, kind, q, girth)
+    _check_geometry(g, kind, q)
     return g
 
 
@@ -192,7 +197,7 @@ def symplectic_quadrangle(q: int) -> BipartiteGraph:
     def forms(x: tuple[int, ...]) -> list[list[int]]:
         return [[-x[1], x[0], -x[3], x[2]]]
 
-    return _geometry_from_kernels(projective_points(q, 4), q, forms, _point_index(q, 4), "quadrangle", 8)
+    return _geometry_from_kernels(projective_points(q, 4), q, forms, _point_index(q, 4), "quadrangle")
 
 
 # Plucker-coordinate conditions selecting the hexagon lines among the
@@ -240,7 +245,7 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
         if on:
             points.append(pt)
     pg_index = _point_index(q, 7)
-    return _geometry_from_kernels(points, q, forms, lambda vec: quadric[pg_index(vec)], "hexagon", 12)
+    return _geometry_from_kernels(points, q, forms, lambda vec: quadric[pg_index(vec)], "hexagon")
 
 
 # Largest left x right grid the greedy generator proposes: the shuffled

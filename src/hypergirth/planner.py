@@ -13,10 +13,10 @@ Both parameter families are one recursive substitution scheme with
 different constants, each recorded once as a :class:`Route` in
 :data:`ROUTES`:
 
-* girth-6 route: orders q_1 = p^m, q_n = p * q_{n-1}^9, substrate with
-  v(q) = (1+q)(1+q^4+q^8) and b(q) = (1+q^3)(1+q^4+q^8);
-* girth-8 route: orders q'_1 = 2^m, q'_n = 2 * q'_{n-1}^10, substrate
-  with v'(q) = (1+q)(1+q^3+q^6+q^9) and b'(q) = (1+q^2)(1+q^3+q^6+q^9).
+* girth-6 route: orders q_1 = p^m, q_n = p * q_{n-1}^9, substrate the
+  generalized hexagon of order (q, q^3), v(q) = (1+q)(1+q^4+q^8);
+* girth-8 route: orders q'_1 = 2^m, q'_n = 2 * q'_{n-1}^10, substrate the
+  generalized octagon of order (q, q^2), v'(q) = (1+q)(1+q^3+q^6+q^9).
 
 A route states each rule once, for the certificate to record and the
 planner to enforce: its standing assumptions as named ``premises`` that
@@ -36,6 +36,7 @@ from typing import Callable, Iterator
 
 from .arith import Number, PowerExpr, checked_pow, is_prime, power_at_least, short_decimal, short_value
 from .errors import PreconditionError
+from .geometry import polygon_counts
 
 
 def _seed_size_ok(p: int, m: int) -> bool:
@@ -71,24 +72,29 @@ class BelowSeedError(PreconditionError):
 class Route:
     """The constants of one recursive route; every method is written once.
 
-    Orders are q_1 = p^m and q_n = p * q_{n-1}^growth, i.e. the closed form
-    p^(growth^(n-1) * (m + 1/den) - 1/den).  Each substitution stage uses
-    p - 1 template copies per edge (one copy at base 2).  The substrate at
-    order q has v(q) = (1 + q) F(q) vertices and b(q) = (1 + q^b_power) F(q)
-    edges, where F(q) = 1 + q^s + q^(2s) + ... + q^(growth-1) with s =
-    factor_step, so v has degree growth.
+    The substrate at order q is the generalized girth-gon of order
+    (q, q^line_power), v(q) points (vertices) on b(q) lines (edges).  Orders
+    are q_1 = p^m and q_n = p * q_{n-1}^growth; each substitution stage uses
+    p - 1 template copies per edge (one copy at base 2).
     """
 
     girth: int
     base: int | None  # None: the caller supplies a prime p
-    growth: int
-    den: int
-    factor_step: int  # s in F(q)
-    b_power: int
+    line_power: int  # the substrate has order (q, q^line_power)
     m_step: int  # 2 keeps m odd, so that q_1 = 2^m is an odd power of 2
     edge_power: int  # both sides of the stated edge bound are raised to it
     c2: int  # display constant: the exponent is (11/den)(1 - sqrt(c2 / log_base N))
     premises: tuple[tuple[str, str, Callable[[int, int], bool]], ...]  # (name, statement, check on (p, m))
+
+    @functools.cached_property
+    def growth(self) -> int:
+        """The degree of v(q) in q: (girth/2 - 1)(1 + line_power) + 1."""
+        return (self.girth // 2 - 1) * (1 + self.line_power) + 1
+
+    @functools.cached_property
+    def den(self) -> int:
+        """growth - 1, as -1/den is the fixed point of e -> growth * e + 1."""
+        return self.growth - 1
 
     @property
     def sym(self) -> str:
@@ -96,13 +102,8 @@ class Route:
         return "p" if self.base is None else str(self.base)
 
     def substrate(self, q: Number) -> tuple[Number, Number]:
-        """(v(q), b(q)) from one evaluation of F(q), by Horner's rule in
-        q^factor_step; on ints, or on Decimals under arith.EXACT."""
-        step = q**self.factor_step
-        factor = 1
-        for _ in range((self.growth - 1) // self.factor_step):
-            factor = factor * step + 1
-        return (1 + q) * factor, (1 + q**self.b_power) * factor
+        """(v(q), b(q)) by the polygon count rule, on ints or on Decimals under arith.EXACT."""
+        return polygon_counts(self.girth, q, q**self.line_power)
 
     def v(self, q: int) -> int:
         """Substrate vertex count at order q."""
@@ -254,10 +255,7 @@ ROUTES = {
     6: Route(
         girth=6,
         base=None,
-        growth=9,
-        den=8,
-        factor_step=4,
-        b_power=3,
+        line_power=3,
         m_step=1,
         edge_power=64,
         c2=33**2,
@@ -269,10 +267,7 @@ ROUTES = {
     8: Route(
         girth=8,
         base=2,
-        growth=10,
-        den=9,
-        factor_step=3,
-        b_power=2,
+        line_power=2,
         m_step=2,
         edge_power=72,
         c2=13**2 * 10,

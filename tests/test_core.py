@@ -10,7 +10,7 @@ from hypergirth import (
     incidence_graph,
     validate,
 )
-from hypergirth.core import VERTEX_BUDGET
+from hypergirth.core import VERTEX_BUDGET, _show
 from hypergirth.geometry import GREEDY_PAIR_BUDGET
 
 
@@ -158,9 +158,11 @@ SHORT = r"1000000000000000000000000000000000000000\.\.\.\(5001 digits\)"
 
 
 class TestHugeIds:
-    """An id too long for str() is shown shortened, so each refusal is a
-    ValidationError, never the ValueError of the conversion; an id of up to
-    52 digits is shown in full, as str() shows it."""
+    """An id too long for str() is shown shortened, at any depth of tuples,
+    lists, sets and frozensets, and any other value too long for str() by
+    its type, so each refusal is a ValidationError, never the ValueError of
+    the conversion; an id of up to 52 digits is shown in full, as str()
+    shows it."""
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Hypergraph(2, ((0, HUGE),)), rf"^edge 0 \(0, {SHORT}\): vertex ids out of \[0, 2\)$"),
@@ -168,7 +170,13 @@ class TestHugeIds:
         (lambda: Hypergraph(2, ((HUGE, 0.5),)), rf"^edge 0 \({SHORT}, 0.5\): id 0.5 is not an int$"),
         (lambda: Hypergraph(2, ([HUGE],)), rf"^edge 0 \[{SHORT}\]: not a tuple$"),
         (lambda: Hypergraph.from_edges(2, [(HUGE, HUGE)]), rf"^edge \({SHORT}, {SHORT}\) repeats a vertex$"),
-    ], ids=["range", "increasing", "not-int", "not-tuple", "repeat"])
+        (lambda: Hypergraph(2, ({HUGE},)), rf"^edge 0 \{{{SHORT}\}}: not a tuple$"),
+        (lambda: Hypergraph(2, (frozenset({HUGE}),)), rf"^edge 0 frozenset\(\{{{SHORT}\}}\): not a tuple$"),
+        (lambda: Hypergraph(2, ((0, (HUGE,)),)), rf"^edge 0 \(0, \({SHORT},\)\): id \({SHORT},\) is not an int$"),
+        (lambda: Hypergraph(2, ((0, {0: HUGE}),)), r"^edge 0 \(0, <dict>\): id <dict> is not an int$"),
+        (lambda: Hypergraph((HUGE,), ()), rf"^num_vertices must be a nonnegative integer, got \({SHORT},\)$"),
+    ], ids=["range", "increasing", "not-int", "not-tuple", "repeat", "set", "frozenset", "nested", "dict",
+            "vertex-count"])
     def test_hypergraph(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
@@ -185,10 +193,22 @@ class TestHugeIds:
         (lambda: BipartiteGraph(2, 2, ((HUGE, True),)), rf"^incidence 0 \({SHORT}, True\): id True is not an int$"),
         (lambda: BipartiteGraph(2, 2, ([HUGE, 0],)), rf"^incidence 0 \[{SHORT}, 0\]: not a tuple$"),
         (lambda: BipartiteGraph(2, 2, ((HUGE, 0, 1),)), rf"^incidence 0 \({SHORT}, 0, 1\): not a pair$"),
-    ], ids=["left-range", "right-range", "order", "duplicate", "not-int", "not-tuple", "not-pair"])
+        (lambda: BipartiteGraph(2, 2, ({HUGE},)), rf"^incidence 0 \{{{SHORT}\}}: not a tuple$"),
+        (lambda: BipartiteGraph([HUGE], 2, ()), rf"^class sizes must be nonnegative integers, got \[{SHORT}\]$"),
+    ], ids=["left-range", "right-range", "order", "duplicate", "not-int", "not-tuple", "not-pair", "set",
+            "class-size"])
     def test_bipartite(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
+
+    def test_values_within_the_limit_shown_as_str_shows_them(self):
+        cyclic = [1]
+        cyclic.append(cyclic)
+        through_list = ([],)
+        through_list[0].append(through_list)
+        for value in [(0, cyclic), through_list, set(), frozenset(), frozenset({1, 2}), {3}, (), [], (1,),
+                      ("a", 1.5, True, None, b"x", [2, "b", (3,)], {"k": 1}), 10**51 + 7, 0.5]:
+            assert _show(value) == str(value)
 
     def test_long_ids_shown_in_full(self):
         big = 10**51 + 7  # 52 digits

@@ -6,6 +6,7 @@ import re
 import subprocess
 import time
 from collections import deque
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -26,18 +27,21 @@ from hypergirth import (
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
+from hypergirth.arith import EXACT, int_to_decimal
 from hypergirth.core import VERTEX_BUDGET
 from hypergirth.geometry import (
     _HEXAGON_LINE_CONDITIONS,
     GREEDY_PAIR_BUDGET,
-    PER_SIDE,
+    POLYGON,
     _check_geometry,
     _kernel,
     _point_index,
     geometry_incidences,
+    polygon_counts,
     projective_points,
 )
 from hypergirth.pipeline import parse_recipe, run_pipeline, run_stage
+from hypergirth.planner import ROUTES
 
 
 @st.composite
@@ -77,7 +81,7 @@ def _normalize(vec: tuple[int, ...], q: int) -> tuple[int, ...]:
     raise PreconditionError("zero vector has no projective normalization")
 
 
-def _geometry_from_kernels(points, q, forms, kind, girth):
+def _geometry_from_kernels(points, q, forms, kind):
     index = {pt: i for i, pt in enumerate(points)}
     lines: set[tuple[int, ...]] = set()
     for x in points:
@@ -91,7 +95,7 @@ def _geometry_from_kernels(points, q, forms, kind, girth):
     line_list = sorted(lines)
     pairs = [(v, j) for j, ln in enumerate(line_list) for v in ln]
     g = BipartiteGraph.from_incidences(len(points), len(line_list), pairs)
-    _check_geometry(g, kind, q, girth)
+    _check_geometry(g, kind, q)
     return g
 
 
@@ -104,7 +108,7 @@ def reference_plane(q):
             if sum(a * b for a, b in zip(pt, ln)) % q == 0:
                 pairs.append((index[pt], j))
     g = BipartiteGraph.from_incidences(len(points), len(points), pairs)
-    _check_geometry(g, "plane", q, 6)
+    _check_geometry(g, "plane", q)
     return g
 
 
@@ -112,7 +116,7 @@ def reference_quadrangle(q):
     def forms(x: tuple[int, ...]) -> list[list[int]]:
         return [[-x[1], x[0], -x[3], x[2]]]
 
-    return _geometry_from_kernels(projective_points(q, 4), q, forms, "quadrangle", 8)
+    return _geometry_from_kernels(projective_points(q, 4), q, forms, "quadrangle")
 
 
 def reference_hexagon(q):
@@ -131,7 +135,7 @@ def reference_hexagon(q):
         pt for pt in projective_points(q, 7)
         if (pt[0] * pt[4] + pt[1] * pt[5] + pt[2] * pt[6] - pt[3] * pt[3]) % q == 0
     ]
-    return _geometry_from_kernels(points, q, forms, "hexagon", 12)
+    return _geometry_from_kernels(points, q, forms, "hexagon")
 
 
 @pytest.mark.parametrize(
@@ -249,6 +253,40 @@ ROUGH_Q = next(
 BUILDERS = {"plane": projective_plane, "quadrangle": symplectic_quadrangle, "hexagon": split_cayley_hexagon}
 
 
+class TestPolygonCounts:
+    """One count rule for every generalized polygon: (1+s)F points and
+    (1+t)F lines of an n-gon of order (s, t), F = sum of (st)^i for
+    i < n/2, and 1+q+q^2 of each for the plane."""
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_order_q_q_is_the_geometric_sum(self, n):
+        for q in [*range(2, 60), 7**1500, 2**9999 + 1, 10**3000 + 19]:
+            assert polygon_counts(n, q, q) == ((q**n - 1) // (q - 1),) * 2
+
+    def test_published_counts(self):
+        # the dual of T(8, 2), T(8, 2) itself, and the Ree-Tits octagon of order (2, 4)
+        assert polygon_counts(6, 2, 8) == (819, 2457) == ROUTES[6].substrate(2)
+        assert polygon_counts(6, 8, 2) == (2457, 819)
+        assert polygon_counts(8, 2, 4) == (1755, 2925) == ROUTES[8].substrate(2)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_duality_swaps_the_counts(self, n):
+        for s, t in itertools.product([1, 2, 3, 8, 27, 5**40], repeat=2):
+            points, lines = polygon_counts(n, s, t)
+            assert polygon_counts(n, t, s) == (lines, points)
+
+    @pytest.mark.parametrize("n, line_power", [(4, 2), (6, 3), (8, 2), (8, 1)])
+    def test_decimals_under_exact_match_ints(self, n, line_power):
+        q = 7**3000
+        with localcontext(EXACT):
+            got = polygon_counts(n, Decimal(q), Decimal(q) ** line_power)
+        assert tuple(map(str, got)) == tuple(map(int_to_decimal, polygon_counts(n, q, q**line_power)))
+
+    def test_route_constants_derive_from_the_polygon(self):
+        assert (ROUTES[6].growth, ROUTES[6].den) == (9, 8)
+        assert (ROUTES[8].growth, ROUTES[8].den) == (10, 9)
+
+
 class TestGeometryBudget:
     """One size rule for the three geometries: the incidence count against
     core.VERTEX_BUDGET, checked before primality and before any allocation."""
@@ -256,8 +294,9 @@ class TestGeometryBudget:
     @pytest.mark.parametrize("kind,last,first", [("plane", 167, 173), ("quadrangle", 43, 47), ("hexagon", 11, 13)])
     def test_largest_order_within_the_budget(self, kind, last, first):
         assert [q for q in range(last, first + 1) if is_prime(q)] == [last, first]
-        assert geometry_incidences(kind, last) == PER_SIDE[kind](last) * (last + 1) <= VERTEX_BUDGET
-        count = PER_SIDE[kind](first) * (first + 1)
+        points, _ = polygon_counts(POLYGON[kind], last, last)
+        assert geometry_incidences(kind, last) == points * (last + 1) <= VERTEX_BUDGET
+        count = polygon_counts(POLYGON[kind], first, first)[0] * (first + 1)
         start = time.monotonic()
         with pytest.raises(ResourceBudgetError, match=f"^{kind} q={first} has {count} incidences, budget is"):
             BUILDERS[kind](first)
@@ -282,7 +321,7 @@ class TestGeometryBudget:
 
     def test_hexagon_incidences_exceed_its_point_list(self):
         for q in range(2, 1000):
-            assert PER_SIDE["hexagon"](q) * (q + 1) > (q**7 - 1) // (q - 1)
+            assert polygon_counts(6, q, q)[0] * (q + 1) > (q**7 - 1) // (q - 1)
 
 
 class TestGreedy:
@@ -496,9 +535,20 @@ def _greedy_digests() -> list[str]:
     return out
 
 
-_DIGEST_SCRIPT = "import sys\nsys.path.insert(0, sys.argv[1])\n" + inspect.getsource(_greedy_digests) + (
-    "print(*_greedy_digests())\n"
-)
+def _polygon_digests() -> list[str]:
+    """sha256 of the certificates (6,5,2,4,3), (6,5,2,5,3) and (8,-,5,4,3)
+    and of the PG(2,7), W(5) and H(3) files, whose sizes all come from the
+    polygon count rule, on Decimals and on ints.  Stdlib only: it also runs
+    as a script."""
+    import hashlib
+
+    from hypergirth import certificate, projective_plane, serialize_bipartite, split_cayley_hexagon
+    from hypergirth import symplectic_quadrangle
+
+    texts = [certificate(*args).serialize() for args in ((6, 5, 2, 4, 3), (6, 5, 2, 5, 3), (8, None, 5, 4, 3))]
+    builds = (projective_plane, 7), (symplectic_quadrangle, 5), (split_cayley_hexagon, 3)
+    texts += [serialize_bipartite(build(q)) for build, q in builds]
+    return [hashlib.sha256(text.encode("ascii")).hexdigest() for text in texts]
 
 
 def _pyenv_python(minor: int) -> Path | None:
@@ -512,10 +562,13 @@ def _pyenv_python(minor: int) -> Path | None:
     return max(found)[1] if found else None
 
 
-def test_greedy_same_on_other_interpreters():
+@pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests], ids=["greedy", "polygon"])
+def test_digests_same_on_other_interpreters(digests):
     """The greedy outputs do not depend on the interpreter: random.shuffle
-    and int bit operations are specified, not implementation details."""
-    expected = _greedy_digests()
+    and int bit operations are specified, not implementation details.  Nor
+    do the polygon counts, certificates and geometry files."""
+    expected = digests()
+    script = f"import sys\nsys.path.insert(0, sys.argv[1])\n{inspect.getsource(digests)}print(*{digests.__name__}())\n"
     src = str(Path(hypergirth.__file__).resolve().parents[1])
     ran, absent, differ = [], [], []
     for minor in (10, 12, 13):
@@ -523,7 +576,7 @@ def test_greedy_same_on_other_interpreters():
         if exe is None:
             absent.append(f"3.{minor}")
             continue
-        proc = subprocess.run([str(exe), "-I", "-B", "-c", _DIGEST_SCRIPT, src],
+        proc = subprocess.run([str(exe), "-I", "-B", "-c", script, src],
                               capture_output=True, text=True, timeout=120)
         ran.append(f"{exe.parent.parent.name} ({exe})")
         if proc.returncode != 0 or proc.stdout.split() != expected:

@@ -29,10 +29,14 @@ No linter ships with the toolchain, so this parses each module with
 * the package has no runtime dependency: every module imports only the
   standard library and the package, and ``pyproject.toml`` lists no
   dependency; ``plan``, the one command with display floats, loads no
-  mpmath.
+  mpmath;
+* the polygon count rule is stated once: only ``geometry`` defines
+  ``polygon_counts``, and a ``Route`` has only the fields that the rule
+  cannot derive, so no derived constant comes back as a field.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
 import subprocess
@@ -41,6 +45,8 @@ from collections import Counter
 
 import pytest
 from conftest import subprocess_env
+
+from hypergirth.planner import Route
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hypergirth"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
@@ -406,3 +412,25 @@ def test_plan_does_not_load_mpmath(tmp_path):
                           capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def definitions_named(source: str, name: str) -> list[int]:
+    """Lines of the functions and classes named ``name``, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name)
+
+
+def test_definition_checker_finds_nested_names():
+    source = "def f():\n    def polygon_counts(n, s, t):\n        pass\nclass polygon_counts:\n    pass\n"
+    assert definitions_named(source, "polygon_counts") == [2, 4]
+
+
+def test_polygon_counts_is_defined_only_in_geometry():
+    found = {path.name: definitions_named(path.read_text(), "polygon_counts") for path in PACKAGE.glob("*.py")}
+    assert {name for name, lines in found.items() if lines} == {"geometry.py"}
+    assert len(found["geometry.py"]) == 1
+
+
+def test_route_fields_are_the_independent_constants():
+    names = [field.name for field in dataclasses.fields(Route)]
+    assert names == ["girth", "base", "line_power", "m_step", "edge_power", "c2", "premises"]
