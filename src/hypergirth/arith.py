@@ -65,10 +65,53 @@ def short_decimal(value: int | str) -> str:
     return f"{value // 10 ** (digits - 40)}...({digits} digits)"
 
 
+def show(ids: object, show_one: Callable[[object], str] = str, within: tuple[int, ...] = ()) -> str:
+    """A value, such as an edge or an incidence, as messages show it:
+    ``show_one(ids)``, str() at the top and repr() within, except that every
+    int goes through short_decimal, the elements of a tuple, list, set or
+    frozenset are shown the same way, and a value too long for the
+    int-to-str digit limit is named by its type, so a huge id never stops
+    the message.  ``within`` holds the ids of the enclosing containers; a
+    list that holds itself shows as repr does."""
+    kind = type(ids)
+    if kind is int:
+        return short_decimal(ids)
+    if kind in (tuple, list, set, frozenset):
+        if id(ids) in within:
+            return "[...]" if kind is list else "(...)"
+        inner = ", ".join(show(x, repr, within + (id(ids),)) for x in ids)
+        if kind is tuple:
+            return f"({inner},)" if len(ids) == 1 else f"({inner})"
+        if kind is list:
+            return f"[{inner}]"
+        if not ids:
+            return f"{kind.__name__}()"
+        return f"{{{inner}}}" if kind is set else f"frozenset({{{inner}}})"
+    try:
+        return show_one(ids)
+    except ValueError:
+        return f"<{kind.__name__}>"
+
+
 def short_value(value: object) -> str:
-    """A value as messages show it: an int through short_decimal, anything
-    else, a bool too, by its repr."""
-    return short_decimal(value) if type(value) is int else repr(value)
+    """A value as messages show it: by its repr, a bool too, except that
+    ints, within containers as well, go through short_decimal."""
+    return show(value, repr)
+
+
+def int_args(least: int = 1, **kwargs: object) -> None:
+    """Refuse the first keyword argument that is not an int of at least
+    ``least``; a bool passes as the int it is.  The message wants "a
+    positive integer" when ``least`` is 1; otherwise it wants ">= least" of
+    an int and "an integer >= least" of anything else."""
+    for name, value in kwargs.items():
+        if isinstance(value, int) and value >= least:
+            continue
+        if least == 1:
+            wanted = "a positive integer"
+        else:
+            wanted = f">= {least}" if isinstance(value, int) else f"an integer >= {least}"
+        raise PreconditionError(f"{name} must be {wanted}, got {short_value(value)}")
 
 
 def short_repr(text: str) -> str:

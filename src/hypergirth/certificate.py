@@ -26,6 +26,7 @@ from .arith import (
     PowerExpr,
     check_digits,
     checked_pow,
+    int_args,
     int_digits10,
     int_to_decimal,
     is_prime,
@@ -33,7 +34,6 @@ from .arith import (
     power_at_least,
     short_decimal,
     short_repr,
-    short_value,
 )
 from .errors import FormatError, PreconditionError, VerificationError
 from .formats import read_header
@@ -87,12 +87,6 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _int_args(**kwargs: int) -> None:
-    for name, value in kwargs.items():
-        if not isinstance(value, int) or value < 1:
-            raise PreconditionError(f"{name} must be a positive integer, got {short_value(value)}")
-
-
 def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificate:
     """Verify the full inequality chain for (p, m, n, r) at the given girth.
 
@@ -106,7 +100,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     """
     route = route_for(girth)
     p = route.base_for(p, f"girth-{girth} certificate")
-    _int_args(p=p, m=m, n=n, r=r)
+    int_args(p=p, m=m, n=n, r=r)
 
     g, den, sym = route.growth, route.den, route.sym
     checks: list[CertCheck] = []

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import girth
-from .arith import short_decimal, short_value
+from .arith import short_decimal, short_value, show as _show
 from .errors import ResourceBudgetError, ValidationError
 
 # Most vertices a Hypergraph or BipartiteGraph may have, with no override;
@@ -44,33 +44,6 @@ def check_vertex_budget(count: int | str, what: str) -> None:
     budget_int, so a long one is refused unconverted."""
     if budget_int(count) is None if isinstance(count, str) else count > VERTEX_BUDGET:
         raise ResourceBudgetError(f"{what} has {short_decimal(count)} vertices, budget is {VERTEX_BUDGET}")
-
-
-def _show(ids: object, show: Callable[[object], str] = str, within: tuple[int, ...] = ()) -> str:
-    """An edge or incidence as messages show it: ``show(ids)``, str() at the
-    top and repr() within, except that every int goes through short_decimal,
-    the elements of a tuple, list, set or frozenset are shown the same way,
-    and a value too long for the int-to-str digit limit is named by its
-    type, so a huge id never stops the message.  ``within`` holds the ids of
-    the enclosing containers; a list that holds itself shows as repr does."""
-    kind = type(ids)
-    if kind is int:
-        return short_decimal(ids)
-    if kind in (tuple, list, set, frozenset):
-        if id(ids) in within:
-            return "[...]" if kind is list else "(...)"
-        inner = ", ".join(_show(x, repr, within + (id(ids),)) for x in ids)
-        if kind is tuple:
-            return f"({inner},)" if len(ids) == 1 else f"({inner})"
-        if kind is list:
-            return f"[{inner}]"
-        if not ids:
-            return f"{kind.__name__}()"
-        return f"{{{inner}}}" if kind is set else f"frozenset({{{inner}}})"
-    try:
-        return show(ids)
-    except ValueError:
-        return f"<{kind.__name__}>"
 
 
 def _id_error(what: str, items: Iterable[tuple]) -> ValidationError:

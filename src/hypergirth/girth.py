@@ -52,8 +52,13 @@ Three routes are provided:
   vertices above v0.  Every vertex of a cycle of length L through v0 lies
   within L // 2 of v0, so d is computed only to half the length sought
   and farther vertices are cut.  Closing is tested before the path grows,
-  by membership of v0 in the edge: that cycle is shorter than any through
-  a longer path.
+  by a flag on each edge through v0: that cycle is shorter than any
+  through a longer path.  A path of k vertices closes only while
+  1 < k <= limit, the longest cycle still sought; a find at k lowers the
+  limit to k - 1, so no later edge of the same step closes again, and an
+  edge grows the path only while k < limit.  The path's vertices and edges
+  are flagged in two bytearrays allocated once per call, and its depth k
+  is passed down the recursion.
 """
 
 from __future__ import annotations
@@ -62,8 +67,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .arith import short_decimal
-from .errors import PreconditionError, ResourceBudgetError, VerificationError
+from .arith import int_args
+from .errors import ResourceBudgetError, VerificationError
 
 if TYPE_CHECKING:
     from .core import BipartiteGraph, Hypergraph
@@ -296,15 +301,13 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
     exists.  Refuses instances above ORACLE_INCIDENCE_BUDGET incidences
     rather than risk an unbounded search.
     """
-    if max_len < 2:
-        raise PreconditionError(f"max_len must be >= 2, got {short_decimal(max_len)}")
+    int_args(2, max_len=max_len)
     if h.incidence_count > ORACLE_INCIDENCE_BUDGET:
         raise ResourceBudgetError(
             f"oracle refused: {h.incidence_count} incidences exceed budget {ORACLE_INCIDENCE_BUDGET}"
         )
     vertex_edges = h.vertex_edges
     edges = h.edges
-    edge_sets = [frozenset(edge) for edge in edges]
     # each cycle vertex lies in two of the cycle's edges, so no cycle is longer
     limit = min(max_len, sum(1 for es in vertex_edges if len(es) >= 2))
     best_witness: BergeCycle | None = None
@@ -331,28 +334,33 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
             frontier = reached
         return back
 
-    def extend(v_cur: int) -> None:
-        # limit is the longest cycle still worth finding; it falls with each find
+    def extend(v_cur: int, k: int) -> None:
+        # the path holds k vertices and k - 1 edges; limit is the longest
+        # cycle still worth finding, and it falls with each find
         nonlocal limit, best_witness
         for e_idx in vertex_edges[v_cur]:
-            if e_idx in used_e:
+            if used_e[e_idx]:
                 continue
-            path_e.append(e_idx)
-            if 1 < len(path_v) <= limit and v0 in edge_sets[e_idx]:
-                limit = len(path_v) - 1
-                best_witness = BergeCycle(tuple(path_v), tuple(path_e))
-            if len(path_v) < limit:
-                used_e.add(e_idx)
+            if closes[e_idx] and 1 < k <= limit:
+                limit = k - 1
+                best_witness = BergeCycle(tuple(path_v), tuple(path_e) + (e_idx,))
+            if k < limit:
+                used_e[e_idx] = 1
+                path_e.append(e_idx)
                 for w in edges[e_idx]:
-                    if len(path_e) + back[w] <= limit and w not in on_path:
+                    if k + back[w] <= limit and not on_path[w]:
+                        on_path[w] = 1
                         path_v.append(w)
-                        on_path.add(w)
-                        extend(w)
-                        on_path.discard(w)
+                        extend(w, k + 1)
                         path_v.pop()
-                used_e.discard(e_idx)
-            path_e.pop()
+                        on_path[w] = 0
+                path_e.pop()
+                used_e[e_idx] = 0
 
+    # flags of the path's vertices and edges, and of the edges through v0
+    on_path = bytearray(h.num_vertices)
+    used_e = bytearray(len(edges))
+    closes = bytearray(len(edges))
     # the DFS recurses once per path vertex, and a path has at most limit vertices
     old_recursion_limit = sys.getrecursionlimit()
     try:
@@ -365,9 +373,13 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
             back = dist_from(v0)
             path_v = [v0]
             path_e: list[int] = []
-            on_path = {v0}
-            used_e: set[int] = set()
-            extend(v0)
+            on_path[v0] = 1
+            for e_idx in vertex_edges[v0]:
+                closes[e_idx] = 1
+            extend(v0, 1)
+            for e_idx in vertex_edges[v0]:
+                closes[e_idx] = 0
+            on_path[v0] = 0
     finally:
         sys.setrecursionlimit(old_recursion_limit)
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from .arith import Number, PowerExpr, checked_pow, is_prime, power_at_least, short_decimal, short_value
+from .arith import Number, PowerExpr, checked_pow, int_args, is_prime, power_at_least, short_decimal, short_value
 from .errors import PreconditionError
 from .geometry import polygon_counts
 
@@ -120,7 +120,7 @@ class Route:
                 raise PreconditionError(f"{what} needs p")
             return p
         if p not in (None, self.base):
-            raise PreconditionError(f"{what} has base {self.base}, got p = {short_decimal(p)}")
+            raise PreconditionError(f"{what} has base {self.base}, got p = {short_value(p)}")
         return self.base
 
     def require(self, p: int, m: int, n: int) -> None:
@@ -349,12 +349,11 @@ def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
     Negative exponents are returned as-is (the bound is then vacuous).
     For girth 8 the base is fixed at 2 and ``p`` is ignored.
     """
-    if n_vertices < 2:
-        raise PreconditionError(f"N must be >= 2, got {short_decimal(n_vertices)}")
+    int_args(2, N=n_vertices)
     route = route_for(girth)
     base = route.base
     if base is None:
-        if p is None or not is_prime(p):
+        if not isinstance(p, int) or not is_prime(p):
             raise PreconditionError(f"girth-{girth} bound needs a prime p, got {short_value(p)}")
         base = p
     scale = 11 * _STEPS

@@ -20,6 +20,7 @@ import random
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from hypergirth import (
     theorem_bound,
 )
 from hypergirth.arith import power_at_least
+from hypergirth.errors import PreconditionError
 from hypergirth.planner import ROUTES
 
 BASES = (2, 3, 5, 7)
@@ -211,6 +213,63 @@ def test_an_integer_past_the_str_limit_fails_as_below_it(name):
     past, past_texts = outcome(call, 10**5000)
     assert past is below
     assert max(map(len, past_texts)) < 200, past_texts
+
+
+# Library calls with a value that is not an int where an int belongs: each
+# is refused with a PreconditionError and a short message, before any
+# arithmetic on the value.
+HUGE_TUPLE = (10**5000,)
+SHOWN_HUGE_TUPLE = "(" + "1" + "0" * 39 + "...(5001 digits),)"
+NOT_AN_INT_CALLS = {
+    "theorem-bound-float-p": (lambda: theorem_bound(6, 2.5, 10**10), "girth-6 bound needs a prime p, got 2.5"),
+    "theorem-bound-tuple-p": (
+        lambda: theorem_bound(6, HUGE_TUPLE, 10**10), f"girth-6 bound needs a prime p, got {SHOWN_HUGE_TUPLE}"),
+    "theorem-bound-bool-p": (lambda: theorem_bound(6, True, 10**10), "girth-6 bound needs a prime p, got True"),
+    "theorem-bound-tuple-N": (
+        lambda: theorem_bound(8, None, HUGE_TUPLE), f"N must be an integer >= 2, got {SHOWN_HUGE_TUPLE}"),
+    "theorem-bound-float-N": (lambda: theorem_bound(6, 5, 10.0**10), "N must be an integer >= 2, got 10000000000.0"),
+    "certificate-tuple-m": (
+        lambda: certificate(6, 5, HUGE_TUPLE, 4, 3), f"m must be a positive integer, got {SHOWN_HUGE_TUPLE}"),
+    "certificate-tuple-p-girth-8": (
+        lambda: certificate(8, HUGE_TUPLE, 5, 4, 3), f"girth-8 certificate has base 2, got p = {SHOWN_HUGE_TUPLE}"),
+    "power-tuple-base": (
+        lambda: arith.PowerExpr(HUGE_TUPLE, Fraction(1)),
+        f"PowerExpr base must be an integer >= 2, got {SHOWN_HUGE_TUPLE}"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_AN_INT_CALLS)
+def test_a_value_that_is_not_an_int_is_refused(name):
+    call, message = NOT_AN_INT_CALLS[name]
+    with pytest.raises(PreconditionError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("least, value, message", [
+    (1, 0, "x must be a positive integer, got 0"),
+    (1, 2.0, "x must be a positive integer, got 2.0"),
+    (1, False, "x must be a positive integer, got False"),
+    (2, 1, "x must be >= 2, got 1"),
+    (2, -10**60, "x must be >= 2, got -" + "1" + "0" * 39 + "...(61 digits)"),
+    (2, "3", "x must be an integer >= 2, got '3'"),
+    (2, None, "x must be an integer >= 2, got None"),
+])
+def test_int_args_names_the_first_bad_value(least, value, message):
+    arith.int_args(least, x=2, y=3)
+    with pytest.raises(PreconditionError) as exc:
+        arith.int_args(least, w=5, x=value, y=None)
+    assert str(exc.value) == message
+
+
+SHOWN_BY_REPR = [0, -5, 10**51 + 7, True, False, None, 2.5, float("nan"), "x", b"y", (), (1,), (1, "a", 2.5), [1, [2]],
+                 set(), {3}, frozenset(), frozenset({4}), {"k": 1}, Fraction(1, 3), Decimal("1.5")]
+
+
+@pytest.mark.parametrize("value", SHOWN_BY_REPR, ids=repr)
+def test_short_value_shows_a_short_value_by_repr(value):
+    expected = arith.short_decimal(value) if type(value) is int else repr(value)
+    assert arith.short_value(value) == expected
 
 
 _rng_digits = random.Random(17)

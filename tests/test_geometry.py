@@ -551,6 +551,30 @@ def _polygon_digests() -> list[str]:
     return [hashlib.sha256(text.encode("ascii")).hexdigest() for text in texts]
 
 
+def _oracle_digests() -> list[str]:
+    """sha256 of the oracle's girth, witness and search bound on the
+    neighbourhood hypergraphs of PG(2,11) at 3, W(5) at 4 and H(3) at 6,
+    and on three edges sharing a pair at 7.  Stdlib only: it also runs as a
+    script."""
+    import hashlib
+
+    from hypergirth import Hypergraph, girth_oracle, neighborhood_hypergraph, projective_plane
+    from hypergirth import split_cayley_hexagon, symplectic_quadrangle
+
+    cases = [
+        (neighborhood_hypergraph(projective_plane(11)), 3),
+        (neighborhood_hypergraph(symplectic_quadrangle(5)), 4),
+        (neighborhood_hypergraph(split_cayley_hexagon(3)), 6),
+        (Hypergraph(4, ((0, 1, 2), (0, 1, 2, 3), (0, 1, 3))), 7),
+    ]
+    out = []
+    for h, max_len in cases:
+        rep = girth_oracle(h, max_len)
+        text = repr((rep.girth, rep.witness.vertices, rep.witness.edge_indices, rep.searched_to))
+        out.append(hashlib.sha256(text.encode("ascii")).hexdigest())
+    return out
+
+
 def _pyenv_python(minor: int) -> Path | None:
     """The newest pyenv-installed CPython 3.minor, or None."""
     root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
@@ -562,11 +586,13 @@ def _pyenv_python(minor: int) -> Path | None:
     return max(found)[1] if found else None
 
 
-@pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests], ids=["greedy", "polygon"])
+@pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests, _oracle_digests],
+                         ids=["greedy", "polygon", "oracle"])
 def test_digests_same_on_other_interpreters(digests):
     """The greedy outputs do not depend on the interpreter: random.shuffle
     and int bit operations are specified, not implementation details.  Nor
-    do the polygon counts, certificates and geometry files."""
+    do the polygon counts, certificates and geometry files, or the oracle's
+    witnesses."""
     expected = digests()
     script = f"import sys\nsys.path.insert(0, sys.argv[1])\n{inspect.getsource(digests)}print(*{digests.__name__}())\n"
     src = str(Path(hypergirth.__file__).resolve().parents[1])

@@ -20,9 +20,13 @@ from hypergirth import (
     girth_hypergraph,
     girth_oracle,
     neighborhood_hypergraph,
+    projective_plane,
     split_cayley_hexagon,
     symplectic_quadrangle,
 )
+from hypergirth.arith import short_decimal
+from hypergirth.errors import PreconditionError, ResourceBudgetError
+from hypergirth.girth import ORACLE_INCIDENCE_BUDGET, BergeCycle, GirthReport
 
 from conftest import FANO_TRIPLES
 
@@ -141,3 +145,147 @@ def test_agrees_with_the_incidence_graph_bfs(h, max_len):
         rep.witness.check(h)
     else:
         assert (rep.girth, rep.witness, rep.searched_to) == (None, None, max_len)
+
+
+def reference_oracle(h: Hypergraph, max_len: int) -> GirthReport:
+    """``girth_oracle`` as it was with a set of path vertices and of path
+    edges per start vertex, a frozenset per edge for the closing test and
+    the depth read from the path: the search order, pruning and closing
+    rule the faster bookkeeping must keep."""
+    if max_len < 2:
+        raise PreconditionError(f"max_len must be >= 2, got {short_decimal(max_len)}")
+    if h.incidence_count > ORACLE_INCIDENCE_BUDGET:
+        raise ResourceBudgetError(
+            f"oracle refused: {h.incidence_count} incidences exceed budget {ORACLE_INCIDENCE_BUDGET}"
+        )
+    vertex_edges = h.vertex_edges
+    edges = h.edges
+    edge_sets = [frozenset(edge) for edge in edges]
+    # each cycle vertex lies in two of the cycle's edges, so no cycle is longer
+    limit = min(max_len, sum(1 for es in vertex_edges if len(es) >= 2))
+    best_witness: BergeCycle | None = None
+
+    def dist_from(v0: int) -> list[int]:
+        """Edge-BFS distances from v0 through vertices above v0, to depth
+        limit // 2; every vertex farther away reads limit + 1."""
+        back = [limit + 1] * h.num_vertices
+        back[v0] = 0
+        edge_seen = bytearray(len(edges))
+        frontier = [v0]
+        for depth in range(1, limit // 2 + 1):
+            reached = []
+            for x in frontier:
+                for e_idx in vertex_edges[x]:
+                    if not edge_seen[e_idx]:
+                        edge_seen[e_idx] = 1
+                        for y in edges[e_idx]:
+                            if y > v0 and back[y] > depth:
+                                back[y] = depth
+                                reached.append(y)
+            if not reached:
+                break
+            frontier = reached
+        return back
+
+    def extend(v_cur: int) -> None:
+        # limit is the longest cycle still worth finding; it falls with each find
+        nonlocal limit, best_witness
+        for e_idx in vertex_edges[v_cur]:
+            if e_idx in used_e:
+                continue
+            path_e.append(e_idx)
+            if 1 < len(path_v) <= limit and v0 in edge_sets[e_idx]:
+                limit = len(path_v) - 1
+                best_witness = BergeCycle(tuple(path_v), tuple(path_e))
+            if len(path_v) < limit:
+                used_e.add(e_idx)
+                for w in edges[e_idx]:
+                    if len(path_e) + back[w] <= limit and w not in on_path:
+                        path_v.append(w)
+                        on_path.add(w)
+                        extend(w)
+                        on_path.discard(w)
+                        path_v.pop()
+                used_e.discard(e_idx)
+            path_e.pop()
+
+    # the DFS recurses once per path vertex, and a path has at most limit vertices
+    old_recursion_limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(max(old_recursion_limit, limit + 200))
+        for v0 in range(h.num_vertices):
+            if limit < 2:
+                break
+            if len(vertex_edges[v0]) < 2:
+                continue
+            back = dist_from(v0)
+            path_v = [v0]
+            path_e: list[int] = []
+            on_path = {v0}
+            used_e: set[int] = set()
+            extend(v0)
+    finally:
+        sys.setrecursionlimit(old_recursion_limit)
+
+    if best_witness is None:
+        return GirthReport(None, searched_to=max_len)
+    best_witness.check(h)
+    return GirthReport(len(best_witness), best_witness)
+
+
+def report_key(rep: GirthReport) -> tuple:
+    witness = rep.witness
+    return (rep.girth, None if witness is None else (witness.vertices, witness.edge_indices), rep.searched_to)
+
+
+@st.composite
+def non_linear_hypergraphs(draw):
+    """Up to 14 edges of 1 to 4 vertices on at most 8 vertices, so that
+    edges often share two or more vertices and close 2-cycles."""
+    n = draw(st.integers(1, 8))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True)
+    edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=14, unique=True))
+    return Hypergraph(n, tuple(sorted(edges)))
+
+
+@settings(derandomize=True, max_examples=600, database=None, deadline=None)
+@given(non_linear_hypergraphs(), st.integers(2, 9))
+def test_same_report_as_the_reference(h, max_len):
+    assert report_key(girth_oracle(h, max_len)) == report_key(reference_oracle(h, max_len))
+
+
+# (girth, witness vertices, witness edge indices, searched_to), from the reference search.
+REFERENCE_PINS = {
+    "three-edges-sharing-a-pair": (
+        lambda: Hypergraph(4, ((0, 1, 2), (0, 1, 2, 3), (0, 1, 3))), 7, (2, (0, 1), (0, 1), None)),
+    "nbhd-PG2-11": (
+        lambda: neighborhood_hypergraph(projective_plane(11)), 3, (3, (0, 1, 12), (0, 12, 1), None)),
+    "nbhd-W5": (
+        lambda: neighborhood_hypergraph(symplectic_quadrangle(5)), 4, (4, (0, 6, 1, 31), (0, 6, 7, 1), None)),
+    "nbhd-H3": (
+        lambda: neighborhood_hypergraph(split_cayley_hexagon(3)), 6,
+        (6, (0, 40, 4, 13, 1, 121), (0, 17, 16, 4, 5, 1), None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PINS))
+def test_reference_pin(name):
+    build, max_len, pin = REFERENCE_PINS[name]
+    h = build()
+    got = girth_oracle(h, max_len)
+    assert (got.girth, got.witness.vertices, got.witness.edge_indices, got.searched_to) == pin
+    assert report_key(got) == report_key(reference_oracle(h, max_len))
+
+
+@pytest.mark.parametrize("max_len", [2.5, 3.0, "3", None, [3]], ids=repr)
+def test_max_len_not_an_int_is_refused(max_len):
+    with pytest.raises(PreconditionError) as exc:
+        girth_oracle(Hypergraph(3, ((0, 1, 2),)), max_len)
+    assert str(exc.value) == f"max_len must be an integer >= 2, got {max_len!r}"
+
+
+@pytest.mark.parametrize("max_len", [1, 0, -7, -10**60])
+def test_max_len_below_two_keeps_its_message(max_len):
+    with pytest.raises(PreconditionError) as exc:
+        girth_oracle(Hypergraph(3, ((0, 1, 2),)), max_len)
+    assert str(exc.value) == f"max_len must be >= 2, got {short_decimal(max_len)}"
