@@ -4,7 +4,8 @@ PowerExpr holds a value of the form base**e with e an exact rational whose
 denominator divides 72 (covering eighths, ninths and their products).
 Inequalities between powers, n**a >= base**b, are decided by
 :func:`power_at_least` from directed-rounding brackets of both sides, with
-an exact fallback, never by floating point.
+an exact fallback, never by floating point; n may be an int or an exact
+integral Decimal.
 
 CPython converts between int and decimal text in time quadratic in the
 length.  Long decimals are therefore written from ``decimal.Decimal``
@@ -99,15 +100,18 @@ def short_value(value: object) -> str:
     return show(value, repr)
 
 
-def int_args(least: int = 1, **kwargs: object) -> None:
+def int_args(least: int | None = 1, **kwargs: object) -> None:
     """Refuse the first keyword argument that is not an int of at least
-    ``least``; a bool passes as the int it is.  The message wants "a
-    positive integer" when ``least`` is 1; otherwise it wants ">= least" of
-    an int and "an integer >= least" of anything else."""
+    ``least`` (any int when ``least`` is None); a bool passes as the int it
+    is.  The message wants "an integer" when ``least`` is None and "a
+    positive integer" when it is 1; otherwise it wants ">= least" of an int
+    and "an integer >= least" of anything else."""
     for name, value in kwargs.items():
-        if isinstance(value, int) and value >= least:
+        if isinstance(value, int) and (least is None or value >= least):
             continue
-        if least == 1:
+        if least is None:
+            wanted = "an integer"
+        elif least == 1:
             wanted = "a positive integer"
         else:
             wanted = f">= {least}" if isinstance(value, int) else f"an integer >= {least}"
@@ -197,9 +201,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def checked_pow(base: int, exponent: int, what: str) -> int:
-    """base**exponent as an int, refused when the result would exceed the
-    digit budget."""
+def check_pow(base: int, exponent: int, what: str) -> None:
+    """Refuse base**exponent, before it is raised, when the result would
+    exceed the digit budget or the exponent is negative."""
     if exponent < 0:
         raise PreconditionError(f"{what}: negative exponent {short_decimal(exponent)} has no integer expansion")
     # approximate: a guard only; an exponent past a float's range reads inf
@@ -207,6 +211,11 @@ def checked_pow(base: int, exponent: int, what: str) -> int:
     if digits > DIGIT_BUDGET:
         shown = f"{short_decimal(base)}^{short_decimal(exponent)}"
         raise ResourceBudgetError(f"{what}: {shown} needs ~{digits:.3g} digits, budget is {DIGIT_BUDGET}")
+
+
+def checked_pow(base: int, exponent: int, what: str) -> int:
+    """base**exponent as an int, refused by :func:`check_pow` first."""
+    check_pow(base, exponent, what)
     return base**exponent
 
 
@@ -246,31 +255,60 @@ def _ge(x: tuple[int, int], y: tuple[int, int]) -> bool:
     return mx << max(0, ex - ey) >= my << max(0, ey - ex)
 
 
-def power_at_least(n: int, a: int, base: int, b: int) -> bool:
-    """Exact n^a >= base^b for n >= 2, a, b >= 1 and a prime base.
+# power_at_least reads a Decimal of at most this many digits whole: int() is
+# quadratic in the length, but up to here cheaper than a bracket of 10^k.
+_WHOLE = 600
 
-    n^a and base^b are bracketed from n's top bits with directed rounding,
-    at a precision that grows until the brackets separate.  With a and b
+
+def _bracket(n: Decimal, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(lo, hi) with lo <= n <= hi, each m * 2^e as (m, e) with m >= 1 of
+    about prec bits, for an integral Decimal n >= 1: n is cut to leading
+    digits t of more than prec bits, t * 10^k <= n <= (t + 1) * 10^k, and
+    one directed-rounding bracket of 10^k = 5^k * 2^k serves both sides.
+    The t + 1 is dropped when the cut digits are all zeros."""
+    k = max(0, n.adjusted() - 1 - prec * 30103 // 100000)  # t keeps more than prec * log10(2) + 1 digits
+    scaled = n.scaleb(-k, EXACT)
+    t = int(scaled)
+    t_hi = t + (scaled != t)
+    lo, e_lo = _pow_bound(5, k, prec, up=False)
+    hi, e_hi = _pow_bound(5, k, prec, up=True)
+    return _round(t * lo, e_lo + k, prec, up=False), _round(t_hi * hi, e_hi + k, prec, up=True)
+
+
+def power_at_least(n: Number, a: int, base: int, b: int) -> bool:
+    """Exact n^a >= base^b for n >= 2, a, b >= 1 and a prime base; n is an
+    int or an integral Decimal, such as one computed under EXACT.
+
+    n^a and base^b are bracketed from n's top bits (of a long Decimal, its
+    leading digits, see :func:`_bracket`) with directed rounding, at a
+    precision that grows until the brackets separate.  With a and b
     coprime, equality needs a = 1 (base is prime), so a = 1 falls back to
     one exact comparison, which holds for any base >= 2; otherwise the
     inequality is strict and the brackets separate at the latest once the
-    precision makes them exact.
+    precision makes them exact.  A Decimal of at most 600 digits is read
+    whole, as an int.
     """
+    if isinstance(n, Decimal) and n.adjusted() < _WHOLE:
+        n = int(n)
     g = math.gcd(a, b)
     a, b = a // g, b // g
     prec = 128
     while True:
-        shift = max(0, n.bit_length() - prec)
-        top = n >> shift
+        if isinstance(n, Decimal):
+            (top, shift), (top_hi, shift_hi) = _bracket(n, prec)
+        else:
+            shift = shift_hi = max(0, n.bit_length() - prec)
+            top = n >> shift
+            top_hi = top + (top << shift != n)
         lo, e_lo = _pow_bound(top, a, prec, up=False)
-        hi, e_hi = _pow_bound(top + (top << shift != n), a, prec, up=True)
-        n_lo, n_hi = (lo, e_lo + shift * a), (hi, e_hi + shift * a)
+        hi, e_hi = _pow_bound(top_hi, a, prec, up=True)
+        n_lo, n_hi = (lo, e_lo + shift * a), (hi, e_hi + shift_hi * a)
         if _ge(n_lo, _pow_bound(base, b, prec, up=True)):
             return True
         if not _ge(n_hi, _pow_bound(base, b, prec, up=False)):
             return False
         if a == 1:
-            return n >= base**b
+            return n >= (EXACT.power(base, b) if isinstance(n, Decimal) else base**b)
         prec *= 4
 
 

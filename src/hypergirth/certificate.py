@@ -3,13 +3,15 @@
 A certificate fixes (girth, p, m, n, r) and records every inequality the
 corresponding existence argument needs, each decided exactly: power
 inequalities by :func:`hypergirth.arith.power_at_least`, which brackets
-both sides from their top bits, the rest by big-integer comparison.  A
-certificate is VALID iff all checks pass; assumption failures
-produce an INVALID certificate listing the failure, never an exception.
-Serialized certificates re-verify independently: re-verification reruns
-the whole computation from the header parameters alone.  Both routes are
-built by one function driven by the route's record in
-:data:`hypergirth.planner.ROUTES`.
+both sides from their top bits (of a long count, its leading digits), the
+rest by exact comparison.  Each count is computed once, as a Decimal under
+:data:`hypergirth.arith.EXACT`; the checks decide on it and the value
+lines print it.  A certificate is VALID iff all checks pass; assumption
+failures produce an INVALID certificate listing the failure, never an
+exception.  Serialized certificates re-verify independently:
+re-verification reruns the whole computation from the header parameters
+alone.  Both routes are built by one function driven by the route's
+record in :data:`hypergirth.planner.ROUTES`.
 """
 
 from __future__ import annotations
@@ -18,16 +20,14 @@ import os
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable
 
 from .arith import (
     EXACT,
-    Number,
     PowerExpr,
     check_digits,
+    check_pow,
     checked_pow,
     int_args,
-    int_digits10,
     int_to_decimal,
     is_prime,
     parse_decimal_int,
@@ -94,9 +94,12 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     recursion for every order; the copy-count inequalities making each
     substitution stage possible; the vertex-count growth bounds; the exact
     edge-count recurrence against the claimed lower-bound power; and the
-    final edge-splitting factor.  Expansion sizes are capped by
-    the digit budget of :mod:`hypergirth.arith` (a ResourceBudgetError
-    names the first check that would exceed it).
+    final edge-splitting factor.  Every order, v_i, b_i, the edge count and
+    the final edge count is computed once, as a Decimal under arith.EXACT,
+    and both the checks and the value lines read that value.  Expansion
+    sizes are capped by the digit budget of :mod:`hypergirth.arith` (a
+    ResourceBudgetError names the first check that would exceed it, before
+    the expansion).
     """
     route = route_for(girth)
     p = route.base_for(p, f"girth-{girth} certificate")
@@ -117,59 +120,55 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     if not all(c.passed for c in checks):
         return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
 
-    # Orders: closed form cross-checked against the recursion, each expanded
-    # as soon as its exponent is known, so an over-budget order is refused
-    # before the checks of the later ones are built.
+    # Every count is computed once, as a Decimal under EXACT, where any
+    # rounding raises; str() of a Decimal is linear where str(int) is
+    # quadratic.  Orders are raised from p, each as soon as its exponent is
+    # known, so an over-budget order is refused before the checks of the
+    # later ones are built.  Only p and split are converted from ints.
     exps: list[int] = []
-    orders: list[int] = []
-    for i, (closed, e) in zip(range(1, n + 1), route.exponents(m)):
-        rows = route.order_checks(i, closed, e)
-        checks += (CertCheck(name, statement, _EXPONENT, ok) for name, statement, ok in rows)
-        exps.append(int(closed))
-        orders.append(checked_pow(p, exps[-1], f"check order_{i}"))
-
-    v_list: list[int] = []
-    b_list: list[int] = []
-    for i, q in enumerate(orders, start=1):
-        check_digits(int_digits10(q) * g, "expansion", f"vertex-growth-{i}")
-        v, b = route.substrate(q)
-        v_list.append(v)
-        b_list.append(b)
-
-    # Each stage places p - 1 template copies per edge (one at base 2).
-    for i in range(2, n + 1):
-        ok = orders[i - 1] >= (p - 1) * v_list[i - 2]
-        checks.append(
-            CertCheck(f"copy-count-{i}", f"order_{i} >= ({sym}-1) * v_{i - 1}", _BIGNUM, ok)
-        )
-
-    for i in range(1, n + 1):
-        ok = not power_at_least(v_list[i - 1], den, p, g**i * (den * m + 1))
-        statement = f"v_{i}^{den} < {sym}^({g}^{i}*({den}m+1))"
-        checks.append(CertCheck(f"vertex-growth-{i}", statement, _BIGNUM, ok))
-
-    def product_fits(edges: int, b: int) -> None:
-        check_digits(int_digits10(edges) + int_digits10(b), "product", "edge-bound")
-
-    edges = _edge_count(p, b_list, product_fits)
-    # The exponent is an integer and x^k >= y^k iff x >= y for nonnegative
-    # integers, so the stated power inequality is decided unraised.
-    bound = route.edge_bound(p, m, n)
-    k = route.edge_power
-    ok = power_at_least(edges, 1, p, int(bound.exponent))
-    checks.append(CertCheck("edge-bound", f"edges^{k} >= {sym}^({k} * {bound.exponent})", _BIGNUM, ok))
-
-    split = (1 + uni) // r
-    checks.append(CertCheck("split-factor", f"floor((1 + {sym}^m) / r) >= 1", _BIGNUM, split >= 1))
-
-    # The value lines repeat the int computations above on Decimals, whose
-    # str() is linear where str(int) is quadratic; EXACT makes any rounding
-    # raise.  Only p and split are converted from ints.
+    orders: list[Decimal] = []
     with localcontext(EXACT):
-        substrates = [route.substrate(Decimal(p) ** e) for e in exps]
-        edges_d = _edge_count(p, [b for _, b in substrates])
+        for i, (closed, e) in zip(range(1, n + 1), route.exponents(m)):
+            rows = route.order_checks(i, closed, e)
+            checks += (CertCheck(name, statement, _EXPONENT, ok) for name, statement, ok in rows)
+            exps.append(int(closed))
+            check_pow(p, exps[-1], f"check order_{i}")
+            orders.append(Decimal(p) ** exps[-1])
+
+        substrates: list[tuple[Decimal, Decimal]] = []
+        for i, q in enumerate(orders, start=1):
+            check_digits((q.adjusted() + 1) * g, "expansion", f"vertex-growth-{i}")
+            substrates.append(route.substrate(q))
+
+        # Each stage places p - 1 template copies per edge (one at base 2).
+        for i in range(2, n + 1):
+            ok = orders[i - 1] >= (p - 1) * substrates[i - 2][0]
+            checks.append(
+                CertCheck(f"copy-count-{i}", f"order_{i} >= ({sym}-1) * v_{i - 1}", _BIGNUM, ok)
+            )
+
+        for i, (v, _) in enumerate(substrates, start=1):
+            ok = not power_at_least(v, den, p, g**i * (den * m + 1))
+            statement = f"v_{i}^{den} < {sym}^({g}^{i}*({den}m+1))"
+            checks.append(CertCheck(f"vertex-growth-{i}", statement, _BIGNUM, ok))
+
+        # Edges of the last construction: b_1, then (p - 1) * edges * b_i per stage.
+        edges = substrates[0][1]
+        for _, b in substrates[1:]:
+            check_digits(edges.adjusted() + b.adjusted() + 2, "product", "edge-bound")
+            edges = (p - 1) * edges * b
+        # The exponent is an integer and x^k >= y^k iff x >= y for nonnegative
+        # integers, so the stated power inequality is decided unraised.
+        bound = route.edge_bound(p, m, n)
+        k = route.edge_power
+        ok = power_at_least(edges, 1, p, int(bound.exponent))
+        checks.append(CertCheck("edge-bound", f"edges^{k} >= {sym}^({k} * {bound.exponent})", _BIGNUM, ok))
+
+        split = (1 + uni) // r
+        checks.append(CertCheck("split-factor", f"floor((1 + {sym}^m) / r) >= 1", _BIGNUM, split >= 1))
         split_d = Decimal(split)
-        final_d = split_d * edges_d
+        final = split_d * edges
+
     for i, exponent in enumerate(exps, start=1):
         values.append((f"order_{i}", str(PowerExpr(p, Fraction(exponent)))))
     for i, (v, b) in enumerate(substrates, start=1):
@@ -177,24 +176,11 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
         values.append((f"v_{i}", v_text))
         values.append((f"b_{i}", str(b)))
     values.append(("vertices", v_text))
-    values.append(("edges", str(edges_d)))
+    values.append(("edges", str(edges)))
     values.append(("edge_bound", str(bound)))
     values.append(("split_factor", str(split_d)))
-    values.append(("final_edges", str(final_d)))
+    values.append(("final_edges", str(final)))
     return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
-
-
-def _edge_count(
-    p: int, b_values: list[Number], guard: Callable[[Number, Number], None] = lambda edges, b: None
-) -> Number:
-    """Edges of the last construction: b_1, then (p - 1) * edges * b_i per
-    stage, for ints or Decimals alike; guard(edges, b_i) runs before each
-    product."""
-    edges = b_values[0]
-    for b in b_values[1:]:
-        guard(edges, b)
-        edges = (p - 1) * edges * b
-    return edges
 
 
 def _header_value(token: str, lineno: int, key: str) -> int | str:

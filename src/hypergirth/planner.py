@@ -215,8 +215,10 @@ class Route:
         The search starts at the seed (m*, n*) of :meth:`seed`.  The
         returned pair additionally satisfies m* <= m, n* <= n and
         growth^(n-1) - shift <= m <= growth^(n+1) - shift; both sandwich
-        inequalities are re-checked exactly before returning.
+        inequalities are re-checked exactly before returning.  A p, r or N
+        that is not an int is refused before any of this.
         """
+        int_args(None, p=p, r=r, N=n_vertices)
         m_star, n_star = self.seed(p, r)
         step, shift, g = self.m_step, self.m_step - 1, self.growth
         seed_vertices = self.v(self.order(p, m_star, n_star).expand())

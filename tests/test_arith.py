@@ -4,7 +4,8 @@ and the rendering of ``arith.short_decimal``.
 Each answer is compared with ``n**a >= base**b`` expanded in full.  The
 explicit points sit right next to ties, where the top-bit brackets cannot
 separate: the exact fallback (a == 1 after dividing out gcd(a, b)) and the
-precision escalation (a > 1) both run there.
+precision escalation (a > 1) both run there.  Every point is also asked as
+a ``Decimal``: read whole, and cut to its leading digits.
 
 ``short_decimal`` is compared with a rendering from the full ``str``
 conversion, and must never convert a value of more than 52 digits whole.
@@ -16,11 +17,13 @@ past CPython's 4300-digit ``str()`` limit fails as it does on one below it,
 with a short message.
 """
 
+import math
 import random
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,7 @@ from hypergirth import (
     arith,
     certificate,
     girth_oracle,
+    plan,
     reverify_certificate,
     split_edges,
     theorem_bound,
@@ -68,11 +72,25 @@ def small(draw):
     return draw(st.integers(2, 2**200)), a, base, b
 
 
+def by_form(n: int, a: int, base: int, b: int) -> dict[str, bool]:
+    """power_at_least(n, a, base, b) with n as an int, as a Decimal (read
+    whole up to arith._WHOLE digits) and as a Decimal cut to its leading
+    digits whatever its length (arith._WHOLE at 0)."""
+    answers = {"int": power_at_least(n, a, base, b), "Decimal": power_at_least(Decimal(n), a, base, b)}
+    with mock.patch.object(arith, "_WHOLE", 0):
+        answers["Decimal cut"] = power_at_least(Decimal(n), a, base, b)
+    return answers
+
+
+def every_form(answer: bool) -> dict[str, bool]:
+    return dict.fromkeys(("int", "Decimal", "Decimal cut"), answer)
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(st.one_of(small(), near_ties()))
 def test_matches_full_expansion(case):
     n, a, base, b = case
-    assert power_at_least(n, a, base, b) == (n**a >= base**b)
+    assert by_form(n, a, base, b) == every_form(n**a >= base**b)
 
 
 # (base, k, a, b): n = base**k + d for d in (-1, 0, 1); b is a*k or next to it.
@@ -95,7 +113,7 @@ TIES = [
 @pytest.mark.parametrize("d", (-1, 0, 1))
 def test_next_to_ties(base, k, a, b, d):
     n = base**k + d
-    assert power_at_least(n, a, base, b) == (n**a >= base**b)
+    assert by_form(n, a, base, b) == every_form(n**a >= base**b)
 
 
 @pytest.mark.parametrize("a,b", [(3, 392), (3, 394), (8, 1047)])
@@ -103,7 +121,61 @@ def test_next_to_a_root_of_a_power_of_two(a, b):
     # The root has over 128 bits, so n is cut to its top bits, and base 2
     # brackets exactly: n's brackets alone must keep n**a on the right side.
     n = iroot(2**b, a)
-    assert not power_at_least(n, a, 2, b) and power_at_least(n + 1, a, 2, b)
+    assert by_form(n, a, 2, b) == every_form(False) and by_form(n + 1, a, 2, b) == every_form(True)
+
+
+def decimal_cases() -> list[tuple[int, int, int, int]]:
+    """(n, a, base, b) next to the ties a Decimal's bracket meets: n of 60
+    to 1200 digits whose leading digits are all 9s, so that t + 1 gains a
+    digit, or that is a power of ten, so that the cut digits are all zeros,
+    or one off one; base**b is the power of base next below or above n**a."""
+    cases = []
+    for digits in (60, 700, 1200):
+        ten = 10**digits
+        nines = (10**45 - 1) * 10 ** (digits - 45)
+        for n in (ten - 1, ten, ten + 1, nines, nines + 1, nines + 10 ** (digits - 46)):
+            for base, a in ((2, 1), (3, 2), (7, 3)):
+                b = int(a * n.bit_length() / math.log2(base))
+                while base**b > n**a:
+                    b -= 1
+                while base ** (b + 1) <= n**a:
+                    b += 1
+                cases += [(n, a, base, b), (n, a, base, b + 1)]
+    return cases
+
+
+@pytest.mark.parametrize("case", decimal_cases(), ids=lambda c: f"{len(str(c[0]))}digits-{c[0] % 1000}-{c[1:]}")
+def test_decimal_next_to_its_cut(case):
+    n, a, base, b = case
+    with unlimited_str():
+        assert by_form(n, a, base, b) == every_form(n**a >= base**b)
+
+
+@pytest.mark.parametrize("base,b", [(2, 3000), (3, 1500), (5, 1000), (7, 800)])
+@pytest.mark.parametrize("d", (-1, 0, 1))
+def test_decimal_at_an_integer_tie(base, b, d):
+    # a == 1 and n, of over 600 digits, within 1 of base**b: the exact
+    # fallback compares Decimals.
+    n = base**b + d
+    assert by_form(n, 1, base, b) == every_form(d >= 0)
+
+
+@pytest.mark.parametrize("cut", (1, 2, 20, 600, 5000))
+@pytest.mark.parametrize("prec", (128, 512, 2048))
+def test_decimal_bracket_holds_n(cut, prec):
+    # lo <= n <= hi for random digits, all 9s, a power of ten and trailing
+    # zeros, with `cut` digits past the prec * log10(2) + 2 that are kept;
+    # the mantissas keep to about prec bits.
+    digits = prec * 30103 // 100000 + 2 + cut
+    rng = random.Random(digits * prec)
+    with unlimited_str():
+        values = [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(20)]
+        nines = min(45, digits)
+        values += [10**digits - 1, 10 ** (digits - 1), 7 * 10 ** (digits - 1), (10**nines - 1) * 10 ** (digits - nines)]
+        for value in values:
+            (lo, e_lo), (hi, e_hi) = arith._bracket(Decimal(value), prec)
+            assert lo << e_lo <= value <= hi << e_hi, value
+            assert max(lo.bit_length(), hi.bit_length()) <= prec + 1
 
 
 def precisions(monkeypatch, n: int, a: int, base: int, b: int) -> set[int]:
@@ -232,6 +304,12 @@ NOT_AN_INT_CALLS = {
         lambda: certificate(6, 5, HUGE_TUPLE, 4, 3), f"m must be a positive integer, got {SHOWN_HUGE_TUPLE}"),
     "certificate-tuple-p-girth-8": (
         lambda: certificate(8, HUGE_TUPLE, 5, 4, 3), f"girth-8 certificate has base 2, got p = {SHOWN_HUGE_TUPLE}"),
+    "plan-float-p": (lambda: plan(6, 2.5, 3, 10**10), "p must be an integer, got 2.5"),
+    "plan-float-N": (lambda: plan(6, 5, 3, 10.0**10), "N must be an integer, got 10000000000.0"),
+    "plan-float-r": (lambda: plan(6, 5, 3.0, 10**10), "r must be an integer, got 3.0"),
+    "plan-str-N": (lambda: plan(8, None, 3, "1000"), "N must be an integer, got '1000'"),
+    "route-plan-tuple-p": (
+        lambda: ROUTES[6].plan(HUGE_TUPLE, 3, 10**10), f"p must be an integer, got {SHOWN_HUGE_TUPLE}"),
     "power-tuple-base": (
         lambda: arith.PowerExpr(HUGE_TUPLE, Fraction(1)),
         f"PowerExpr base must be an integer >= 2, got {SHOWN_HUGE_TUPLE}"),
@@ -254,6 +332,8 @@ def test_a_value_that_is_not_an_int_is_refused(name):
     (2, -10**60, "x must be >= 2, got -" + "1" + "0" * 39 + "...(61 digits)"),
     (2, "3", "x must be an integer >= 2, got '3'"),
     (2, None, "x must be an integer >= 2, got None"),
+    (None, 2.0, "x must be an integer, got 2.0"),
+    (None, "3", "x must be an integer, got '3'"),
 ])
 def test_int_args_names_the_first_bad_value(least, value, message):
     arith.int_args(least, x=2, y=3)

@@ -47,3 +47,21 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert targets(tracing) == originals
+
+
+def test_counters_read_a_traced_certificate():
+    # Each counter reads the arguments and results of the calls it wraps,
+    # so a traced certificate and re-verify must give them the types they
+    # read: an int from checked_pow, value strings from certificate().
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for header in (6, 5, 2, 4, 3), (8, None, 65, 1, 3):
+            text = hypergirth.certificate(*header).serialize()
+            hypergirth.reverify_certificate(text)
+        metrics = tracer.layer_metrics(1.0)
+    finally:
+        tracer.uninstall()
+    assert metrics["certificate.build_s"] > 0 and metrics["certificate.reverify_s"] > 0
+    assert metrics["arith.pow_digits"] > 0 and metrics["certificate.value_digits"] > 0

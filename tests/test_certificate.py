@@ -2,6 +2,7 @@ import importlib
 import sys
 import time
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -305,3 +306,18 @@ def test_long_certificate_is_fast():
     text = certificate(6, 5, 2, 5, 3).serialize()
     reverify_certificate(text)
     assert time.monotonic() - start < 1.0
+
+
+def test_each_substrate_is_computed_once(monkeypatch):
+    # One polygon_counts call per order, on Decimals: the checks read the
+    # same values that the value lines print.
+    planner = importlib.import_module("hypergirth.planner")
+    original, orders = planner.polygon_counts, []
+
+    def counted(n, s, t):
+        orders.append(s)
+        return original(n, s, t)
+
+    monkeypatch.setattr(planner, "polygon_counts", counted)
+    assert certificate(6, 5, 2, 4, 3).valid
+    assert len(orders) == 4 and all(isinstance(q, Decimal) for q in orders)

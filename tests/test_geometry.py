@@ -551,6 +551,25 @@ def _polygon_digests() -> list[str]:
     return [hashlib.sha256(text.encode("ascii")).hexdigest() for text in texts]
 
 
+def _certificate_digests() -> list[str]:
+    """sha256 of short certificates, whose values power_at_least reads
+    whole, and of long ones, whose vertex and edge counts it brackets from
+    their leading digits and, at the girth-8 edge-bound tie, compares with
+    an exact Decimal power; and the brackets of a few long Decimals.
+    Stdlib only: it also runs as a script."""
+    import hashlib
+    from decimal import Decimal, localcontext
+
+    from hypergirth import arith, certificate
+
+    headers = (8, None, 65, 1, 3), (6, 2, 18, 1, 3), (8, None, 315, 2, 3), (6, 2, 4, 5, 3), (8, None, 5, 5, 3)
+    texts = [certificate(*header).serialize() for header in headers]
+    with localcontext(arith.EXACT):
+        values = [Decimal(7) ** 900, Decimal(10) ** 700, Decimal(10) ** 700 - 1, Decimal(2) ** 9000 + 1]
+    texts.append(repr([arith._bracket(n, prec) for n in values for prec in (128, 512, 2048)]))
+    return [hashlib.sha256(text.encode("ascii")).hexdigest() for text in texts]
+
+
 def _oracle_digests() -> list[str]:
     """sha256 of the oracle's girth, witness and search bound on the
     neighbourhood hypergraphs of PG(2,11) at 3, W(5) at 4 and H(3) at 6,
@@ -586,13 +605,13 @@ def _pyenv_python(minor: int) -> Path | None:
     return max(found)[1] if found else None
 
 
-@pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests, _oracle_digests],
-                         ids=["greedy", "polygon", "oracle"])
+@pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests, _oracle_digests, _certificate_digests],
+                         ids=["greedy", "polygon", "oracle", "certificate"])
 def test_digests_same_on_other_interpreters(digests):
     """The greedy outputs do not depend on the interpreter: random.shuffle
     and int bit operations are specified, not implementation details.  Nor
-    do the polygon counts, certificates and geometry files, or the oracle's
-    witnesses."""
+    do the polygon counts, certificates and geometry files, the oracle's
+    witnesses, or the brackets power_at_least takes of a long Decimal."""
     expected = digests()
     script = f"import sys\nsys.path.insert(0, sys.argv[1])\n{inspect.getsource(digests)}print(*{digests.__name__}())\n"
     src = str(Path(hypergirth.__file__).resolve().parents[1])

@@ -57,6 +57,9 @@ CERTIFICATES = {
     (8, None, 5, 5, 3): "5343879bae284c606f59b907d67a19eb07b9faf192c8c8c484bea0a52473f7a4",
     (8, 2, 7, 1, 10): "d1ee809faecd1559b71b6d2f6994d196a20cac0c46909caf04190cb08b534285",
     (8, 2, 7, 4, 10): "e26c243675dfd7a4ac5a9148be01ddc7018152e9fb07a0b96b51b953486e8657",
+    # short: every value is read whole by power_at_least
+    (8, None, 65, 1, 3): "12f2f45dfdd9088094a073a8c63093cce0477296ea5a7105dd6bada701bc81dc",
+    (6, 2, 18, 1, 3): "afd9ffecb8b3c4fa3e209d7f94d9af0f94d5077e2d6b928181cb6bb8b5c7490b",
     # INVALID: seed-size, r-range, non-prime p, even m, m < 5
     (6, 5, 1, 1, 3): "1b1766f70cca8285e865c54fefea33a568ab927df126d508598a96c6039aa0a1",
     (6, 2, 2, 3, 3): "655010f8c36185b21e451a99bf5b19e64c58fcd703ee34f4af62a0900663a5d0",
