@@ -11,15 +11,19 @@ CPython converts between int and decimal text in time quadratic in the
 length.  Long decimals are therefore written from ``decimal.Decimal``
 values, whose str() is linear, computed under :data:`EXACT`, and read by
 halving (:func:`parse_decimal_int`).
+
+The module also holds what every layer shares: how messages show values
+(:func:`show`), the int argument check (:func:`int_args`) and
+:func:`record`, the decorator that makes the package's value types.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, TypeVar
 
 from .errors import PreconditionError, ResourceBudgetError
@@ -116,6 +120,77 @@ def int_args(least: int | None = 1, **kwargs: object) -> None:
         else:
             wanted = f">= {least}" if isinstance(value, int) else f"an integer >= {least}"
         raise PreconditionError(f"{name} must be {wanted}, got {short_value(value)}")
+
+
+_NO_DEFAULT = object()
+
+
+def record(cls: type) -> type:
+    """Class decorator for the package's immutable value types.  The class's
+    own annotations, in order, are its fields (``cls._fields``), and a
+    class-level value is a default.  ``__init__`` takes the fields by
+    position or keyword, stores them as the instance dict, then calls any
+    ``__post_init__``.  Equality (only within the class) and the hash read
+    the fields alone, never a cached_property value; the repr reads
+    ``Name(field=value, ...)``; assignment and deletion raise AttributeError.
+    The methods are closures, so decorating a class compiles no source."""
+    names = tuple(cls.__annotations__)
+    template = {name: cls.__dict__.get(name, _NO_DEFAULT) for name in names}
+    required = sum(value is _NO_DEFAULT for value in template.values())
+    if _NO_DEFAULT in tuple(template.values())[required:]:
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with a default")
+    n, key, post, store = len(names), attrgetter(*names), hasattr(cls, "__post_init__"), object.__setattr__
+    call = f"{cls.__qualname__}()"
+
+    def bind(args: tuple, kwargs: dict) -> dict:
+        """The fields of a call with keywords, or with too few or too many arguments."""
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name not in template or name in given:
+                raise TypeError(f"{call} got an unexpected keyword argument or a second value for {name!r}")
+        given.update(kwargs)
+        missing = [name for name in names if name not in given and template[name] is _NO_DEFAULT]
+        if len(args) > n or missing:
+            raise TypeError(f"{call} takes {n} fields, got {len(args)} by position; missing {missing}")
+        return {name: given.get(name, template[name]) for name in names}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not required <= len(args) <= n:
+            fields = bind(args, kwargs)
+        else:
+            fields = {} if len(args) == n else template.copy()  # the defaults stay where args ends
+            i = 0
+            for value in args:
+                fields[names[i]] = value
+                i += 1
+        store(self, "__dict__", fields)
+        if post:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__dict__, other.__dict__
+        # Dicts of the fields alone compare faster; a cached value makes one longer.
+        return mine == theirs if len(mine) == len(theirs) == n else key(self) == key(other)
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls._fields = names
+    return cls
 
 
 def short_repr(text: str) -> str:
@@ -312,7 +387,7 @@ def power_at_least(n: Number, a: int, base: int, b: int) -> bool:
         prec *= 4
 
 
-@dataclass(frozen=True)
+@record
 class PowerExpr:
     """Exact value base**exponent, exponent a rational with denominator
     dividing 72.  Equality is equality of (base, exponent)."""

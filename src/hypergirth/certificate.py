@@ -17,7 +17,6 @@ record in :data:`hypergirth.planner.ROUTES`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from .arith import (
     is_prime,
     parse_decimal_int,
     power_at_least,
+    record,
     short_decimal,
     short_repr,
 )
@@ -43,7 +43,7 @@ _BIGNUM = "bignum"
 _EXPONENT = "exponent-exact"
 
 
-@dataclass(frozen=True)
+@record
 class CertCheck:
     name: str
     statement: str
@@ -51,7 +51,7 @@ class CertCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     girth: int
     p: int

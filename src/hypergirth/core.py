@@ -15,12 +15,11 @@ only this module and ``formats`` read a value's raw incidences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from . import girth
-from .arith import short_decimal, short_value, show as _show
+from .arith import record, short_decimal, short_value, show as _show
 from .errors import ResourceBudgetError, ValidationError
 
 # Most vertices a Hypergraph or BipartiteGraph may have, with no override;
@@ -67,7 +66,7 @@ def _pair_error(items: Iterable, exc: Exception) -> Exception:
     return exc
 
 
-@dataclass(frozen=True)
+@record
 class Hypergraph:
     """Immutable hypergraph in canonical form.
 
@@ -149,7 +148,7 @@ class Hypergraph:
         return girth.girth_hypergraph(self)
 
 
-@dataclass(frozen=True)
+@record
 class BipartiteGraph:
     """Immutable bipartite graph with classes of size ``n_left``/``n_right``
     and a duplicate-free, lexicographically sorted incidence tuple."""
@@ -238,7 +237,7 @@ class BipartiteGraph:
         return girth.girth_bipartite(self)
 
 
-@dataclass(frozen=True)
+@record
 class StructureReport:
     """Uniformity/regularity/isolation summary of a hypergraph.
 

@@ -10,12 +10,11 @@ ever returning a silently wrong geometry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
 from . import core
-from .arith import Number, int_to_decimal, is_prime, short_decimal
+from .arith import Number, int_to_decimal, is_prime, record, short_decimal
 from .core import BipartiteGraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
@@ -256,7 +255,7 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
 GREEDY_PAIR_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True)
+@record
 class GreedyReport:
     """Outcome summary of the greedy generator: how full the right side
     got and the achieved right-degree histogram."""

@@ -64,10 +64,9 @@ Three routes are provided:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .arith import int_args
+from .arith import int_args, record
 from .errors import ResourceBudgetError, VerificationError
 
 if TYPE_CHECKING:
@@ -85,7 +84,7 @@ def _is_index(x: object, bound: int) -> bool:
     return type(x) is int and 0 <= x < bound
 
 
-@dataclass(frozen=True)
+@record
 class BipartiteCycle:
     """Cycle in a bipartite graph as an alternating ("l", i)/("r", j) tuple."""
 
@@ -110,7 +109,7 @@ class BipartiteCycle:
                 raise VerificationError(f"cycle step {k}: {pair} is not an incidence")
 
 
-@dataclass(frozen=True)
+@record
 class BergeCycle:
     """Hypergraph cycle: distinct vertices v_0..v_{k-1} and distinct edge
     indices e_0..e_{k-1} with {v_i, v_{i+1 mod k}} contained in edge e_i."""
@@ -140,7 +139,7 @@ class BergeCycle:
                 raise VerificationError(f"cycle step {i}: edge {e} does not contain both {a} and {b}")
 
 
-@dataclass(frozen=True)
+@record
 class GirthReport:
     """Result of a girth computation.
 

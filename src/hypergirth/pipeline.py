@@ -39,10 +39,9 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .arith import DECIMAL, int_to_decimal, parse_decimal_int, short_decimal, short_repr
+from .arith import DECIMAL, int_to_decimal, parse_decimal_int, record, short_decimal, short_repr
 from .certificate import Certificate, certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
@@ -102,7 +101,7 @@ def check_input(where: str, needs: str, kind: str) -> None:
 INT, TEMPLATE = "int", "template"  # argument types: an integer, or a spec for resolve_template
 
 
-@dataclass(frozen=True)
+@record
 class Op:
     """One row of ``OPS``: a generator (no input) or a transform.
 
@@ -202,7 +201,7 @@ def summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
     ) + girth
 
 
-@dataclass(frozen=True)
+@record
 class Stage:
     op: str
     args: tuple[tuple[str, str], ...]
@@ -212,7 +211,7 @@ class Stage:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class Recipe:
     target: int
     stages: tuple[Stage, ...]
@@ -280,7 +279,7 @@ def parse_recipe(text: str) -> Recipe:
     return Recipe(target, tuple(stages), certify)
 
 
-@dataclass(frozen=True)
+@record
 class StageRecord:
     index: int
     op: str
@@ -301,7 +300,7 @@ class StageRecord:
         return self.summary[-1][1]
 
 
-@dataclass(frozen=True)
+@record
 class PipelineReport:
     target: int
     stages: tuple[StageRecord, ...]

@@ -28,13 +28,22 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from .arith import Number, PowerExpr, checked_pow, int_args, is_prime, power_at_least, short_decimal, short_value
+from .arith import (
+    Number,
+    PowerExpr,
+    checked_pow,
+    int_args,
+    is_prime,
+    power_at_least,
+    record,
+    short_decimal,
+    short_value,
+)
 from .errors import PreconditionError
 from .geometry import polygon_counts
 
@@ -45,7 +54,7 @@ def _seed_size_ok(p: int, m: int) -> bool:
     return m >= 2 and p ** min(m - 1, 3) >= 5
 
 
-@dataclass(frozen=True)
+@record
 class PlanResult:
     """Chosen (m, n) for a vertex budget, plus the seed the search grew
     from: minimal admissible (m*, n*) and its vertex count N*."""
@@ -68,7 +77,7 @@ class BelowSeedError(PreconditionError):
         )
 
 
-@dataclass(frozen=True)
+@record
 class Route:
     """The constants of one recursive route; every method is written once.
 
@@ -306,7 +315,7 @@ def plan_parameters_octagon(r: int, n_vertices: int) -> PlanResult:
     return plan(8, None, r, n_vertices)
 
 
-@dataclass(frozen=True)
+@record
 class TheoremBound:
     """Asymptotic edge-bound exponent at a concrete N.
 

@@ -17,9 +17,8 @@ edge, so identical inputs always produce bit-identical outputs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
-from .arith import short_decimal
+from .arith import record, short_decimal
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget
 from .errors import PreconditionError
 
@@ -53,7 +52,7 @@ def neighborhood_hypergraph(g: BipartiteGraph) -> Hypergraph:
     return _collect(g.n_left, pairs, "right vertices {} and {} have the same neighborhood {}")
 
 
-@dataclass(frozen=True)
+@record
 class SubstitutionPlan:
     """Host hypergraph, template hypergraph, and disjoint copies per edge."""
 

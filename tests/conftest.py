@@ -1,4 +1,6 @@
 import os
+import sys
+from decimal import getcontext, setcontext
 
 import pytest
 
@@ -22,6 +24,33 @@ def subprocess_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     return env
+
+
+def _global_state() -> dict:
+    """The process-wide settings a test could leave changed: the thread's
+    decimal context (not its sticky flags), the int-to-str digit limit and
+    the recursion limit."""
+    ctx = getcontext()
+    return {
+        "decimal context": (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp, dict(ctx.traps)),
+        "int max str digits": sys.get_int_max_str_digits(),
+        "recursion limit": sys.getrecursionlimit(),
+    }
+
+
+@pytest.fixture(autouse=True)
+def restores_global_state():
+    """Fail a test that leaves a global setting changed, so that no
+    outcome depends on the order the tests run in; the settings are put
+    back first, so the next test starts clean."""
+    before, context = _global_state(), getcontext().copy()
+    yield
+    changed = sorted(name for name, value in _global_state().items() if value != before[name])
+    if changed:
+        setcontext(context)
+        sys.set_int_max_str_digits(before["int max str digits"])
+        sys.setrecursionlimit(before["recursion limit"])
+        pytest.fail(f"the test left changed: {', '.join(changed)}")
 
 
 # The classic difference-set labeling of the 7-point plane; used as an

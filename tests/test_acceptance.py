@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -268,17 +268,18 @@ def test_criterion_6_sandwich_planning():
 
 def test_criterion_7_theorem_exponents():
     with criterion(7, "display exponents match an independent evaluation to 12 digits"):
-        getcontext().prec = 60
-        for exp2 in (100, 10**6):
-            n_value = 2**exp2
-            for p in (2, 5):
-                log_p_n = Decimal(exp2) * Decimal(2).ln() / Decimal(p).ln()
-                expected = Decimal(11) / 8 * (1 - 33 / log_p_n.sqrt())
-                got = theorem_bound(6, p, n_value).exponent
-                assert abs(got - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
-            expected8 = Decimal(11) / 9 * (1 - 13 * (Decimal(10) / Decimal(exp2)).sqrt())
-            got8 = theorem_bound(8, None, n_value).exponent
-            assert abs(got8 - float(expected8)) <= 1e-12 * max(1.0, abs(float(expected8)))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for exp2 in (100, 10**6):
+                n_value = 2**exp2
+                for p in (2, 5):
+                    log_p_n = Decimal(exp2) * Decimal(2).ln() / Decimal(p).ln()
+                    expected = Decimal(11) / 8 * (1 - 33 / log_p_n.sqrt())
+                    got = theorem_bound(6, p, n_value).exponent
+                    assert abs(got - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
+                expected8 = Decimal(11) / 9 * (1 - 13 * (Decimal(10) / Decimal(exp2)).sqrt())
+                got8 = theorem_bound(8, None, n_value).exponent
+                assert abs(got8 - float(expected8)) <= 1e-12 * max(1.0, abs(float(expected8)))
         # spot values pinned exactly: sqrt(log2 2^100) = 10, so the girth-6
         # display collapses to (11/8)(1 - 3.3)
         assert theorem_bound(6, 2, 2**100).exponent == -3.1625

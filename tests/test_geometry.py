@@ -594,6 +594,45 @@ def _oracle_digests() -> list[str]:
     return out
 
 
+def _cli_digests() -> list[str]:
+    """sha256 of the stdout, stderr and exit code of CLI calls: an argparse
+    error, a q that is not prime, an N below the seed, a non-canonical
+    integer, and `report` on a small hypergraph file.  Stdlib only: it also
+    runs as a script."""
+    import hashlib
+    import io
+    import os
+    import tempfile
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from hypergirth.cli import main
+
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        bgt, hgt = os.path.join(tmp, "p.bgt"), os.path.join(tmp, "h.hgt")
+        lines = ["hgt 1", "vertices 7", "edges 7", "e 0 1 2", "e 0 3 4", "e 0 5 6", "e 1 3 5", "e 1 4 6",
+                 "e 2 3 6", "e 2 4 5"]
+        with open(hgt, "w", encoding="ascii", newline="") as f:
+            f.write("\n".join(lines) + "\n")
+        calls = (
+            ["gen", "plane", bgt],
+            ["gen", "plane", "--q", "4", bgt],
+            ["plan", "--girth", "6", "--p", "5", "--r", "3", "--N", "1000"],
+            ["gen", "plane", "--q", "03", bgt],
+            ["report", hgt],
+        )
+        for argv in calls:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            text = f"{stdout.getvalue()}\0{stderr.getvalue()}\0{code}".replace(tmp, "TMP")
+            out.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return out
+
+
 def _pyenv_python(minor: int) -> Path | None:
     """The newest pyenv-installed CPython 3.minor, or None."""
     root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
@@ -605,13 +644,15 @@ def _pyenv_python(minor: int) -> Path | None:
     return max(found)[1] if found else None
 
 
-@pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests, _oracle_digests, _certificate_digests],
-                         ids=["greedy", "polygon", "oracle", "certificate"])
+@pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests, _oracle_digests, _certificate_digests,
+                                     _cli_digests], ids=["greedy", "polygon", "oracle", "certificate", "cli"])
 def test_digests_same_on_other_interpreters(digests):
     """The greedy outputs do not depend on the interpreter: random.shuffle
     and int bit operations are specified, not implementation details.  Nor
     do the polygon counts, certificates and geometry files, the oracle's
-    witnesses, or the brackets power_at_least takes of a long Decimal."""
+    witnesses, the brackets power_at_least takes of a long Decimal, or the
+    CLI's messages and exit codes, which also show that the records build
+    the same methods from their annotations on each interpreter."""
     expected = digests()
     script = f"import sys\nsys.path.insert(0, sys.argv[1])\n{inspect.getsource(digests)}print(*{digests.__name__}())\n"
     src = str(Path(hypergirth.__file__).resolve().parents[1])

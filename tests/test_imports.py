@@ -32,11 +32,13 @@ No linter ships with the toolchain, so this parses each module with
   mpmath;
 * the polygon count rule is stated once: only ``geometry`` defines
   ``polygon_counts``, and a ``Route`` has only the fields that the rule
-  cannot derive, so no derived constant comes back as a field.
+  cannot derive, so no derived constant comes back as a field;
+* value types are ``arith.record``s: no module imports ``dataclasses``,
+  only ``arith`` defines ``record``, and importing the CLI in a fresh
+  interpreter loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
-import dataclasses
 import pathlib
 import re
 import subprocess
@@ -432,5 +434,45 @@ def test_polygon_counts_is_defined_only_in_geometry():
 
 
 def test_route_fields_are_the_independent_constants():
-    names = [field.name for field in dataclasses.fields(Route)]
+    names = list(Route._fields)
     assert names == ["girth", "base", "line_power", "m_step", "edge_power", "c2", "premises"]
+
+
+def module_imports(source: str, name: str) -> list[int]:
+    """Lines, in order, of the imports of module ``name`` or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == name for alias in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == name:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_module_import_checker_finds_imports():
+    source = (
+        "from __future__ import annotations\nimport os, dataclasses as dc\nfrom dataclasses import field\n"
+        "from .dataclasses import x\nimport dataclasses_json\ndef f():\n    import dataclasses.fields\n"
+    )
+    assert module_imports(source, "dataclasses") == [2, 3, 7]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    assert module_imports((PACKAGE / module).read_text(), "dataclasses") == []
+
+
+def test_record_is_defined_only_in_arith():
+    found = {path.name: definitions_named(path.read_text(), "record") for path in PACKAGE.glob("*.py")}
+    assert {name for name, lines in found.items() if lines} == {"arith.py"}
+    assert len(found["arith.py"]) == 1
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys\nsys.path.insert(0, sys.argv[1])\nimport hypergirth.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,8 +1,7 @@
-import dataclasses
 import math
 import random
 import time
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -21,7 +20,7 @@ from hypergirth import (
 )
 from hypergirth.arith import EXACT, int_to_decimal, parse_decimal_int
 from hypergirth.certificate import certificate
-from hypergirth.planner import ROUTES, route_for
+from hypergirth.planner import ROUTES, Route, route_for
 
 
 def hexagon_v(q: int) -> int:
@@ -243,7 +242,7 @@ class TestOrderChecks:
     def test_order_raises_on_the_first_failing_row(self):
         # Without its premises the octagon route accepts an even m, whose
         # first order is an even power of 2.
-        route = dataclasses.replace(ROUTES[8], premises=())
+        route = Route(**{**{name: getattr(ROUTES[8], name) for name in Route._fields}, "premises": ()})
         with pytest.raises(PreconditionError) as exc:
             route.order(2, 4, 1)
         assert str(exc.value) == "check order-odd-1 (order_1 is an odd power of 2) does not hold"
@@ -424,16 +423,18 @@ class TestTheoremBound:
     @pytest.mark.parametrize("exp2", [100, 10**6])
     @pytest.mark.parametrize("p", [2, 5])
     def test_girth6_against_decimal_oracle(self, exp2, p):
-        getcontext().prec = 50
-        log_p_n = Decimal(exp2) * Decimal(2).ln() / Decimal(p).ln()
-        expected = Decimal(11) / 8 * (1 - 33 / log_p_n.sqrt())
+        with localcontext() as ctx:
+            ctx.prec = 50
+            log_p_n = Decimal(exp2) * Decimal(2).ln() / Decimal(p).ln()
+            expected = Decimal(11) / 8 * (1 - 33 / log_p_n.sqrt())
         got = theorem_bound(6, p, 2**exp2).exponent
         assert abs(got - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
 
     @pytest.mark.parametrize("exp2", [100, 10**6])
     def test_girth8_against_decimal_oracle(self, exp2):
-        getcontext().prec = 50
-        expected = Decimal(11) / 9 * (1 - 13 * (Decimal(10) / Decimal(exp2)).sqrt())
+        with localcontext() as ctx:
+            ctx.prec = 50
+            expected = Decimal(11) / 9 * (1 - 13 * (Decimal(10) / Decimal(exp2)).sqrt())
         got = theorem_bound(8, None, 2**exp2).exponent
         assert abs(got - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
 
