@@ -4,14 +4,16 @@ A certificate fixes (girth, p, m, n, r) and records every inequality the
 corresponding existence argument needs, each decided exactly: power
 inequalities by :func:`hypergirth.arith.power_at_least`, which brackets
 both sides from their top bits (of a long count, its leading digits), the
-rest by exact comparison.  Each count is computed once, as a Decimal under
-:data:`hypergirth.arith.EXACT`; the checks decide on it and the value
-lines print it.  A certificate is VALID iff all checks pass; assumption
-failures produce an INVALID certificate listing the failure, never an
-exception.  Serialized certificates re-verify independently:
+rest by exact comparison.  A power row is shown with the exponents it is
+decided at, and a premise row is the route's own, so the statement and the
+decision of such a row cannot disagree.  Each count is computed once, as a
+Decimal under :data:`hypergirth.arith.EXACT`; the checks decide on it and
+the value lines print it.  A certificate is VALID iff all checks pass;
+assumption failures produce an INVALID certificate listing the failure,
+never an exception.  Serialized certificates re-verify independently:
 re-verification reruns the whole computation from the header parameters
-alone.  Both routes are built by one function driven by the route's
-record in :data:`hypergirth.planner.ROUTES`.
+alone.  Both routes are built by one function driven by the route's record
+in :data:`hypergirth.planner.ROUTES`.
 """
 
 from __future__ import annotations
@@ -87,6 +89,18 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
+def _rows(method: str, *rows: tuple[str, str, bool]) -> list[CertCheck]:
+    """CertChecks of (name, statement, passed) rows; a power row is a :func:`_power_row`."""
+    return [CertCheck(name, statement, method, ok) for name, statement, ok in rows]
+
+
+def _power_row(name: str, left: str, value: Decimal, a: int, p: int, sym: str, b: int, rel: str) -> CertCheck:
+    """The row ``left^a rel sym^b``, rel ``>=`` or ``<``, decided by
+    power_at_least(value, a, p, b) and shown with that b, in full."""
+    holds = power_at_least(value, a, p, b) == (rel == ">=")
+    return CertCheck(name, f"{left}^{a} {rel} {sym}^{int_to_decimal(b)}", _BIGNUM, holds)
+
+
 def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificate:
     """Verify the full inequality chain for (p, m, n, r) at the given girth.
 
@@ -94,31 +108,26 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     recursion for every order; the copy-count inequalities making each
     substitution stage possible; the vertex-count growth bounds; the exact
     edge-count recurrence against the claimed lower-bound power; and the
-    final edge-splitting factor.  Every order, v_i, b_i, the edge count and
-    the final edge count is computed once, as a Decimal under arith.EXACT,
-    and both the checks and the value lines read that value.  Expansion
-    sizes are capped by the digit budget of :mod:`hypergirth.arith` (a
-    ResourceBudgetError names the first check that would exceed it, before
-    the expansion).
+    final edge-splitting factor.  Each power row is a :func:`_power_row`,
+    shown with the exponent it is decided at; the premise and order rows
+    are the route's.  Expansion sizes are capped by the digit budget of
+    :mod:`hypergirth.arith` (a ResourceBudgetError names the first check
+    that would exceed it, before the expansion).
     """
     route = route_for(girth)
     p = route.base_for(p, f"girth-{girth} certificate")
     int_args(p=p, m=m, n=n, r=r)
 
     g, den, sym = route.growth, route.den, route.sym
-    checks: list[CertCheck] = []
-    values: list[tuple[str, str]] = []
 
     # Premises and the uniformity range; a non-prime p fails them all unexpanded.
     prime_ok = is_prime(p)
-    for name, statement, ok in route.premises:
-        shown = statement.format(p=short_decimal(p), m=short_decimal(m))
-        checks.append(CertCheck(name, shown, _BIGNUM, prime_ok and ok(p, m)))
+    rows = [route.premise_check(premise, p, m) for premise in route.premises]
     uni = checked_pow(p, m, "check r-range") if prime_ok else 0
-    r_ok = prime_ok and 2 <= r <= 1 + uni
-    checks.append(CertCheck("r-range", f"2 <= r <= 1 + {sym}^m at r = {short_decimal(r)}", _BIGNUM, r_ok))
+    rows.append(("r-range", f"2 <= r <= 1 + {sym}^m at r = {short_decimal(r)}", 2 <= r <= 1 + uni))
+    checks = _rows(_BIGNUM, *((name, shown, prime_ok and ok) for name, shown, ok in rows))
     if not all(c.passed for c in checks):
-        return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
+        return Certificate(route.girth, p, m, n, r, tuple(checks), ())
 
     # Every count is computed once, as a Decimal under EXACT, where any
     # rounding raises; str() of a Decimal is linear where str(int) is
@@ -129,8 +138,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     orders: list[Decimal] = []
     with localcontext(EXACT):
         for i, (closed, e) in zip(range(1, n + 1), route.exponents(m)):
-            rows = route.order_checks(i, closed, e)
-            checks += (CertCheck(name, statement, _EXPONENT, ok) for name, statement, ok in rows)
+            checks += _rows(_EXPONENT, *route.order_checks(i, closed, e))
             exps.append(int(closed))
             check_pow(p, exps[-1], f"check order_{i}")
             orders.append(Decimal(p) ** exps[-1])
@@ -141,36 +149,25 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
             substrates.append(route.substrate(q))
 
         # Each stage places p - 1 template copies per edge (one at base 2).
-        for i in range(2, n + 1):
-            ok = orders[i - 1] >= (p - 1) * substrates[i - 2][0]
-            checks.append(
-                CertCheck(f"copy-count-{i}", f"order_{i} >= ({sym}-1) * v_{i - 1}", _BIGNUM, ok)
-            )
-
+        checks += _rows(_BIGNUM, *((f"copy-count-{i}", f"order_{i} >= ({sym}-1) * v_{i - 1}",
+                                    orders[i - 1] >= (p - 1) * substrates[i - 2][0]) for i in range(2, n + 1)))
         for i, (v, _) in enumerate(substrates, start=1):
-            ok = not power_at_least(v, den, p, g**i * (den * m + 1))
-            statement = f"v_{i}^{den} < {sym}^({g}^{i}*({den}m+1))"
-            checks.append(CertCheck(f"vertex-growth-{i}", statement, _BIGNUM, ok))
+            checks.append(_power_row(f"vertex-growth-{i}", f"v_{i}", v, den, p, sym, g**i * (den * m + 1), "<"))
 
         # Edges of the last construction: b_1, then (p - 1) * edges * b_i per stage.
         edges = substrates[0][1]
         for _, b in substrates[1:]:
             check_digits(edges.adjusted() + b.adjusted() + 2, "product", "edge-bound")
             edges = (p - 1) * edges * b
-        # The exponent is an integer and x^k >= y^k iff x >= y for nonnegative
-        # integers, so the stated power inequality is decided unraised.
         bound = route.edge_bound(p, m, n)
-        k = route.edge_power
-        ok = power_at_least(edges, 1, p, int(bound.exponent))
-        checks.append(CertCheck("edge-bound", f"edges^{k} >= {sym}^({k} * {bound.exponent})", _BIGNUM, ok))
+        checks.append(_power_row("edge-bound", "edges", edges, route.edge_power, p, sym,
+                                 route.edge_power * int(bound.exponent), ">="))
 
-        split = (1 + uni) // r
-        checks.append(CertCheck("split-factor", f"floor((1 + {sym}^m) / r) >= 1", _BIGNUM, split >= 1))
-        split_d = Decimal(split)
-        final = split_d * edges
+        split = Decimal((1 + uni) // r)
+        checks += _rows(_BIGNUM, ("split-factor", f"floor((1 + {sym}^m) / r) >= 1", split >= 1))
+        final = split * edges
 
-    for i, exponent in enumerate(exps, start=1):
-        values.append((f"order_{i}", str(PowerExpr(p, Fraction(exponent)))))
+    values = [(f"order_{i}", str(PowerExpr(p, Fraction(exponent)))) for i, exponent in enumerate(exps, start=1)]
     for i, (v, b) in enumerate(substrates, start=1):
         v_text = str(v)
         values.append((f"v_{i}", v_text))
@@ -178,7 +175,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     values.append(("vertices", v_text))
     values.append(("edges", str(edges)))
     values.append(("edge_bound", str(bound)))
-    values.append(("split_factor", str(split_d)))
+    values.append(("split_factor", str(split)))
     values.append(("final_edges", str(final)))
     return Certificate(route.girth, p, m, n, r, tuple(checks), tuple(values))
 

@@ -19,8 +19,8 @@ different constants, each recorded once as a :class:`Route` in
   generalized octagon of order (q, q^2), v'(q) = (1+q)(1+q^3+q^6+q^9).
 
 A route states each rule once, for the certificate to record and the
-planner to enforce: its standing assumptions as named ``premises`` that
-:meth:`Route.require` checks, its order exponents in :meth:`Route.exponents`,
+planner to enforce: its premises, each shown and decided by
+:meth:`Route.premise_check`, its order exponents in :meth:`Route.exponents`,
 and the checks on each order in :meth:`Route.order_checks`.
 """
 
@@ -79,7 +79,8 @@ class BelowSeedError(PreconditionError):
 
 @record
 class Route:
-    """The constants of one recursive route; every method is written once.
+    """The constants of one recursive route; every method is written once,
+    and each premise is shown and decided in :meth:`premise_check` alone.
 
     The substrate at order q is the generalized girth-gon of order
     (q, q^line_power), v(q) points (vertices) on b(q) lines (edges).  Orders
@@ -118,10 +119,6 @@ class Route:
         """Substrate vertex count at order q."""
         return self.substrate(q)[0]
 
-    def b(self, q: int) -> int:
-        """Substrate edge count at order q."""
-        return self.substrate(q)[1]
-
     def base_for(self, p: int | None, what: str) -> int:
         """The base to use given an optional caller-supplied p."""
         if self.base is None:
@@ -132,14 +129,20 @@ class Route:
             raise PreconditionError(f"{what} has base {self.base}, got p = {short_value(p)}")
         return self.base
 
+    @staticmethod
+    def premise_check(premise: tuple, p: int, m: int) -> tuple[str, str, bool]:
+        """(name, statement shown with p and m, passed) of one of the premises."""
+        name, statement, ok = premise
+        return name, statement.format(p=short_decimal(p), m=short_decimal(m)), ok(p, m)
+
     def require(self, p: int, m: int, n: int) -> None:
         """Raise PreconditionError unless n >= 1 and every premise holds on
-        (p, m); the error names the first premise that fails."""
+        (p, m); the error shows only the first premise that fails."""
         if n < 1:
             raise PreconditionError(f"n must be >= 1, got {short_decimal(n)}")
-        for name, statement, ok in self.premises:
-            if not ok(p, m):
-                shown = statement.format(p=short_decimal(p), m=short_decimal(m))
+        for premise in self.premises:
+            if not premise[2](p, m):
+                name, shown, _ = self.premise_check(premise, p, m)
                 raise PreconditionError(f"premise {name} ({shown}) does not hold")
 
     def exponents(self, m: int) -> Iterator[tuple[Fraction, Fraction]]:

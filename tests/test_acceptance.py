@@ -148,9 +148,9 @@ def test_criterion_3_substitution_preserves_girth():
 def test_criterion_4_exact_formulas():
     with criterion(4, "substrate counts, order sequences and level-crossing identities exact"):
         assert ROUTES[6].v(2) == 819
-        assert ROUTES[6].b(2) == 2457
+        assert ROUTES[6].substrate(2)[1] == 2457
         assert ROUTES[8].v(2) == 1755
-        assert ROUTES[8].b(2) == 2925
+        assert ROUTES[8].substrate(2)[1] == 2925
 
         assert ROUTES[6].order(5, 2, 2).expand() == 5**19 == 19073486328125
 

@@ -79,6 +79,14 @@ class TestHexagonCertificate:
         assert not cert.valid
         assert [c.name for c in cert.checks if not c.passed] == ["r-range"]
 
+    @pytest.mark.parametrize("girth,p,m", [(6, 5, 2), (8, None, 5)])
+    def test_r_range_ends(self, girth, p, m):
+        # 2 <= r <= 1 + p^m: each end passes and one step past it fails.
+        top = 1 + (p or 2) ** m
+        for r, valid in ((1, False), (2, True), (top, True), (top + 1, False)):
+            cert = certificate(girth, p, m, 1, r)
+            assert [c.name for c in cert.checks if not c.passed] == ([] if valid else ["r-range"])
+
     def test_nonprime_p(self):
         cert = certificate(6, 6, 2, 1, 3)
         assert not cert.valid
@@ -258,6 +266,22 @@ def int_values(girth: int, p: int, m: int, n: int, r: int) -> dict[str, str]:
     return values
 
 
+def int_rows(girth: int, p: int, m: int, n: int, r: int) -> list[tuple[str, str, bool]]:
+    """(name, statement, passed) of every vertex-growth and edge-bound row,
+    stated from the paper's formulas alone, v_i^den < p^(g^i (den m + 1))
+    and edges^k >= p^(k E), and decided by full expansion on ints."""
+    growth, den, k = (9, 8, 64) if girth == 6 else (10, 9, 72)
+    sym = "p" if girth == 6 else "2"
+    values = int_values(girth, p, m, n, r)
+    rows = []
+    for i in range(1, n + 1):
+        b = growth**i * (den * m + 1)
+        rows.append((f"vertex-growth-{i}", f"v_{i}^{den} < {sym}^{b}", int(values[f"v_{i}"]) ** den < p**b))
+    e = int(values["edge_bound"].split("^")[1])
+    rows.append(("edge-bound", f"edges^{k} >= {sym}^{k * e}", int(values["edges"]) ** k >= p ** (k * e)))
+    return rows
+
+
 @st.composite
 def small_headers(draw):
     """(girth, p, m, n, r) of a VALID certificate with values of up to
@@ -280,6 +304,46 @@ def test_value_lines_are_the_int_values(header):
     with unlimited_str():
         expected = int_values(*header)
     assert values == expected
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(small_headers())
+def test_power_rows_are_the_int_rows(header):
+    cert = certificate(*header)
+    with unlimited_str():
+        expected = int_rows(*header)
+    names = {name for name, _, _ in expected}
+    assert [(c.name, c.statement, c.passed) for c in cert.checks if c.name in names] == expected
+
+
+# Headers whose edge bound is tight: edges^k < p^(k E + 1), so the row one
+# exponent step harder FAILs, by full expansion and by the comparison that
+# decides the row.  A threshold moved by a step is not vacuous there.
+@pytest.mark.parametrize(
+    "header", [(6, 5, 2, 1, 3), (6, 11, 5, 1, 3), (6, 2, 4, 3, 9), (8, 2, 5, 2, 3), (8, 2, 11, 3, 3)]
+)
+def test_tight_edge_bound_fails_one_step_harder(header):
+    girth, p, m, n, r = header
+    k = 64 if girth == 6 else 72
+    with unlimited_str():
+        values = int_values(*header)
+        edges, e = int(values["edges"]), int(values["edge_bound"].split("^")[1])
+    assert certificate(*header).valid
+    assert edges**k >= p ** (k * e) and edges**k < p ** (k * e + 1)
+    assert not arith.power_at_least(edges, k, p, k * e + 1)
+    assert not arith.power_at_least(Decimal(edges), k, p, k * e + 1)
+
+
+@pytest.mark.parametrize("rel,at_tie", [(">=", True), ("<", False)])
+def test_power_row_decides_the_exponent_it_shows(rel, at_tie):
+    # At x^a = p^b the row holds for >= and fails for <, and at x - 1 the
+    # other way round, so a row decided one step off the b it shows fails.
+    power_row = importlib.import_module("hypergirth.certificate")._power_row
+    for a, p, e in ((1, 5, 40), (64, 5, 3), (72, 2, 7)):
+        x, b = p**e, a * e
+        for value, holds in ((x, at_tie), (x - 1, not at_tie)):
+            check = power_row("row", "x", Decimal(value), a, p, "p", b, rel)
+            assert (check.name, check.statement, check.passed) == ("row", f"x^{a} {rel} p^{b}", holds)
 
 
 @pytest.mark.parametrize("header", [(6, 5, 2, 5, 3), (8, None, 5, 4, 3), (6, 3, 3, 4, 5)])

@@ -633,6 +633,55 @@ def _cli_digests() -> list[str]:
     return out
 
 
+def _golden_digests() -> list[str]:
+    """sha256 of the normalised stdout and of the certificate file of the
+    eight `plan` calls pinned in tests/test_golden.py, and of its
+    theorem_bound displays at N of at most 10^5 bits, hashed as that file
+    hashes them.  Stdlib only: it also runs as a script."""
+    import hashlib
+    import io
+    import os
+    import random
+    import tempfile
+    from contextlib import redirect_stdout
+
+    from hypergirth import theorem_bound
+    from hypergirth.cli import main
+
+    def sha(text):
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    plans = (
+        ["--girth", "6", "--p", "5", "--r", "3", "--N", "3967295312526"],
+        ["--girth", "6", "--p", "5", "--r", "3", "--N", "1" + "0" * 60],
+        ["--girth", "6", "--p", "2", "--r", "513", "--N", "1" + "0" * 300],
+        ["--girth", "6", "--p", "7", "--r", "4", "--N", "3" + "0" * 3000],
+        ["--girth", "8", "--r", "3", "--N", "1161119713493025"],
+        ["--girth", "8", "--r", "3", "--N", "1" + "0" * 40],
+        ["--girth", "8", "--r", "200", "--N", "1" + "0" * 300],
+        ["--girth", "8", "--p", "2", "--r", "5", "--N", "7" + "0" * 3000],
+    )
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = os.path.join(tmp, "cert.txt")
+        for argv in plans:
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                main(["plan", *argv, "--cert", cert])
+            with open(cert, encoding="ascii", newline="") as fh:
+                out += [sha(stdout.getvalue().replace(cert, "<path>")), sha(fh.read())]
+    bounds = (
+        (6, 11, random.Random("theorem-golden-6s").getrandbits(3 * 10**4) | 1 << (3 * 10**4 - 1)),
+        (6, 3, 3**9800),
+        (8, None, 2**77441),
+        (8, None, 2**77439),
+    )
+    for girth, p, n_value in bounds:
+        tb = theorem_bound(girth, p, n_value)
+        out.append(sha(f"{tb.exponent!r} {tb.bound.exponent} {tb.derived_constant!r}"))
+    return out
+
+
 def _pyenv_python(minor: int) -> Path | None:
     """The newest pyenv-installed CPython 3.minor, or None."""
     root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
@@ -645,7 +694,8 @@ def _pyenv_python(minor: int) -> Path | None:
 
 
 @pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests, _oracle_digests, _certificate_digests,
-                                     _cli_digests], ids=["greedy", "polygon", "oracle", "certificate", "cli"])
+                                     _cli_digests, _golden_digests],
+                         ids=["greedy", "polygon", "oracle", "certificate", "cli", "golden"])
 def test_digests_same_on_other_interpreters(digests):
     """The greedy outputs do not depend on the interpreter: random.shuffle
     and int bit operations are specified, not implementation details.  Nor

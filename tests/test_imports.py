@@ -20,6 +20,9 @@ No linter ships with the toolchain, so this parses each module with
 * the CLI leaves writing its artifacts to ``pipeline``: ``cli.py``
   imports no serializer, no ``write_text_file`` and nothing of
   ``certificate`` (``CLI_WRITER_NAMES``);
+* ``certificate()`` builds its rows only through the row helpers: it
+  names no ``CertCheck`` and formats no exponent into a string itself, so
+  a power row's statement is rendered from the exponent it is decided at;
 * only ``formats`` frames text: no other module has a string constant
   that contains a carriage return, so no parser checks line endings
   itself;
@@ -326,6 +329,43 @@ def test_cli_writer_checker_finds_imports():
 
 def test_cli_leaves_writing_to_pipeline():
     assert cli_writers((PACKAGE / "cli.py").read_text()) == []
+
+
+def hand_written_rows(source: str) -> list[str]:
+    """Where ``certificate()`` names ``CertCheck`` itself, or formats an
+    exponent into a string (a ``^`` or ``^(`` just before a formatted
+    value), with their lines."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not (isinstance(func, ast.FunctionDef) and func.name == "certificate"):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id == "CertCheck":
+                found.append((node.lineno, "CertCheck"))
+            elif isinstance(node, ast.JoinedStr):
+                found += [(node.lineno, f"exponent {ast.unparse(value.value)}")
+                          for text, value in zip(node.values, node.values[1:])
+                          if isinstance(text, ast.Constant) and text.value.endswith(("^", "^("))
+                          and isinstance(value, ast.FormattedValue)]
+    return [f"line {lineno}: {what}" for lineno, what in sorted(found)]
+
+
+def test_row_checker_finds_hand_written_rows():
+    source = (
+        "def _power_row(name, left, a, b):\n    return CertCheck(name, f'{left}^{a} >= p^{b}', 'm', True)\n"
+        "def certificate(p, k, e, i, den):\n    checks = [_power_row('v', 'v_1', den, e)]\n"
+        "    checks.append(CertCheck('edge-bound', f'edges^{k} >= p^({k} * {e})', 'bignum', True))\n"
+        "    make = CertCheck\n    rows = [('r-range', f'2 <= r <= 1 + {p}^m', True)]\n"
+        "    return [f'v_{i}^{den} < p^({den}m+1)', f'x^{k}']\n"
+    )
+    assert hand_written_rows(source) == [
+        "line 5: CertCheck", "line 5: exponent k", "line 5: exponent k", "line 6: CertCheck",
+        "line 8: exponent den", "line 8: exponent den", "line 8: exponent k",
+    ]
+
+
+def test_certificate_builds_rows_only_through_the_row_helpers():
+    assert hand_written_rows((PACKAGE / "certificate.py").read_text()) == []
 
 
 def carriage_return_constants(source: str) -> list[int]:

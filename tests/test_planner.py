@@ -34,13 +34,13 @@ def octagon_v(q: int) -> int:
 class TestSubstrateParams:
     def test_hexagon_values(self):
         # frozen from direct evaluation: 3*273 and 9*273
-        assert (ROUTES[6].v(2), ROUTES[6].b(2)) == (819, 2457)
+        assert ROUTES[6].substrate(2) == (819, 2457)
         assert ROUTES[6].v(5) == 6 * (1 + 625 + 390625) == 2347506
-        assert ROUTES[6].b(5) == 126 * (1 + 625 + 390625) == 49297626
+        assert ROUTES[6].substrate(5)[1] == 126 * (1 + 625 + 390625) == 49297626
         assert ROUTES[6].v(25) == 26 * (1 + 390625 + 152587890625) == 3967295312526
 
     def test_octagon_values(self):
-        assert (ROUTES[8].v(2), ROUTES[8].b(2)) == (1755, 2925)
+        assert ROUTES[8].substrate(2) == (1755, 2925)
         assert ROUTES[8].v(8) == 9 * (1 + 512 + 262144 + 134217728) == 1210323465
 
     @pytest.mark.parametrize("girth", [6, 8])
@@ -50,7 +50,7 @@ class TestSubstrateParams:
         for q in [*range(2, 60), 5**19, 2**51, 3**1720]:
             v, b = ROUTES[girth].substrate(q)
             assert v == ROUTES[girth].v(q) == v_of(q)
-            assert b == ROUTES[girth].b(q) == v_of(q) // (1 + q) * (1 + q**low)
+            assert b == v_of(q) // (1 + q) * (1 + q**low)
 
     @pytest.mark.parametrize("girth", [6, 8])
     def test_substrate_on_decimals_is_exact(self, girth):
