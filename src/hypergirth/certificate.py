@@ -148,17 +148,19 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
             check_digits((q.adjusted() + 1) * g, "expansion", f"vertex-growth-{i}")
             substrates.append(route.substrate(q))
 
-        # Each stage places p - 1 template copies per edge (one at base 2).
-        checks += _rows(_BIGNUM, *((f"copy-count-{i}", f"order_{i} >= ({sym}-1) * v_{i - 1}",
-                                    orders[i - 1] >= (p - 1) * substrates[i - 2][0]) for i in range(2, n + 1)))
+        # Each stage places p - 1 template copies per edge (one at base 2); the row
+        # cannot FAIL once the premises hold: (p-1) v(q) < p q^growth = order_i.
+        copies = p - 1
+        checks += _rows(_BIGNUM, *((f"copy-count-{i}", f"order_{i} >= {int_to_decimal(copies)} * v_{i - 1}",
+                                    orders[i - 1] >= copies * substrates[i - 2][0]) for i in range(2, n + 1)))
         for i, (v, _) in enumerate(substrates, start=1):
             checks.append(_power_row(f"vertex-growth-{i}", f"v_{i}", v, den, p, sym, g**i * (den * m + 1), "<"))
 
-        # Edges of the last construction: b_1, then (p - 1) * edges * b_i per stage.
+        # Edges of the last construction: b_1, then copies * edges * b_i per stage.
         edges = substrates[0][1]
         for _, b in substrates[1:]:
             check_digits(edges.adjusted() + b.adjusted() + 2, "product", "edge-bound")
-            edges = (p - 1) * edges * b
+            edges = copies * edges * b
         bound = route.edge_bound(p, m, n)
         checks.append(_power_row("edge-bound", "edges", edges, route.edge_power, p, sym,
                                  route.edge_power * int(bound.exponent), ">="))

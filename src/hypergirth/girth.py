@@ -66,7 +66,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from .arith import int_args, record
+from .arith import int_args, record, show
 from .errors import ResourceBudgetError, VerificationError
 
 if TYPE_CHECKING:
@@ -106,7 +106,7 @@ class BipartiteCycle:
                 raise VerificationError("bipartite cycle does not alternate sides")
             u, v = pair = (idx, nidx) if side == "l" else (nidx, idx)
             if not (_is_index(u, g.n_left) and _is_index(v, g.n_right) and v in g.left_neighbors[u]):
-                raise VerificationError(f"cycle step {k}: {pair} is not an incidence")
+                raise VerificationError(f"cycle step {k}: {show(pair)} is not an incidence")
 
 
 @record
@@ -132,11 +132,11 @@ class BergeCycle:
         for i in range(k):
             e, a, b = self.edge_indices[i], self.vertices[i], self.vertices[(i + 1) % k]
             if not _is_index(e, h.num_edges):
-                raise VerificationError(f"edge index {e} out of range")
+                raise VerificationError(f"edge index {show(e)} out of range")
             edge = set(h.edges[e])
             # every vertex is the a of its own step, so each is checked to be an int
             if not (type(a) is int and a in edge and b in edge):
-                raise VerificationError(f"cycle step {i}: edge {e} does not contain both {a} and {b}")
+                raise VerificationError(f"cycle step {i}: edge {e} does not contain both {show(a)} and {show(b)}")
 
 
 @record

@@ -21,13 +21,15 @@ different constants, each recorded once as a :class:`Route` in
 A route states each rule once, for the certificate to record and the
 planner to enforce: its premises, each shown and decided by
 :meth:`Route.premise_check`, its order exponents in :meth:`Route.exponents`,
-and the checks on each order in :meth:`Route.order_checks`.
+and the checks on each order in :meth:`Route.order_checks`.  :meth:`Route.plan`
+finds (m, n) with one ``bisect`` per level over the level's lattice cells.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
@@ -207,7 +209,7 @@ class Route:
         if not is_prime(p):
             raise PreconditionError(f"p must be prime, got {short_decimal(p)}")
         if r < 2:
-            raise PreconditionError(f"r must be >= 2, got {r}")
+            raise PreconditionError(f"r must be >= 2, got {short_decimal(r)}")
         step, shift, g = self.m_step, self.m_step - 1, self.growth
         # p^m > r - 2 >= 2^(bits - 1) needs m > (bits - 1) / log2 p, so the search
         # starts at or below m*; the float's error is far below 1 within the digit budget.
@@ -221,8 +223,8 @@ class Route:
         return m_star, n_star
 
     def plan(self, p: int, r: int, n_vertices: int) -> PlanResult:
-        """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by bounded
-        lattice search with exact comparisons.
+        """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by one
+        ``bisect`` per level over its lattice cells, with exact comparisons.
 
         The search starts at the seed (m*, n*) of :meth:`seed`.  The
         returned pair additionally satisfies m* <= m, n* <= n and
@@ -237,30 +239,22 @@ class Route:
         if n_vertices < seed_vertices:
             raise BelowSeedError(n_vertices, seed_vertices)
 
-        def vs(m: int, n: int) -> int:
-            return self._v_vs(p, m, n, n_vertices)
-
         n = n_star
         while True:
-            m_lo = max(m_star, g ** (n - 1) - shift)
-            if vs(m_lo, n) > 0:
+            # the level's lattice cells, and one above its top: v increases with m
+            cells = range(max(m_star, g ** (n - 1) - shift), g ** (n + 1) - shift + 2 * step, step)
+            k = bisect_right(cells, 0, key=lambda m: self._v_vs(p, m, n, n_vertices))
+            if k == 0:
                 raise PreconditionError(
                     f"no admissible (m, n) found for N = {short_decimal(n_vertices)}"
                 )  # unreachable for N >= N*
-            lo, hi = 0, (g ** (n + 1) - shift - m_lo) // step  # invariant: v(m_lo + step*lo) <= N
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if vs(m_lo + step * mid, n) <= 0:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            m = m_lo + step * lo
-            if vs(m + step, n) > 0:
+            if k < len(cells):
+                m = cells[k - 1]
                 break
             # N >= v(q_{p, g^(n+1)+1, n}) = v(q_{p, g^n, n+1}): climb a level
             n += 1
 
-        if not (vs(m, n) <= 0 and vs(m + step, n) > 0):
+        if not self._v_vs(p, m, n, n_vertices) <= 0 < self._v_vs(p, m + step, n, n_vertices):
             raise PreconditionError("sandwich re-check failed")  # unreachable
         return PlanResult(m, n, m_star, n_star, seed_vertices)
 

@@ -29,18 +29,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergirth import (
+    BergeCycle,
+    BipartiteCycle,
+    BipartiteGraph,
     Error,
     Hypergraph,
     arith,
     certificate,
     girth_oracle,
+    pad_vertices,
     plan,
     reverify_certificate,
     split_edges,
     theorem_bound,
 )
 from hypergirth.arith import power_at_least
-from hypergirth.errors import PreconditionError
+from hypergirth.errors import PreconditionError, VerificationError
 from hypergirth.planner import ROUTES
 
 BASES = (2, 3, 5, 7)
@@ -320,6 +324,32 @@ NOT_AN_INT_CALLS = {
 def test_a_value_that_is_not_an_int_is_refused(name):
     call, message = NOT_AN_INT_CALLS[name]
     with pytest.raises(PreconditionError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# An int past the str() limit where a message shows it: each is shown
+# shortened in the package's own error, never as a bare ValueError.
+SHOWN_HUGE = "1" + "0" * 39 + "...(5001 digits)"
+HUGE_INT_MESSAGES = {
+    "plan-r": (lambda: plan(6, 5, -10**5000, 10**10), PreconditionError, f"r must be >= 2, got -{SHOWN_HUGE}"),
+    "pad-vertices": (lambda: pad_vertices(Hypergraph(3, ((0, 1, 2),)), -10**5000), PreconditionError,
+                     f"cannot pad down: 3 vertices > target -{SHOWN_HUGE}"),
+    "bipartite-cycle-id": (
+        lambda: BipartiteCycle((("l", 10**5000), ("r", 0), ("l", 1), ("r", 1))).check(
+            BipartiteGraph.from_incidences(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])),
+        VerificationError, f"cycle step 0: ({SHOWN_HUGE}, 0) is not an incidence"),
+    "berge-cycle-edge-index": (lambda: BergeCycle((0, 1), (10**5000, 0)).check(Hypergraph(3, ((0, 1, 2),))),
+                               VerificationError, f"edge index {SHOWN_HUGE} out of range"),
+    "berge-cycle-vertex": (lambda: BergeCycle((10**5000, 1), (0, 1)).check(Hypergraph(3, ((0, 1, 2),))),
+                           VerificationError, f"cycle step 0: edge 0 does not contain both {SHOWN_HUGE} and 1"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_INT_MESSAGES)
+def test_a_huge_int_is_shown_shortened(name):
+    call, error, message = HUGE_INT_MESSAGES[name]
+    with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
 

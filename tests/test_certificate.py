@@ -267,13 +267,17 @@ def int_values(girth: int, p: int, m: int, n: int, r: int) -> dict[str, str]:
 
 
 def int_rows(girth: int, p: int, m: int, n: int, r: int) -> list[tuple[str, str, bool]]:
-    """(name, statement, passed) of every vertex-growth and edge-bound row,
-    stated from the paper's formulas alone, v_i^den < p^(g^i (den m + 1))
-    and edges^k >= p^(k E), and decided by full expansion on ints."""
+    """(name, statement, passed) of every copy-count, vertex-growth and
+    edge-bound row, stated from the paper's formulas alone, order_i >=
+    (p - 1) v_(i-1), v_i^den < p^(g^i (den m + 1)) and edges^k >= p^(k E),
+    and decided by full expansion on ints."""
     growth, den, k = (9, 8, 64) if girth == 6 else (10, 9, 72)
     sym = "p" if girth == 6 else "2"
     values = int_values(girth, p, m, n, r)
     rows = []
+    for i in range(2, n + 1):
+        order = p ** int(values[f"order_{i}"].split("^")[1])
+        rows.append((f"copy-count-{i}", f"order_{i} >= {p - 1} * v_{i - 1}", order >= (p - 1) * int(values[f"v_{i - 1}"])))
     for i in range(1, n + 1):
         b = growth**i * (den * m + 1)
         rows.append((f"vertex-growth-{i}", f"v_{i}^{den} < {sym}^{b}", int(values[f"v_{i}"]) ** den < p**b))

@@ -20,7 +20,7 @@ from hypergirth import (
 )
 from hypergirth.arith import EXACT, int_to_decimal, parse_decimal_int
 from hypergirth.certificate import certificate
-from hypergirth.planner import ROUTES, Route, route_for
+from hypergirth.planner import ROUTES, PlanResult, Route, route_for
 
 
 def hexagon_v(q: int) -> int:
@@ -303,6 +303,80 @@ def reference_seed(route, p: int, r: int) -> tuple[int, int]:
     while not (g ** (n_star - 1) - shift <= m_star < g**n_star):
         n_star += 1
     return m_star, n_star
+
+
+def reference_plan(route, p: int, r: int, n_value: int) -> PlanResult:
+    """The plan search as first written: per level, a hand-written binary
+    search between a probe of its lowest cell and a probe of the cell above
+    the result, each probe deciding v(q_{p,m,n}) against N by expansion."""
+    m_star, n_star = reference_seed(route, p, r)
+    step, shift, g = route.m_step, route.m_step - 1, route.growth
+    v_of = hexagon_v if route.girth == 6 else octagon_v
+    seed_vertices = v_of(route.order(p, m_star, n_star).expand())
+    assert n_value >= seed_vertices
+
+    def vs(m: int, n: int) -> int:
+        v = v_of(route.order(p, m, n).expand())
+        return (v > n_value) - (v < n_value)
+
+    n = n_star
+    while True:
+        m_lo = max(m_star, g ** (n - 1) - shift)
+        if vs(m_lo, n) > 0:
+            raise PreconditionError("no admissible (m, n)")
+        lo, hi = 0, (g ** (n + 1) - shift - m_lo) // step  # invariant: v(m_lo + step*lo) <= N
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if vs(m_lo + step * mid, n) <= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+        m = m_lo + step * lo
+        if vs(m + step, n) > 0:
+            break
+        # N >= v(q_{p, g^(n+1)+1, n}) = v(q_{p, g^n, n+1}): climb a level
+        n += 1
+    return PlanResult(m, n, m_star, n_star, seed_vertices)
+
+
+PLAN_DIGITS = 10_000  # the largest N the reference comparison draws
+
+
+@st.composite
+def plan_inputs(draw):
+    """(girth, p, r, N) with N* <= N < 10^PLAN_DIGITS: N random, or v(q_{m,n})
+    + d for d in (-1, 0, 1) at a lattice cell m of level n.  The cells are
+    the level's lowest, its top, the one above its top, or any between; at
+    N = v(q_{m,n}) exactly, plan must give m, not the cell below it."""
+    girth = draw(st.sampled_from([6, 8]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11])) if girth == 6 else 2
+    r = draw(st.integers(2, 6))
+    route = ROUTES[girth]
+    m_star, n_star = route.seed(p, r)
+    seed_vertices = route.v(route.order(p, m_star, n_star).expand())
+    if draw(st.booleans()):
+        digits = draw(st.integers(len(str(seed_vertices)) + 1, PLAN_DIGITS))
+        return girth, p, r, random.Random(draw(st.integers(0, 2**32))).randrange(10 ** (digits - 1), 10**digits)
+    step, shift, g, den = route.m_step, route.m_step - 1, route.growth, route.den
+    # m at level n whose v has at most about PLAN_DIGITS digits: growth * e * log10(p) <= PLAN_DIGITS
+    e_cap = PLAN_DIGITS / (g * math.log10(p)) - 1
+    n = draw(st.integers(1, 2))
+    m_lo = max(m_star, g ** (n - 1) - shift)
+    m_cap = min(g ** (n + 1) - shift + step, int((e_cap + 1 / den) / g ** (n - 1) - 1 / den))
+    if m_cap < m_lo:
+        n, m_lo, m_cap = 1, m_star, min(g**2 - shift + step, int(e_cap))
+    k_cap = (m_cap - m_lo) // step
+    k = draw(st.one_of(st.sampled_from([0, max(0, k_cap - 1), k_cap]), st.integers(0, k_cap)))
+    v = route.v(route.order(p, m_lo + step * k, n).expand())
+    return girth, p, r, max(seed_vertices, v + draw(st.sampled_from([-1, 0, 1])))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(plan_inputs())
+def test_plan_matches_the_reference(args):
+    girth, p, r, n_value = args
+    route = ROUTES[girth]
+    assert route.plan(p, r, n_value) == reference_plan(route, p, r, n_value)
 
 
 class TestSeed:
