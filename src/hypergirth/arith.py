@@ -64,6 +64,8 @@ def short_decimal(value: int | str) -> str:
         return value if len(value) <= 52 else f"{value[:40]}...({len(value)} digits)"
     if value < 0:
         return "-" + short_decimal(-value)
+    if value.bit_length() <= 172:  # below 2^172 < 10^52
+        return int_to_decimal(value)
     digits = int_digits10(value)
     if digits <= 52:
         return int_to_decimal(value)

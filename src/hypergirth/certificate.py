@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 from .arith import (
     EXACT,
@@ -169,7 +168,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
         checks += _rows(_BIGNUM, ("split-factor", f"floor((1 + {sym}^m) / r) >= 1", split >= 1))
         final = split * edges
 
-    values = [(f"order_{i}", str(PowerExpr(p, Fraction(exponent)))) for i, exponent in enumerate(exps, start=1)]
+    values = [(f"order_{i}", str(PowerExpr(p, exponent))) for i, exponent in enumerate(exps, start=1)]
     for i, (v, b) in enumerate(substrates, start=1):
         v_text = str(v)
         values.append((f"v_{i}", v_text))

@@ -14,7 +14,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from . import core
-from .arith import Number, int_to_decimal, is_prime, record, short_decimal
+from .arith import Number, int_args, int_to_decimal, is_prime, record, short_decimal
 from .core import BipartiteGraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
@@ -89,10 +89,12 @@ def polygon_counts(n: int, s: Number, t: Number) -> tuple[Number, Number]:
 
 
 def geometry_incidences(kind: str, q: int) -> int:
-    """Incidences, points times q + 1, checked by each builder first: more
-    than core.VERTEX_BUDGET raise ResourceBudgetError (a larger q is not
+    """Incidences, points times q + 1, checked by each builder first: a q
+    that is not an int raises PreconditionError, more than
+    core.VERTEX_BUDGET ResourceBudgetError (a larger q is not
     raised to any power), then a q that is not prime PreconditionError.  H(q)
     has more incidences than the PG(6,q) points it lists, so those are bounded."""
+    int_args(None, q=q)
     budget = core.VERTEX_BUDGET
     count = polygon_counts(POLYGON[kind], q, q)[0] * (q + 1) if q <= budget else None
     if count is None or count > budget:
@@ -314,6 +316,7 @@ def greedy_high_girth_bipartite(
     Grids above GREEDY_PAIR_BUDGET pairs raise ResourceBudgetError before
     anything is allocated.
     """
+    int_args(None, n_left=n_left, n_right=n_right, right_degree=right_degree, target_girth=target_girth)
     if n_left <= 0 or n_right <= 0 or right_degree <= 0:
         raise PreconditionError("greedy sizes and right_degree must be positive")
     if target_girth < 4 or target_girth % 2 != 0:

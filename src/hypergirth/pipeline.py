@@ -41,7 +41,7 @@ import os
 import time
 from typing import Callable, Iterable
 
-from .arith import DECIMAL, int_to_decimal, parse_decimal_int, record, short_decimal, short_repr, show
+from .arith import DECIMAL, int_args, int_to_decimal, parse_decimal_int, record, short_decimal, short_repr, show
 from .certificate import Certificate, certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
@@ -71,6 +71,7 @@ def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
     """Raise the vertex count to exactly ``to`` by adding isolated
     vertices; exists to hit an exact vertex budget, so shrinking is an
     error."""
+    int_args(None, to=to)
     if to < h.num_vertices:
         raise PreconditionError(f"cannot pad down: {h.num_vertices} vertices > target {show(to)}")
     return Hypergraph(to, h.edges)

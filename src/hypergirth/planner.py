@@ -1,13 +1,14 @@
 """Exact parameter arithmetic for the recursive constructions.
 
-Everything here is exact: orders are PowerExpr values with rational
-exponents, vertex/edge counts are big integers, and every inequality is
-decided by integer comparison after clearing denominators.  The only
-inexact values in the module are the two display floats of
-:func:`theorem_bound`, computed with the standard library's ``decimal``
-at 60 digits.  They certify nothing: the floor of the exponent to a
-multiple of 1/72 is decided exactly, by comparing integer powers of N
-and the base, and the float only proposes it.
+Everything here is exact: orders and edge bounds are PowerExpr values
+whose exponents are integers, each computed on ints as one exact quotient
+by the paper's denominator, vertex/edge counts are big integers, and every
+inequality is decided by integer comparison.  The only inexact values in
+the module are the two display floats of :func:`theorem_bound`, computed
+with the standard library's ``decimal`` at 60 digits.  They certify
+nothing: the floor of the exponent to a multiple of 1/72 is decided
+exactly, by comparing integer powers of N and the base, and the float
+only proposes it.
 
 Both parameter families are one recursive substitution scheme with
 different constants, each recorded once as a :class:`Route` in
@@ -147,24 +148,25 @@ class Route:
                 name, shown, _ = self.premise_check(premise, p, m)
                 raise PreconditionError(f"premise {name} ({shown}) does not hold")
 
-    def exponents(self, m: int) -> Iterator[tuple[Fraction, Fraction]]:
+    def exponents(self, m: int) -> Iterator[tuple[Fraction, int]]:
         """(closed form, recursion) exponents of q_1, q_2, ...: growth^(i-1) *
-        (m + 1/den) - 1/den and e_1 = m, e_i = growth * e_{i-1} + 1.  Endless
-        and lazy, so a caller stops at the first order it refuses."""
-        shift = Fraction(1, self.den)
-        scale, e = 1, Fraction(m)
+        (m + 1/den) - 1/den as one exact quotient (top_i - 1)/den, where top_i =
+        growth^(i-1) * (den*m + 1), and e_1 = m, e_i = growth * e_{i-1} + 1.
+        Both are integers: growth = 1 (mod den), so top_i = 1 (mod den).
+        Endless and lazy, so a caller stops at the first order it refuses."""
+        g, den = self.growth, self.den
+        top, e = den * m + 1, m
         while True:
-            yield scale * (m + shift) - shift, e
-            scale, e = scale * self.growth, self.growth * e + 1
+            yield Fraction(top - 1, den), e
+            top, e = top * g, g * e + 1
 
-    def order_checks(self, i: int, closed: Fraction, e: Fraction) -> list[tuple[str, str, bool]]:
+    def order_checks(self, i: int, closed: Fraction, e: int) -> list[tuple[str, str, bool]]:
         """(name, statement, passed) rows on the i-th order's exponents: they
         agree, and where m_step keeps m odd, the order is an odd power."""
         g, den = self.growth, self.den
         rows = [(f"order-closed-form-{i}", f"recursion exponent equals {g}^{i - 1}*(m+1/{den})-1/{den}", e == closed)]
         if self.m_step == 2:
-            odd = closed.denominator == 1 and closed.numerator % 2 == 1
-            rows.append((f"order-odd-{i}", f"order_{i} is an odd power of {self.sym}", odd))
+            rows.append((f"order-odd-{i}", f"order_{i} is an odd power of {self.sym}", closed % 2 == 1))
         return rows
 
     def order(self, p: int, m: int, n: int) -> PowerExpr:
@@ -182,8 +184,7 @@ class Route:
         p^((11/den) * (growth^n (m + 1/den) - (n + m + 1/den))) for the n-th
         construction; the exponent is always an integer."""
         self.require(p, m, n)
-        inner = self.growth**n * (m + Fraction(1, self.den)) - (n + m + Fraction(1, self.den))
-        exponent = Fraction(11, self.den) * inner
+        exponent = Fraction(11 * (self.growth**n * (self.den * m + 1) - self.den * (n + m) - 1), self.den**2)
         if exponent.denominator != 1:
             raise PreconditionError(f"edge bound exponent {exponent} is not integral")
         return PowerExpr(p, exponent)
@@ -206,6 +207,7 @@ class Route:
         p^m >= r - 1, and n* brackets it by growth^(n*-1) - shift <= m* <
         growth^n*, where shift = step - 1 puts the bracket ends on the
         lattice (10^k - 1 is odd)."""
+        int_args(None, p=p, r=r)
         if not is_prime(p):
             raise PreconditionError(f"p must be prime, got {short_decimal(p)}")
         if r < 2:

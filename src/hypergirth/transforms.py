@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 
-from .arith import record, short_decimal
+from .arith import int_args, record, short_decimal
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget
 from .errors import PreconditionError
 
@@ -61,6 +61,7 @@ class SubstitutionPlan:
     copies_per_edge: int
 
     def __post_init__(self) -> None:
+        int_args(None, copies_per_edge=self.copies_per_edge)
         if self.copies_per_edge < 1:
             raise PreconditionError(f"copies_per_edge must be >= 1, got {short_decimal(self.copies_per_edge)}")
         need = self.copies_per_edge * self.template.num_vertices
@@ -96,6 +97,7 @@ def split_edges(h: Hypergraph, r: int) -> Hypergraph:
     output is r-uniform whenever any edge survives, and an all-skipped
     result is flagged with EmptySplitWarning.  Girth never decreases.
     """
+    int_args(None, r=r)
     if r < 2:
         raise PreconditionError(f"split size must be >= 2, got {short_decimal(r)}")
     pairs = [(edge[j : j + r], idx) for idx, edge in enumerate(h.edges) for j in range(0, len(edge) - r + 1, r)]
@@ -132,6 +134,7 @@ def build_recursive(bases: list[BipartiteGraph], copy_counts: list[int]) -> Hype
 def loose_path(num_edges: int, r: int = 3) -> Hypergraph:
     """Acyclic chain of r-element edges, consecutive edges sharing one
     vertex; the classic girth-infinite substitution template."""
+    int_args(None, num_edges=num_edges, r=r)
     if num_edges < 1 or r < 2:
         raise PreconditionError("loose_path needs num_edges >= 1 and r >= 2")
     step = r - 1

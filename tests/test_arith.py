@@ -34,13 +34,19 @@ from hypergirth import (
     BipartiteGraph,
     Error,
     Hypergraph,
+    SubstitutionPlan,
     arith,
     certificate,
     girth_oracle,
+    greedy_high_girth_bipartite,
+    loose_path,
     pad_vertices,
     plan,
+    projective_plane,
     reverify_certificate,
+    split_cayley_hexagon,
     split_edges,
+    symplectic_quadrangle,
     theorem_bound,
 )
 from hypergirth.arith import power_at_least
@@ -219,7 +225,7 @@ def str_short_decimal(value: int) -> str:
 
 _rng = random.Random(20261018)
 SHORT_VALUES = (
-    [0, 1, 9, 10**51, 10**52 - 1, 10**52, 10**53 - 1, 10**53, 2**4000, 3**5000]
+    [0, 1, 9, 10**51, 10**52 - 1, 10**52, 10**53 - 1, 10**53, 2**4000, 3**5000, 2**172 - 1, 2**172, 2**173]
     + [10**k - d for k in (1, 40, 41, 52, 53, 54, 100, 1000, 5000) for d in (0, 1)]
     + [_rng.randrange(10**51, 10**52) for _ in range(5)]
     + [_rng.randrange(10**52, 10**53) for _ in range(5)]
@@ -296,6 +302,7 @@ def test_an_integer_past_the_str_limit_fails_as_below_it(name):
 # arithmetic on the value.
 HUGE_TUPLE = (10**5000,)
 SHOWN_HUGE_TUPLE = "(" + "1" + "0" * 39 + "...(5001 digits),)"
+TRIANGLE = Hypergraph(3, ((0, 1, 2),))
 NOT_AN_INT_CALLS = {
     "theorem-bound-float-p": (lambda: theorem_bound(6, 2.5, 10**10), "girth-6 bound needs a prime p, got 2.5"),
     "theorem-bound-tuple-p": (
@@ -317,6 +324,28 @@ NOT_AN_INT_CALLS = {
     "power-tuple-base": (
         lambda: arith.PowerExpr(HUGE_TUPLE, Fraction(1)),
         f"PowerExpr base must be an integer >= 2, got {SHOWN_HUGE_TUPLE}"),
+    "loose-path-str-edges": (lambda: loose_path("3"), "num_edges must be an integer, got '3'"),
+    "loose-path-float-edges": (lambda: loose_path(2.5), "num_edges must be an integer, got 2.5"),
+    "loose-path-float-r": (lambda: loose_path(3, 3.0), "r must be an integer, got 3.0"),
+    "split-str-r": (lambda: split_edges(TRIANGLE, "2"), "r must be an integer, got '2'"),
+    "split-float-r": (lambda: split_edges(TRIANGLE, 2.5), "r must be an integer, got 2.5"),
+    "substitution-str-copies": (
+        lambda: SubstitutionPlan(TRIANGLE, TRIANGLE, "2"), "copies_per_edge must be an integer, got '2'"),
+    "substitution-float-copies": (
+        lambda: SubstitutionPlan(TRIANGLE, TRIANGLE, 1.5), "copies_per_edge must be an integer, got 1.5"),
+    "pad-str-to": (lambda: pad_vertices(TRIANGLE, "9"), "to must be an integer, got '9'"),
+    "plane-str-q": (lambda: projective_plane("3"), "q must be an integer, got '3'"),
+    "plane-float-q": (lambda: projective_plane(3.0), "q must be an integer, got 3.0"),
+    "quadrangle-float-q": (lambda: symplectic_quadrangle(3.0), "q must be an integer, got 3.0"),
+    "hexagon-str-q": (lambda: split_cayley_hexagon("3"), "q must be an integer, got '3'"),
+    "greedy-str-n-left": (
+        lambda: greedy_high_girth_bipartite("5", 5, 2, 6, 1), "n_left must be an integer, got '5'"),
+    "greedy-float-girth": (
+        lambda: greedy_high_girth_bipartite(5, 5, 2, 6.0, 1), "target_girth must be an integer, got 6.0"),
+    "greedy-float-degree": (
+        lambda: greedy_high_girth_bipartite(5, 5, 2.5, 6, 1), "right_degree must be an integer, got 2.5"),
+    "route-seed-str-r": (lambda: ROUTES[6].seed(5, "3"), "r must be an integer, got '3'"),
+    "route-seed-float-r": (lambda: ROUTES[6].seed(5, 2.5), "r must be an integer, got 2.5"),
 }
 
 

@@ -293,6 +293,56 @@ class TestEdgeBounds:
                 assert ROUTES[8].edge_bound(2, m, n).exponent.denominator == 1
 
 
+def reference_exponents(route, m: int):
+    """Route.exponents as first written: a chain of Fraction operations."""
+    shift = Fraction(1, route.den)
+    scale, e = 1, Fraction(m)
+    while True:
+        yield scale * (m + shift) - shift, e
+        scale, e = scale * route.growth, route.growth * e + 1
+
+
+def reference_order_checks(route, i: int, closed: Fraction, e: Fraction) -> list[tuple[str, str, bool]]:
+    """Route.order_checks as first written: odd read off numerator and denominator."""
+    g, den = route.growth, route.den
+    rows = [(f"order-closed-form-{i}", f"recursion exponent equals {g}^{i - 1}*(m+1/{den})-1/{den}", e == closed)]
+    if route.m_step == 2:
+        odd = closed.denominator == 1 and closed.numerator % 2 == 1
+        rows.append((f"order-odd-{i}", f"order_{i} is an odd power of {route.sym}", odd))
+    return rows
+
+
+def reference_edge_bound(route, p: int, m: int, n: int) -> PowerExpr:
+    """Route.edge_bound as first written: a chain of Fraction operations."""
+    route.require(p, m, n)
+    inner = route.growth**n * (m + Fraction(1, route.den)) - (n + m + Fraction(1, route.den))
+    exponent = Fraction(11, route.den) * inner
+    if exponent.denominator != 1:
+        raise PreconditionError(f"edge bound exponent {exponent} is not integral")
+    return PowerExpr(p, exponent)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from([6, 8]),
+    st.sampled_from([2, 3, 5, 7]),
+    st.one_of(st.integers(1, 100), st.integers(1, 10**12), st.integers(1, 10**60)),
+    st.integers(0, 1),
+    st.integers(1, 7),
+)
+def test_exponents_and_edge_bound_match_the_reference(girth, p, m, parity, n):
+    """Odd and even m up to about 10^60, i and n up to 7.  The premises are
+    dropped, so that an even m on the girth-8 route reaches its order-odd
+    row and its edge bound too."""
+    route = Route(**{**{name: getattr(ROUTES[girth], name) for name in Route._fields}, "premises": ()})
+    m += (m + parity) % 2  # m of the drawn parity
+    pairs = list(islice(route.exponents(m), 7))
+    assert pairs == list(islice(reference_exponents(route, m), 7))
+    for i, (closed, e) in enumerate(pairs, start=1):
+        assert route.order_checks(i, closed, e) == reference_order_checks(route, i, closed, Fraction(e))
+    assert route.edge_bound(p, m, n) == reference_edge_bound(route, p, m, n)
+
+
 def reference_seed(route, p: int, r: int) -> tuple[int, int]:
     """The seed search as first written: every lattice step expands p^m."""
     step, shift, g = route.m_step, route.m_step - 1, route.growth
