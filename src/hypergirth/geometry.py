@@ -90,18 +90,19 @@ def polygon_counts(n: int, s: Number, t: Number) -> tuple[Number, Number]:
 
 def geometry_incidences(kind: str, q: int) -> int:
     """Incidences, points times q + 1, checked by each builder first: a q
-    that is not an int raises PreconditionError, more than
+    that is not an int raises PreconditionError, a q >= 2 with more than
     core.VERTEX_BUDGET ResourceBudgetError (a larger q is not
     raised to any power), then a q that is not prime PreconditionError.  H(q)
     has more incidences than the PG(6,q) points it lists, so those are bounded."""
     int_args(None, q=q)
     budget = core.VERTEX_BUDGET
-    count = polygon_counts(POLYGON[kind], q, q)[0] * (q + 1) if q <= budget else None
-    if count is None or count > budget:
-        shown = f"more than {budget}" if count is None else count
-        raise ResourceBudgetError(f"{kind} q={short_decimal(q)} has {shown} incidences, budget is {budget}")
+    if q >= 2:  # a smaller q is no prime, whatever its size
+        count = polygon_counts(POLYGON[kind], q, q)[0] * (q + 1) if q <= budget else None
+        if count is None or count > budget:
+            shown = f"more than {budget}" if count is None else count
+            raise ResourceBudgetError(f"{kind} q={short_decimal(q)} has {shown} incidences, budget is {budget}")
     if not is_prime(q):
-        raise PreconditionError(f"{kind} order must be a prime, got {q}")
+        raise PreconditionError(f"{kind} order must be a prime, got {short_decimal(q)}")
     return count
 
 

@@ -59,6 +59,23 @@ Three routes are provided:
   edge grows the path only while k < limit.  The path's vertices and edges
   are flagged in two bytearrays allocated once per call, and its depth k
   is passed down the recursion.
+
+  A start vertex v0 is not searched at all when its ball is a tree: the
+  incidence graph through v0 and the vertices above it, out to radius
+  limit.  A cycle of length L <= limit whose smallest vertex is v0 is a
+  2L-cycle of that graph through v0, and every node of it lies within
+  distance L of v0, so a tree ball holds no cycle the search could find.
+  The BFS that computes d decides this as it goes.  The incidence graph is
+  bipartite, so its ball is a tree exactly when every node in it but v0
+  has exactly one neighbour a level closer to v0.  BFS level j holds the
+  edges at radius 2j - 1 and the vertices at radius 2j, up to level
+  limit // 2.  A vertex reached a second time, through a second edge of
+  its level or as a member of an edge out of another vertex of the level
+  before, breaks the rule.  For odd limit the edges at radius limit are in
+  the ball too.  Each last-level vertex has seen only its parent edge, so
+  one more pass counts the seen edges of the last-level vertices against
+  their number, marking each edge as it goes; a surplus is an edge that
+  joins two of them.
 """
 
 from __future__ import annotations
@@ -295,10 +312,11 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
 
     Searches depth-first for vertex/edge sequences matching the cycle
     definition directly, each from its smallest vertex v0 (see the module
-    docstring for the pruning).  Returns the minimum cycle length found,
-    or a report with ``searched_to = max_len`` when no cycle that short
-    exists.  Refuses instances above ORACLE_INCIDENCE_BUDGET incidences
-    rather than risk an unbounded search.
+    docstring for the pruning and for the start vertices it skips).
+    Returns the minimum cycle length found, or a report with
+    ``searched_to = max_len`` when no cycle that short exists.  Refuses
+    instances above ORACLE_INCIDENCE_BUDGET incidences rather than risk an
+    unbounded search.
     """
     int_args(2, max_len=max_len)
     if h.incidence_count > ORACLE_INCIDENCE_BUDGET:
@@ -311,13 +329,16 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
     limit = min(max_len, sum(1 for es in vertex_edges if len(es) >= 2))
     best_witness: BergeCycle | None = None
 
-    def dist_from(v0: int) -> list[int]:
+    def dist_from(v0: int) -> tuple[list[int], bool]:
         """Edge-BFS distances from v0 through vertices above v0, to depth
-        limit // 2; every vertex farther away reads limit + 1."""
+        limit // 2; every vertex farther away reads limit + 1.  Also
+        whether the ball of radius limit around v0 in the incidence graph
+        through those vertices is a tree."""
         back = [limit + 1] * h.num_vertices
         back[v0] = 0
         edge_seen = bytearray(len(edges))
         frontier = [v0]
+        tree = True
         for depth in range(1, limit // 2 + 1):
             reached = []
             for x in frontier:
@@ -325,13 +346,24 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
                     if not edge_seen[e_idx]:
                         edge_seen[e_idx] = 1
                         for y in edges[e_idx]:
-                            if y > v0 and back[y] > depth:
-                                back[y] = depth
-                                reached.append(y)
-            if not reached:
-                break
+                            if y > v0:
+                                if back[y] > depth:
+                                    back[y] = depth
+                                    reached.append(y)
+                                elif y != x:  # a second edge to y, or an edge joining two frontier vertices
+                                    tree = False
             frontier = reached
-        return back
+            if not frontier:
+                break
+        if limit % 2 and tree:
+            # the edges at radius limit: a surplus of seen edges joins two last-level vertices
+            seen = 0
+            for x in frontier:
+                for e_idx in vertex_edges[x]:
+                    seen += edge_seen[e_idx]
+                    edge_seen[e_idx] = 1
+            tree = seen == len(frontier)
+        return back, tree
 
     def extend(v_cur: int, k: int) -> None:
         # the path holds k vertices and k - 1 edges; limit is the longest
@@ -369,7 +401,10 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
                 break
             if len(vertex_edges[v0]) < 2:
                 continue
-            back = dist_from(v0)
+            back, tree = dist_from(v0)
+            if tree:
+                # no cycle of length <= limit has v0 as its smallest vertex
+                continue
             path_v = [v0]
             path_e: list[int] = []
             on_path[v0] = 1

@@ -53,6 +53,24 @@ def restores_global_state():
         pytest.fail(f"the test left changed: {', '.join(changed)}")
 
 
+def _src_paths() -> set[str]:
+    return {os.path.join(root, name) for root, dirs, files in os.walk(SRC_DIR) for name in dirs + files}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def leaves_src_as_found():
+    """Under PYTHONDONTWRITEBYTECODE=1, fail the run if it created any file
+    or directory under src/, so the run leaves the checkout, bytecode
+    cache included, as it found it.  A child started with ``-I`` ignores
+    that variable and needs ``-B``."""
+    before = _src_paths()
+    yield
+    if sys.flags.dont_write_bytecode:
+        created = sorted(os.path.relpath(path, SRC_DIR) for path in _src_paths() - before)
+        if created:
+            pytest.fail(f"the run created under src/: {', '.join(created)}")
+
+
 # The classic difference-set labeling of the 7-point plane; used as an
 # independent reference wherever a known 3-uniform girth-3 structure is
 # needed (it is NOT the labeling our generator produces).

@@ -319,6 +319,15 @@ class TestGeometryBudget:
         with pytest.raises(PreconditionError, match=f"^{kind} order must be a prime, got {q}$"):
             BUILDERS[kind](q)
 
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_order_of_5001_digits_either_sign(self, kind):
+        # rendered short: str() of a 5001-digit int exceeds the int-to-str limit
+        shown = r"1" + "0" * 39 + r"\.\.\.\(5001 digits\)"
+        with pytest.raises(ResourceBudgetError, match=f"^{kind} q={shown} has more than {VERTEX_BUDGET} incidences"):
+            BUILDERS[kind](10**5000)
+        with pytest.raises(PreconditionError, match=f"^{kind} order must be a prime, got -{shown}$"):
+            BUILDERS[kind](-10**5000)
+
     def test_hexagon_incidences_exceed_its_point_list(self):
         for q in range(2, 1000):
             assert polygon_counts(6, q, q)[0] * (q + 1) > (q**7 - 1) // (q - 1)

@@ -513,6 +513,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "import sys\nsys.path.insert(0, sys.argv[1])\nimport hypergirth.cli\n"
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True)
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the child from caching bytecode in src/
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergirth import (
+    BipartiteGraph,
     Hypergraph,
     girth_hypergraph,
     girth_oracle,
@@ -289,3 +290,58 @@ def test_max_len_below_two_keeps_its_message(max_len):
     with pytest.raises(PreconditionError) as exc:
         girth_oracle(Hypergraph(3, ((0, 1, 2),)), max_len)
     assert str(exc.value) == f"max_len must be >= 2, got {short_decimal(max_len)}"
+
+
+# The oracle skips a start vertex v0 when the ball of radius max_len around
+# v0, in the incidence graph through the vertices above v0, is a tree.  The
+# tests below hold it to the reference search, which never skips.
+
+def construct_relabelled(g: BipartiteGraph, seed: int) -> Hypergraph:
+    """The neighbourhood hypergraph of ``g`` with both sides permuted by a
+    seeded shuffle, as the benchmark's construct workload relabels them."""
+    rng = random.Random(f"construct:{seed}")
+    left, right = list(range(g.n_left)), list(range(g.n_right))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    pairs = tuple(sorted((left[u], right[v]) for u, v in g.incidences))
+    return neighborhood_hypergraph(BipartiteGraph(g.n_left, g.n_right, pairs))
+
+
+# (builder, q, hypergraph girth)
+GEOMETRIES = {
+    "PG2-11": (projective_plane, 11, 3),
+    "W5": (symplectic_quadrangle, 5, 4),
+    "H2": (split_cayley_hexagon, 2, 6),
+    "H3": (split_cayley_hexagon, 3, 6),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_relabelled_geometry_same_report_as_the_reference(name, seed):
+    build, q, girth = GEOMETRIES[name]
+    h = construct_relabelled(build(q), seed)
+    for max_len in (girth - 1, girth, girth + 2):
+        got = girth_oracle(h, max_len)
+        assert report_key(got) == report_key(reference_oracle(h, max_len))
+        assert got.girth == (girth if max_len >= girth else None)
+
+
+def cycle_hypergraph(length: int) -> Hypergraph:
+    """One Berge cycle through 0, 1, ..., length - 1 and nothing else.  The
+    2-cycle's two edges each carry a private vertex, as edges are distinct."""
+    if length == 2:
+        return Hypergraph(4, ((0, 1, 2), (0, 1, 3)))
+    return Hypergraph.from_edges(length, ((i, (i + 1) % length) for i in range(length)))
+
+
+@pytest.mark.parametrize("length", range(2, 8))
+def test_cycle_found_at_its_length(length):
+    # max_len == length, so the ball around vertex 0 has radius length.  At
+    # length 2h, vertex h is reached a second time at the ball's last level;
+    # at 2h + 1 every vertex is reached once, and only the edge {h, h + 1},
+    # at the ball's radius, joins the two last-level vertices.
+    cyc = cycle_hypergraph(length)
+    got = girth_oracle(cyc, length)
+    assert report_key(got) == report_key(reference_oracle(cyc, length))
+    assert (got.girth, got.witness.vertices[0]) == (length, 0)
