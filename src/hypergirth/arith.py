@@ -252,6 +252,7 @@ def is_prime(n: int) -> bool:
     proves n prime below psi_13; at or above it a pass is only probable,
     so ResourceBudgetError is raised rather than an answer given.
     """
+    int_args(None, n=n)
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -401,6 +402,9 @@ class PowerExpr:
         if not isinstance(self.base, int) or self.base < 2:
             raise PreconditionError(f"PowerExpr base must be an integer >= 2, got {short_value(self.base)}")
         if not isinstance(self.exponent, Fraction):
+            if not isinstance(self.exponent, int):
+                shown = short_value(self.exponent)
+                raise PreconditionError(f"PowerExpr exponent must be an int or a Fraction, got {shown}")
             object.__setattr__(self, "exponent", Fraction(self.exponent))
         if 72 % self.exponent.denominator != 0:
             raise PreconditionError(

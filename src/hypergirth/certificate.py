@@ -8,12 +8,18 @@ rest by exact comparison.  A power row is shown with the exponents it is
 decided at, and a premise row is the route's own, so the statement and the
 decision of such a row cannot disagree.  Each count is computed once, as a
 Decimal under :data:`hypergirth.arith.EXACT`; the checks decide on it and
-the value lines print it.  A certificate is VALID iff all checks pass;
-assumption failures produce an INVALID certificate listing the failure,
-never an exception.  Serialized certificates re-verify independently:
-re-verification reruns the whole computation from the header parameters
-alone.  Both routes are built by one function driven by the route's record
-in :data:`hypergirth.planner.ROUTES`.
+the value lines print it.  The tower's vertex, edge and final-edge counts
+come from :func:`hypergirth.transforms.tower_counts`, the rule that also
+counts the tower ``build_recursive`` builds, and the digit budget covers
+every count, each refused before it is built.  A ``copy-count-i`` row,
+order_i >= (p - 1) * v_(i-1), is one stronger than SubstitutionPlan's
+check that a host line of 1 + order_i points holds the p - 1 copies,
+1 + order_i >= (p - 1) * v_(i-1).  A certificate is VALID iff all checks
+pass; assumption failures produce an INVALID certificate listing the
+failure, never an exception.  Serialized certificates re-verify
+independently: re-verification reruns the whole computation from the
+header parameters alone.  Both routes are built by one function driven
+by the route's record in :data:`hypergirth.planner.ROUTES`.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .arith import (
 from .errors import FormatError, PreconditionError, VerificationError
 from .formats import read_header
 from .planner import route_for
+from .transforms import tower_counts
 
 _BIGNUM = "bignum"
 _EXPONENT = "exponent-exact"
@@ -109,7 +116,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     edge-count recurrence against the claimed lower-bound power; and the
     final edge-splitting factor.  Each power row is a :func:`_power_row`,
     shown with the exponent it is decided at; the premise and order rows
-    are the route's.  Expansion sizes are capped by the digit budget of
+    are the route's.  Every count is capped by the digit budget of
     :mod:`hypergirth.arith` (a ResourceBudgetError names the first check
     that would exceed it, before the expansion).
     """
@@ -132,7 +139,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     # rounding raises; str() of a Decimal is linear where str(int) is
     # quadratic.  Orders are raised from p, each as soon as its exponent is
     # known, so an over-budget order is refused before the checks of the
-    # later ones are built.  Only p and split are converted from ints.
+    # later ones are built.  Only p, split and copies are converted from ints.
     exps: list[int] = []
     orders: list[Decimal] = []
     with localcontext(EXACT):
@@ -142,9 +149,9 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
             check_pow(p, exps[-1], f"check order_{i}")
             orders.append(Decimal(p) ** exps[-1])
 
-        substrates: list[tuple[Decimal, Decimal]] = []
+        substrates: list[tuple[Decimal, Decimal]] = []  # v(q), b(q) have degree <= g + line_power - 1
         for i, q in enumerate(orders, start=1):
-            check_digits((q.adjusted() + 1) * g, "expansion", f"vertex-growth-{i}")
+            check_digits((q.adjusted() + 1) * (g + route.line_power - 1), "expansion", f"vertex-growth-{i}")
             substrates.append(route.substrate(q))
 
         # Each stage places p - 1 template copies per edge (one at base 2); the row
@@ -155,25 +162,21 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
         for i, (v, _) in enumerate(substrates, start=1):
             checks.append(_power_row(f"vertex-growth-{i}", f"v_{i}", v, den, p, sym, g**i * (den * m + 1), "<"))
 
-        # Edges of the last construction: b_1, then copies * edges * b_i per stage.
-        edges = substrates[0][1]
-        for _, b in substrates[1:]:
-            check_digits(edges.adjusted() + b.adjusted() + 2, "product", "edge-bound")
-            edges = copies * edges * b
+        # No count exceeds the budget: a product has at most its factors' digits.
+        split = Decimal((1 + uni) // r)
+        factors = [b for _, b in substrates] + [Decimal(copies)] * (n - 1) + [split]
+        check_digits(sum(x.adjusted() + 1 for x in factors), "product", "edge-bound")
+        vertices, edges, final = tower_counts(substrates, [copies] * (n - 1), split)
         bound = route.edge_bound(p, m, n)
         checks.append(_power_row("edge-bound", "edges", edges, route.edge_power, p, sym,
                                  route.edge_power * int(bound.exponent), ">="))
-
-        split = Decimal((1 + uni) // r)
         checks += _rows(_BIGNUM, ("split-factor", f"floor((1 + {sym}^m) / r) >= 1", split >= 1))
-        final = split * edges
 
     values = [(f"order_{i}", str(PowerExpr(p, exponent))) for i, exponent in enumerate(exps, start=1)]
     for i, (v, b) in enumerate(substrates, start=1):
-        v_text = str(v)
-        values.append((f"v_{i}", v_text))
+        values.append((f"v_{i}", str(v)))
         values.append((f"b_{i}", str(b)))
-    values.append(("vertices", v_text))
+    values.append(("vertices", str(vertices)))
     values.append(("edges", str(edges)))
     values.append(("edge_bound", str(bound)))
     values.append(("split_factor", str(split)))

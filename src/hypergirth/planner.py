@@ -120,6 +120,7 @@ class Route:
 
     def v(self, q: int) -> int:
         """Substrate vertex count at order q."""
+        int_args(None, q=q)
         return self.substrate(q)[0]
 
     def base_for(self, p: int | None, what: str) -> int:
@@ -140,7 +141,9 @@ class Route:
 
     def require(self, p: int, m: int, n: int) -> None:
         """Raise PreconditionError unless n >= 1 and every premise holds on
-        (p, m); the error shows only the first premise that fails."""
+        (p, m); the error shows only the first premise that fails.  A p, m
+        or n that is not an int is refused first."""
+        int_args(None, p=p, m=m, n=n)
         if n < 1:
             raise PreconditionError(f"n must be >= 1, got {short_decimal(n)}")
         for premise in self.premises:
@@ -154,6 +157,7 @@ class Route:
         growth^(i-1) * (den*m + 1), and e_1 = m, e_i = growth * e_{i-1} + 1.
         Both are integers: growth = 1 (mod den), so top_i = 1 (mod den).
         Endless and lazy, so a caller stops at the first order it refuses."""
+        int_args(None, m=m)
         g, den = self.growth, self.den
         top, e = den * m + 1, m
         while True:

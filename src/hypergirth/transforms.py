@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 
-from .arith import int_args, record, short_decimal
+from .arith import Number, int_args, record, short_decimal
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget
 from .errors import PreconditionError
 
@@ -113,7 +113,10 @@ def build_recursive(bases: list[BipartiteGraph], copy_counts: list[int]) -> Hype
     Stage 1 takes the neighborhood hypergraph of bases[0]; stage i >= 2
     substitutes the previous result, copy_counts[i-2] times per edge, into
     the neighborhood hypergraph of bases[i-1].  The final girth is at
-    least the minimum over stages of the halved base girths.
+    least the minimum over stages of the halved base girths.  With (v_i,
+    b_i) the sizes of the stages' neighborhood hypergraphs, the result has
+    v_n vertices and b_1 * copy_counts[0] * b_2 * ... * b_n edges, as
+    :func:`tower_counts` states.
     """
     if not bases:
         raise PreconditionError("at least one base graph is required")
@@ -129,6 +132,17 @@ def build_recursive(bases: list[BipartiteGraph], copy_counts: list[int]) -> Hype
         except PreconditionError as exc:
             raise PreconditionError(f"stage {stage}: {exc}") from None
     return current
+
+
+def tower_counts(stages: list[tuple[Number, Number]], copies: list[Number], split: Number) -> tuple[Number, ...]:
+    """(v_n, b_1 * copies * b_2 * ... * copies * b_n, split times that): the
+    vertices, edges and final edges of the :func:`build_recursive` tower on
+    stages of (v_i, b_i) with copies[i-2] copies per edge at stage i, each
+    edge then cut into ``split`` by :func:`split_edges`; on ints or EXACT Decimals."""
+    edges = stages[0][1]
+    for (_, b), k in zip(stages[1:], copies, strict=True):
+        edges = k * edges * b
+    return stages[-1][0], edges, split * edges
 
 
 def loose_path(num_edges: int, r: int = 3) -> Hypergraph:

@@ -346,6 +346,17 @@ NOT_AN_INT_CALLS = {
         lambda: greedy_high_girth_bipartite(5, 5, 2.5, 6, 1), "right_degree must be an integer, got 2.5"),
     "route-seed-str-r": (lambda: ROUTES[6].seed(5, "3"), "r must be an integer, got '3'"),
     "route-seed-float-r": (lambda: ROUTES[6].seed(5, 2.5), "r must be an integer, got 2.5"),
+    "route-order-float-n": (lambda: ROUTES[6].order(5, 2, 2.0), "n must be an integer, got 2.0"),
+    "route-order-float-m": (lambda: ROUTES[6].order(5, 2.0, 2), "m must be an integer, got 2.0"),
+    "route-edge-bound-float-n": (lambda: ROUTES[6].edge_bound(5, 2, 2.0), "n must be an integer, got 2.0"),
+    "route-require-none-n": (lambda: ROUTES[6].require(5, 2, None), "n must be an integer, got None"),
+    "route-exponents-none-m": (lambda: next(ROUTES[6].exponents(None)), "m must be an integer, got None"),
+    "route-v-none-q": (lambda: ROUTES[6].v(None), "q must be an integer, got None"),
+    "route-v-float-q": (lambda: ROUTES[6].v(2.5), "q must be an integer, got 2.5"),
+    "is-prime-float": (lambda: arith.is_prime(2.5), "n must be an integer, got 2.5"),
+    "is-prime-none": (lambda: arith.is_prime(None), "n must be an integer, got None"),
+    "power-none-exponent": (
+        lambda: arith.PowerExpr(2, None), "PowerExpr exponent must be an int or a Fraction, got None"),
 }
 
 

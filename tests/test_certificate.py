@@ -205,6 +205,16 @@ class TestDigitBudget:
         with pytest.raises(ResourceBudgetError, match="edge-bound"):
             certificate(6, 5, 2, 6, 3)
 
+    # One count past the budget is refused before it is built: at m = 350000,
+    # b_1 would have 1 158 966 digits (11 per digit of q_1), and at m = 290000,
+    # final_edges 1 047 584 (the split factor's digits counted too).
+    @pytest.mark.parametrize("m,name", [(350000, "vertex-growth-1"), (290000, "edge-bound")])
+    def test_every_count_is_within_the_budget(self, m, name):
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=f"^check {name}: "):
+            certificate(6, 2, m, 1, 3)
+        assert time.monotonic() - start < 2.0
+
     # Each order is expanded as soon as its exponent is known, so a header
     # with a huge n is refused at the first over-budget order, not after
     # building the closed-form checks of all n orders.

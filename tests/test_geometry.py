@@ -644,16 +644,22 @@ def _cli_digests() -> list[str]:
 
 def _golden_digests() -> list[str]:
     """sha256 of the normalised stdout and of the certificate file of the
-    eight `plan` calls pinned in tests/test_golden.py, and of its
-    theorem_bound displays at N of at most 10^5 bits, hashed as that file
-    hashes them.  Stdlib only: it also runs as a script."""
+    eight `plan` calls pinned in tests/test_golden.py, of its theorem_bound
+    displays, of the stdout and files of its commands, and of the files of
+    its recipes, hashed as that file hashes them.  The commands, recipes
+    and theorem_bound inputs past 10^5 bits are read from that file's
+    tables, whose definitions are run without its imports.  Stdlib only:
+    it also runs as a script."""
+    import ast
     import hashlib
     import io
     import os
+    import pathlib
     import random
     import tempfile
     from contextlib import redirect_stdout
 
+    import hypergirth
     from hypergirth import theorem_bound
     from hypergirth.cli import main
 
@@ -688,6 +694,46 @@ def _golden_digests() -> list[str]:
     for girth, p, n_value in bounds:
         tb = theorem_bound(girth, p, n_value)
         out.append(sha(f"{tb.exponent!r} {tb.bound.exponent} {tb.derived_constant!r}"))
+
+    source = pathlib.Path(hypergirth.__file__).resolve().parents[2] / "tests" / "test_golden.py"
+    tables = {"TEMPLATE_FILES", "RECIPES", "COMMANDS", "COMMAND_FILES", "THEOREM_BOUNDS", "_random_bits"}
+    body = [node for node in ast.parse(source.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name in tables
+            or isinstance(node, ast.Assign) and any(getattr(t, "id", None) in tables for t in node.targets)]
+    golden = {"random": random}
+    exec(compile(ast.Module(body, []), str(source), "exec"), golden)
+    for girth, p, make_n, _ in golden["THEOREM_BOUNDS"].values():
+        n_value = make_n()
+        if n_value.bit_length() > 10**5:
+            tb = theorem_bound(girth, p, n_value)
+            out.append(sha(f"{tb.exponent!r} {tb.bound.exponent} {tb.derived_constant!r}"))
+
+    def write(path, text):
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+
+    def run(tmp, command):
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            main(command.replace("<tmp>", tmp).split())
+        return sha(stdout.getvalue().replace(tmp, "<tmp>"))
+
+    def file_sha(path, tmp):
+        with open(path, encoding="ascii", newline="") as fh:
+            return sha(fh.read().replace(tmp, "<tmp>"))
+
+    for recipe in (None, *golden["RECIPES"].values()):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in golden["TEMPLATE_FILES"].items():
+                write(os.path.join(tmp, name), text)
+            if recipe is None:  # the commands, run in order in one directory
+                out += [run(tmp, command) for command in golden["COMMANDS"]]
+                out += [file_sha(os.path.join(tmp, name), tmp) for name in golden["COMMAND_FILES"]]
+                continue
+            write(os.path.join(tmp, "r.rcp"), recipe[0].replace("<tmp>", tmp))
+            run(tmp, "pipeline <tmp>/r.rcp --out-dir <tmp>/out")
+            written = sorted(os.listdir(os.path.join(tmp, "out")))
+            out += [file_sha(os.path.join(tmp, "out", name), tmp) for name in written]
     return out
 
 

@@ -1,8 +1,12 @@
+import functools
+import importlib
 import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_golden import CERTIFICATES, sha
 
 from hypergirth import (
     BipartiteGraph,
@@ -18,9 +22,13 @@ from hypergirth import (
     greedy_high_girth_bipartite,
     loose_path,
     neighborhood_hypergraph,
+    projective_plane,
     serialize_hypergraph,
+    split_cayley_hexagon,
     split_edges,
     substitute_edges,
+    symplectic_quadrangle,
+    transforms,
     validate,
 )
 from hypergirth.core import VERTEX_BUDGET
@@ -283,3 +291,127 @@ def test_determinism_bit_identical(hex2):
     a = substitute_edges(SubstitutionPlan(neighborhood_hypergraph(hex2), loose_path(1, 3), 1))
     b = substitute_edges(SubstitutionPlan(neighborhood_hypergraph(hex2), loose_path(1, 3), 1))
     assert serialize_hypergraph(a) == serialize_hypergraph(b)
+
+
+# Built towers against transforms.tower_counts, the count rule the
+# certificate states its vertex, edge and final-edge counts with.
+GEOMETRIES = {"PG": projective_plane, "W": symplectic_quadrangle, "H": split_cayley_hexagon}
+# Small bases: (kind, q) of a geometry, or ("greedy", left, right, degree, girth, seed).
+TOWER_BASES = [
+    *[("PG", q) for q in (2, 3, 7, 13, 17)],
+    *[("W", q) for q in (2, 3, 7)],
+    *[("H", q) for q in (2, 3)],
+    *[("greedy", *shape, seed) for shape in ((3, 1, 3, 6), (4, 2, 2, 6), (40, 8, 5, 6), (60, 12, 8, 6),
+                                             (504, 8, 63, 12)) for seed in (1, 2, 3)],
+]
+
+
+@functools.cache
+def tower_base(key: tuple) -> tuple[BipartiteGraph, Hypergraph, int | None]:
+    """The base graph of ``key``, its neighbourhood hypergraph, and half its
+    girth (None for a forest)."""
+    kind, *args = key
+    g = GEOMETRIES[kind](*args) if kind in GEOMETRIES else greedy_high_girth_bipartite(*args)[0]
+    girth = girth_bipartite(g).girth
+    return g, neighborhood_hypergraph(g), None if girth is None else girth // 2
+
+
+def admitted_copies(host: Hypergraph, num_vertices: int) -> list[int]:
+    """Every copy count that SubstitutionPlan admits for a template on
+    ``num_vertices`` vertices; the template's edges play no part in it."""
+    template, counts = Hypergraph(num_vertices, ()), []
+    for k in itertools.count(1):
+        try:
+            SubstitutionPlan(host, template, k)
+        except PreconditionError:
+            return counts
+        counts.append(k)
+
+
+def check_tower(keys: list[tuple], r: int) -> list[tuple[int, int, int]]:
+    """Build the tower on the bases ``keys`` at every tuple of copy counts
+    SubstitutionPlan admits, then split it into r-edges.  Its vertex, edge
+    and split-edge counts must be transforms.tower_counts on the
+    neighbourhood hypergraphs' own (v, b), and its exact girth at least the
+    least halved base girth.  Returns the counts."""
+    stages = [tower_base(key) for key in keys]
+    counts = [(h.num_vertices, h.num_edges) for _, h, _ in stages]
+    sizes = {len(edge) for edge in stages[0][1].edges}
+    assert len(sizes) == 1, "the split factor needs a uniform bottom"
+    promised = min((half for _, _, half in stages if half is not None), default=None)
+    choices = [admitted_copies(h, v) for (_, h, _), (v, _) in zip(stages[1:], counts)]
+    assert all(choices), "a stage admits no copy count"
+    built = []
+    for copies in itertools.product(*choices):
+        tower = build_recursive([g for g, _, _ in stages], list(copies))
+        built.append((tower.num_vertices, tower.num_edges, split_edges(tower, r).num_edges))
+        assert built[-1] == transforms.tower_counts(counts, copies, min(sizes) // r), (keys, copies)
+        girth = girth_hypergraph(tower).girth
+        assert promised is None or girth is None or girth >= promised, (keys, copies, girth)
+    return built
+
+
+def uniform(key: tuple) -> bool:
+    return len({len(edge) for edge in tower_base(key)[1].edges}) == 1
+
+
+@st.composite
+def towers(draw):
+    """(bases, r): a uniform bottom and up to two hosts, each host's smallest
+    edge holding a copy of the tower below it, and 2 <= r <= the bottom's
+    edge size."""
+    keys = [draw(st.sampled_from([key for key in TOWER_BASES if uniform(key)]))]
+    while len(keys) < 3 and draw(st.booleans()):
+        below = tower_base(keys[-1])[1].num_vertices
+        hosts = [key for key in TOWER_BASES if min(map(len, tower_base(key)[1].edges)) >= below]
+        if not hosts:
+            break
+        keys.append(draw(st.sampled_from(hosts)))
+    return keys, draw(st.integers(2, len(tower_base(keys[0])[1].edges[0])))
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(towers())
+def test_built_towers_have_the_tower_counts(tower):
+    check_tower(*tower)
+
+
+@pytest.mark.parametrize("keys, r, first", [
+    ([("PG", 2), ("PG", 13)], 3, (183, 1281, 1281)),  # copies 1 and 2: 2562 edges at 2
+    ([("W", 2), ("W", 17)], 2, (5220, 78300, 78300)),
+    ([("greedy", 4, 2, 2, 6, 1), ("PG", 3), ("PG", 13)], 2, (183, 4758, 4758)),
+])
+def test_known_towers(keys, r, first):
+    built = check_tower(keys, r)
+    assert built[0] == first
+    if keys[1] == ("PG", 13):
+        assert built[1][:2] == (183, 2562)
+
+
+def tower_counts_previous_b(stages, copies, split):
+    """Mutant: each stage multiplies by b_(i-1) instead of b_i."""
+    edges = stages[0][1]
+    for (_, b), k in zip(stages[:-1], copies, strict=True):
+        edges = k * edges * b
+    return stages[-1][0], edges, split * edges
+
+
+def tower_counts_without_copies(stages, copies, split):
+    """Mutant: the copy count is dropped."""
+    edges = stages[0][1]
+    for _, b in stages[1:]:
+        edges = edges * b
+    return stages[-1][0], edges, split * edges
+
+
+@pytest.mark.parametrize("mutant", [tower_counts_previous_b, tower_counts_without_copies])
+def test_a_wrong_tower_rule_is_caught(monkeypatch, mutant):
+    # Both the built towers and the certificate digests catch each mutant.
+    certificate_module = importlib.import_module("hypergirth.certificate")
+    monkeypatch.setattr(transforms, "tower_counts", mutant)
+    monkeypatch.setattr(certificate_module, "tower_counts", mutant)
+    with pytest.raises(AssertionError):
+        check_tower([("PG", 2), ("PG", 13)], 3)
+    changed = [key for key, digest in CERTIFICATES.items()
+               if sha(certificate_module.certificate(*key).serialize()) != digest]
+    assert changed
