@@ -9,8 +9,9 @@ integral Decimal.
 
 CPython converts between int and decimal text in time quadratic in the
 length.  Long decimals are therefore written from ``decimal.Decimal``
-values, whose str() is linear, computed under :data:`EXACT`, and read by
-halving (:func:`parse_decimal_int`).
+values, whose str() is linear, computed under :data:`EXACT` or built from
+an int's bit halves (:func:`int_to_decimal`), and read by halving
+(:func:`parse_decimal_int`).
 
 The module also holds what every layer shares: how messages show values
 (:func:`show`), the int argument check (:func:`int_args`) and
@@ -47,11 +48,29 @@ def int_digits10(value: int) -> int:
     return approx + 1 if power_at_least(value, 1, 10, approx) else approx
 
 
+_DECIMAL_LEAF = 2048  # bits: Decimal(int) is quadratic in the length, but cheap up to here
+
+
 def int_to_decimal(value: int) -> str:
     """str(value) regardless of the interpreter's int->str digit limit,
-    which does not bound Decimal.  The conversion is still quadratic in the
-    length: a long value is better computed as a Decimal under EXACT."""
-    return str(Decimal(value))
+    which does not bound Decimal.  A long value is split at bit halves,
+    hi * 2^k + lo, and the halves' Decimals joined by EXACT.fma with each
+    2^k computed once per call, so the cost follows Decimal multiplication
+    instead of Decimal(int)'s quadratic one."""
+    if value.bit_length() <= _DECIMAL_LEAF:
+        return str(Decimal(value))
+    pow2: dict[int, Decimal] = {}
+
+    def convert(n: int, bits: int) -> Decimal:
+        if bits <= _DECIMAL_LEAF:
+            return Decimal(n)
+        k = bits // 2
+        if k not in pow2:
+            pow2[k] = EXACT.power(2, k)
+        return EXACT.fma(convert(n >> k, bits - k), pow2[k], convert(n & ((1 << k) - 1), k))
+
+    text = str(convert(abs(value), value.bit_length()))
+    return "-" + text if value < 0 else text
 
 
 def short_decimal(value: int | str) -> str:

@@ -79,7 +79,10 @@ POLYGON = {"plane": 3, "quadrangle": 4, "hexagon": 6}  # kind -> n of its genera
 def polygon_counts(n: int, s: Number, t: Number) -> tuple[Number, Number]:
     """(points, lines) of a generalized n-gon of order (s, t), on ints or on
     Decimals under arith.EXACT: (1+s)F and (1+t)F, F = 1 + st + ... +
-    (st)^(n/2-1) by Horner's rule; n = 3 is PG(2, s), s = t: 1+s+s^2 each."""
+    (st)^(n/2-1) by Horner's rule; n = 3 is PG(2, s), s = t: 1+s+s^2 each.
+    Any other n than 3, 4, 6 or 8, the thick n-gons (Feit-Higman), is refused."""
+    if n not in (3, 4, 6, 8):
+        raise PreconditionError(f"polygon counts need n = 3, 4, 6 or 8, got {short_decimal(n)}")
     if n == 3:
         return (1 + s + s * s,) * 2
     step, factor = s * t, 1

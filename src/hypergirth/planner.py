@@ -22,15 +22,15 @@ different constants, each recorded once as a :class:`Route` in
 A route states each rule once, for the certificate to record and the
 planner to enforce: its premises, each shown and decided by
 :meth:`Route.premise_check`, its order exponents in :meth:`Route.exponents`,
-and the checks on each order in :meth:`Route.order_checks`.  :meth:`Route.plan`
-finds (m, n) with one ``bisect`` per level over the level's lattice cells.
+and the checks on each order in :meth:`Route.order_checks`; :meth:`Route.require`
+guards the stage count.  :meth:`Route.plan` finds (m, n) by a ``bisect`` for the
+seed, one probe per level climbed and a ``bisect`` over the level it stops at.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
@@ -39,6 +39,7 @@ from typing import Callable, Iterator
 from .arith import (
     Number,
     PowerExpr,
+    check_pow,
     checked_pow,
     int_args,
     is_prime,
@@ -142,10 +143,13 @@ class Route:
     def require(self, p: int, m: int, n: int) -> None:
         """Raise PreconditionError unless n >= 1 and every premise holds on
         (p, m); the error shows only the first premise that fails.  A p, m
-        or n that is not an int is refused first."""
+        or n that is not an int is refused first.  This is also the one
+        guard on the stage count: an n whose exponent growth^(n-1) would
+        exceed the digit budget raises ResourceBudgetError."""
         int_args(None, p=p, m=m, n=n)
         if n < 1:
             raise PreconditionError(f"n must be >= 1, got {short_decimal(n)}")
+        check_pow(self.growth, n - 1, f"stage count n = {short_decimal(n)}")
         for premise in self.premises:
             if not premise[2](p, m):
                 name, shown, _ = self.premise_check(premise, p, m)
@@ -194,10 +198,11 @@ class Route:
         return PowerExpr(p, exponent)
 
     def _v_vs(self, p: int, m: int, n: int, value: int) -> int:
-        """Exact sign of v(q_{p,m,n}) - value for value >= 2.  As q^growth <
-        v(q) < 8 q^growth <= p^3 q^growth for q = p^e, q is expanded only
+        """Exact sign of v(q_{p,m,n}) - value for value >= 2, with q = p^e read
+        from :meth:`exponents`, not :meth:`order`: a probe needs no checks.  As
+        q^growth < v(q) < 8 q^growth <= p^3 q^growth, q is expanded only
         when p^(growth e) <= value < p^(growth e + 3)."""
-        e = int(self.order(p, m, n).exponent)
+        e = next(islice(self.exponents(m), n - 1, None))[1]
         if not power_at_least(value, 1, p, self.growth * e):
             return 1
         if power_at_least(value, 1, p, self.growth * e + 3):
@@ -206,37 +211,37 @@ class Route:
         return (v > value) - (v < value)
 
     def seed(self, p: int, r: int) -> tuple[int, int]:
-        """The seed (m*, n*) that :meth:`plan` grows from: m* is the least m
-        on the lattice 1 + step*k that satisfies the premises and
-        p^m >= r - 1, and n* brackets it by growth^(n*-1) - shift <= m* <
-        growth^n*, where shift = step - 1 puts the bracket ends on the
-        lattice (10^k - 1 is odd)."""
+        """The seed (m*, n*) that :meth:`plan` grows from: one ``bisect`` finds
+        the least m* on the lattice 1 + step*k that satisfies the premises and
+        p^m >= r - 1, decided as not r - 2 >= p^m without expanding p^m; both
+        hold by m = r.bit_length() + 4.  n* is the least n with m* < growth^n,
+        so growth^(n*-1) - shift <= m* with shift = step - 1 (10^k - 1 is odd)."""
         int_args(None, p=p, r=r)
         if not is_prime(p):
             raise PreconditionError(f"p must be prime, got {short_decimal(p)}")
         if r < 2:
             raise PreconditionError(f"r must be >= 2, got {short_decimal(r)}")
-        step, shift, g = self.m_step, self.m_step - 1, self.growth
-        # p^m > r - 2 >= 2^(bits - 1) needs m > (bits - 1) / log2 p, so the search
-        # starts at or below m*; the float's error is far below 1 within the digit budget.
-        m_star = 1 + step * (max(0, int((r - 2).bit_length() / math.log2(p)) - 2) // step)
-        power = p**m_star
-        while power < r - 1 or not all(ok(p, m_star) for _, _, ok in self.premises):
-            m_star, power = m_star + step, power * p**step
+
+        def fits(m: int) -> bool:
+            held = all(ok(p, m) for _, _, ok in self.premises)
+            return held and (r < 4 or not power_at_least(r - 2, 1, p, m))
+
+        cells = range(1, r.bit_length() + 4 + self.m_step, self.m_step)
+        m_star = cells[bisect_left(cells, True, key=fits)]
         n_star = 1
-        while not (g ** (n_star - 1) - shift <= m_star < g**n_star):
+        while self.growth**n_star <= m_star:
             n_star += 1
         return m_star, n_star
 
     def plan(self, p: int, r: int, n_vertices: int) -> PlanResult:
-        """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by one
-        ``bisect`` per level over its lattice cells, with exact comparisons.
-
-        The search starts at the seed (m*, n*) of :meth:`seed`.  The
-        returned pair additionally satisfies m* <= m, n* <= n and
-        growth^(n-1) - shift <= m <= growth^(n+1) - shift; both sandwich
-        inequalities are re-checked exactly before returning.  A p, r or N
-        that is not an int is refused before any of this.
+        """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by exact
+        comparisons.  From the seed (m*, n*) of :meth:`seed`, the search climbs
+        a level, one probe each, while N reaches the cell one past the level's
+        top, v(q_{p,g^(n+1)+1,n}) = v(q_{p,g^n,n+1}); then it bisects that
+        level's lattice cells alone.  The returned pair additionally satisfies
+        m* <= m, n* <= n and growth^(n-1) - shift <= m <= growth^(n+1) - shift;
+        both sandwich inequalities are re-checked exactly before returning.  A
+        p, r or N that is not an int is refused before any of this.
         """
         int_args(None, p=p, r=r, N=n_vertices)
         m_star, n_star = self.seed(p, r)
@@ -246,22 +251,13 @@ class Route:
             raise BelowSeedError(n_vertices, seed_vertices)
 
         n = n_star
-        while True:
-            # the level's lattice cells, and one above its top: v increases with m
-            cells = range(max(m_star, g ** (n - 1) - shift), g ** (n + 1) - shift + 2 * step, step)
-            k = bisect_right(cells, 0, key=lambda m: self._v_vs(p, m, n, n_vertices))
-            if k == 0:
-                raise PreconditionError(
-                    f"no admissible (m, n) found for N = {short_decimal(n_vertices)}"
-                )  # unreachable for N >= N*
-            if k < len(cells):
-                m = cells[k - 1]
-                break
-            # N >= v(q_{p, g^(n+1)+1, n}) = v(q_{p, g^n, n+1}): climb a level
+        while self._v_vs(p, g ** (n + 1) - shift + step, n, n_vertices) <= 0:
             n += 1
+        cells = range(max(m_star, g ** (n - 1) - shift), g ** (n + 1) - shift + step, step)
+        m = cells[bisect_right(cells, 0, key=lambda m: self._v_vs(p, m, n, n_vertices)) - 1]
 
         if not self._v_vs(p, m, n, n_vertices) <= 0 < self._v_vs(p, m + step, n, n_vertices):
-            raise PreconditionError("sandwich re-check failed")  # unreachable
+            raise PreconditionError("sandwich re-check failed")  # unreachable for N >= N*
         return PlanResult(m, n, m_star, n_star, seed_vertices)
 
 

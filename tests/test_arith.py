@@ -20,6 +20,7 @@ with a short message.
 import math
 import random
 import sys
+import time
 from contextlib import contextmanager
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
@@ -500,3 +501,29 @@ def test_exact_context_refuses_to_round():
             Decimal("2.5").to_integral_exact()
         with pytest.raises(InvalidOperation):
             Decimal("Infinity") - Decimal("Infinity")
+
+
+# int_to_decimal converts a value of up to LEAF bits whole and splits a
+# longer one at its bit halves; 10^616 < 2^LEAF < 10^617 < 10^1233 < 2^(2 LEAF) < 10^1234.
+LEAF = arith._DECIMAL_LEAF
+HALVING_VALUES = [
+    base**k + d
+    for base, ks in ((2, (LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1, 40000)),
+                     (10, (616, 617, 1233, 1234, 10**4)))
+    for k in ks
+    for d in (-1, 0, 1)
+]
+
+
+@pytest.mark.parametrize("value", HALVING_VALUES, ids=lambda v: f"{v.bit_length()}bits-{v % 1000}")
+def test_int_to_decimal_matches_the_decimal_conversion(value):
+    assert arith.int_to_decimal(value) == str(Decimal(value))
+    assert arith.int_to_decimal(-value) == str(Decimal(-value))
+
+
+def test_int_to_decimal_echoes_a_long_value_quickly():
+    value = 10**999_999 - 1
+    start = time.monotonic()
+    text = arith.int_to_decimal(value)
+    assert time.monotonic() - start < 3.0
+    assert text == "9" * 999_999

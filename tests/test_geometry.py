@@ -282,6 +282,13 @@ class TestPolygonCounts:
             got = polygon_counts(n, Decimal(q), Decimal(q) ** line_power)
         assert tuple(map(str, got)) == tuple(map(int_to_decimal, polygon_counts(n, q, q**line_power)))
 
+    @pytest.mark.parametrize("n", [2, 5, 7, 10, 10**5000], ids=["2", "5", "7", "10", "5001digits"])
+    def test_other_n_is_refused_quickly(self, n):
+        start = time.monotonic()
+        with pytest.raises(PreconditionError, match=r"^polygon counts need n = 3, 4, 6 or 8, got \d"):
+            polygon_counts(n, 2, 2)
+        assert time.monotonic() - start < 1.0
+
     def test_route_constants_derive_from_the_polygon(self):
         assert (ROUTES[6].growth, ROUTES[6].den) == (9, 8)
         assert (ROUTES[8].growth, ROUTES[8].den) == (10, 9)

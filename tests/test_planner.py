@@ -447,11 +447,64 @@ class TestSeed:
             if r >= 2:
                 assert route.seed(p, r) == reference_seed(route, p, r), r
 
+    @pytest.mark.parametrize("girth,p", SEEDS + [(6, 2**61 - 1)])
+    def test_long_r_next_to_powers_match_the_reference(self, girth, p):
+        # r of 10^3 digits, and of 10^4 for the largest base alone: the
+        # reference expands p^m at every lattice step up to m*
+        route = ROUTES[girth]
+        k = int(1000 / math.log10(p))
+        rs = [p**k + d for d in (-1, 0, 1, 2)] + [10**999 + d for d in (-1, 0, 1)]
+        if p > 100:
+            k = int(10_000 / math.log10(p))
+            rs += [p**k - 1, p**k, 10**9999]
+        for r in rs:
+            assert route.seed(p, r) == reference_seed(route, p, r), (r.bit_length(), r % 1000)
+
     def test_long_r_is_refused_quickly(self):
         start = time.monotonic()
         with pytest.raises(ResourceBudgetError, match=r"^5\^187737274: 5\^187737274 needs ~1.31e\+08 digits"):
             plan(6, 5, 10**20_000 - 1, 10**60)
         assert time.monotonic() - start < 1.0
+
+
+class TestSearchShape:
+    """``plan`` calls the public ``order`` and ``require`` once per plan, for
+    the seed's vertex count; its probes read ``exponents`` directly."""
+
+    @pytest.mark.parametrize("digits,climbed", [(100, 0), (1000, 1), (20_000, 2)])
+    def test_order_and_require_run_once(self, monkeypatch, digits, climbed):
+        route, calls = ROUTES[6], {"order": [], "require": []}
+        for name in calls:
+            original = getattr(Route, name)
+
+            def counted(self, *args, name=name, original=original):
+                calls[name].append(args)
+                return original(self, *args)
+
+            monkeypatch.setattr(Route, name, counted)
+        result = route.plan(2, 3, 10**digits)
+        assert result.n - result.n_star == climbed
+        seed = (2, result.m_star, result.n_star)
+        assert calls == {"order": [seed], "require": [seed]}
+
+
+class TestStageCountGuard:
+    """An n whose exponent growth^(n-1) is past the digit budget is refused
+    by ``require``, before anything walks n stages."""
+
+    def test_absurd_n_is_refused_quickly(self):
+        route = ROUTES[6]
+        long_n = r"^stage count n = 1000000000000000000000000000000000000000\.\.\.\(5001 digits\): 9\^"
+        calls = [
+            (route.order, 10**30, r"^stage count n = 1000000000000000000000000000000: 9\^9999"),
+            (route.order, 10**5000, long_n),
+            (route.edge_bound, 10**5000, long_n),
+        ]
+        for call, n, prefix in calls:
+            start = time.monotonic()
+            with pytest.raises(ResourceBudgetError, match=prefix):
+                call(5, 2, n)
+            assert time.monotonic() - start < 1.0, (call.__name__, n)
 
 
 class TestPlanHexagon:
