@@ -57,8 +57,9 @@ Three routes are provided:
   1 < k <= limit, the longest cycle still sought; a find at k lowers the
   limit to k - 1, so no later edge of the same step closes again, and an
   edge grows the path only while k < limit.  The path's vertices and edges
-  are flagged in two bytearrays allocated once per call, and its depth k
-  is passed down the recursion.
+  are flagged in two bytearrays allocated once per call.  The path is a
+  stack of generators, one per vertex, each yielding the vertices to enter
+  next, so a path of any length needs no Python stack depth.
 
   A start vertex v0 is not searched at all when its ball is a tree: the
   incidence graph through v0 and the vertices above it, out to radius
@@ -80,8 +81,7 @@ Three routes are provided:
 
 from __future__ import annotations
 
-import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .arith import int_args, record, show
 from .errors import ResourceBudgetError, VerificationError
@@ -365,9 +365,9 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
             tree = seen == len(frontier)
         return back, tree
 
-    def extend(v_cur: int, k: int) -> None:
-        # the path holds k vertices and k - 1 edges; limit is the longest
-        # cycle still worth finding, and it falls with each find
+    def steps(v_cur: int, k: int) -> Iterator[int]:
+        # the vertices to enter from the end of a path of k vertices and k - 1 edges;
+        # limit is the longest cycle still worth finding, and it falls with each find
         nonlocal limit, best_witness
         for e_idx in vertex_edges[v_cur]:
             if used_e[e_idx]:
@@ -380,11 +380,7 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
                 path_e.append(e_idx)
                 for w in edges[e_idx]:
                     if k + back[w] <= limit and not on_path[w]:
-                        on_path[w] = 1
-                        path_v.append(w)
-                        extend(w, k + 1)
-                        path_v.pop()
-                        on_path[w] = 0
+                        yield w
                 path_e.pop()
                 used_e[e_idx] = 0
 
@@ -392,30 +388,33 @@ def girth_oracle(h: Hypergraph, max_len: int) -> GirthReport:
     on_path = bytearray(h.num_vertices)
     used_e = bytearray(len(edges))
     closes = bytearray(len(edges))
-    # the DFS recurses once per path vertex, and a path has at most limit vertices
-    old_recursion_limit = sys.getrecursionlimit()
-    try:
-        sys.setrecursionlimit(max(old_recursion_limit, limit + 200))
-        for v0 in range(h.num_vertices):
-            if limit < 2:
+    for v0 in range(h.num_vertices):
+        if limit < 2:
+            break
+        if len(vertex_edges[v0]) < 2:
+            continue
+        back, tree = dist_from(v0)
+        if tree:
+            # no cycle of length <= limit has v0 as its smallest vertex
+            continue
+        path_v = [v0]
+        path_e: list[int] = []
+        on_path[v0] = 1
+        for e_idx in vertex_edges[v0]:
+            closes[e_idx] = 1
+        # one generator per path vertex; a vertex leaves the path when its generator is spent
+        stack = [steps(v0, 1)]
+        while stack:
+            for w in stack[-1]:
+                on_path[w] = 1
+                path_v.append(w)
+                stack.append(steps(w, len(path_v)))
                 break
-            if len(vertex_edges[v0]) < 2:
-                continue
-            back, tree = dist_from(v0)
-            if tree:
-                # no cycle of length <= limit has v0 as its smallest vertex
-                continue
-            path_v = [v0]
-            path_e: list[int] = []
-            on_path[v0] = 1
-            for e_idx in vertex_edges[v0]:
-                closes[e_idx] = 1
-            extend(v0, 1)
-            for e_idx in vertex_edges[v0]:
-                closes[e_idx] = 0
-            on_path[v0] = 0
-    finally:
-        sys.setrecursionlimit(old_recursion_limit)
+            else:
+                stack.pop()
+                on_path[path_v.pop()] = 0
+        for e_idx in vertex_edges[v0]:
+            closes[e_idx] = 0
 
     if best_witness is None:
         return GirthReport(None, searched_to=max_len)

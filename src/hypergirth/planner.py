@@ -120,8 +120,11 @@ class Route:
         return polygon_counts(self.girth, q, q**self.line_power)
 
     def v(self, q: int) -> int:
-        """Substrate vertex count at order q."""
+        """Substrate vertex count at order q, refused for q >= 2 when q^growth
+        would exceed the digit budget."""
         int_args(None, q=q)
+        if q >= 2:
+            check_pow(q, self.growth, "substrate vertex count v(q)")
         return self.substrate(q)[0]
 
     def base_for(self, p: int | None, what: str) -> int:
@@ -201,13 +204,15 @@ class Route:
         """Exact sign of v(q_{p,m,n}) - value for value >= 2, with q = p^e read
         from :meth:`exponents`, not :meth:`order`: a probe needs no checks.  As
         q^growth < v(q) < 8 q^growth <= p^3 q^growth, q is expanded only
-        when p^(growth e) <= value < p^(growth e + 3)."""
+        when p^(growth e) <= value < p^(growth e + 3).  v(q) then comes from
+        :meth:`substrate`, not :meth:`v`: q^growth <= value already keeps it
+        within the digit budget."""
         e = next(islice(self.exponents(m), n - 1, None))[1]
         if not power_at_least(value, 1, p, self.growth * e):
             return 1
         if power_at_least(value, 1, p, self.growth * e + 3):
             return -1
-        v = self.v(checked_pow(p, e, f"v({p}^{e})"))
+        v = self.substrate(checked_pow(p, e, f"v({p}^{e})"))[0]
         return (v > value) - (v < value)
 
     def seed(self, p: int, r: int) -> tuple[int, int]:
@@ -246,7 +251,8 @@ class Route:
         int_args(None, p=p, r=r, N=n_vertices)
         m_star, n_star = self.seed(p, r)
         step, shift, g = self.m_step, self.m_step - 1, self.growth
-        seed_vertices = self.v(self.order(p, m_star, n_star).expand())
+        # not self.v: a seed count past the digit budget is still shown as above N
+        seed_vertices = self.substrate(self.order(p, m_star, n_star).expand())[0]
         if n_vertices < seed_vertices:
             raise BelowSeedError(n_vertices, seed_vertices)
 

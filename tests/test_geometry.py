@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import re
+import shutil
 import subprocess
 import time
 from collections import deque
@@ -744,15 +745,19 @@ def _golden_digests() -> list[str]:
     return out
 
 
-def _pyenv_python(minor: int) -> Path | None:
-    """The newest pyenv-installed CPython 3.minor, or None."""
+def _other_python(minor: int) -> Path | None:
+    """The newest pyenv-installed CPython 3.minor, else ``python3.minor`` on
+    PATH, or None."""
     root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
     found = []
     for exe in root.glob(f"3.{minor}.*/bin/python"):
         patch = re.fullmatch(rf"3\.{minor}\.(\d+)", exe.parent.parent.name)
         if patch:
             found.append((int(patch[1]), exe))
-    return max(found)[1] if found else None
+    if found:
+        return max(found)[1]
+    on_path = shutil.which(f"python3.{minor}")
+    return Path(on_path) if on_path else None
 
 
 @pytest.mark.parametrize("digests", [_greedy_digests, _polygon_digests, _oracle_digests, _certificate_digests,
@@ -770,19 +775,19 @@ def test_digests_same_on_other_interpreters(digests):
     src = str(Path(hypergirth.__file__).resolve().parents[1])
     ran, absent, differ = [], [], []
     for minor in (10, 12, 13):
-        exe = _pyenv_python(minor)
+        exe = _other_python(minor)
         if exe is None:
             absent.append(f"3.{minor}")
             continue
         proc = subprocess.run([str(exe), "-I", "-B", "-c", script, src],
                               capture_output=True, text=True, timeout=120)
-        ran.append(f"{exe.parent.parent.name} ({exe})")
+        ran.append(f"3.{minor} ({exe})")
         if proc.returncode != 0 or proc.stdout.split() != expected:
-            differ.append(f"{exe.parent.parent.name}: {proc.stdout.strip() or proc.stderr.strip()[-300:]}")
+            differ.append(f"3.{minor}: {proc.stdout.strip() or proc.stderr.strip()[-300:]}")
     summary = f"ran {', '.join(ran) or 'none'}; absent {', '.join(absent) or 'none'}"
     print(summary)
     if not ran:
-        pytest.skip(f"no pyenv CPython 3.10, 3.12 or 3.13: {summary}")
+        pytest.skip(f"no CPython 3.10, 3.12 or 3.13 under pyenv or on PATH: {summary}")
     assert not differ, f"{summary}; differ: {differ}"
 
 

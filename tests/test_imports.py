@@ -266,7 +266,7 @@ def test_every_export_is_used_or_allowed():
 
 
 # What only pipeline's readers (op_args, plan_args, read_int) may use to read an argument.
-CLI_READER_NAMES = {"parse_decimal_int", "INT", "TEMPLATE", "resolve_template", "check_pad_target", "route_for"}
+CLI_READER_NAMES = {"parse_decimal_int", "INT", "TEMPLATE", "resolve_template", "check_vertex_budget", "route_for"}
 
 
 def cli_input_readers(source: str) -> list[str]:

@@ -11,6 +11,7 @@ cycle is reported.
 import random
 
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,44 @@ def test_deep_search_restores_the_recursion_limit():
     rep = girth_oracle(h, 10**9)
     assert (rep.girth, rep.searched_to) == (n, None)
     assert rep.witness.vertices == tuple(range(n))
+    assert sys.getrecursionlimit() == before
+
+
+def _deep_cycle_report():
+    n = 900
+    h = Hypergraph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    rep = girth_oracle(h, 10**9)
+    return rep.girth, rep.searched_to, rep.witness.vertices
+
+
+DEEP_CYCLE = (900, None, tuple(range(900)))
+
+
+def test_deep_search_never_sets_the_recursion_limit(monkeypatch):
+    # the search keeps its path on a stack of its own, so a 900-vertex path needs no Python stack depth
+    def refuse(limit):
+        raise AssertionError(f"girth_oracle set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert _deep_cycle_report() == DEEP_CYCLE
+
+
+def test_deep_searches_in_two_threads_at_once():
+    before = sys.getrecursionlimit()
+    start = threading.Barrier(2)
+    reports = []
+
+    def search():
+        start.wait(timeout=60)
+        reports.append(_deep_cycle_report())
+
+    threads = [threading.Thread(target=search) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert reports == [DEEP_CYCLE, DEEP_CYCLE]
     assert sys.getrecursionlimit() == before
 
 

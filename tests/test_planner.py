@@ -52,6 +52,16 @@ class TestSubstrateParams:
             assert v == ROUTES[girth].v(q) == v_of(q)
             assert b == v_of(q) // (1 + q) * (1 + q**low)
 
+    def test_v_past_the_digit_budget_is_refused_quickly(self):
+        # v(q) has about 9 * 300000 digits: it is refused before q^9 is raised
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=r"^substrate vertex count v\(q\): .*\(300001 digits\)\^9 "):
+            ROUTES[6].v(10**300000 + 1)
+        assert time.monotonic() - start < 1.0
+        # q <= 1 is not guarded, and an order just inside the budget still expands
+        assert [ROUTES[6].v(q) for q in (-1, 0, 1)] == [0, 1, 6]
+        assert ROUTES[8].v(2**330_000) == octagon_v(2**330_000)
+
     @pytest.mark.parametrize("girth", [6, 8])
     def test_substrate_on_decimals_is_exact(self, girth):
         for q in (2, 25, 5**19, 7**3000):
