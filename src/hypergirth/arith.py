@@ -13,9 +13,9 @@ values, whose str() is linear, computed under :data:`EXACT` or built from
 an int's bit halves (:func:`int_to_decimal`), and read by halving
 (:func:`parse_decimal_int`).
 
-The module also holds what every layer shares: how messages show values
-(:func:`show`), the int argument check (:func:`int_args`) and
-:func:`record`, the decorator that makes the package's value types.
+The module also holds what every layer shares: :func:`show`, the one rule
+for every value a message shows, the int argument check (:func:`int_args`)
+and :func:`record`, the decorator that makes the package's value types.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import PreconditionError, ResourceBudgetError
 
 DIGIT_BUDGET = 10**6  # the most decimal digits any number is parsed or expanded to; no override
 DECIMAL = re.compile(r"0|[1-9][0-9]*")  # a canonical decimal integer
+_SHORT = 10**52  # short_decimal shows an int below this whole
 
 # Integer +, -, * and ** (by an int >= 0) on Decimals under this context are
 # exact: a step that would round or fail raises instead of giving a wrong
@@ -83,22 +84,20 @@ def short_decimal(value: int | str) -> str:
         return value if len(value) <= 52 else f"{value[:40]}...({len(value)} digits)"
     if value < 0:
         return "-" + short_decimal(-value)
-    if value.bit_length() <= 172:  # below 2^172 < 10^52
+    if value < _SHORT:
         return int_to_decimal(value)
     digits = int_digits10(value)
-    if digits <= 52:
-        return int_to_decimal(value)
     return f"{value // 10 ** (digits - 40)}...({digits} digits)"
 
 
 def show(ids: object, show_one: Callable[[object], str] = str, within: tuple[int, ...] = ()) -> str:
-    """A value, such as an edge or an incidence, as messages show it:
-    ``show_one(ids)``, str() at the top and repr() within, except that every
-    int goes through short_decimal, the elements of a tuple, list, set or
-    frozenset are shown the same way, and a value too long for the
-    int-to-str digit limit is named by its type, so a huge id never stops
-    the message.  ``within`` holds the ids of the enclosing containers; a
-    list that holds itself shows as repr does."""
+    """A value, such as an edge or a caller's token, as messages show it:
+    ``show_one(ids)``, str() at the top and repr() within, except that an
+    int goes through short_decimal and a str is cut to 40 characters, the
+    elements of a tuple, list, set or frozenset are shown the same way, and
+    a value too long for the int-to-str digit limit is named by its type,
+    so no huge id or token stops the message.  ``within`` holds the ids of
+    the enclosing containers; a list that holds itself shows as repr does."""
     kind = type(ids)
     if kind is int:
         return short_decimal(ids)
@@ -114,14 +113,13 @@ def show(ids: object, show_one: Callable[[object], str] = str, within: tuple[int
             return f"{kind.__name__}()"
         return f"{{{inner}}}" if kind is set else f"frozenset({{{inner}}})"
     try:
-        return show_one(ids)
+        return show_one(ids[:40] if isinstance(ids, str) else ids)
     except ValueError:
         return f"<{kind.__name__}>"
 
 
 def short_value(value: object) -> str:
-    """A value as messages show it: by its repr, a bool too, except that
-    ints, within containers as well, go through short_decimal."""
+    """A value as messages show it: :func:`show` with repr() at the top too."""
     return show(value, repr)
 
 
@@ -214,12 +212,6 @@ def record(cls: type) -> type:
     return cls
 
 
-def short_repr(text: str) -> str:
-    """A line or token as messages quote it: the repr of its first 40
-    characters."""
-    return repr(text[:40])
-
-
 def check_digits(digits: int, what: str, check: str) -> None:
     """Refuse before materializing a ~digits-digit expansion or product."""
     if digits > DIGIT_BUDGET:
@@ -231,7 +223,7 @@ def check_digits(digits: int, what: str, check: str) -> None:
 def parse_decimal_int(text: str) -> int:
     """Parse a canonical decimal integer of any size within the digit budget."""
     if not DECIMAL.fullmatch(text):
-        raise PreconditionError(f"not a canonical decimal integer: {short_repr(text)}")
+        raise PreconditionError(f"not a canonical decimal integer: {short_value(text)}")
     if len(text) > DIGIT_BUDGET:
         raise ResourceBudgetError(f"integer has {len(text)} digits, budget is {DIGIT_BUDGET}")
     return _parse_digits(text)

@@ -40,7 +40,7 @@ from .arith import (
     power_at_least,
     record,
     short_decimal,
-    short_repr,
+    short_value,
 )
 from .errors import FormatError, PreconditionError, VerificationError
 from .formats import read_header
@@ -187,7 +187,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
 def _header_value(token: str, lineno: int, key: str) -> int | str:
     if key == "status":
         if token not in ("VALID", "INVALID"):
-            raise FormatError(f"line {lineno}: status must be VALID or INVALID, got {short_repr(token)}")
+            raise FormatError(f"line {lineno}: status must be VALID or INVALID, got {short_value(token)}")
         return token
     try:
         return parse_decimal_int(token)
@@ -209,7 +209,7 @@ def parse_certificate(text: str) -> Certificate:
         elif parts[0] == "value" and len(parts) == 3:
             values.append((parts[1], parts[2]))
         else:
-            raise FormatError(f"line {lineno}: expected a check or value line, got {short_repr(line)}")
+            raise FormatError(f"line {lineno}: expected a check or value line, got {short_value(line)}")
     cert = Certificate(girth, p, m, n, r, tuple(checks), tuple(values))
     if status != cert.status:
         raise FormatError("line 7: status does not match the recorded checks")
@@ -233,6 +233,6 @@ def reverify_certificate(text: str) -> Certificate:
             column = len(os.path.commonprefix((got, expected))) + 1
             raise VerificationError(
                 f"certificate does not re-verify: line {lineno} column {column}: "
-                f"got {short_repr(got)}, recomputed {short_repr(expected)}"
+                f"got {short_value(got)}, recomputed {short_value(expected)}"
             )
     return rebuilt

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, NoReturn
 
-from .arith import DECIMAL, short_decimal, short_repr
+from .arith import DECIMAL, short_decimal, short_value
 from .core import VERTEX_BUDGET, BipartiteGraph, Hypergraph, budget_int
 from .errors import FormatError, ResourceBudgetError, ValidationError
 
@@ -47,7 +47,7 @@ def serialize_bipartite(g: BipartiteGraph) -> str:
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
     if not DECIMAL.fullmatch(token):
-        raise FormatError(f"line {lineno}: {what} must be a canonical decimal integer, got {short_repr(token)}")
+        raise FormatError(f"line {lineno}: {what} must be a canonical decimal integer, got {short_value(token)}")
     value = budget_int(token)
     if value is None:
         raise ResourceBudgetError(f"line {lineno}: {what} {short_decimal(token)} is above the budget {VERTEX_BUDGET}")
@@ -75,12 +75,12 @@ def read_header(text: str, magic: str, fields: tuple[str, ...],
     if len(lines) <= len(keys):
         raise FormatError(f"line {len(lines) + 1}: truncated header (need magic, {', '.join(keys)})")
     if lines[0] != magic:
-        raise FormatError(f"line 1: expected `{magic}`, got {short_repr(lines[0])}")
+        raise FormatError(f"line 1: expected `{magic}`, got {short_value(lines[0])}")
     values = []
     for lineno, (line, key, field) in enumerate(zip(lines[1:], keys, fields), start=2):
         parts = line.split(" ")
         if len(parts) != 2 or parts[0] != key:
-            raise FormatError(f"line {lineno}: expected `{field}`, got {short_repr(line)}")
+            raise FormatError(f"line {lineno}: expected `{field}`, got {short_value(line)}")
         values.append(read(parts[1], lineno, key))
     return lines[len(keys) + 1:], values
 
@@ -94,7 +94,7 @@ def _refuse(line: str, lineno: int, exc: ValidationError | None, shape: str, nam
     if shape.endswith("..."):
         names = names * len(tokens) if "" not in tokens else ()
     if tag != shape.split(" ")[0] or not tokens or len(tokens) != len(names):
-        raise FormatError(f"line {lineno}: expected `{shape}`, got {short_repr(line)}")
+        raise FormatError(f"line {lineno}: expected `{shape}`, got {short_value(line)}")
     for token, name in zip(tokens, names):
         _parse_int(token, lineno, name)
     raise FormatError(f"line {lineno}: {exc}")
@@ -165,4 +165,4 @@ def load(path: str) -> BipartiteGraph | Hypergraph:
         return parse_hypergraph(text)
     if first == "bgt 1":
         return parse_bipartite(text)
-    raise FormatError(f"line 1: unknown magic {short_repr(first)} (expected `hgt 1` or `bgt 1`)")
+    raise FormatError(f"line 1: unknown magic {short_value(first)} (expected `hgt 1` or `bgt 1`)")

@@ -41,7 +41,7 @@ import os
 import time
 from typing import Callable, Iterable
 
-from .arith import DECIMAL, int_args, int_to_decimal, parse_decimal_int, record, short_decimal, short_repr, show
+from .arith import DECIMAL, int_args, int_to_decimal, parse_decimal_int, record, short_decimal, short_value, show
 from .certificate import Certificate, certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
@@ -64,7 +64,7 @@ def read_int(where: str, key: str, text: str) -> int:
     try:
         return parse_decimal_int(text)
     except PreconditionError:
-        raise FormatError(f"{where}: {key} must be an integer, got {short_repr(text)}") from None
+        raise FormatError(f"{where}: {key} must be an integer, got {short_value(text)}") from None
 
 
 def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
@@ -83,7 +83,7 @@ def resolve_template(token: str) -> Hypergraph:
     if token.startswith("loose-path:"):
         parts, where = token.split(":"), token[:40]
         if len(parts) != 3:
-            raise FormatError(f"template spec {short_repr(token)} is not loose-path:<edges>:<r>")
+            raise FormatError(f"template spec {short_value(token)} is not loose-path:<edges>:<r>")
         return loose_path(read_int(where, "edges", parts[1]), read_int(where, "r", parts[2]))
     template = load(token)
     check_input(f"template {token}", "hypergraph", kind_of(template))
@@ -207,9 +207,9 @@ class Stage:
     op: str
     args: tuple[tuple[str, str], ...]
 
-    def render(self) -> str:
-        parts = [self.op] + [f"{k}={v}" for k, v in self.args]
-        return " ".join(parts)
+    def render(self, value: Callable[[str], str] = str) -> str:
+        """The stage line, each value shown by ``value``."""
+        return " ".join([self.op] + [f"{k}={value(v)}" for k, v in self.args])
 
 
 @record
@@ -224,9 +224,9 @@ def _parse_kv(tokens: list[str], lineno: int) -> tuple[tuple[str, str], ...]:
     for tok in tokens:
         key, _, value = tok.partition("=")
         if not key or not value:
-            raise FormatError(f"line {lineno}: expected key=value, got {short_repr(tok)}")
+            raise FormatError(f"line {lineno}: expected key=value, got {short_value(tok)}")
         if key in pairs:
-            raise FormatError(f"line {lineno}: key {short_repr(key)} given twice")
+            raise FormatError(f"line {lineno}: key {short_value(key)} given twice")
         pairs[key] = value
     return tuple(pairs.items())
 
@@ -243,7 +243,7 @@ def parse_recipe(text: str) -> Recipe:
         tokens = line.split()
         if not magic_seen:
             if line != "rcp 1":
-                raise FormatError(f"line {lineno}: expected `rcp 1` header, got {short_repr(line)}")
+                raise FormatError(f"line {lineno}: expected `rcp 1` header, got {short_value(line)}")
             magic_seen = True
         elif tokens[0] == "target":
             if target is not None or len(tokens) != 2:
@@ -264,13 +264,13 @@ def parse_recipe(text: str) -> Recipe:
             elif op in OPS and OPS[op].needs is not None:
                 stages.append(Stage(op, _parse_kv(tokens[2:], lineno)))
             else:
-                raise FormatError(f"line {lineno}: unknown stage op {short_repr(op)}")
+                raise FormatError(f"line {lineno}: unknown stage op {short_value(op)}")
         elif tokens[0] == "certify":
             if certify is not None:
                 raise FormatError(f"line {lineno}: only one `certify` line allowed")
             certify = _parse_kv(tokens[1:], lineno)
         else:
-            raise FormatError(f"line {lineno}: unknown directive {short_repr(tokens[0])}")
+            raise FormatError(f"line {lineno}: unknown directive {short_value(tokens[0])}")
     if not magic_seen:
         raise FormatError("line 1: empty recipe")
     if target is None:
@@ -366,6 +366,13 @@ def op_args(name: str, raw: dict[str, str], where: str) -> dict:
     return values
 
 
+def _check_keys(given: Iterable[str], wanted: Iterable[str], optional: Iterable[str], head: str) -> None:
+    """Refuse a missing ``wanted`` key or a key in neither ``wanted`` nor ``optional``; ``head`` starts the message."""
+    missing, unknown = sorted(set(wanted) - set(given)), sorted(set(given) - set(wanted) - set(optional))
+    if missing or unknown:
+        raise PreconditionError(f"{head}, missing {short_value(missing)}, unknown {short_value(unknown)}")
+
+
 def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
     """Check every stage against ``OPS`` before any stage runs: its keys
     and the kind of its input, then its values by ``op_args``; returns
@@ -380,9 +387,7 @@ def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
             label, pairs = f"gen {name}", dict(stage.args[1:])
         op = OPS[name]
         wanted = [key for key, _ in op.args]
-        missing, unknown = sorted(set(wanted) - set(pairs)), sorted(set(pairs) - set(wanted))
-        if missing or unknown:
-            raise PreconditionError(f"{where}: {label} takes {wanted}, missing {missing}, unknown {unknown}")
+        _check_keys(pairs, wanted, (), f"{where}: {label} takes {wanted}")
         if op.needs is not None:
             if kind is None:
                 raise PreconditionError(f"{where}: {name} needs a previous stage output")
@@ -396,13 +401,7 @@ def plan_args(pairs: Iterable[tuple[str, str]], where: str) -> tuple[Route, int,
     """The route, p, r and N of a plan request (the recipe `certify` line or
     the `plan` flags) from their strings; every error names ``where``."""
     values = dict(pairs)
-    missing = {"girth", "r", "N"} - set(values)
-    unknown = set(values) - {"girth", "r", "N", "p"}
-    if missing or unknown:
-        raise PreconditionError(
-            f"{where} takes girth= r= N= and optional p=, missing {sorted(missing)}, "
-            f"unknown {sorted(unknown)}"
-        )
+    _check_keys(values, ("girth", "r", "N"), ("p",), f"{where} takes girth= r= N= and optional p=")
     girth = read_int(where, "girth", values["girth"])
     route = route_for(girth)
     p = read_int(where, "p", values["p"]) if "p" in values else None
@@ -443,8 +442,8 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
         girth, floor = state.girth_report.girth, (2 if generator else 1) * recipe.target
         if girth is not None and girth < floor:
             raise VerificationError(
-                f"stage {index} ({stage.render()}): girth {girth} fell below "
-                f"the declared floor {short_decimal(floor)}"
+                f"stage {index} ({stage.render(lambda v: short_decimal(v) if DECIMAL.fullmatch(v) else v)}): "
+                f"girth {girth} fell below the declared floor {short_decimal(floor)}"
             )
         records.append(
             StageRecord(

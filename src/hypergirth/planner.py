@@ -120,11 +120,11 @@ class Route:
         return polygon_counts(self.girth, q, q**self.line_power)
 
     def v(self, q: int) -> int:
-        """Substrate vertex count at order q, refused for q >= 2 when q^growth
-        would exceed the digit budget."""
+        """Substrate vertex count at order q, refused for |q| >= 2 when
+        |q|^growth would exceed the digit budget."""
         int_args(None, q=q)
-        if q >= 2:
-            check_pow(q, self.growth, "substrate vertex count v(q)")
+        if abs(q) >= 2:
+            check_pow(abs(q), self.growth, "substrate vertex count v(q)")
         return self.substrate(q)[0]
 
     def base_for(self, p: int | None, what: str) -> int:
@@ -246,13 +246,13 @@ class Route:
         level's lattice cells alone.  The returned pair additionally satisfies
         m* <= m, n* <= n and growth^(n-1) - shift <= m <= growth^(n+1) - shift;
         both sandwich inequalities are re-checked exactly before returning.  A
-        p, r or N that is not an int is refused before any of this.
+        p, r or N that is not an int is refused before any of this, and a seed
+        whose vertex count is past the digit budget by :meth:`v`.
         """
         int_args(None, p=p, r=r, N=n_vertices)
         m_star, n_star = self.seed(p, r)
         step, shift, g = self.m_step, self.m_step - 1, self.growth
-        # not self.v: a seed count past the digit budget is still shown as above N
-        seed_vertices = self.substrate(self.order(p, m_star, n_star).expand())[0]
+        seed_vertices = self.v(self.order(p, m_star, n_star).expand())
         if n_vertices < seed_vertices:
             raise BelowSeedError(n_vertices, seed_vertices)
 

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from hypergirth import parse_bipartite, parse_certificate, parse_hypergraph
-from hypergirth.cli import build_parser, main
+from hypergirth.cli import EXIT_CODES, build_parser, main
+from hypergirth.errors import Error
 from hypergirth.pipeline import INT, OPS, write_text_file
 
 from conftest import subprocess_env
@@ -356,6 +357,18 @@ class TestPlanCommand:
         )
         assert code == 3
         assert "3967295312526" in stderr
+
+    def test_seed_count_past_the_digit_budget_exit_4(self, tmp_path, capsys):
+        start = time.monotonic()
+        code, stdout, stderr = run(
+            capsys, "plan", "--girth", "6", "--p", "2", "--r", str(2**4000), "--N", "10",
+            "--cert", str(tmp_path / "c.txt"),
+        )
+        assert time.monotonic() - start < 1.0
+        assert (code, stdout) == (4, "")
+        assert_one_error_line(stderr)
+        assert stderr.startswith("error: substrate vertex count v(q): ")
+        assert os.listdir(tmp_path) == []
 
     def test_p_at_the_primality_bound_exit_4(self, tmp_path, capsys):
         p = "3317044064679887385961981"  # passes all 13 Miller-Rabin bases
@@ -937,6 +950,61 @@ class TestIntegersPastTheStrLimit:
         assert stderr.startswith("error: ") if code else not stderr or stderr.startswith("warning: ")
         if stdout_has is not None:
             assert stdout_has in stdout
+
+
+# One token of 100 000 characters, in letters or in digits, at each place
+# a caller's string can reach a message: a recipe line (after `rcp 1`), a
+# file's text, or a command's flags.
+LONG, DIGITS = "x" * 100_000, "1" * 100_000
+LONG_RECIPES = {
+    "stage-key": f"target 3\nstage gen plane q=2 {LONG}=1",
+    "stage-value-digits": f"target 3\nstage gen plane q={DIGITS}",
+    "stage-value-letters": f"target 3\nstage gen plane q={LONG}",
+    "certify-key": f"target 3\nstage gen plane q=2\ncertify girth=6 p=5 r=3 N=7 {LONG}=1",
+    "certify-value": f"target 3\nstage gen plane q=2\ncertify girth=6 p=5 r={LONG} N=7",
+    "directive": f"target 3\n{LONG}",
+    "op": f"target 3\nstage {LONG}",
+    "gen-kind": f"target 3\nstage gen {LONG}",
+    "bare-token": f"target 3\nstage gen plane {LONG}",
+    "target-letters": f"target {LONG}\nstage gen plane q=2",
+    "target-and-greedy-seed": f"target {DIGITS}\nstage gen greedy left=4 right=4 deg=2 girth=4 seed={DIGITS}",
+    "loose-path-template": f"target 3\nstage gen plane q=2\nstage nbhd\n"
+                           f"stage substitute template=loose-path:{DIGITS}:3 k=1",
+}
+LONG_FILES = {
+    "magic": ("r.rcp", f"{LONG}\ntarget 3\nstage gen plane q=2\n"),
+    "hgt-body-token": ("in.hgt", f"hgt 1\nvertices 3\nedges 1\ne 0 {LONG}\n"),
+    "hgt-vertex-count": ("in.hgt", f"hgt 1\nvertices {DIGITS}\nedges 0\n"),
+    "bgt-header-line": ("in.bgt", f"bgt 1\n{LONG}\nright 1\n"),
+    "certificate-header-value": ("c.txt", f"cert 1\ngirth {LONG}\np 5\nm 2\nn 1\nr 3\nstatus VALID\n"),
+}
+LONG_FLAGS = {
+    "flag-q": ["gen", "plane", "--q", DIGITS, "out.bgt"],
+    "flag-template": ["transform", "substitute", "--template", f"loose-path:{LONG}", "--k", "1", "in.hgt", "out.hgt"],
+    "flag-p": ["plan", "--girth", "6", "--p", DIGITS, "--r", "3", "--N", "7", "--cert", "c.txt"],
+}
+
+
+@pytest.mark.parametrize("case", [*LONG_RECIPES, *LONG_FILES, *LONG_FLAGS])
+def test_a_long_token_gives_one_short_line(tmp_path, capsys, monkeypatch, case):
+    """Whatever the token is and wherever it sits, the command ends with one
+    `error:` line of under 1 KB and an exit code from 2 to 5."""
+    monkeypatch.chdir(tmp_path)
+    name, text = LONG_FILES.get(case, ("r.rcp", f"rcp 1\n{LONG_RECIPES.get(case)}\n"))
+    if case in LONG_FLAGS:
+        name, text = "in.hgt", "hgt 1\nvertices 3\nedges 1\ne 0 1 2\n"
+    (tmp_path / name).write_text(text)
+    if name == "c.txt" and case in LONG_FILES:
+        # No command reads a certificate: the parser's error is shown as main() shows one.
+        with pytest.raises(Error) as exc:
+            parse_certificate(text)
+        code, stderr = next(c for cls, c in EXIT_CODES.items() if isinstance(exc.value, cls)), f"error: {exc.value}\n"
+    else:
+        argv = LONG_FLAGS.get(case) or (["pipeline", name, "--out-dir", "run"] if name == "r.rcp" else ["report", name])
+        code, _, stderr = run(capsys, *argv)
+    assert 2 <= code <= 5
+    assert_one_error_line(stderr)
+    assert len(stderr.encode()) < 1024, stderr[:200]
 
 
 class TestEmptySplitWarning:

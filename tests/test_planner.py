@@ -63,6 +63,17 @@ class TestSubstrateParams:
         assert ROUTES[8].v(2**330_000) == octagon_v(2**330_000)
 
     @pytest.mark.parametrize("girth", [6, 8])
+    def test_v_of_a_huge_negative_q_is_refused_quickly(self, girth):
+        # |q| is guarded as q is: v(-q) has as many digits as v(q)
+        start = time.monotonic()
+        message = r"^substrate vertex count v\(q\): 10{39}\.\.\.\(300001 digits\)\^"
+        with pytest.raises(ResourceBudgetError, match=message):
+            ROUTES[girth].v(-10**300000)
+        assert time.monotonic() - start < 1.0
+        assert [ROUTES[6].v(q) for q in (-1, 0, 1)] == [0, 1, 6]
+        assert ROUTES[6].v(-2) == hexagon_v(-2) and ROUTES[8].v(-3) == octagon_v(-3)
+
+    @pytest.mark.parametrize("girth", [6, 8])
     def test_substrate_on_decimals_is_exact(self, girth):
         for q in (2, 25, 5**19, 7**3000):
             with localcontext(EXACT):
@@ -533,6 +544,14 @@ class TestPlanHexagon:
         with pytest.raises(BelowSeedError) as err:
             plan(6, 5, 3, 100)
         assert err.value.seed_vertices == hexagon_v(25)
+
+    @pytest.mark.parametrize("r,n_value", [(2**1000, 10**50), (2**4000, 10)], ids=["r-2^1000", "r-2^4000"])
+    def test_seed_count_past_the_digit_budget_is_refused_quickly(self, r, n_value):
+        # the seed order is within the budget, its vertex count v(q) is not
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=r"^substrate vertex count v\(q\): "):
+            plan(6, 2, r, n_value)
+        assert time.monotonic() - start < 1.0
 
     def test_sandwich_holds_independently(self):
         for n_value in (hexagon_v(25), hexagon_v(125) - 1, hexagon_v(125), 10**30, 10**60):
