@@ -10,8 +10,9 @@ ever returning a silently wrong geometry.
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, MutableSequence, Sequence
 
 from . import core
 from .arith import Number, int_args, int_to_decimal, is_prime, record, short_decimal
@@ -254,7 +255,8 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
 
 
 # Largest left x right grid the greedy generator proposes: the shuffled
-# pair list costs about 36 bytes a pair, so this caps it near 150 MB.  Its
+# pair array costs 4 bytes a pair, 16 MB at the cap, where a call peaked at
+# 38 MB RSS with the 19 MB import and took 3-4 s (2-core VM).  Its
 # bit masks add at most left x right bits each for the neighbour and near
 # masks, and min(left, right)^2 bits for the shared-neighbour masks: at
 # most 0.5 MB each at the cap, besides one list slot per vertex.
@@ -291,6 +293,25 @@ class GreedyReport:
         return out
 
 
+def _shuffle(grid: MutableSequence[int], rng: random.Random) -> None:
+    """Shuffle ``grid`` in place with exactly the steps of ``rng.shuffle``:
+    for i from len(grid) - 1 down to 1, draw j = getrandbits(k), k the bit
+    length of i + 1, until j <= i, then swap grid[i] and grid[j].  k is
+    computed once for each run of i that shares it, and a step makes no
+    Python call but getrandbits, where ``rng.shuffle`` calls ``_randbelow``."""
+    getrandbits = rng.getrandbits
+    top = len(grid) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the least i whose i + 1 has k bits
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            grid[i], grid[j] = grid[j], grid[i]
+        top = low - 1
+
+
 def greedy_high_girth_bipartite(
     n_left: int, n_right: int, right_degree: int, target_girth: int, seed: int
 ) -> tuple[BipartiteGraph, GreedyReport]:
@@ -302,7 +323,9 @@ def greedy_high_girth_bipartite(
     so no accepted incidence ever closes a cycle shorter than the target.
     Under-filled right vertices are reported, not an error.
 
-    The grid is a shuffled list of pair indices k = u * n_right + v.
+    The grid is a packed array of pair indices k = u * n_right + v,
+    shuffled in place with the steps of ``random.Random.shuffle``, so a
+    seed gives the order ``shuffle`` gives a list.
     Distances are decided on bit masks over the smaller side B; each
     proposal is read as (a, b) with b in B and a on the other side A.
     ``nmask[a]`` holds the B-neighbours of a, and ``nbr[b]`` the B vertices
@@ -320,7 +343,8 @@ def greedy_high_girth_bipartite(
     Grids above GREEDY_PAIR_BUDGET pairs raise ResourceBudgetError before
     anything is allocated.
     """
-    int_args(None, n_left=n_left, n_right=n_right, right_degree=right_degree, target_girth=target_girth)
+    int_args(None, n_left=n_left, n_right=n_right, right_degree=right_degree, target_girth=target_girth,
+             seed=seed)
     if n_left <= 0 or n_right <= 0 or right_degree <= 0:
         raise PreconditionError("greedy sizes and right_degree must be positive")
     if target_girth < 4 or target_girth % 2 != 0:
@@ -331,9 +355,8 @@ def greedy_high_girth_bipartite(
             f"{short_decimal(n_left * n_right)} pairs, budget is {GREEDY_PAIR_BUDGET}"
         )
 
-    rng = random.Random(seed)
-    grid = list(range(n_left * n_right))  # pair k = u * n_right + v
-    rng.shuffle(grid)
+    grid = array("i", range(n_left * n_right))  # pair k = u * n_right + v
+    _shuffle(grid, random.Random(seed))
 
     swap = n_left < n_right  # B is the left side, so (u, v) is read as (a, b) = (v, u)
     n_a, n_b = (n_right, n_left) if swap else (n_left, n_right)

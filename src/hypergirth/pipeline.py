@@ -366,11 +366,18 @@ def op_args(name: str, raw: dict[str, str], where: str) -> dict:
     return values
 
 
+_SHOWN_KEYS = 5  # unknown keys a message shows before it counts the rest
+
+
 def _check_keys(given: Iterable[str], wanted: Iterable[str], optional: Iterable[str], head: str) -> None:
-    """Refuse a missing ``wanted`` key or a key in neither ``wanted`` nor ``optional``; ``head`` starts the message."""
+    """Refuse a missing ``wanted`` key or a key in neither ``wanted`` nor
+    ``optional``; ``head`` starts the message, which shows the first
+    ``_SHOWN_KEYS`` unknown keys and counts the rest."""
     missing, unknown = sorted(set(wanted) - set(given)), sorted(set(given) - set(wanted) - set(optional))
     if missing or unknown:
-        raise PreconditionError(f"{head}, missing {short_value(missing)}, unknown {short_value(unknown)}")
+        more = f" and {len(unknown) - _SHOWN_KEYS} more" if len(unknown) > _SHOWN_KEYS else ""
+        shown = short_value(unknown[:_SHOWN_KEYS])
+        raise PreconditionError(f"{head}, missing {short_value(missing)}, unknown {shown}{more}")
 
 
 def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:

@@ -116,15 +116,19 @@ class Route:
         return "p" if self.base is None else str(self.base)
 
     def substrate(self, q: Number) -> tuple[Number, Number]:
-        """(v(q), b(q)) by the polygon count rule, on ints or on Decimals under arith.EXACT."""
+        """(v(q), b(q)) by the polygon count rule, on ints or on Decimals under
+        arith.EXACT.  Any other q is refused, and an int q with |q| >= 2 when
+        |q|^growth would exceed the digit budget; a Decimal q is the caller's
+        to bound."""
+        if not isinstance(q, Decimal):
+            int_args(None, q=q)
+            if abs(q) >= 2:
+                check_pow(abs(q), self.growth, "substrate vertex count v(q)")
         return polygon_counts(self.girth, q, q**self.line_power)
 
     def v(self, q: int) -> int:
-        """Substrate vertex count at order q, refused for |q| >= 2 when
-        |q|^growth would exceed the digit budget."""
+        """Substrate vertex count at order q; a q that is not an int is refused."""
         int_args(None, q=q)
-        if abs(q) >= 2:
-            check_pow(abs(q), self.growth, "substrate vertex count v(q)")
         return self.substrate(q)[0]
 
     def base_for(self, p: int | None, what: str) -> int:
@@ -139,7 +143,9 @@ class Route:
 
     @staticmethod
     def premise_check(premise: tuple, p: int, m: int) -> tuple[str, str, bool]:
-        """(name, statement shown with p and m, passed) of one of the premises."""
+        """(name, statement shown with p and m, passed) of one of the premises;
+        a p or m that is not an int is refused."""
+        int_args(None, p=p, m=m)
         name, statement, ok = premise
         return name, statement.format(p=short_decimal(p), m=short_decimal(m)), ok(p, m)
 
@@ -204,9 +210,8 @@ class Route:
         """Exact sign of v(q_{p,m,n}) - value for value >= 2, with q = p^e read
         from :meth:`exponents`, not :meth:`order`: a probe needs no checks.  As
         q^growth < v(q) < 8 q^growth <= p^3 q^growth, q is expanded only
-        when p^(growth e) <= value < p^(growth e + 3).  v(q) then comes from
-        :meth:`substrate`, not :meth:`v`: q^growth <= value already keeps it
-        within the digit budget."""
+        when p^(growth e) <= value < p^(growth e + 3), and q^growth <= value
+        keeps :meth:`substrate`'s digit guard from firing."""
         e = next(islice(self.exponents(m), n - 1, None))[1]
         if not power_at_least(value, 1, p, self.growth * e):
             return 1

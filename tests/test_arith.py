@@ -354,6 +354,16 @@ NOT_AN_INT_CALLS = {
     "route-exponents-none-m": (lambda: next(ROUTES[6].exponents(None)), "m must be an integer, got None"),
     "route-v-none-q": (lambda: ROUTES[6].v(None), "q must be an integer, got None"),
     "route-v-float-q": (lambda: ROUTES[6].v(2.5), "q must be an integer, got 2.5"),
+    "route-substrate-float-q": (lambda: ROUTES[6].substrate(2.0), "q must be an integer, got 2.0"),
+    "route-substrate-fraction-q": (lambda: ROUTES[8].substrate(Fraction(2)), "q must be an integer, got Fraction(2, 1)"),
+    "route-premise-check-float-p": (
+        lambda: ROUTES[6].premise_check(ROUTES[6].premises[0], 2.5, 3), "p must be an integer, got 2.5"),
+    "route-premise-check-decimal-p": (
+        lambda: ROUTES[6].premise_check(ROUTES[6].premises[1], Decimal(5), 3), "p must be an integer, got Decimal('5')"),
+    "route-premise-check-none-m": (
+        lambda: ROUTES[8].premise_check(ROUTES[8].premises[0], 2, None), "m must be an integer, got None"),
+    "route-premise-check-str-m": (
+        lambda: ROUTES[8].premise_check(ROUTES[8].premises[1], 2, "5"), "m must be an integer, got '5'"),
     "is-prime-float": (lambda: arith.is_prime(2.5), "n must be an integer, got 2.5"),
     "is-prime-none": (lambda: arith.is_prime(None), "n must be an integer, got None"),
     "power-none-exponent": (

@@ -1007,6 +1007,23 @@ def test_a_long_token_gives_one_short_line(tmp_path, capsys, monkeypatch, case):
     assert len(stderr.encode()) < 1024, stderr[:200]
 
 
+@pytest.mark.parametrize("count", [5, 6, 20_000])
+@pytest.mark.parametrize("line", ["stage gen plane q=2 {keys}", "stage gen plane q=2\ncertify girth=6 p=5 r=3 N=7 {keys}"],
+                         ids=["stage", "certify"])
+def test_many_unknown_keys_give_one_short_line(tmp_path, capsys, line, count):
+    """The message shows the first five unknown keys, in sorted order, and
+    counts the rest."""
+    keys = [f"k{i}" for i in range(count)]
+    recipe = tmp_path / "r.rcp"
+    recipe.write_text(f"rcp 1\ntarget 3\n{line.format(keys=' '.join(key + '=1' for key in keys))}\n")
+    code, _, stderr = run(capsys, "pipeline", str(recipe), "--out-dir", str(tmp_path / "out"))
+    assert code == 3
+    assert_one_error_line(stderr)
+    assert len(stderr.encode()) < 1024, stderr[:200]
+    more = f" and {count - 5} more" if count > 5 else ""
+    assert stderr.endswith(f", missing [], unknown {sorted(keys)[:5]}{more}\n")
+
+
 class TestEmptySplitWarning:
     WARNING = "warning: every edge is smaller than r=9; output has no edges\n"
 

@@ -6,6 +6,8 @@ import re
 import shutil
 import subprocess
 import time
+import tracemalloc
+from array import array
 from collections import deque
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -37,6 +39,7 @@ from hypergirth.geometry import (
     _check_geometry,
     _kernel,
     _point_index,
+    _shuffle,
     geometry_incidences,
     polygon_counts,
     projective_points,
@@ -536,16 +539,53 @@ class TestGreedyCache:
         with pytest.raises(PreconditionError, match="even"):
             greedy_high_girth_bipartite(10**6, 10**6, 3, 7, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, "1", None, Decimal(1)], ids=repr)
+    def test_seed_that_is_not_an_int_is_refused(self, seed):
+        # refused before the grid is allocated, so a grid at the budget costs nothing
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=r"^seed must be an integer, got "):
+            greedy_high_girth_bipartite(GREEDY_PAIR_BUDGET, 1, 1, 4, seed)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestGreedyGrid:
+    """The proposal grid is a packed array, shuffled as random.shuffle shuffles a list."""
+
+    SIZES = [1, 2, 3, *(n for k in range(2, 18) for n in (2**k - 1, 2**k, 2**k + 1))]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**70 + 3])
+    def test_shuffle_is_random_shuffle(self, seed):
+        # every draw width from 1 to 18 bits, at each power of two and beside it
+        for n in self.SIZES:
+            ref_rng, ref = random.Random(seed), list(range(n))
+            ref_rng.shuffle(ref)
+            rng, got = random.Random(seed), array("i", range(n))
+            _shuffle(got, rng)
+            assert got.tolist() == ref, n
+            assert rng.getstate() == ref_rng.getstate(), n
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_traced_peak_under_10_bytes_a_pair(self, seed):
+        # the benchmark's recipe shape: a list of ints held about 42 bytes a pair
+        tracemalloc.start()
+        try:
+            greedy_high_girth_bipartite(500, 100, 10, 10, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 500 * 100, peak / (500 * 100)
+
 
 def _greedy_digests() -> list[str]:
     """sha256 of the greedy graph and report lines on the benchmark's recipe
-    shape and on a wide one.  Stdlib only: it also runs as a script."""
+    shape, on a wide one and on one above 2^17 pairs, whose shuffle draws
+    up to 18 bits.  Stdlib only: it also runs as a script."""
     import hashlib
 
     from hypergirth import greedy_high_girth_bipartite, serialize_bipartite
 
     out = []
-    for shape in (500, 100, 10, 10, 1), (1, 5000, 3, 6, 1):
+    for shape in (500, 100, 10, 10, 1), (1, 5000, 3, 6, 1), (400, 400, 4, 8, 3):
         g, rep = greedy_high_girth_bipartite(*shape)
         text = serialize_bipartite(g) + "\n".join(rep.lines())
         out.append(hashlib.sha256(text.encode("ascii")).hexdigest())

@@ -80,6 +80,15 @@ class TestSubstrateParams:
                 got = ROUTES[girth].substrate(Decimal(q))
             assert tuple(map(str, got)) == tuple(map(int_to_decimal, ROUTES[girth].substrate(q)))
 
+    @pytest.mark.parametrize("girth", [6, 8])
+    @pytest.mark.parametrize("q", [10**300000 + 1, -10**300000], ids=["large", "negative"])
+    def test_substrate_past_the_digit_budget_is_refused_quickly(self, girth, q):
+        # v(q) and b(q) have more than growth * 300000 digits: refused before q^growth is raised
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=r"^substrate vertex count v\(q\): 10{39}\.\.\.\(300001 digits\)\^"):
+            ROUTES[girth].substrate(q)
+        assert time.monotonic() - start < 1.0
+
 
 class TestRoutes:
     def test_table(self):
