@@ -20,6 +20,7 @@ and :func:`record`, the decorator that makes the package's value types.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded
@@ -144,6 +145,15 @@ def int_args(least: int | None = 1, **kwargs: object) -> None:
 _NO_DEFAULT = object()
 
 
+def _field_repr(value: object) -> str:
+    """repr(value), or :func:`short_value` where repr() raises ValueError, as
+    it does on an int past the interpreter's int-to-str digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return short_value(value)
+
+
 def record(cls: type) -> type:
     """Class decorator for the package's immutable value types.  The class's
     own annotations, in order, are its fields (``cls._fields``), and a
@@ -151,7 +161,8 @@ def record(cls: type) -> type:
     position or keyword, stores them as the instance dict, then calls any
     ``__post_init__``.  Equality (only within the class) and the hash read
     the fields alone, never a cached_property value; the repr reads
-    ``Name(field=value, ...)``; assignment and deletion raise AttributeError.
+    ``Name(field=value, ...)``, each value by repr() or, where that raises
+    ValueError, by :func:`short_value`; assignment and deletion raise AttributeError.
     The methods are closures, so decorating a class compiles no source."""
     names = tuple(cls.__annotations__)
     template = {name: cls.__dict__.get(name, _NO_DEFAULT) for name in names}
@@ -197,7 +208,8 @@ def record(cls: type) -> type:
         return hash(key(self))
 
     def __repr__(self):
-        return f"{self.__class__.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+        shown = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in names)
+        return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -290,14 +302,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.cache
+def _bits_below(digits: int) -> int:
+    """floor(digits * log2 10), the largest L with 2^L <= 10^digits, digits >= 1."""
+    bits = int(digits * math.log2(10)) + 2  # above the truth: the float is off by far less than 1
+    while not power_at_least(10, digits, 2, bits):
+        bits -= 1
+    return bits
+
+
 def check_pow(base: int, exponent: int, what: str) -> None:
-    """Refuse base**exponent, before it is raised, when the result would
-    exceed the digit budget or the exponent is negative."""
+    """Refuse base**exponent, before it is raised, when the exponent is
+    negative or the result has more digits than the budget D: exactly when
+    base**exponent >= 10^D, for a base >= 0.  With L = floor(D log2 10),
+    e * bitlen(base) <= L admits and e * (bitlen(base) - 1) > L refuses from
+    the bit lengths alone; the narrow rest is power_at_least(base, e, 10, D),
+    exact although 10 is not prime: it is no perfect power, so base^a = 10^b
+    with a and b coprime forces a = 1, where the comparison is exact.  The
+    message's digit count is a float, shown only."""
     if exponent < 0:
         raise PreconditionError(f"{what}: negative exponent {short_decimal(exponent)} has no integer expansion")
-    # approximate: a guard only; an exponent past a float's range reads inf
-    digits = exponent * math.log10(base) + 1 if exponent.bit_length() < 1000 else math.inf
-    if digits > DIGIT_BUDGET:
+    if base < 2:
+        return
+    bits, width = _bits_below(DIGIT_BUDGET), base.bit_length()
+    if exponent * width <= bits:
+        return
+    if exponent * (width - 1) > bits or power_at_least(base, exponent, 10, DIGIT_BUDGET):
+        digits = exponent * math.log10(base) + 1 if exponent.bit_length() < 1000 else math.inf
         shown = f"{short_decimal(base)}^{short_decimal(exponent)}"
         raise ResourceBudgetError(f"{what}: {shown} needs ~{digits:.3g} digits, budget is {DIGIT_BUDGET}")
 

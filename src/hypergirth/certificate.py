@@ -143,11 +143,13 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     exps: list[int] = []
     orders: list[Decimal] = []
     with localcontext(EXACT):
-        for i, (closed, e) in zip(range(1, n + 1), route.exponents(m)):
-            checks += _rows(_EXPONENT, *route.order_checks(i, closed, e))
-            exps.append(int(closed))
+        e = m
+        for i in range(1, n + 1):
+            exps.append(route.exponent(m, i))
+            checks += _rows(_EXPONENT, *route.order_checks(i, exps[-1], e))
             check_pow(p, exps[-1], f"check order_{i}")
             orders.append(Decimal(p) ** exps[-1])
+            e = g * e + 1
 
         substrates: list[tuple[Decimal, Decimal]] = []  # v(q), b(q) have degree <= g + line_power - 1
         for i, q in enumerate(orders, start=1):
@@ -159,8 +161,8 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
         copies = p - 1
         checks += _rows(_BIGNUM, *((f"copy-count-{i}", f"order_{i} >= {int_to_decimal(copies)} * v_{i - 1}",
                                     orders[i - 1] >= copies * substrates[i - 2][0]) for i in range(2, n + 1)))
-        for i, (v, _) in enumerate(substrates, start=1):
-            checks.append(_power_row(f"vertex-growth-{i}", f"v_{i}", v, den, p, sym, g**i * (den * m + 1), "<"))
+        checks += [_power_row(f"vertex-growth-{i}", f"v_{i}", v, den, p, sym, den * route.exponent(m, i + 1) + 1, "<")
+                   for i, (v, _) in enumerate(substrates, start=1)]
 
         # No count exceeds the budget: a product has at most its factors' digits.
         split = Decimal((1 + uni) // r)

@@ -21,7 +21,7 @@ different constants, each recorded once as a :class:`Route` in
 
 A route states each rule once, for the certificate to record and the
 planner to enforce: its premises, each shown and decided by
-:meth:`Route.premise_check`, its order exponents in :meth:`Route.exponents`,
+:meth:`Route.premise_check`, its order exponents in :meth:`Route.exponent`,
 and the checks on each order in :meth:`Route.order_checks`; :meth:`Route.require`
 guards the stage count.  :meth:`Route.plan` finds (m, n) by a ``bisect`` for the
 seed, one probe per level climbed and a ``bisect`` over the level it stops at.
@@ -33,8 +33,7 @@ import functools
 from bisect import bisect_left, bisect_right
 from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable
 
 from .arith import (
     Number,
@@ -97,7 +96,7 @@ class Route:
     line_power: int  # the substrate has order (q, q^line_power)
     m_step: int  # 2 keeps m odd, so that q_1 = 2^m is an odd power of 2
     edge_power: int  # both sides of the stated edge bound are raised to it
-    c2: int  # display constant: the exponent is (11/den)(1 - sqrt(c2 / log_base N))
+    c2: int  # display constant: the exponent is limit * (1 - sqrt(c2 / log_base N))
     premises: tuple[tuple[str, str, Callable[[int, int], bool]], ...]  # (name, statement, check on (p, m))
 
     @functools.cached_property
@@ -109,6 +108,11 @@ class Route:
     def den(self) -> int:
         """growth - 1, as -1/den is the fixed point of e -> growth * e + 1."""
         return self.growth - 1
+
+    @functools.cached_property
+    def limit(self) -> Fraction:
+        """(den + line_power)/den, the power of N that the edge bound tends to."""
+        return Fraction(self.den + self.line_power, self.den)
 
     @property
     def sym(self) -> str:
@@ -164,55 +168,52 @@ class Route:
                 name, shown, _ = self.premise_check(premise, p, m)
                 raise PreconditionError(f"premise {name} ({shown}) does not hold")
 
-    def exponents(self, m: int) -> Iterator[tuple[Fraction, int]]:
-        """(closed form, recursion) exponents of q_1, q_2, ...: growth^(i-1) *
-        (m + 1/den) - 1/den as one exact quotient (top_i - 1)/den, where top_i =
-        growth^(i-1) * (den*m + 1), and e_1 = m, e_i = growth * e_{i-1} + 1.
-        Both are integers: growth = 1 (mod den), so top_i = 1 (mod den).
-        Endless and lazy, so a caller stops at the first order it refuses."""
+    def exponent(self, m: int, i: int) -> int:
+        """Exponent e_i of q_i, growth^(i-1) * (m + 1/den) - 1/den, as the exact
+        quotient (growth^(i-1) * (den*m + 1) - 1)/den: it solves e_1 = m and
+        e_i = growth * e_{i-1} + 1, and is an integer as growth = 1 (mod den).
+        i may be one past :meth:`require`'s stage guard, for :meth:`edge_bound`."""
         int_args(None, m=m)
-        g, den = self.growth, self.den
-        top, e = den * m + 1, m
-        while True:
-            yield Fraction(top - 1, den), e
-            top, e = top * g, g * e + 1
+        int_args(i=i)
+        check_pow(self.growth, max(i - 2, 0), f"order index i = {short_decimal(i)}")
+        return (self.growth ** (i - 1) * (self.den * m + 1) - 1) // self.den
 
-    def order_checks(self, i: int, closed: Fraction, e: int) -> list[tuple[str, str, bool]]:
-        """(name, statement, passed) rows on the i-th order's exponents: they
-        agree, and where m_step keeps m odd, the order is an odd power."""
-        g, den = self.growth, self.den
-        rows = [(f"order-closed-form-{i}", f"recursion exponent equals {g}^{i - 1}*(m+1/{den})-1/{den}", e == closed)]
+    def order_checks(self, i: int, closed: int, e: int) -> list[tuple[str, str, bool]]:
+        """(name, statement, passed) rows on the i-th order's closed and recursion
+        exponents: they agree, and where m_step keeps m odd, the order is an odd
+        power.  An i < 1, or an i, closed or e that is not an int, is refused."""
+        int_args(i=i)
+        int_args(None, closed=closed, e=e)
+        g, den, k, power = self.growth, self.den, short_decimal(i), short_decimal(i - 1)
+        rows = [(f"order-closed-form-{k}", f"recursion exponent equals {g}^{power}*(m+1/{den})-1/{den}", e == closed)]
         if self.m_step == 2:
-            rows.append((f"order-odd-{i}", f"order_{i} is an odd power of {self.sym}", closed % 2 == 1))
+            rows.append((f"order-odd-{k}", f"order_{k} is an odd power of {self.sym}", closed % 2 == 1))
         return rows
 
     def order(self, p: int, m: int, n: int) -> PowerExpr:
-        """n-th order in closed form, refused at the first of its
-        :meth:`order_checks` that fails (none can once the premises hold)."""
+        """n-th order in closed form, refused at the first of its :meth:`order_checks`
+        that fails (none can once the premises hold; the certificate decides closed form = recursion)."""
         self.require(p, m, n)
-        closed, e = next(islice(self.exponents(m), n - 1, None))
-        for name, statement, passed in self.order_checks(n, closed, e):
+        closed = self.exponent(m, n)
+        for name, statement, passed in self.order_checks(n, closed, closed):
             if not passed:
                 raise PreconditionError(f"check {name} ({statement}) does not hold")
         return PowerExpr(p, closed)
 
     def edge_bound(self, p: int, m: int, n: int) -> PowerExpr:
-        """Edge-count lower bound
-        p^((11/den) * (growth^n (m + 1/den) - (n + m + 1/den))) for the n-th
-        construction; the exponent is always an integer."""
+        """Edge-count lower bound p^(limit * (e_{n+1} - n - m)) for the n-th
+        construction, e_{n+1} read from :meth:`exponent`; the exponent is an
+        integer, as growth = 1 (mod den) makes e_{n+1} = m + n (mod den)."""
         self.require(p, m, n)
-        exponent = Fraction(11 * (self.growth**n * (self.den * m + 1) - self.den * (n + m) - 1), self.den**2)
-        if exponent.denominator != 1:
-            raise PreconditionError(f"edge bound exponent {exponent} is not integral")
-        return PowerExpr(p, exponent)
+        return PowerExpr(p, self.limit * (self.exponent(m, n + 1) - n - m))
 
     def _v_vs(self, p: int, m: int, n: int, value: int) -> int:
         """Exact sign of v(q_{p,m,n}) - value for value >= 2, with q = p^e read
-        from :meth:`exponents`, not :meth:`order`: a probe needs no checks.  As
+        from :meth:`exponent`, not :meth:`order`: a probe needs no checks.  As
         q^growth < v(q) < 8 q^growth <= p^3 q^growth, q is expanded only
         when p^(growth e) <= value < p^(growth e + 3), and q^growth <= value
         keeps :meth:`substrate`'s digit guard from firing."""
-        e = next(islice(self.exponents(m), n - 1, None))[1]
+        e = self.exponent(m, n)
         if not power_at_least(value, 1, p, self.growth * e):
             return 1
         if power_at_least(value, 1, p, self.growth * e + 3):
@@ -329,9 +330,9 @@ def plan_parameters_octagon(r: int, n_vertices: int) -> PlanResult:
 class TheoremBound:
     """Asymptotic edge-bound exponent at a concrete N.
 
-    ``exponent`` evaluates the display form exactly as printed
-    (girth 6: (11/8)(1 - 33/sqrt(log_p N)); girth 8:
-    (11/9)(1 - 13 sqrt(10/log2 N))) in high precision; it is for display
+    ``exponent`` evaluates the display form exactly as printed, the
+    route's limit times (girth 6) 1 - 33/sqrt(log_p N) or (girth 8)
+    1 - 13 sqrt(10/log2 N), in high precision; it is for display
     only.  ``bound`` is N raised to that exponent rounded *down* to a
     multiple of 1/72, decided exactly by integer arithmetic, so it is
     always a true lower bound, also where the exponent is itself a
@@ -358,12 +359,12 @@ def _ln_base(base: int) -> Decimal:
 def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
     """High-precision exponent of the edge-count lower bound at N vertices.
 
-    Both displays are (11/den)(1 - sqrt(c2 / log_base N)), with the route's
-    den and c2.  Squaring clears the root, so for k < 11*72/den
+    Both displays are (a/b)(1 - sqrt(c2 / log_base N)), with the route's limit
+    a/b in lowest terms and its c2.  Squaring clears the root, so for k < 72a/b
 
-        k/72 <= exponent  iff  N^((11*72 - k*den)^2) >= base^(c2 * (11*72)^2),
+        k/72 <= exponent  iff  N^((72a - k*b)^2) >= base^(c2 * (72a)^2),
 
-    and every k >= 11*72/den fails.  The floored multiple of 1/72 is the
+    and every k >= 72a/b fails.  The floored multiple of 1/72 is the
     largest k that passes: the high-precision float only proposes it, and
     the exact comparison settles it.
 
@@ -377,16 +378,16 @@ def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
         if not isinstance(p, int) or not is_prime(p):
             raise PreconditionError(f"girth-{girth} bound needs a prime p, got {short_value(p)}")
         base = p
-    scale = 11 * _STEPS
+    scale = route.limit.numerator * _STEPS
 
     def passes(k: int) -> bool:
-        gap = scale - k * route.den
+        gap = scale - k * route.limit.denominator
         return gap > 0 and power_at_least(n_vertices, gap * gap, base, route.c2 * scale * scale)
 
     with localcontext(Context(prec=_PREC)):  # not the caller's context, whatever it is
         shift = max(0, n_vertices.bit_length() - 216)  # ln N from its top 216 bits is off by < 2^-215
         ln_n = Decimal(n_vertices >> shift).ln() + shift * _ln_base(2)
-        share = Decimal(11) / route.den
+        share = Decimal(route.limit.numerator) / route.limit.denominator
         expo = share * (1 - (route.c2 * _ln_base(base) / ln_n).sqrt())
         constant = float(share * (route.c2 * _ln_base(base) / _ln_base(2)).sqrt())
         k = int((expo * _STEPS).to_integral_value(ROUND_FLOOR))

@@ -51,7 +51,7 @@ from hypergirth import (
     theorem_bound,
 )
 from hypergirth.arith import power_at_least
-from hypergirth.errors import PreconditionError, VerificationError
+from hypergirth.errors import PreconditionError, ResourceBudgetError, VerificationError
 from hypergirth.planner import ROUTES
 
 BASES = (2, 3, 5, 7)
@@ -351,7 +351,7 @@ NOT_AN_INT_CALLS = {
     "route-order-float-m": (lambda: ROUTES[6].order(5, 2.0, 2), "m must be an integer, got 2.0"),
     "route-edge-bound-float-n": (lambda: ROUTES[6].edge_bound(5, 2, 2.0), "n must be an integer, got 2.0"),
     "route-require-none-n": (lambda: ROUTES[6].require(5, 2, None), "n must be an integer, got None"),
-    "route-exponents-none-m": (lambda: next(ROUTES[6].exponents(None)), "m must be an integer, got None"),
+    "route-exponents-none-m": (lambda: ROUTES[6].exponent(None, 1), "m must be an integer, got None"),
     "route-v-none-q": (lambda: ROUTES[6].v(None), "q must be an integer, got None"),
     "route-v-float-q": (lambda: ROUTES[6].v(2.5), "q must be an integer, got 2.5"),
     "route-substrate-float-q": (lambda: ROUTES[6].substrate(2.0), "q must be an integer, got 2.0"),
@@ -537,3 +537,41 @@ def test_int_to_decimal_echoes_a_long_value_quickly():
     text = arith.int_to_decimal(value)
     assert time.monotonic() - start < 3.0
     assert text == "9" * 999_999
+
+
+def refused(base: int, exponent: int) -> bool:
+    try:
+        arith.check_pow(base, exponent, "x")
+    except ResourceBudgetError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("digits", [1, 2, 7, 40])
+def test_check_pow_refuses_exactly_the_powers_past_the_budget(monkeypatch, digits):
+    monkeypatch.setattr(arith, "DIGIT_BUDGET", digits)
+    limit = 10**digits
+    for base in range(0, 130):
+        for exponent in range(0, 140):
+            assert refused(base, exponent) == (base**exponent >= limit), (digits, base, exponent)
+
+
+@pytest.mark.parametrize("base", [2, 5, 9, 2**61 - 1])
+def test_check_pow_admits_every_power_of_the_budget_s_digit_count(base):
+    # the largest exponent whose power has DIGIT_BUDGET digits, by full expansion
+    limit = 10**arith.DIGIT_BUDGET
+    exponent = int(arith.DIGIT_BUDGET / math.log10(base)) + 1
+    while base**exponent >= limit:
+        exponent -= 1
+    assert not refused(base, exponent) and refused(base, exponent + 1)
+
+
+def test_check_pow_decides_clear_cases_from_bit_lengths(monkeypatch):
+    refused(2, 1)  # the budget's bit bound is computed once, here
+
+    def unexpected(*args):
+        raise AssertionError("power_at_least called")
+
+    monkeypatch.setattr(arith, "power_at_least", unexpected)
+    assert not refused(5, 10**3) and not refused(9, 830482) and not refused(2**61 - 1, 54457)
+    assert refused(5, 1661000) and refused(9, 1107310) and refused(10**50, 10**5)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -11,6 +12,7 @@ from mpmath import mp, mpf
 
 from hypergirth import (
     BelowSeedError,
+    Error,
     PowerExpr,
     PreconditionError,
     ResourceBudgetError,
@@ -175,10 +177,10 @@ class TestOrderSequences:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_prime_level_crossing_identity(self, n):
         a = ROUTES[8].order(2, 10 ** (n + 1) + 1, n)
-        # m = 10^n is even, so only the exponents, not the order, exist there
-        b = next(islice(ROUTES[8].exponents(10**n), n, None))
+        # m = 10^n is even, so only the exponent, not the order, exists there
+        b = ROUTES[8].exponent(10**n, n + 1)
         expected = 10 ** (2 * n) + Fraction(10**n - 1, 9)
-        assert a.exponent == b[0] == b[1] == expected
+        assert a.exponent == b == expected
 
     def test_prime_sequence_errors(self):
         with pytest.raises(PreconditionError, match="m-odd"):
@@ -238,14 +240,14 @@ class TestRequire:
 
 class TestExponents:
     def test_first_terms(self):
-        assert list(islice(ROUTES[6].exponents(2), 3)) == [(2, 2), (19, 19), (172, 172)]
-        assert list(islice(ROUTES[8].exponents(5), 3)) == [(5, 5), (51, 51), (511, 511)]
+        assert [ROUTES[6].exponent(2, i) for i in (1, 2, 3)] == [2, 19, 172]
+        assert [ROUTES[8].exponent(5, i) for i in (1, 2, 3)] == [5, 51, 511]
 
     def test_order_reads_the_nth_pair(self):
         for girth, p, m in ((6, 5, 2), (6, 2, 7), (8, 2, 9)):
-            pairs = list(islice(ROUTES[girth].exponents(m), 5))
+            pairs = list(islice(reference_exponents(ROUTES[girth], m), 5))
             for n, (closed, recursion) in enumerate(pairs, start=1):
-                assert ROUTES[girth].order(p, m, n).exponent == closed == recursion
+                assert ROUTES[girth].order(p, m, n).exponent == ROUTES[girth].exponent(m, n) == closed == recursion
 
 
 class TestOrderChecks:
@@ -255,16 +257,16 @@ class TestOrderChecks:
         for n in range(1, 6):
             cert = certificate(girth, p, m, n, 3)
             recorded = [(c.name, c.statement, c.passed) for c in cert.checks if c.name.startswith("order-")]
-            rows = [row for i, (closed, e) in zip(range(1, n + 1), route.exponents(m))
-                    for row in route.order_checks(i, closed, e)]
+            rows = [row for i, (_, e) in zip(range(1, n + 1), reference_exponents(route, m))
+                    for row in route.order_checks(i, route.exponent(m, i), int(e))]
             assert recorded == rows and len(rows) == n * (2 if girth == 8 else 1)
             assert {c.method for c in cert.checks if c.name.startswith("order-")} == {"exponent-exact"}
 
     def test_rows(self):
-        assert ROUTES[6].order_checks(2, Fraction(19), Fraction(19)) == [
+        assert ROUTES[6].order_checks(2, 19, 19) == [
             ("order-closed-form-2", "recursion exponent equals 9^1*(m+1/8)-1/8", True),
         ]
-        assert ROUTES[8].order_checks(3, Fraction(511), Fraction(510)) == [
+        assert ROUTES[8].order_checks(3, 511, 510) == [
             ("order-closed-form-3", "recursion exponent equals 10^2*(m+1/9)-1/9", False),
             ("order-odd-3", "order_3 is an odd power of 2", True),
         ]
@@ -324,7 +326,8 @@ class TestEdgeBounds:
 
 
 def reference_exponents(route, m: int):
-    """Route.exponents as first written: a chain of Fraction operations."""
+    """(closed form, recursion) exponents of q_1, q_2, ... as Route first
+    wrote them: a chain of Fraction operations."""
     shift = Fraction(1, route.den)
     scale, e = 1, Fraction(m)
     while True:
@@ -366,11 +369,40 @@ def test_exponents_and_edge_bound_match_the_reference(girth, p, m, parity, n):
     row and its edge bound too."""
     route = Route(**{**{name: getattr(ROUTES[girth], name) for name in Route._fields}, "premises": ()})
     m += (m + parity) % 2  # m of the drawn parity
-    pairs = list(islice(route.exponents(m), 7))
+    pairs = [(route.exponent(m, i),) * 2 for i in range(1, 8)]
     assert pairs == list(islice(reference_exponents(route, m), 7))
     for i, (closed, e) in enumerate(pairs, start=1):
-        assert route.order_checks(i, closed, e) == reference_order_checks(route, i, closed, Fraction(e))
+        assert route.order_checks(i, closed, e) == reference_order_checks(route, i, Fraction(closed), Fraction(e))
     assert route.edge_bound(p, m, n) == reference_edge_bound(route, p, m, n)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([6, 8]), st.one_of(st.integers(-100, 100), st.integers(1, 10**60)))
+def test_exponent_is_the_recursion(girth, m):
+    """The closed form against the reference recursion, for i up to 40."""
+    route = ROUTES[girth]
+    for i, (closed, e) in zip(range(1, 41), reference_exponents(route, m)):
+        assert route.exponent(m, i) == closed == e
+
+
+# sha256 of "%x %x\n" % (order exponent, edge-bound exponent) over every
+# n <= 1000 and every n = 1 (mod 97) up to 3 * 10^4, and n = 3 * 10^4: taken
+# from the exponent walk these closed forms replace.
+TOWER_DIGESTS = {
+    (6, 5, 2): "31d7beb9b681dfd133805e5e4f30047083b9abde264dc7572130c8e85353f116",
+    (8, 2, 5): "53c0d228397afa9ac37f31fe7688b021fe3679a5d0330ac39cc6c79aec71ff63",
+}
+
+
+@pytest.mark.parametrize("girth,p,m", TOWER_DIGESTS)
+def test_order_and_edge_bound_exponents_are_pinned(girth, p, m):
+    route, digest, last = ROUTES[girth], hashlib.sha256(), 3 * 10**4
+    for n in range(1, last + 1):
+        if n <= 1000 or n % 97 == 1 or n == last:
+            order, bound = route.order(p, m, n).exponent, route.edge_bound(p, m, n).exponent
+            assert order.denominator == bound.denominator == 1
+            digest.update(b"%x %x\n" % (order.numerator, bound.numerator))
+    assert digest.hexdigest() == TOWER_DIGESTS[girth, p, m]
 
 
 def reference_seed(route, p: int, r: int) -> tuple[int, int]:
@@ -499,7 +531,7 @@ class TestSeed:
 
 class TestSearchShape:
     """``plan`` calls the public ``order`` and ``require`` once per plan, for
-    the seed's vertex count; its probes read ``exponents`` directly."""
+    the seed's vertex count; its probes read ``exponent`` directly."""
 
     @pytest.mark.parametrize("digits,climbed", [(100, 0), (1000, 1), (20_000, 2)])
     def test_order_and_require_run_once(self, monkeypatch, digits, climbed):
@@ -520,7 +552,22 @@ class TestSearchShape:
 
 class TestStageCountGuard:
     """An n whose exponent growth^(n-1) is past the digit budget is refused
-    by ``require``, before anything walks n stages."""
+    by ``require``; every n it admits is answered in closed form."""
+
+    # the largest n with growth^(n-1) < 10^DIGIT_BUDGET: 9^1047951 and
+    # 10^999999 have exactly 10^6 digits
+    LARGEST = {6: 1_047_952, 8: 1_000_000}
+
+    @pytest.mark.parametrize("girth,p,m", [(6, 5, 2), (8, 2, 5)])
+    def test_every_admitted_n_is_answered_quickly(self, girth, p, m):
+        route = ROUTES[girth]
+        for n in (10**5, self.LARGEST[girth]):
+            for call in (route.order, route.edge_bound):
+                start = time.monotonic()
+                call(p, m, n)
+                assert time.monotonic() - start < 2.0, (call.__name__, n)
+        with pytest.raises(ResourceBudgetError, match=rf"^stage count n = {self.LARGEST[girth] + 1}: "):
+            route.require(p, m, self.LARGEST[girth] + 1)
 
     def test_absurd_n_is_refused_quickly(self):
         route = ROUTES[6]
@@ -535,6 +582,26 @@ class TestStageCountGuard:
             with pytest.raises(ResourceBudgetError, match=prefix):
                 call(5, 2, n)
             assert time.monotonic() - start < 1.0, (call.__name__, n)
+
+    @pytest.mark.parametrize("girth", [6, 8])
+    def test_every_method_answers_huge_and_non_int_arguments_quickly(self, girth):
+        route = ROUTES[girth]
+        p = route.base or 5
+        calls = {
+            "substrate": (3,), "v": (3,), "base_for": (p, "plan"), "premise_check": (route.premises[0], p, 5),
+            "require": (p, 5, 2), "exponent": (5, 2), "order_checks": (2, 51, 51), "order": (p, 5, 2),
+            "edge_bound": (p, 5, 2), "seed": (p, 3), "plan": (p, 3, 10**40),
+        }
+        values = {"10^5000": 10**5000, "-10^5000": -(10**5000), "2.5": 2.5, "None": None, "'3'": "3"}
+        for name, args in calls.items():
+            for k in (k for k, arg in enumerate(args) if isinstance(arg, int)):
+                for shown, value in values.items():
+                    start = time.monotonic()
+                    try:
+                        getattr(route, name)(*args[:k], value, *args[k + 1:])
+                    except Error:
+                        pass
+                    assert time.monotonic() - start < 1.0, (name, k, shown)
 
 
 class TestPlanHexagon:

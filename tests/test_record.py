@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 from conftest import FANO_TRIPLES
 
-from hypergirth import Hypergraph, PowerExpr
+from hypergirth import Hypergraph, PowerExpr, theorem_bound
 from hypergirth.certificate import CertCheck
 from hypergirth.core import StructureReport
+from hypergirth.geometry import GreedyReport
 from hypergirth.girth import BergeCycle, BipartiteCycle, GirthReport
 from hypergirth.pipeline import Stage
 from hypergirth.planner import ROUTES, Route
@@ -138,3 +139,18 @@ def test_assignment_and_deletion_raise():
     with pytest.raises(AttributeError, match="^cannot delete field 'girth'$"):
         del report.girth
     assert report == GirthReport(6)
+
+
+def test_a_field_whose_repr_raises_is_shown_by_short_value():
+    # repr() of an int past the int-to-str digit limit raises ValueError
+    huge, shown = 10**5000, "1000000000000000000000000000000000000000...(5001 digits)"
+    assert repr(GirthReport(None, searched_to=huge)) == f"GirthReport(girth=None, witness=None, searched_to={shown})"
+    assert repr(ROUTES[6].edge_bound(5, 2, 10**4)) == "PowerExpr(base=5, exponent=<Fraction>)"
+    greedy = GreedyReport(9, 9, 2, 6, huge, 4, ((2, 4),), 0)
+    assert repr(greedy) == (
+        f"GreedyReport(n_left=9, n_right=9, right_degree=2, target_girth=6, seed={shown}, accepted=4, "
+        "degree_histogram=((2, 4),), rights_below_target=0)"
+    )
+    bound = repr(theorem_bound(6, 5, 10 ** 10**6))
+    assert bound.startswith("TheoremBound(girth=6, exponent=")
+    assert ", bound=PowerExpr(base=1000000000000000000000000000000000000000...(1000001 digits), " in bound
