@@ -41,13 +41,19 @@ EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rou
 Number = TypeVar("Number", int, Decimal)  # an exact integer: an int, or a Decimal under EXACT
 
 
-def int_digits10(value: int) -> int:
-    """Exact decimal digit count of a nonnegative integer."""
-    if value < 10:
+def int_digits10(value: int, exponent: int = 1) -> int:
+    """Exact decimal digit count of value**exponent, for value >= 0 and
+    exponent >= 1, without raising the power.  A float count is within 1
+    of the truth, and power_at_least against powers of 10 settles it; that
+    is exact, as check_pow says."""
+    if value < 2:
         return 1
-    approx = int(value.bit_length() * 0.30102999566398114)
-    # approx is within 1 of the truth; settle it without expanding 10^approx.
-    return approx + 1 if power_at_least(value, 1, 10, approx) else approx
+    digits = int(exponent * math.log10(value)) + 1
+    if power_at_least(value, exponent, 10, digits):
+        return digits + 1
+    if digits > 1 and not power_at_least(value, exponent, 10, digits - 1):
+        return digits - 1
+    return digits
 
 
 _DECIMAL_LEAF = 2048  # bits: Decimal(int) is quadratic in the length, but cheap up to here
@@ -94,14 +100,20 @@ def short_decimal(value: int | str) -> str:
 def show(ids: object, show_one: Callable[[object], str] = str, within: tuple[int, ...] = ()) -> str:
     """A value, such as an edge or a caller's token, as messages show it:
     ``show_one(ids)``, str() at the top and repr() within, except that an
-    int goes through short_decimal and a str is cut to 40 characters, the
-    elements of a tuple, list, set or frozenset are shown the same way, and
-    a value too long for the int-to-str digit limit is named by its type,
-    so no huge id or token stops the message.  ``within`` holds the ids of
+    int goes through short_decimal, as do a Fraction's numerator and
+    denominator, a str or bytes is cut to 40 characters, the elements of a
+    tuple, list, set or frozenset are shown the same way, and any other
+    value too long for the int-to-str digit limit is named by its type, so
+    no huge id or token stops the message.  ``within`` holds the ids of
     the enclosing containers; a list that holds itself shows as repr does."""
     kind = type(ids)
     if kind is int:
         return short_decimal(ids)
+    if kind is Fraction:
+        num, den = short_decimal(ids.numerator), short_decimal(ids.denominator)
+        if show_one is repr:
+            return f"Fraction({num}, {den})"
+        return num if den == "1" else f"{num}/{den}"
     if kind in (tuple, list, set, frozenset):
         if id(ids) in within:
             return "[...]" if kind is list else "(...)"
@@ -114,7 +126,7 @@ def show(ids: object, show_one: Callable[[object], str] = str, within: tuple[int
             return f"{kind.__name__}()"
         return f"{{{inner}}}" if kind is set else f"frozenset({{{inner}}})"
     try:
-        return show_one(ids[:40] if isinstance(ids, str) else ids)
+        return show_one(ids[:40] if isinstance(ids, (str, bytes)) else ids)
     except ValueError:
         return f"<{kind.__name__}>"
 
@@ -230,6 +242,15 @@ def check_digits(digits: int, what: str, check: str) -> None:
         raise ResourceBudgetError(
             f"check {check}: a ~{digits}-digit {what} exceeds the digit budget {DIGIT_BUDGET}"
         )
+
+
+def check_expansion(base: int, exponent: int, degree: int, check: str) -> None:
+    """check_digits of a value of degree ``degree`` in q = base**exponent,
+    about degree times q's digits, before q is raised.  q < 2^(exponent *
+    bitlen(base)) bounds q's digits by bit lengths; only where that bound
+    would refuse are they counted exactly, by int_digits10."""
+    if (exponent * base.bit_length() * 30103 // 100000 + 1) * degree > DIGIT_BUDGET:
+        check_digits(int_digits10(base, exponent) * degree, "expansion", check)
 
 
 def parse_decimal_int(text: str) -> int:

@@ -31,6 +31,7 @@ from .arith import (
     EXACT,
     PowerExpr,
     check_digits,
+    check_expansion,
     check_pow,
     checked_pow,
     int_args,
@@ -129,32 +130,33 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     # Premises and the uniformity range; a non-prime p fails them all unexpanded.
     prime_ok = is_prime(p)
     rows = [route.premise_check(premise, p, m) for premise in route.premises]
-    uni = checked_pow(p, m, "check r-range") if prime_ok else 0
-    rows.append(("r-range", f"2 <= r <= 1 + {sym}^m at r = {short_decimal(r)}", 2 <= r <= 1 + uni))
+    if prime_ok:
+        check_pow(p, m, "check r-range")
+    r_ok = prime_ok and 2 <= r and (r < 4 or not power_at_least(r - 2, 1, p, m))  # r - 1 <= p^m, unexpanded
+    rows.append(("r-range", f"2 <= r <= 1 + {sym}^m at r = {short_decimal(r)}", r_ok))
     checks = _rows(_BIGNUM, *((name, shown, prime_ok and ok) for name, shown, ok in rows))
     if not all(c.passed for c in checks):
         return Certificate(route.girth, p, m, n, r, tuple(checks), ())
 
     # Every count is computed once, as a Decimal under EXACT, where any
     # rounding raises; str() of a Decimal is linear where str(int) is
-    # quadratic.  Orders are raised from p, each as soon as its exponent is
+    # quadratic.  Each order's size is checked as soon as its exponent is
     # known, so an over-budget order is refused before the checks of the
-    # later ones are built.  Only p, split and copies are converted from ints.
+    # later ones are built; then each substrate's, by check_expansion, which
+    # counts an order's digits without raising it, before any order is
+    # raised from p.  Only p, split and copies are converted from ints.
     exps: list[int] = []
-    orders: list[Decimal] = []
     with localcontext(EXACT):
         e = m
         for i in range(1, n + 1):
             exps.append(route.exponent(m, i))
             checks += _rows(_EXPONENT, *route.order_checks(i, exps[-1], e))
             check_pow(p, exps[-1], f"check order_{i}")
-            orders.append(Decimal(p) ** exps[-1])
             e = g * e + 1
-
-        substrates: list[tuple[Decimal, Decimal]] = []  # v(q), b(q) have degree <= g + line_power - 1
-        for i, q in enumerate(orders, start=1):
-            check_digits((q.adjusted() + 1) * (g + route.line_power - 1), "expansion", f"vertex-growth-{i}")
-            substrates.append(route.substrate(q))
+        for i, exponent in enumerate(exps, start=1):  # v(q), b(q) have degree <= g + line_power - 1
+            check_expansion(p, exponent, g + route.line_power - 1, f"vertex-growth-{i}")
+        orders = [Decimal(p) ** exponent for exponent in exps]
+        substrates = [route.substrate(q) for q in orders]
 
         # Each stage places p - 1 template copies per edge (one at base 2); the row
         # cannot FAIL once the premises hold: (p-1) v(q) < p q^growth = order_i.
@@ -165,7 +167,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
                    for i, (v, _) in enumerate(substrates, start=1)]
 
         # No count exceeds the budget: a product has at most its factors' digits.
-        split = Decimal((1 + uni) // r)
+        split = Decimal((1 + checked_pow(p, m, "check r-range")) // r)
         factors = [b for _, b in substrates] + [Decimal(copies)] * (n - 1) + [split]
         check_digits(sum(x.adjusted() + 1 for x in factors), "product", "edge-bound")
         vertices, edges, final = tower_counts(substrates, [copies] * (n - 1), split)

@@ -6,11 +6,20 @@ integers and canonically ordered content; the parsers reject any
 deviation with a line-numbered error, so parse(serialize(x)) == x and
 serialize(parse(s)) == s hold bit-exactly.
 
-This module checks syntax and `core` checks structure.  Each body line is
-matched against a pattern whose integers have at most VERTEX_BUDGET's
-digit count, and the values go to the Hypergraph or BipartiteGraph
-constructor; the edge or incidence index its ValidationError carries
-names the line.
+This module checks syntax and `core` checks structure.  A body is read
+in bulk, by C iterators, in chunks of about _CHUNK tokens, so the
+transient token lists stay bounded.  Each chunk is joined and split once;
+its tags are checked at once, at the line starts and, when the chunk has
+one width, as every (w + 1)-th token; and each id token is looked up in
+one table of the canonical ids below min(id bound, the text's token
+count).  A hit is a canonical id, so no token goes through int() and a
+long one is never converted; a miss is read once per distinct token,
+after it matches an id of at most VERTEX_BUDGET's digit count.  The id
+tuples go to the Hypergraph or BipartiteGraph constructor; the edge or
+incidence index its ValidationError carries names the line.  The line
+matcher runs only on a chunk the bulk pass refused: it matches the lines
+one by one against a pattern of the same syntax, to name the first bad
+one with the message the line-by-line parser gave.
 
 ``split_lines`` and ``read_header`` frame certificates and recipes too: a
 framing fault is a FormatError naming the line where it is.
@@ -19,23 +28,30 @@ framing fault is a FormatError naming the line where it is.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, NoReturn
+from functools import partial
+from itertools import islice, repeat
+from typing import Any, Callable, Iterator, NoReturn
 
 from .arith import DECIMAL, short_decimal, short_value
 from .core import VERTEX_BUDGET, BipartiteGraph, Hypergraph, budget_int
-from .errors import FormatError, ResourceBudgetError, ValidationError
+from .errors import FormatError, PreconditionError, ResourceBudgetError, ValidationError
 
 # An id token has at most VERTEX_BUDGET's digit count, so int() of it is cheap.
 _ID = f"(?:0|[1-9][0-9]{{0,{len(str(VERTEX_BUDGET)) - 1}}})"
 _EDGE_LINE = re.compile(f"e(?: {_ID})+")
 _INCIDENCE_LINE = re.compile(f"a {_ID} {_ID}")
+_ID_TOKEN = re.compile(_ID)
+_CHUNK = 1 << 14  # tokens split at once: a chunk holds _CHUNK // (its first line's tokens) lines
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
-    lines = ["hgt 1", f"vertices {h.num_vertices}", f"edges {h.num_edges}"]
-    for edge in h.edges:
-        lines.append("e " + " ".join(str(v) for v in edge))
-    return "\n".join(lines) + "\n"
+    """One format per edge width, and one for all edges of a uniform one."""
+    formats = {width: "e" + " %d" * width + "\n" for width in set(map(len, h.edges))}
+    if len(formats) == 1:
+        body = "".join(map(formats.popitem()[1].__mod__, h.edges))
+    else:
+        body = "".join(map(str.__mod__, map(formats.__getitem__, map(len, h.edges)), h.edges))
+    return f"hgt 1\nvertices {h.num_vertices}\nedges {h.num_edges}\n{body}"
 
 
 def serialize_bipartite(g: BipartiteGraph) -> str:
@@ -55,7 +71,10 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 
 
 def split_lines(text: str) -> list[str]:
-    """``text`` split at LF; a carriage return is a FormatError at its line."""
+    """``text`` split at LF; a carriage return is a FormatError at its line,
+    and a ``text`` that is not a str a PreconditionError."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"text must be a str, got {short_value(text)}")
     if "\r" in text:
         lineno = text[: text.index("\r")].count("\n") + 1
         raise FormatError(f"line {lineno}: carriage return not allowed (LF line endings only)")
@@ -100,18 +119,74 @@ def _refuse(line: str, lineno: int, exc: ValidationError | None, shape: str, nam
     raise FormatError(f"line {lineno}: {exc}")
 
 
-def _build(body: list[str], line_re: re.Pattern, make: Callable[[list[str]], Any],
-           shape: str, names: tuple[str, ...]) -> Any:
-    """make(body lines), or the _refuse of the first bad body line (line 4
-    on); the lines before a syntax error are built first, so an earlier
-    structural fault wins.  Lines are matched one by one: one match over
-    the body keeps regex backtracking state per line (8 MB on H(5)); the
-    possessive `*+` that avoids it needs Python 3.11."""
-    good = len(body)
-    if not all(map(line_re.fullmatch, body)):
-        good = next(i for i, line in enumerate(body) if not line_re.fullmatch(line))
+def _rows(lines: list[str], tag: str, table: dict[str, int]) -> list[tuple[int, ...]] | None:
+    """The id tuples of ``lines``, each `tag id ...` with one or more ids, or
+    None if a line is not one.  Each id token is looked up in ``table``; a
+    miss is read once, into the table, if it matches an id at all.  A `bgt`
+    line with other than two ids gives a tuple that BipartiteGraph refuses
+    as not a pair, and _refuse names the line's shape."""
+    if not lines:
+        return []
+    text = "\n".join(lines)
+    if not text.startswith(tag + " ") or text.count("\n" + tag + " ") != len(lines) - 1:
+        return None  # a line does not start with its tag
+    tokens = text.replace("\n", " ").split(" ")
+    w = lines[0].count(" ")
+    # With every line started by a tag and no id a tag, the lines have one
+    # width iff every (w + 1)-th token is a tag.
+    uniform = len(tokens) == (w + 1) * len(lines) and tokens[0::w + 1].count(tag) == len(lines)
+    if uniform:
+        del tokens[0::w + 1]
+    else:
+        count, widths = len(tokens), list(map(str.count, lines, repeat(" ")))
+        tokens = list(filter(tag.__ne__, tokens))
+        if len(tokens) + len(lines) != count:  # a tag where an id belongs
+            return None
+
+    def group(ids: Iterator[int]) -> list[tuple[int, ...]]:
+        return list(zip(*[ids] * w) if uniform else map(tuple, map(islice, repeat(ids), widths)))
+
     try:
-        value = make(body[:good])
+        return group(map(table.__getitem__, tokens))
+    except KeyError:
+        for token in set(tokens).difference(table):
+            if not _ID_TOKEN.fullmatch(token):
+                return None
+            table[token] = int(token)
+        return group(map(table.__getitem__, tokens))
+
+
+def _first_bad_line(lines: list[str], line_re: re.Pattern) -> int:
+    """The index of the first of ``lines`` that ``line_re`` does not match.
+    Lines are matched one by one: one match over many lines keeps regex
+    backtracking state per line (8 MB on H(5)); the possessive `*+` that
+    avoids it needs Python 3.11."""
+    return next(i for i, line in enumerate(lines) if not line_re.fullmatch(line))
+
+
+def _build(body: list[str], line_re: re.Pattern, ids_below: int, make: Callable[[tuple], Any],
+           shape: str, names: tuple[str, ...]) -> Any:
+    """make(the id tuples of the body lines), or the _refuse of the first bad
+    body line (line 4 on); the lines before a syntax error are built first,
+    so an earlier structural fault wins.  The body is read in bulk by _rows,
+    a chunk of about _CHUNK tokens at a time, with one table of the
+    canonical ids below ``ids_below``.  Only a chunk that _rows refuses goes
+    to _first_bad_line, which names its first line that ``line_re``, the
+    same syntax, refuses."""
+    tag = shape.split(" ")[0]
+    table = {str(i): i for i in range(ids_below)}
+    rows: list[tuple[int, ...]] = []
+    good, start = len(body), 0
+    while start < good:
+        lines = body[start:start + max(1, _CHUNK // (body[start].count(" ") + 1))]
+        chunk = _rows(lines, tag, table)
+        if chunk is None:
+            good = start + _first_bad_line(lines, line_re)
+            chunk = _rows(lines[:good - start], tag, table)
+        rows += chunk
+        start += len(lines)
+    try:
+        value = make(tuple(rows))
     except ValidationError as exc:
         _refuse(body[exc.index], 4 + exc.index, exc, shape, names)
     except ResourceBudgetError:  # class sizes over the budget: a bad line is named first
@@ -129,21 +204,16 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise FormatError(
             f"line {min(len(body), m) + 4}: expected exactly {m} edge lines after the header, found {len(body)}"
         )
-
-    def make(body: list[str]) -> Hypergraph:
-        return Hypergraph(n, tuple(tuple(map(int, line[2:].split(" "))) for line in body))
-
-    return _build(body, _EDGE_LINE, make, "e <v1> <v2> ...", ("vertex id",))
+    ids_below = min(n, text.count(" "))  # a body has no more distinct ids than tokens
+    return _build(body, _EDGE_LINE, ids_below, partial(Hypergraph, n), "e <v1> <v2> ...", ("vertex id",))
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse the `bgt 1` format; rejects any deviation (line-numbered)."""
     body, (n_left, n_right) = read_header(text, "bgt 1", ("left <N>", "right <N>"), _parse_int)
-
-    def make(body: list[str]) -> BipartiteGraph:
-        return BipartiteGraph(n_left, n_right, tuple((int(u), int(v)) for _, u, v in map(str.split, body)))
-
-    return _build(body, _INCIDENCE_LINE, make, "a <u> <v>", ("left id", "right id"))
+    ids_below = min(max(n_left, n_right), text.count(" "))
+    return _build(body, _INCIDENCE_LINE, ids_below, partial(BipartiteGraph, n_left, n_right),
+                  "a <u> <v>", ("left id", "right id"))
 
 
 def read_ascii(path: str) -> str:

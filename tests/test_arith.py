@@ -42,6 +42,10 @@ from hypergirth import (
     greedy_high_girth_bipartite,
     loose_path,
     pad_vertices,
+    parse_bipartite,
+    parse_certificate,
+    parse_hypergraph,
+    parse_recipe,
     plan,
     projective_plane,
     reverify_certificate,
@@ -298,9 +302,9 @@ def test_an_integer_past_the_str_limit_fails_as_below_it(name):
     assert max(map(len, past_texts)) < 200, past_texts
 
 
-# Library calls with a value that is not an int where an int belongs: each
-# is refused with a PreconditionError and a short message, before any
-# arithmetic on the value.
+# Library calls with a value that is not an int where an int belongs, or
+# not a str where a text belongs: each is refused with a PreconditionError
+# and a short message, before any arithmetic on the value.
 HUGE_TUPLE = (10**5000,)
 SHOWN_HUGE_TUPLE = "(" + "1" + "0" * 39 + "...(5001 digits),)"
 TRIANGLE = Hypergraph(3, ((0, 1, 2),))
@@ -368,6 +372,13 @@ NOT_AN_INT_CALLS = {
     "is-prime-none": (lambda: arith.is_prime(None), "n must be an integer, got None"),
     "power-none-exponent": (
         lambda: arith.PowerExpr(2, None), "PowerExpr exponent must be an int or a Fraction, got None"),
+    # the text parsers, each refused by the one check in formats.split_lines
+    "parse-hypergraph-bytes": (lambda: parse_hypergraph(b"hgt 1\n"), "text must be a str, got b'hgt 1\\n'"),
+    "parse-hypergraph-none": (lambda: parse_hypergraph(None), "text must be a str, got None"),
+    "parse-bipartite-int": (lambda: parse_bipartite(5), "text must be a str, got 5"),
+    "parse-certificate-long-bytes": (
+        lambda: parse_certificate(b"x" * 10**6), f"text must be a str, got {b'x' * 40!r}"),
+    "parse-recipe-list": (lambda: parse_recipe(["rcp 1"]), "text must be a str, got ['rcp 1']"),
 }
 
 
@@ -446,6 +457,33 @@ DIGIT_COUNT_VALUES = (
 def test_int_digits10_matches_str():
     for value in DIGIT_COUNT_VALUES:
         assert arith.int_digits10(value) == len(arith.int_to_decimal(value)), value
+
+
+@pytest.mark.parametrize("base,degree", [(2, 1), (2, 11), (5, 8), (2**61 - 1, 10)])
+def test_check_expansion_refuses_exactly_past_the_budget(base, degree):
+    # Around the last admitted exponent, where the bit-length bound refuses
+    # and the exact digit count decides.
+    near = int(arith.DIGIT_BUDGET // degree / math.log10(base))
+    refused = []
+    for exponent in range(near - 3, near + 4):
+        digits = arith.int_digits10(base, exponent) * degree
+        refused.append(digits > arith.DIGIT_BUDGET)
+        if not refused[-1]:
+            arith.check_expansion(base, exponent, degree, "x")
+        else:
+            with pytest.raises(ResourceBudgetError, match=f"^check x: a ~{digits}-digit expansion exceeds "):
+                arith.check_expansion(base, exponent, degree, "x")
+    assert refused[0] is False and refused[-1] is True
+
+
+def test_int_digits10_of_a_power_matches_str():
+    # The float count is one low at 10^512, 10^1024 and 10^2048, one high at
+    # 10^k - 1 from k = 15 on; the power itself is never raised.
+    cases = [(10**k + d, 1) for k in (15, 16, 40, 512, 1024, 2048) for d in (-1, 0)]
+    cases += [(10, e) for e in (1, 15, 512)] + [(100, 256), (10**8, 64)]
+    cases += [(b, e) for b in (2, 3, 5, 7, 11, 1000, 2**61 - 1) for e in (1, 2, 3, 10, 97, 1000, 4321)]
+    for base, exponent in cases:
+        assert arith.int_digits10(base, exponent) == len(arith.int_to_decimal(base**exponent)), (base, exponent)
 
 
 @contextmanager

@@ -87,6 +87,16 @@ class TestHexagonCertificate:
             cert = certificate(girth, p, m, 1, r)
             assert [c.name for c in cert.checks if not c.passed] == ([] if valid else ["r-range"])
 
+    @pytest.mark.parametrize("girth,p", [(6, 2), (6, 3), (6, 5), (8, None)])
+    def test_r_range_is_decided_unexpanded(self, girth, p):
+        # The row decides r - 1 <= p^m by power_at_least, never raising p^m;
+        # p^m = 2 at p = 2, m = 1 sets the top end r = 3 apart from r = 4.
+        for m in (1, 2, 3):
+            top = 1 + (p or 2) ** m
+            for r in range(1, top + 3):
+                row = next(c for c in certificate(girth, p, m, 1, r).checks if c.name == "r-range")
+                assert row.passed == (2 <= r <= top), (m, r)
+
     def test_nonprime_p(self):
         cert = certificate(6, 6, 2, 1, 3)
         assert not cert.valid
@@ -215,15 +225,33 @@ class TestDigitBudget:
             certificate(6, 2, m, 1, 3)
         assert time.monotonic() - start < 2.0
 
-    # Each order is expanded as soon as its exponent is known, so a header
-    # with a huge n is refused at the first over-budget order, not after
-    # building the closed-form checks of all n orders.
+    # Each order's size is checked as soon as its exponent is known, so a
+    # header with a huge n is refused at the first over-budget order, not
+    # after building the closed-form checks of all n orders.
     @pytest.mark.parametrize("girth,p,m,name", [(6, 5, 2, "order_8"), (8, None, 5, "order_7")])
     def test_huge_n_refused_at_first_order(self, girth, p, m, name):
         start = time.monotonic()
         with pytest.raises(ResourceBudgetError, match=f"^check {name}: "):
             certificate(girth, p, m, 10**5, 3)
         assert time.monotonic() - start < 5.0
+
+    # Here p^m and order_1 fit the budget but v_1 does not.  The r-range row
+    # decides r - 1 <= p^m by power_at_least and the vertex-growth guard
+    # reads order_1's exact digit count, so neither power is raised; the
+    # refusal took 0.23 s when both were.
+    @pytest.mark.parametrize("girth,p,m", [(6, 5, 1430676), (8, None, 3321927)])
+    def test_over_budget_substrate_is_refused_before_any_power_is_raised(self, girth, p, m, monkeypatch):
+        class Unraised(Decimal):
+            def __pow__(self, other, modulo=None):
+                raise AssertionError("an order was raised")
+
+        monkeypatch.setattr(importlib.import_module("hypergirth.certificate"), "Decimal", Unraised)
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError) as exc:
+            certificate(girth, p, m, 1, 3)
+        assert time.perf_counter() - start < 0.05
+        assert str(exc.value) == (
+            "check vertex-growth-1: a ~11000000-digit expansion exceeds the digit budget 1000000")
 
     def test_reverify_huge_n_refused_at_first_order(self):
         text = "cert 1\ngirth 6\np 5\nm 2\nn 100000\nr 3\nstatus VALID\n"

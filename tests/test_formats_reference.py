@@ -1,23 +1,38 @@
-"""The hgt/bgt parsers against the line-by-line parsers they replaced.
+"""The hgt/bgt parsers against two earlier parsers, kept as references.
 
-The earlier parsers checked every token's range, order and duplicates
+The oldest parsers checked every token's range, order and duplicates
 themselves, line by line.  They are kept below verbatim, but for their
-names, as the reference.  Each example mutates a serialized text (byte
-flips, swapped, duplicated or dropped lines, extra spaces, leading zeros,
-and ids at and just above the header sizes, VERTEX_BUDGET and 10^7).  On
-each text both parsers must return equal values, or raise the same
-exception class whose message starts with the same `line N:` (or with no
-line number in both).  Hypothesis runs derandomized with a bounded number
-of examples.
+names, as the first reference.  Each example mutates a serialized text
+(byte flips, swapped, duplicated or dropped lines, extra spaces, leading
+zeros, and ids at and just above the header sizes, VERTEX_BUDGET and
+10^7).  On each text both parsers must return equal values, or raise the
+same exception class whose message starts with the same `line N:` (or with
+no line number in both).  Hypothesis runs derandomized with a bounded
+number of examples.
+
+The second reference is the parse path that matched every body line
+against its pattern and converted its tokens one by one, before the body
+was read in bulk; it is kept verbatim, but for its names.  It must give
+an equal value or the same exception with the exact same message, on the
+mutated texts read in chunks of the default size and of a few tokens, and
+on named cases: non-uniform bodies, ids at or above the token count, empty
+bodies, tokens over 7 digits, stray spaces and faults past the first chunk.
+Valid input never reaches the line matcher that names a bad line.
 """
 
+import os
+import random
 import re
+from typing import Any, Callable, NoReturn
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergirth import (
     BipartiteGraph,
     Hypergraph,
+    formats,
     neighborhood_hypergraph,
     parse_bipartite,
     parse_hypergraph,
@@ -25,8 +40,12 @@ from hypergirth import (
     serialize_bipartite,
     serialize_hypergraph,
 )
-from hypergirth.core import VERTEX_BUDGET
+from hypergirth.arith import DECIMAL, short_decimal, short_value
+from hypergirth.cli import main
+from hypergirth.core import VERTEX_BUDGET, budget_int
 from hypergirth.errors import FormatError, ResourceBudgetError, ValidationError
+from hypergirth.formats import _EDGE_LINE, _INCIDENCE_LINE, read_header
+from test_golden import COMMANDS, RECIPES, _write_templates
 
 _INT = re.compile(r"0|[1-9][0-9]*")
 _BUDGET_DIGITS = len(str(VERTEX_BUDGET))
@@ -129,6 +148,79 @@ def reference_parse_bipartite(text: str) -> BipartiteGraph:
         raise FormatError(f"line 4: non-canonical incidence data: {exc}") from exc
 
 
+# The second reference: the line-by-line body path, verbatim but for its names.
+
+
+def _line_parse_int(token: str, lineno: int, what: str) -> int:
+    if not DECIMAL.fullmatch(token):
+        raise FormatError(f"line {lineno}: {what} must be a canonical decimal integer, got {short_value(token)}")
+    value = budget_int(token)
+    if value is None:
+        raise ResourceBudgetError(f"line {lineno}: {what} {short_decimal(token)} is above the budget {VERTEX_BUDGET}")
+    return value
+
+
+def _line_refuse(line: str, lineno: int, exc: ValidationError | None, shape: str, names: tuple[str, ...]) -> NoReturn:
+    """Raise the FormatError of a bad body line: ``shape`` when the line has
+    the wrong tag or token count, else its first bad integer, else ``exc``.
+    ``names`` names the tokens after the tag; when ``shape`` ends in `...`,
+    names[0] names each of one or more tokens, none of them empty."""
+    tag, *tokens = line.split(" ")
+    if shape.endswith("..."):
+        names = names * len(tokens) if "" not in tokens else ()
+    if tag != shape.split(" ")[0] or not tokens or len(tokens) != len(names):
+        raise FormatError(f"line {lineno}: expected `{shape}`, got {short_value(line)}")
+    for token, name in zip(tokens, names):
+        _line_parse_int(token, lineno, name)
+    raise FormatError(f"line {lineno}: {exc}")
+
+
+def _line_build(body: list[str], line_re: re.Pattern, make: Callable[[list[str]], Any],
+                shape: str, names: tuple[str, ...]) -> Any:
+    """make(body lines), or the _refuse of the first bad body line (line 4
+    on); the lines before a syntax error are built first, so an earlier
+    structural fault wins.  Lines are matched one by one: one match over
+    the body keeps regex backtracking state per line (8 MB on H(5)); the
+    possessive `*+` that avoids it needs Python 3.11."""
+    good = len(body)
+    if not all(map(line_re.fullmatch, body)):
+        good = next(i for i, line in enumerate(body) if not line_re.fullmatch(line))
+    try:
+        value = make(body[:good])
+    except ValidationError as exc:
+        _line_refuse(body[exc.index], 4 + exc.index, exc, shape, names)
+    except ResourceBudgetError:  # class sizes over the budget: a bad line is named first
+        if good == len(body):
+            raise
+    if good < len(body):
+        _line_refuse(body[good], 4 + good, None, shape, names)
+    return value
+
+
+def line_parse_hypergraph(text: str) -> Hypergraph:
+    """Parse the `hgt 1` format; rejects any deviation (line-numbered)."""
+    body, (n, m) = read_header(text, "hgt 1", ("vertices <N>", "edges <N>"), _line_parse_int)
+    if len(body) != m:
+        raise FormatError(
+            f"line {min(len(body), m) + 4}: expected exactly {m} edge lines after the header, found {len(body)}"
+        )
+
+    def make(body: list[str]) -> Hypergraph:
+        return Hypergraph(n, tuple(tuple(map(int, line[2:].split(" "))) for line in body))
+
+    return _line_build(body, _EDGE_LINE, make, "e <v1> <v2> ...", ("vertex id",))
+
+
+def line_parse_bipartite(text: str) -> BipartiteGraph:
+    """Parse the `bgt 1` format; rejects any deviation (line-numbered)."""
+    body, (n_left, n_right) = read_header(text, "bgt 1", ("left <N>", "right <N>"), _line_parse_int)
+
+    def make(body: list[str]) -> BipartiteGraph:
+        return BipartiteGraph(n_left, n_right, tuple((int(u), int(v)) for _, u, v in map(str.split, body)))
+
+    return _line_build(body, _INCIDENCE_LINE, make, "a <u> <v>", ("left id", "right id"))
+
+
 PLANE = projective_plane(2)
 TEXTS = [
     serialize_hypergraph(neighborhood_hypergraph(PLANE)),
@@ -194,3 +286,194 @@ def test_parsers_agree_with_the_line_by_line_reference(text):
     if text.startswith("bgt"):
         new, ref = (parse_bipartite, reference_parse_bipartite)
     assert outcome(new, text) == outcome(ref, text)
+
+
+def exact_outcome(parse, text: str):
+    """The parsed value, or the exception class and its whole message."""
+    try:
+        return parse(text)
+    except (FormatError, ResourceBudgetError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def parse(text: str):
+    return parse_bipartite(text) if text.startswith("bgt") else parse_hypergraph(text)
+
+
+def line_parse(text: str):
+    return line_parse_bipartite(text) if text.startswith("bgt") else line_parse_hypergraph(text)
+
+
+def assert_agrees_with_the_line_parser(text: str) -> None:
+    assert exact_outcome(parse, text) == exact_outcome(line_parse, text)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(mutated(), st.sampled_from([formats._CHUNK, 1, 4, 7]))
+def test_bulk_parser_agrees_exactly_with_the_line_parser(text, chunk):
+    with mock.patch.object(formats, "_CHUNK", chunk):
+        assert_agrees_with_the_line_parser(text)
+
+
+def hgt(n: int, *lines: str) -> str:
+    return f"hgt 1\nvertices {n}\nedges {len(lines)}\n" + "".join(line + "\n" for line in lines)
+
+
+def bgt(n_left: int, n_right: int, *lines: str) -> str:
+    return f"bgt 1\nleft {n_left}\nright {n_right}\n" + "".join(line + "\n" for line in lines)
+
+
+# Texts past one chunk: 6000 incidences of a 100 x 100 grid, 5461 lines of
+# 3 tokens to a chunk, and 5000 edges of a 3-uniform hypergraph, 4096 lines
+# of 4 tokens to a chunk.
+GRID = [f"a {u} {v}" for u in range(100) for v in range(100)][:6000]
+TRIPLES = [f"e {i} {i + 1} {i + 2}" for i in range(5000)]
+
+
+def replaced(lines: list[str], at: int, line: str) -> list[str]:
+    return lines[:at] + [line] + lines[at + 1:]
+
+
+CASES = {
+    # non-uniform bodies
+    "non-uniform": hgt(6, "e 0 1", "e 0 2 3", "e 1", "e 2 3 4 5"),
+    "non-uniform-bad-tag": hgt(6, "e 0 1", "e 0 2 3", "x 1", "e 2 3 4 5"),
+    "non-uniform-tag-as-id": hgt(6, "e 0 1", "e 0 e 3", "e 1"),
+    "non-uniform-order": hgt(6, "e 0 1", "e 0 2 3", "e 0 1 5"),
+    "non-uniform-out-of-range": hgt(6, "e 0 1", "e 0 2 6"),
+    "non-uniform-bare-tag": hgt(6, "e 0 1", "e", "e 2"),
+    "non-uniform-shifted": hgt(6, "0 1", "e e 2"),
+    "non-uniform-tag-inside": hgt(9, "e 0 1", "2 e 3"),
+    "non-uniform-tag-as-id-regrouped": hgt(6, "e 0", "e e 1 2", "e 3 4"),
+    "non-uniform-tag-as-id-short": hgt(6, "e 0 1", "e e 2 3", "e 4"),
+    "duplicate-before-syntax": hgt(6, "e 0 1", "e 0 1", "e x"),
+    "order-before-syntax": bgt(3, 3, "a 1 1", "a 0 0", "a 2 2 2"),
+    "uniform-first-line-shifted": bgt(9, 9, "a 0 1 a", "2 3"),
+    "uniform-shifted": bgt(9, 9, "a 0 1", "a 2 3 a", "4 5"),
+    "uniform-shifted-hgt": hgt(9, "e 0 1", "e 2 3 e", "4 5"),
+    # bipartite lines of other than two ids, which BipartiteGraph refuses as no pair
+    "bipartite-one-id": bgt(9, 9, "a 0 1", "a 2"),
+    "bipartite-three-ids": bgt(9, 9, "a 0 1", "a 2 3 4"),
+    "bipartite-three-ids-each": bgt(9, 9, "a 0 1 2", "a 2 3 4"),
+    "bipartite-three-ids-after-order": bgt(9, 9, "a 1 1", "a 0 0", "a 2 3 4"),
+    "bipartite-three-ids-then-budget": bgt(VERTEX_BUDGET, 9, "a 0 0", "a 2 3 4"),
+    "bipartite-budget": bgt(VERTEX_BUDGET, 9, "a 0 0", "a 2 3"),
+    # ids at or above the token count, and at or above the header sizes
+    "sparse-ids": hgt(1000, "e 500 999", "e 998"),
+    "sparse-ids-out-of-range": hgt(1000, "e 500 1000"),
+    "sparse-ids-over-the-budget": hgt(1000, f"e 5 {VERTEX_BUDGET + 1}"),
+    "sparse-ids-bipartite": bgt(1000, 10, "a 999 9"),
+    "sparse-ids-bipartite-left-out": bgt(10, 1000, "a 10 999"),
+    "sparse-ids-bipartite-right-out": bgt(1000, 10, "a 999 10"),
+    "ids-at-budget": hgt(VERTEX_BUDGET, f"e 0 {VERTEX_BUDGET - 1}"),
+    # empty bodies and n = 0
+    "empty-hgt": hgt(7),
+    "empty-bgt": bgt(3, 4),
+    "n-0-empty": hgt(0),
+    "n-0-id": hgt(0, "e 0"),
+    "bgt-0-id": bgt(0, 0, "a 0 0"),
+    "bgt-0-left": bgt(0, 3, "a 0 1"),
+    # tokens over 7 digits
+    "8-digits": hgt(9, "e 1 12345678"),
+    "5000-digits": hgt(9, "e 1 " + "9" * 5000),
+    "8-digits-bipartite": bgt(9, 9, "a 12345678 1"),
+    "8-digits-leading-zero": hgt(9, "e 01234567"),
+    "7-digits-over-budget": bgt(9, 9, "a 0 0", "a 1 9999999"),
+    # trailing and double spaces
+    "trailing-space": hgt(9, "e 0 1 "),
+    "double-space": hgt(9, "e 0  1"),
+    "leading-space": hgt(9, " e 0 1"),
+    "trailing-space-bipartite": bgt(9, 9, "a 0 1 "),
+    "double-space-bipartite": bgt(9, 9, "a 0  1"),
+    "tag-space-only": hgt(9, "e "),
+    # faults past the first chunk
+    "second-chunk-valid": bgt(100, 100, *GRID),
+    "second-chunk-syntax": bgt(100, 100, *replaced(GRID, 5500, "a 1 x")),
+    "second-chunk-order": bgt(100, 100, *replaced(GRID, 5500, "a 0 0")),
+    "second-chunk-out-of-range": bgt(100, 100, *GRID[:5500], "a 100 0"),
+    "first-chunk-order-second-chunk-syntax": bgt(100, 100, *replaced(replaced(GRID, 9, "a 0 0"), 5500, "a 1  2")),
+    "first-chunk-syntax-second-chunk-order": bgt(100, 100, *replaced(replaced(GRID, 5500, "a 0 0"), 9, "a 1 2 3")),
+    "second-chunk-width": hgt(5002, *replaced(TRIPLES, 4500, "e 4500 4501")),
+    "second-chunk-id": hgt(5002, *replaced(TRIPLES, 4500, "e 4500 4501 04502")),
+    "second-chunk-duplicate": hgt(5002, *replaced(TRIPLES, 4500, TRIPLES[4499])),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_bulk_parser_agrees_exactly_on_named_cases(name):
+    assert_agrees_with_the_line_parser(CASES[name])
+
+
+def test_token_lists_and_the_id_table_stay_bounded(monkeypatch):
+    # Each bulk read of a uniform body splits at most _CHUNK tokens, and the
+    # id table starts with the ids below min(id bound, token count).
+    seen, tables = [], []
+    original = formats._rows
+
+    def recorded(lines, tag, table):
+        seen.append(sum(line.count(" ") + 1 for line in lines))
+        tables.append(len(table))
+        return original(lines, tag, table)
+
+    monkeypatch.setattr(formats, "_rows", recorded)
+    parse_bipartite(bgt(10**6, 7, "a 0 0", "a 999999 6"))  # 7 spaces in the text
+    parse_hypergraph(hgt(10**6, "e 0 1 2 999999"))
+    parse_hypergraph(hgt(2, "e 0 1", "e 1"))
+    parse_bipartite(bgt(2, 100, "a 0 0", "a 0 50", "a 1 99"))
+    assert tables == [7, 7, 2, 9]
+    parse_bipartite(CASES["second-chunk-valid"])
+    assert seen[4:] == [16383, 1617] and tables[4] == 100
+    seen.clear()
+    monkeypatch.setattr(formats, "_CHUNK", 100)  # 6 lines of 15 tokens
+    parse_hypergraph(serialize_hypergraph(neighborhood_hypergraph(projective_plane(13))))
+    assert len(seen) == 31 and max(seen) <= 100
+
+
+def random_valid_texts(rng: random.Random):
+    """Serialized random hypergraphs and bipartite graphs: uniform and not,
+    dense and sparse ids, and the empty ones."""
+    for _ in range(60):
+        n = rng.choice([0, 1, 5, 40, 3000, VERTEX_BUDGET])
+        width = rng.choice([None, 1, 3])
+        edges = set()
+        for _ in range(rng.randint(0, 60) if n else 0):
+            size = width or rng.randint(1, min(6, n))
+            edges.add(tuple(sorted(rng.sample(range(n), min(size, n)))))
+        yield serialize_hypergraph(Hypergraph(n, tuple(sorted(edges))))
+        n_left, n_right = rng.choice([0, 3, 50, 4000]), rng.choice([0, 2, 70, 5000])
+        count = rng.randint(0, 80) if n_left * n_right else 0
+        pairs = {(rng.randrange(n_left), rng.randrange(n_right)) for _ in range(count)}
+        yield serialize_bipartite(BipartiteGraph(n_left, n_right, tuple(sorted(pairs))))
+
+
+def serialize(value) -> str:
+    return serialize_bipartite(value) if isinstance(value, BipartiteGraph) else serialize_hypergraph(value)
+
+
+def test_valid_input_never_reaches_the_line_matcher(tmp_path, capsys, monkeypatch):
+    def refuse(lines, line_re):
+        raise AssertionError(f"the line matcher ran on {short_value(lines[0])}")
+
+    monkeypatch.setattr(formats, "_first_bad_line", refuse)
+    texts = list(random_valid_texts(random.Random(5)))
+    texts += [text for text in CASES.values() if not isinstance(exact_outcome(line_parse, text), tuple)]
+    for chunk in (formats._CHUNK, 1, 5):
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            for text in texts:
+                assert serialize(parse(text)) == text
+    # Every golden run parses what it wrote: replayed transforms, reports and girths.
+    _write_templates(tmp_path)
+    for name, (recipe, _) in RECIPES.items():
+        (tmp_path / "r.rcp").write_text(recipe.replace("<tmp>", str(tmp_path)))
+        assert main(["pipeline", str(tmp_path / "r.rcp"), "--out-dir", str(tmp_path / name)]) == 0
+    for command in COMMANDS:
+        assert main(command.replace("<tmp>", str(tmp_path)).split()) == 0, command
+    capsys.readouterr()
+    artifacts = [os.path.join(root, name) for root, _, names in os.walk(tmp_path)
+                 for name in names if name.endswith((".hgt", ".bgt"))]
+    assert len(artifacts) > 40
+    for path in artifacts:
+        with open(path, encoding="ascii", newline="") as fh:
+            text = fh.read()
+        assert serialize(formats.load(path)) == text
+
