@@ -7,19 +7,21 @@ deviation with a line-numbered error, so parse(serialize(x)) == x and
 serialize(parse(s)) == s hold bit-exactly.
 
 This module checks syntax and `core` checks structure.  A body is read
-in bulk, by C iterators, in chunks of about _CHUNK tokens, so the
-transient token lists stay bounded.  Each chunk is joined and split once;
-its tags are checked at once, at the line starts and, when the chunk has
-one width, as every (w + 1)-th token; and each id token is looked up in
-one table of the canonical ids below min(id bound, the text's token
-count).  A hit is a canonical id, so no token goes through int() and a
-long one is never converted; a miss is read once per distinct token,
-after it matches an id of at most VERTEX_BUDGET's digit count.  The id
-tuples go to the Hypergraph or BipartiteGraph constructor; the edge or
-incidence index its ValidationError carries names the line.  The line
-matcher runs only on a chunk the bulk pass refused: it matches the lines
-one by one against a pattern of the same syntax, to name the first bad
-one with the message the line-by-line parser gave.
+in bulk, by C iterators, in chunks of fewer than _CHUNK characters (or
+one longer line), so the transient token lists stay bounded whatever the
+edge widths.  Each chunk is joined and split once; its tags are checked
+at once, at the line starts and, when the chunk has one width, as every
+(w + 1)-th token; and each id token is looked up in one table.  The
+table starts with the canonical ids below min(id bound, body lines), so
+a hit is a canonical id and goes through no int(), and the entries the
+body does not use are fewer than its lines, however far a padded header
+raises the id bound.  A miss is read once per distinct token, after it
+matches an id of at most VERTEX_BUDGET's digit count.  The id tuples go
+to the Hypergraph or BipartiteGraph constructor; the edge or incidence
+index its ValidationError carries names the line.  Only a chunk the bulk
+pass refused goes to the line locator, which runs the same pass on its
+lines one by one to name the first bad one with the message the
+line-by-line parser gave.
 
 ``split_lines`` and ``read_header`` frame certificates and recipes too: a
 framing fault is a FormatError naming the line where it is.
@@ -28,8 +30,9 @@ framing fault is a FormatError naming the line where it is.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from functools import partial
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from typing import Any, Callable, Iterator, NoReturn
 
 from .arith import DECIMAL, short_decimal, short_value
@@ -37,20 +40,14 @@ from .core import VERTEX_BUDGET, BipartiteGraph, Hypergraph, budget_int
 from .errors import FormatError, PreconditionError, ResourceBudgetError, ValidationError
 
 # An id token has at most VERTEX_BUDGET's digit count, so int() of it is cheap.
-_ID = f"(?:0|[1-9][0-9]{{0,{len(str(VERTEX_BUDGET)) - 1}}})"
-_EDGE_LINE = re.compile(f"e(?: {_ID})+")
-_INCIDENCE_LINE = re.compile(f"a {_ID} {_ID}")
-_ID_TOKEN = re.compile(_ID)
-_CHUNK = 1 << 14  # tokens split at once: a chunk holds _CHUNK // (its first line's tokens) lines
+_ID_TOKEN = re.compile(f"0|[1-9][0-9]{{0,{len(str(VERTEX_BUDGET)) - 1}}}")
+_CHUNK = 1 << 16  # a chunk of more than one line joins to fewer characters, so it has at most _CHUNK tokens
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
-    """One format per edge width, and one for all edges of a uniform one."""
+    """Each edge through the one format of its width."""
     formats = {width: "e" + " %d" * width + "\n" for width in set(map(len, h.edges))}
-    if len(formats) == 1:
-        body = "".join(map(formats.popitem()[1].__mod__, h.edges))
-    else:
-        body = "".join(map(str.__mod__, map(formats.__getitem__, map(len, h.edges)), h.edges))
+    body = "".join(map(str.__mod__, map(formats.__getitem__, map(len, h.edges)), h.edges))
     return f"hgt 1\nvertices {h.num_vertices}\nedges {h.num_edges}\n{body}"
 
 
@@ -156,32 +153,31 @@ def _rows(lines: list[str], tag: str, table: dict[str, int]) -> list[tuple[int, 
         return group(map(table.__getitem__, tokens))
 
 
-def _first_bad_line(lines: list[str], line_re: re.Pattern) -> int:
-    """The index of the first of ``lines`` that ``line_re`` does not match.
-    Lines are matched one by one: one match over many lines keeps regex
-    backtracking state per line (8 MB on H(5)); the possessive `*+` that
-    avoids it needs Python 3.11."""
-    return next(i for i, line in enumerate(lines) if not line_re.fullmatch(line))
+def _first_bad_line(lines: list[str], tag: str, table: dict[str, int]) -> int:
+    """The index of the first of ``lines`` that _rows refuses on its own."""
+    return next(i for i, line in enumerate(lines) if _rows([line], tag, table) is None)
 
 
-def _build(body: list[str], line_re: re.Pattern, ids_below: int, make: Callable[[tuple], Any],
-           shape: str, names: tuple[str, ...]) -> Any:
+def _build(body: list[str], id_bound: int, make: Callable[[tuple], Any], shape: str,
+           names: tuple[str, ...]) -> Any:
     """make(the id tuples of the body lines), or the _refuse of the first bad
     body line (line 4 on); the lines before a syntax error are built first,
     so an earlier structural fault wins.  The body is read in bulk by _rows,
-    a chunk of about _CHUNK tokens at a time, with one table of the
-    canonical ids below ``ids_below``.  Only a chunk that _rows refuses goes
-    to _first_bad_line, which names its first line that ``line_re``, the
-    same syntax, refuses."""
+    one chunk at a time: the lines from ``start`` that join to fewer than
+    _CHUNK characters, or the one line at ``start``.  One id table serves
+    every chunk.  Only a chunk that _rows refuses goes to _first_bad_line."""
     tag = shape.split(" ")[0]
-    table = {str(i): i for i in range(ids_below)}
+    table = {str(i): i for i in range(min(id_bound, len(body)))}
     rows: list[tuple[int, ...]] = []
     good, start = len(body), 0
     while start < good:
-        lines = body[start:start + max(1, _CHUNK // (body[start].count(" ") + 1))]
+        lines = body[start:start + _CHUNK // (len(body[start]) + 1) + 1]
+        if len("\n".join(lines)) >= _CHUNK:  # lines wider than the first: cut at _CHUNK - 1 characters
+            ends = list(accumulate(map((1).__add__, map(len, lines))))  # joined length + 1, at least the tokens
+            del lines[max(1, bisect_right(ends, _CHUNK)):]
         chunk = _rows(lines, tag, table)
         if chunk is None:
-            good = start + _first_bad_line(lines, line_re)
+            good = start + _first_bad_line(lines, tag, table)
             chunk = _rows(lines[:good - start], tag, table)
         rows += chunk
         start += len(lines)
@@ -204,15 +200,13 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise FormatError(
             f"line {min(len(body), m) + 4}: expected exactly {m} edge lines after the header, found {len(body)}"
         )
-    ids_below = min(n, text.count(" "))  # a body has no more distinct ids than tokens
-    return _build(body, _EDGE_LINE, ids_below, partial(Hypergraph, n), "e <v1> <v2> ...", ("vertex id",))
+    return _build(body, n, partial(Hypergraph, n), "e <v1> <v2> ...", ("vertex id",))
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse the `bgt 1` format; rejects any deviation (line-numbered)."""
     body, (n_left, n_right) = read_header(text, "bgt 1", ("left <N>", "right <N>"), _parse_int)
-    ids_below = min(max(n_left, n_right), text.count(" "))
-    return _build(body, _INCIDENCE_LINE, ids_below, partial(BipartiteGraph, n_left, n_right),
+    return _build(body, max(n_left, n_right), partial(BipartiteGraph, n_left, n_right),
                   "a <u> <v>", ("left id", "right id"))
 
 

@@ -44,7 +44,7 @@ from hypergirth.arith import DECIMAL, short_decimal, short_value
 from hypergirth.cli import main
 from hypergirth.core import VERTEX_BUDGET, budget_int
 from hypergirth.errors import FormatError, ResourceBudgetError, ValidationError
-from hypergirth.formats import _EDGE_LINE, _INCIDENCE_LINE, read_header
+from hypergirth.formats import read_header
 from test_golden import COMMANDS, RECIPES, _write_templates
 
 _INT = re.compile(r"0|[1-9][0-9]*")
@@ -149,6 +149,10 @@ def reference_parse_bipartite(text: str) -> BipartiteGraph:
 
 
 # The second reference: the line-by-line body path, verbatim but for its names.
+
+_ID = f"(?:0|[1-9][0-9]{{0,{_BUDGET_DIGITS - 1}}})"
+_EDGE_LINE = re.compile(f"e(?: {_ID})+")
+_INCIDENCE_LINE = re.compile(f"a {_ID} {_ID}")
 
 
 def _line_parse_int(token: str, lineno: int, what: str) -> int:
@@ -323,11 +327,14 @@ def bgt(n_left: int, n_right: int, *lines: str) -> str:
     return f"bgt 1\nleft {n_left}\nright {n_right}\n" + "".join(line + "\n" for line in lines)
 
 
-# Texts past one chunk: 6000 incidences of a 100 x 100 grid, 5461 lines of
-# 3 tokens to a chunk, and 5000 edges of a 3-uniform hypergraph, 4096 lines
-# of 4 tokens to a chunk.
-GRID = [f"a {u} {v}" for u in range(100) for v in range(100)][:6000]
+# Texts past one chunk of 65 536 characters: the 10 000 incidences of a
+# 100 x 100 grid, 8423 lines to the first chunk; 5000 edges of a 3-uniform
+# hypergraph, 4050 lines to the first chunk; and one edge of width 1 before
+# 40 edges of width 1000, so that a chunk sized by its first line alone
+# would hold them all.
+GRID = [f"a {u} {v}" for u in range(100) for v in range(100)]
 TRIPLES = [f"e {i} {i + 1} {i + 2}" for i in range(5000)]
+WIDE = [" ".join(["e", *map(str, range(i, i + 1000))]) for i in range(1, 41)]
 
 
 def replaced(lines: list[str], at: int, line: str) -> list[str]:
@@ -388,14 +395,17 @@ CASES = {
     "tag-space-only": hgt(9, "e "),
     # faults past the first chunk
     "second-chunk-valid": bgt(100, 100, *GRID),
-    "second-chunk-syntax": bgt(100, 100, *replaced(GRID, 5500, "a 1 x")),
-    "second-chunk-order": bgt(100, 100, *replaced(GRID, 5500, "a 0 0")),
-    "second-chunk-out-of-range": bgt(100, 100, *GRID[:5500], "a 100 0"),
-    "first-chunk-order-second-chunk-syntax": bgt(100, 100, *replaced(replaced(GRID, 9, "a 0 0"), 5500, "a 1  2")),
-    "first-chunk-syntax-second-chunk-order": bgt(100, 100, *replaced(replaced(GRID, 5500, "a 0 0"), 9, "a 1 2 3")),
+    "second-chunk-syntax": bgt(100, 100, *replaced(GRID, 9000, "a 1 x")),
+    "second-chunk-order": bgt(100, 100, *replaced(GRID, 9000, "a 0 0")),
+    "second-chunk-out-of-range": bgt(100, 100, *GRID[:9000], "a 100 0"),
+    "first-chunk-order-second-chunk-syntax": bgt(100, 100, *replaced(replaced(GRID, 9, "a 0 0"), 9000, "a 1  2")),
+    "first-chunk-syntax-second-chunk-order": bgt(100, 100, *replaced(replaced(GRID, 9000, "a 0 0"), 9, "a 1 2 3")),
     "second-chunk-width": hgt(5002, *replaced(TRIPLES, 4500, "e 4500 4501")),
     "second-chunk-id": hgt(5002, *replaced(TRIPLES, 4500, "e 4500 4501 04502")),
     "second-chunk-duplicate": hgt(5002, *replaced(TRIPLES, 4500, TRIPLES[4499])),
+    "narrow-first-line": hgt(1040, "e 0", *WIDE),
+    "narrow-first-line-syntax": hgt(1040, "e 0", *replaced(WIDE, 30, WIDE[30].replace(" 500 ", " 0500 "))),
+    "narrow-first-line-order": hgt(1040, "e 0", *replaced(WIDE, 30, WIDE[30] + " 31")),
 }
 
 
@@ -405,28 +415,35 @@ def test_bulk_parser_agrees_exactly_on_named_cases(name):
 
 
 def test_token_lists_and_the_id_table_stay_bounded(monkeypatch):
-    # Each bulk read of a uniform body splits at most _CHUNK tokens, and the
-    # id table starts with the ids below min(id bound, token count).
+    # Each bulk read splits at most _CHUNK tokens, whatever the edge widths,
+    # and the id table holds the ids below min(id bound, body lines) and the
+    # ids the body uses, however large a padded header makes the id bound.
     seen, tables = [], []
     original = formats._rows
 
     def recorded(lines, tag, table):
         seen.append(sum(line.count(" ") + 1 for line in lines))
+        rows = original(lines, tag, table)
         tables.append(len(table))
-        return original(lines, tag, table)
+        return rows
 
     monkeypatch.setattr(formats, "_rows", recorded)
-    parse_bipartite(bgt(10**6, 7, "a 0 0", "a 999999 6"))  # 7 spaces in the text
-    parse_hypergraph(hgt(10**6, "e 0 1 2 999999"))
-    parse_hypergraph(hgt(2, "e 0 1", "e 1"))
+    parse_hypergraph(hgt(VERTEX_BUDGET, "e 0 1 2 999999"))  # a padded body
     parse_bipartite(bgt(2, 100, "a 0 0", "a 0 50", "a 1 99"))
-    assert tables == [7, 7, 2, 9]
-    parse_bipartite(CASES["second-chunk-valid"])
-    assert seen[4:] == [16383, 1617] and tables[4] == 100
+    parse_hypergraph(hgt(2, "e 0", "e 0 1", "e 1"))
+    parse_hypergraph(CASES["narrow-first-line"])
+    assert tables[:3] == [4, 5, 2] and tables[-1] == 1040
+    assert seen[3:] == [16018, 16016, 8008] and max(seen) <= formats._CHUNK
+    plane = serialize_hypergraph(neighborhood_hypergraph(projective_plane(13)))  # 183 vertices and edges
+    parse_hypergraph(plane.replace("vertices 183", f"vertices {VERTEX_BUDGET}"))
+    assert tables[-1] == 183
     seen.clear()
-    monkeypatch.setattr(formats, "_CHUNK", 100)  # 6 lines of 15 tokens
-    parse_hypergraph(serialize_hypergraph(neighborhood_hypergraph(projective_plane(13))))
-    assert len(seen) == 31 and max(seen) <= 100
+    parse_bipartite(CASES["second-chunk-valid"])
+    assert seen == [25269, 4731]
+    seen.clear()
+    monkeypatch.setattr(formats, "_CHUNK", 100)  # 1 or 2 lines of 15 tokens
+    parse_hypergraph(plane)
+    assert len(seen) == 106 and max(seen) <= 100
 
 
 def random_valid_texts(rng: random.Random):
@@ -451,7 +468,7 @@ def serialize(value) -> str:
 
 
 def test_valid_input_never_reaches_the_line_matcher(tmp_path, capsys, monkeypatch):
-    def refuse(lines, line_re):
+    def refuse(lines, *_):
         raise AssertionError(f"the line matcher ran on {short_value(lines[0])}")
 
     monkeypatch.setattr(formats, "_first_bad_line", refuse)
