@@ -3,17 +3,21 @@
 Three routes are provided:
 
 * :func:`girth_bipartite`: exact on any bipartite graph, by a
-  bit-parallel level sweep and one breadth-first search.  Vertices of
-  degree < 2 lie on no cycle and are peeled off first, so a forest peels to
-  nothing and is answered without a sweep.  The sweep takes the left
-  vertices of the remaining 2-core as roots, SWEEP_CHUNK at a time, and
-  keeps one int per vertex: the set of chunk roots at distance exactly d
-  from it.  Level d ORs the neighbours' sets into the vertices of one
-  side, alternating with the parity of d.  A root that reaches v through
-  two neighbours, and was not at distance d - 2, closes a cycle of length
-  2d.  The first level with such a hit gives the girth g, and its smallest
-  hit root r*.  A BFS from r* through the vertices above r* then rebuilds
-  the witness from its first cross edge.  Why this is exact:
+  bit-parallel level sweep and one or two breadth-first searches.
+  Vertices of degree < 2 lie on no cycle and are peeled off first, so a
+  forest peels to nothing and is answered without a sweep.  The sweep
+  takes the left vertices of the remaining 2-core as roots, SWEEP_CHUNK
+  at a time, and keeps one int per vertex: the set of chunk roots at
+  distance exactly d from it.  Level d ORs the neighbours' sets into the
+  vertices of one side, alternating with the parity of d.  A root that
+  reaches v through two neighbours, and was not at distance d - 2, closes
+  a cycle of length 2d.  Before the sweep, a BFS from the first root r0
+  through the vertices above r0 closes a walk of length L at its first
+  cross edge, and the sweep runs only the levels d < L/2.  The first
+  level with a hit gives the girth g, and its smallest hit root r*; a BFS
+  from r* through the vertices above r* then rebuilds the witness from
+  its first cross edge.  With no hit, g = L and r0's walk is the witness.
+  Why this is exact:
 
   - Left roots suffice.  A cycle alternates sides and the left side is
     numbered first, so the smallest vertex of any cycle is a left vertex.
@@ -28,6 +32,17 @@ Three routes are provided:
     shortest cycle is isometric, so the vertex opposite a root on it hears
     of that root from both its cycle neighbours at level g/2.  Chunks run
     in root order, so a later chunk only looks below the level found.
+  - r0's walk bounds the girth, as in Itai and Rodeh, "Finding a minimum
+    circuit in a graph", SIAM J. Comput. 7 (1978).  The left vertices
+    below r0 are peeled and every right vertex is numbered above every
+    left one, so the 2-core lies above r0, and the BFS meets a cycle of
+    r0's core component: it has a cross edge.  The walk is the two tree
+    paths from r0 to the ends of that edge, so it contains a cycle, and
+    g <= L.  If a level below L/2 hits, g < L is found as above.  If none
+    hits, g >= L, so g = L.  Then the two tree paths share no first step,
+    since the cycle inside the walk would be shorter than L, so the walk
+    is a cycle through r0.  So r0, the smallest left vertex of the core,
+    is r*, and its BFS is the one already run.
 
   So r* is the smallest vertex of a shortest cycle, and every vertex of
   that cycle lies above r*.  A BFS meets its cross edges in order of
@@ -205,8 +220,11 @@ def _shortest_cycle(adj: Sequence[Sequence[int]], n_left: int) -> list[int] | No
     roots = sides[0]
     if not roots:
         return None
-    level = n  # deeper than any hit: a cycle of length 2d has 2d vertices
-    best_root = -1  # set by the first hit: a nonempty 2-core holds a cycle
+    # the BFS from the first root closes a walk of length g or more, so the
+    # sweep only looks for shorter cycles: the levels d < half its length
+    cycle = _bfs_walk(adj, roots[0])
+    level = len(cycle) // 2
+    best_root = -1  # set by a hit; with none, the walk is a shortest cycle
     for start in range(0, len(roots), SWEEP_CHUNK):
         chunk = roots[start:start + SWEEP_CHUNK]
         reach = [0] * n
@@ -237,12 +255,17 @@ def _shortest_cycle(adj: Sequence[Sequence[int]], n_left: int) -> list[int] | No
                 level = d
                 best_root = chunk[(hits & -hits).bit_length() - 1]
                 break
-    return _witness(adj, best_root, 2 * level)
+    if best_root >= 0:
+        cycle = _bfs_walk(adj, best_root)
+    if len(cycle) != 2 * level:
+        raise VerificationError("internal error: reconstructed cycle has wrong length")
+    return cycle
 
 
-def _witness(adj: Sequence[Sequence[int]], root: int, length: int) -> list[int]:
-    """The cycle closed by the first cross edge of the BFS from ``root``
-    through vertices above ``root``, checked to have ``length`` vertices."""
+def _bfs_walk(adj: Sequence[Sequence[int]], root: int) -> list[int]:
+    """The closed walk of the first cross edge of the BFS from ``root``
+    through vertices above ``root``: a shortest cycle when ``root`` is the
+    smallest vertex of one (see the module docstring)."""
     dist = [-1] * len(adj)
     parent = [-1] * len(adj)
     dist[root] = 0
@@ -259,11 +282,8 @@ def _witness(adj: Sequence[Sequence[int]], root: int, length: int) -> list[int]:
                 queue.append(w)
             elif w != pu:
                 # root..u, across to w, then w's tree path back to root's child
-                cycle = _tree_path(parent, u, root)[::-1] + _tree_path(parent, w, root)[:-1]
-                if len(cycle) != length:
-                    raise VerificationError("internal error: reconstructed cycle has wrong length")
-                return cycle
-    raise VerificationError("internal error: no cycle through the sweep's root")
+                return _tree_path(parent, u, root)[::-1] + _tree_path(parent, w, root)[:-1]
+    raise VerificationError("internal error: the BFS from a core root met no cross edge")
 
 
 def _tree_path(parent: list[int], x: int, root: int) -> list[int]:

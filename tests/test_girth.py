@@ -321,6 +321,87 @@ def test_sweep_matches_queue_engine_on_relabelled_geometries(monkeypatch, chunk,
     assert rep.girth == (8 if build is symplectic_quadrangle else 12)
 
 
+def cycle_pairs(lefts: tuple[int, ...], rights: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The incidences of the cycle l[0] - r[0] - l[1] - r[1] - ... - r[k-1] - l[0]."""
+    return [(u, v) for i, v in enumerate(rights) for u in (lefts[i], lefts[(i + 1) % len(lefts)])]
+
+
+def bfs_adjacency(g: BipartiteGraph) -> list[list[int]]:
+    """The adjacency lists girth_bipartite passes the engine."""
+    return [[g.n_left + v for v in vs] for vs in g.left_neighbors] + [list(vs) for vs in g.right_neighbors]
+
+
+# Graphs whose left vertex 0 is in the 2-core, so it is the root of the
+# bounding BFS, with (the length of that BFS's closed walk, whether the walk
+# is a cycle, the girth).
+BOUND_CASES = {
+    # a 6-cycle through l0 and a 4-cycle through l1, both in the first chunk at SWEEP_CHUNK 2
+    "root-on-no-shortest-cycle": (
+        BipartiteGraph.from_incidences(5, 5, cycle_pairs((0, 2, 4), (0, 1, 2)) + cycle_pairs((1, 3), (3, 4))),
+        (6, True, 4),
+    ),
+    # l0 on a 12-cycle and two steps from a 4-cycle: the walk goes out and back along l0 - r6 - l6
+    "walk-with-a-shared-prefix": (
+        BipartiteGraph.from_incidences(
+            8, 9, cycle_pairs((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)) + [(0, 6), (6, 6)] + cycle_pairs((6, 7), (7, 8))
+        ),
+        (8, False, 4),
+    ),
+    # l0 of degree 2 on the path from a 6-cycle to a 4-cycle
+    "root-on-a-bridge-path": (
+        BipartiteGraph.from_incidences(
+            6, 7, [(0, 0), (1, 0), (0, 4), (4, 4)] + cycle_pairs((1, 2, 3), (1, 2, 3)) + cycle_pairs((4, 5), (5, 6))
+        ),
+        (8, False, 4),
+    ),
+    # an 8-cycle through l0, a 6-cycle through l4..l6 and a 4-cycle through l7, l8:
+    # at SWEEP_CHUNK 1 and 2 a later chunk hits at 6 and a later one again at 4
+    "shorter-cycle-in-a-later-chunk": (
+        BipartiteGraph.from_incidences(
+            9, 9, cycle_pairs((0, 1, 2, 3), (0, 1, 2, 3)) + cycle_pairs((4, 5, 6), (4, 5, 6)) + cycle_pairs((7, 8), (7, 8))
+        ),
+        (8, True, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [girth_mod.SWEEP_CHUNK, 1, 2])
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_bounding_walk_matches_queue_engine_on_named_cases(monkeypatch, chunk, name):
+    g, (length, simple, girth) = BOUND_CASES[name]
+    walk = girth_mod._bfs_walk(bfs_adjacency(g), 0)
+    assert (len(walk), len(set(walk)) == len(walk)) == (length, simple)
+    monkeypatch.setattr(girth_mod, "SWEEP_CHUNK", chunk)
+    for obj, fn in ((g, girth_bipartite), (bipartite_as_pairs(g), girth_hypergraph)):
+        assert fn(obj) == reference_report(fn, obj)
+    assert girth_bipartite(g).girth == girth
+
+
+@pytest.mark.parametrize(
+    "build, q", [(symplectic_quadrangle, 7), (split_cayley_hexagon, 3), (projective_plane, 13)], ids=["W7", "H3", "PG13"]
+)
+def test_one_bfs_per_query_on_relabelled_geometries(monkeypatch, build, q):
+    # every vertex of a generalized polygon, and of its neighbourhood hypergraph,
+    # lies on a shortest cycle, so the bounding walk is the witness
+    from hypergirth import neighborhood_hypergraph
+
+    g = relabelled(build(q), random.Random(q), swap_sides=False)
+    h = neighborhood_hypergraph(g)
+    roots = []
+    original = girth_mod._bfs_walk
+
+    def counted(adj, root):
+        roots.append(root)
+        return original(adj, root)
+
+    monkeypatch.setattr(girth_mod, "_bfs_walk", counted)
+    for obj, fn in ((g, girth_bipartite), (h, girth_hypergraph)):
+        roots.clear()
+        rep = fn(obj)
+        assert len(roots) == 1
+        assert rep == reference_report(fn, obj)
+
+
 class TestGirthHypergraph:
     def test_fano(self, fano):
         rep = girth_hypergraph(fano)
