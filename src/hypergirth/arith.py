@@ -212,9 +212,7 @@ def record(cls: type) -> type:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        mine, theirs = self.__dict__, other.__dict__
-        # Dicts of the fields alone compare faster; a cached value makes one longer.
-        return mine == theirs if len(mine) == len(theirs) == n else key(self) == key(other)
+        return key(self) == key(other)
 
     def __hash__(self):
         return hash(key(self))

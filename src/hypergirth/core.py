@@ -11,6 +11,9 @@ safe to share between threads.  Neither may have more than VERTEX_BUDGET
 vertices.  Each value derives its adjacency (neighbour lists, vertex
 edges, degrees) once, on first use, and the other modules read those:
 only this module and ``formats`` read a value's raw incidences.
+``only`` is the one rule behind every "all of these are d" claim: the
+uniformity and regularity of ``validate``, the degrees that `report`
+prints and the biregularity of each geometry's self-check.
 """
 
 from __future__ import annotations
@@ -253,22 +256,16 @@ class StructureReport:
     isolated: int
 
 
+def only(values: Iterable[int]) -> int | None:
+    """The value all of ``values`` share, or None if they differ or there are none."""
+    distinct = set(values)
+    return distinct.pop() if len(distinct) == 1 else None
+
+
 def validate(h: Hypergraph) -> StructureReport:
     """Analyze uniformity, regularity and isolated-vertex count of ``h``."""
-    if h.num_edges == 0:
-        uniformity = None
-        vacuous = True
-    else:
-        sizes = set(len(e) for e in h.edges)
-        uniformity = sizes.pop() if len(sizes) == 1 else None
-        vacuous = False
-    degs = set(h.degrees)
-    if h.num_vertices == 0:
-        regularity: int | None = 0
-    else:
-        regularity = degs.pop() if len(degs) == 1 else None
-    isolated = sum(1 for d in h.degrees if d == 0)
-    return StructureReport(uniformity, vacuous, regularity, isolated)
+    regularity = only(h.degrees or (0,))  # a vertexless hypergraph is 0-regular
+    return StructureReport(only(map(len, h.edges)), not h.edges, regularity, h.degrees.count(0))
 
 
 def incidence_graph(h: Hypergraph) -> BipartiteGraph:

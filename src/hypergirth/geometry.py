@@ -115,7 +115,7 @@ def _check_geometry(g: BipartiteGraph, kind: str, q: int) -> None:
     name, (points, lines) = f"{kind} q={q}", polygon_counts(n, s, t)
     if g.n_left != points or g.n_right != lines:
         raise VerificationError(f"{name}: expected {points}+{lines} vertices, got {g.n_left}+{g.n_right}")
-    if set(g.left_degrees) != {t + 1} or set(g.right_degrees) != {s + 1}:
+    if core.only(g.left_degrees) != t + 1 or core.only(g.right_degrees) != s + 1:
         raise VerificationError(f"{name}: not ({t + 1},{s + 1})-biregular")
     found = g.girth_report.girth
     if found != 2 * n:

@@ -319,8 +319,6 @@ def girth_hypergraph(h: Hypergraph) -> GirthReport:
     cycle = _shortest_cycle(adj + list(h.edges), n)
     if cycle is None:
         return GirthReport(None)
-    if len(cycle) % 2 != 0:
-        raise VerificationError("internal error: odd cycle in an incidence graph")
     # The cycle starts at the sweep's root, a vertex, so vertices and edges alternate from it.
     witness = BergeCycle(tuple(cycle[0::2]), tuple(x - n for x in cycle[1::2]))
     witness.check(h)

@@ -43,7 +43,7 @@ from typing import Callable, Iterable
 
 from .arith import DECIMAL, int_args, int_to_decimal, parse_decimal_int, record, short_decimal, short_value, show
 from .certificate import Certificate, certificate
-from .core import BipartiteGraph, Hypergraph, check_vertex_budget, validate
+from .core import BipartiteGraph, Hypergraph, check_vertex_budget, only, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
 from .formats import load, serialize_bipartite, serialize_hypergraph, split_lines
 from .geometry import (
@@ -175,9 +175,8 @@ def summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
     """The lines `report` prints, as (key, value) pairs, from the kind to
     the girth; report.txt records the same lines per stage."""
 
-    def only(values) -> str:
-        distinct = set(values)
-        return str(distinct.pop()) if len(distinct) == 1 else "-"
+    def shown(value: int | None) -> str:
+        return "-" if value is None else str(value)
 
     girth = (("girth", obj.girth_report.girth_str()),)
     if isinstance(obj, BipartiteGraph):
@@ -186,18 +185,17 @@ def summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
             ("left", str(obj.n_left)),
             ("right", str(obj.n_right)),
             ("incidences", str(obj.num_incidences)),
-            ("left-degree", only(obj.left_degrees)),
-            ("right-degree", only(obj.right_degrees)),
+            ("left-degree", shown(only(obj.left_degrees))),
+            ("right-degree", shown(only(obj.right_degrees))),
         ) + girth
     rep = validate(obj)
-    uniformity = "-" if rep.uniformity is None else str(rep.uniformity)
     return (
         ("kind", "hypergraph"),
         ("vertices", str(obj.num_vertices)),
         ("edges", str(obj.num_edges)),
         ("incidences", str(obj.incidence_count)),
-        ("uniformity", "vacuous" if rep.uniformity_vacuous else uniformity),
-        ("regularity", "-" if rep.regularity is None else str(rep.regularity)),
+        ("uniformity", "vacuous" if rep.uniformity_vacuous else shown(rep.uniformity)),
+        ("regularity", shown(rep.regularity)),
         ("isolated", str(rep.isolated)),
     ) + girth
 
