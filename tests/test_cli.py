@@ -10,7 +10,7 @@ from hypergirth.cli import EXIT_CODES, build_parser, main
 from hypergirth.errors import Error
 from hypergirth.pipeline import INT, OPS, write_text_file
 
-from conftest import subprocess_env
+from conftest import rough_decimal, subprocess_env
 
 
 # A 4000-digit order with no prime factor up to 41: Miller-Rabin would test it at length.
@@ -379,6 +379,19 @@ class TestPlanCommand:
         assert code == 4
         assert_one_error_line(stderr)
         assert p in stderr
+
+    def test_a_6000_digit_rough_p_exit_4_within_1s(self, tmp_path, capsys):
+        _, p = rough_decimal(6000)
+        start = time.monotonic()
+        code, stdout, stderr = run(
+            capsys, "plan", "--girth", "6", "--p", p, "--r", "3", "--N", "1" + "0" * 41,
+            "--cert", str(tmp_path / "c.txt"),
+        )
+        assert time.monotonic() - start < 1.0
+        assert (code, stdout) == (4, "")
+        assert_one_error_line(stderr)
+        assert stderr.endswith("(6000 digits) is prime: Miller-Rabin is run only up to 2048 bits\n")
+        assert os.listdir(tmp_path) == []
 
     def test_mersenne_61_p_is_decided_quickly(self, tmp_path):
         import subprocess

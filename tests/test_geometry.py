@@ -22,6 +22,7 @@ from hypergirth import (
     GreedyReport,
     PreconditionError,
     ResourceBudgetError,
+    VerificationError,
     girth_bipartite,
     greedy_high_girth_bipartite,
     is_prime,
@@ -189,6 +190,22 @@ class TestProjectivePlane:
     def test_bad_orders(self, q):
         with pytest.raises(PreconditionError):
             projective_plane(q)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_self_check_reads_both_sides_degrees(self, plane2, side):
+        """One incidence moved to a vertex on ``side`` that it misses keeps
+        the counts and the other side's degrees; the self-check refuses the
+        result for its degrees before it reads the girth."""
+        pairs = set(plane2.incidences)
+        u, v = plane2.incidences[0]
+        if side == "left":
+            moved = next((w, v) for w in range(plane2.n_left) if (w, v) not in pairs)
+        else:
+            moved = next((u, w) for w in range(plane2.n_right) if (u, w) not in pairs)
+        g = BipartiteGraph.from_incidences(7, 7, pairs - {(u, v)} | {moved})
+        assert set((g.right_degrees if side == "left" else g.left_degrees)) == {3}
+        with pytest.raises(VerificationError, match=r"^plane q=2: not \(3,3\)-biregular$"):
+            _check_geometry(g, "plane", 2)
 
 
 class TestSymplecticQuadrangle:

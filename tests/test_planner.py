@@ -24,6 +24,8 @@ from hypergirth.arith import EXACT, int_to_decimal, parse_decimal_int
 from hypergirth.certificate import certificate
 from hypergirth.planner import ROUTES, PlanResult, Route, route_for
 
+from conftest import rough_decimal
+
 
 def hexagon_v(q: int) -> int:
     return (1 + q) * (1 + q**4 + q**8)
@@ -834,6 +836,36 @@ class TestIsPrime:
     def test_pass_at_or_above_psi13_is_refused(self, n):
         with pytest.raises(ResourceBudgetError, match=str(n)):
             is_prime(n)
+
+    def test_a_2048_bit_prime_runs_every_round_within_1s(self):
+        # the 2048-bit MODP prime of RFC 3526: 2^2048 - 2^1984 - 1 + 2^64 (floor(2^1918 pi) + 124476)
+        with mp.workprec(2200):
+            pi_bits = int(mp.floor(mp.ldexp(mp.pi, 1918)))
+        n = 2**2048 - 2**1984 - 1 + 2**64 * (pi_bits + 124476)
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match="passes Miller-Rabin on the first 13 prime bases"):
+            is_prime(n)
+        assert time.monotonic() - start < 1.0
+
+    def test_past_2048_bits_no_round_is_run(self):
+        n = 2**2048 + next(k for k in range(1, 10**4) if all((2**2048 + k) % b for b in range(2, 42)))
+        assert n.bit_length() == 2049
+        with pytest.raises(ResourceBudgetError, match=r"\(617 digits\) is prime: Miller-Rabin is run only up to 2048 bits$"):
+            is_prime(n)
+        assert not is_prime(n * 3)  # trial division still answers
+
+    @pytest.mark.parametrize("call", [
+        lambda p: is_prime(p),
+        lambda p: ROUTES[6].premise_check(ROUTES[6].premises[0], p, 3),
+        lambda p: certificate(6, p, 2, 2, 3),
+        lambda p: theorem_bound(6, p, 10**41),
+    ], ids=["is_prime", "premise_check", "certificate", "theorem_bound"])
+    def test_a_6000_digit_rough_p_is_refused_within_1s(self, call):
+        p, _ = rough_decimal(6000)
+        start = time.monotonic()
+        with pytest.raises(ResourceBudgetError, match=r"\(6000 digits\) is prime: Miller-Rabin is run only up to 2048 bits$"):
+            call(p)
+        assert time.monotonic() - start < 1.0
 
 
 class TestPowerExpr:

@@ -1,14 +1,17 @@
 """Property tests for the planner, certificates and theorem bound of both
-routes, and for the adjacency ``core`` derives from a value.
+routes, for the adjacency ``core`` derives from a value, and for the
+structure lines that ``validate`` and ``summary`` read from it.
 
 Hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic.  The substrate polynomials, the order
 recursion and the display exponents are restated here, independently of
 the route table; the neighbour lists, degrees and incidence graph are
-rebuilt by sorting and counting, independently of ``core``.
+rebuilt by sorting and counting, independently of ``core``; the
+single-value rule behind uniformity, regularity and the degree lines is
+written out by hand, independently of ``core.only``.
 """
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
 from hypergirth import (
@@ -20,6 +23,8 @@ from hypergirth import (
     reverify_certificate,
     theorem_bound,
 )
+from hypergirth.core import StructureReport, validate
+from hypergirth.pipeline import summary
 from hypergirth.planner import ROUTES
 
 MAX_DIGITS = 400
@@ -161,3 +166,85 @@ def test_degrees_and_incidence_graph_match_a_counting_build(h):
     assert h.degrees == tuple(deg)
     pairs = sorted((u, j) for j, edge in enumerate(h.edges) for u in edge)
     assert incidence_graph(h) == BipartiteGraph(h.num_vertices, h.num_edges, tuple(pairs))
+
+
+def reference_validate(h: Hypergraph) -> StructureReport:
+    """``validate`` with the single-value rule written out for each field."""
+    if h.num_edges == 0:
+        uniformity = None
+        vacuous = True
+    else:
+        sizes = set(len(e) for e in h.edges)
+        uniformity = sizes.pop() if len(sizes) == 1 else None
+        vacuous = False
+    degs = set(h.degrees)
+    if h.num_vertices == 0:
+        regularity: int | None = 0
+    else:
+        regularity = degs.pop() if len(degs) == 1 else None
+    isolated = sum(1 for d in h.degrees if d == 0)
+    return StructureReport(uniformity, vacuous, regularity, isolated)
+
+
+def reference_summary(obj: BipartiteGraph | Hypergraph) -> tuple[tuple[str, str], ...]:
+    """``summary`` with its own single-value rule, reading reference_validate."""
+
+    def only(values) -> str:
+        distinct = set(values)
+        return str(distinct.pop()) if len(distinct) == 1 else "-"
+
+    girth = (("girth", obj.girth_report.girth_str()),)
+    if isinstance(obj, BipartiteGraph):
+        return (
+            ("kind", "bipartite"),
+            ("left", str(obj.n_left)),
+            ("right", str(obj.n_right)),
+            ("incidences", str(obj.num_incidences)),
+            ("left-degree", only(obj.left_degrees)),
+            ("right-degree", only(obj.right_degrees)),
+        ) + girth
+    rep = reference_validate(obj)
+    uniformity = "-" if rep.uniformity is None else str(rep.uniformity)
+    return (
+        ("kind", "hypergraph"),
+        ("vertices", str(obj.num_vertices)),
+        ("edges", str(obj.num_edges)),
+        ("incidences", str(obj.incidence_count)),
+        ("uniformity", "vacuous" if rep.uniformity_vacuous else uniformity),
+        ("regularity", "-" if rep.regularity is None else str(rep.regularity)),
+        ("isolated", str(rep.isolated)),
+    ) + girth
+
+
+@st.composite
+def cyclic_hypergraphs(draw):
+    """Edges {i, ..., i + w - 1} mod n for some starts i, then up to three
+    isolated vertices: uniform, often regular, and 0 vertices when n = 0."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        return Hypergraph(0, ())
+    width = draw(st.integers(1, n))
+    starts = draw(st.sets(st.integers(0, n - 1), min_size=0 if draw(st.booleans()) else n))
+    edges = {frozenset((i + k) % n for k in range(width)) for i in starts}
+    return Hypergraph.from_edges(n + draw(st.integers(0, 3)), edges)
+
+
+@st.composite
+def cyclic_bipartite_graphs(draw):
+    """Left i joined to right i, ..., i + d - 1 mod n_right, for the first
+    n_left left vertices: (d, d * n_left / n_right)-biregular when n_left =
+    n_right, and one side empty when either size is 0."""
+    n_left, n_right = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    d = draw(st.integers(0, n_right))
+    pairs = [(i, (i + k) % n_right) for i in range(n_left) for k in range(d)]
+    return BipartiteGraph.from_incidences(n_left, n_right, pairs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(hypergraphs(), cyclic_hypergraphs(), bipartite_graphs(), cyclic_bipartite_graphs()))
+@example(Hypergraph(0, ()))
+@example(BipartiteGraph(0, 3, ()))
+def test_structure_lines_match_the_rule_written_out(obj):
+    if isinstance(obj, Hypergraph):
+        assert validate(obj) == reference_validate(obj)
+    assert summary(obj) == reference_summary(obj)
