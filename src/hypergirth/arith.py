@@ -285,8 +285,9 @@ def _parse_digits(digits: str) -> int:
 # pseudoprimes to twelve prime bases", Math. Comp. 2017, arXiv:1509.00864).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
-# A round's time grows as the cube of n's length: on a 2-core VM all 13
-# take about 0.3 s at 2048 bits, and one takes 15 s at 6000 digits.
+# Past this length is_prime runs no round: no caller accepts so large an n,
+# and a round's time grows as the cube of n's length (on a 2-core VM all 13
+# take 0.3 s at 2048 bits, and one takes 15 s at 6000 digits).
 _MR_BITS = 2048
 
 
@@ -295,10 +296,8 @@ def is_prime(n: int) -> bool:
 
     A failing base proves n composite.  Passing every base proves n prime
     below psi_13; at or above it a pass is only probable, so
-    ResourceBudgetError is raised rather than an answer given.  It is
-    raised too, before any round, for an n of more than 2048 bits that no
-    base divides, where the rounds would take seconds to hours; every
-    caller refuses a composite there as it refuses a probable prime.
+    ResourceBudgetError is raised rather than an answer given, as it is
+    before any round for an n of more than 2048 bits that no base divides.
     """
     int_args(None, n=n)
     if n < 2:

@@ -11,9 +11,8 @@ safe to share between threads.  Neither may have more than VERTEX_BUDGET
 vertices.  Each value derives its adjacency (neighbour lists, vertex
 edges, degrees) once, on first use, and the other modules read those:
 only this module and ``formats`` read a value's raw incidences.
-``only`` is the one rule behind every "all of these are d" claim: the
-uniformity and regularity of ``validate``, the degrees that `report`
-prints and the biregularity of each geometry's self-check.
+``only`` states "all of these are d" once, for ``validate``, the degree
+lines of `report` and the biregularity of each geometry's self-check.
 """
 
 from __future__ import annotations

@@ -26,13 +26,10 @@ def subprocess_env() -> dict[str, str]:
     return env
 
 
-def rough_decimal(digits: int) -> tuple[int, str]:
-    """The least n > 10^(digits-1) that no prime up to 41 divides, and its
-    decimal text, written without str() of a long int.  Trial division
-    leaves such an n to Miller-Rabin."""
-    base = 10 ** (digits - 1)
-    k = next(k for k in range(1, 10**4) if all((base + k) % b for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)))
-    return base + k, f"1{k:0{digits - 1}d}"
+def rough_above(base: int) -> int:
+    """The least n > base that no integer in [2, 41] divides: trial
+    division leaves such an n to Miller-Rabin."""
+    return next(n for n in range(base + 1, base + 10**4) if all(n % b for b in range(2, 42)))
 
 
 def _global_state() -> dict:

@@ -6,11 +6,12 @@ import time
 import pytest
 
 from hypergirth import parse_bipartite, parse_certificate, parse_hypergraph
+from hypergirth.arith import int_to_decimal
 from hypergirth.cli import EXIT_CODES, build_parser, main
 from hypergirth.errors import Error
 from hypergirth.pipeline import INT, OPS, write_text_file
 
-from conftest import rough_decimal, subprocess_env
+from conftest import rough_above, subprocess_env
 
 
 # A 4000-digit order with no prime factor up to 41: Miller-Rabin would test it at length.
@@ -381,7 +382,7 @@ class TestPlanCommand:
         assert p in stderr
 
     def test_a_6000_digit_rough_p_exit_4_within_1s(self, tmp_path, capsys):
-        _, p = rough_decimal(6000)
+        p = int_to_decimal(rough_above(10**5999))
         start = time.monotonic()
         code, stdout, stderr = run(
             capsys, "plan", "--girth", "6", "--p", p, "--r", "3", "--N", "1" + "0" * 41,
