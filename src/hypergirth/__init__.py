@@ -45,7 +45,6 @@ from .planner import (
 )
 from .transforms import (
     EmptySplitWarning,
-    SubstitutionPlan,
     build_recursive,
     loose_path,
     neighborhood_hypergraph,
@@ -74,7 +73,6 @@ __all__ = [
     "Recipe",
     "ResourceBudgetError",
     "StructureReport",
-    "SubstitutionPlan",
     "TheoremBound",
     "ValidationError",
     "VerificationError",

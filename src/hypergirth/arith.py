@@ -184,21 +184,13 @@ def record(cls: type) -> type:
     n, key, post, store = len(names), attrgetter(*names), hasattr(cls, "__post_init__"), object.__setattr__
     call = f"{cls.__qualname__}()"
 
-    def bind(args: tuple, kwargs: dict) -> dict:
-        """The fields of a call with keywords, or with too few or too many arguments."""
-        given = dict(zip(names, args))
-        for name in kwargs:
-            if name not in template or name in given:
-                raise TypeError(f"{call} got an unexpected keyword argument or a second value for {name!r}")
-        given.update(kwargs)
-        missing = [name for name in names if name not in given and template[name] is _NO_DEFAULT]
-        if len(args) > n or missing:
-            raise TypeError(f"{call} takes {n} fields, got {len(args)} by position; missing {missing}")
-        return {name: given.get(name, template[name]) for name in names}
-
     def __init__(self, *args, **kwargs):
         if kwargs or not required <= len(args) <= n:
-            fields = bind(args, kwargs)
+            fields = template.copy()
+            fields.update(zip(names, args))
+            fields.update(kwargs)
+            if len(args) > n or len(fields) > n or kwargs.keys() & names[:len(args)] or _NO_DEFAULT in fields.values():
+                raise TypeError(f"{call} takes {names}, got {len(args)} by position and {tuple(kwargs)} by keyword")
         else:
             fields = {} if len(args) == n else template.copy()  # the defaults stay where args ends
             i = 0

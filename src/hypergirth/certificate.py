@@ -12,7 +12,7 @@ the value lines print it.  The tower's vertex, edge and final-edge counts
 come from :func:`hypergirth.transforms.tower_counts`, the rule that also
 counts the tower ``build_recursive`` builds, and the digit budget covers
 every count, each refused before it is built.  A ``copy-count-i`` row,
-order_i >= (p - 1) * v_(i-1), is one stronger than SubstitutionPlan's
+order_i >= (p - 1) * v_(i-1), is one stronger than substitute_edges'
 check that a host line of 1 + order_i points holds the p - 1 copies,
 1 + order_i >= (p - 1) * v_(i-1).  A certificate is VALID iff all checks
 pass; assumption failures produce an INVALID certificate listing the

@@ -55,7 +55,7 @@ from .geometry import (
     symplectic_quadrangle,
 )
 from .planner import PlanResult, Route, route_for
-from .transforms import SubstitutionPlan, loose_path, neighborhood_hypergraph, split_edges, substitute_edges
+from .transforms import loose_path, neighborhood_hypergraph, split_edges, substitute_edges
 
 
 def read_int(where: str, key: str, text: str) -> int:
@@ -142,7 +142,7 @@ OPS: dict[str, Op] = {
                lambda g, a: neighborhood_hypergraph(g),
                lambda g, a: sum(1 for nb in g.right_neighbors if nb)),
     "substitute": Op("transform substitute", (("template", TEMPLATE), ("k", INT)), "hypergraph",
-                     lambda h, a: substitute_edges(SubstitutionPlan(h, a["template"], a["k"])),
+                     lambda h, a: substitute_edges(h, a["template"], a["k"]),
                      lambda h, a: a["k"] * a["template"].num_edges * h.num_edges),
     "split": Op("transform split", (("r", INT),), "hypergraph",
                 lambda h, a: split_edges(h, a["r"]),  # rejects r < 2 before predict divides by r

@@ -51,12 +51,6 @@ from .errors import PreconditionError
 from .geometry import polygon_counts
 
 
-def _seed_size_ok(p: int, m: int) -> bool:
-    """The standing assumption p^(m-1) >= 5, for p >= 2.  Exponents past 3
-    cannot change the answer (2^3 >= 5), so nothing large is expanded."""
-    return m >= 2 and p ** min(m - 1, 3) >= 5
-
-
 @record
 class PlanResult:
     """Chosen (m, n) for a vertex budget, plus the seed the search grew
@@ -283,7 +277,8 @@ ROUTES = {
         c2=33**2,
         premises=(
             ("p-prime", "p = {p} is prime", lambda p, m: is_prime(p)),
-            ("seed-size", "p^(m-1) >= 5 at m = {m}", _seed_size_ok),
+            # for p >= 2 an exponent past 3 cannot change the answer (2^3 >= 5): nothing large is expanded
+            ("seed-size", "p^(m-1) >= 5 at m = {m}", lambda p, m: m >= 2 and p ** min(m - 1, 3) >= 5),
         ),
     ),
     8: Route(
@@ -302,6 +297,7 @@ ROUTES = {
 
 
 def route_for(girth: int) -> Route:
+    int_args(None, girth=girth)
     if girth not in ROUTES:
         raise PreconditionError(f"girth must be 6 or 8, got {short_decimal(girth)}")
     return ROUTES[girth]

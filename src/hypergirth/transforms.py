@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 
-from .arith import Number, int_args, record, short_decimal
+from .arith import Number, int_args, short_decimal
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget
 from .errors import PreconditionError
 
@@ -52,42 +52,33 @@ def neighborhood_hypergraph(g: BipartiteGraph) -> Hypergraph:
     return _collect(g.n_left, pairs, "right vertices {} and {} have the same neighborhood {}")
 
 
-@record
-class SubstitutionPlan:
-    """Host hypergraph, template hypergraph, and disjoint copies per edge."""
-
-    host: Hypergraph
-    template: Hypergraph
-    copies_per_edge: int
-
-    def __post_init__(self) -> None:
-        int_args(None, copies_per_edge=self.copies_per_edge)
-        if self.copies_per_edge < 1:
-            raise PreconditionError(f"copies_per_edge must be >= 1, got {short_decimal(self.copies_per_edge)}")
-        need = self.copies_per_edge * self.template.num_vertices
-        for idx, edge in enumerate(self.host.edges):
-            if len(edge) < need:
-                raise PreconditionError(
-                    f"host edge {idx} has {len(edge)} vertices but "
-                    f"{short_decimal(self.copies_per_edge)} template copies need {short_decimal(need)}"
-                )
-
-
-def substitute_edges(plan: SubstitutionPlan) -> Hypergraph:
-    """Replace every host edge with vertex-disjoint template copies.
+def substitute_edges(host: Hypergraph, template: Hypergraph, copies_per_edge: int) -> Hypergraph:
+    """Replace every host edge with vertex-disjoint template copies, after
+    refusing a copy count that is not a positive int or that a host edge
+    lacks the vertices for.
 
     The output keeps the host vertex set.  Producing the same edge twice
     (possible only when two host edges overlap in >= 2 vertices, i.e. host
     girth 2) is a hard error rather than a silent merge.
     """
-    t_nv, t_edges = plan.template.num_vertices, plan.template.edges
-    # each template edge's positions in a host edge, copy by copy; SubstitutionPlan
-    # bounds the copy count unless one side has no edges
-    copies = range(plan.copies_per_edge if t_edges and plan.host.edges else 0)
+    int_args(None, copies_per_edge=copies_per_edge)
+    if copies_per_edge < 1:
+        raise PreconditionError(f"copies_per_edge must be >= 1, got {short_decimal(copies_per_edge)}")
+    t_nv, t_edges = template.num_vertices, template.edges
+    need = copies_per_edge * t_nv
+    for idx, edge in enumerate(host.edges):
+        if len(edge) < need:
+            raise PreconditionError(
+                f"host edge {idx} has {len(edge)} vertices but "
+                f"{short_decimal(copies_per_edge)} template copies need {short_decimal(need)}"
+            )
+    # each template edge's positions in a host edge, copy by copy; the check
+    # above bounds the copy count unless one side has no edges
+    copies = range(copies_per_edge if t_edges and host.edges else 0)
     places = [[j * t_nv + t for t in t_edge] for j in copies for t_edge in t_edges]
-    pairs = [(tuple([edge[i] for i in place]), idx) for idx, edge in enumerate(plan.host.edges) for place in places]
+    pairs = [(tuple([edge[i] for i in place]), idx) for idx, edge in enumerate(host.edges) for place in places]
     clash = "host edges {} and {} both produce edge {}; substitution requires host girth >= 3"
-    return _collect(plan.host.num_vertices, pairs, clash)
+    return _collect(host.num_vertices, pairs, clash)
 
 
 def split_edges(h: Hypergraph, r: int) -> Hypergraph:
@@ -128,7 +119,7 @@ def build_recursive(bases: list[BipartiteGraph], copy_counts: list[int]) -> Hype
     for stage, (base, k) in enumerate(zip(bases[1:], copy_counts), start=2):
         host = neighborhood_hypergraph(base)
         try:
-            current = substitute_edges(SubstitutionPlan(host, current, k))
+            current = substitute_edges(host, current, k)
         except PreconditionError as exc:
             raise PreconditionError(f"stage {stage}: {exc}") from None
     return current

@@ -32,7 +32,6 @@ from hypergirth import (
     theorem_bound,
 )
 from hypergirth.planner import ROUTES
-from hypergirth.transforms import SubstitutionPlan
 
 from conftest import subprocess_env
 
@@ -133,7 +132,7 @@ def test_criterion_3_substitution_preserves_girth():
             template_girth = girth_hypergraph(template).girth
             assert template_girth is None or template_girth >= g
 
-            out = substitute_edges(SubstitutionPlan(host, template, k))
+            out = substitute_edges(host, template, k)
             out_girth = girth_hypergraph(out).girth
             assert out_girth is None or out_girth >= g, (i, g, out_girth)
             trials += 1

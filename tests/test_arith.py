@@ -35,7 +35,6 @@ from hypergirth import (
     BipartiteGraph,
     Error,
     Hypergraph,
-    SubstitutionPlan,
     arith,
     certificate,
     girth_oracle,
@@ -51,6 +50,7 @@ from hypergirth import (
     reverify_certificate,
     split_cayley_hexagon,
     split_edges,
+    substitute_edges,
     symplectic_quadrangle,
     theorem_bound,
 )
@@ -320,6 +320,14 @@ NOT_AN_INT_CALLS = {
         lambda: certificate(6, 5, HUGE_TUPLE, 4, 3), f"m must be a positive integer, got {SHOWN_HUGE_TUPLE}"),
     "certificate-tuple-p-girth-8": (
         lambda: certificate(8, HUGE_TUPLE, 5, 4, 3), f"girth-8 certificate has base 2, got p = {SHOWN_HUGE_TUPLE}"),
+    # a girth that is not an int, refused before the route lookup; 6.0 and
+    # Decimal(6) hash like 6, so the lookup alone would take them as 6
+    **{f"{entry}-girth-{label}": (lambda call=call, girth=girth: call(girth), f"girth must be an integer, got {shown}")
+       for entry, call in (("plan", lambda g: plan(g, 5, 3, 10**10)),
+                           ("certificate", lambda g: certificate(g, 5, 2, 2, 3)),
+                           ("theorem-bound", lambda g: theorem_bound(g, 5, 10**20)))
+       for label, girth, shown in (("float", 2.0, "2.0"), ("none", None, "None"), ("list", [1], "[1]"),
+                                   ("decimal", Decimal(6), "Decimal('6')"))},
     "plan-float-p": (lambda: plan(6, 2.5, 3, 10**10), "p must be an integer, got 2.5"),
     "plan-float-N": (lambda: plan(6, 5, 3, 10.0**10), "N must be an integer, got 10000000000.0"),
     "plan-float-r": (lambda: plan(6, 5, 3.0, 10**10), "r must be an integer, got 3.0"),
@@ -335,9 +343,9 @@ NOT_AN_INT_CALLS = {
     "split-str-r": (lambda: split_edges(TRIANGLE, "2"), "r must be an integer, got '2'"),
     "split-float-r": (lambda: split_edges(TRIANGLE, 2.5), "r must be an integer, got 2.5"),
     "substitution-str-copies": (
-        lambda: SubstitutionPlan(TRIANGLE, TRIANGLE, "2"), "copies_per_edge must be an integer, got '2'"),
+        lambda: substitute_edges(TRIANGLE, TRIANGLE, "2"), "copies_per_edge must be an integer, got '2'"),
     "substitution-float-copies": (
-        lambda: SubstitutionPlan(TRIANGLE, TRIANGLE, 1.5), "copies_per_edge must be an integer, got 1.5"),
+        lambda: substitute_edges(TRIANGLE, TRIANGLE, 1.5), "copies_per_edge must be an integer, got 1.5"),
     "pad-str-to": (lambda: pad_vertices(TRIANGLE, "9"), "to must be an integer, got '9'"),
     "plane-str-q": (lambda: projective_plane("3"), "q must be an integer, got '3'"),
     "plane-float-q": (lambda: projective_plane(3.0), "q must be an integer, got 3.0"),
@@ -583,6 +591,12 @@ def refused(base: int, exponent: int) -> bool:
     except ResourceBudgetError:
         return True
     return False
+
+
+def test_check_pow_refuses_a_negative_exponent():
+    with pytest.raises(PreconditionError) as exc:
+        arith.check_pow(2, -1, "x")
+    assert str(exc.value) == "x: negative exponent -1 has no integer expansion"
 
 
 @pytest.mark.parametrize("digits", [1, 2, 7, 40])

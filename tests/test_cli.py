@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import os
+import re
 import sys
 import time
 
@@ -1076,3 +1078,15 @@ class TestFailedWrite:
         assert_one_error_line(stderr)
         assert stderr.rstrip().endswith(f"No such file or directory: {target!r}") and ".tmp" not in stderr
         assert os.listdir(tmp_path) == []
+
+
+def test_the_installed_script_target_runs_report(tmp_path, capsys):
+    """The ``hypergirth`` script that pyproject.toml installs, resolved from
+    its ``module:function`` line as an installer does, runs ``report``."""
+    pyproject = open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml"), encoding="utf-8").read()
+    module, function = re.search(r'^hypergirth = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    target = getattr(importlib.import_module(module), function)
+    bgt = str(tmp_path / "p.bgt")
+    run(capsys, "gen", "plane", "--q", "2", bgt)
+    assert target(["report", bgt]) == 0
+    assert "girth 6" in capsys.readouterr().out.splitlines()

@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +119,11 @@ class TestIdsAreInts:
         with pytest.raises(ValidationError, match=r"^edge 0 \[0, 1\]: not a tuple$") as exc:
             Hypergraph(3, ([0, 1],))
         assert exc.value.index == 0
+
+    def test_fraction_edge(self):
+        with pytest.raises(ValidationError) as exc:
+            Hypergraph(3, (Fraction(3, 2),))
+        assert str(exc.value) == "edge 0 3/2: not a tuple"
 
     def test_list_incidence(self):
         with pytest.raises(ValidationError, match=r"^incidence 1 \[1, 1\]: not a tuple$") as exc:

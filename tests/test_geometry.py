@@ -207,6 +207,20 @@ class TestProjectivePlane:
         with pytest.raises(VerificationError, match=r"^plane q=2: not \(3,3\)-biregular$"):
             _check_geometry(g, "plane", 2)
 
+    def test_self_check_refuses_wrong_counts(self):
+        g = BipartiteGraph.from_incidences(2, 2, [(0, 0), (1, 1)])
+        with pytest.raises(VerificationError) as exc:
+            _check_geometry(g, "plane", 2)
+        assert str(exc.value) == "plane q=2: expected 7+7 vertices, got 2+2"
+
+    def test_self_check_refuses_wrong_girth(self):
+        """The circulant (i, i + d mod 7), d = 0, 1, 2, has PG(2,2)'s counts
+        and degrees, but (0, 2) and (1, 2) share points 1 and 2: girth 4."""
+        g = BipartiteGraph.from_incidences(7, 7, [(i, (i + d) % 7) for i in range(7) for d in range(3)])
+        with pytest.raises(VerificationError) as exc:
+            _check_geometry(g, "plane", 2)
+        assert str(exc.value) == "plane q=2: girth 4 != required 6"
+
 
 class TestSymplecticQuadrangle:
     def test_q2_fingerprint(self, quad2):
@@ -289,6 +303,25 @@ class TestPolygonCounts:
         assert polygon_counts(6, 2, 8) == (819, 2457) == ROUTES[6].substrate(2)
         assert polygon_counts(6, 8, 2) == (2457, 819)
         assert polygon_counts(8, 2, 4) == (1755, 2925) == ROUTES[8].substrate(2)
+
+    @staticmethod
+    def moore_sum(n, s, t):
+        """The bipartite Moore bound at equality: sum of s^ceil(i/2) t^floor(i/2)
+        over i < n counts an n-gon's points (Hoory, JCTB 86, 2002)."""
+        return sum(s ** ((i + 1) // 2) * t ** (i // 2) for i in range(n))
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_counts_are_the_moore_sums(self, n):
+        for s in (2, 3, 5, 7, 2**61 - 1):
+            for t in (s,) if n == 3 else (2, s, s**2, s**3):
+                assert polygon_counts(n, s, t) == (self.moore_sum(n, s, t), self.moore_sum(n, t, s)), (n, s, t)
+
+    @pytest.mark.parametrize("n, line_power", [(6, 3), (8, 2)])
+    def test_decimal_counts_are_the_moore_sums(self, n, line_power):
+        with localcontext(EXACT):
+            s = Decimal(5) ** 4000
+            t = s**line_power
+            assert polygon_counts(n, s, t) == (self.moore_sum(n, s, t), self.moore_sum(n, t, s))
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_duality_swaps_the_counts(self, n):

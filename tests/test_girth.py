@@ -549,6 +549,25 @@ class TestWitnessValidation:
         with pytest.raises(VerificationError, match="not an incidence"):
             BipartiteCycle((("l", 0), ("r", 0), ("l", 1), ("r", 1))).check(g)
 
+    @pytest.mark.parametrize("cycle, message", [
+        (BergeCycle((0,), (0,)), "cycle needs k >= 2 vertices and as many edges, got 1"),
+        (BergeCycle((0, 1, 2), (0, 0, 1)), "cycle repeats an edge"),
+    ], ids=["one-vertex", "repeated-edge"])
+    def test_berge_refuses_a_malformed_cycle(self, fano, cycle, message):
+        with pytest.raises(VerificationError) as exc:
+            cycle.check(fano)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("nodes, message", [
+        ((("l", 0), ("r", 0), ("l", 0), ("r", 0)), "bipartite cycle repeats a vertex"),
+        ((("l", 0), ("l", 1), ("r", 0), ("r", 1)), "bipartite cycle does not alternate sides"),
+    ], ids=["repeated-vertex", "same-side"])
+    def test_bipartite_refuses_a_malformed_cycle(self, nodes, message):
+        g = BipartiteGraph.from_incidences(2, 2, [(u, v) for u in range(2) for v in range(2)])
+        with pytest.raises(VerificationError) as exc:
+            BipartiteCycle(nodes).check(g)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("bad", [-1, 7, 0.5, "0", True])
     def test_berge_refuses_forged_edge_index(self, fano, bad):
         with pytest.raises(VerificationError, match=f"edge index {bad} out of range"):

@@ -14,7 +14,6 @@ from hypergirth import (
     Hypergraph,
     PreconditionError,
     ResourceBudgetError,
-    SubstitutionPlan,
     build_recursive,
     girth_bipartite,
     girth_hypergraph,
@@ -71,19 +70,19 @@ class TestSubstituteEdges:
     def test_block_placement(self):
         host = Hypergraph(7, (tuple(range(7)),))
         template = Hypergraph(3, ((0, 1, 2),))
-        out = substitute_edges(SubstitutionPlan(host, template, 2))
+        out = substitute_edges(host, template, 2)
         assert out.edges == ((0, 1, 2), (3, 4, 5))
         assert out.num_vertices == 7
 
     def test_offset_blocks_follow_sorted_positions(self):
         host = Hypergraph(10, ((1, 3, 4, 6, 8, 9),))
         template = Hypergraph(2, ((0, 1),))
-        out = substitute_edges(SubstitutionPlan(host, template, 3))
+        out = substitute_edges(host, template, 3)
         assert out.edges == ((1, 3), (4, 6), (8, 9))
 
     def test_hexagon_host_two_element_template(self, hex2):
         host = neighborhood_hypergraph(hex2)
-        out = substitute_edges(SubstitutionPlan(host, Hypergraph(2, ((0, 1),)), 1))
+        out = substitute_edges(host, Hypergraph(2, ((0, 1),)), 1)
         assert out.num_edges == 63
         assert validate(out).uniformity == 2
         girth = girth_hypergraph(out).girth
@@ -93,7 +92,7 @@ class TestSubstituteEdges:
         g, _ = greedy_high_girth_bipartite(630, 30, 21, 12, 1)
         host = neighborhood_hypergraph(g)
         assert validate(host).uniformity == 21
-        out = substitute_edges(SubstitutionPlan(host, loose_path(3, 3), 3))
+        out = substitute_edges(host, loose_path(3, 3), 3)
         assert validate(out).uniformity == 3
         assert out.num_edges == 3 * 3 * host.num_edges
         girth = girth_hypergraph(out).girth
@@ -111,20 +110,20 @@ class TestSubstituteEdges:
             k = rng.randint(1, width // template.num_vertices) if width >= template.num_vertices else 0
             if k == 0:
                 continue
-            out = substitute_edges(SubstitutionPlan(host, template, k))
+            out = substitute_edges(host, template, k)
             assert out.num_edges == k * template.num_edges * host.num_edges
 
     def test_plan_rejects_small_edges(self):
         host = Hypergraph(5, ((0, 1, 2), (2, 3, 4)))
         with pytest.raises(PreconditionError, match="host edge 0 has 3 vertices"):
-            SubstitutionPlan(host, loose_path(2, 2), 2)
+            substitute_edges(host, loose_path(2, 2), 2)
         with pytest.raises(PreconditionError, match="copies_per_edge"):
-            SubstitutionPlan(host, loose_path(1, 2), 0)
+            substitute_edges(host, loose_path(1, 2), 0)
 
     def test_duplicate_output_is_hard_error(self):
         host = Hypergraph(4, ((0, 1, 2), (0, 1, 3)))  # girth 2
         with pytest.raises(PreconditionError) as exc:
-            substitute_edges(SubstitutionPlan(host, Hypergraph(2, ((0, 1),)), 1))
+            substitute_edges(host, Hypergraph(2, ((0, 1),)), 1)
         assert str(exc.value) == (
             "host edges 0 and 1 both produce edge (0, 1); substitution requires host girth >= 3"
         )
@@ -133,14 +132,14 @@ class TestSubstituteEdges:
                                                (Hypergraph(3, ((0, 1, 2),)), Hypergraph(0, ()))])
     def test_nothing_to_place_ignores_the_copy_count(self, host, template):
         start = time.monotonic()
-        assert substitute_edges(SubstitutionPlan(host, template, 10**30)) == Hypergraph(3, ())
+        assert substitute_edges(host, template, 10**30) == Hypergraph(3, ())
         assert time.monotonic() - start < 1.0
 
     def test_first_clash_names_its_first_source(self):
         # edge (4, 5) comes from host edges 0, 1 and 2; (2, 3) from 1 and 2
         host = Hypergraph(8, ((0, 1, 4, 5), (2, 3, 4, 5), (2, 3, 4, 5, 6, 7)))
         with pytest.raises(PreconditionError) as exc:
-            substitute_edges(SubstitutionPlan(host, Hypergraph(4, ((0, 1), (2, 3))), 1))
+            substitute_edges(host, Hypergraph(4, ((0, 1), (2, 3))), 1)
         assert str(exc.value).startswith("host edges 0 and 1 both produce edge (4, 5);")
 
 
@@ -280,7 +279,7 @@ class TestSubstitutionPreservation:
             if host.num_edges == 0:
                 continue
             template, k = [(cycle_hypergraph(g), 1), (loose_path(2, 3), 1), (loose_path(3, 2), 2)][i % 3]
-            out = substitute_edges(SubstitutionPlan(host, template, k))
+            out = substitute_edges(host, template, k)
             girth = girth_hypergraph(out).girth
             assert girth is None or girth >= g
             if out.incidence_count <= 2000:
@@ -288,8 +287,8 @@ class TestSubstitutionPreservation:
 
 
 def test_determinism_bit_identical(hex2):
-    a = substitute_edges(SubstitutionPlan(neighborhood_hypergraph(hex2), loose_path(1, 3), 1))
-    b = substitute_edges(SubstitutionPlan(neighborhood_hypergraph(hex2), loose_path(1, 3), 1))
+    a = substitute_edges(neighborhood_hypergraph(hex2), loose_path(1, 3), 1)
+    b = substitute_edges(neighborhood_hypergraph(hex2), loose_path(1, 3), 1)
     assert serialize_hypergraph(a) == serialize_hypergraph(b)
 
 
@@ -317,12 +316,12 @@ def tower_base(key: tuple) -> tuple[BipartiteGraph, Hypergraph, int | None]:
 
 
 def admitted_copies(host: Hypergraph, num_vertices: int) -> list[int]:
-    """Every copy count that SubstitutionPlan admits for a template on
+    """Every copy count that substitute_edges admits for a template on
     ``num_vertices`` vertices; the template's edges play no part in it."""
     template, counts = Hypergraph(num_vertices, ()), []
     for k in itertools.count(1):
         try:
-            SubstitutionPlan(host, template, k)
+            substitute_edges(host, template, k)
         except PreconditionError:
             return counts
         counts.append(k)
@@ -330,7 +329,7 @@ def admitted_copies(host: Hypergraph, num_vertices: int) -> list[int]:
 
 def check_tower(keys: list[tuple], r: int) -> list[tuple[int, int, int]]:
     """Build the tower on the bases ``keys`` at every tuple of copy counts
-    SubstitutionPlan admits, then split it into r-edges.  Its vertex, edge
+    substitute_edges admits, then split it into r-edges.  Its vertex, edge
     and split-edge counts must be transforms.tower_counts on the
     neighbourhood hypergraphs' own (v, b), and its exact girth at least the
     least halved base girth.  Returns the counts."""
