@@ -5,6 +5,11 @@ All generators are deterministic, emit canonical BipartiteGraph values and
 self-check their advertised counts, biregularity and exact girth before
 returning; a failed self-check aborts with VerificationError rather than
 ever returning a silently wrong geometry.
+
+The polygon builders read the q + 1 point positions of each line off its
+reduced basis, as sums of slices of a per-field table of weighted
+multiples (``_span_positions``), and emit the incidences grouped by
+point in line order, which is already the canonical order.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import random
 from array import array
 from itertools import product
+from operator import add
 from typing import Callable, MutableSequence, Sequence
 
 from . import core
@@ -20,27 +26,58 @@ from .core import BipartiteGraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
 
-def _point_index(q: int, dim: int) -> Callable[[Sequence[int]], int]:
-    """Map a nonzero vector over F_q to the position of its projective
-    point in ``projective_points(q, dim)``, by arithmetic on the vector.
+def _span_positions(q: int, dim: int) -> Callable[[Sequence[int], Sequence[int]], list[int]]:
+    """Map two independent vectors over F_q, coordinates in range(q), to
+    the positions in ``projective_points(q, dim)`` of the q + 1 points of
+    their span.
 
     The points whose first nonzero coordinate sits at ``lead`` follow the
     (q^(dim-1-lead) - 1)/(q - 1) points with a later lead, in base-q order
-    of their tails once the vector is scaled to a leading 1.
+    of their tails once the vector is scaled to a leading 1.  The span is
+    reduced to a basis (lo, hi) with leads a < b, both leading 1; its
+    points are then hi and lo + mu*hi over mu in F_q, already scaled.
+    Coordinate k of lo + mu*hi is (mu + lo_k/hi_k)*hi_k where hi_k != 0, so
+    its term of the position, taken over mu, is a slice of the multiples of
+    hi_k weighted by q^(dim-1-k), read from a table built once per call of
+    this function; where hi_k = 0 the term is the constant weighted lo_k.
     """
     inv = [0] + [pow(c, -1, q) for c in range(1, q)]
+    weight = [q ** (dim - 1 - k) for k in range(dim)]
     offset = [(q ** (dim - 1 - lead) - 1) // (q - 1) for lead in range(dim)]
+    table = [[[w * (nu * h % q) for nu in range(2 * q)] for h in range(q)] for w in weight]
 
-    def index(vec: Sequence[int]) -> int:
-        for lead, c in enumerate(vec):
-            if c % q:
-                scale, pos = inv[c % q], 0
-                for t in vec[lead + 1:]:
-                    pos = pos * q + scale * t % q
-                return offset[lead] + pos
-        raise PreconditionError("zero vector has no projective point")
+    def lead(vec: Sequence[int]) -> int:
+        for k, c in enumerate(vec):
+            if c:
+                return k
+        raise PreconditionError("a zero vector or two dependent vectors span no line")
 
-    return index
+    def span(u: Sequence[int], v: Sequence[int]) -> list[int]:
+        a, b = lead(u), lead(v)
+        if a > b:
+            u, v, a, b = v, u, b, a
+        elif a == b:
+            s = v[a] * inv[u[a]]
+            v = [(y - s * x) % q for x, y in zip(u, v)]
+            b = lead(v)
+        s = inv[v[b]]
+        hi = [c * s % q for c in v]
+        s = inv[u[a]]
+        lo = [c * s % q for c in u]
+        first, base, terms = offset[b], offset[a], None
+        for k in range(a + 1, dim):
+            h = hi[k]
+            if not h:
+                base += weight[k] * lo[k]
+                continue
+            if k > b:
+                first += weight[k] * h
+            s = lo[k] * inv[h] % q
+            row = table[k][h][s:s + q]
+            terms = row if terms is None else list(map(add, terms, row))
+        return [first, *map(base.__add__, terms)]
+
+    return span
 
 
 def projective_points(q: int, dim: int) -> list[tuple[int, ...]]:
@@ -122,6 +159,18 @@ def _check_geometry(g: BipartiteGraph, kind: str, q: int) -> None:
         raise VerificationError(f"{name}: girth {found} != required {2 * n}")
 
 
+def _incidence_graph(n_points: int, lines: Sequence[Sequence[int]]) -> BipartiteGraph:
+    """Incidence graph of ``lines``, each the distinct positions of its
+    points, numbered in the order given.  The incidences are emitted
+    grouped by point and in line order within each point, which is the
+    canonical order, so the graph is built without sorting them."""
+    through: list[list[int]] = [[] for _ in range(n_points)]
+    for j, ln in enumerate(lines):
+        for v in ln:
+            through[v].append(j)
+    return BipartiteGraph(n_points, len(lines), tuple([(v, j) for v, js in enumerate(through) for j in js]))
+
+
 def projective_plane(q: int) -> BipartiteGraph:
     """Incidence graph of the projective plane PG(2, q).
 
@@ -130,28 +179,23 @@ def projective_plane(q: int) -> BipartiteGraph:
     """
     geometry_incidences("plane", q)
     points = projective_points(q, 3)
-    index = _point_index(q, 3)
-    directions = projective_points(q, 2)
-    pairs = []
-    for j, ln in enumerate(points):  # line j is the plane of vectors orthogonal to dual point j
-        a, b = _kernel([list(ln)], q, 3).values()
-        for c, d in directions:
-            pairs.append((index([(c * u + d * v) % q for u, v in zip(a, b)]), j))
-    g = BipartiteGraph.from_incidences(len(points), len(points), pairs)
+    span = _span_positions(q, 3)
+    # line j is the plane of vectors orthogonal to dual point j
+    g = _incidence_graph(len(points), [span(*_kernel([list(ln)], q, 3).values()) for ln in points])
     _check_geometry(g, "plane", q)
     return g
 
 
 def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callable[[tuple[int, ...]], list[list[int]]],
-                           index: Callable[[Sequence[int]], int], kind: str) -> BipartiteGraph:
+                           position: Sequence[int], kind: str) -> BipartiteGraph:
     """Incidence graph whose lines through each point x fill the kernel of
-    ``forms(x)``, rows linear in y that x itself zeroes; ``index`` maps a
-    nonzero vector to the position of its point in ``points``.
+    ``forms(x)``, rows linear in y that x itself zeroes; ``position`` maps
+    the position of a point in PG(dim-1, q) to its position in ``points``.
 
-    x is nonzero at some free column of that kernel; the other basis
+    x is nonzero at some free column of that kernel; the other two basis
     vectors span a complement of x, and each projective point y of it
-    gives the line {x} + {mu*x + y : mu in F_q}.  Lines are numbered in
-    sorted order of their point tuples.
+    gives the line spanned by x and y.  Lines are numbered in sorted order
+    of their point tuples, so the order of the directions y is immaterial.
 
     Each line is emitted once.  The points are visited in order, and each
     keeps the ids of the emitted lines through it.  A point already on
@@ -163,6 +207,8 @@ def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callabl
     fails the self-check, which still verifies the counts, biregularity
     and exact girth.
     """
+    span = _span_positions(q, len(points[0]))
+    at = position.__getitem__
     through: list[list[int]] = [[] for _ in points]  # ids of the emitted lines on each point
     lines: list[tuple[int, ...]] = []
     for i, x in enumerate(points):
@@ -171,21 +217,17 @@ def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callabl
             continue
         basis = _kernel(forms(x), q, len(x))
         drop = next(col for col in basis if x[col])
-        rest = [vec for col, vec in basis.items() if col != drop]
-        for coeffs in projective_points(q, len(rest)):
-            y = [sum(c * vec[k] for c, vec in zip(coeffs, rest)) % q for k in range(len(x))]
-            j = index(y)
+        for j in map(at, span(*(vec for col, vec in basis.items() if col != drop))):
             if any(ln in mine for ln in through[j]):
                 continue
-            line = sorted([i, j] + [index([(mu * a + b) % q for a, b in zip(x, y)]) for mu in range(1, q)])
+            line = tuple(sorted(map(at, span(x, points[j]))))
             ident = len(lines)
             for v in line:
                 through[v].append(ident)
-            lines.append(tuple(line))
+            lines.append(line)
     del through  # the girth self-check below sets the peak memory
     lines.sort()
-    pairs = [(v, j) for j, ln in enumerate(lines) for v in ln]
-    g = BipartiteGraph.from_incidences(len(points), len(lines), pairs)
+    g = _incidence_graph(len(points), lines)
     _check_geometry(g, kind, q)
     return g
 
@@ -203,7 +245,8 @@ def symplectic_quadrangle(q: int) -> BipartiteGraph:
     def forms(x: tuple[int, ...]) -> list[list[int]]:
         return [[-x[1], x[0], -x[3], x[2]]]
 
-    return _geometry_from_kernels(projective_points(q, 4), q, forms, _point_index(q, 4), "quadrangle")
+    points = projective_points(q, 4)
+    return _geometry_from_kernels(points, q, forms, range(len(points)), "quadrangle")
 
 
 # Plucker-coordinate conditions selecting the hexagon lines among the
@@ -250,8 +293,7 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
         quadric.append(len(points) if on else -1)
         if on:
             points.append(pt)
-    pg_index = _point_index(q, 7)
-    return _geometry_from_kernels(points, q, forms, lambda vec: quadric[pg_index(vec)], "hexagon")
+    return _geometry_from_kernels(points, q, forms, quadric, "hexagon")
 
 
 # Largest left x right grid the greedy generator proposes: the shuffled

@@ -64,13 +64,15 @@ class PlanResult:
 
 
 class BelowSeedError(PreconditionError):
-    """N is smaller than the smallest admissible construction N*."""
+    """N is smaller than the smallest admissible construction N*.  Both
+    arguments are shown by short_value, which shows an int by
+    short_decimal, so the error is built whatever it is given."""
 
     def __init__(self, n_value: int, seed_vertices: int):
         self.seed_vertices = seed_vertices
         super().__init__(
-            f"N = {short_decimal(n_value)} is below the seed vertex count "
-            f"N* = {short_decimal(seed_vertices)}"
+            f"N = {short_value(n_value)} is below the seed vertex count "
+            f"N* = {short_value(seed_vertices)}"
         )
 
 

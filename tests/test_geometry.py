@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import os
@@ -13,7 +14,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hypergirth
 from hypergirth import (
@@ -39,8 +40,8 @@ from hypergirth.geometry import (
     POLYGON,
     _check_geometry,
     _kernel,
-    _point_index,
     _shuffle,
+    _span_positions,
     geometry_incidences,
     polygon_counts,
     projective_points,
@@ -145,8 +146,8 @@ def reference_hexagon(q):
 
 @pytest.mark.parametrize(
     "build, reference, q",
-    [(projective_plane, reference_plane, q) for q in (2, 3, 5, 7, 11, 13)]
-    + [(symplectic_quadrangle, reference_quadrangle, q) for q in (2, 3, 5, 7)]
+    [(projective_plane, reference_plane, q) for q in (2, 3, 5, 7, 11, 13, 17)]
+    + [(symplectic_quadrangle, reference_quadrangle, q) for q in (2, 3, 5, 7, 11)]
     + [(split_cayley_hexagon, reference_hexagon, q) for q in (2, 3)],
 )
 def test_builder_matches_reference(build, reference, q):
@@ -156,14 +157,49 @@ def test_builder_matches_reference(build, reference, q):
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_point_index_is_the_position_in_projective_points(q, dim):
+    """The position rule, read through the span helper one dimension up:
+    the points of PG(dim, q) with a 0 first are those of PG(dim-1, q), at
+    the same positions, and the line through (0, vec) and e_0 has one of
+    them, vec's point; its other points, (1, mu*vec), come after them."""
     points = projective_points(q, dim)
-    index = _point_index(q, dim)
+    span = _span_positions(q, dim + 1)
+    e0 = (1,) + (0,) * dim
     vectors = [vec for vec in itertools.product(range(q), repeat=dim) if any(vec)]
     assert len(vectors) == (q - 1) * len(points)
     for vec in vectors:
-        assert index(vec) == points.index(_normalize(vec, q))
+        assert [pos for pos in span((0, *vec), e0) if pos < len(points)] == [points.index(_normalize(vec, q))]
     with pytest.raises(PreconditionError, match="zero vector"):
-        index((0,) * dim)
+        span((0,) * (dim + 1), e0)
+
+
+@functools.lru_cache(maxsize=1)
+def _position_of(q: int, dim: int) -> dict[tuple[int, ...], int]:
+    """projective_points(q, dim).index as a dict, for the latest (q, dim) only."""
+    return {pt: i for i, pt in enumerate(projective_points(q, dim))}
+
+
+# PG(6, 11) has 1.9 million points, too many to list for a reference
+@pytest.mark.parametrize("q, dim", [(q, dim) for q in (2, 3, 5, 7, 11) for dim in range(2, 8) if (q, dim) != (11, 7)])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_span_positions_are_the_points_of_the_span(q, dim, data):
+    coords = st.lists(st.integers(0, q - 1), min_size=dim, max_size=dim)
+    u, v = data.draw(coords, label="u"), data.draw(coords, label="v")
+    assume(any((u[i] * v[k] - u[k] * v[i]) % q for i in range(dim) for k in range(i + 1, dim)))
+    position = _position_of(q, dim)
+    expected = {
+        position[_normalize(tuple((alpha * x + beta * y) % q for x, y in zip(u, v)), q)]
+        for alpha in range(q) for beta in range(q) if alpha or beta
+    }
+    got = _span_positions(q, dim)(u, v)
+    assert len(expected) == len(got) == len(set(got)) == q + 1
+    assert set(got) == expected
+
+
+def test_span_positions_refuse_dependent_vectors():
+    span = _span_positions(5, 3)
+    with pytest.raises(PreconditionError, match="dependent"):
+        span((1, 2, 3), (2, 4, 1))
 
 
 class TestProjectivePlane:

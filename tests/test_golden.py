@@ -12,7 +12,7 @@ artifacts, certificate), and the `gen`, `transform`, `report` and `girth`
 commands by their stdout and output files; the temporary directory is
 normalised to `<tmp>` in both.  No stage in the grid has zero edges.
 H(5), too large for a `gen` run in the command grid, is pinned by its
-serialization.
+serialization, and so are PG(2,31) and W(11), orders the grid does not build.
 """
 
 import hashlib
@@ -24,8 +24,10 @@ import pytest
 from hypergirth import (
     certificate,
     plan,
+    projective_plane,
     serialize_bipartite,
     split_cayley_hexagon,
+    symplectic_quadrangle,
     theorem_bound,
 )
 from hypergirth.cli import main
@@ -165,6 +167,14 @@ def test_plan_stdout_digest(argv, tmp_path, capsys):
 def test_hexagon_q5_digest():
     digest = "278c189da1c51329bdae10ee0a7af80cb23650e947ab327e513da254fbc76d42"
     assert sha(serialize_bipartite(split_cayley_hexagon(5))) == digest
+
+
+@pytest.mark.parametrize("build, q, digest", [
+    (projective_plane, 31, "795ffa67cd4967797a42c4cb78934149b78cfa08db7e9913e95b33a6dd14271d"),
+    (symplectic_quadrangle, 11, "53de47bdf14cf5041d103d886a8c7707bbe98ee0d422f2de6ab5dfb85d329348"),
+])
+def test_plane_and_quadrangle_digests(build, q, digest):
+    assert sha(serialize_bipartite(build(q))) == digest
 
 
 def test_seed_brackets():

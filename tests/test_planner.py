@@ -895,3 +895,18 @@ class TestPowerExpr:
             PowerExpr(2, Fraction(1, 2)).expand()
         with pytest.raises(ResourceBudgetError):
             PowerExpr(2, Fraction(10**9)).expand()
+
+
+@pytest.mark.parametrize("n_value, seed, message", [
+    (None, 5, "N = None is below the seed vertex count N* = 5"),
+    (5, None, "N = 5 is below the seed vertex count N* = None"),
+    (2.0, 5, "N = 2.0 is below the seed vertex count N* = 5"),
+    ("3", 10**60, "N = '3' is below the seed vertex count N* = 1000000000000000000000000000000000000000...(61 digits)"),
+    (Fraction(3, 2), Decimal(7), "N = Fraction(3, 2) is below the seed vertex count N* = Decimal('7')"),
+    (True, -5, "N = True is below the seed vertex count N* = -5"),
+], ids=["none-n", "none-seed", "float-n", "str-n-long-seed", "fraction-decimal", "bool-n"])
+def test_below_seed_error_is_built_from_any_argument(n_value, seed, message):
+    """An int is shown by short_decimal, anything else by its repr, cut short."""
+    err = BelowSeedError(n_value, seed)
+    assert str(err) == message
+    assert err.seed_vertices is seed
