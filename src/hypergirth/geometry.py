@@ -21,7 +21,7 @@ from operator import add
 from typing import Callable, MutableSequence, Sequence
 
 from . import core
-from .arith import Number, int_args, int_to_decimal, is_prime, record, short_decimal
+from .arith import Number, int_args, int_to_decimal, is_prime, mul, record, short_decimal
 from .core import BipartiteGraph
 from .errors import PreconditionError, ResourceBudgetError, VerificationError
 
@@ -117,16 +117,17 @@ POLYGON = {"plane": 3, "quadrangle": 4, "hexagon": 6}  # kind -> n of its genera
 def polygon_counts(n: int, s: Number, t: Number) -> tuple[Number, Number]:
     """(points, lines) of a generalized n-gon of order (s, t), on ints or on
     Decimals under arith.EXACT: (1+s)F and (1+t)F, F = 1 + st + ... +
-    (st)^(n/2-1) by Horner's rule; n = 3 is PG(2, s), s = t: 1+s+s^2 each.
-    Any other n than 3, 4, 6 or 8, the thick n-gons (Feit-Higman), is refused."""
+    (st)^(n/2-1) by Horner's rule, each product by arith.mul; n = 3 is
+    PG(2, s), s = t: 1+s+s^2 each.  Any other n than 3, 4, 6 or 8, the
+    thick n-gons (Feit-Higman), is refused."""
     if n not in (3, 4, 6, 8):
         raise PreconditionError(f"polygon counts need n = 3, 4, 6 or 8, got {short_decimal(n)}")
     if n == 3:
-        return (1 + s + s * s,) * 2
-    step, factor = s * t, 1
+        return (1 + s + mul(s, s),) * 2
+    step, factor = mul(s, t), 1
     for _ in range(n // 2 - 1):
-        factor = factor * step + 1
-    return (1 + s) * factor, (1 + t) * factor
+        factor = mul(factor, step) + 1
+    return mul(1 + s, factor), mul(1 + t, factor)
 
 
 def geometry_incidences(kind: str, q: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 
-from .arith import Number, int_args, short_decimal
+from .arith import Number, int_args, mul, short_decimal
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget
 from .errors import PreconditionError
 
@@ -129,11 +129,12 @@ def tower_counts(stages: list[tuple[Number, Number]], copies: list[Number], spli
     """(v_n, b_1 * copies * b_2 * ... * copies * b_n, split times that): the
     vertices, edges and final edges of the :func:`build_recursive` tower on
     stages of (v_i, b_i) with copies[i-2] copies per edge at stage i, each
-    edge then cut into ``split`` by :func:`split_edges`; on ints or EXACT Decimals."""
+    edge then cut into ``split`` by :func:`split_edges`; on ints or EXACT
+    Decimals, each product by arith.mul."""
     edges = stages[0][1]
     for (_, b), k in zip(stages[1:], copies, strict=True):
-        edges = k * edges * b
-    return stages[-1][0], edges, split * edges
+        edges = mul(mul(k, edges), b)
+    return stages[-1][0], edges, mul(split, edges)
 
 
 def loose_path(num_edges: int, r: int = 3) -> Hypergraph:

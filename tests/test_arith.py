@@ -1,11 +1,16 @@
 """Property tests for the exact power comparison ``arith.power_at_least``,
-and the rendering of ``arith.short_decimal``.
+the product ``arith.mul`` and the rendering of ``arith.short_decimal``.
 
 Each answer is compared with ``n**a >= base**b`` expanded in full.  The
 explicit points sit right next to ties, where the top-bit brackets cannot
 separate: the exact fallback (a == 1 after dividing out gcd(a, b)) and the
 precision escalation (a > 1) both run there.  Every point is also asked as
-a ``Decimal``: read whole, and cut to its leading digits.
+a ``Decimal``: read whole, and cut to its leading digits.  A long Decimal
+at an exact tie climbs to 2048 bits before its exact comparison.
+
+``mul`` is compared with ``x * y`` under EXACT, coefficient, sign and
+exponent, on both sides of each digit count where it starts or stops
+lifting a factor, and must lift exactly the products it says it lifts.
 
 ``short_decimal`` is compared with a rendering from the full ``str``
 conversion, and must never convert a value of more than 52 digits whole.
@@ -22,7 +27,7 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from decimal import Decimal, Inexact, InvalidOperation, localcontext
+from decimal import Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from unittest import mock
 
@@ -193,8 +198,9 @@ def test_decimal_bracket_holds_n(cut, prec):
             assert max(lo.bit_length(), hi.bit_length()) <= prec + 1
 
 
-def precisions(monkeypatch, n: int, a: int, base: int, b: int) -> set[int]:
-    """The precisions the brackets were computed at, checking the answer."""
+def precisions(monkeypatch, n: int, a: int, base: int, b: int, answer: bool | None = None) -> set[int]:
+    """The precisions the brackets were computed at, checking the answer,
+    which is n**a >= base**b unless given."""
     seen = set()
     original = arith._pow_bound
 
@@ -203,8 +209,28 @@ def precisions(monkeypatch, n: int, a: int, base: int, b: int) -> set[int]:
         return original(m, k, prec, up)
 
     monkeypatch.setattr(arith, "_pow_bound", spy)
-    assert power_at_least(n, a, base, b) == (n**a >= base**b)
+    assert power_at_least(n, a, base, b) == (n**a >= base**b if answer is None else answer)
     return seen
+
+
+def spy_exact(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Replace arith.EXACT by a context that records each power call, and
+    each multiply call with its operands' digit counts."""
+    calls = []
+
+    class Spy(type(arith.EXACT)):
+        def power(self, x, y, *rest):
+            calls.append(("power", ()))
+            return super().power(x, y, *rest)
+
+        def multiply(self, x, y):
+            calls.append(("multiply", (x.adjusted() + 1, y.adjusted() + 1)))
+            return super().multiply(x, y)
+
+    exact = arith.EXACT
+    monkeypatch.setattr(arith, "EXACT", Spy(prec=exact.prec, Emax=exact.Emax, Emin=exact.Emin,
+                                            traps=[Inexact, Rounded, InvalidOperation]))
+    return calls
 
 
 @pytest.mark.parametrize("d", (0, 1))
@@ -220,6 +246,91 @@ def test_fallback_decides_an_integer_tie(monkeypatch, d):
     # a == 1 and n within 1 of 5**200: the brackets never separate, and one
     # exact comparison settles it at the first precision.
     assert precisions(monkeypatch, 5**200 + d, 1, 5, 200) == {128}
+
+
+@pytest.mark.parametrize("d", (-1, 0, 1))
+def test_decimal_tie_escalates_to_2048_bits_then_falls_back(monkeypatch, d):
+    # A Decimal within 1 of 2**38126 (11 478 digits): no bracket separates
+    # it from 2**38126, so the precision climbs to arith._TIE_BITS and one
+    # exact comparison settles it.
+    with localcontext(arith.EXACT):
+        n = Decimal(2) ** 38126 + d
+    calls = spy_exact(monkeypatch)
+    assert precisions(monkeypatch, n, 1, 2, 38126, answer=d >= 0) == {128, 512, 2048}
+    assert calls == [("power", ())]
+
+
+def test_edge_bound_of_a_long_base_2_certificate_separates_at_2048_bits(monkeypatch):
+    # The edge bound of (8, -, 315, 2, 3), the girth-8 `plan` at 9 500
+    # digits, is a near tie, edges / 2^E = 1 + 2^-O(m), that 128 and 512
+    # bits cannot separate and 2048 can, with no exact power.
+    route = ROUTES[8]
+    edges = Decimal(dict(certificate(8, None, 315, 2, 3).values)["edges"])
+    e = int(route.edge_bound(2, 315, 2).exponent)
+    calls = spy_exact(monkeypatch)
+    assert precisions(monkeypatch, edges, route.edge_power, 2, route.edge_power * e, answer=True) == {128, 512, 2048}
+    assert calls == []
+
+
+def decimal_of(digits: int, kind: str, seed: int, sign: int, exponent: int) -> Decimal:
+    """A Decimal of ``digits`` coefficient digits: random, all 9s, or a power of ten."""
+    if kind == "random":
+        rng = random.Random(seed)
+        text = str(rng.randrange(1, 10)) + "".join(map(str, rng.choices(range(10), k=digits - 1)))
+    else:
+        text = "9" * digits if kind == "nines" else "1" + "0" * (digits - 1)
+    return Decimal((sign, tuple(map(int, text)), exponent))
+
+
+# digit counts on both sides of each of mul's lines, and past the longest product certify makes
+MUL_DIGITS = (1, 19, 1999, 2000, 2001, 2432, 2433, 2866, 3249, 4332, 4864, 4865, 4866, 8664, 13000)
+
+
+@st.composite
+def mul_factors(draw):
+    def factor():
+        digits = draw(st.one_of(st.sampled_from(MUL_DIGITS), st.integers(1, 13000)))
+        kind = draw(st.sampled_from(("random", "random", "nines", "ten")))
+        return decimal_of(digits, kind, draw(st.integers(0, 2**32)), draw(st.integers(0, 1)), draw(st.integers(-3, 3)))
+
+    return factor(), factor()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mul_factors())
+def test_mul_is_the_exact_product(factors):
+    # The same Decimal as x * y under EXACT, coefficient, sign and exponent,
+    # in both argument orders, whether or not a factor is lifted.
+    x, y = factors
+    with localcontext(arith.EXACT):
+        product = (x * y).as_tuple()
+        assert arith.mul(x, y).as_tuple() == product and arith.mul(y, x).as_tuple() == product
+
+
+def test_mul_of_an_int_is_the_plain_product():
+    # ints of the lifted digit counts too, and an int times a Decimal
+    long = decimal_of(3000, "random", 3, 0, 0)
+    for x, y in [(0, 7), (-3, 10**5000), (10**3000, 10**9000), (2, Decimal(5)), (Decimal(-4), 3), (10**2999, long)]:
+        with localcontext(arith.EXACT):
+            assert arith.mul(x, y) == x * y and type(arith.mul(x, y)) is type(x * y)
+
+
+@pytest.mark.parametrize("short, long, lifted", [
+    (2000, 8664, True), (3249, 8664, True), (4332, 4332, True), (2433, 2433, True), (4864, 13000, True),
+    (1999, 8664, False), (2432, 2432, False), (4865, 4865, False), (19, 13000, False),
+])
+def test_mul_lifts_exactly_the_short_factors_past_the_line(monkeypatch, short, long, lifted):
+    # A lifted product multiplies factors of over 256 words of 19 digits;
+    # any other goes through `*` and never through arith.EXACT.
+    x, y = decimal_of(short, "random", 1, 0, 0), decimal_of(long, "random", 2, 0, 0)
+    calls = spy_exact(monkeypatch)
+    with localcontext(arith.EXACT):
+        assert arith.mul(x, y) == x * y
+    multiplies = [digits for name, digits in calls if name == "multiply"]
+    if lifted:
+        assert len(multiplies) == 1 and min(multiplies[0]) > 19 * 256
+    else:
+        assert calls == []
 
 
 def str_short_decimal(value: int) -> str:

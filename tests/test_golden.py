@@ -109,6 +109,15 @@ PLANS = {
         "af65243d1bc85680431d4f3151aacd82a36e9053f88005ea851b66ce10e05e00",
         "f5a3f894998aa1a67ad64e2787070f621f56e98ff6d9a1abe43d50b4ee9c44f4",
     ),
+    # the certify `plan` shapes whose counts arith.mul lifts past libmpdec's 256-word line
+    ("--girth", "6", "--p", "11", "--r", "3", "--N", "1" + "0" * 9999): (
+        "155c6e02579d5c1e3d19d88e462a6804ad4d18faaede0f4718a50c03838d46c0",
+        "cfc2b9e7c966fe5cbcd97cb493895789cfa80508d2213af1aaafbcd37cbcc051",
+    ),
+    ("--girth", "8", "--r", "3", "--N", "1" + "0" * 9499): (
+        "159c004d3f88e4b3fdf70e2d692b05ef198ef153b833aab34eb4e58737ae3c59",
+        "552e6278216cefe5366fc46677285475f44f24c5218978e2a48c11ac3b481f28",
+    ),
 }
 
 
