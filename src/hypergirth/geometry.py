@@ -18,7 +18,7 @@ import random
 from array import array
 from itertools import product
 from operator import add
-from typing import Callable, MutableSequence, Sequence
+from typing import Callable, Iterator, MutableSequence, Sequence
 
 from . import core
 from .arith import Number, int_args, int_to_decimal, is_prime, mul, record, short_decimal
@@ -80,11 +80,16 @@ def _span_positions(q: int, dim: int) -> Callable[[Sequence[int], Sequence[int]]
     return span
 
 
+def _scan_points(q: int, dim: int) -> Iterator[tuple[int, ...]]:
+    """The points of ``projective_points(q, dim)`` in its order, made one at a time."""
+    return ((0,) * lead + (1,) + tail
+            for lead in reversed(range(dim)) for tail in product(range(q), repeat=dim - lead - 1))
+
+
 def projective_points(q: int, dim: int) -> list[tuple[int, ...]]:
     """Sorted normalized representatives of the points of PG(dim-1, q):
     a later leading 1 sorts first, and the tails follow in product order."""
-    return [(0,) * lead + (1,) + tail
-            for lead in reversed(range(dim)) for tail in product(range(q), repeat=dim - lead - 1)]
+    return list(_scan_points(q, dim))
 
 
 def _kernel(rows: list[list[int]], q: int, dim: int) -> dict[int, tuple[int, ...]]:
@@ -135,7 +140,7 @@ def geometry_incidences(kind: str, q: int) -> int:
     that is not an int raises PreconditionError, a q >= 2 with more than
     core.VERTEX_BUDGET ResourceBudgetError (a larger q is not
     raised to any power), then a q that is not prime PreconditionError.  H(q)
-    has more incidences than the PG(6,q) points it lists, so those are bounded."""
+    has more incidences than the PG(6,q) points it scans, so those are bounded."""
     int_args(None, q=q)
     budget = core.VERTEX_BUDGET
     if q >= 2:  # a smaller q is no prime, whatever its size
@@ -287,9 +292,10 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
             rows.append(row)
         return rows
 
+    # PG(6,q) has about q times as many points as the quadric, so they are scanned, not listed
     points: list[tuple[int, ...]] = []
-    quadric: list[int] = []  # PG(6,q) position -> position in points, or -1 off the quadric
-    for pt in projective_points(q, 7):
+    quadric = array("i")  # PG(6,q) position -> position in points, or -1 off the quadric
+    for pt in _scan_points(q, 7):
         on = (pt[0] * pt[4] + pt[1] * pt[5] + pt[2] * pt[6] - pt[3] * pt[3]) % q == 0
         quadric.append(len(points) if on else -1)
         if on:

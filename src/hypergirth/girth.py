@@ -11,9 +11,11 @@ Three routes are provided:
   distance exactly d from it.  Level d ORs the neighbours' sets into the
   vertices of one side, alternating with the parity of d.  A root that
   reaches v through two neighbours, and was not at distance d - 2, closes
-  a cycle of length 2d.  Before the sweep, a BFS from the first root r0
-  through the vertices above r0 closes a walk of length L at its first
-  cross edge, and the sweep runs only the levels d < L/2.  The first
+  a cycle of length 2d.  One count of that side's set sizes decides
+  whether level d has such a root, and only a level that has one is
+  scanned again to find them.  Before the sweep, a BFS from the first
+  root r0 through the vertices above r0 closes a walk of length L at its
+  first cross edge, and the sweep runs only the levels d < L/2.  The first
   level with a hit gives the girth g, and its smallest hit root r*; a BFS
   from r* through the vertices above r* then rebuilds the witness from
   its first cross edge.  With no hit, g = L and r0's walk is the witness.
@@ -24,7 +26,26 @@ Three routes are provided:
   - Overwriting a set in place is exact.  At level d, v has a neighbour at
     distance d - 1 from each root it hears of, and the graph is bipartite,
     so v is at distance d - 2 or d from that root.  The roots at distance
-    d - 2 are exactly v's old set, which is masked out as it is replaced.
+    d - 2 are exactly v's old set.  The next bullet shows that v hears of
+    each of them again, so the old set lies inside the OR of the
+    neighbours' sets, and an XOR with it leaves the new set.
+  - One count decides each level.  Let c(v) be v's degree in the 2-core;
+    peeled vertices keep empty sets, so only core neighbours are heard.
+    For the side a level updates, let T be the sum of its set sizes and W
+    that sum weighted by c, and suppose no earlier level hit.  At level d,
+    a root in v's old set, at distance d - 2, is heard from exactly
+    c(v) - 1 >= 1 neighbours: level d - 2 did not hit, so exactly one of
+    v's neighbours lies closer to it, and the rest lie at distance d - 1.
+    At d = 2 that root is v itself, heard from all c(v) neighbours, and at
+    d = 1 the old sets are empty.  A root in v's new set is heard from
+    m >= 1 neighbours.  Summed over the side, the neighbours' set sizes
+    add up to W of the other side, each set counted once per core
+    neighbour, so W_other = T_new + W_old - [d >= 3] T_old + sum(m - 1)
+    over the new roots of every v.  The level hits exactly when that sum
+    is not 0, and only then does it rerun, taking the roots heard twice
+    that are in each new set.  This is the tree count behind the Moore
+    bound: Alon, Hoory and Linial, "The Moore bound for irregular graphs",
+    Graphs Combin. 18 (2002).
   - The hit roots at level g/2 are exactly the left vertices on a shortest
     cycle.  Two shortest paths of length d from a root to v close a walk
     of length 2d that contains a cycle, so no level below g/2 hits, and a
@@ -96,6 +117,7 @@ Three routes are provided:
 
 from __future__ import annotations
 
+from operator import mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .arith import int_args, record, show
@@ -225,36 +247,44 @@ def _shortest_cycle(adj: Sequence[Sequence[int]], n_left: int) -> list[int] | No
     cycle = _bfs_walk(adj, roots[0])
     level = len(cycle) // 2
     best_root = -1  # set by a hit; with none, the walk is a shortest cycle
+    core_degrees = ([degree[v] for v in sides[0]], [degree[v] for v in sides[1]])
     for start in range(0, len(roots), SWEEP_CHUNK):
         chunk = roots[start:start + SWEEP_CHUNK]
         reach = [0] * n
         for bit, r in enumerate(chunk):
             reach[r] = 1 << bit
+        # per side, as last updated: the sum of its set sizes, and that sum
+        # weighted by core degree
+        total = [len(chunk), 0]
+        weight = [sum(degree[r] for r in chunk), 0]
         d = 0
-        live = True
-        while live and d + 1 < level:
+        while total[d % 2] and d + 1 < level:
             d += 1
-            live = False
-            hits = 0
-            for v in sides[d % 2]:
-                acc = dup = 0
+            s = d % 2
+            side = sides[s]
+            for v in side:
+                acc = 0
                 for u in adj[v]:
-                    x = reach[u]
-                    if x:
-                        dup |= acc & x
-                        acc |= x
-                old = reach[v]
-                if dup:
-                    hits |= dup & ~old
-                if old:
-                    acc &= ~old
-                if acc:
-                    live = True
-                reach[v] = acc
-            if hits:
+                    acc |= reach[u]
+                reach[v] = acc ^ reach[v]
+            sizes = list(map(int.bit_count, map(reach.__getitem__, side)))
+            new_total = sum(sizes)
+            if weight[1 - s] != new_total + weight[s] - (d >= 3) * total[s]:
+                # a root reached some v along two shortest paths: find the roots
+                hits = 0
+                for v in side:
+                    acc = dup = 0
+                    for u in adj[v]:
+                        x = reach[u]
+                        if x:
+                            dup |= acc & x
+                            acc |= x
+                    if dup:
+                        hits |= dup & reach[v]
                 level = d
                 best_root = chunk[(hits & -hits).bit_length() - 1]
                 break
+            total[s], weight[s] = new_total, sum(map(mul, sizes, core_degrees[s]))
     if best_root >= 0:
         cycle = _bfs_walk(adj, best_root)
     if len(cycle) != 2 * level:

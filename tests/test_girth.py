@@ -402,6 +402,87 @@ def test_one_bfs_per_query_on_relabelled_geometries(monkeypatch, build, q):
         assert rep == reference_report(fn, obj)
 
 
+def theta_pairs(lengths: tuple[int, ...], n_left: int, n_right: int) -> tuple[list[tuple[int, int]], int, int]:
+    """A theta graph: paths of the given odd lengths from left ``n_left`` to
+    right ``n_right``, through new vertices numbered on from theirs.  Returns
+    its incidences and the next free left and right ids."""
+    pairs = []
+    nl, nr = n_left + 1, n_right + 1
+    for length in lengths:
+        prev = n_left
+        for _ in range(length // 2):
+            pairs += [(prev, nr), (nl, nr)]
+            prev, nl, nr = nl, nl + 1, nr + 1
+        pairs.append((prev, n_right))
+    return pairs, nl, nr
+
+
+def first_hit_cases() -> dict[str, tuple[BipartiteGraph, int]]:
+    """Graphs whose sweep first hits at level d = 2..5, with their girth 2d.
+    Left vertex 0 is the first core root and lies on a (2d + 2)-cycle, so
+    the bounding walk is longer than the girth and the sweep runs level d;
+    the 2d-cycles lie among later roots."""
+    cases = {}
+    for d in range(2, 6):
+        long = cycle_pairs(tuple(range(d + 1)), tuple(range(d + 1)))
+        short = cycle_pairs(tuple(range(d + 1, 2 * d + 1)), tuple(range(d + 1, 2 * d + 1)))
+        # one pendant vertex on each side, so a core degree differs from its degree
+        pendants = [(2 * d + 1, d + 1), (d + 1, 2 * d + 1)]
+        cases[f"disjoint-{d}"] = BipartiteGraph.from_incidences(2 * d + 2, 2 * d + 2, long + short + pendants), 2 * d
+        # a bridge from the long cycle to the short one gives two vertices core degree 3
+        cases[f"bridged-{d}"] = (
+            BipartiteGraph.from_incidences(2 * d + 2, 2 * d + 2, long + short + pendants + [(d + 1, 0)]),
+            2 * d,
+        )
+        # three paths between two vertices of core degree 3: cycles of 2d, 2d + 2 and no shorter
+        first = d if d % 2 else d - 1
+        theta, n_left, n_right = theta_pairs((first, 2 * d - first, 2 * d - first + 2), d + 1, d + 1)
+        cases[f"theta-{d}"] = BipartiteGraph.from_incidences(n_left, n_right, long + theta), 2 * d
+    return cases
+
+
+FIRST_HIT_CASES = first_hit_cases()
+
+
+@pytest.mark.parametrize("chunk", [girth_mod.SWEEP_CHUNK, 1, 2, 7])
+@pytest.mark.parametrize("name", FIRST_HIT_CASES)
+def test_first_hit_level_matches_queue_engine(monkeypatch, chunk, name):
+    g, girth = FIRST_HIT_CASES[name]
+    adj = bfs_adjacency(g)
+    assert len(girth_mod._bfs_walk(adj, 0)) == girth + 2
+    monkeypatch.setattr(girth_mod, "SWEEP_CHUNK", chunk)
+    cycle = girth_mod._shortest_cycle(adj, g.n_left)
+    assert cycle == queue_shortest_cycle(adj)
+    assert len(cycle) == girth
+
+
+@pytest.mark.parametrize(
+    "g, witness_root",
+    [(HEAWOOD, 0), (BOUND_CASES["shorter-cycle-in-a-later-chunk"][0], 7)],
+    ids=["no-hit", "hit"],
+)
+def test_a_walk_of_the_wrong_length_is_an_internal_error(monkeypatch, g, witness_root):
+    # the check a miscounted level would meet: the walk from the witness's root is
+    # one vertex short, the bounding walk from l0 on Heawood's graph (no level hits)
+    # or the walk rebuilt from l7, the smallest root on the other graph's 4-cycle
+    original = girth_mod._bfs_walk
+
+    def short_walk(adj, root):
+        walk = original(adj, root)
+        return walk[:-1] if root == witness_root else walk
+
+    monkeypatch.setattr(girth_mod, "_bfs_walk", short_walk)
+    with pytest.raises(VerificationError, match="^internal error: reconstructed cycle has wrong length$"):
+        girth_mod._shortest_cycle(bfs_adjacency(g), g.n_left)
+
+
+def test_a_bfs_on_a_tree_is_an_internal_error():
+    # the path l0 - r0 - l1 - r1 has no cross edge
+    adj = [[2], [2, 3], [0, 1], [1]]
+    with pytest.raises(VerificationError, match="^internal error: the BFS from a core root met no cross edge$"):
+        girth_mod._bfs_walk(adj, 0)
+
+
 class TestGirthHypergraph:
     def test_fano(self, fano):
         rep = girth_hypergraph(fano)
