@@ -43,7 +43,7 @@ from .arith import (
     short_decimal,
     short_value,
 )
-from .errors import FormatError, PreconditionError, VerificationError
+from .errors import FormatError, PreconditionError, ResourceBudgetError, VerificationError
 from .formats import read_header
 from .planner import route_for
 from .transforms import tower_counts
@@ -197,6 +197,8 @@ def _header_value(token: str, lineno: int, key: str) -> int | str:
         return parse_decimal_int(token)
     except PreconditionError as exc:
         raise FormatError(f"line {lineno}: {key}: {exc}") from None
+    except ResourceBudgetError as exc:
+        raise ResourceBudgetError(f"line {lineno}: {key}: {exc}") from None
 
 
 def parse_certificate(text: str) -> Certificate:

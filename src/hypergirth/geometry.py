@@ -165,29 +165,22 @@ def _check_geometry(g: BipartiteGraph, kind: str, q: int) -> None:
         raise VerificationError(f"{name}: girth {found} != required {2 * n}")
 
 
-def _incidence_graph(n_points: int, lines: Sequence[Sequence[int]]) -> BipartiteGraph:
-    """Incidence graph of ``lines``, each the distinct positions of its
-    points, numbered in the order given.  The incidences are emitted
-    grouped by point and in line order within each point, which is the
-    canonical order, so the graph is built without sorting them."""
-    through: list[list[int]] = [[] for _ in range(n_points)]
-    for j, ln in enumerate(lines):
-        for v in ln:
-            through[v].append(j)
-    return BipartiteGraph(n_points, len(lines), tuple([(v, j) for v, js in enumerate(through) for j in js]))
-
-
 def projective_plane(q: int) -> BipartiteGraph:
     """Incidence graph of the projective plane PG(2, q).
 
     Points and lines are the 1- and 2-dimensional subspaces of F_q^3;
     (q+1, q+1)-biregular on q^2+q+1 vertices per side, girth 6.
+    Line j is the points orthogonal to point j under x0*y0 + x1*y1 + x2*y2.
+    The form is symmetric (a polarity), so the lines through point i are
+    the points of line i.
     """
     geometry_incidences("plane", q)
     points = projective_points(q, 3)
     span = _span_positions(q, 3)
-    # line j is the plane of vectors orthogonal to dual point j
-    g = _incidence_graph(len(points), [span(*_kernel([list(ln)], q, 3).values()) for ln in points])
+    ids = list(range(len(points)))  # one int per line id, shared by all its incidences
+    through = [sorted(map(ids.__getitem__, span(*_kernel([list(x)], q, 3).values()))) for x in points]
+    g = BipartiteGraph(len(points), len(points), tuple([(i, j) for i, js in enumerate(through) for j in js]))
+    del through, span  # the girth self-check below sets the peak memory
     _check_geometry(g, "plane", q)
     return g
 
@@ -200,8 +193,7 @@ def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callabl
 
     x is nonzero at some free column of that kernel; the other two basis
     vectors span a complement of x, and each projective point y of it
-    gives the line spanned by x and y.  Lines are numbered in sorted order
-    of their point tuples, so the order of the directions y is immaterial.
+    gives the line spanned by x and y.
 
     Each line is emitted once.  The points are visited in order, and each
     keeps the ids of the emitted lines through it.  A point already on
@@ -209,31 +201,33 @@ def _geometry_from_kernels(points: list[tuple[int, ...]], q: int, forms: Callabl
     shares an emitted line with x.  This is exact because two points lie
     on at most one line: the line {x, y} is the one line through x and y,
     so it is skipped exactly when it was emitted before, and it is
-    emitted from the first of its points that the loop reaches.  Any slip
-    fails the self-check, which still verifies the counts, biregularity
-    and exact girth.
+    emitted from its least point.  So numbering each point's new lines in
+    sorted order numbers all lines in sorted order of their point tuples
+    and gives each point its line ids in increasing order: ``through`` is
+    the canonical incidence list.  A batch is exact when found whole: its
+    directions lie on distinct lines through x, each meeting the complement
+    only at its y.  Any slip fails the self-check, which still verifies the
+    counts, biregularity and exact girth.
     """
     span = _span_positions(q, len(points[0]))
     at = position.__getitem__
     through: list[list[int]] = [[] for _ in points]  # ids of the emitted lines on each point
-    lines: list[tuple[int, ...]] = []
+    n_lines = 0
     for i, x in enumerate(points):
         mine = through[i]
         if len(mine) == q + 1:
             continue
         basis = _kernel(forms(x), q, len(x))
         drop = next(col for col in basis if x[col])
-        for j in map(at, span(*(vec for col, vec in basis.items() if col != drop))):
-            if any(ln in mine for ln in through[j]):
-                continue
-            line = tuple(sorted(map(at, span(x, points[j]))))
-            ident = len(lines)
+        batch = sorted(sorted(map(at, span(x, points[j])))
+                       for j in map(at, span(*(vec for col, vec in basis.items() if col != drop)))
+                       if not any(ln in mine for ln in through[j]))
+        for ident, line in enumerate(batch, n_lines):
             for v in line:
                 through[v].append(ident)
-            lines.append(line)
+        n_lines += len(batch)
+    g = BipartiteGraph(len(points), n_lines, tuple([(v, j) for v, js in enumerate(through) for j in js]))
     del through  # the girth self-check below sets the peak memory
-    lines.sort()
-    g = _incidence_graph(len(points), lines)
     _check_geometry(g, kind, q)
     return g
 

@@ -44,7 +44,7 @@ from typing import Callable, Iterable
 from .arith import DECIMAL, int_args, int_to_decimal, parse_decimal_int, record, short_decimal, short_value, show
 from .certificate import Certificate, certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, only, validate
-from .errors import Error, FormatError, PreconditionError, VerificationError
+from .errors import Error, FormatError, PreconditionError, ResourceBudgetError, VerificationError
 from .formats import load, serialize_bipartite, serialize_hypergraph, split_lines
 from .geometry import (
     GreedyReport,
@@ -65,6 +65,8 @@ def read_int(where: str, key: str, text: str) -> int:
         return parse_decimal_int(text)
     except PreconditionError:
         raise FormatError(f"{where}: {key} must be an integer, got {short_value(text)}") from None
+    except ResourceBudgetError as exc:
+        raise ResourceBudgetError(f"{where}: {key}: {exc}") from None
 
 
 def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:

@@ -198,6 +198,12 @@ class TestSerialization:
         with pytest.raises(VerificationError, match=f"^certificate does not re-verify: .*\\b{name}\\b"):
             reverify_certificate(bad)
 
+    def test_parse_header_integer_over_digit_budget_names_its_line(self, hex_cert):
+        bad = hex_cert.serialize().replace("\nm 2\n", "\nm " + "1" * (10**6 + 1) + "\n")
+        with pytest.raises(ResourceBudgetError) as exc:
+            parse_certificate(bad)
+        assert str(exc.value) == "line 4: m: integer has 1000001 digits, budget is 1000000"
+
     def test_reverify_invalid_cert_roundtrips(self):
         cert = certificate(6, 5, 1, 1, 3)
         assert not reverify_certificate(cert.serialize()).valid

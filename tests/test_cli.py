@@ -519,6 +519,12 @@ class TestIntegerFlags:
         assert "integer has 1000001 digits, budget is 1000000" in stderr
         assert os.listdir(tmp_path) == []
 
+    def test_over_digit_budget_names_the_flag(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "gen", "plane", "--q", "1" * (10**6 + 1), str(tmp_path / "p.bgt"))
+        assert code == 4
+        assert stderr == "error: gen plane: q: integer has 1000001 digits, budget is 1000000\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestPipelineCommand:
     def test_recipe_with_certify(self, tmp_path, capsys):
@@ -683,6 +689,18 @@ class TestPipelineInputErrors:
         line = "certify girth=6 p=5 r=3 N=" + "1" * (10**6 + 1) + "\n"
         code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + line)
         assert code == 4 and "integer has 1000001 digits, budget is 1000000" in stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line,where",
+        [("certify girth=6 p=5 r=3 N=HUGE\n", "certify: N"), ("stage split r=HUGE\n", "stage 3: r")],
+        ids=["certify", "stage"],
+    )
+    def test_key_over_digit_budget_is_named(self, tmp_path, capsys, line, where):
+        line = line.replace("HUGE", "1" * (10**6 + 1))
+        code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + line)
+        assert code == 4
+        assert stderr == f"error: {where}: integer has 1000001 digits, budget is 1000000\n"
         assert not out_dir.exists()
 
     def test_target_not_an_integer_exit_2(self, tmp_path, capsys):

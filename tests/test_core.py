@@ -11,7 +11,7 @@ from hypergirth import (
     incidence_graph,
     validate,
 )
-from hypergirth.core import VERTEX_BUDGET, _show
+from hypergirth.core import VERTEX_BUDGET, _pair_error, _show
 from hypergirth.geometry import GREEDY_PAIR_BUDGET
 
 
@@ -147,6 +147,13 @@ class TestIdsAreInts:
         with pytest.raises(ValidationError, match=r"^incidence 1 \(0, 1, 1\): not a pair$") as exc:
             BipartiteGraph.from_incidences(2, 2, iter([(0, 0), (0, 1, 1)]))
         assert exc.value.index == 1
+
+    def test_pair_error_passes_on_an_error_from_elsewhere(self):
+        """Where every incidence unpacks, the error did not come from the
+        unpacking, and it is returned as given."""
+        exc = ValueError("from elsewhere")
+        assert _pair_error([(0, 1), (1, 0)], exc) is exc
+        assert _pair_error([], exc) is exc
 
     @pytest.mark.parametrize("sizes", [(2.5, 1), (2, True), (-1, 1), (1, "2")])
     def test_bipartite_class_sizes(self, sizes):

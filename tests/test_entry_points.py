@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import hypergirth
 from hypergirth import (
+    BelowSeedError,
     BipartiteGraph,
     Hypergraph,
     PowerExpr,
@@ -67,6 +68,7 @@ STAR = BipartiteGraph(6, 1, tuple((u, 0) for u in range(6)))
 
 # name: (call, the valid value of each int argument, the pool each is drawn from)
 ENTRIES = {
+    "BelowSeedError": (BelowSeedError, (10, 1000), (INTS, INTS)),
     "BipartiteGraph": (lambda a, b: BipartiteGraph(a, b, ()), (2, 3), (INTS, INTS)),
     "Hypergraph": (lambda n: Hypergraph(n, ()), (3,), (INTS,)),
     "PowerExpr": (PowerExpr, (2, 3), (INTS, INTS)),

@@ -154,6 +154,34 @@ def test_builder_matches_reference(build, reference, q):
     assert build(q) == reference(q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_plane_is_self_polar(q):
+    """Line j of PG(2,q) is the points orthogonal to point j, and
+    orthogonality is symmetric: the lines through each point are the
+    points of the line of the same number."""
+    g = projective_plane(q)
+    assert g.left_neighbors == g.right_neighbors
+
+
+@pytest.mark.parametrize(
+    "build, q", [(symplectic_quadrangle, q) for q in (2, 3, 5, 7)] + [(split_cayley_hexagon, q) for q in (2, 3)]
+)
+def test_lines_are_numbered_in_sorted_order(build, q):
+    """W(q) and H(q) number their lines in sorted order of the lines' point tuples."""
+    lines = build(q).right_neighbors
+    assert all(a < b for a, b in zip(lines, lines[1:]))
+
+
+@pytest.mark.parametrize("build, q", [(projective_plane, 17), (symplectic_quadrangle, 7), (split_cayley_hexagon, 3)])
+def test_each_id_is_one_int_object(build, q):
+    """All incidences of a point share one int object for its id, and so do
+    all incidences of a line; past 256 a fresh int per incidence would
+    not, and it costs PG(2,101) about 31 MB more at its peak."""
+    g = build(q)
+    assert len({id(u) for u, _ in g.incidences}) == g.n_left > 256
+    assert len({id(v) for _, v in g.incidences}) == g.n_right > 256
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_point_index_is_the_position_in_projective_points(q, dim):
