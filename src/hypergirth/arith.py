@@ -80,19 +80,25 @@ def mul(x: Number, y: Number) -> Number:
     return x * y
 
 
+def settle(k: int, holds: Callable[[int], bool]) -> int:
+    """The largest k with holds(k), for a holds true up to some point and
+    false after it: from a guess k (a float's) on either side, at any
+    distance, step down while holds(k) fails, then up while holds(k + 1)."""
+    while not holds(k):
+        k -= 1
+    while holds(k + 1):
+        k += 1
+    return k
+
+
 def int_digits10(value: int, exponent: int = 1) -> int:
     """Exact decimal digit count of value**exponent, for value >= 0 and
-    exponent >= 1, without raising the power.  A float count is within 1
-    of the truth, and power_at_least against powers of 10 settles it; that
-    is exact, as check_pow says."""
+    exponent >= 1, without raising the power: one more than the largest k
+    with value**exponent >= 10^k, proposed by a float and settled by
+    power_at_least."""
     if value < 2:
         return 1
-    digits = int(exponent * math.log10(value)) + 1
-    if power_at_least(value, exponent, 10, digits):
-        return digits + 1
-    if digits > 1 and not power_at_least(value, exponent, 10, digits - 1):
-        return digits - 1
-    return digits
+    return settle(int(exponent * math.log10(value)), lambda k: k < 1 or power_at_least(value, exponent, 10, k)) + 1
 
 
 _DECIMAL_LEAF = 2048  # bits: Decimal(int) is quadratic in the length, but cheap up to here
@@ -229,7 +235,8 @@ def record(cls: type) -> type:
             fields.update(zip(names, args))
             fields.update(kwargs)
             if len(args) > n or len(fields) > n or kwargs.keys() & names[:len(args)] or _NO_DEFAULT in fields.values():
-                raise TypeError(f"{call} takes {names}, got {len(args)} by position and {tuple(kwargs)} by keyword")
+                raise TypeError(f"{call} takes {names}, got {len(args)} by position and "
+                                f"{short_value(tuple(kwargs))} by keyword")
         else:
             fields = {} if len(args) == n else template.copy()  # the defaults stay where args ends
             i = 0
@@ -253,10 +260,10 @@ def record(cls: type) -> type:
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {short_value(name)}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {short_value(name)}")
 
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
@@ -364,10 +371,7 @@ def is_prime(n: int) -> bool:
 @functools.cache
 def _bits_below(digits: int) -> int:
     """floor(digits * log2 10), the largest L with 2^L <= 10^digits, digits >= 1."""
-    bits = int(digits * math.log2(10)) + 2  # above the truth: the float is off by far less than 1
-    while not power_at_least(10, digits, 2, bits):
-        bits -= 1
-    return bits
+    return settle(int(digits * math.log2(10)), lambda bits: power_at_least(10, digits, 2, bits))
 
 
 def check_pow(base: int, exponent: int, what: str) -> None:
@@ -375,10 +379,8 @@ def check_pow(base: int, exponent: int, what: str) -> None:
     negative or the result has more digits than the budget D: exactly when
     base**exponent >= 10^D, for a base >= 0.  With L = floor(D log2 10),
     e * bitlen(base) <= L admits and e * (bitlen(base) - 1) > L refuses from
-    the bit lengths alone; the narrow rest is power_at_least(base, e, 10, D),
-    exact although 10 is not prime: it is no perfect power, so base^a = 10^b
-    with a and b coprime forces a = 1, where the comparison is exact.  The
-    message's digit count is a float, shown only."""
+    the bit lengths alone; the narrow rest is power_at_least(base, e, 10, D).
+    The message's digit count is a float, shown only."""
     if exponent < 0:
         raise PreconditionError(f"{what}: negative exponent {short_decimal(exponent)} has no integer expansion")
     if base < 2:
@@ -460,18 +462,18 @@ def _bracket(n: Decimal, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def power_at_least(n: Number, a: int, base: int, b: int) -> bool:
-    """Exact n^a >= base^b for n >= 2, a, b >= 1 and a prime base; n is an
-    int or an integral Decimal, such as one computed under EXACT.
+    """Exact n^a >= base^b for n >= 2, a, b >= 1 and any base >= 2; n is
+    an int or an integral Decimal, such as one computed under EXACT.
 
     n^a and base^b are bracketed from n's top bits (of a long Decimal, its
     leading digits, see :func:`_bracket`) with directed rounding, at a
-    precision that grows until the brackets separate.  With a and b
-    coprime, equality needs a = 1 (base is prime), so a = 1 falls back to
-    one exact comparison, which holds for any base >= 2: at once for an int
-    n, whose base**b is cheap, and for a Decimal n only once brackets of
-    2048 bits have not separated; otherwise the inequality is strict and
-    the brackets separate at the latest once the precision makes them
-    exact.  A Decimal of at most 600 digits is read whole, as an int.
+    precision that grows until the brackets separate; at the latest they
+    are exact, so even a tie decides.  With a and b coprime, a = 1 falls
+    back to one exact comparison: at once for an int n, whose base**b is
+    cheap, and for a Decimal n once brackets of 2048 bits have not
+    separated.  A base that is no perfect power only rules out a tie at
+    a > 1, such as (2^301)^2 = 4^301.  A Decimal of at most 600 digits is
+    read whole, as an int.
     """
     if isinstance(n, Decimal) and n.adjusted() < _WHOLE:
         n = int(n)

@@ -429,7 +429,7 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
     """Execute a recipe, writing one canonical artifact per stage plus a
     deterministic report; returns the report and the last greedy report."""
     if not out_dir.isascii():
-        raise PreconditionError(f"output directory must be ASCII, got {ascii(out_dir)}")
+        raise PreconditionError(f"output directory must be ASCII, got {show(out_dir, ascii)}")
     checked = _check_stages(recipe.stages)
     certify_args = None if recipe.certify is None else plan_args(recipe.certify, "certify")
     os.makedirs(out_dir, exist_ok=True)

@@ -44,6 +44,7 @@ from .arith import (
     is_prime,
     power_at_least,
     record,
+    settle,
     short_decimal,
     short_value,
 )
@@ -235,10 +236,7 @@ class Route:
 
         cells = range(1, r.bit_length() + 4 + self.m_step, self.m_step)
         m_star = cells[bisect_left(cells, True, key=fits)]
-        n_star = 1
-        while self.growth**n_star <= m_star:
-            n_star += 1
-        return m_star, n_star
+        return m_star, settle(1, lambda n: self.growth ** (n - 1) <= m_star)
 
     def plan(self, p: int, r: int, n_vertices: int) -> PlanResult:
         """Pick (m, n) with v(q_{p,m,n}) <= N < v(q_{p,m+step,n}) by exact
@@ -363,8 +361,8 @@ def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
         k/72 <= exponent  iff  N^((72a - k*b)^2) >= base^(c2 * (72a)^2),
 
     and every k >= 72a/b fails.  The floored multiple of 1/72 is the
-    largest k that passes: the high-precision float only proposes it, and
-    the exact comparison settles it.
+    largest k that passes: the high-precision float proposes it, and
+    :func:`settle` decides it by that comparison.
 
     Negative exponents are returned as-is (the bound is then vacuous).
     For girth 8 the base is fixed at 2 and ``p`` is ignored.
@@ -389,8 +387,5 @@ def theorem_bound(girth: int, p: int | None, n_vertices: int) -> TheoremBound:
         expo = share * (1 - (route.c2 * _ln_base(base) / ln_n).sqrt())
         constant = float(share * (route.c2 * _ln_base(base) / _ln_base(2)).sqrt())
         k = int((expo * _STEPS).to_integral_value(ROUND_FLOOR))
-    while not passes(k):
-        k -= 1
-    while passes(k + 1):
-        k += 1
+    k = settle(k, passes)
     return TheoremBound(girth, float(expo), PowerExpr(n_vertices, Fraction(k, _STEPS)), constant)

@@ -113,6 +113,38 @@ def test_matches_full_expansion(case):
     assert by_form(n, a, base, b) == every_form(n**a >= base**b)
 
 
+# Composite and perfect-power bases: a base that is a perfect power ties at a > 1.
+COMPOSITE_BASES = (4, 6, 8, 9, 10, 12, 16, 27, 36, 100, 1000, 1024, 2187)
+
+
+@st.composite
+def composite_near_ties(draw):
+    """(n, a, base, b) with n within 1 of the a-th root of base**b, for a
+    composite or perfect-power base; n is that root itself whenever base**b
+    is an a-th power, as 4**b is a square."""
+    base, a = draw(st.sampled_from(COMPOSITE_BASES)), draw(st.integers(1, 12))
+    b = draw(st.integers(1, 2500))
+    return max(iroot(base**b, a) + draw(st.integers(-1, 1)), 2), a, base, b
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(composite_near_ties())
+def test_any_base_matches_full_expansion(case):
+    n, a, base, b = case
+    assert by_form(n, a, base, b) == every_form(n**a >= base**b)
+
+
+@pytest.mark.parametrize("root,a,base,b", [(2**301, 2, 4, 301), (10**3001, 3, 1000, 3001),
+                                           (6**1501, 2, 36, 1501), (32**1999, 2, 1024, 1999)],
+                         ids=["2^301", "10^3001", "6^1501", "32^1999"])
+@pytest.mark.parametrize("d", (-1, 0, 1))
+def test_a_perfect_power_base_ties_at_a_above_1(root, a, base, b, d):
+    # root**a == base**b with a and b coprime: no bracket separates the tie,
+    # so it is decided once the brackets are exact.
+    assert root**a == base**b and math.gcd(a, b) == 1
+    assert by_form(root + d, a, base, b) == every_form(d >= 0)
+
+
 # (base, k, a, b): n = base**k + d for d in (-1, 0, 1); b is a*k or next to it.
 TIES = [
     (2, 300, 1, 300),  # a == 1, base 2: the brackets of base**b are exact
@@ -603,6 +635,51 @@ def test_int_digits10_of_a_power_matches_str():
     cases += [(b, e) for b in (2, 3, 5, 7, 11, 1000, 2**61 - 1) for e in (1, 2, 3, 10, 97, 1000, 4321)]
     for base, exponent in cases:
         assert arith.int_digits10(base, exponent) == len(arith.int_to_decimal(base**exponent)), (base, exponent)
+
+
+@st.composite
+def settle_cases(draw):
+    """(threshold, guess): a guess within 50 of the threshold, or 10 000 off."""
+    threshold = draw(st.integers(-1000, 1000))
+    off = draw(st.one_of(st.integers(-50, 50), st.sampled_from((-10_000, 10_000))))
+    return threshold, threshold + off
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(settle_cases())
+def test_settle_finds_the_last_k_that_holds(case):
+    # From either side of the step, settle asks holds |guess - step| + 2
+    # times: at each k from the guess to the step, and one past the step.
+    threshold, guess = case
+    asked = []
+
+    def holds(k):
+        asked.append(k)
+        return k <= threshold
+
+    assert arith.settle(guess, holds) == threshold
+    assert len(asked) == abs(guess - threshold) + 2 and {threshold, threshold + 1} <= set(asked)
+
+
+def test_int_digits10_is_exact_from_a_float_3_high(monkeypatch):
+    # The float's count only proposes; power_at_least settles the count
+    # however far the float is off.
+    real = math.log10
+    monkeypatch.setattr(math, "log10", lambda x: real(x) + 3)
+    for value in (2, 3, 10, 99, 1000, 12345):
+        for exponent in (1, 13, 40):
+            assert arith.int_digits10(value, exponent) == len(str(value**exponent)), (value, exponent)
+
+
+def test_bits_below_is_exact_from_a_float_3_low(monkeypatch):
+    real = math.log2
+    monkeypatch.setattr(math, "log2", lambda x: real(x) - 3)
+    arith._bits_below.cache_clear()
+    try:
+        for digits in (1, 2, 3, 10, 31, 45):
+            assert arith._bits_below(digits) == (10**digits).bit_length() - 1, digits
+    finally:
+        arith._bits_below.cache_clear()
 
 
 @contextmanager

@@ -141,6 +141,21 @@ def test_assignment_and_deletion_raise():
     assert report == GirthReport(6)
 
 
+def test_a_caller_s_name_is_shown_by_short_value():
+    # A keyword or attribute name of any length shows as its first 40
+    # characters, so the message does not grow with the name.
+    report, long = GirthReport(6), "n" * 300
+    shown = repr("n" * 40)
+    with pytest.raises(AttributeError, match=f"^cannot assign to field {shown}$"):
+        setattr(report, long, 3)
+    with pytest.raises(AttributeError, match=f"^cannot delete field {shown}$"):
+        delattr(report, long)
+    with pytest.raises(TypeError) as raised:
+        GirthReport(6, **{long: 1, "x": 2})
+    assert str(raised.value) == (
+        f"GirthReport() takes ('girth', 'witness', 'searched_to'), got 1 by position and ({shown}, 'x') by keyword")
+
+
 def test_a_field_whose_repr_raises_is_shown_by_short_value():
     # repr() of an int past the int-to-str digit limit raises ValueError
     huge, shown = 10**5000, "1000000000000000000000000000000000000000...(5001 digits)"
