@@ -33,6 +33,7 @@ and :func:`record`, the decorator that makes the package's value types.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded
@@ -45,6 +46,7 @@ from .errors import PreconditionError, ResourceBudgetError
 DIGIT_BUDGET = 10**6  # the most decimal digits any number is parsed or expanded to; no override
 DECIMAL = re.compile(r"0|[1-9][0-9]*")  # a canonical decimal integer
 _SHORT = 10**52  # short_decimal shows an int below this whole
+_SHOWN = 10  # show shows this many elements of a container and counts the rest
 
 # Integer +, -, * and ** (by an int >= 0) on Decimals under this context are
 # exact: a step that would round or fail raises instead of giving a wrong
@@ -146,11 +148,11 @@ def show(ids: object, show_one: Callable[[object], str] = str, within: tuple[int
     """A value, such as an edge or a caller's token, as messages show it:
     ``show_one(ids)``, str() at the top and repr() within, except that an
     int goes through short_decimal, as do a Fraction's numerator and
-    denominator, a str or bytes is cut to 40 characters, the elements of a
-    tuple, list, set or frozenset are shown the same way, and any other
-    value too long for the int-to-str digit limit is named by its type, so
-    no huge id or token stops the message.  ``within`` holds the ids of
-    the enclosing containers; a list that holds itself shows as repr does."""
+    denominator, a str or bytes is cut to 40 characters, the first 10
+    elements of a tuple, list, set or frozenset are shown the same way and
+    the rest counted, and any other value too long for the int-to-str digit
+    limit is named by its type, so no huge id, token or container stops the
+    message.  ``within`` holds the enclosing containers' ids; a list that holds itself shows as repr does."""
     kind = type(ids)
     if kind is int:
         return short_decimal(ids)
@@ -162,7 +164,9 @@ def show(ids: object, show_one: Callable[[object], str] = str, within: tuple[int
     if kind in (tuple, list, set, frozenset):
         if id(ids) in within:
             return "[...]" if kind is list else "(...)"
-        inner = ", ".join(show(x, repr, within + (id(ids),)) for x in ids)
+        inner = ", ".join(show(x, repr, within + (id(ids),)) for x in itertools.islice(ids, _SHOWN))
+        if len(ids) > _SHOWN:
+            inner += f", ...({len(ids) - _SHOWN} more)"
         if kind is tuple:
             return f"({inner},)" if len(ids) == 1 else f"({inner})"
         if kind is list:
@@ -272,23 +276,6 @@ def record(cls: type) -> type:
     return cls
 
 
-def check_digits(digits: int, what: str, check: str) -> None:
-    """Refuse before materializing a ~digits-digit expansion or product."""
-    if digits > DIGIT_BUDGET:
-        raise ResourceBudgetError(
-            f"check {check}: a ~{digits}-digit {what} exceeds the digit budget {DIGIT_BUDGET}"
-        )
-
-
-def check_expansion(base: int, exponent: int, degree: int, check: str) -> None:
-    """check_digits of a value of degree ``degree`` in q = base**exponent,
-    about degree times q's digits, before q is raised.  q < 2^(exponent *
-    bitlen(base)) bounds q's digits by bit lengths; only where that bound
-    would refuse are they counted exactly, by int_digits10."""
-    if (exponent * base.bit_length() * 30103 // 100000 + 1) * degree > DIGIT_BUDGET:
-        check_digits(int_digits10(base, exponent) * degree, "expansion", check)
-
-
 def parse_decimal_int(text: str) -> int:
     """Parse a canonical decimal integer of any size within the digit budget."""
     if not DECIMAL.fullmatch(text):
@@ -391,7 +378,7 @@ def check_pow(base: int, exponent: int, what: str) -> None:
     if exponent * (width - 1) > bits or power_at_least(base, exponent, 10, DIGIT_BUDGET):
         digits = exponent * math.log10(base) + 1 if exponent.bit_length() < 1000 else math.inf
         shown = f"{short_decimal(base)}^{short_decimal(exponent)}"
-        raise ResourceBudgetError(f"{what}: {shown} needs ~{digits:.3g} digits, budget is {DIGIT_BUDGET}")
+        raise ResourceBudgetError(f"{what}: {shown} needs ~{digits:.7g} digits, budget is {DIGIT_BUDGET}")
 
 
 def checked_pow(base: int, exponent: int, what: str) -> int:

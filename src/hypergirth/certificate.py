@@ -10,8 +10,8 @@ decision of such a row cannot disagree.  Each count is computed once, as a
 Decimal under :data:`hypergirth.arith.EXACT`; the checks decide on it and
 the value lines print it.  The tower's vertex, edge and final-edge counts
 come from :func:`hypergirth.transforms.tower_counts`, the rule that also
-counts the tower ``build_recursive`` builds, and the digit budget covers
-every count, each refused before it is built.  A ``copy-count-i`` row,
+counts the tower ``build_recursive`` builds; check_pow refuses each count
+by a power of p above it, before any order is raised.  A ``copy-count-i`` row,
 order_i >= (p - 1) * v_(i-1), is one stronger than substitute_edges'
 check that a host line of 1 + order_i points holds the p - 1 copies,
 1 + order_i >= (p - 1) * v_(i-1).  A certificate is VALID iff all checks
@@ -30,8 +30,6 @@ from decimal import Decimal, localcontext
 from .arith import (
     EXACT,
     PowerExpr,
-    check_digits,
-    check_expansion,
     check_pow,
     checked_pow,
     int_args,
@@ -119,13 +117,13 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     shown with the exponent it is decided at; the premise and order rows
     are the route's.  Every count is capped by the digit budget of
     :mod:`hypergirth.arith` (a ResourceBudgetError names the first check
-    that would exceed it, before the expansion).
+    whose power of p would exceed it, before any order is raised).
     """
     route = route_for(girth)
     p = route.base_for(p, f"girth-{girth} certificate")
     int_args(p=p, m=m, n=n, r=r)
 
-    g, den, sym = route.growth, route.den, route.sym
+    g, den, sym, d = route.growth, route.den, route.sym, route.growth + route.line_power - 1
 
     # Premises and the uniformity range; a non-prime p fails them all unexpanded.
     prime_ok = is_prime(p)
@@ -142,9 +140,10 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     # rounding raises; str() of a Decimal is linear where str(int) is
     # quadratic.  Each order's size is checked as soon as its exponent is
     # known, so an over-budget order is refused before the checks of the
-    # later ones are built; then each substrate's, by check_expansion, which
-    # counts an order's digits without raising it, before any order is
-    # raised from p.  Only p, split and copies are converted from ints.
+    # later ones are built; then, before any order is raised, every count by
+    # check_pow on a power of p above it: v_i <= b_i < 2 q_i^d <= p^(d e_i + 1),
+    # b of degree d in q_i = p^e_i, and edges <= final_edges < p^(m + 2n - 1 + d sum e_i),
+    # as split <= p^m and copies < p.  Only p, split and copies are converted from ints.
     exps: list[int] = []
     with localcontext(EXACT):
         e = m
@@ -153,8 +152,9 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
             checks += _rows(_EXPONENT, *route.order_checks(i, exps[-1], e))
             check_pow(p, exps[-1], f"check order_{i}")
             e = g * e + 1
-        for i, exponent in enumerate(exps, start=1):  # v(q), b(q) have degree <= g + line_power - 1
-            check_expansion(p, exponent, g + route.line_power - 1, f"vertex-growth-{i}")
+        for i, exponent in enumerate(exps, start=1):
+            check_pow(p, d * exponent + 1, f"check vertex-growth-{i}")
+        check_pow(p, m + 2 * n - 1 + d * sum(exps), "check edge-bound")
         orders = [Decimal(p) ** exponent for exponent in exps]
         substrates = [route.substrate(q) for q in orders]
 
@@ -166,10 +166,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
         checks += [_power_row(f"vertex-growth-{i}", f"v_{i}", v, den, p, sym, den * route.exponent(m, i + 1) + 1, "<")
                    for i, (v, _) in enumerate(substrates, start=1)]
 
-        # No count exceeds the budget: a product has at most its factors' digits.
         split = Decimal((1 + checked_pow(p, m, "check r-range")) // r)
-        factors = [b for _, b in substrates] + [Decimal(copies)] * (n - 1) + [split]
-        check_digits(sum(x.adjusted() + 1 for x in factors), "product", "edge-bound")
         vertices, edges, final = tower_counts(substrates, [copies] * (n - 1), split)
         bound = route.edge_bound(p, m, n)
         checks.append(_power_row("edge-bound", "edges", edges, route.edge_power, p, sym,

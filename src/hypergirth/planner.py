@@ -119,12 +119,12 @@ class Route:
     def substrate(self, q: Number) -> tuple[Number, Number]:
         """(v(q), b(q)) by the polygon count rule, on ints or on Decimals under
         arith.EXACT.  Any other q is refused, and an int q with |q| >= 2 when
-        |q|^growth would exceed the digit budget; a Decimal q is the caller's
-        to bound."""
+        |q|^(growth + line_power) > |b| >= |v| would exceed the digit budget; a
+        Decimal q is the caller's to bound."""
         if not isinstance(q, Decimal):
             int_args(None, q=q)
             if abs(q) >= 2:
-                check_pow(abs(q), self.growth, "substrate vertex count v(q)")
+                check_pow(abs(q), self.growth + self.line_power, "substrate vertex count v(q)")
         return polygon_counts(self.girth, q, q**self.line_power)
 
     def v(self, q: int) -> int:
@@ -208,8 +208,8 @@ class Route:
         """Exact sign of v(q_{p,m,n}) - value for value >= 2, with q = p^e read
         from :meth:`exponent`, not :meth:`order`: a probe needs no checks.  As
         q^growth < v(q) < 8 q^growth <= p^3 q^growth, q is expanded only
-        when p^(growth e) <= value < p^(growth e + 3), and q^growth <= value
-        keeps :meth:`substrate`'s digit guard from firing."""
+        when p^(growth e) <= value < p^(growth e + 3), so :meth:`substrate`'s guard on
+        q^(growth + line_power) fires only past 3/4 (girth 6) or 5/6 (girth 8) of the budget's digits."""
         e = self.exponent(m, n)
         if not power_at_least(value, 1, p, self.growth * e):
             return 1

@@ -39,6 +39,7 @@ from hypergirth import (
     BipartiteCycle,
     BipartiteGraph,
     Error,
+    GirthReport,
     Hypergraph,
     arith,
     certificate,
@@ -58,6 +59,7 @@ from hypergirth import (
     substitute_edges,
     symplectic_quadrangle,
     theorem_bound,
+    ValidationError,
 )
 from hypergirth.arith import power_at_least
 from hypergirth.errors import PreconditionError, ResourceBudgetError, VerificationError
@@ -567,6 +569,22 @@ def test_a_huge_int_is_shown_shortened(name):
     assert str(exc.value) == message
 
 
+def test_a_long_container_shows_its_first_10_elements():
+    # The rest are counted, so a message does not grow with the container.
+    with pytest.raises(TypeError) as exc:
+        GirthReport(**{f"k{i}": 0 for i in range(100_000)})
+    keys = ", ".join(f"'k{i}'" for i in range(10))
+    assert str(exc.value) == (
+        f"GirthReport() takes ('girth', 'witness', 'searched_to'), got 0 by position and ({keys}, ...(99990 more)) "
+        "by keyword")
+    with pytest.raises(ValidationError) as exc:
+        Hypergraph(200_000, (tuple(range(100_000)) + (0,),))
+    assert str(exc.value) == (
+        "edge 0 (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...(99991 more)): vertex ids not strictly increasing")
+    assert arith.show(list(range(10))) == str(list(range(10)))
+    assert arith.show(frozenset(range(11))) == "frozenset({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...(1 more)})"
+
+
 @pytest.mark.parametrize("least, value, message", [
     (1, 0, "x must be a positive integer, got 0"),
     (1, 2.0, "x must be a positive integer, got 2.0"),
@@ -608,23 +626,6 @@ DIGIT_COUNT_VALUES = (
 def test_int_digits10_matches_str():
     for value in DIGIT_COUNT_VALUES:
         assert arith.int_digits10(value) == len(arith.int_to_decimal(value)), value
-
-
-@pytest.mark.parametrize("base,degree", [(2, 1), (2, 11), (5, 8), (2**61 - 1, 10)])
-def test_check_expansion_refuses_exactly_past_the_budget(base, degree):
-    # Around the last admitted exponent, where the bit-length bound refuses
-    # and the exact digit count decides.
-    near = int(arith.DIGIT_BUDGET // degree / math.log10(base))
-    refused = []
-    for exponent in range(near - 3, near + 4):
-        digits = arith.int_digits10(base, exponent) * degree
-        refused.append(digits > arith.DIGIT_BUDGET)
-        if not refused[-1]:
-            arith.check_expansion(base, exponent, degree, "x")
-        else:
-            with pytest.raises(ResourceBudgetError, match=f"^check x: a ~{digits}-digit expansion exceeds "):
-                arith.check_expansion(base, exponent, degree, "x")
-    assert refused[0] is False and refused[-1] is True
 
 
 def test_int_digits10_of_a_power_matches_str():

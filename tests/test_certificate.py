@@ -18,6 +18,7 @@ from hypergirth import (
     reverify_certificate,
 )
 from hypergirth import arith
+from hypergirth.planner import ROUTES, plan
 
 
 @pytest.fixture(scope="module")
@@ -222,8 +223,8 @@ class TestDigitBudget:
             certificate(6, 5, 2, 6, 3)
 
     # One count past the budget is refused before it is built: at m = 350000,
-    # b_1 would have 1 158 966 digits (11 per digit of q_1), and at m = 290000,
-    # final_edges 1 047 584 (the split factor's digits counted too).
+    # b_1 < 2^(11 m + 1) of 1 158 967 digits, and at m = 290000,
+    # final_edges < 2^(12 m + 1) of 1 047 586.
     @pytest.mark.parametrize("m,name", [(350000, "vertex-growth-1"), (290000, "edge-bound")])
     def test_every_count_is_within_the_budget(self, m, name):
         start = time.monotonic()
@@ -241,12 +242,15 @@ class TestDigitBudget:
             certificate(girth, p, m, 10**5, 3)
         assert time.monotonic() - start < 5.0
 
-    # Here p^m and order_1 fit the budget but v_1 does not.  The r-range row
-    # decides r - 1 <= p^m by power_at_least and the vertex-growth guard
-    # reads order_1's exact digit count, so neither power is raised; the
-    # refusal took 0.23 s when both were.
-    @pytest.mark.parametrize("girth,p,m", [(6, 5, 1430676), (8, None, 3321927)])
-    def test_over_budget_substrate_is_refused_before_any_power_is_raised(self, girth, p, m, monkeypatch):
+    # Every count is refused by check_pow on a power of p above it, before any
+    # power is raised: here p^m and order_1 fit the budget but b_1, and so v_1,
+    # may not, or (m = 290000) b_1 fits and final_edges may not.
+    @pytest.mark.parametrize("girth,p,m,message", [
+        (6, 5, 1430676, "check vertex-growth-1: 5^15737437 needs ~1.1e+07 digits, budget is 1000000"),
+        (8, None, 3321927, "check vertex-growth-1: 2^36541198 needs ~1.1e+07 digits, budget is 1000000"),
+        (6, 2, 290000, "check edge-bound: 2^3480001 needs ~1047586 digits, budget is 1000000"),
+    ], ids=["6-5-1430676", "8-None-3321927", "6-2-290000"])
+    def test_over_budget_substrate_is_refused_before_any_power_is_raised(self, girth, p, m, message, monkeypatch):
         class Unraised(Decimal):
             def __pow__(self, other, modulo=None):
                 raise AssertionError("an order was raised")
@@ -256,8 +260,20 @@ class TestDigitBudget:
         with pytest.raises(ResourceBudgetError) as exc:
             certificate(girth, p, m, 1, 3)
         assert time.perf_counter() - start < 0.05
-        assert str(exc.value) == (
-            "check vertex-growth-1: a ~11000000-digit expansion exceeds the digit budget 1000000")
+        assert str(exc.value) == message
+
+    # The r = 3 ceilings: the largest N = 10^d - 1 whose planned certificate
+    # fits the budget, and the next, refused at the edge bound.  N is built
+    # as an int, so nothing is parsed.
+    @pytest.mark.parametrize("girth,p,digits,valid", [
+        (6, 2, 727_726, True), (6, 2, 727_727, False), (8, None, 818_533, True), (8, None, 818_534, False)])
+    def test_r3_ceilings(self, girth, p, digits, valid):
+        planned = plan(girth, p, 3, 10**digits - 1)
+        if valid:
+            assert certificate(girth, p, planned.m, planned.n, 3).valid
+        else:
+            with pytest.raises(ResourceBudgetError, match="^check edge-bound: "):
+                certificate(girth, p, planned.m, planned.n, 3)
 
     def test_reverify_huge_n_refused_at_first_order(self):
         text = "cert 1\ngirth 6\np 5\nm 2\nn 100000\nr 3\nstatus VALID\n"
@@ -362,6 +378,41 @@ def test_power_rows_are_the_int_rows(header):
         expected = int_rows(*header)
     names = {name for name, _, _ in expected}
     assert [(c.name, c.statement, c.passed) for c in cert.checks if c.name in names] == expected
+
+
+@st.composite
+def certified_shapes(draw):
+    """(girth, p, m, n, r) as the `certify` workload builds them: planned for
+    an N of 40 to 3 099 digits, or given directly with up to 4 stages."""
+    girth = draw(st.sampled_from((6, 8)))
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13))) if girth == 6 else 2
+    r = draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        digits = draw(st.sampled_from((40, 300, 1000, 3000))) + draw(st.integers(0, 99))
+        planned = plan(girth, p, r, draw(st.integers(1, 9)) * 10**digits + draw(st.integers(0, 10**30)))
+        return girth, p, planned.m, planned.n, r
+    least = 5 if girth == 8 else 4 if p == 2 else 3 if p == 3 else 2
+    return girth, p, least + draw(st.integers(0, 3)) * (girth // 4), draw(st.integers(1, 4)), r
+
+
+# The powers of p that the digit guards test bound the counts they guard:
+# b_i < p^(D e_i + 1) and final_edges < p^(m + 2n - 1 + D (e_1 + ... + e_n)),
+# D = growth + line_power - 1, and v_i <= b_i, edges <= final_edges.
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(certified_shapes())
+def test_each_count_is_below_the_power_that_guards_it(shape):
+    girth, p, m, n, r = shape
+    cert = certificate(*shape)
+    assert cert.valid
+    route = ROUTES[girth]
+    degree, exps = route.growth + route.line_power - 1, [m]
+    while len(exps) < n:
+        exps.append(route.growth * exps[-1] + 1)
+    with unlimited_str():
+        values = {name: int(value) for name, value in cert.values if "^" not in value}
+    for i, e in enumerate(exps, start=1):
+        assert values[f"v_{i}"] <= values[f"b_{i}"] < p ** (degree * e + 1)
+    assert values["edges"] <= values["final_edges"] < p ** (m + 2 * n - 1 + degree * sum(exps))
 
 
 # Headers whose edge bound is tight: edges^k < p^(k E + 1), so the row one

@@ -536,7 +536,7 @@ BOUNDED_VALUES = {
     **dict.fromkeys(("len(args)", "len(bases)", "len(bases) - 1", "len(copy_counts)", "len(edge)", "len(body)",
                      "len(lines)", "len(lines) + 1", "len(text)", "min(len(body), m) + 4", "2 * n", "s + 1", "t + 1"),
                     "a length or a small sum of ints, which str() shows within the int-to-str digit limit"),
-    **dict.fromkeys(("what", "where", "check", "head", "kind", "needs", "key", "field", "magic", "shape", "wanted",
+    **dict.fromkeys(("what", "where", "head", "kind", "needs", "key", "field", "magic", "shape", "wanted",
                      "statement", "', '.join(keys)"),
                     "a label the package builds: a command, stage, line, key or field name, a premise's "
                     "statement shown by short_decimal, a token cut to 40 characters, or a template path "

@@ -59,12 +59,15 @@ class TestSubstrateParams:
     def test_v_past_the_digit_budget_is_refused_quickly(self):
         # v(q) has about 9 * 300000 digits: it is refused before q^9 is raised
         start = time.monotonic()
-        with pytest.raises(ResourceBudgetError, match=r"^substrate vertex count v\(q\): .*\(300001 digits\)\^9 "):
+        with pytest.raises(ResourceBudgetError, match=r"^substrate vertex count v\(q\): .*\(300001 digits\)\^12 "):
             ROUTES[6].v(10**300000 + 1)
         assert time.monotonic() - start < 1.0
-        # q <= 1 is not guarded, and an order just inside the budget still expands
+        # q <= 1 is not guarded, and an order just inside the budget still expands:
+        # 2^276827 is the largest power of 2 whose twelfth power fits
         assert [ROUTES[6].v(q) for q in (-1, 0, 1)] == [0, 1, 6]
-        assert ROUTES[8].v(2**330_000) == octagon_v(2**330_000)
+        assert ROUTES[8].v(2**276_827) == octagon_v(2**276_827)
+        with pytest.raises(ResourceBudgetError, match=r"^substrate vertex count v\(q\): "):
+            ROUTES[8].v(2**276_828)
 
     @pytest.mark.parametrize("girth", [6, 8])
     def test_v_of_a_huge_negative_q_is_refused_quickly(self, girth):
@@ -526,7 +529,7 @@ class TestSeed:
 
     def test_long_r_is_refused_quickly(self):
         start = time.monotonic()
-        with pytest.raises(ResourceBudgetError, match=r"^5\^187737274: 5\^187737274 needs ~1.31e\+08 digits"):
+        with pytest.raises(ResourceBudgetError, match=r"^5\^187737274: 5\^187737274 needs ~1.312227e\+08 digits"):
             plan(6, 5, 10**20_000 - 1, 10**60)
         assert time.monotonic() - start < 1.0
 
