@@ -93,14 +93,13 @@ def settle(k: int, holds: Callable[[int], bool]) -> int:
     return k
 
 
-def int_digits10(value: int, exponent: int = 1) -> int:
-    """Exact decimal digit count of value**exponent, for value >= 0 and
-    exponent >= 1, without raising the power: one more than the largest k
-    with value**exponent >= 10^k, proposed by a float and settled by
-    power_at_least."""
+def int_digits10(value: int) -> int:
+    """Exact decimal digit count of a value >= 0, without converting it: one
+    more than the largest k with value >= 10^k, proposed by a float and
+    settled by power_at_least."""
     if value < 2:
         return 1
-    return settle(int(exponent * math.log10(value)), lambda k: k < 1 or power_at_least(value, exponent, 10, k)) + 1
+    return settle(int(math.log10(value)), lambda k: k < 1 or power_at_least(value, 1, 10, k)) + 1
 
 
 _DECIMAL_LEAF = 2048  # bits: Decimal(int) is quadratic in the length, but cheap up to here

@@ -16,9 +16,10 @@ order_i >= (p - 1) * v_(i-1), is one stronger than substitute_edges'
 check that a host line of 1 + order_i points holds the p - 1 copies,
 1 + order_i >= (p - 1) * v_(i-1).  A certificate is VALID iff all checks
 pass; assumption failures produce an INVALID certificate listing the
-failure, never an exception.  Serialized certificates re-verify
-independently: re-verification reruns the whole computation from the
-header parameters alone.  Both routes are built by one function driven
+failure, never an exception; the ``r-range`` row is ``Route.r_in_range``,
+the planner's own test.  Serialized certificates re-verify independently:
+re-verification reruns the whole computation from the header parameters
+alone, read by ``formats.read_int``.  Both routes are built by one function driven
 by the route's record in :data:`hypergirth.planner.ROUTES`.
 """
 
@@ -35,14 +36,13 @@ from .arith import (
     int_args,
     int_to_decimal,
     is_prime,
-    parse_decimal_int,
     power_at_least,
     record,
     short_decimal,
     short_value,
 )
-from .errors import FormatError, PreconditionError, ResourceBudgetError, VerificationError
-from .formats import read_header
+from .errors import FormatError, PreconditionError, VerificationError
+from .formats import read_header, read_int
 from .planner import route_for
 from .transforms import tower_counts
 
@@ -130,8 +130,7 @@ def certificate(girth: int, p: int | None, m: int, n: int, r: int) -> Certificat
     rows = [route.premise_check(premise, p, m) for premise in route.premises]
     if prime_ok:
         check_pow(p, m, "check r-range")
-    r_ok = prime_ok and 2 <= r and (r < 4 or not power_at_least(r - 2, 1, p, m))  # r - 1 <= p^m, unexpanded
-    rows.append(("r-range", f"2 <= r <= 1 + {sym}^m at r = {short_decimal(r)}", r_ok))
+    rows.append(("r-range", f"2 <= r <= 1 + {sym}^m at r = {short_decimal(r)}", prime_ok and route.r_in_range(p, m, r)))
     checks = _rows(_BIGNUM, *((name, shown, prime_ok and ok) for name, shown, ok in rows))
     if not all(c.passed for c in checks):
         return Certificate(route.girth, p, m, n, r, tuple(checks), ())
@@ -190,12 +189,7 @@ def _header_value(token: str, lineno: int, key: str) -> int | str:
         if token not in ("VALID", "INVALID"):
             raise FormatError(f"line {lineno}: status must be VALID or INVALID, got {short_value(token)}")
         return token
-    try:
-        return parse_decimal_int(token)
-    except PreconditionError as exc:
-        raise FormatError(f"line {lineno}: {key}: {exc}") from None
-    except ResourceBudgetError as exc:
-        raise ResourceBudgetError(f"line {lineno}: {key}: {exc}") from None
+    return read_int(f"line {lineno}", key, token)
 
 
 def parse_certificate(text: str) -> Certificate:

@@ -3,9 +3,9 @@
 Subcommands: gen, transform, girth, plan, pipeline, report.  Every
 command is deterministic given its arguments (seeds included) and writes
 canonical, bit-exact artifacts, but this module neither reads nor writes
-them: it reads its flags through pipeline, calls one pipeline or formats
-function per command (``pipeline.run_stage`` writes every stage file,
-``pipeline.certify`` every certificate) and prints.  Exit codes:
+them: it reads its flags through pipeline and formats.read_int, calls one
+pipeline or formats function per command (``run_stage`` writes every stage
+file, ``certify`` every certificate) and prints.  Exit codes:
 
 ====  =========================================
 0     success
@@ -26,8 +26,9 @@ right pairs, every command a structure of more than core.VERTEX_BUDGET
 incidences than that, and every command an integer of more than 10^6
 digits (the digit budget of hypergirth.arith), with exit 4; none of these
 budgets has an override.  Flags are read by pipeline's readers of recipe
-lines, before any file is loaded, so every integer follows one rule: one
-that is not a canonical decimal (``1_1``, ``+3``, ``03``) exits 2.
+lines, before any file is loaded, and each integer by formats.read_int,
+as a recipe's or a certificate's is: one that is not a canonical decimal
+(``1_1``, ``+3``, ``03``) exits 2.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ import warnings
 from .arith import int_to_decimal, short_decimal
 from .core import BipartiteGraph, Hypergraph
 from .errors import Error, FormatError, PreconditionError, ResourceBudgetError, ValidationError, VerificationError
-from .formats import load, read_ascii
+from .formats import load, read_ascii, read_int
 from .girth import BergeCycle, girth_oracle
-from .pipeline import OPS, certify, op_args, parse_recipe, plan_args, read_int, run_pipeline, run_stage, summary
+from .pipeline import OPS, certify, op_args, parse_recipe, plan_args, run_pipeline, run_stage, summary
 from .planner import theorem_bound
 from .transforms import EmptySplitWarning
 

@@ -24,7 +24,8 @@ lines one by one to name the first bad one with the message the
 line-by-line parser gave.
 
 ``split_lines`` and ``read_header`` frame certificates and recipes too: a
-framing fault is a FormatError naming the line where it is.
+framing fault is a FormatError naming the line where it is, and ``read_int``
+reads each integer of a recipe, a certificate header or a CLI flag alike.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import partial
 from itertools import accumulate, islice, repeat
 from typing import Any, Callable, Iterator, NoReturn
 
-from .arith import DECIMAL, short_decimal, short_value
+from .arith import DECIMAL, parse_decimal_int, short_decimal, short_value
 from .core import VERTEX_BUDGET, BipartiteGraph, Hypergraph, budget_int
 from .errors import FormatError, PreconditionError, ResourceBudgetError, ValidationError
 
@@ -65,6 +66,17 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
     if value is None:
         raise ResourceBudgetError(f"line {lineno}: {what} {short_decimal(token)} is above the budget {VERTEX_BUDGET}")
     return value
+
+
+def read_int(where: str, key: str, text: str) -> int:
+    """A canonical decimal as every front end reads it; anything else is a
+    FormatError naming ``where`` and ``key``."""
+    try:
+        return parse_decimal_int(text)
+    except PreconditionError:
+        raise FormatError(f"{where}: {key} must be an integer, got {short_value(text)}") from None
+    except ResourceBudgetError as exc:
+        raise ResourceBudgetError(f"{where}: {key}: {exc}") from None
 
 
 def split_lines(text: str) -> list[str]:

@@ -22,10 +22,11 @@ Each generator and transform is one row of ``OPS``, which `gen`,
 `transform` and the recipe stages all read: its argument keys and types,
 the input kind it needs, the call, the predicted edge count and the
 re-runnable command.  Every stage is checked against its row, and its
-templates are resolved, before any stage runs, so a bad stage writes
-nothing.  ``op_args``, ``plan_args`` and ``read_int`` read the stages,
-the ``certify`` line and the CLI flags alike, so a fault reads the same
-wherever it is written.  ``run_stage`` is the only writer of a stage
+templates are resolved, and the ``certify`` line planned and certified,
+before any stage runs, so a bad stage or a refused line writes no stage file.
+``op_args`` and ``plan_args`` read the stages, the ``certify`` line and the
+CLI flags alike, each integer by ``formats.read_int``, so a fault reads the
+same wherever it is written.  ``run_stage`` is the only writer of a stage
 file (of `gen`, `transform` or a recipe) and ``certify`` of a certificate
 (of `plan` or a ``certify`` line), so a recorded command reruns the code
 that wrote its file.
@@ -41,11 +42,11 @@ import os
 import time
 from typing import Callable, Iterable
 
-from .arith import DECIMAL, int_args, int_to_decimal, parse_decimal_int, record, short_decimal, short_value, show
+from .arith import DECIMAL, int_args, int_to_decimal, record, short_decimal, short_value, show
 from .certificate import Certificate, certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, only, validate
-from .errors import Error, FormatError, PreconditionError, ResourceBudgetError, VerificationError
-from .formats import load, serialize_bipartite, serialize_hypergraph, split_lines
+from .errors import Error, FormatError, PreconditionError, VerificationError
+from .formats import load, read_int, serialize_bipartite, serialize_hypergraph, split_lines
 from .geometry import (
     GreedyReport,
     geometry_incidences,
@@ -56,17 +57,6 @@ from .geometry import (
 )
 from .planner import PlanResult, Route, route_for
 from .transforms import loose_path, neighborhood_hypergraph, split_edges, substitute_edges
-
-
-def read_int(where: str, key: str, text: str) -> int:
-    """A canonical decimal as every front end reads it; anything else is a
-    FormatError naming ``where`` and ``key``."""
-    try:
-        return parse_decimal_int(text)
-    except PreconditionError:
-        raise FormatError(f"{where}: {key} must be an integer, got {short_value(text)}") from None
-    except ResourceBudgetError as exc:
-        raise ResourceBudgetError(f"{where}: {key}: {exc}") from None
 
 
 def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
@@ -366,18 +356,13 @@ def op_args(name: str, raw: dict[str, str], where: str) -> dict:
     return values
 
 
-_SHOWN_KEYS = 5  # unknown keys a message shows before it counts the rest
-
-
 def _check_keys(given: Iterable[str], wanted: Iterable[str], optional: Iterable[str], head: str) -> None:
     """Refuse a missing ``wanted`` key or a key in neither ``wanted`` nor
-    ``optional``; ``head`` starts the message, which shows the first
-    ``_SHOWN_KEYS`` unknown keys and counts the rest."""
+    ``optional``; ``head`` starts the message, which shows the keys sorted,
+    by short_value."""
     missing, unknown = sorted(set(wanted) - set(given)), sorted(set(given) - set(wanted) - set(optional))
     if missing or unknown:
-        more = f" and {len(unknown) - _SHOWN_KEYS} more" if len(unknown) > _SHOWN_KEYS else ""
-        shown = short_value(unknown[:_SHOWN_KEYS])
-        raise PreconditionError(f"{head}, missing {short_value(missing)}, unknown {shown}{more}")
+        raise PreconditionError(f"{head}, missing {short_value(missing)}, unknown {short_value(unknown)}")
 
 
 def _check_stages(stages: tuple[Stage, ...]) -> list[tuple[str, dict]]:
@@ -426,13 +411,17 @@ def certify(route: Route, p: int, r: int, n_value: int, path: str) -> tuple[Plan
 
 
 def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyReport | None]:
-    """Execute a recipe, writing one canonical artifact per stage plus a
-    deterministic report; returns the report and the last greedy report."""
+    """Execute a recipe, writing its certificate, one canonical artifact per
+    stage and a deterministic report, in that order; returns the report and the last greedy report."""
     if not out_dir.isascii():
         raise PreconditionError(f"output directory must be ASCII, got {show(out_dir, ascii)}")
     checked = _check_stages(recipe.stages)
     certify_args = None if recipe.certify is None else plan_args(recipe.certify, "certify")
     os.makedirs(out_dir, exist_ok=True)
+    cert_file = cert_status = None
+    if certify_args is not None:
+        cert_file = "certificate.txt"
+        cert_status = certify(*certify_args, os.path.join(out_dir, cert_file))[1].status
     state: BipartiteGraph | Hypergraph | None = None
     records: list[StageRecord] = []
     last_greedy: GreedyReport | None = None
@@ -466,11 +455,6 @@ def run_pipeline(recipe: Recipe, out_dir: str) -> tuple[PipelineReport, GreedyRe
             )
         )
         prev_path = out_path
-
-    cert_file = cert_status = None
-    if certify_args is not None:
-        cert_file = "certificate.txt"
-        cert_status = certify(*certify_args, os.path.join(out_dir, cert_file))[1].status
 
     report = PipelineReport(recipe.target, tuple(records), cert_file, cert_status)
     write_text_file(os.path.join(out_dir, "report.txt"), report.serialize())

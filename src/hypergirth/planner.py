@@ -150,6 +150,11 @@ class Route:
         name, statement, ok = premise
         return name, statement.format(p=short_decimal(p), m=short_decimal(m)), ok(p, m)
 
+    @staticmethod
+    def r_in_range(p: int, m: int, r: int) -> bool:
+        """2 <= r <= 1 + p^m, for a prime p and m >= 1, as not r - 2 >= p^m: p^m is never expanded."""
+        return 2 <= r and (r < 4 or not power_at_least(r - 2, 1, p, m))
+
     def require(self, p: int, m: int, n: int) -> None:
         """Raise PreconditionError unless n >= 1 and every premise holds on
         (p, m); the error shows only the first premise that fails.  A p, m
@@ -219,10 +224,9 @@ class Route:
         return (v > value) - (v < value)
 
     def seed(self, p: int, r: int) -> tuple[int, int]:
-        """The seed (m*, n*) that :meth:`plan` grows from: one ``bisect`` finds
-        the least m* on the lattice 1 + step*k that satisfies the premises and
-        p^m >= r - 1, decided as not r - 2 >= p^m without expanding p^m; both
-        hold by m = r.bit_length() + 4.  n* is the least n with m* < growth^n,
+        """The seed (m*, n*) that :meth:`plan` grows from: one ``bisect`` finds the
+        least m* on the lattice 1 + step*k that satisfies the premises and :meth:`r_in_range`;
+        both hold by m = r.bit_length() + 4.  n* is the least n with m* < growth^n,
         so growth^(n*-1) - shift <= m* with shift = step - 1 (10^k - 1 is odd)."""
         int_args(None, p=p, r=r)
         if not is_prime(p):
@@ -231,8 +235,7 @@ class Route:
             raise PreconditionError(f"r must be >= 2, got {short_decimal(r)}")
 
         def fits(m: int) -> bool:
-            held = all(ok(p, m) for _, _, ok in self.premises)
-            return held and (r < 4 or not power_at_least(r - 2, 1, p, m))
+            return all(ok(p, m) for _, _, ok in self.premises) and self.r_in_range(p, m, r)
 
         cells = range(1, r.bit_length() + 4 + self.m_step, self.m_step)
         m_star = cells[bisect_left(cells, True, key=fits)]

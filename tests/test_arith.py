@@ -629,13 +629,13 @@ def test_int_digits10_matches_str():
 
 
 def test_int_digits10_of_a_power_matches_str():
-    # The float count is one low at 10^512, 10^1024 and 10^2048, one high at
-    # 10^k - 1 from k = 15 on; the power itself is never raised.
+    # The float count is one low at 10^512, 10^1024 and 10^2048, and one high
+    # at 10^k - 1 from k = 15 on.
     cases = [(10**k + d, 1) for k in (15, 16, 40, 512, 1024, 2048) for d in (-1, 0)]
     cases += [(10, e) for e in (1, 15, 512)] + [(100, 256), (10**8, 64)]
     cases += [(b, e) for b in (2, 3, 5, 7, 11, 1000, 2**61 - 1) for e in (1, 2, 3, 10, 97, 1000, 4321)]
     for base, exponent in cases:
-        assert arith.int_digits10(base, exponent) == len(arith.int_to_decimal(base**exponent)), (base, exponent)
+        assert arith.int_digits10(base**exponent) == len(arith.int_to_decimal(base**exponent)), (base, exponent)
 
 
 @st.composite
@@ -669,7 +669,7 @@ def test_int_digits10_is_exact_from_a_float_3_high(monkeypatch):
     monkeypatch.setattr(math, "log10", lambda x: real(x) + 3)
     for value in (2, 3, 10, 99, 1000, 12345):
         for exponent in (1, 13, 40):
-            assert arith.int_digits10(value, exponent) == len(str(value**exponent)), (value, exponent)
+            assert arith.int_digits10(value**exponent) == len(str(value**exponent)), (value, exponent)
 
 
 def test_bits_below_is_exact_from_a_float_3_low(monkeypatch):

@@ -184,9 +184,12 @@ class TestSerialization:
         [("girth 6", "girth x", 2), ("p 5", "p 05", 3), ("m 2", "m -2", 4), ("r 3", "r 3.0", 6)],
     )
     def test_parse_rejects_non_canonical_header_integer(self, hex_cert, old, new, line):
+        # The header is read by formats.read_int, so the message is a recipe line's.
         bad = hex_cert.serialize().replace(f"\n{old}\n", f"\n{new}\n")
-        with pytest.raises(FormatError, match=f"^line {line}: .*not a canonical decimal integer"):
+        key, token = new.split(" ")
+        with pytest.raises(FormatError) as exc:
             parse_certificate(bad)
+        assert str(exc.value) == f"line {line}: {key} must be an integer, got {token!r}"
 
     @pytest.mark.parametrize(
         "old,new,name",

@@ -672,6 +672,20 @@ class TestPipelineInputErrors:
         assert code == 3 and message in stderr
         assert not out_dir.exists()  # failed before any stage or planning ran
 
+    @pytest.mark.parametrize(
+        "n_value,code,message",
+        [("10", 3, "N = 10 is below the seed vertex count N* = 73015558161"),
+         ("9" * 727_727, 4, "check edge-bound: 2^3322758 needs ~1000251 digits, budget is 1000000")],
+        ids=["below-seed", "past-the-ceiling"],
+    )
+    def test_refused_certify_line_writes_no_stage_file(self, tmp_path, capsys, n_value, code, message):
+        """The line is planned and certified before the first stage runs, so
+        neither a stage file nor report.txt is written."""
+        text = f"rcp 1\ntarget 3\nstage gen plane q=2\ncertify girth=6 p=2 r=3 N={n_value}\n"
+        got, stderr, out_dir = self.run_recipe(tmp_path, capsys, text)
+        assert (got, stderr) == (code, f"error: {message}\n")
+        assert os.listdir(out_dir) == []
+
     def test_certify_missing_and_non_integer_keys(self, tmp_path, capsys):
         code, stderr, out_dir = self.run_recipe(tmp_path, capsys, self.STAGES + "certify p=5 N=7\n")
         assert code == 3 and "missing ['girth', 'r']" in stderr
@@ -1041,12 +1055,12 @@ def test_a_long_token_gives_one_short_line(tmp_path, capsys, monkeypatch, case):
     assert len(stderr.encode()) < 1024, stderr[:200]
 
 
-@pytest.mark.parametrize("count", [5, 6, 20_000])
+@pytest.mark.parametrize("count", [5, 6, 10, 11, 20_000])
 @pytest.mark.parametrize("line", ["stage gen plane q=2 {keys}", "stage gen plane q=2\ncertify girth=6 p=5 r=3 N=7 {keys}"],
                          ids=["stage", "certify"])
 def test_many_unknown_keys_give_one_short_line(tmp_path, capsys, line, count):
-    """The message shows the first five unknown keys, in sorted order, and
-    counts the rest."""
+    """The message shows the unknown keys in sorted order by arith.show's
+    rule: the first ten, and a count of the rest."""
     keys = [f"k{i}" for i in range(count)]
     recipe = tmp_path / "r.rcp"
     recipe.write_text(f"rcp 1\ntarget 3\n{line.format(keys=' '.join(key + '=1' for key in keys))}\n")
@@ -1054,8 +1068,8 @@ def test_many_unknown_keys_give_one_short_line(tmp_path, capsys, line, count):
     assert code == 3
     assert_one_error_line(stderr)
     assert len(stderr.encode()) < 1024, stderr[:200]
-    more = f" and {count - 5} more" if count > 5 else ""
-    assert stderr.endswith(f", missing [], unknown {sorted(keys)[:5]}{more}\n")
+    shown = ", ".join(map(repr, sorted(keys)[:10])) + (f", ...({count - 10} more)" if count > 10 else "")
+    assert stderr.endswith(f", missing [], unknown [{shown}]\n")
 
 
 class TestEmptySplitWarning:

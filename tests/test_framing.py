@@ -84,8 +84,8 @@ def test_truncated_certificate_header_names_the_first_missing_line(kept):
         (6, "r 3 3", "expected `r <N>`, got 'r 3 3'"),
         (7, "status", "expected `status VALID|INVALID`, got 'status'"),
         (7, "status valid", "status must be VALID or INVALID, got 'valid'"),
-        (2, "girth 06", "girth: not a canonical decimal integer: '06'"),
-        (5, "n x", "n: not a canonical decimal integer: 'x'"),
+        (2, "girth 06", "girth must be an integer, got '06'"),
+        (5, "n x", "n must be an integer, got 'x'"),
     ],
 )
 def test_certificate_header_line_fault_names_its_line(lineno, line, message):

@@ -14,9 +14,13 @@ No linter ships with the toolchain, so this parses each module with
   package outside its own body;
 * every name in ``__all__`` is named by a module of the package outside its
   own definition, or is listed with its reason in ``UNREFERENCED_EXPORTS``;
-* the CLI leaves reading its input to ``pipeline``: no ``add_argument``
-  call in ``cli.py`` passes ``type=``, and ``cli.py`` imports none of the
-  names that convert or type a value (``CLI_READER_NAMES``);
+* the CLI leaves reading its input to ``pipeline`` and
+  ``formats.read_int``: no ``add_argument`` call in ``cli.py`` passes
+  ``type=``, and ``cli.py`` imports none of the names that convert or type
+  a value (``CLI_READER_NAMES``);
+* each duplicated rule is called from one place: ``formats.read_int`` is
+  the one caller of ``parse_decimal_int``, and ``Route.r_in_range`` is
+  called by the planner's seed search and by ``certificate()`` alone;
 * the CLI leaves writing its artifacts to ``pipeline``: ``cli.py``
   imports no serializer, no ``write_text_file`` and nothing of
   ``certificate`` (``CLI_WRITER_NAMES``);
@@ -270,7 +274,7 @@ def test_every_export_is_used_or_allowed():
     assert sorted(dead_exports(sources, hypergirth.__all__)) == sorted(UNREFERENCED_EXPORTS)
 
 
-# What only pipeline's readers (op_args, plan_args, read_int) may use to read an argument.
+# What only the readers (pipeline.op_args, pipeline.plan_args, formats.read_int) may use to read an argument.
 CLI_READER_NAMES = {"parse_decimal_int", "INT", "TEMPLATE", "resolve_template", "check_vertex_budget", "route_for"}
 
 
@@ -298,6 +302,43 @@ def test_cli_reader_checker_finds_types_and_imports():
 
 def test_cli_leaves_reading_to_pipeline():
     assert cli_input_readers((PACKAGE / "cli.py").read_text()) == []
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The innermost function around each call of ``name``, as a name or an
+    attribute; ``<module>`` outside any."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if _called_name(node) == name:
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_caller_checker_finds_calls():
+    source = (
+        "x = parse(1)\ndef f():\n    def g():\n        return m.parse(2)\n    return parse\n"
+        "class C:\n    def h(self):\n        return [parse(3), parse_all(4)]\n"
+    )
+    assert callers(source, "parse") == ["<module>", "g", "h"]
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [("parse_decimal_int", ["formats.py: read_int"]),
+     ("r_in_range", ["certificate.py: certificate", "planner.py: fits"])],  # fits: Route.seed's bisect key
+    ids=["parse_decimal_int", "r_in_range"],
+)
+def test_each_shared_rule_has_only_its_callers(name, expected):
+    found = [f"{path.name}: {function}" for path in sorted(PACKAGE.glob("*.py"))
+             for function in callers(path.read_text(), name)]
+    assert found == expected
 
 
 # What only pipeline's writers (run_stage, certify, run_pipeline) may use to write an artifact.
@@ -531,7 +572,7 @@ BOUNDED_RENDERERS = {"short_decimal", "short_value", "show", "_show", "describe"
 # hold a caller's value unbounded.  "function: value" allows the value in that
 # function only; a bare value is allowed in every module.
 BOUNDED_VALUES = {
-    **dict.fromkeys(("lineno", "idx", "index", "stage", "column", "more"),
+    **dict.fromkeys(("lineno", "idx", "index", "stage", "column"),
                     "a line number, an index or a count that the package computes"),
     **dict.fromkeys(("len(args)", "len(bases)", "len(bases) - 1", "len(copy_counts)", "len(edge)", "len(body)",
                      "len(lines)", "len(lines) + 1", "len(text)", "min(len(body), m) + 4", "2 * n", "s + 1", "t + 1"),
@@ -542,7 +583,7 @@ BOUNDED_VALUES = {
                     "statement shown by short_decimal, a token cut to 40 characters, or a template path "
                     "that opened"),
     "shown": "built a line above by short_value or short_decimal, or a count under the vertex budget",
-    **dict.fromkeys(("_header_value: exc", "reverify_certificate: exc", "_refuse: exc", "read_int: exc",
+    **dict.fromkeys(("reverify_certificate: exc", "_refuse: exc", "read_int: exc",
                      "build_recursive: exc"),
                     "an error of the package, whose message this guard bounds where it is raised"),
     "digits": "a digit count, computed by int_digits10 or shown as a float",
