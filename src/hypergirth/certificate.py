@@ -19,8 +19,9 @@ pass; assumption failures produce an INVALID certificate listing the
 failure, never an exception; the ``r-range`` row is ``Route.r_in_range``,
 the planner's own test.  Serialized certificates re-verify independently:
 re-verification reruns the whole computation from the header parameters
-alone, read by ``formats.read_int``.  Both routes are built by one function driven
-by the route's record in :data:`hypergirth.planner.ROUTES`.
+alone, read by ``formats.read_int``; ``_HEADER`` lists their keys once,
+for ``serialize`` and ``parse_certificate``.  Both routes are built by one
+function driven by the route's record in :data:`hypergirth.planner.ROUTES`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ class CertCheck:
     passed: bool
 
 
+_HEADER = ("girth", "p", "m", "n", "r")  # the integer header lines, in order, each a Certificate field
+
+
 @record
 class Certificate:
     girth: int
@@ -78,15 +82,7 @@ class Certificate:
         return "VALID" if self.valid else "INVALID"
 
     def serialize(self) -> str:
-        lines = [
-            "cert 1",
-            f"girth {self.girth}",
-            f"p {int_to_decimal(self.p)}",
-            f"m {int_to_decimal(self.m)}",
-            f"n {int_to_decimal(self.n)}",
-            f"r {int_to_decimal(self.r)}",
-            f"status {self.status}",
-        ]
+        lines = ["cert 1", *(f"{key} {int_to_decimal(getattr(self, key))}" for key in _HEADER), f"status {self.status}"]
         for c in self.checks:
             lines.append(f"check {c.name} {'PASS' if c.passed else 'FAIL'} {c.method}")
         for name, value in self.values:
@@ -194,9 +190,8 @@ def _header_value(token: str, lineno: int, key: str) -> int | str:
 
 def parse_certificate(text: str) -> Certificate:
     """Parse a serialized certificate without re-verifying it."""
-    body, (girth, p, m, n, r, status) = read_header(
-        text, "cert 1", ("girth <N>", "p <N>", "m <N>", "n <N>", "r <N>", "status VALID|INVALID"), _header_value
-    )
+    fields = tuple(f"{key} <N>" for key in _HEADER) + ("status VALID|INVALID",)
+    body, (*header, status) = read_header(text, "cert 1", fields, _header_value)
     checks: list[CertCheck] = []
     values: list[tuple[str, str]] = []
     for lineno, line in enumerate(body, start=8):
@@ -207,7 +202,7 @@ def parse_certificate(text: str) -> Certificate:
             values.append((parts[1], parts[2]))
         else:
             raise FormatError(f"line {lineno}: expected a check or value line, got {short_value(line)}")
-    cert = Certificate(girth, p, m, n, r, tuple(checks), tuple(values))
+    cert = Certificate(*header, tuple(checks), tuple(values))
     if status != cert.status:
         raise FormatError("line 7: status does not match the recorded checks")
     return cert

@@ -6,10 +6,11 @@ self-check their advertised counts, biregularity and exact girth before
 returning; a failed self-check aborts with VerificationError rather than
 ever returning a silently wrong geometry.
 
-The polygon builders read the q + 1 point positions of each line off its
-reduced basis, as sums of slices of a per-field table of weighted
-multiples (``_span_positions``), and emit the incidences grouped by
-point in line order, which is already the canonical order.
+``build_polygon`` builds each kind of ``POLYGON``, the one list of the
+kinds `gen` offers.  Its builders read the q + 1 point positions of each
+line off its reduced basis, as sums of slices of a per-field table of
+weighted multiples (``_span_positions``), and emit the incidences grouped
+by point in line order, which is already the canonical order.
 """
 
 from __future__ import annotations
@@ -295,6 +296,13 @@ def split_cayley_hexagon(q: int) -> BipartiteGraph:
         if on:
             points.append(pt)
     return _geometry_from_kernels(points, q, forms, quadric, "hexagon")
+
+
+def build_polygon(kind: str, q: int) -> BipartiteGraph:
+    """The self-checked polygon ``kind``, a key of ``POLYGON``, of order q, by
+    the builder that this module's global of its name holds at the call."""
+    builders = {"plane": projective_plane, "quadrangle": symplectic_quadrangle, "hexagon": split_cayley_hexagon}
+    return builders[kind](q)
 
 
 # Largest left x right grid the greedy generator proposes: the shuffled

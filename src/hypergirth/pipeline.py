@@ -21,9 +21,11 @@ report is backed by a re-runnable command line.
 Each generator and transform is one row of ``OPS``, which `gen`,
 `transform` and the recipe stages all read: its argument keys and types,
 the input kind it needs, the call, the predicted edge count and the
-re-runnable command.  Every stage is checked against its row, and its
-templates are resolved, and the ``certify`` line planned and certified,
-before any stage runs, so a bad stage or a refused line writes no stage file.
+re-runnable command; the `gen` rows of the polygons are made from
+``geometry.POLYGON``, one per kind.  Every stage is checked against its
+row, and its templates are resolved, and the ``certify`` line planned and
+certified, before any stage runs, so a bad stage or a refused line writes
+no stage file.
 ``op_args`` and ``plan_args`` read the stages, the ``certify`` line and the
 CLI flags alike, each integer by ``formats.read_int``, so a fault reads the
 same wherever it is written.  ``run_stage`` is the only writer of a stage
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 import time
 from typing import Callable, Iterable
 
@@ -47,14 +50,7 @@ from .certificate import Certificate, certificate
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget, only, validate
 from .errors import Error, FormatError, PreconditionError, VerificationError
 from .formats import load, read_int, serialize_bipartite, serialize_hypergraph, split_lines
-from .geometry import (
-    GreedyReport,
-    geometry_incidences,
-    greedy_high_girth_bipartite,
-    projective_plane,
-    split_cayley_hexagon,
-    symplectic_quadrangle,
-)
+from .geometry import POLYGON, GreedyReport, build_polygon, geometry_incidences, greedy_high_girth_bipartite
 from .planner import PlanResult, Route, route_for
 from .transforms import loose_path, neighborhood_hypergraph, split_edges, substitute_edges
 
@@ -118,15 +114,10 @@ class Op:
 
 
 OPS: dict[str, Op] = {
-    "plane": Op("gen plane", (("q", INT),), None,
-                lambda _, a: projective_plane(a["q"]),
-                lambda _, a: geometry_incidences("plane", a["q"])),
-    "quadrangle": Op("gen quadrangle", (("q", INT),), None,
-                     lambda _, a: symplectic_quadrangle(a["q"]),
-                     lambda _, a: geometry_incidences("quadrangle", a["q"])),
-    "hexagon": Op("gen hexagon", (("q", INT),), None,
-                  lambda _, a: split_cayley_hexagon(a["q"]),
-                  lambda _, a: geometry_incidences("hexagon", a["q"])),
+    **{kind: Op(f"gen {kind}", (("q", INT),), None,
+                lambda _, a, kind=kind: build_polygon(kind, a["q"]),
+                lambda _, a, kind=kind: geometry_incidences(kind, a["q"]))
+       for kind in POLYGON},
     "greedy": Op("gen greedy", tuple((key, INT) for key in ("left", "right", "deg", "girth", "seed")), None,
                  lambda _, a: greedy_high_girth_bipartite(a["left"], a["right"], a["deg"], a["girth"], a["seed"]),
                  lambda _, a: None),
@@ -321,9 +312,9 @@ class PipelineReport:
 
 
 def write_text_file(path: str, text: str) -> None:
-    """Atomic write via a temp file: concurrent invocations never interleave.
-    A failure is reported against ``path``, never the temp file."""
-    tmp = f"{path}.tmp{os.getpid()}"
+    """Atomic write via a temp file that writers in other threads and processes
+    never share, so none interleave.  A failure is reported against ``path``."""
+    tmp = f"{path}.tmp{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, "w", encoding="ascii", newline="") as fh:
             fh.write(text)

@@ -3,14 +3,16 @@ import itertools
 import os
 import re
 import sys
+import threading
 import time
 
 import pytest
 
-from hypergirth import parse_bipartite, parse_certificate, parse_hypergraph
+from hypergirth import geometry, parse_bipartite, parse_certificate, parse_hypergraph
 from hypergirth.arith import int_to_decimal
 from hypergirth.cli import EXIT_CODES, build_parser, main
 from hypergirth.errors import Error
+from hypergirth.geometry import POLYGON, polygon_counts
 from hypergirth.pipeline import INT, OPS, write_text_file
 
 from conftest import rough_above, subprocess_env
@@ -106,6 +108,34 @@ class TestGen:
         with pytest.raises(UnicodeEncodeError):
             write_text_file(str(tmp_path / "report.txt"), "out\u00e9\n")
         assert os.listdir(tmp_path) == []
+
+    def test_threads_writing_one_path_use_their_own_temp_files(self, tmp_path, monkeypatch):
+        """Two live threads of one process write one path: each renames its
+        own temp file, and the path then holds one of the two texts whole."""
+        replace, both_written = os.replace, threading.Barrier(2, timeout=30)
+        temps, errors = [], []
+
+        def recording_replace(src, dst):
+            temps.append(src)
+            both_written.wait()  # both threads are alive, so their idents differ
+            replace(src, dst)
+
+        def write(text):
+            try:
+                write_text_file(str(tmp_path / "out.txt"), text)
+            except OSError as exc:
+                errors.append(exc)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        texts = ["a" * 100_000 + "\n", "b" * 100_000 + "\n"]
+        threads = [threading.Thread(target=write, args=(text,)) for text in texts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(set(temps)) == 2 and errors == []
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert (tmp_path / "out.txt").read_text() in texts
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.bgt"), str(tmp_path / "b.bgt")
@@ -229,6 +259,28 @@ class TestOpCommands:
         if source is not None:
             expected["input"] = source
         assert vars(build_parser().parse_args(argv)) == expected
+
+    def test_generator_rows_are_the_polygon_kinds_then_greedy(self):
+        generators = [name for name, op in OPS.items() if op.needs is None]
+        assert generators == [*POLYGON, "greedy"]
+        assert [OPS[kind].command for kind in POLYGON] == [f"gen {kind}" for kind in POLYGON]
+
+    @pytest.mark.parametrize("kind", list(POLYGON))
+    def test_each_polygon_row_builds_its_own_kind(self, kind):
+        g = OPS[kind].run(None, {"q": 2})
+        assert (g.n_left, g.n_right) == polygon_counts(POLYGON[kind], 2, 2)
+        assert OPS[kind].predict(None, {"q": 2}) == g.num_incidences
+
+    def test_gen_calls_the_builder_bound_in_geometry_at_the_call(self, tmp_path, capsys, monkeypatch):
+        builder, calls = geometry.projective_plane, []
+
+        def counting(q):
+            calls.append(q)
+            return builder(q)
+
+        monkeypatch.setattr(geometry, "projective_plane", counting)
+        assert run(capsys, "gen", "plane", "--q", "2", str(tmp_path / "p.bgt"))[0] == 0
+        assert calls == [2]
 
 
 class TestGirthCommand:

@@ -12,6 +12,8 @@ No linter ships with the toolchain, so this parses each module with
 * no module reads the process environment;
 * every module-level private function or class is named somewhere in the
   package outside its own body;
+* ``__all__`` is the sorted names that ``__init__.py`` imports from the
+  package's modules;
 * every name in ``__all__`` is named by a module of the package outside its
   own definition, or is listed with its reason in ``UNREFERENCED_EXPORTS``;
 * the CLI leaves reading its input to ``pipeline`` and
@@ -265,6 +267,18 @@ def test_dead_export_checker_finds_unreferenced_names():
         ),
     }
     assert dead_exports(sources, ["used", "dead", "Recursive"]) == ["dead", "Recursive"]
+
+
+def test_exports_are_the_names_imported_from_the_package_modules():
+    """``__all__`` is every name ``__init__.py`` imports from a module of the
+    package, sorted, and nothing else: no submodule and no private name."""
+    import hypergirth
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert hypergirth.__all__ == sorted(imported)
+    assert len(imported) == len(set(imported))
 
 
 def test_every_export_is_used_or_allowed():
