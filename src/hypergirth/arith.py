@@ -151,8 +151,13 @@ def show(ids: object, show_one: Callable[[object], str] = str, within: tuple[int
     elements of a tuple, list, set or frozenset are shown the same way and
     the rest counted, and any other value too long for the int-to-str digit
     limit is named by its type, so no huge id, token or container stops the
-    message.  ``within`` holds the enclosing containers' ids; a list that holds itself shows as repr does."""
+    message.  An OSError shows as str() shows it, but with each of its paths
+    shown the same way.  ``within`` holds the enclosing containers' ids; a
+    list that holds itself shows as repr does."""
     kind = type(ids)
+    if isinstance(ids, OSError) and ids.filename is not None:
+        paths = " -> ".join(show(path, repr) for path in (ids.filename, ids.filename2) if path is not None)
+        return f"[Errno {ids.errno}] {ids.strerror}: {paths}"
     if kind is int:
         return short_decimal(ids)
     if kind is Fraction:

@@ -39,7 +39,7 @@ import os
 import sys
 import warnings
 
-from .arith import int_to_decimal, short_decimal
+from .arith import int_to_decimal, short_decimal, show
 from .core import BipartiteGraph, Hypergraph
 from .errors import Error, FormatError, PreconditionError, ResourceBudgetError, ValidationError, VerificationError
 from .formats import load, read_ascii, read_int
@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
             return _DISPATCH[args.command](args)
         except (Error, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {show(exc)}", file=sys.stderr)  # an OSError's path cut as show cuts it
             return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 

@@ -4,7 +4,9 @@
 Both formats use LF line endings, single spaces, canonical decimal
 integers and canonically ordered content; the parsers reject any
 deviation with a line-numbered error, so parse(serialize(x)) == x and
-serialize(parse(s)) == s hold bit-exactly.
+serialize(parse(s)) == s hold bit-exactly.  A serializer writes its text
+in one pass: one format string for the whole text, with one piece per
+incidence or per edge width, applied once with `%` to the flattened ids.
 
 This module checks syntax and `core` checks structure.  A body is read
 in bulk, by C iterators, in chunks of fewer than _CHUNK characters (or
@@ -33,7 +35,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from functools import partial
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Any, Callable, Iterator, NoReturn
 
 from .arith import DECIMAL, parse_decimal_int, short_decimal, short_value
@@ -46,17 +48,22 @@ _CHUNK = 1 << 16  # a chunk of more than one line joins to fewer characters, so 
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
-    """Each edge through the one format of its width."""
-    formats = {width: "e" + " %d" * width + "\n" for width in set(map(len, h.edges))}
-    body = "".join(map(str.__mod__, map(formats.__getitem__, map(len, h.edges)), h.edges))
-    return f"hgt 1\nvertices {h.num_vertices}\nedges {h.num_edges}\n{body}"
+    """The text through one format, applied once to the flattened ids: the
+    header, then one piece per edge, the piece of its width."""
+    pieces = {width: "e" + " %d" * width + "\n" for width in set(map(len, h.edges))}
+    if len(pieces) == 1:  # one width: its piece, repeated
+        body = [pieces.popitem()[1] * h.num_edges]
+    else:
+        body = map(pieces.__getitem__, map(len, h.edges))
+    return "".join(["hgt 1\nvertices %d\nedges %d\n", *body]) % (
+        h.num_vertices, h.num_edges, *chain.from_iterable(h.edges))
 
 
 def serialize_bipartite(g: BipartiteGraph) -> str:
-    lines = ["bgt 1", f"left {g.n_left}", f"right {g.n_right}"]
-    for u, v in g.incidences:
-        lines.append(f"a {u} {v}")
-    return "\n".join(lines) + "\n"
+    """The text through one format, one piece per incidence, applied once
+    to the flattened ids."""
+    return ("bgt 1\nleft %d\nright %d\n" + "a %d %d\n" * g.num_incidences) % (
+        g.n_left, g.n_right, *chain.from_iterable(g.incidences))
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:

@@ -58,11 +58,19 @@ from .transforms import loose_path, neighborhood_hypergraph, split_edges, substi
 def pad_vertices(h: Hypergraph, to: int) -> Hypergraph:
     """Raise the vertex count to exactly ``to`` by adding isolated
     vertices; exists to hit an exact vertex budget, so shrinking is an
-    error."""
+    error.  Isolated vertices lie on no cycle, so a girth report ``h``
+    already holds is handed over unchanged, its witness checked on the
+    output first."""
     int_args(None, to=to)
     if to < h.num_vertices:
         raise PreconditionError(f"cannot pad down: {h.num_vertices} vertices > target {show(to)}")
-    return Hypergraph(to, h.edges)
+    padded = Hypergraph(to, h.edges)
+    if "girth_report" in vars(h):
+        report = h.girth_report
+        if report.witness is not None:
+            report.witness.check(padded)
+        vars(padded)["girth_report"] = report
+    return padded
 
 
 def resolve_template(token: str) -> Hypergraph:
@@ -328,11 +336,12 @@ def write_text_file(path: str, text: str) -> None:
 
 
 def _stage_template(where: str, spec: str) -> Hypergraph:
-    """``resolve_template(spec)``, with any error naming ``where``."""
+    """``resolve_template(spec)``, with any error naming ``where``, and an
+    OSError's path shown by ``show``."""
     try:
         return resolve_template(spec)
     except (Error, OSError) as exc:
-        raise type(exc)(f"{where}: {exc}") from None
+        raise type(exc)(f"{where}: {show(exc)}") from None
 
 
 def op_args(name: str, raw: dict[str, str], where: str) -> dict:

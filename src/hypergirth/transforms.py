@@ -9,6 +9,15 @@ Two facts drive everything here:
   a template placed inside that edge never creates a cycle shorter than
   min(girth(host), girth(template)) (:func:`substitute_edges`).
 
+The first fact also carries a verified girth: when the bipartite graph
+already holds its girth report, the neighbourhood hypergraph is given that
+report halved, its witness mapped onto the edges and re-checked, instead of
+sweeping its incidence graph again.  Under the precondition (distinct
+nonempty neighbourhoods) that incidence graph is the bipartite graph
+without its isolated right vertices, relabelled, so the carried girth is
+exact.  A graph whose report was never computed costs nothing here: the
+output then computes its own on first use.
+
 Copy placement is deterministic: copy j of the template maps template
 vertex t to the (j * |V_template| + t)-th smallest vertex of the host
 edge, so identical inputs always produce bit-identical outputs.
@@ -17,10 +26,12 @@ edge, so identical inputs always produce bit-identical outputs.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 
 from .arith import Number, int_args, mul, short_decimal
 from .core import BipartiteGraph, Hypergraph, check_vertex_budget
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
+from .girth import BergeCycle, GirthReport
 
 
 class EmptySplitWarning(UserWarning):
@@ -47,9 +58,37 @@ def neighborhood_hypergraph(g: BipartiteGraph) -> Hypergraph:
 
     Empty neighborhoods are dropped; two right vertices with the same
     nonempty neighborhood violate the precondition and raise, naming both.
+    A report ``g`` already holds is carried over by :func:`_halved`.
     """
     pairs = [(nbhd, v) for v, nbhd in enumerate(g.right_neighbors) if nbhd]
-    return _collect(g.n_left, pairs, "right vertices {} and {} have the same neighborhood {}")
+    h = _collect(g.n_left, pairs, "right vertices {} and {} have the same neighborhood {}")
+    if "girth_report" in vars(g):
+        vars(h)["girth_report"] = _halved(g, h)
+    return h
+
+
+def _halved(g: BipartiteGraph, h: Hypergraph) -> GirthReport:
+    """The girth report of ``h``, the neighborhood hypergraph of ``g``, from
+    ``g``'s: half its girth, or none on a forest.  The witness keeps its
+    left nodes as the vertices and takes each right node to the index of its
+    neighborhood among the sorted edges, found by bisection and compared; a
+    mismatch, or a cycle that fails BergeCycle.check or is not half the girth
+    long, raises VerificationError."""
+    report = g.girth_report
+    if report.witness is None:
+        return GirthReport(None)
+    sides, ids = zip(*report.witness.nodes)
+    if sides != ("l", "r") * (len(ids) // 2):
+        raise VerificationError("internal error: the bipartite witness does not alternate from a left node")
+    nbhds = [g.right_neighbors[v] for v in ids[1::2]]
+    edges = tuple(bisect_left(h.edges, nbhd) for nbhd in nbhds)
+    if [h.edges[e:e + 1] for e in edges] != [(nbhd,) for nbhd in nbhds]:
+        raise VerificationError("internal error: a right node of the bipartite witness maps to no edge")
+    witness = BergeCycle(ids[0::2], edges)
+    witness.check(h)
+    if 2 * len(witness) != report.girth:
+        raise VerificationError("internal error: the carried witness is not half the girth long")
+    return GirthReport(report.girth // 2, witness)
 
 
 def substitute_edges(host: Hypergraph, template: Hypergraph, copies_per_edge: int) -> Hypergraph:

@@ -1155,13 +1155,65 @@ class TestFailedWrite:
         ],
         ids=["gen", "plan"],
     )
-    def test_names_the_target(self, tmp_path, capsys, argv):
-        target = str(tmp_path / "nodir" / "out.txt")
+    def test_names_the_target(self, tmp_path, capsys, monkeypatch, argv):
+        # relative, so the path is short enough to be shown whole and its temp suffix would show
+        monkeypatch.chdir(tmp_path)
+        target = os.path.join("nodir", "out.txt")
         code, stdout, stderr = run(capsys, *[target if a == "OUT" else a for a in argv])
         assert (code, stdout) == (3, "")
         assert_one_error_line(stderr)
         assert stderr.rstrip().endswith(f"No such file or directory: {target!r}") and ".tmp" not in stderr
         assert os.listdir(tmp_path) == []
+
+
+class TestLongPath:
+    """A path of 5 000 characters that cannot be opened, read or written
+    exits 3 with one error line under 200 bytes: the path is cut as
+    arith.show cuts a token, and a recipe stage's template is named the
+    same way."""
+
+    @staticmethod
+    def long_path(tmp_path, suffix):
+        path = os.path.join(str(tmp_path), "d" * 100)
+        return path + "/" + "x" * (5000 - len(path) - 1 - len(suffix)) + suffix
+
+    def test_each_command_shows_a_bounded_path(self, tmp_path, capsys):
+        bgt, hgt = self.long_path(tmp_path, ".bgt"), self.long_path(tmp_path, ".hgt")
+        assert len(bgt) == len(hgt) == 5000
+        plain, template = tmp_path / "plain.rcp", tmp_path / "template.rcp"
+        plain.write_text("rcp 1\ntarget 2\nstage gen plane q=2\n")
+        template.write_text(f"rcp 1\ntarget 2\nstage gen plane q=2\nstage nbhd\nstage substitute template={hgt} k=1\n")
+        commands = [
+            ("gen", "plane", "--q", "2", bgt),
+            ("girth", bgt),
+            ("report", bgt),
+            ("transform", "nbhd", bgt, str(tmp_path / "h.hgt")),
+            ("plan", "--girth", "6", "--p", "5", "--r", "3", "--N", "3967295312526", "--cert", bgt),
+            ("pipeline", bgt, "--out-dir", str(tmp_path / "run")),
+            ("pipeline", str(plain), "--out-dir", bgt),
+            ("pipeline", str(template), "--out-dir", str(tmp_path / "run")),
+        ]
+        for argv in commands:
+            code, stdout, stderr = run(capsys, *argv)
+            assert (code, stdout) == (3, ""), argv
+            assert_one_error_line(stderr)
+            assert len(stderr.encode()) < 200, argv
+            assert f"{bgt[:40]!r}" in stderr or f"{hgt[:40]!r}" in stderr, argv
+        assert stderr.startswith(f"error: stage 3: [Errno 36] File name too long: {hgt[:40]!r}")
+        # only the output directory's first component, which os.makedirs made before the long one failed
+        assert sorted(os.listdir(tmp_path)) == ["d" * 100, "plain.rcp", "template.rcp"]
+
+    def test_an_os_error_shows_each_path_cut(self):
+        from hypergirth.arith import show
+
+        long, short = "/" + "a" * 5000, "b.txt"
+        assert show(FileNotFoundError(2, "No such file or directory", long)) == (
+            f"[Errno 2] No such file or directory: {long[:40]!r}")
+        assert show(OSError(18, "Invalid cross-device link", short, None, long)) == (
+            f"[Errno 18] Invalid cross-device link: 'b.txt' -> {long[:40]!r}")
+        for exc in (FileNotFoundError(2, "No such file or directory", short), OSError(18, "x", short, None, "c"),
+                    OSError("no path"), OSError(2, "No such file or directory")):
+            assert show(exc) == str(exc)
 
 
 def test_the_installed_script_target_runs_report(tmp_path, capsys):

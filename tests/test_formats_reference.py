@@ -18,6 +18,13 @@ mutated texts read in chunks of the default size and of a few tokens, and
 on named cases: non-uniform bodies, ids at or above the token count, empty
 bodies, tokens over 7 digits, stray spaces and faults past the first chunk.
 Valid input never reaches the line matcher that names a bad line.
+
+The serializers are checked against the ones that formatted each line, or
+each edge, on its own, before the text was written in one format pass;
+they are kept verbatim, but for their names.  Both must give the same
+text on derandomized random values (uniform and mixed edge widths, no
+edges or incidences, one-vertex edges, headers padded up to VERTEX_BUDGET)
+and on every value the benchmark's construct and recipe workloads write.
 """
 
 import os
@@ -34,11 +41,18 @@ from hypergirth import (
     Hypergraph,
     formats,
     neighborhood_hypergraph,
+    greedy_high_girth_bipartite,
+    loose_path,
+    pad_vertices,
     parse_bipartite,
     parse_hypergraph,
     projective_plane,
     serialize_bipartite,
     serialize_hypergraph,
+    split_cayley_hexagon,
+    split_edges,
+    substitute_edges,
+    symplectic_quadrangle,
 )
 from hypergirth.arith import DECIMAL, short_decimal, short_value
 from hypergirth.cli import main
@@ -494,3 +508,86 @@ def test_valid_input_never_reaches_the_line_matcher(tmp_path, capsys, monkeypatc
             text = fh.read()
         assert serialize(formats.load(path)) == text
 
+
+
+# The serializers before the one-pass format, verbatim but for their names.
+def reference_serialize_hypergraph(h: Hypergraph) -> str:
+    """Each edge through the one format of its width."""
+    formats = {width: "e" + " %d" * width + "\n" for width in set(map(len, h.edges))}
+    body = "".join(map(str.__mod__, map(formats.__getitem__, map(len, h.edges)), h.edges))
+    return f"hgt 1\nvertices {h.num_vertices}\nedges {h.num_edges}\n{body}"
+
+
+def reference_serialize_bipartite(g: BipartiteGraph) -> str:
+    lines = ["bgt 1", f"left {g.n_left}", f"right {g.n_right}"]
+    for u, v in g.incidences:
+        lines.append(f"a {u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_serializers_agree(value) -> None:
+    if isinstance(value, BipartiteGraph):
+        assert serialize_bipartite(value) == reference_serialize_bipartite(value)
+    else:
+        assert serialize_hypergraph(value) == reference_serialize_hypergraph(value)
+
+
+@st.composite
+def serializable_values(draw):
+    """A hypergraph of uniform or mixed widths from 1 up, or a bipartite
+    graph, either possibly empty, its header padded past its ids."""
+    n = draw(st.integers(0, 12))
+    pad = draw(st.sampled_from([0, 1, 1000, VERTEX_BUDGET - 2 * n]))
+    ids = st.integers(0, max(n - 1, 0))
+    if draw(st.booleans()):
+        pairs = draw(st.sets(st.tuples(ids, ids), max_size=40)) if n else set()
+        return BipartiteGraph(n + pad // 2, n + pad - pad // 2, tuple(sorted(pairs)))
+    widths = st.integers(1, max(n, 1)) if draw(st.booleans()) else st.just(draw(st.integers(1, max(n, 1))))
+    edges = set()
+    for width in draw(st.lists(widths, max_size=30)) if n else []:
+        edges.add(tuple(sorted(draw(st.sets(ids, min_size=min(width, n), max_size=min(width, n))))))
+    return Hypergraph(n + pad, tuple(sorted(edges)))
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(serializable_values())
+def test_serializers_agree_with_the_per_line_reference(value):
+    assert_serializers_agree(value)
+
+
+def test_serializers_agree_on_the_named_edge_cases():
+    for value in (Hypergraph(0, ()), Hypergraph(VERTEX_BUDGET, ()), Hypergraph(3, ((0,), (1,), (2,))),
+                  Hypergraph(VERTEX_BUDGET, ((0,), (0, 4_999_999), (7, 8, 9))), BipartiteGraph(0, 0, ()),
+                  BipartiteGraph(VERTEX_BUDGET - 1, 1, ((0, 0), (4_999_998, 0))), BipartiteGraph(5, 0, ())):
+        assert_serializers_agree(value)
+
+
+def workload_values():
+    """What the benchmark's construct and recipe workloads write: each polygon,
+    a relabelled copy and the neighbourhood hypergraphs of both; each stage
+    of the greedy, plane and quadrangle recipes."""
+    rng = random.Random(1)
+    for build, q in [(projective_plane, 11), (projective_plane, 13), (symplectic_quadrangle, 5),
+                     (symplectic_quadrangle, 7), (split_cayley_hexagon, 2), (split_cayley_hexagon, 3)]:
+        g = build(q)
+        left, right = list(range(g.n_left)), list(range(g.n_right))
+        rng.shuffle(left)
+        rng.shuffle(right)
+        copy = BipartiteGraph.from_incidences(g.n_left, g.n_right, [(left[u], right[v]) for u, v in g.incidences])
+        yield from (g, copy, neighborhood_hypergraph(g), neighborhood_hypergraph(copy))
+    for _ in range(2):
+        g = greedy_high_girth_bipartite(500, 100, 10, 10, rng.randrange(1, 10**6))[0]
+        h = neighborhood_hypergraph(g)
+        pairs = split_edges(h, 2)
+        yield from (g, h, pairs, pad_vertices(pairs, rng.randrange(520, 640)))
+    for build, q, k, to in [(projective_plane, 13, 2, 200), (symplectic_quadrangle, 7, 1, None)]:
+        sub = substitute_edges(neighborhood_hypergraph(build(q)), loose_path(3, 3), k)
+        pairs = split_edges(sub, 2)
+        yield from (sub, pairs) + ((pad_vertices(pairs, to),) if to else ())
+
+
+def test_serializers_agree_on_every_workload_value():
+    values = list(workload_values())
+    assert len(values) == 37
+    for value in values:
+        assert_serializers_agree(value)

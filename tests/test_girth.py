@@ -733,5 +733,5 @@ class TestGirthReportComputedOnce:
         assert capsys.readouterr().out.endswith("\ngirth 6\n")
         rcp.write_text("rcp 1\ntarget 3\nstage gen plane q=3\nstage nbhd\n")
         assert main(["pipeline", str(rcp), "--out-dir", str(tmp_path / "run")]) == 0
-        # the plane's self-check and stage check share one sweep; the nbhd output has its own
-        assert sweeps[2:] == [26, 26]
+        # the plane's self-check and stage check share one sweep; the nbhd output carries it, halved
+        assert sweeps[2:] == [26]

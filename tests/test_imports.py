@@ -637,9 +637,7 @@ BOUNDED_VALUES = {
 
 # Values a raised message shows unbounded today, each with where it comes from.
 # The guard fails when one is mended without being taken off this list.
-KNOWN_UNBOUNDED = {
-    "_stage_template: exc": "an OSError from loading a recipe's template shows its path as given (ROADMAP item 12)",
-}
+KNOWN_UNBOUNDED: dict[str, str] = {}
 
 
 def _called_name(node: ast.AST) -> str:

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import importlib
 import itertools
@@ -30,7 +31,12 @@ from hypergirth import (
     transforms,
     validate,
 )
+from hypergirth import girth as girth_mod
+from hypergirth.cli import main
 from hypergirth.core import VERTEX_BUDGET
+from hypergirth.errors import VerificationError
+from hypergirth.girth import BergeCycle, BipartiteCycle, GirthReport
+from hypergirth.pipeline import pad_vertices
 
 
 class TestNeighborhoodHypergraph:
@@ -263,6 +269,127 @@ class TestGirthDoubling:
             assert hg.girth is None
         else:
             assert bg.girth == 2 * hg.girth
+
+
+@st.composite
+def carry_graphs(draw):
+    """A bipartite graph with distinct nonempty right neighbourhoods: an even
+    cycle of length 4 to 12 with random chords, a forest, or random
+    incidences, plus right vertices left empty and isolated left vertices."""
+    k = draw(st.integers(2, 6))
+    n_left, n_right = k + draw(st.integers(0, 3)), k + draw(st.integers(0, 3))
+    shape = draw(st.sampled_from(("cycle", "forest", "random")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pairs = set()
+    if shape == "cycle":
+        left, right = rng.sample(range(n_left), k), rng.sample(range(n_right), k)
+        pairs = {(left[i], right[i]) for i in range(k)} | {(left[(i + 1) % k], right[i]) for i in range(k)}
+        pairs |= {(rng.randrange(n_left), rng.randrange(n_right)) for _ in range(draw(st.integers(0, 2)))}
+    elif shape == "forest":
+        component = list(range(n_left + n_right))  # union-find over left ids, then right ids
+        def root(x):
+            while component[x] != x:
+                x = component[x]
+            return x
+        for _ in range(draw(st.integers(0, 2 * (n_left + n_right)))):
+            u, v = rng.randrange(n_left), rng.randrange(n_right)
+            if root(u) != root(n_left + v):
+                component[root(u)] = root(n_left + v)
+                pairs.add((u, v))
+    else:
+        density = 0.2 + 0.4 * rng.random()
+        pairs = {(u, v) for u in range(n_left) for v in range(n_right) if rng.random() < density}
+    g = BipartiteGraph.from_incidences(n_left, n_right, pairs)
+    seen = set()  # a repeated nonempty neighbourhood is emptied, so the precondition holds
+    keep = []
+    for v, nb in enumerate(g.right_neighbors):
+        if nb not in seen:
+            seen.add(nb)
+            keep.append(v)
+    return BipartiteGraph.from_incidences(n_left, n_right, [(u, v) for u, v in pairs if v in keep])
+
+
+class TestCarriedGirth:
+    """``nbhd`` and ``pad`` hand on a girth report their input already holds,
+    and never compute one for this."""
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(carry_graphs(), st.integers(0, 5))
+    def test_carried_girth_equals_a_fresh_sweep(self, g, extra):
+        g.girth_report
+        h = neighborhood_hypergraph(g)
+        fresh = girth_hypergraph(Hypergraph(h.num_vertices, h.edges))
+        carried = vars(h)["girth_report"]
+        assert carried.girth == fresh.girth and carried.searched_to is None
+        if fresh.girth is not None:
+            carried.witness.check(h)
+            assert len(carried.witness) == fresh.girth == g.girth_report.girth // 2
+        padded = pad_vertices(h, h.num_vertices + extra)
+        assert vars(padded)["girth_report"] is carried
+        # padding leaves the sweep's own answer as it was, witness included
+        assert girth_hypergraph(Hypergraph(padded.num_vertices, padded.edges)) == fresh
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_each_girth_from_4_to_12_is_carried(self, k):
+        # a 2k-cycle with a pendant on its first right vertex (so a 4-cycle's two
+        # neighbourhoods differ), a pendant edge, an empty right vertex and an isolated left vertex
+        cycle = [(i, i) for i in range(k)] + [((i + 1) % k, i) for i in range(k)]
+        g = BipartiteGraph.from_incidences(k + 3, k + 2, cycle + [(k + 1, 0), (0, k), (k, k)])
+        assert g.girth_report.girth == 2 * k
+        h = neighborhood_hypergraph(g)
+        assert vars(h)["girth_report"].girth == k == girth_hypergraph(Hypergraph(h.num_vertices, h.edges)).girth
+
+    def test_a_value_without_a_report_computes_its_own(self):
+        g = BipartiteGraph.from_incidences(3, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)])
+        h = neighborhood_hypergraph(g)
+        assert "girth_report" not in vars(h) and "girth_report" not in vars(pad_vertices(h, 5))
+        assert h.girth_report.girth == 2
+
+    @pytest.mark.parametrize("build", [symplectic_quadrangle, split_cayley_hexagon])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_whole_report_carried_on_polygons_with_sorted_lines(self, build, q):
+        g = build(q)  # its self-check holds the report; its lines are numbered in sorted order
+        h = neighborhood_hypergraph(g)
+        assert vars(h)["girth_report"] == girth_hypergraph(Hypergraph(h.num_vertices, h.edges))
+        padded = pad_vertices(h, h.num_vertices + 3)
+        assert padded.girth_report == girth_hypergraph(Hypergraph(padded.num_vertices, padded.edges))
+
+    def test_a_wrong_edge_index_raises(self, monkeypatch):
+        g = symplectic_quadrangle(3)
+        monkeypatch.setattr(transforms, "bisect_left", lambda edges, nb: (bisect.bisect_left(edges, nb) + 1) % 40)
+        with pytest.raises(VerificationError, match="maps to no edge"):
+            neighborhood_hypergraph(g)
+
+    def test_a_wrong_parent_report_raises(self):
+        g = symplectic_quadrangle(2)
+        nodes = g.girth_report.witness.nodes
+        for report, message in [
+            (GirthReport(8, BipartiteCycle(nodes[1:] + nodes[:1])), "does not alternate from a left node"),
+            (GirthReport(10, BipartiteCycle(nodes)), "not half the girth long"),
+        ]:
+            twin = BipartiteGraph(g.n_left, g.n_right, g.incidences)
+            vars(twin)["girth_report"] = report
+            with pytest.raises(VerificationError, match=message):
+                neighborhood_hypergraph(twin)
+
+    def test_a_padded_witness_is_checked(self):
+        h = neighborhood_hypergraph(symplectic_quadrangle(2))
+        twin = Hypergraph(h.num_vertices, h.edges)
+        witness = h.girth_report.witness
+        vars(twin)["girth_report"] = GirthReport(4, BergeCycle(witness.vertices, witness.edge_indices[::-1]))
+        with pytest.raises(VerificationError):
+            pad_vertices(twin, 20)
+
+    def test_one_sweep_for_a_quadrangle_recipe(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = girth_mod._shortest_cycle
+        monkeypatch.setattr(girth_mod, "_shortest_cycle", lambda adj, n_left: calls.append(n_left) or original(adj, n_left))
+        recipe = tmp_path / "r.rcp"
+        recipe.write_text("rcp 1\ntarget 4\nstage gen quadrangle q=3\nstage nbhd\nstage pad to=50\n")
+        assert main(["pipeline", str(recipe), "--out-dir", str(tmp_path / "run")]) == 0
+        assert calls == [40]
+        report = (tmp_path / "run" / "report.txt").read_text().splitlines()
+        assert [line for line in report if " girth " in line] == ["stage 1 girth 8", "stage 2 girth 4", "stage 3 girth 4"]
 
 
 class TestSubstitutionPreservation:
